@@ -370,19 +370,14 @@ func BenchmarkE15Scaling(b *testing.B) {
 // The 1M size runs only with -benchtime long enough (or -bench
 // explicitly); it processes a million subscribers per iteration.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	run := func(b *testing.B, size int, backend string, scalarRadio, scalarReplay, materialized bool) {
-		pop, err := population.New(population.Config{
-			Seed: 42, Size: size, MaterializedPersonas: materialized,
-		})
+	run := func(b *testing.B, size int, backend string) {
+		pop, err := population.New(population.Config{Seed: 42, Size: size})
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Engine construction (TDG compilation, one-off table build)
 		// is excluded: the real attack downloads the tables once.
-		eng, err := campaign.New(campaign.Config{
-			Population: pop, Backend: backend, KeyBits: 12,
-			ScalarRadio: scalarRadio, ScalarReplay: scalarReplay,
-		})
+		eng, err := campaign.New(campaign.Config{Population: pop, Backend: backend, KeyBits: 12})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -402,30 +397,13 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	// Shared-table vs per-victim exhaustive search, same population.
 	for _, backend := range []string{"table", "exhaustive"} {
 		b.Run(fmt.Sprintf("subscribers=10000/backend=%s", backend), func(b *testing.B) {
-			run(b, 10_000, backend, false, false, false)
+			run(b, 10_000, backend)
 		})
 	}
-	// Radio-path ablation: the per-session scalar A5/1 encoder the
-	// 64-lane bitsliced batch path replaced (byte-identical output).
-	b.Run("subscribers=10000/backend=table/radio=scalar", func(b *testing.B) {
-		run(b, 10_000, "table", true, false, false)
-	})
-	// Replay-path ablation: the per-session scalar chain replay the
-	// 64-lane batched table lookup (a51.RecoverBatch) replaced
-	// (byte-identical Summary).
-	b.Run("subscribers=10000/backend=table/replay=scalar", func(b *testing.B) {
-		run(b, 10_000, "table", false, true, false)
-	})
-	// Persona-path ablation: eagerly materialized personas and leak
-	// records — the allocation profile the lazy seed+index derivation
-	// replaced (byte-identical Summary).
-	b.Run("subscribers=10000/backend=table/personas=materialized", func(b *testing.B) {
-		run(b, 10_000, "table", false, false, true)
-	})
 	// Scale sweep on the shared-table backend.
 	for _, size := range []int{100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("subscribers=%d/backend=table", size), func(b *testing.B) {
-			run(b, size, "table", false, false, false)
+			run(b, size, "table")
 		})
 	}
 }
@@ -433,7 +411,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // E17 — fortification sweep throughput: the paper's defense
 // evaluation (baseline vs fortified catalog vs A5/3 radio upgrade vs a
 // budget-constrained attacker) over ONE shared population, ONE shared
-// TMTO table and a pooled rig set, in a single process. The metric is
+// TMTO table and the engine's Workers shard slots, in a single process. The metric is
 // scenario-victims/s: total (subscribers × scenarios) evaluated per
 // second — the number that has to hold up when a sweep re-runs
 // millions of subscribers per policy candidate. The parallel dimension
@@ -470,9 +448,9 @@ func BenchmarkScenarioSweep(b *testing.B) {
 				b.StopTimer()
 				total := float64(size*len(scenarios)) * float64(b.N)
 				b.ReportMetric(total/b.Elapsed().Seconds(), "scenario-victims/s")
-				// Per-iteration rig constructions: the pool rebuilds only
-				// when the radio environment changes, so this stays near
-				// workers × distinct radio signatures, not shards × scenarios.
+				// Rig constructions per iteration: rigs live in the shard
+				// slots, so the engine builds at most Workers in its
+				// lifetime and this falls toward zero as b.N grows.
 				b.ReportMetric(float64(eng.RigsBuilt())/float64(b.N), "rigs-built/op")
 			})
 		}
@@ -497,9 +475,8 @@ func BenchmarkAblationCoupleSize(b *testing.B) {
 }
 
 // Ablation: A5/1 crack cost vs key-space size × search backend (the
-// rainbow-table stand-in, DESIGN.md §5). "seed" is the original
-// exhaustive search (full 228-bit burst generated per candidate);
-// "table" measures the amortized post-build lookup cost, with the
+// rainbow-table stand-in, DESIGN.md §5). "exhaustive" is the serial
+// early-exit search; "table" measures the amortized post-build lookup cost, with the
 // one-off precomputation excluded from the timer exactly as the real
 // attack excludes the Kraken table download.
 func BenchmarkAblationCrackKeyspace(b *testing.B) {
@@ -520,7 +497,6 @@ func BenchmarkAblationCrackKeyspace(b *testing.B) {
 			name string
 			cr   a51.Cracker
 		}{
-			{"seed", a51.Exhaustive{Workers: 1, FullBurst: true}},
 			{"exhaustive", a51.Exhaustive{Workers: 1}},
 			{"parallel", a51.Exhaustive{}},
 			{"bitsliced", a51.Bitsliced{}},

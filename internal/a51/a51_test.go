@@ -108,37 +108,43 @@ func TestKeySpace(t *testing.T) {
 	}
 }
 
+// recoverSerial is the serial exhaustive search, the reference every
+// faster backend is checked against.
+func recoverSerial(keystream []byte, frame uint32, space KeySpace) (uint64, error) {
+	return Exhaustive{Workers: 1}.Recover(context.Background(), keystream, frame, space)
+}
+
 func TestRecoverKey(t *testing.T) {
 	space := KeySpace{Base: 0x5A5A000000000000, Bits: 10}
 	kc := space.Key(777)
 	frame := uint32(0x2B)
 	down, _ := New(kc, frame).KeystreamBurst()
 
-	got, err := RecoverKey(down[:8], frame, space)
+	got, err := recoverSerial(down[:8], frame, space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != kc {
-		t.Fatalf("RecoverKey = %#x want %#x", got, kc)
+		t.Fatalf("serial Exhaustive recovered %#x want %#x", got, kc)
 	}
 }
 
 func TestRecoverKeyWrongFrame(t *testing.T) {
 	space := KeySpace{Bits: 8}
 	down, _ := New(space.Key(3), 10).KeystreamBurst()
-	if _, err := RecoverKey(down[:8], 11, space); err != ErrKeyNotFound {
+	if _, err := recoverSerial(down[:8], 11, space); err != ErrKeyNotFound {
 		t.Fatalf("err = %v want ErrKeyNotFound", err)
 	}
 }
 
 func TestRecoverKeyShortSample(t *testing.T) {
-	if _, err := RecoverKey([]byte{1, 2}, 0, KeySpace{Bits: 4}); err != ErrBadKeystream {
+	if _, err := recoverSerial([]byte{1, 2}, 0, KeySpace{Bits: 4}); err != ErrBadKeystream {
 		t.Fatalf("err = %v want ErrBadKeystream", err)
 	}
 }
 
 func TestRecoverKeyFullSpaceRejected(t *testing.T) {
-	if _, err := RecoverKey(make([]byte, 8), 0, KeySpace{Bits: 64}); err == nil {
+	if _, err := recoverSerial(make([]byte, 8), 0, KeySpace{Bits: 64}); err == nil {
 		t.Fatal("full 64-bit space must be rejected for exhaustive search")
 	}
 }
@@ -211,7 +217,7 @@ func TestKnownPlaintextAttackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := RecoverKey(ks, 40, space)
+	recovered, err := recoverSerial(ks, 40, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +246,7 @@ func BenchmarkRecoverKey12Bit(b *testing.B) {
 	down, _ := New(kc, 8).KeystreamBurst()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RecoverKey(down[:8], 8, space); err != nil {
+		if _, err := recoverSerial(down[:8], 8, space); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,27 +62,6 @@ var ErrSpaceTooLarge = errors.New("a51: key space too large for exhaustive searc
 // survives with probability 2^-40 per candidate.
 const minSampleBytes = 5
 
-// RecoverKey searches space for the session key that generates the
-// observed downlink keystream prefix for the given frame number.
-// keystream is the XOR of captured ciphertext with known plaintext —
-// exactly what a sniffer derives from predictable GSM system messages.
-func RecoverKey(keystream []byte, frame uint32, space KeySpace) (uint64, error) {
-	if len(keystream) < minSampleBytes {
-		return 0, ErrBadKeystream
-	}
-	n, ok := space.Size()
-	if !ok {
-		return 0, ErrSpaceTooLarge
-	}
-	for i := uint64(0); i < n; i++ {
-		key := space.Key(i)
-		if matches(key, frame, keystream) {
-			return key, nil
-		}
-	}
-	return 0, ErrKeyNotFound
-}
-
 // searchResult is the shared first-match state of a parallel search:
 // a CAS-guarded winner slot plus an atomic stop flag the hot loops
 // poll instead of a context (one uncontended atomic load per
@@ -158,10 +137,13 @@ func searchStrided(ctx context.Context, n uint64, workers int, scan func(i uint6
 	return 0, ErrKeyNotFound
 }
 
-// RecoverKeyParallel is RecoverKey fanned out over workers goroutines
-// (default: GOMAXPROCS when workers <= 0). The first match wins via an
-// atomic compare-and-swap and stops the rest through an atomic flag;
-// ctx aborts the search early with ctx.Err().
+// RecoverKeyParallel searches space for the session key that generates
+// the observed downlink keystream prefix for the given frame number —
+// the XOR of captured ciphertext with known plaintext, exactly what a
+// sniffer derives from predictable GSM system messages — fanned out
+// over workers goroutines (default: GOMAXPROCS when workers <= 0). The
+// first match wins via an atomic compare-and-swap and stops the rest
+// through an atomic flag; ctx aborts the search early with ctx.Err().
 func RecoverKeyParallel(ctx context.Context, keystream []byte, frame uint32, space KeySpace, workers int) (uint64, error) {
 	if len(keystream) < minSampleBytes {
 		return 0, ErrBadKeystream
@@ -191,24 +173,6 @@ func matches(key uint64, frame uint32, keystream []byte) bool {
 		c.clock()
 		want := uint32(keystream[i/8]>>(7-uint(i)&7)) & 1
 		if c.outBit() != want {
-			return false
-		}
-	}
-	return true
-}
-
-// matchesFullBurst is the pre-TMTO reference matcher: it generates the
-// complete downlink+uplink burst for every candidate before comparing.
-// It survives only as the Exhaustive{FullBurst: true} baseline so the
-// backend-comparison ablation can measure the seed cost.
-func matchesFullBurst(key uint64, frame uint32, keystream []byte) bool {
-	down, _ := New(key, frame).KeystreamBurst()
-	limit := len(keystream)
-	if limit > BurstBytes {
-		limit = BurstBytes
-	}
-	for i := 0; i < limit; i++ {
-		if down[i] != keystream[i] {
 			return false
 		}
 	}

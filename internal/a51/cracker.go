@@ -30,21 +30,12 @@ type Cracker interface {
 type Exhaustive struct {
 	// Workers is the search parallelism: 0 means GOMAXPROCS, 1 serial.
 	Workers int
-	// FullBurst switches to the pre-optimization reference matcher
-	// that generates the complete 228-bit downlink+uplink burst per
-	// candidate instead of early-exiting on the first mismatched bit.
-	// It exists so ablations can reproduce the seed cost; leave it
-	// false everywhere else.
-	FullBurst bool
 }
 
 var _ Cracker = Exhaustive{}
 
 // Name implements Cracker.
 func (e Exhaustive) Name() string {
-	if e.FullBurst {
-		return "exhaustive-fullburst"
-	}
 	if e.Workers == 1 {
 		return "exhaustive"
 	}
@@ -53,22 +44,17 @@ func (e Exhaustive) Name() string {
 
 // Recover implements Cracker.
 func (e Exhaustive) Recover(ctx context.Context, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
-	if !e.FullBurst && e.Workers != 1 {
+	if e.Workers != 1 {
 		return RecoverKeyParallel(ctx, keystream, frame, space, e.Workers)
 	}
-	// Serial paths (Workers == 1, and the FullBurst reference, which
-	// is serial by definition): run inline, polling ctx periodically
-	// so the Cracker cancellation contract holds without goroutines.
+	// Serial: run inline, polling ctx periodically so the Cracker
+	// cancellation contract holds without goroutines.
 	if len(keystream) < minSampleBytes {
 		return 0, ErrBadKeystream
 	}
 	n, ok := space.Size()
 	if !ok {
 		return 0, ErrSpaceTooLarge
-	}
-	match := matches
-	if e.FullBurst {
-		match = matchesFullBurst
 	}
 	for i := uint64(0); i < n; i++ {
 		if i%1024 == 0 {
@@ -77,7 +63,7 @@ func (e Exhaustive) Recover(ctx context.Context, keystream []byte, frame uint32,
 			}
 		}
 		key := space.Key(i)
-		if match(key, frame, keystream) {
+		if matches(key, frame, keystream) {
 			return key, nil
 		}
 	}

@@ -19,7 +19,6 @@ func allBackends(t *testing.T, space KeySpace, frames int) []Cracker {
 	}
 	return []Cracker{
 		Exhaustive{Workers: 1},
-		Exhaustive{Workers: 1, FullBurst: true},
 		Exhaustive{},
 		Bitsliced{},
 		Bitsliced{Workers: 1},

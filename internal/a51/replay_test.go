@@ -175,3 +175,46 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTableRecoverBatch compares per-sample scalar chain replay
+// (Table.Recover) with one 64-lane batched RecoverBatch call over the
+// same 64 campaign-shaped samples (12-bit space, chain length 2, full
+// 8-byte keystreams) — the mechanism cost the batch path saves per
+// crack.
+func BenchmarkTableRecoverBatch(b *testing.B) {
+	const n = 64
+	space := KeySpace{Base: 0xC118000000000000, Bits: 12}
+	frames := FrameRange(16)
+	table, err := BuildTable(space, TableConfig{Frames: frames, ChainLen: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	samples := make([]Sample, n)
+	for i := range samples {
+		frame := frames[rng.Intn(len(frames))]
+		down, _ := New(space.Key(rng.Uint64()%4096), frame).KeystreamBurst()
+		samples[i] = Sample{Keystream: down[:8], Frame: frame}
+	}
+	ctx := context.Background()
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range samples {
+				if _, err := table.Recover(ctx, s.Keystream, s.Frame, space); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, errs := table.RecoverBatch(ctx, samples, space); errs[0] != nil {
+				b.Fatal(errs[0])
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
+	})
+}

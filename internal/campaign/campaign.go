@@ -19,9 +19,9 @@
 //     per-shard passive sniffer rig — batched sniffer sessions;
 //   - all rigs share ONE A5/1 cracker backend, so a single precomputed
 //     TMTO table is amortized across the entire population AND across
-//     every scenario of a sweep; rigs themselves are pooled by
-//     radio-environment signature and reused between shards and between
-//     scenarios — including concurrent scenarios mixing environments;
+//     every scenario of a sweep; the rigs themselves live in the
+//     engine's Workers shard slots and are reused, reset, by every shard
+//     of every scenario — a rig holds no radio-environment state;
 //   - harvested leak records live in one sharded socialdb hit by every
 //     worker concurrently;
 //   - per-victim chain reactions are evaluated against a precompiled
@@ -31,12 +31,11 @@
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //
-// Batch ≡ scalar invariant: for a fixed seed the campaign Summary is
-// byte-identical whichever engine variant runs — the 64-lane batch
-// radio synthesis vs. per-session scalar encoding (Config.ScalarRadio)
-// and the 64-lane batched TMTO chain replay vs. per-session scalar
-// lookups (Config.ScalarReplay). The batch paths change cost, never
-// results; fixed-seed Summary-equality tests enforce it.
+// Each layer has one production path: 64-lane batch radio synthesis,
+// the 64-lane batched TMTO chain replay and lazily derived subscriber
+// attributes. Their naive twins — per-session encoding, per-session
+// chain replay, eagerly materialized personas — live on as test-only
+// references, and fixed-seed golden Summaries pin the results.
 package campaign
 
 import (
@@ -78,32 +77,13 @@ type Config struct {
 	// KeyBits is the A5/1 session-key space (0 = 12, as the case-study
 	// scenarios use).
 	KeyBits int
-	// ScalarRadio forces per-session scalar A5/1 encryption for campaign
-	// radio synthesis instead of the 64-lane bitsliced batch encryptor —
-	// the pre-batch path, kept for batch≡scalar equivalence tests and
-	// ablation benchmarks.
-	ScalarRadio bool
-	// ScalarReplay forces the rigs to resolve session keys one at a
-	// time through the backend's scalar chain replay (Cracker.Recover)
-	// instead of gathering every crack of a shard's trace into one
-	// 64-lane bitsliced a51.BatchCracker.RecoverBatch call — the
-	// pre-batch lookup path, kept for batch≡scalar equivalence tests
-	// and ablation benchmarks, like ScalarRadio.
-	ScalarReplay bool
 	// Scenario is the default scenario Run executes; the zero value is
 	// the paper's baseline environment (no policy, measured radio mix,
 	// full-coverage 16-receiver fleet, whole population).
 	Scenario Scenario
-	// Progress, when non-nil, receives (subscribersDone, total) after
-	// every merged shard of the scenario currently running. Under a
-	// parallel sweep the callbacks of overlapping scenarios interleave;
-	// ScenarioProgress carries the scenario identity.
-	Progress func(done, total int)
 	// ScenarioProgress, when non-nil, receives (scenario, done, total)
-	// after every merged shard — the scenario-aware form of Progress,
-	// unambiguous when SweepParallel overlaps runs. Both callbacks fire
-	// when both are set. Callbacks of concurrent scenarios may arrive
-	// concurrently; the callee synchronizes.
+	// after every merged shard of every run. Callbacks of concurrent
+	// scenarios may arrive concurrently; the callee synchronizes.
 	ScenarioProgress func(scenario string, done, total int)
 	// SweepParallel bounds how many sweep scenarios RunSweep keeps in
 	// flight at once (0 or 1 = sequential, the default). However many
@@ -146,9 +126,9 @@ type Config struct {
 // Engine is the resident core: the shared resources every scenario —
 // sequential or concurrent — draws on. Everything here is either
 // immutable after New (population, cracker table, key space) or
-// guarded for concurrent use (plan cache, leak DB, rig pool, shard
-// budget), so RunScenario is safe to call from multiple goroutines at
-// once; all per-run state lives in the run type. Build with New,
+// guarded for concurrent use (plan cache, leak DB, shard slots), so
+// RunScenario is safe to call from multiple goroutines at once; all
+// per-run state lives in the run type. Build with New,
 // execute one scenario with Run/RunScenario or a comparative list with
 // RunSweep.
 type Engine struct {
@@ -171,21 +151,18 @@ type Engine struct {
 	planMu sync.Mutex
 	plans  map[planKey]*attackPlan
 
-	// The rig pool: free sniffer rigs reusable by any worker, keyed by
-	// radio-environment signature (a rig is re-tuned state; only an
-	// identical environment can reuse it). Keying — rather than the old
-	// single last-signature pool — keeps rigs warm when concurrent or
-	// alternating scenarios mix environments instead of thrashing the
-	// whole pool on every switch. rigsBuilt counts constructions so
-	// tests can pin reuse.
-	rigMu     sync.Mutex
-	rigFree   map[string][]*sniffer.Sniffer
+	// slots is the shard budget and the rig pool in one: cfg.Workers
+	// slots, each nil until its first checkout builds the slot's sniffer
+	// rig. Every worker of every in-flight run takes a slot per shard, so
+	// overlapping runs together attack at most cfg.Workers shards at a
+	// time and RigsBuilt ≤ cfg.Workers by construction, whatever radio
+	// environments they mix. A rig holds no radio-environment state — it
+	// uses its network only for the key space and is never tuned — so
+	// after Reset any rig serves any run. shell is that network, shared
+	// by every rig; rigsBuilt counts constructions.
+	slots     chan *sniffer.Sniffer
+	shell     *telecom.Network
 	rigsBuilt atomic.Int64
-
-	// shardSem is the engine-wide shard-worker budget: every worker of
-	// every in-flight run acquires a slot per shard, so N overlapping
-	// scenarios still run at most cfg.Workers shards at a time.
-	shardSem chan struct{}
 }
 
 // planKey identifies one compiled plan.
@@ -218,14 +195,17 @@ func New(cfg Config) (*Engine, error) {
 			cfg.ShardLo, cfg.ShardHi, num)
 	}
 	e := &Engine{
-		cfg:      cfg,
-		space:    a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
-		leaks:    socialdb.New(),
-		harvest:  make([]sync.Once, cfg.Population.NumShards()),
-		plans:    make(map[planKey]*attackPlan),
-		rigFree:  make(map[string][]*sniffer.Sniffer),
-		shardSem: make(chan struct{}, cfg.Workers),
+		cfg:     cfg,
+		space:   a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
+		leaks:   socialdb.New(),
+		harvest: make([]sync.Once, cfg.Population.NumShards()),
+		plans:   make(map[planKey]*attackPlan),
+		slots:   make(chan *sniffer.Sniffer, cfg.Workers),
 	}
+	for range cfg.Workers {
+		e.slots <- nil
+	}
+	e.shell = telecom.NewNetwork(telecom.Config{KeySpace: e.space, Seed: cfg.Population.Seed()})
 	var err error
 	e.cracker = cfg.Cracker
 	if e.cracker == nil {
@@ -267,9 +247,8 @@ func (e *Engine) Cracker() a51.Cracker { return e.cracker }
 // LeakDB exposes the merged leak database after Run.
 func (e *Engine) LeakDB() *socialdb.DB { return e.leaks }
 
-// RigsBuilt reports how many sniffer rigs the engine has constructed.
-// Sweep tests pin rig reuse with it: scenarios sharing a radio
-// environment must not grow it beyond the worker count.
+// RigsBuilt reports how many sniffer rigs the engine has constructed:
+// at most Workers over the engine's lifetime, one per shard slot.
 func (e *Engine) RigsBuilt() int64 { return e.rigsBuilt.Load() }
 
 // planForScenario normalizes sc and returns its cached or
@@ -310,40 +289,34 @@ func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
 	return p, nil
 }
 
-// rig hands out a pooled sniffer rig for the given radio signature,
-// building one when that environment's pool is dry (a new radio
-// environment means re-tuned receivers, so rigs are only reusable
-// under the signature that built them). Rigs only ever serve one
-// worker at a time; crackObs, when non-nil, receives the rig's
-// batched-crack durations for the duration of the checkout.
-func (e *Engine) rig(net *telecom.Network, sig string, crackObs *obs.Histogram) *sniffer.Sniffer {
-	e.rigMu.Lock()
-	free := e.rigFree[sig]
-	if n := len(free); n > 0 {
-		r := free[n-1]
-		e.rigFree[sig] = free[:n-1]
-		e.rigMu.Unlock()
-		metRigsReused.Inc()
-		r.SetCrackObserver(crackObs)
-		return r
+// checkout takes a shard slot, blocking until one is free or ctx is
+// done (nil), and returns the slot's rig — built on the slot's first
+// use — with crackObs receiving its batched-crack durations until
+// release.
+func (e *Engine) checkout(ctx context.Context, crackObs *obs.Histogram) *sniffer.Sniffer {
+	var rig *sniffer.Sniffer
+	select {
+	case rig = <-e.slots:
+	case <-ctx.Done():
+		return nil
 	}
-	e.rigMu.Unlock()
-	e.rigsBuilt.Add(1)
-	metRigsBuilt.Inc()
-	r := sniffer.New(net, sniffer.Config{Cracker: e.cracker, ScalarReplay: e.cfg.ScalarReplay})
-	r.SetCrackObserver(crackObs)
-	return r
+	if rig == nil {
+		e.rigsBuilt.Add(1)
+		metRigsBuilt.Inc()
+		rig = sniffer.New(e.shell, sniffer.Config{Cracker: e.cracker})
+	} else {
+		metRigsReused.Inc()
+	}
+	rig.SetCrackObserver(crackObs)
+	return rig
 }
 
-// releaseRig resets a rig, detaches the run-local crack observer, and
-// returns it to its signature's pool for the next worker of any run
-// sharing that radio environment.
-func (e *Engine) releaseRig(r *sniffer.Sniffer, sig string) {
-	r.Reset()
-	r.SetCrackObserver(nil)
-	e.rigMu.Lock()
-	e.rigFree[sig] = append(e.rigFree[sig], r)
-	e.rigMu.Unlock()
+// release resets a checked-out rig, detaches the run's crack observer
+// and returns the slot for the next shard of any run.
+func (e *Engine) release(rig *sniffer.Sniffer) {
+	rig.Reset()
+	rig.SetCrackObserver(nil)
+	e.slots <- rig
 }
 
 // Run executes the engine's default scenario.
@@ -459,7 +432,6 @@ type runtimeScenario struct {
 	channels   uint64
 	sessions   int
 	reauthSkip float64
-	sig        string
 	// domainMask is nil for "everyone", else the catalog services of
 	// the segment's domain as a bitset matching Subscriber.Enrolled.
 	domainMask population.ServiceSet
@@ -474,7 +446,6 @@ func (e *Engine) newRuntime(sc Scenario) (*runtimeScenario, error) {
 		channels:   uint64(sc.Budget.CellChannels),
 		sessions:   sc.Radio.OTPSessions,
 		reauthSkip: sc.Radio.ReauthSkip,
-		sig:        sc.Radio.sig(),
 	}
 	if sc.Segment.Domain != "" {
 		dom, err := domainByName(sc.Segment.Domain)
@@ -528,12 +499,12 @@ type shardResult struct {
 
 // attack streams every owned, not-yet-journaled shard through the
 // run's worker pool and aggregates the partial summaries. Each worker
-// acquires one slot of the engine-wide shard budget per shard, so
-// concurrent runs collectively never exceed cfg.Workers shards in
-// flight. With a checkpoint, the aggregator (the journal's single
-// owner) appends each merged part and folds periodic snapshots; a
-// journal failure — including an injected crash — cancels the run and
-// drains the pool so no worker goroutine outlives the call.
+// checks out one of the engine's shard slots per shard, so concurrent
+// runs collectively never exceed cfg.Workers shards in flight. With a
+// checkpoint, the aggregator (the journal's single owner) appends each
+// merged part and folds periodic snapshots; a journal failure —
+// including an injected crash — cancels the run and drains the pool so
+// no worker goroutine outlives the call.
 func (r *run) attack(ctx context.Context) (*Summary, error) {
 	e := r.e
 	ctx, cancel := context.WithCancel(ctx)
@@ -550,21 +521,13 @@ func (r *run) attack(ctx context.Context) (*Summary, error) {
 			defer wg.Done()
 			scr := newScratch(r.plan)
 			defer scr.release()
-			// A shell network per worker: the rig only needs the key
-			// space; no cells, no subscribers, no global lock shared
-			// with other workers.
-			net := telecom.NewNetwork(telecom.Config{
-				KeySpace: e.space,
-				Seed:     pop.Seed(),
-			})
 			for i := range shards {
-				select {
-				case e.shardSem <- struct{}{}:
-				case <-ctx.Done():
+				rig := e.checkout(ctx, r.phases.crack())
+				if rig == nil {
 					return
 				}
-				part := r.runShard(ctx, i, net, scr)
-				<-e.shardSem
+				part := r.runShard(ctx, i, rig, scr)
+				e.release(rig)
 				if part == nil {
 					return // canceled mid-retry
 				}
@@ -607,12 +570,8 @@ func (r *run) attack(ctx context.Context) (*Summary, error) {
 			sum.Subscribers, sum.SubscribersSkipped, sum.Subscribers-subs0)
 	}()
 	progress := func() {
-		done := int(sum.Subscribers + sum.SubscribersSkipped)
-		if e.cfg.Progress != nil {
-			e.cfg.Progress(done, pop.Size())
-		}
 		if e.cfg.ScenarioProgress != nil {
-			e.cfg.ScenarioProgress(r.norm.Name, done, pop.Size())
+			e.cfg.ScenarioProgress(r.norm.Name, int(sum.Subscribers+sum.SubscribersSkipped), pop.Size())
 		}
 	}
 	if sum.Subscribers+sum.SubscribersSkipped > 0 {
@@ -686,7 +645,7 @@ func (r *run) journalShard(shard int, part, sum *Summary) error {
 // quarantine summary — the shard's subscribers are counted as skipped
 // and the run continues, reporting an explicit coverage fraction
 // instead of aborting. A nil return means ctx was canceled mid-retry.
-func (r *run) runShard(ctx context.Context, i int, net *telecom.Network, scr *scratch) *Summary {
+func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *scratch) *Summary {
 	e := r.e
 	pop := e.cfg.Population
 	for attempt := 0; ; attempt++ {
@@ -695,7 +654,7 @@ func (r *run) runShard(ctx context.Context, i int, net *telecom.Network, scr *sc
 		err := e.cfg.Fault.ShardAttempt(i, attempt)
 		if err == nil {
 			sh := pop.Shard(i)
-			part := r.attackShard(sh, net, scr)
+			part := r.attackShard(sh, rig, scr)
 			sh.Release()
 			e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt, Subscribers: part.Subscribers})
 			return part
@@ -767,15 +726,14 @@ const baseARFCN = 512
 // shard once collecting every targeted victim's session descriptors
 // (the per-victim draws and COUNT schedule are identical to the former
 // encode-as-you-go path), encrypt the gathered A5/1 sessions in
-// 64-lane bitsliced blocks, feed the bursts to a pooled sniffer rig
+// 64-lane bitsliced blocks, feed the bursts to the slot's sniffer rig
 // backed by the shared cracker, then evaluate the chain reaction for
 // each intercepted victim against the scenario's compiled plan.
-func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scratch) *Summary {
+func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) *Summary {
 	e, rt, plan := r.e, r.rt, r.plan
 	pop := e.cfg.Population
 	part := newSummary(len(pop.Services()))
 	part.Subscribers = int64(len(sh.Subscribers))
-	lazy := !pop.Materialized()
 	if n := len(sh.Subscribers); n > 0 {
 		metPopBytesPerSub.Set(float64(sh.MemBytes() / n))
 	}
@@ -787,21 +745,16 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	// lookups hit the same sharded store concurrently. The leak DB is a
 	// population fact, not a scenario artifact, so each shard harvests
 	// exactly once per engine and later sweep scenarios skip the
-	// rewrite. On the lazy path the records don't exist yet: they are
-	// rebuilt from the draw streams into the worker's pooled record
-	// buffer, their strings carved from the worker's durable arena
-	// (never reset — the global DB retains them for the engine's
-	// lifetime), and bulk-inserted. The sync.Once gate (not a swapped
-	// flag) makes a concurrent run's worker reaching this shard block
-	// until the insert completes, so its closure-phase lookups never
-	// see a half-harvested shard.
+	// rewrite. The records are rebuilt from the draw streams into the
+	// worker's pooled record buffer, their strings carved from the
+	// worker's durable arena (never reset — the global DB retains them
+	// for the engine's lifetime), and bulk-inserted. The sync.Once gate
+	// (not a swapped flag) makes a concurrent run's worker reaching this
+	// shard block until the insert completes, so its closure-phase
+	// lookups never see a half-harvested shard.
 	e.harvest[sh.Index].Do(func() {
-		if lazy {
-			scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
-			e.leaks.AddAll(scr.leakRecs)
-		} else {
-			e.leaks.Merge(sh.Leaks)
-		}
+		scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
+		e.leaks.AddAll(scr.leakRecs)
 	})
 	// Per-shard leak accounting (persona phones are unique, so summing
 	// shard counts equals the merged DB size): the count lands in the
@@ -810,12 +763,10 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	part.LeakRecords = int64(sh.LeakCount)
 
 	// Per-shard IMSI strings are carved from the shard-cycle arena:
-	// they reach the sniffer rig's session caches, which releaseRig
-	// resets before this worker's next shard reuses the arena.
+	// they reach the sniffer rig's session caches, which release resets
+	// before this worker's next shard reuses the arena.
 	scr.strs.Reset()
 
-	rig := e.rig(net, rt.sig, r.phases.crack())
-	defer e.releaseRig(rig, rt.sig)
 	synthStart := time.Now()
 	seed := uint64(e.cfg.Population.Seed())
 	sessions := rt.sessions
@@ -858,11 +809,8 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		if !encodable {
 			continue
 		}
-		imsi := sub.IMSI
-		if lazy {
-			scr.phone = population.AppendIMSI(scr.phone[:0], sub.Index)
-			imsi = slab.StringOf(&scr.strs, scr.phone)
-		}
+		scr.phone = population.AppendIMSI(scr.phone[:0], sub.Index)
+		imsi := slab.StringOf(&scr.strs, scr.phone)
 		mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
 		epoch := uint64(0)
 		var rnd [16]byte
@@ -910,23 +858,9 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 
 	// Encrypt phase: the whole shard's A5/1 bursts run through the
 	// 64-lane bitsliced encryptor, then the rig hears every burst in
-	// session order (the order the per-session path fed them).
-	encStart := time.Now()
-	if e.cfg.ScalarRadio {
-		// The scalar path interleaves encoding and rig feeding per
-		// session, so the whole loop lands in "encrypt" and "feed"
-		// stays empty — the documented ablation caveat.
-		for i := range batch {
-			bursts, err := telecom.EncodeSMSBursts(batch[i])
-			if err != nil {
-				continue
-			}
-			for _, b := range bursts {
-				rig.Feed(b)
-			}
-		}
-		r.phases.observe("encrypt", encStart)
-	} else if len(batch) > 0 {
+	// session order.
+	if len(batch) > 0 {
+		encStart := time.Now()
 		// The flat trace lives in the worker's pooled burst buffer:
 		// FeedBatch copies what it keeps and campaign traffic is
 		// lossless (every session completes within the call), so the
@@ -936,7 +870,7 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 			// The shared TPDU marshaled above, so the batch cannot fail;
 			// reaching here means the session counters above are already
 			// wrong, and silently dropping the shard's traffic would
-			// break the batch≡scalar Summary contract undetected.
+			// move the golden Summaries undetected.
 			panic(fmt.Sprintf("campaign: batch encode of pre-validated sessions failed: %v", err))
 		}
 		r.phases.observe("encrypt", encStart)
@@ -965,15 +899,8 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		// The dossier probe derives the victim's phone into the worker's
 		// scratch buffer and hits the sharded store via the raw-bytes
 		// lookup — no key string is ever built on the closure path.
-		var rec socialdb.Record
-		var err error
-		if lazy {
-			scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
-			rec, err = e.leaks.LookupBytes(scr.phone)
-		} else {
-			rec, err = e.leaks.Lookup(sub.Persona.Phone)
-		}
-		if err == nil {
+		scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
+		if rec, err := e.leaks.LookupBytes(scr.phone); err == nil {
 			part.DossierHits++
 			know |= leakFactorMask(rec)
 		}

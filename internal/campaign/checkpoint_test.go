@@ -37,8 +37,8 @@ func sharedCracker(t *testing.T, cfg Config) a51.Cracker {
 
 // TestCampaignResumeEquivalence is the core recovery invariant: a run
 // killed at every instrumented crash point and then resumed yields a
-// Summary byte-identical to an uninterrupted run, on both the batch
-// and the scalar ablation paths.
+// Summary byte-identical to an uninterrupted run, on both the batched
+// and the scalar (scalarCracker) chain-replay paths.
 func TestCampaignResumeEquivalence(t *testing.T) {
 	pop := testPop(t, 2048, 128) // 16 shards
 	base := Config{Population: pop, KeyBits: 10, Workers: 2}
@@ -49,8 +49,7 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"batch", func(*Config) {}},
-		{"scalar-radio", func(c *Config) { c.ScalarRadio = true }},
-		{"scalar-replay", func(c *Config) { c.ScalarReplay = true }},
+		{"scalar-replay", func(c *Config) { c.Cracker = scalarCracker{c.Cracker} }},
 	}
 	for _, v := range variants {
 		v := v
@@ -125,7 +124,7 @@ func TestCampaignResumeSkipsDoneShards(t *testing.T) {
 	resumed := cfg
 	resumed.Checkpoint = &Checkpoint{Dir: dir}
 	var maxDone atomic.Int64
-	resumed.Progress = func(done, total int) {
+	resumed.ScenarioProgress = func(_ string, done, total int) {
 		if int64(done) > maxDone.Load() {
 			maxDone.Store(int64(done))
 		}
@@ -320,7 +319,7 @@ func TestCampaignCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Progress = func(done, total int) {
+	cfg.ScenarioProgress = func(_ string, done, total int) {
 		if done > 0 {
 			cancel() // cancel mid-run, after at least one shard merged
 		}

@@ -41,14 +41,6 @@ func summaryDigest(t *testing.T, sum *Summary) string {
 	return hex.EncodeToString(d[:])
 }
 
-// goldenConfig is the fixed engine the goldens are pinned on: 10k
-// subscribers, seed 7, 1024-subscriber shards, two workers and the
-// default table backend at the default key space.
-func goldenConfig(t *testing.T) Config {
-	t.Helper()
-	return Config{Population: testPop(t, 10000, 1024), Workers: 2, Backend: "table"}
-}
-
 // goldenDigests pins every built-in scenario's Summary. The values were
 // captured before the engine's ablation paths were removed; a change to
 // any of them means a behaviour change, not a refactor.
@@ -62,9 +54,11 @@ var goldenDigests = map[string]string{
 }
 
 // TestGoldenSummaries runs each built-in scenario through RunScenario on
-// the golden engine and checks its canonical Summary digest.
+// one fixed engine — 10k subscribers, seed 7, 1024-subscriber shards,
+// two workers, the table backend at the default key space — and checks
+// its canonical Summary digest.
 func TestGoldenSummaries(t *testing.T) {
-	eng, err := New(goldenConfig(t))
+	eng, err := New(Config{Population: testPop(t, 10000, 1024), Workers: 2, Backend: "table"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +74,34 @@ func TestGoldenSummaries(t *testing.T) {
 		}
 		if got := summaryDigest(t, sum); got != want {
 			t.Errorf("scenario %s: summary digest %s, want pinned %s\n%s", sc.Name, got, want, canonicalSummary(t, sum))
+		}
+	}
+}
+
+// TestSweepRowsMatchRunScenario pins single normalization: every
+// built-in scenario's sweep row must equal its RunScenario Summary.
+// RunSweep normalizes its list and each run normalizes its scenario
+// again, so without an idempotent normalize a53-mix's "no A5/0 cells"
+// (a50Fraction -1) reached the sweep as the 20% default.
+func TestSweepRowsMatchRunScenario(t *testing.T) {
+	cfg := Config{Population: testPop(t, 2000, 256), KeyBits: 10, Workers: 2, SweepParallel: 2}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := BuiltinScenarios()
+	sw, err := eng.RunSweep(context.Background(), scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range scenarios {
+		want, err := eng.RunScenario(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, exp := canonicalSummary(t, sw.Results[i].Summary), canonicalSummary(t, want)
+		if string(got) != string(exp) {
+			t.Errorf("scenario %s: sweep row differs from RunScenario:\nsweep %s\nrun   %s", sc.Name, got, exp)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestCampaignSummaryUnchangedByInstrumentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced.Trace = tw
-	traced.Progress = func(done, total int) {}
+	traced.ScenarioProgress = func(string, int, int) {}
 	got := render(t, runCampaign(t, traced), pop.Services())
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)

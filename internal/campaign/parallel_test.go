@@ -25,8 +25,8 @@ func phaseStructure(sum *Summary) string {
 }
 
 // mixedScenarios is a sweep list that alternates radio environments
-// (three share the baseline signature, one retunes to an A5/3 mix), so
-// it exercises the signature-keyed rig pool and plan-cache sharing.
+// (three share the baseline radio, one switches to an A5/3 mix), so it
+// exercises rig reuse across environments and plan-cache sharing.
 func mixedScenarios() []Scenario {
 	return []Scenario{
 		{Name: "baseline"},
@@ -144,11 +144,11 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSweepMixedRadioEnvRigPool pins the signature-keyed rig pool: a
-// sweep alternating radio environments must reuse each environment's
-// rigs instead of dropping the pool at every switch, so constructions
-// stay bounded by workers × distinct signatures however the scenarios
-// interleave.
+// TestSweepMixedRadioEnvRigPool pins the shard slots' rig bound: sweeps
+// alternating radio environments, two scenarios at a time, build at
+// most one rig per worker however the scenarios interleave, and each
+// sweep reports its own construction delta, not the engine's lifetime
+// count.
 func TestSweepMixedRadioEnvRigPool(t *testing.T) {
 	const workers = 4
 	pop := testPop(t, 2048, 128)
@@ -158,8 +158,7 @@ func TestSweepMixedRadioEnvRigPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two distinct signatures, each appearing twice, interleaved — the
-	// access pattern the old single-signature pool thrashed on.
+	// Two distinct radio environments, each appearing twice, interleaved.
 	sw, err := eng.RunSweep(context.Background(), []Scenario{
 		{Name: "base-1"},
 		{Name: "a53-1", Radio: RadioEnv{A50Fraction: -1, A53Fraction: 0.6}},
@@ -169,17 +168,6 @@ func TestSweepMixedRadioEnvRigPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With SweepParallel = 2 two scenarios share the worker budget, so
-	// each signature's pool never exceeds the worker count.
-	if built := eng.RigsBuilt(); built > 2*workers {
-		t.Errorf("rigs built = %d, want <= %d (2 radio signatures x %d workers)", built, 2*workers, workers)
-	}
-	if sw.RigsBuilt != eng.RigsBuilt() {
-		t.Errorf("first sweep RigsBuilt = %d, want the full delta %d", sw.RigsBuilt, eng.RigsBuilt())
-	}
-	// The satellite bugfix: a second sweep on the warm engine must
-	// report ITS delta (zero — every rig is pooled), not the engine's
-	// lifetime total.
 	sw2, err := eng.RunSweep(context.Background(), []Scenario{
 		{Name: "base-1"},
 		{Name: "a53-1", Radio: RadioEnv{A50Fraction: -1, A53Fraction: 0.6}},
@@ -187,8 +175,40 @@ func TestSweepMixedRadioEnvRigPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw2.RigsBuilt != 0 {
-		t.Errorf("second sweep on warm engine reports RigsBuilt = %d, want 0 (delta, not lifetime)", sw2.RigsBuilt)
+	built := eng.RigsBuilt()
+	if built > workers {
+		t.Errorf("rigs built = %d, want <= %d workers", built, workers)
+	}
+	if sw.RigsBuilt+sw2.RigsBuilt != built {
+		t.Errorf("sweep deltas %d + %d != engine RigsBuilt %d", sw.RigsBuilt, sw2.RigsBuilt, built)
+	}
+}
+
+// TestRigsBoundedAcrossRadioEnvs sends 1,000 distinct radio
+// environments to one engine — the request stream a resident query
+// service sees from clients varying a50Fraction — and checks that rig
+// constructions stay within the worker count: rigs live in the shard
+// slots, not in a per-environment pool.
+func TestRigsBoundedAcrossRadioEnvs(t *testing.T) {
+	const workers = 3
+	pop := testPop(t, 512, 128)
+	cfg := Config{Population: pop, KeyBits: 10, Workers: workers}
+	cfg.Cracker = sharedCracker(t, cfg)
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-receiver fleet over 64 channels keeps each run cheap; every
+	// shard still checks a rig out.
+	budget := AttackerBudget{Receivers: 1, CellChannels: 64}
+	for i := 0; i < 1000; i++ {
+		sc := Scenario{Radio: RadioEnv{A50Fraction: float64(i+1) / 2000, OTPSessions: 1}, Budget: budget}
+		if _, err := eng.RunScenario(context.Background(), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if built := eng.RigsBuilt(); built > workers {
+		t.Errorf("rigs built = %d after 1000 radio environments, want <= %d workers", built, workers)
 	}
 }
 
@@ -257,23 +277,16 @@ func TestSweepParallelCheckpointResume(t *testing.T) {
 
 // TestScenarioProgress checks the scenario-aware progress hook: under
 // a parallel sweep every scenario's callback carries its own name and
-// reaches completion, while the legacy Progress callback keeps firing
-// for compatibility.
+// reaches completion.
 func TestScenarioProgress(t *testing.T) {
 	pop := testPop(t, 1024, 128)
 	var (
 		mu      sync.Mutex
 		final   = map[string]int{}
-		legacy  int
 		totalOK = true
 	)
 	cfg := Config{
 		Population: pop, KeyBits: 10, Workers: 2, SweepParallel: 3,
-		Progress: func(done, total int) {
-			mu.Lock()
-			legacy++
-			mu.Unlock()
-		},
 		ScenarioProgress: func(scenario string, done, total int) {
 			mu.Lock()
 			final[scenario] = done
@@ -298,9 +311,6 @@ func TestScenarioProgress(t *testing.T) {
 	}
 	if !totalOK {
 		t.Errorf("ScenarioProgress saw a total != population size %d", pop.Size())
-	}
-	if legacy == 0 {
-		t.Error("legacy Progress callback never fired")
 	}
 	for _, sc := range scenarios {
 		if got := final[sc.Name]; got != pop.Size() {

@@ -152,7 +152,7 @@ type scratch struct {
 	// Lazy-persona working set. phone is the attribute-derivation
 	// scratch buffer (phones, IMSIs, leak-record fields); strs is the
 	// shard-cycle string arena (per-shard IMSIs — reset at each shard's
-	// start, after releaseRig has cleared the rig caches that saw the
+	// start, after release has cleared the rig caches that saw the
 	// previous shard's carves); durable is the grow-only arena behind
 	// leak-record strings, never reset because the engine-lifetime leak
 	// DB retains them; leakRecs is the pooled per-shard record buffer

@@ -33,6 +33,11 @@ type Scenario struct {
 	Budget AttackerBudget `json:"budget,omitempty"`
 	// Segment restricts the victim cohort.
 	Segment VictimSegment `json:"segment,omitempty"`
+
+	// normalized marks a scenario normalize already returned, so a second
+	// normalization is a no-op instead of re-reading resolved values
+	// through the zero-value convention.
+	normalized bool
 }
 
 // RadioEnv describes the cellular conditions a scenario's victims camp
@@ -65,14 +70,6 @@ type RadioEnv struct {
 // cellMix folds the fractions into the telecom draw helper.
 func (r RadioEnv) cellMix() telecom.CellMix {
 	return telecom.CellMix{A50: r.A50Fraction, A53: r.A53Fraction}
-}
-
-// sig is the rig-reuse key: scenarios with equal radio signatures run
-// against identical receiver configurations, so per-shard sniffer rigs
-// carry over between them without a rebuild.
-func (r RadioEnv) sig() string {
-	return fmt.Sprintf("a50=%g|a53=%g|reauth=%g|sessions=%d",
-		r.A50Fraction, r.A53Fraction, r.ReauthSkip, r.OTPSessions)
 }
 
 // AttackerBudget sizes the interception fleet. The paper's rig was 16
@@ -127,8 +124,12 @@ type VictimSegment struct {
 
 // normalize fills a scenario's defaults in place and validates every
 // enumerated field, returning the effective scenario. idx names
-// anonymous scenarios.
+// anonymous scenarios. It is idempotent: a normalized scenario comes
+// back unchanged.
 func (sc Scenario) normalize(idx int) (Scenario, error) {
+	if sc.normalized {
+		return sc, nil
+	}
 	if sc.Name == "" {
 		sc.Name = fmt.Sprintf("scenario-%d", idx)
 	}
@@ -203,6 +204,7 @@ func (sc Scenario) normalize(idx int) (Scenario, error) {
 		return sc, fmt.Errorf("campaign: scenario %s: unknown leak tier %q (want %s, %s, %s or %s)",
 			sc.Name, sc.Segment.LeakTier, LeakTierLeaked, LeakTierClean, LeakTierBreach, LeakTierWiFi)
 	}
+	sc.normalized = true
 	return sc, nil
 }
 
@@ -210,24 +212,20 @@ func (sc Scenario) normalize(idx int) (Scenario, error) {
 // enumerated field validated — exactly the normalization RunScenario
 // applies before executing, exported so the query service can surface
 // validation failures as structured 400s before a run is admitted.
-//
-// Normalization is deliberately NOT idempotent: the scenario-JSON
-// zero-value convention (0 = paper default, negative = none) means a
-// normalized RadioEnv whose ReauthSkip resolved to "none" (0) would
-// resolve to the 0.6 default if normalized again. Callers therefore
-// validate with Normalized but hand the ORIGINAL scenario to
-// RunScenario/RunSweep, which normalize exactly once themselves.
+// Normalization is idempotent: the result may be normalized again or
+// handed to RunScenario/RunSweep and runs exactly as the original. The
+// result carries an unexported marker, so later normalizations neither
+// resolve nor validate it again: edit the original, not the result.
 func (sc Scenario) Normalized() (Scenario, error) {
 	return sc.normalize(0)
 }
 
 // NormalizeSweep validates a sweep's scenario list the way RunSweep
 // does — per-scenario normalization plus the unique-name check the
-// comparative tables key on — and returns the normalized list. Like
-// Normalized, the result is for inspection and error surfacing, not
-// for feeding back into RunSweep (normalization is not idempotent; see
-// Normalized). An empty list is an error here: the DefaultSweep
-// substitution is RunSweep's own convenience, not part of validation.
+// comparative tables key on — and returns the normalized list, which
+// runs exactly as the original. An empty list is an error here: the
+// DefaultSweep substitution is RunSweep's own convenience, not part of
+// validation.
 func NormalizeSweep(scenarios []Scenario) ([]Scenario, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("campaign: sweep holds no scenarios")

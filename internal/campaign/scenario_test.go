@@ -110,3 +110,32 @@ func TestNormalizedExportedSurface(t *testing.T) {
 		t.Fatalf("index naming wrong: %q, %q", list[0].Name, list[1].Name)
 	}
 }
+
+// TestNormalizeIdempotent pins that normalizing a normalized scenario
+// is a no-op, including the zero-value convention's "none" values that
+// resolve to 0 and would otherwise re-read as the paper defaults.
+func TestNormalizeIdempotent(t *testing.T) {
+	for _, sc := range append(BuiltinScenarios(),
+		Scenario{Radio: RadioEnv{A50Fraction: -1, ReauthSkip: -1}},
+		Scenario{Budget: AttackerBudget{Receivers: -1}},
+	) {
+		once, err := sc.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twice, err := once.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if twice != once {
+			t.Errorf("scenario %q: normalizing twice changed it:\nonce  %+v\ntwice %+v", sc.Name, once, twice)
+		}
+		list, err := NormalizeSweep([]Scenario{once})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if list[0] != once {
+			t.Errorf("scenario %q: NormalizeSweep renormalized it:\nonce  %+v\nsweep %+v", sc.Name, once, list[0])
+		}
+	}
+}

@@ -36,8 +36,8 @@ type SweepSummary struct {
 	// Subscribers is the shared population size.
 	Subscribers int64 `json:"subscribers"`
 	// Backend names the one cracker every scenario shared; Workers the
-	// pool width; RigsBuilt how many sniffer rigs were constructed in
-	// total (rig reuse keeps it near the worker count).
+	// pool width; RigsBuilt how many sniffer rigs the sweep constructed
+	// (at most the worker count: rigs live in the engine's shard slots).
 	Backend   string `json:"backend"`
 	Workers   int    `json:"workers"`
 	RigsBuilt int64  `json:"rigsBuilt"`
@@ -59,7 +59,7 @@ func (s *SweepSummary) Baseline() *Summary {
 }
 
 // RunSweep executes the scenarios against the engine's shared
-// population, cracker table and rig pool, and returns the comparative
+// population, cracker table and shard slots, and returns the comparative
 // summary. A nil or empty list runs DefaultSweep. Scenario names must
 // be unique — the comparative tables key on them.
 //
@@ -156,8 +156,8 @@ func (e *Engine) RunSweep(ctx context.Context, scenarios []Scenario) (*SweepSumm
 		return nil, err
 	}
 	// The rig-build count is this sweep's delta, not the engine's
-	// lifetime counter: a second sweep on a warm engine reports the
-	// (near-zero) builds it actually caused.
+	// lifetime counter: a sweep on a warm engine reports only the builds
+	// it actually caused.
 	sw.RigsBuilt = e.rigsBuilt.Load() - rigs0
 	sw.Duration = time.Since(start)
 	return sw, nil

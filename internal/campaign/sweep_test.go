@@ -108,10 +108,10 @@ func TestSweepA53MixShrinksInterception(t *testing.T) {
 	}
 }
 
-// TestSweepRigReuse pins the resource-sharing contract: scenarios with
-// an unchanged radio environment must reuse pooled rigs, so total rig
-// constructions stay bounded by the worker count instead of growing
-// per scenario or per shard.
+// TestSweepRigReuse pins the resource-sharing contract: every shard of
+// every scenario reuses the rigs of the engine's shard slots, so total
+// rig constructions stay bounded by the worker count instead of
+// growing per scenario or per shard.
 func TestSweepRigReuse(t *testing.T) {
 	const workers = 4
 	eng := sweepEngine(t, 2000, 128, workers) // 16 shards × 3 scenarios

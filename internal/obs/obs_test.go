@@ -389,10 +389,7 @@ func TestPublishExpvar(t *testing.T) {
 }
 
 // TestServerCloseReleasesListener is the lifecycle regression test:
-// the old StartServer stop func could only be called once (a second
-// call panicked on a closed channel), so tests with several cleanup
-// paths leaked the listener instead. Close must be idempotent and must
-// actually release the port.
+// Close must be idempotent and must actually release the port.
 func TestServerCloseReleasesListener(t *testing.T) {
 	r := NewRegistry()
 	srv, err := r.Serve(context.Background(), "127.0.0.1:0", nil)

@@ -5,9 +5,7 @@ import "testing"
 // TestPinnedFingerprints holds FingerprintVersion 2 digests constant
 // across code changes: these values were captured from the eager
 // (pre-lazy-persona) generator, so any drift means the materialized
-// bytes moved and FingerprintVersion must bump. Both generation modes
-// must produce them — the lazy representation is a compression of the
-// same bytes, never a different population.
+// bytes moved and FingerprintVersion must bump.
 func TestPinnedFingerprints(t *testing.T) {
 	cases := []struct {
 		name string
@@ -20,17 +18,12 @@ func TestPinnedFingerprints(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, materialized := range []bool{false, true} {
-				cfg := c.cfg
-				cfg.MaterializedPersonas = materialized
-				p, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := p.Fingerprint(); got != c.want {
-					t.Errorf("materialized=%v: fingerprint %#x, want pinned %#x (bump FingerprintVersion if the layout changed on purpose)",
-						materialized, got, c.want)
-				}
+			p, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Fingerprint(); got != c.want {
+				t.Errorf("fingerprint %#x, want pinned %#x (bump FingerprintVersion if the layout changed on purpose)", got, c.want)
 			}
 		})
 	}

@@ -10,27 +10,21 @@
 // is retained between Shard calls — a campaign streams shards through
 // a worker pool without ever holding the whole population in memory.
 //
-// Since the lazy-persona rework the default Shard is COMPACT: a
-// subscriber is its index, an identity.Ref (seed + index, 16 bytes),
-// an arena-carved enrollment bitset and two leak flags — no persona
-// strings, no per-subscriber leak records, no shard-local leak store.
-// Attribute bytes (IMSI, phone, name, address) derive on demand from
-// the Ref's draw stream exactly when a consumer touches them, and
-// AppendLeakRecords rebuilds the attacker-visible dump rows from the
-// same streams when the campaign harvests a shard. Shards recycle
-// through a pool (Release), so steady-state streaming allocates
-// nothing per subscriber. Config.MaterializedPersonas restores the
-// eager path — every persona field and leak record materialized, the
-// shard-local Leaks store populated — as an ablation knob mirroring
-// campaign.Config.ScalarRadio/ScalarReplay: same results, different
-// cost.
+// A Shard is COMPACT: a subscriber is its index, an identity.Ref
+// (seed + index, 16 bytes), an arena-carved enrollment bitset and two
+// leak flags — no persona strings, no per-subscriber leak records, no
+// shard-local leak store. Attribute bytes (IMSI, phone, name, address)
+// derive on demand from the Ref's draw stream exactly when a consumer
+// touches them, and AppendLeakRecords rebuilds the attacker-visible
+// dump rows from the same streams when the campaign harvests a shard.
+// Shards recycle through a pool (Release), so steady-state streaming
+// allocates nothing per subscriber.
 //
-// That purity is the invariant every batch≡scalar equivalence test
-// upstream rests on: regenerating a shard yields bit-identical
-// subscribers (Fingerprint pins it, versioned by FingerprintVersion,
-// computed over the fully materialized form in either mode), so two
-// campaign runs over one seed differ only in engine mechanics, never
-// in the world being attacked.
+// That purity is the invariant the campaign's golden Summaries rest
+// on: regenerating a shard yields bit-identical subscribers
+// (Fingerprint pins it, versioned by FingerprintVersion, computed over
+// the fully materialized form), so two campaign runs over one seed
+// differ only in engine mechanics, never in the world being attacked.
 package population
 
 import (
@@ -71,12 +65,6 @@ type Config struct {
 	// EnrollmentScale multiplies every service-adoption probability
 	// (0 = 1.0). Raising it densifies the account graph per victim.
 	EnrollmentScale float64
-	// MaterializedPersonas restores the eager generation path: every
-	// subscriber carries its full persona, IMSI string and leak record,
-	// and each shard owns a populated Leaks store. Results are
-	// byte-identical to the default lazy path (the equivalence suite
-	// pins it); only allocation behavior differs. Ablation knob.
-	MaterializedPersonas bool
 }
 
 // DefaultLeakFraction matches the paper's observation that merged
@@ -106,36 +94,22 @@ const (
 	SourceWiFi   = "phishing-wifi"
 )
 
-// Subscriber is one member of the population. In the default lazy mode
-// only Index, Ref, Enrolled, Leaked and Class are populated; IMSI,
-// Persona and Record stay zero and attribute bytes derive on demand
-// (AppendIMSI, Ref accessors, AppendLeakRecords). With
-// Config.MaterializedPersonas every field is filled eagerly.
+// Subscriber is one member of the population: 56 bytes. Attribute
+// bytes derive on demand — the IMSI through AppendIMSI, persona fields
+// through Ref's accessors, leak records through AppendLeakRecords.
 type Subscriber struct {
 	// Index is the global subscriber index (also the persona index).
 	Index int
-	// Ref is the lazy persona handle (seed + index); always set.
+	// Ref is the lazy persona handle (seed + index).
 	Ref identity.Ref
-	// IMSI is the SIM identity campaigns synthesize traffic for
-	// (materialized mode only; derive with AppendIMSI otherwise).
-	IMSI string
-	// Persona holds the synthetic personal information — nil in lazy
-	// mode (derive fields through Ref), allocated per subscriber in
-	// materialized mode. A pointer, not a value: the compact subscriber
-	// must not pay the struct's 200 zero bytes per member.
-	Persona *identity.Persona
 	// Enrolled is the set of catalog services (by catalog order index)
 	// the subscriber holds accounts on. The bitset is carved from the
 	// shard's arena: valid until the shard is Released.
 	Enrolled ServiceSet
 	// Leaked reports presence in the attacker's leak databases; Class
-	// refines it to the source tier. Both are set in every mode.
+	// refines it to the source tier.
 	Leaked bool
 	Class  LeakClass
-	// Record is the leaked entry as the attacker sees it — nil in lazy
-	// mode (derive with AppendLeakRecords) and for unleaked
-	// subscribers, allocated in materialized mode when Leaked.
-	Record *socialdb.Record
 }
 
 // AppendIMSI appends the subscriber's 15-digit IMSI.
@@ -164,15 +138,11 @@ type Shard struct {
 	Index int
 	// Start and End bound the subscriber index range [Start, End).
 	Start, End int
-	// Subscribers holds the shard's members (compact in lazy mode).
+	// Subscribers holds the shard's members.
 	Subscribers []Subscriber
-	// Leaks is the shard-local leaked-records store — populated only in
-	// materialized mode, nil in lazy mode (campaign harvest rebuilds the
-	// records straight into its global store via AppendLeakRecords).
-	Leaks *socialdb.DB
-	// LeakCount is the number of leaked subscribers in the shard, valid
-	// in both modes (phones are unique per index, so it equals the
-	// record count the shard contributes to a merged leak database).
+	// LeakCount is the number of leaked subscribers in the shard (phones
+	// are unique per index, so it equals the record count the shard
+	// contributes to a merged leak database).
 	LeakCount int
 
 	// enroll is the arena every subscriber's Enrolled bitset is carved
@@ -182,9 +152,8 @@ type Shard struct {
 }
 
 // MemBytes estimates the shard's resident bytes: the subscriber slice
-// plus the enrollment arena. In lazy mode this is the whole resident
-// cost of streaming the shard; materialized personas add their string
-// heap on top (not counted here).
+// plus the enrollment arena — the whole resident cost of streaming the
+// shard.
 func (sh *Shard) MemBytes() int {
 	return cap(sh.Subscribers)*int(unsafe.Sizeof(Subscriber{})) + sh.enroll.Len()*8
 }
@@ -270,10 +239,6 @@ func (p *Population) LeakFraction() float64 { return p.cfg.LeakFraction }
 // EnrollmentScale returns the resolved adoption multiplier.
 func (p *Population) EnrollmentScale() float64 { return p.cfg.EnrollmentScale }
 
-// Materialized reports whether the population generates eager
-// (materialized-persona) shards instead of the default compact ones.
-func (p *Population) Materialized() bool { return p.cfg.MaterializedPersonas }
-
 // Catalog returns the ecosystem catalog enrollments refer to.
 func (p *Population) Catalog() *ecosys.Catalog { return p.catalog }
 
@@ -308,26 +273,12 @@ func (p *Population) Shard(i int) *Shard {
 	sh := p.pool.Get().(*Shard)
 	sh.Index, sh.Start, sh.End = i, start, end
 	sh.LeakCount = 0
-	sh.Leaks = nil
 	sh.enroll.Reset()
 	if cap(sh.Subscribers) < n {
 		sh.Subscribers = make([]Subscriber, n)
 	} else {
 		sh.Subscribers = sh.Subscribers[:n]
 	}
-	if p.cfg.MaterializedPersonas {
-		sh.Leaks = socialdb.New()
-		for idx := start; idx < end; idx++ {
-			sub := &sh.Subscribers[idx-start]
-			p.fillEager(sub, idx)
-			if sub.Leaked {
-				sh.LeakCount++
-				sh.Leaks.Add(*sub.Record)
-			}
-		}
-		return sh
-	}
-	seed := uint64(p.cfg.Seed)
 	for idx := start; idx < end; idx++ {
 		sub := &sh.Subscribers[idx-start]
 		*sub = Subscriber{
@@ -335,7 +286,7 @@ func (p *Population) Shard(i int) *Shard {
 			Ref:   p.gen.Ref(idx),
 		}
 		sub.Enrolled = p.enrollmentInto(&sh.enroll, idx)
-		if unit(mix(seed, tagLeak, uint64(idx))) < p.cfg.LeakFraction {
+		if p.leaked(idx) {
 			sub.Leaked = true
 			sub.Class = p.leakClass(idx)
 			sh.LeakCount++
@@ -344,25 +295,10 @@ func (p *Population) Shard(i int) *Shard {
 	return sh
 }
 
-// fillEager materializes one member completely — the ablation path and
-// the canonical form Fingerprint hashes. Pure function of (seed, idx).
-func (p *Population) fillEager(sub *Subscriber, idx int) {
-	ref := p.gen.Ref(idx)
-	persona := ref.Persona()
-	*sub = Subscriber{
-		Index:   idx,
-		Ref:     ref,
-		IMSI:    IMSIFor(idx),
-		Persona: &persona,
-	}
-	sub.Enrolled = p.enrollment(idx)
-	seed := uint64(p.cfg.Seed)
-	if unit(mix(seed, tagLeak, uint64(idx))) < p.cfg.LeakFraction {
-		sub.Leaked = true
-		sub.Class = p.leakClass(idx)
-		rec := p.leakRecord(idx, persona)
-		sub.Record = &rec
-	}
+// leaked draws whether subscriber idx is in the attacker's leak
+// databases.
+func (p *Population) leaked(idx int) bool {
+	return unit(mix(uint64(p.cfg.Seed), tagLeak, uint64(idx))) < p.cfg.LeakFraction
 }
 
 // leakClass draws the source tier of a leaked subscriber.
@@ -399,13 +335,6 @@ func AppendIMSI(b []byte, idx int) []byte {
 		b = append(b, d[i])
 	}
 	return b
-}
-
-// enrollment draws the subscriber's service set into fresh storage.
-func (p *Population) enrollment(idx int) ServiceSet {
-	set := make(ServiceSet, p.words)
-	p.fillEnrollment(set, idx)
-	return set
 }
 
 // enrollmentInto draws the service set into a carve of the shard's
@@ -449,8 +378,8 @@ func (p *Population) leakRecord(idx int, persona identity.Persona) socialdb.Reco
 }
 
 // AppendLeakRecords derives the leak-database rows of every leaked
-// subscriber in sh and appends them to dst — the lazy twin of the
-// materialized Shard.Leaks store, byte-identical record for record.
+// subscriber in sh and appends them to dst — record for record the
+// rows leakRecord builds from a fully materialized persona.
 // Variable-length string fields (phone, address, citizen ID) are
 // carved from arena; names and source labels resolve to interned
 // vocabulary strings. The records are built to outlive the shard:
@@ -561,34 +490,38 @@ const FingerprintVersion = 2
 // prefixed with FingerprintVersion. Two populations with equal
 // fingerprints are byte-identical; the determinism property test pins
 // same-seed reproducibility with it. The digest covers the fully
-// materialized form regardless of Config.MaterializedPersonas — the
-// lazy representation is a compression of the same bytes, and the
-// digest is also independent of shard geometry (subscribers hash in
+// materialized form — the compact Shard is a compression of the same
+// bytes — and is independent of shard geometry (subscribers hash in
 // index order).
 func (p *Population) Fingerprint() uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte{FingerprintVersion})
 	buf := make([]byte, 0, 512)
-	var sub Subscriber
+	enrolled := make(ServiceSet, p.words)
 	for idx := 0; idx < p.cfg.Size; idx++ {
-		p.fillEager(&sub, idx)
-		buf = appendSubscriber(buf[:0], sub)
+		persona := p.gen.Ref(idx).Persona()
+		clear(enrolled)
+		p.fillEnrollment(enrolled, idx)
+		var rec *socialdb.Record
+		if p.leaked(idx) {
+			r := p.leakRecord(idx, persona)
+			rec = &r
+		}
+		buf = appendSubscriber(buf[:0], idx, &persona, enrolled, rec)
 		_, _ = h.Write(buf)
 	}
 	return h.Sum64()
 }
 
 // appendSubscriber canonically serializes one fully materialized
-// subscriber.
-func appendSubscriber(buf []byte, sub Subscriber) []byte {
+// subscriber; rec is nil for an unleaked one.
+func appendSubscriber(buf []byte, idx int, pe *identity.Persona, enrolled ServiceSet, rec *socialdb.Record) []byte {
 	appendStr := func(s string) {
 		buf = append(buf, byte(len(s)>>8), byte(len(s)))
 		buf = append(buf, s...)
 	}
-	buf = append(buf,
-		byte(sub.Index>>24), byte(sub.Index>>16), byte(sub.Index>>8), byte(sub.Index))
-	appendStr(sub.IMSI)
-	pe := *sub.Persona
+	buf = append(buf, byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx))
+	appendStr(IMSIFor(idx))
 	appendStr(pe.RealName)
 	appendStr(pe.CitizenID)
 	appendStr(pe.Phone)
@@ -604,18 +537,18 @@ func appendSubscriber(buf []byte, sub Subscriber) []byte {
 	for _, ph := range pe.Photos {
 		appendStr(ph)
 	}
-	for _, w := range sub.Enrolled {
+	for _, w := range enrolled {
 		for s := 56; s >= 0; s -= 8 {
 			buf = append(buf, byte(w>>uint(s)))
 		}
 	}
-	if sub.Leaked {
+	if rec != nil {
 		buf = append(buf, 1)
-		appendStr(sub.Record.Phone)
-		appendStr(sub.Record.RealName)
-		appendStr(sub.Record.Address)
-		appendStr(sub.Record.CitizenID)
-		appendStr(sub.Record.Source)
+		appendStr(rec.Phone)
+		appendStr(rec.RealName)
+		appendStr(rec.Address)
+		appendStr(rec.CitizenID)
+		appendStr(rec.Source)
 	} else {
 		buf = append(buf, 0)
 	}

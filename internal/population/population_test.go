@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/actfort/actfort/internal/dataset"
 	"github.com/actfort/actfort/internal/identity"
@@ -83,42 +84,66 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
+// eagerSubscriber is the test-only eager reference: one member built
+// the way the generator used to materialize every subscriber — the
+// complete persona from identity.Generator.Persona, the IMSI string,
+// a freshly allocated enrollment set and the leak record from
+// leakRecord (nil when unleaked).
+type eagerSubscriber struct {
+	IMSI     string
+	Persona  identity.Persona
+	Enrolled ServiceSet
+	Class    LeakClass
+	Record   *socialdb.Record
+}
+
+func eager(p *Population, idx int) eagerSubscriber {
+	persona := identity.NewGenerator(p.Seed()).Persona(idx)
+	e := eagerSubscriber{IMSI: IMSIFor(idx), Persona: persona, Enrolled: make(ServiceSet, p.words)}
+	p.fillEnrollment(e.Enrolled, idx)
+	if p.leaked(idx) {
+		e.Class = p.leakClass(idx)
+		rec := p.leakRecord(idx, persona)
+		e.Record = &rec
+	}
+	return e
+}
+
 func TestSubscriberValidity(t *testing.T) {
-	p := testPop(t, Config{Seed: 3, Size: 600, ShardSize: 600, MaterializedPersonas: true})
+	p := testPop(t, Config{Seed: 3, Size: 600, ShardSize: 600})
 	sh := p.Shard(0)
 	phones := make(map[string]bool, len(sh.Subscribers))
 	numServices := p.Catalog().Len()
 	for _, sub := range sh.Subscribers {
-		if !identity.ValidCitizenID(sub.Persona.CitizenID) {
-			t.Fatalf("subscriber %d: invalid citizen ID %q", sub.Index, sub.Persona.CitizenID)
+		e := eager(p, sub.Index)
+		if !identity.ValidCitizenID(e.Persona.CitizenID) {
+			t.Fatalf("subscriber %d: invalid citizen ID %q", sub.Index, e.Persona.CitizenID)
 		}
-		if !identity.ValidLuhn(sub.Persona.Bankcard) {
-			t.Fatalf("subscriber %d: invalid bankcard %q", sub.Index, sub.Persona.Bankcard)
+		if !identity.ValidLuhn(e.Persona.Bankcard) {
+			t.Fatalf("subscriber %d: invalid bankcard %q", sub.Index, e.Persona.Bankcard)
 		}
-		if len(sub.IMSI) != 15 {
-			t.Fatalf("subscriber %d: IMSI %q not 15 digits", sub.Index, sub.IMSI)
+		if imsi := sub.AppendIMSI(nil); len(imsi) != 15 {
+			t.Fatalf("subscriber %d: IMSI %q not 15 digits", sub.Index, imsi)
 		}
-		if phones[sub.Persona.Phone] {
-			t.Fatalf("duplicate phone %s", sub.Persona.Phone)
+		if phones[e.Persona.Phone] {
+			t.Fatalf("duplicate phone %s", e.Persona.Phone)
 		}
-		phones[sub.Persona.Phone] = true
+		phones[e.Persona.Phone] = true
 		for j := numServices; j < len(sub.Enrolled)*64; j++ {
 			if sub.Enrolled.Has(j) {
 				t.Fatalf("subscriber %d enrolled in out-of-range service %d", sub.Index, j)
 			}
 		}
+		if sub.Leaked != (e.Record != nil) {
+			t.Fatalf("subscriber %d: Leaked=%v but leak record %v", sub.Index, sub.Leaked, e.Record)
+		}
 		if sub.Leaked {
-			if sub.Record.Phone != sub.Persona.Phone {
-				t.Fatalf("leak record phone %q != persona phone %q", sub.Record.Phone, sub.Persona.Phone)
+			if e.Record.Phone != e.Persona.Phone {
+				t.Fatalf("leak record phone %q != persona phone %q", e.Record.Phone, e.Persona.Phone)
 			}
-			if sub.Record.Source == "" {
+			if e.Record.Source == "" {
 				t.Fatalf("leaked subscriber %d has no source", sub.Index)
 			}
-			if r, err := sh.Leaks.Lookup(sub.Persona.Phone); err != nil || r != *sub.Record {
-				t.Fatalf("shard leak DB lookup = %+v, %v", r, err)
-			}
-		} else if _, err := sh.Leaks.Lookup(sub.Persona.Phone); err == nil {
-			t.Fatalf("unleaked subscriber %d present in leak DB", sub.Index)
 		}
 	}
 }
@@ -146,24 +171,22 @@ func TestLeakFractionAndEnrollment(t *testing.T) {
 
 func TestLeakFractionDisabled(t *testing.T) {
 	p := testPop(t, Config{Seed: 5, Size: 500, ShardSize: 500, LeakFraction: -1})
-	if n := p.Shard(0).LeakCount; n != 0 {
+	sh := p.Shard(0)
+	if n := sh.LeakCount; n != 0 {
 		t.Fatalf("negative LeakFraction leaked %d subscribers", n)
 	}
-	pm := testPop(t, Config{Seed: 5, Size: 500, ShardSize: 500, LeakFraction: -1, MaterializedPersonas: true})
-	if n := pm.Shard(0).Leaks.Len(); n != 0 {
-		t.Fatalf("negative LeakFraction leaked %d records (materialized)", n)
+	if recs, _ := p.AppendLeakRecords(nil, sh, &slab.Slab[byte]{}, nil); len(recs) != 0 {
+		t.Fatalf("negative LeakFraction leaked %d records", len(recs))
 	}
 }
 
 // TestLazyMatchesMaterialized pins the compact representation against
-// the eager one: every derivable attribute, the leak classification
-// and the reconstructed leak records must agree byte for byte, and
-// shard recycling (Release + regenerate) must not perturb any of it.
+// the eager reference: every derivable attribute, the leak
+// classification and the reconstructed leak records must agree byte
+// for byte, and shard recycling (Release + regenerate) must not
+// perturb any of it.
 func TestLazyMatchesMaterialized(t *testing.T) {
-	cfg := Config{Seed: 9, Size: 1200, ShardSize: 500}
-	lazy := testPop(t, cfg)
-	cfg.MaterializedPersonas = true
-	eager := testPop(t, cfg)
+	lazy := testPop(t, Config{Seed: 9, Size: 1200, ShardSize: 500})
 
 	var arena slab.Slab[byte]
 	var tmp []byte
@@ -171,31 +194,35 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 		// Generate and immediately release once, so the compared shard
 		// exercises the pooled-storage path.
 		lazy.Shard(i).Release()
-		ls, es := lazy.Shard(i), eager.Shard(i)
-		if ls.LeakCount != es.LeakCount || ls.LeakCount != es.Leaks.Len() {
-			t.Fatalf("shard %d: LeakCount lazy=%d eager=%d store=%d", i, ls.LeakCount, es.LeakCount, es.Leaks.Len())
-		}
+		ls := lazy.Shard(i)
 		var want []socialdb.Record
 		for j := range ls.Subscribers {
-			lsub, esub := &ls.Subscribers[j], &es.Subscribers[j]
-			if lsub.Index != esub.Index || lsub.Leaked != esub.Leaked || lsub.Class != esub.Class {
-				t.Fatalf("shard %d sub %d: flag mismatch lazy=%+v eager=%+v", i, j, lsub, esub)
+			lsub := &ls.Subscribers[j]
+			if lsub.Index != ls.Start+j {
+				t.Fatalf("shard %d sub %d: index %d", i, j, lsub.Index)
 			}
-			if !reflect.DeepEqual(lsub.Enrolled, esub.Enrolled) {
+			e := eager(lazy, lsub.Index)
+			if lsub.Leaked != (e.Record != nil) || lsub.Class != e.Class {
+				t.Fatalf("shard %d sub %d: flag mismatch lazy=%+v eager=%+v", i, j, lsub, e)
+			}
+			if !reflect.DeepEqual(lsub.Enrolled, e.Enrolled) {
 				t.Fatalf("shard %d sub %d: enrollment mismatch", i, j)
 			}
-			if got := string(lsub.AppendIMSI(nil)); got != esub.IMSI {
-				t.Fatalf("sub %d: IMSI %q != %q", lsub.Index, got, esub.IMSI)
+			if got := string(lsub.AppendIMSI(nil)); got != e.IMSI {
+				t.Fatalf("sub %d: IMSI %q != %q", lsub.Index, got, e.IMSI)
 			}
-			if got := string(lsub.Ref.AppendPhone(nil)); got != esub.Persona.Phone {
-				t.Fatalf("sub %d: phone %q != %q", lsub.Index, got, esub.Persona.Phone)
+			if got := string(lsub.Ref.AppendPhone(nil)); got != e.Persona.Phone {
+				t.Fatalf("sub %d: phone %q != %q", lsub.Index, got, e.Persona.Phone)
 			}
-			if got := lsub.Ref.Persona(); !reflect.DeepEqual(got, *esub.Persona) {
-				t.Fatalf("sub %d: persona mismatch\nlazy  %+v\neager %+v", lsub.Index, got, esub.Persona)
+			if got := lsub.Ref.Persona(); !reflect.DeepEqual(got, e.Persona) {
+				t.Fatalf("sub %d: persona mismatch\nlazy  %+v\neager %+v", lsub.Index, got, e.Persona)
 			}
-			if esub.Leaked {
-				want = append(want, *esub.Record)
+			if e.Record != nil {
+				want = append(want, *e.Record)
 			}
+		}
+		if ls.LeakCount != len(want) {
+			t.Fatalf("shard %d: LeakCount %d, eager reference leaks %d", i, ls.LeakCount, len(want))
 		}
 		var got []socialdb.Record
 		got, tmp = lazy.AppendLeakRecords(got, ls, &arena, tmp)
@@ -203,7 +230,6 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 			t.Fatalf("shard %d: AppendLeakRecords mismatch (%d vs %d records)", i, len(got), len(want))
 		}
 		ls.Release()
-		es.Release()
 	}
 }
 
@@ -214,4 +240,41 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Size: 10, ShardSize: -1}); err == nil {
 		t.Error("negative shard size accepted")
 	}
+}
+
+// TestSubscriberSize pins the compact subscriber at 56 bytes on 64-bit
+// platforms: index, Ref, the Enrolled slice header and the leak flags.
+func TestSubscriberSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Subscriber{}); got != 56 {
+		t.Fatalf("Subscriber is %d bytes, want 56", got)
+	}
+}
+
+// BenchmarkShard compares compact shard generation with building the
+// same 4096 members through the test-only eager reference — the
+// allocation profile the lazy representation replaced.
+func BenchmarkShard(b *testing.B) {
+	p, err := New(Config{Seed: 42, Size: DefaultShardSize})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("eager", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for idx := 0; idx < p.Size(); idx++ {
+				_ = eager(p, idx)
+			}
+		}
+		b.ReportMetric(float64(p.Size())*float64(b.N)/b.Elapsed().Seconds(), "subs/s")
+	})
+	b.Run("lazy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.Shard(0).Release()
+		}
+		b.ReportMetric(float64(p.Size())*float64(b.N)/b.Elapsed().Seconds(), "subs/s")
+	})
 }

@@ -51,12 +51,13 @@ func FuzzScenarioJSON(f *testing.F) {
 		if !reflect.DeepEqual(sc, sc2) {
 			t.Fatalf("round-trip changed the scenario:\n%#v\n%#v", sc, sc2)
 		}
-		// Validation decides accept/reject; either way, no panic. (No
-		// re-normalize assertion: normalization is deliberately not
-		// idempotent — the zero-value convention means a normalized "none"
-		// can re-normalize into the paper default — which is exactly why
-		// the server validates a copy and hands the engine the original.)
-		sc.Normalized()
+		// Validation decides accept/reject; either way, no panic. An
+		// accepted scenario normalizes idempotently.
+		if norm, err := sc.Normalized(); err == nil {
+			if again, err := norm.Normalized(); err != nil || again != norm {
+				t.Fatalf("normalization not idempotent: %v\n%#v\n%#v", err, norm, again)
+			}
+		}
 	})
 }
 

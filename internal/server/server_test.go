@@ -385,7 +385,7 @@ func TestServerClientCancelReleasesAndRecovers(t *testing.T) {
 	// first merged shard, mid-run by construction.
 	var cancelCurrent atomic.Value // of context.CancelFunc
 	eng := newEngine(t, 4096, 128, func(c *campaign.Config) {
-		c.Progress = func(done, total int) {
+		c.ScenarioProgress = func(_ string, done, total int) {
 			if done > 0 {
 				if cf, ok := cancelCurrent.Load().(context.CancelFunc); ok && cf != nil {
 					cf()

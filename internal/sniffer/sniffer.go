@@ -13,9 +13,10 @@
 // and fresh key recovery (one a51.BatchCracker.RecoverBatch call per
 // trace, deduplicated against the session and auth-context caches),
 // yet produces exactly the captures, statistics and cache state of
-// feeding the same bursts through Feed one at a time. Config's
-// ScalarReplay knob forces the per-session crack path so equivalence
-// tests and ablations can hold the batch engine against it.
+// feeding the same bursts through Feed one at a time. A Cracker that
+// does not implement a51.BatchCracker takes the per-session crack
+// path, which is how the equivalence tests hold the batch engine
+// against it.
 package sniffer
 
 import (
@@ -112,13 +113,6 @@ type Config struct {
 	// precomputed a51.Table turns per-session recovery into an
 	// amortized table lookup.
 	Cracker a51.Cracker
-	// ScalarReplay forces FeedBatch to resolve session keys one at a
-	// time through Cracker.Recover even when the backend implements
-	// a51.BatchCracker — the pre-batch scalar chain-replay path, kept
-	// for batch≡scalar equivalence tests and ablation benchmarks (the
-	// campaign engine's Config.ScalarReplay sets it, like ScalarRadio
-	// keeps the per-session radio encoder).
-	ScalarReplay bool
 	// Filter, when non-nil, restricts Captures to matching messages;
 	// non-matching messages are still decoded and counted.
 	Filter Filter
@@ -471,9 +465,6 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 // passes, or a failed crack a later duplicate session must retry) is
 // ignored or recomputed inline.
 func (s *Sniffer) prefetchCracks(fs *feedScratch) {
-	if s.cfg.ScalarReplay {
-		return
-	}
 	bc, ok := s.cfg.Cracker.(a51.BatchCracker)
 	if !ok {
 		return
@@ -762,10 +753,10 @@ func (s *Sniffer) record(sess *session, kc uint64, crackTime time.Duration, tpdu
 
 // Reset returns the rig to its just-built state — in-flight session
 // buffers, captures, counters and both Kc caches are dropped; tuned
-// receivers and the cracker backend are kept. Campaign sweeps reuse
-// per-worker rigs across scenarios through it instead of rebuilding
-// them, resetting between scenarios so no cracked key leaks from one
-// radio environment into the next.
+// receivers and the cracker backend are kept. The campaign engine
+// resets a rig after every shard before handing it to the next shard
+// of any scenario, so no cracked key or capture leaks between shards or
+// radio environments.
 func (s *Sniffer) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

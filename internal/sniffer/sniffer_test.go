@@ -167,14 +167,19 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 	}
 }
 
+// scalarCracker hides a backend's a51.BatchCracker implementation, so
+// FeedBatch resolves every crack through the per-session Recover path:
+// the test-only scalar chain-replay reference.
+type scalarCracker struct{ a51.Cracker }
+
 // TestFeedBatchMatchesFeedTableBackend pins the batched-crack contract
 // of the tentpole: with a TMTO table (an a51.BatchCracker) behind the
 // rig, FeedBatch prefetches every fresh key recovery of the trace in
 // one bitsliced RecoverBatch call — deduplicating session-ID repeats
 // and (IMSI, RAND) auth-context reuse within the batch — and must
 // still produce the same captures and statistics as burst-by-burst
-// Feed, and as FeedBatch with ScalarReplay forcing per-session scalar
-// chain replay.
+// Feed, and as FeedBatch over a scalarCracker forcing per-session
+// scalar chain replay.
 func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
 	space := a51.KeySpace{Base: 0xC118000000000000, Bits: 10}
 	table, err := a51.BuildTable(space, a51.TableConfig{Frames: telecom.PagingFrames(), ChainLen: 2})
@@ -227,7 +232,7 @@ func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
 		}
 		batch := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: table})
 		batch.FeedBatch(bursts)
-		scalar := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: table, ScalarReplay: true})
+		scalar := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: scalarCracker{table}})
 		scalar.FeedBatch(bursts)
 
 		for _, cmp := range []struct {

@@ -140,32 +140,6 @@ func (d *DB) Len() int {
 	return n
 }
 
-// mergeStage pools the per-bucket staging slice Merge copies records
-// through, so repeated shard merges recycle one buffer instead of
-// allocating per bucket.
-var mergeStage = sync.Pool{New: func() any { s := make([]Record, 0, 256); return &s }}
-
-// Merge copies every record of src into d (last write wins). Campaign
-// ingestion merges per-shard dumps into one global store with it.
-func (d *DB) Merge(src *DB) {
-	stage := mergeStage.Get().(*[]Record)
-	for i := range src.shards {
-		s := &src.shards[i]
-		s.mu.RLock()
-		recs := (*stage)[:0]
-		for _, r := range s.byPhone {
-			recs = append(recs, r)
-		}
-		s.mu.RUnlock()
-		*stage = recs
-		for _, r := range recs {
-			d.Add(r)
-		}
-	}
-	clear(*stage)
-	mergeStage.Put(stage)
-}
-
 // PhishingWiFi is the random-attack harvester: a fake access point at
 // a crowded venue collecting the phone numbers of nearby victims.
 type PhishingWiFi struct {

@@ -109,17 +109,28 @@ func TestShardedConcurrentLookups(t *testing.T) {
 	}
 }
 
-// TestMerge checks dump merging keeps last-write-wins semantics.
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Add(Record{Phone: "+8613800000001", Source: "old"})
-	b.Add(Record{Phone: "+8613800000001", Source: "new"})
-	b.Add(Record{Phone: "+8613800000002", Source: "new"})
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d", a.Len())
+// TestAddAll checks the campaign harvest's batch insert: records
+// land in their shards with last-write-wins semantics, and the
+// raw-bytes lookup agrees with Lookup.
+func TestAddAll(t *testing.T) {
+	d := New()
+	d.Add(Record{Phone: "+8613800000001", Source: "old"})
+	d.AddAll([]Record{
+		{Phone: "+8613800000001", Source: "new"},
+		{Phone: "+8613800000002", Source: "new"},
+		{Phone: "+8613800000003", Source: "new", RealName: "Li Lei"},
+	})
+	if d.Len() != 3 {
+		t.Fatalf("Len = %d", d.Len())
 	}
-	if r, _ := a.Lookup("+8613800000001"); r.Source != "new" {
-		t.Fatalf("merge lost last write: %+v", r)
+	if r, _ := d.Lookup("+8613800000001"); r.Source != "new" {
+		t.Fatalf("AddAll lost last write: %+v", r)
+	}
+	r, err := d.LookupBytes([]byte("+8613800000003"))
+	if err != nil || r.RealName != "Li Lei" {
+		t.Fatalf("LookupBytes = %+v, %v", r, err)
+	}
+	if _, err := d.LookupBytes([]byte("+8613800000009")); err != ErrNotFound {
+		t.Fatalf("LookupBytes miss = %v, want ErrNotFound", err)
 	}
 }

@@ -97,36 +97,6 @@ func TestPropertyClosurePlanAgreement(t *testing.T) {
 	}
 }
 
-// Property: indexed and rescan closures agree on random ecosystems.
-func TestPropertyIndexedClosureEquivalence(t *testing.T) {
-	f := func(seed int64, sz uint8) bool {
-		g, err := randomGraph(seed, int(sz%32)+2)
-		if err != nil {
-			return false
-		}
-		a, err := ForwardClosure(g, nil)
-		if err != nil {
-			return false
-		}
-		b, err := ForwardClosureIndexed(g, nil)
-		if err != nil {
-			return false
-		}
-		if len(a.Compromised) != len(b.Compromised) || len(a.Survivors) != len(b.Survivors) {
-			return false
-		}
-		for id, ca := range a.Compromised {
-			if cb, ok := b.Compromised[id]; !ok || cb.Round != ca.Round {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: AccountDepths equals the closure round for every
 // compromised account and Unreachable for every survivor.
 func TestPropertyDepthsMatchClosureRounds(t *testing.T) {

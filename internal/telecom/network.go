@@ -15,13 +15,14 @@
 // (no network authentication to the phone) is modeled faithfully
 // because it is the flaw the fake base station exploits.
 //
-// Batch ≡ scalar invariant: the three burst encoders — per-session
-// EncodeSMSBursts, batched EncodeSMSBurstsBatch, and the pooled flat
-// EncodeSMSBurstsInto — produce byte-identical bursts for the same
-// sessions. The batch forms only change where cipher arithmetic runs
-// (64-lane a51 passes across sessions) and where memory comes from
-// (a recycled BurstBuffer slab); layout, COUNT schedule and payloads
-// are the scalar encoder's, and property tests pin the equality.
+// Batch ≡ scalar invariant: the two burst encoders — per-session
+// EncodeSMSBursts (the live Network's) and the pooled flat batch
+// EncodeSMSBurstsInto (the campaign engine's) — produce byte-identical
+// bursts for the same sessions. The batch form only changes where
+// cipher arithmetic runs (64-lane a51 passes across sessions) and
+// where memory comes from (a recycled BurstBuffer slab); layout, COUNT
+// schedule and payloads are the scalar encoder's, and property tests
+// pin the equality.
 package telecom
 
 import (

@@ -69,13 +69,17 @@ func (b *BurstBuffer) reset() {
 // contents never leak into bursts.
 func (b *BurstBuffer) grab(n int) []byte { return b.slab.Grab(n) }
 
-// EncodeSMSBurstsInto encodes many sessions like EncodeSMSBurstsBatch —
-// shared-TPDU marshal memoization, every A5/1 burst across sessions
-// batched into 64-lane bitsliced encryptor passes, byte-identical
-// output — but returns one flat burst trace in session order, with all
-// descriptor and payload memory carved from buf. It is the
+// EncodeSMSBurstsInto encodes many sessions in one call: the shared
+// TPDU is marshaled once per distinct Deliver, and every A5/1 burst
+// across sessions is batched into 64-lane bitsliced encryptor passes
+// (a51.EncryptBurstsBatch). It returns one flat burst trace in session
+// order, byte-identical to calling EncodeSMSBursts on each session,
+// with all descriptor and payload memory carved from buf — the
 // zero-allocation (steady state) path the campaign engine feeds whole
-// shards through before handing the trace to sniffer.FeedBatch.
+// shards through before handing the trace to sniffer.FeedBatch. A5/0
+// bursts travel as plaintext and A5/3 bursts go through the KASUMI
+// stand-in, so mixed-cipher batches are fine; an unencodable TPDU
+// fails the whole batch.
 //
 // The returned slice aliases buf (see BurstBuffer); each call
 // invalidates the previous call's bursts.
@@ -114,7 +118,7 @@ func EncodeSMSBurstsInto(sessions []SMSSession, buf *BurstBuffer) ([]RadioBurst,
 		}
 	}
 	// One bitsliced pass per 64 gathered bursts, XORing the keystream
-	// into the burst payloads in place — as in EncodeSMSBurstsBatch.
+	// into the burst payloads in place.
 	a51.EncryptBurstsBatch(buf.kcs, buf.frames, buf.lanes)
 	return buf.bursts, nil
 }

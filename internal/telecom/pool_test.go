@@ -12,8 +12,7 @@ import (
 )
 
 // poolTestSessions builds n sessions across cipher modes, TPDU lengths
-// and (optionally) distinct Delivers, the same shape the batch≡scalar
-// test uses.
+// and (optionally) distinct Delivers.
 func poolTestSessions(rng *rand.Rand, n int, sharedTPDU bool) []SMSSession {
 	modes := []CipherMode{0, CipherA50, CipherA51, CipherA53}
 	sessions := make([]SMSSession, n)
@@ -119,9 +118,8 @@ func TestBurstBufferReuseInvalidatesPreviousCall(t *testing.T) {
 	}
 }
 
-// TestEncodeSMSBurstsIntoError pins the loud failure mode, matching
-// EncodeSMSBurstsBatch: one unencodable TPDU fails the whole batch,
-// naming the session.
+// TestEncodeSMSBurstsIntoError pins the loud failure mode: one
+// unencodable TPDU fails the whole batch, naming the session.
 func TestEncodeSMSBurstsIntoError(t *testing.T) {
 	buf := AcquireBurstBuffer()
 	defer buf.Release()
@@ -134,4 +132,65 @@ func TestEncodeSMSBurstsIntoError(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "session 1") {
 		t.Fatalf("error does not name the failing session: %v", err)
 	}
+}
+
+// TestEncodeSMSBurstsIntoA53Isolation checks that an A5/3 session's
+// keystream does not depend on unrelated sessions in the batch: alone
+// and inside a mixed batch it encodes the same. (The bitsliced lanes
+// only carry A5/1 work; this guards the bookkeeping.)
+func TestEncodeSMSBurstsIntoA53Isolation(t *testing.T) {
+	buf := AcquireBurstBuffer()
+	defer buf.Release()
+	a53 := SMSSession{
+		SessionID: 7, Cipher: CipherA53, Kc: 0xC118000000000042,
+		Deliver: gsmcodec.Deliver{Originator: "ActFort", Text: "Code 845512"},
+	}
+	alone, err := EncodeSMSBurstsInto([]SMSSession{a53}, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The next call recycles buf: keep deep copies.
+	alone = append([]RadioBurst(nil), alone...)
+	for i := range alone {
+		alone[i].Payload = append([]byte(nil), alone[i].Payload...)
+	}
+	mixed, err := EncodeSMSBurstsInto([]SMSSession{
+		{SessionID: 1, Cipher: CipherA51, Kc: 1, Deliver: gsmcodec.Deliver{Originator: "x", Text: "y"}},
+		a53,
+	}, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(alone, mixed[len(mixed)-len(alone):]) {
+		t.Fatal("A5/3 session bursts differ between lone and mixed batches")
+	}
+}
+
+// BenchmarkEncodeSMSBursts compares the per-session encoder the live
+// Network uses with the pooled 64-lane batch encoder the campaign
+// engine uses, on 256 campaign-shaped sessions sharing one OTP TPDU.
+func BenchmarkEncodeSMSBursts(b *testing.B) {
+	sessions := poolTestSessions(rand.New(rand.NewSource(29)), 256, true)
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range sessions {
+				if _, err := EncodeSMSBursts(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(len(sessions))*float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
+	})
+	b.Run("batch", func(b *testing.B) {
+		buf := AcquireBurstBuffer()
+		defer buf.Release()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := EncodeSMSBurstsInto(sessions, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(sessions))*float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
+	})
 }

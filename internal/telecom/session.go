@@ -122,59 +122,6 @@ func EncodeSMSBursts(s SMSSession) ([]RadioBurst, error) {
 	return bursts, nil
 }
 
-// EncodeSMSBurstsBatch encodes many sessions in one call, batching
-// every A5/1 burst across sessions into 64-lane bitsliced encryptor
-// passes (a51.EncryptBurstsBatch): the (Kc, COUNT) pairs of up to
-// a51.BatchLanes bursts are transposed into lane-sliced registers, the
-// shared boolean clock runs once, and the keystream transposes back.
-// The output is byte-identical to calling EncodeSMSBursts on each
-// session in order — only the cipher arithmetic is batched. A5/0
-// bursts travel as plaintext and A5/3 bursts go through the scalar
-// KASUMI stand-in, so mixed-cipher batches are fine. An unencodable
-// TPDU fails the whole batch; callers synthesizing traffic at scale
-// validate their (shared) TPDU once up front.
-func EncodeSMSBurstsBatch(sessions []SMSSession) ([][]RadioBurst, error) {
-	out := make([][]RadioBurst, len(sessions))
-	var (
-		kcs      []uint64
-		frames   []uint32
-		payloads [][]byte
-		// Campaign batches carry one shared TPDU across millions of
-		// sessions; marshal it once per distinct Deliver value instead
-		// of once per session.
-		lastDeliver gsmcodec.Deliver
-		lastRaw     []byte
-		haveRaw     bool
-	)
-	for si := range sessions {
-		if !haveRaw || sessions[si].Deliver != lastDeliver {
-			raw, err := sessions[si].Deliver.Marshal()
-			if err != nil {
-				return nil, fmt.Errorf("telecom: batch session %d: %w", si, err)
-			}
-			lastDeliver, lastRaw, haveRaw = sessions[si].Deliver, raw, true
-		}
-		bursts, cipher := plainBursts(&sessions[si], lastRaw)
-		switch cipher {
-		case CipherA51:
-			for i := range bursts {
-				kcs = append(kcs, sessions[si].Kc)
-				frames = append(frames, bursts[i].Frame)
-				payloads = append(payloads, bursts[i].Payload)
-			}
-		case CipherA53:
-			for i := range bursts {
-				bursts[i].Payload = EncryptBurstA53(sessions[si].Kc, bursts[i].Frame, bursts[i].Payload)
-			}
-		}
-		out[si] = bursts
-	}
-	// One bitsliced pass per 64 gathered bursts, XORing the keystream
-	// into the burst payloads in place.
-	a51.EncryptBurstsBatch(kcs, frames, payloads)
-	return out, nil
-}
-
 // SessionKey computes the Kc a network created with the given seed
 // would derive for subscriber imsi under challenge rnd, confined to
 // space. It mirrors Register's Ki derivation plus the COMP128

@@ -1,6 +1,7 @@
 package telecom
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -162,7 +163,7 @@ func TestBurstsCrackableViaKnownPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, err := a51.RecoverKey(ks, paging.Frame, n.KeySpace())
+	kc, err := a51.Exhaustive{Workers: 1}.Recover(context.Background(), ks, paging.Frame, n.KeySpace())
 	if err != nil {
 		t.Fatal(err)
 	}
