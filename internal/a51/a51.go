@@ -98,14 +98,6 @@ func clockOne(reg, mask, taps uint32) uint32 {
 	return ((reg << 1) & mask) | parity(reg&taps)
 }
 
-// clockAll advances all three registers (used only during key/frame
-// setup, where clocking is regular).
-func (c *Cipher) clockAll() {
-	c.r1 = clockOne(c.r1, r1Mask, r1Taps)
-	c.r2 = clockOne(c.r2, r2Mask, r2Taps)
-	c.r3 = clockOne(c.r3, r3Mask, r3Taps)
-}
-
 // clock advances registers by the majority rule: each register steps
 // only if its clocking tap agrees with the majority of the three taps.
 // The step decision is computed as a mask-select instead of branches:
@@ -142,28 +134,75 @@ func New(kc uint64, frame uint32) *Cipher {
 	return c
 }
 
-// init loads kc and frame into a zeroed cipher state. Hot search loops
-// call it on a stack-allocated Cipher to avoid New's heap allocation.
+// init loads kc and frame into a cipher state: the linear setup by
+// table lookup, then the 100 mixing clocks. Hot search loops call it on
+// a stack-allocated Cipher to avoid New's heap allocation.
 func (c *Cipher) init(kc uint64, frame uint32) {
-	c.r1, c.r2, c.r3 = 0, 0, 0
-	for i := 0; i < 64; i++ {
-		c.clockAll()
-		keyByte := byte(kc >> (56 - 8*uint(i/8)))
-		bit := uint32(keyByte>>(uint(i)&7)) & 1
-		c.r1 ^= bit
-		c.r2 ^= bit
-		c.r3 ^= bit
-	}
-	for i := 0; i < 22; i++ {
-		c.clockAll()
-		bit := (frame >> uint(i)) & 1
-		c.r1 ^= bit
-		c.r2 ^= bit
-		c.r3 ^= bit
-	}
+	s := setupState(kc, frame)
+	c.r1 = uint32(s) & r1Mask
+	c.r2 = uint32(s>>19) & r2Mask
+	c.r3 = uint32(s >> 41)
 	for i := 0; i < 100; i++ {
 		c.clock()
 	}
+}
+
+// The 64 key-loading clocks and 22 COUNT-loading clocks that open every
+// A5/1 setup are regular (no majority rule), and each one only shifts
+// the registers and XORs one input bit into bit 0 of all three. The
+// state they leave is therefore GF(2)-linear in (Kc, COUNT): the XOR,
+// over the set input bits, of the state that bit alone would produce.
+// setupState evaluates that map by table lookup instead of clocking,
+// one table per input byte, on the packed state r1 | r2<<19 | r3<<41.
+var (
+	keyTab   [8][256]uint64 // keyTab[b][v]: state from Kc byte b (LSB = 0) equal to v
+	frameTab [3][256]uint64 // frameTab[b][v]: state from COUNT byte b equal to v (bits 22+ ignored)
+)
+
+func init() {
+	// basis[i] is the state produced by a lone input bit mixed in at
+	// setup clock i: the bit lands in bit 0 of every register and is
+	// then carried by the remaining 85-i regular clocks.
+	var basis [86]uint64
+	s := uint64(1 | 1<<19 | 1<<41)
+	for i := len(basis) - 1; i >= 0; i-- {
+		basis[i] = s
+		s = uint64(clockOne(uint32(s)&r1Mask, r1Mask, r1Taps)) |
+			uint64(clockOne(uint32(s>>19)&r2Mask, r2Mask, r2Taps))<<19 |
+			uint64(clockOne(uint32(s>>41), r3Mask, r3Taps))<<41
+	}
+	for v := 0; v < 256; v++ {
+		for bit := 0; bit < 8; bit++ {
+			if v>>bit&1 == 0 {
+				continue
+			}
+			// Key clock i mixes in bit i&7 of byte i/8 counting from the
+			// most significant byte (see New), so Kc byte b feeds clocks
+			// 8*(7-b) .. 8*(7-b)+7.
+			for b := 0; b < 8; b++ {
+				keyTab[b][v] ^= basis[8*(7-b)+bit]
+			}
+			// COUNT clock 64+j mixes in COUNT bit j, j < 22.
+			for b := 0; b < 3; b++ {
+				if j := 8*b + bit; j < 22 {
+					frameTab[b][v] ^= basis[64+j]
+				}
+			}
+		}
+	}
+}
+
+// setupState returns the packed register state r1 | r2<<19 | r3<<41
+// after the 86 regular setup clocks for (kc, frame): eleven lookups in
+// place of 86 clocks. Frame bits above the 22 COUNT bits are ignored,
+// as the clocked setup ignores them.
+func setupState(kc uint64, frame uint32) uint64 {
+	return keyTab[0][byte(kc)] ^ keyTab[1][byte(kc>>8)] ^
+		keyTab[2][byte(kc>>16)] ^ keyTab[3][byte(kc>>24)] ^
+		keyTab[4][byte(kc>>32)] ^ keyTab[5][byte(kc>>40)] ^
+		keyTab[6][byte(kc>>48)] ^ keyTab[7][byte(kc>>56)] ^
+		frameTab[0][byte(frame)] ^ frameTab[1][byte(frame>>8)] ^
+		frameTab[2][byte(frame>>16)]
 }
 
 // KeystreamBurst produces the two 114-bit keystream blocks for this

@@ -17,20 +17,6 @@ type bsState struct {
 	r3 [23]uint64
 }
 
-// clockAll advances all three registers in every lane (regular
-// clocking, used only during key/frame setup).
-func (s *bsState) clockAll() {
-	fb1 := s.r1[18] ^ s.r1[17] ^ s.r1[16] ^ s.r1[13]
-	fb2 := s.r2[21] ^ s.r2[20]
-	fb3 := s.r3[22] ^ s.r3[21] ^ s.r3[20] ^ s.r3[7]
-	copy(s.r1[1:], s.r1[:18])
-	copy(s.r2[1:], s.r2[:21])
-	copy(s.r3[1:], s.r3[:22])
-	s.r1[0] = fb1
-	s.r2[0] = fb2
-	s.r3[0] = fb3
-}
-
 // clock advances the registers by the majority rule independently in
 // every lane: m1/m2/m3 are per-lane masks of which registers step, and
 // each bit plane conditionally shifts under its mask.
@@ -63,81 +49,14 @@ func (s *bsState) out() uint64 {
 	return s.r1[18] ^ s.r2[21] ^ s.r3[22]
 }
 
-// revBitsInBytes reverses the bit order within each byte of x (bytes
-// stay in place): three mask-shift rounds instead of eight table
-// lookups.
-func revBitsInBytes(x uint64) uint64 {
-	const m1 = 0x5555555555555555
-	const m2 = 0x3333333333333333
-	const m4 = 0x0F0F0F0F0F0F0F0F
-	x = (x&m1)<<1 | (x>>1)&m1
-	x = (x&m2)<<2 | (x>>2)&m2
-	x = (x&m4)<<4 | (x>>4)&m4
-	return x
-}
-
-// loadKeys zeroes the state and runs the 64 regular clocks mixing in
-// per-lane key bits — the first stage of Cipher.init mirrored bit for
-// bit, shared by the search path (load), the encryptor (loadPairs) and
-// the replay engine so the key schedule lives in exactly one place.
-//
-// The per-clock key-bit planes are one 64×64 bit transpose of the key
-// words: clock i mixes in key bit (56 - 8*(i/8) + i&7) of every lane,
-// which is bit (63-i) after reversing the bit order within each byte.
-// Building the planes with transpose64 replaces the former 64×64
-// scalar bit gather — the second-hottest spot of every batch pass.
-func (s *bsState) loadKeys(keys []uint64) {
-	*s = bsState{}
-	var planes [64]uint64
-	for l, kc := range keys {
-		planes[63-l] = revBitsInBytes(kc)
-	}
-	transpose64(&planes)
-	for i := 0; i < 64; i++ {
-		s.clockAll()
-		s.r1[0] ^= planes[i]
-		s.r2[0] ^= planes[i]
-		s.r3[0] ^= planes[i]
-	}
-}
-
 // load initializes the lanes for up to 64 candidate keys and one frame
-// number, mirroring Cipher.init bit for bit: 64 regular clocks mixing
-// in per-lane key bits, 22 regular clocks mixing in the (broadcast)
-// frame bits, then 100 irregular clocks.
+// number: loadPairs with the frame broadcast to every lane.
 func (s *bsState) load(keys []uint64, frame uint32) {
-	s.loadKeys(keys)
-	for i := 0; i < 22; i++ {
-		s.clockAll()
-		plane := -uint64(frame >> uint(i) & 1) // 0 or all-ones: same bit in every lane
-		s.r1[0] ^= plane
-		s.r2[0] ^= plane
-		s.r3[0] ^= plane
+	var frames [bsLanes]uint32
+	for l := range keys {
+		frames[l] = frame
 	}
-	for i := 0; i < 100; i++ {
-		s.clock()
-	}
-}
-
-// bsKeystream generates nbits of downlink keystream for up to 64 keys
-// at once, returning one MSB-first packed byte slice per key — the
-// bitsliced counterpart of KeystreamBurst, used by the table build and
-// the scalar-equivalence property test.
-func bsKeystream(keys []uint64, frame uint32, nbits int) [][]byte {
-	var s bsState
-	s.load(keys, frame)
-	out := make([][]byte, len(keys))
-	for l := range out {
-		out[l] = make([]byte, (nbits+7)/8)
-	}
-	for i := 0; i < nbits; i++ {
-		s.clock()
-		plane := s.out()
-		for l := range out {
-			out[l][i/8] |= byte(plane>>uint(l)&1) << (7 - uint(i)&7)
-		}
-	}
-	return out
+	s.loadPairs(keys, frames[:len(keys)])
 }
 
 // bsMatch scans up to 64 candidate keys against a keystream prefix in

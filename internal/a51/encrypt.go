@@ -14,20 +14,28 @@ package a51
 const BatchLanes = bsLanes
 
 // loadPairs initializes the lanes for up to 64 independent (key, frame)
-// pairs, mirroring Cipher.init bit for bit. It is the per-lane-frame
-// counterpart of load: the search path broadcasts one frame across all
-// lanes, the encryptor gives every lane its own COUNT value.
+// pairs, mirroring Cipher.init bit for bit: every lane's packed setup
+// state comes from the setupState tables, one transpose64 turns the 64
+// packed states into the 64 register bit planes, and the 100 mixing
+// clocks run bitsliced. Lanes beyond len(keys) start from the zero
+// state. The search path (load) broadcasts one frame across all lanes;
+// the encryptor and the replay engine give every lane its own COUNT.
 func (s *bsState) loadPairs(keys []uint64, frames []uint32) {
-	s.loadKeys(keys)
-	for i := 0; i < 22; i++ {
-		s.clockAll()
-		var plane uint64
-		for l, fn := range frames {
-			plane |= uint64(fn>>uint(i)&1) << uint(l)
-		}
-		s.r1[0] ^= plane
-		s.r2[0] ^= plane
-		s.r3[0] ^= plane
+	var planes [64]uint64
+	for l, kc := range keys {
+		planes[63-l] = setupState(kc, frames[l])
+	}
+	transpose64(&planes)
+	// After the transpose, word (63-k) holds bit k of every lane's packed
+	// state, lane l in bit l.
+	for j := range s.r1 {
+		s.r1[j] = planes[63-j]
+	}
+	for j := range s.r2 {
+		s.r2[j] = planes[63-19-j]
+	}
+	for j := range s.r3 {
+		s.r3[j] = planes[63-41-j]
 	}
 	for i := 0; i < 100; i++ {
 		s.clock()

@@ -12,13 +12,20 @@ package a51
 // the existing lane-sliced clock 64 at a time, falling back to the
 // scalar clock only for sub-64 remainders below scalarReplayCutoff.
 //
+// A fingerprint hit is only a candidate: its key must still reproduce
+// the whole sample. Recover checks it with the scalar matcher on the
+// spot; RecoverBatch parks the lookup and checks every parked candidate
+// at the start of the next round, 64 at a time, as one downlink burst
+// per lane.
+//
 // Equivalence contract: for every sample, RecoverBatch returns exactly
-// what Recover returns. Only fingerprint computation is batched; the
-// match tests, the shared-tail visited set and the chain visit order
-// run in the same order as the scalar path, so even pathological
-// fingerprint collisions resolve identically.
+// what Recover returns. Only cipher work is batched; each lookup's key
+// checks, shared-tail visited set and chain visit order run in the same
+// order as the scalar path, so even pathological fingerprint collisions
+// resolve identically.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -93,6 +100,7 @@ func fpBatch(keys []uint64, frames []uint32, out []uint64) {
 const (
 	phaseWalk   = iota // stepping toward the next distinguished point
 	phaseReplay        // consuming chain fingerprints in scalar order
+	phaseVerify        // parked on a fingerprint hit at candidate index p
 	phaseDone          // key recovered, exhausted, or errored
 )
 
@@ -265,10 +273,12 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 }
 
 // runReplayRounds drives the batched state machine to completion: each
-// round transitions walkers that reached a distinguished point into
-// replay, gathers one fingerprint per active walker and cursor, runs
-// the gathered lanes through fpBatch (scalar below the cutoff), applies
-// the results, and pumps each lookup's scalar-order consumer.
+// round first key-checks the lookups parked on a fingerprint hit, then
+// transitions walkers that reached a distinguished point into replay,
+// gathers one fingerprint per active walker and cursor, runs the
+// gathered lanes through fpBatch (scalar below the cutoff), applies
+// the results, and pumps each lookup's scalar-order consumer. It ends
+// when no lane is active and no lookup is parked.
 func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
 	dpMask := t.chainLen - 1
 	for {
@@ -280,6 +290,9 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 			}
 			return
 		}
+
+		// Verify phase: settle last round's fingerprint hits.
+		t.verifyParked(rs, samples, space, n, keys, errs)
 
 		// Transition phase: distinguished-point checks, replay setup.
 		for li := range rs.lookups {
@@ -317,7 +330,7 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 				}
 				// Zero-chain endpoints resolve right here, as the scalar
 				// walk does when it breaks out of an empty replay loop.
-				t.pumpLookup(lk, rs, samples, space, n, keys, errs)
+				t.pumpLookup(lk, rs, n, errs)
 			} else if lk.checks++; lk.checks > t.maxWalk {
 				errs[lk.sample] = ErrKeyNotFound
 				lk.phase = phaseDone
@@ -347,7 +360,16 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 			rs.laneOwner = append(rs.laneOwner, int32(^ci))
 		}
 		if len(rs.laneKeys) == 0 {
-			return
+			// Nothing left to fingerprint: done, unless a consumer the
+			// verify phase resumed has parked on another hit.
+			parked := false
+			for li := range rs.lookups {
+				parked = parked || rs.lookups[li].phase == phaseVerify
+			}
+			if !parked {
+				return
+			}
+			continue
 		}
 
 		// Fingerprint phase: full 64-lane blocks through the bitsliced
@@ -389,20 +411,86 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 		}
 		for li := range rs.lookups {
 			if rs.lookups[li].phase == phaseReplay {
-				t.pumpLookup(&rs.lookups[li], rs, samples, space, n, keys, errs)
+				t.pumpLookup(&rs.lookups[li], rs, n, errs)
 			}
 		}
 	}
 }
 
+// verifyParked settles every lookup parked on a fingerprint hit. The
+// candidate keys' downlink bursts are generated 64 at a time through
+// downlinkBatch (the scalar matcher below scalarReplayCutoff) and
+// compared on exactly the bits matches compares. A pass resolves the
+// lookup and kills its cursors; a failure resumes its consumer one
+// position past the hit, where the scalar loop would continue.
+func (t *Table) verifyParked(rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
+	rs.laneKeys = rs.laneKeys[:0]
+	rs.laneFrames = rs.laneFrames[:0]
+	rs.laneOwner = rs.laneOwner[:0]
+	for li := range rs.lookups {
+		if lk := &rs.lookups[li]; lk.phase == phaseVerify {
+			rs.laneKeys = append(rs.laneKeys, space.Key(lk.p))
+			rs.laneFrames = append(rs.laneFrames, lk.frame)
+			rs.laneOwner = append(rs.laneOwner, int32(li))
+		}
+	}
+	var bursts [bsLanes][BurstBytes]byte
+	for base := 0; base < len(rs.laneKeys); base += bsLanes {
+		end := min(base+bsLanes, len(rs.laneKeys))
+		batched := end-base >= scalarReplayCutoff
+		if batched {
+			downlinkBatch(rs.laneKeys[base:end], rs.laneFrames[base:end], &bursts)
+		}
+		for l := base; l < end; l++ {
+			lk := &rs.lookups[rs.laneOwner[l]]
+			ks := samples[lk.sample].Keystream
+			var ok bool
+			if batched {
+				ok = burstMatches(&bursts[l-base], ks)
+			} else {
+				ok = matches(rs.laneKeys[l], lk.frame, ks)
+			}
+			if ok {
+				keys[lk.sample] = rs.laneKeys[l]
+				lk.phase = phaseDone
+				for c := range lk.chains {
+					rs.cursors[lk.cursorBase+c].remaining = 0
+				}
+				continue
+			}
+			// The hit's fingerprint is lk.fp, so its successor is lk.fp
+			// mod n; a resumed consumer that parks again waits for the
+			// next round.
+			lk.phase = phaseReplay
+			lk.p = lk.fp & (n - 1)
+			lk.posIdx++
+			t.pumpLookup(lk, rs, n, errs)
+		}
+	}
+}
+
+// burstMatches reports whether a downlink burst agrees with keystream
+// on the bits matches compares: the first min(len(keystream)*8,
+// BurstBits), MSB-first.
+func burstMatches(burst *[BurstBytes]byte, keystream []byte) bool {
+	nbits := min(len(keystream)*8, BurstBits)
+	full := nbits / 8
+	if !bytes.Equal(burst[:full], keystream[:full]) {
+		return false
+	}
+	rem := nbits % 8
+	return rem == 0 || (burst[full]^keystream[full])>>(8-rem) == 0
+}
+
 // pumpLookup advances one lookup's consumer: the exact scalar replay
 // loop of Recover — chains in stored order, positions in chain order,
-// shared tails skipped through the visited set, candidates verified
-// with the scalar matcher — except that fingerprints are read from the
-// cursors' precomputed buffers instead of the scalar clock. It stops
-// when it runs out of computed fingerprints; the final pump resolves
-// the sample (match, or ErrKeyNotFound after the last chain).
-func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
+// shared tails skipped through the visited set — except that
+// fingerprints are read from the cursors' precomputed buffers instead
+// of the scalar clock, and a fingerprint hit parks the lookup for the
+// batched key check instead of running the scalar matcher. It stops
+// when it runs out of computed fingerprints or parks; the final pump
+// reports ErrKeyNotFound after the last chain.
+func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, n uint64, errs []error) {
 	if lk.phase != phaseReplay {
 		return
 	}
@@ -432,14 +520,11 @@ func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample,
 			}
 			pfp := cur.fps[lk.posIdx]
 			if pfp == lk.fp {
-				if key := space.Key(lk.p); matches(key, lk.frame, samples[lk.sample].Keystream) {
-					keys[lk.sample] = key
-					lk.phase = phaseDone
-					for c := 0; c < len(lk.chains); c++ {
-						rs.cursors[lk.cursorBase+c].remaining = 0
-					}
-					return
-				}
+				// Fingerprint hit: park on candidate lk.p until the next
+				// round's batched key check (verifyParked) resolves it or
+				// resumes here one position on.
+				lk.phase = phaseVerify
+				return
 			}
 			lk.p = pfp & (n - 1)
 			lk.posIdx++
@@ -454,9 +539,10 @@ func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample,
 	lk.phase = phaseDone
 }
 
-// scalarFingerprint is the one-key fingerprint the sub-cutoff remainder
-// lanes use — identical to Table.fingerprint but standalone so the
-// replay engine does not need a table receiver per lane.
+// scalarFingerprint recomputes one key's 40-bit keystream fingerprint
+// with the scalar clock: Recover's walk and replay step, and the
+// sub-cutoff remainder lanes of the batched rounds. Reducing it modulo
+// the space size yields the chain successor.
 func scalarFingerprint(key uint64, frame uint32) uint64 {
 	var c Cipher
 	c.init(key, frame)

@@ -87,6 +87,63 @@ func TestRecoverBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestRecoverBatchFalseHitsMatchScalar forces fingerprint collisions:
+// each sample is a real key's keystream with one bit flipped past the
+// 40-bit fingerprint, so the chain replay hits the key's fingerprint,
+// the key check fails, and the consumer must resume exactly where the
+// scalar loop does. A flip past bit 113 lies outside the bits the key
+// check compares, so such a sample still recovers its key. Every fourth
+// sample is left intact. A few (key, frame) pairs repeat across each
+// group so many lookups park on the same round; group sizes below and
+// above scalarReplayCutoff exercise the scalar and the 64-lane check.
+func TestRecoverBatchFalseHitsMatchScalar(t *testing.T) {
+	space := KeySpace{Base: 0xC118000000000000, Bits: 10}
+	frames := FrameRange(4)
+	table := replayTable(t, space, frames, 4)
+	for _, width := range []int{5, 9, 15, 20} {
+		for _, group := range []int{3, scalarReplayCutoff - 1, 40, 130} {
+			rng := rand.New(rand.NewSource(int64(width*1000 + group)))
+			frame := frames[(width+group)%len(frames)]
+			samples := make([]Sample, group)
+			flipped := make([]int, group)
+			for i := range samples {
+				key := space.Key(uint64(i%3)*301 + 5)
+				down, up := New(key, frame).KeystreamBurst()
+				ks := append(down[:], up[:]...)[:width]
+				flipped[i] = -1
+				if i%4 != 0 && width*8 > tableFPBits {
+					flipped[i] = tableFPBits + rng.Intn(width*8-tableFPBits)
+					ks[flipped[i]/8] ^= 0x80 >> (flipped[i] % 8)
+				}
+				samples[i] = Sample{Keystream: ks, Frame: frame}
+			}
+			keys, errs := table.RecoverBatch(context.Background(), samples, space)
+			falseHits := 0
+			for i, s := range samples {
+				wantKey, wantErr := table.Recover(context.Background(), s.Keystream, s.Frame, space)
+				if (errs[i] == nil) != (wantErr == nil) ||
+					(wantErr != nil && !errors.Is(errs[i], wantErr)) {
+					t.Fatalf("width=%d group=%d sample %d (flip %d): err = %v, scalar err = %v",
+						width, group, i, flipped[i], errs[i], wantErr)
+				}
+				if wantErr == nil && keys[i] != wantKey {
+					t.Fatalf("width=%d group=%d sample %d (flip %d): key = %#x, scalar key = %#x",
+						width, group, i, flipped[i], keys[i], wantKey)
+				}
+				if flipped[i] >= 0 && flipped[i] < BurstBits {
+					falseHits++
+					if errs[i] == nil && keys[i] == space.Key(uint64(i%3)*301+5) {
+						t.Fatalf("width=%d group=%d sample %d: flipped bit %d ignored", width, group, i, flipped[i])
+					}
+				}
+			}
+			if width > 5 && falseHits == 0 {
+				t.Fatalf("width=%d group=%d: no false hit forced", width, group)
+			}
+		}
+	}
+}
+
 // TestRecoverBatchSpaceMismatch pins the whole-batch space check.
 func TestRecoverBatchSpaceMismatch(t *testing.T) {
 	space := KeySpace{Base: 0xC118000000000000, Bits: 8}

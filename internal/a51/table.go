@@ -177,10 +177,15 @@ func BuildTable(space KeySpace, cfg TableConfig) (*Table, error) {
 
 // buildFrame computes one frame's chains. fps is a caller-owned
 // scratch buffer of len n, filled with every key's fingerprint via the
-// bitsliced engine; chain construction is then pure array walking.
+// bitsliced engine (fpBatch with the frame broadcast to every lane);
+// chain construction is then pure array walking.
 func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, maxWalk int) *frameTable {
 	n := uint64(len(fps))
 	var keys [bsLanes]uint64
+	var frames [bsLanes]uint32
+	for l := range frames {
+		frames[l] = frame
+	}
 	for base := uint64(0); base < n; base += bsLanes {
 		count := uint64(bsLanes)
 		if base+count > n {
@@ -190,9 +195,7 @@ func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, max
 		for j := range batch {
 			batch[j] = space.Key(base + uint64(j))
 		}
-		for l, ks := range bsKeystream(batch, frame, tableFPBits) {
-			fps[base+uint64(l)] = fp40(ks)
-		}
+		fpBatch(batch, frames[:count], fps[base:base+count])
 	}
 
 	ft := &frameTable{
@@ -260,20 +263,6 @@ func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, max
 func fp40(ks []byte) uint64 {
 	return uint64(ks[0])<<32 | uint64(ks[1])<<24 | uint64(ks[2])<<16 |
 		uint64(ks[3])<<8 | uint64(ks[4])
-}
-
-// fingerprint recomputes key index x's 40-bit keystream fingerprint
-// at lookup time; reducing it modulo the space size yields the chain
-// successor.
-func (t *Table) fingerprint(x uint64, frame uint32) uint64 {
-	var c Cipher
-	c.init(t.space.Key(x), frame)
-	var fp uint64
-	for i := 0; i < tableFPBits; i++ {
-		c.clock()
-		fp = fp<<1 | uint64(c.outBit())
-	}
-	return fp
 }
 
 // Name implements Cracker.
@@ -368,7 +357,7 @@ func (t *Table) Recover(ctx context.Context, keystream []byte, frame uint32, spa
 					if visited != nil {
 						visited[p] = struct{}{}
 					}
-					pfp := t.fingerprint(p, frame)
+					pfp := scalarFingerprint(space.Key(p), frame)
 					if pfp == fp {
 						if key := space.Key(p); matches(key, frame, keystream) {
 							return key, nil
@@ -379,7 +368,7 @@ func (t *Table) Recover(ctx context.Context, keystream []byte, frame uint32, spa
 			}
 			break
 		}
-		y = t.fingerprint(y, frame) & (n - 1)
+		y = scalarFingerprint(space.Key(y), frame) & (n - 1)
 	}
 	return 0, ErrKeyNotFound
 }
