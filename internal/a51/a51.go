@@ -39,9 +39,17 @@
 // (Table.RecoverBatch: the distinguished-point walks and chain
 // replays of many lookups gathered into shared lane-sliced passes) —
 // are bit-for-bit equivalent to their scalar twins, EncryptBurst and
-// Table.Recover. Only the cipher arithmetic is batched; match order,
-// shared-tail skipping and error cases are the scalar path's, so
-// callers may switch freely (and equivalence tests pin it).
+// Table.Recover. Only the cipher arithmetic is batched, including the
+// key check that confirms a fingerprint hit: parked hits are checked 64
+// at a time, in each lookup's scalar order, on the bits the scalar
+// matcher compares. Match order, shared-tail skipping and error cases
+// are the scalar path's, so callers may switch freely (and equivalence
+// tests pin it).
+//
+// Every cipher setup, scalar or 64-lane, skips the 86 regular key- and
+// COUNT-loading clocks: their result is linear in (Kc, COUNT), so it is
+// eleven XORed table lookups (setupState), pinned against the clocked
+// reference in the tests.
 package a51
 
 import (
