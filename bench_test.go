@@ -365,7 +365,7 @@ func BenchmarkE15Scaling(b *testing.B) {
 // E16 — population-scale campaign throughput: chain-reaction attacks
 // over a sharded synthetic subscriber base with a bounded worker pool
 // and one shared A5/1 cracker. The backend comparison at the smallest
-// size shows the amortized TMTO table beating per-victim exhaustive
+// size shows the amortized TMTO table beating per-victim bitsliced
 // search; the size sweep records victims/sec at population scale.
 // The 1M size runs only with -benchtime long enough (or -bench
 // explicitly); it processes a million subscribers per iteration.
@@ -394,8 +394,9 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
 	}
-	// Shared-table vs per-victim exhaustive search, same population.
-	for _, backend := range []string{"table", "exhaustive"} {
+	// Shared-table lookup vs per-victim bitsliced search, same
+	// population.
+	for _, backend := range []string{"table", "bitsliced"} {
 		b.Run(fmt.Sprintf("subscribers=10000/backend=%s", backend), func(b *testing.B) {
 			run(b, 10_000, backend)
 		})
@@ -475,10 +476,12 @@ func BenchmarkAblationCoupleSize(b *testing.B) {
 }
 
 // Ablation: A5/1 crack cost vs key-space size × search backend (the
-// rainbow-table stand-in, DESIGN.md §5). "exhaustive" is the serial
-// early-exit search; "table" measures the amortized post-build lookup cost, with the
-// one-off precomputation excluded from the timer exactly as the real
-// attack excludes the Kraken table download.
+// rainbow-table stand-in, DESIGN.md §5). "bitsliced" sweeps the space
+// 64 keys per pass; "table" measures the amortized post-build lookup
+// cost, with the one-off precomputation excluded from the timer
+// exactly as the real attack excludes the Kraken table download. The
+// scalar brute-force reference is timed against Bitsliced in
+// internal/a51 (BenchmarkSearchKeyspace).
 func BenchmarkAblationCrackKeyspace(b *testing.B) {
 	const frame = 7
 	for _, bits := range []int{8, 12, 16} {
@@ -497,8 +500,6 @@ func BenchmarkAblationCrackKeyspace(b *testing.B) {
 			name string
 			cr   a51.Cracker
 		}{
-			{"exhaustive", a51.Exhaustive{Workers: 1}},
-			{"parallel", a51.Exhaustive{}},
 			{"bitsliced", a51.Bitsliced{}},
 			{"table", table},
 		} {

@@ -1,20 +1,26 @@
-// Command actfort queries the analysis engine: attack plans against a
-// target account, the forward-closure victim set, node descriptions
-// and DOT export of the full Transformation Dependency Graph.
+// Command actfort queries the analysis engine: the paper's
+// measurement artifacts, attack plans against a target account, the
+// forward-closure victim set, node descriptions, DOT export of the
+// full Transformation Dependency Graph, and the §VII.A countermeasure
+// evaluation.
 //
 // Usage:
 //
+//	actfort -measure                         # Fig 3, Table I, layers, domains, Fig 4 summary
+//	actfort -fig4 fig4.dot                   # Fig 4 connection graph as DOT ('-' for stdout)
 //	actfort -target alipay/mobile            # backward chain search
 //	actfort -target alipay/mobile -plans 3   # several alternatives
 //	actfort -victims                         # forward closure from AP
 //	actfort -describe ctrip/web              # Fig 12 node structure
 //	actfort -flow alipay/mobile              # recursive auth flow (§III.B)
 //	actfort -dot graph.dot                   # full-ecosystem DOT
+//	actfort -fortify                         # E13 before/after table
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,6 +39,9 @@ func main() {
 		flow     = flag.String("flow", "", "render the recursive authentication flow of one node (service/platform)")
 		dot      = flag.String("dot", "", "write the full TDG as DOT to this file")
 		depth    = flag.Int("depth", 0, "max chain depth (0 = default)")
+		measure  = flag.Bool("measure", false, "print Fig 3, Table I, the dependency-depth percentages, the per-domain breakdown and the Fig 4 summary")
+		fig4     = flag.String("fig4", "", "write the 44-account Fig 4 connection graph as DOT to this file ('-' for stdout)")
+		fortify  = flag.Bool("fortify", false, "print the E13 ecosystem before/after the §VII.A countermeasures")
 	)
 	flag.Parse()
 
@@ -46,6 +55,14 @@ func main() {
 	}
 
 	switch {
+	case *measure || *fig4 != "":
+		if err := printMeasure(cat, engine, *measure, *fig4); err != nil {
+			fatal(err)
+		}
+	case *fortify:
+		if err := printFortify(cat); err != nil {
+			fatal(err)
+		}
 	case *target != "":
 		id, err := parseAccount(*target)
 		if err != nil {
@@ -115,17 +132,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		f, err := os.Create(*dot)
-		if err != nil {
+		if err := writeDOT(*dot, g.DOT); err != nil {
 			fatal(err)
 		}
-		if err := g.DOT(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("DOT written to", *dot)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -147,6 +156,24 @@ func parseAccount(s string) (ecosys.AccountID, error) {
 		return ecosys.AccountID{}, fmt.Errorf("unknown platform %q", parts[1])
 	}
 	return ecosys.AccountID{Service: parts[0], Platform: platform}, nil
+}
+
+// writeDOT writes a graph's DOT rendering to path and reports where it
+// went.
+func writeDOT(path string, dot func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := dot(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println("DOT written to", path)
+	return nil
 }
 
 func fatal(err error) {

@@ -60,7 +60,7 @@ func main() {
 		shardSize   = flag.Int("shard", population.DefaultShardSize, "subscribers per shard")
 		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed        = flag.Int64("seed", 42, "population/world seed")
-		backend     = flag.String("backend", "table", "shared A5/1 cracker backend (table, bitsliced, parallel, exhaustive)")
+		backend     = flag.String("backend", "table", "shared A5/1 cracker backend (table, bitsliced)")
 		keyBits     = flag.Int("keybits", 12, "A5/1 session-key space bits")
 		leak        = flag.Float64("leak", population.DefaultLeakFraction, "fraction of subscribers in leak databases")
 		top         = flag.Int("top", 15, "services shown in the takeover ranking")

@@ -57,7 +57,7 @@ func main() {
 		shardSize   = flag.Int("shard", population.DefaultShardSize, "subscribers per shard")
 		seed        = flag.Int64("seed", 42, "population/world seed")
 		workers     = flag.Int("workers", 0, "engine shard worker pool (0 = GOMAXPROCS)")
-		backend     = flag.String("backend", "table", "shared A5/1 cracker backend (table, bitsliced, parallel, exhaustive)")
+		backend     = flag.String("backend", "table", "shared A5/1 cracker backend (table, bitsliced)")
 		keyBits     = flag.Int("keybits", 12, "A5/1 session-key space bits")
 		leak        = flag.Float64("leak", population.DefaultLeakFraction, "fraction of subscribers in leak databases")
 		sweepPar    = flag.Int("sweep-parallel", 1, "scenarios in flight per /v1/sweep request, sharing the -workers budget")

@@ -4,15 +4,15 @@
 // the sniffer cracks the session keys and prints Wireshark-style
 // capture lines filtered by a display-filter expression.
 //
-// The key-recovery backend is pluggable: -backend selects the
-// exhaustive sweep, the 64-lane bitsliced search (default), or the
-// Kraken-style precomputed TMTO table; -table-file persists the table
-// across runs so the precomputation is paid once.
+// The key-recovery backend is pluggable: -backend selects the 64-lane
+// bitsliced search (default) or the Kraken-style precomputed TMTO
+// table; -table-file persists the table across runs so the
+// precomputation is paid once.
 //
 // Usage:
 //
 //	gsmsniff [-receivers 16] [-victims 4] [-filter 'sms.text contains "code"']
-//	         [-keybits 12] [-backend bitsliced|exhaustive|parallel|table]
+//	         [-keybits 12] [-backend bitsliced|table]
 //	         [-table-file kraken.tbl] [-chainlen 32]
 package main
 
@@ -40,7 +40,7 @@ func main() {
 		victims    = flag.Int("victims", 4, "victims in the cell")
 		filterSrc  = flag.String("filter", `sms.text contains "code"`, "display filter")
 		keyBits    = flag.Int("keybits", 12, "A5/1 session-key space bits")
-		backend    = flag.String("backend", "bitsliced", "key-recovery backend: exhaustive|parallel|bitsliced|table")
+		backend    = flag.String("backend", "bitsliced", "key-recovery backend: bitsliced|table")
 		tableFile  = flag.String("table-file", "", "with -backend table: load the TMTO table from this file if it exists, else build and save it")
 		chainLen   = flag.Int("chainlen", 0, "with -backend table: distinguished-point chain length (0 = default)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")

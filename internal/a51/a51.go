@@ -12,10 +12,8 @@
 // The real-world attack uses precomputed rainbow tables over the full
 // 64-bit key space (the srlabs "Kraken" tables cited by the paper).
 // This package reproduces that time–memory trade-off at reduced scale
-// behind the pluggable Cracker interface, with three backends:
+// behind the pluggable Cracker interface, with two backends:
 //
-//   - Exhaustive: the brute-force enumerator (serial or parallel) with
-//     an early-exit bit-by-bit matcher.
 //   - Bitsliced: packs 64 candidate keys into the bit positions of
 //     uint64 words — one word per register bit — and clocks all 64
 //     ciphers with the same handful of boolean operations, the classic
@@ -38,13 +36,14 @@
 // per boolean-clock pass) and the table chain-replay engine
 // (Table.RecoverBatch: the distinguished-point walks and chain
 // replays of many lookups gathered into shared lane-sliced passes) —
-// are bit-for-bit equivalent to their scalar twins, EncryptBurst and
-// Table.Recover. Only the cipher arithmetic is batched, including the
-// key check that confirms a fingerprint hit: parked hits are checked 64
+// are bit-for-bit equivalent to the scalar cipher applied one burst,
+// or one lookup, at a time; those scalar references live in the
+// tests. Only the cipher arithmetic is batched, including the key
+// check that confirms a fingerprint hit: parked hits are checked 64
 // at a time, in each lookup's scalar order, on the bits the scalar
 // matcher compares. Match order, shared-tail skipping and error cases
-// are the scalar path's, so callers may switch freely (and equivalence
-// tests pin it).
+// are the scalar walk's, so a batch of one (Table.Recover) answers
+// exactly what a batch of thousands does.
 //
 // Every cipher setup, scalar or 64-lane, skips the 86 regular key- and
 // COUNT-loading clocks: their result is linear in (Kc, COUNT), so it is

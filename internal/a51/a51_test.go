@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -108,10 +109,23 @@ func TestKeySpace(t *testing.T) {
 	}
 }
 
-// recoverSerial is the serial exhaustive search, the reference every
-// faster backend is checked against.
+// recoverSerial is the brute-force reference every backend is checked
+// against: one scalar matches call per key of the space, in key order,
+// under the Cracker error contract.
 func recoverSerial(keystream []byte, frame uint32, space KeySpace) (uint64, error) {
-	return Exhaustive{Workers: 1}.Recover(context.Background(), keystream, frame, space)
+	if len(keystream) < minSampleBytes {
+		return 0, ErrBadKeystream
+	}
+	n, ok := space.Size()
+	if !ok {
+		return 0, ErrSpaceTooLarge
+	}
+	for i := uint64(0); i < n; i++ {
+		if key := space.Key(i); matches(key, frame, keystream) {
+			return key, nil
+		}
+	}
+	return 0, ErrKeyNotFound
 }
 
 func TestRecoverKey(t *testing.T) {
@@ -125,7 +139,7 @@ func TestRecoverKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != kc {
-		t.Fatalf("serial Exhaustive recovered %#x want %#x", got, kc)
+		t.Fatalf("recoverSerial recovered %#x want %#x", got, kc)
 	}
 }
 
@@ -145,43 +159,7 @@ func TestRecoverKeyShortSample(t *testing.T) {
 
 func TestRecoverKeyFullSpaceRejected(t *testing.T) {
 	if _, err := recoverSerial(make([]byte, 8), 0, KeySpace{Bits: 64}); err == nil {
-		t.Fatal("full 64-bit space must be rejected for exhaustive search")
-	}
-}
-
-func TestRecoverKeyParallel(t *testing.T) {
-	space := KeySpace{Base: 0x77AA000000000000, Bits: 14}
-	kc := space.Key(12345)
-	frame := uint32(0x134)
-	down, _ := New(kc, frame).KeystreamBurst()
-
-	got, err := RecoverKeyParallel(context.Background(), down[:8], frame, space, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != kc {
-		t.Fatalf("RecoverKeyParallel = %#x want %#x", got, kc)
-	}
-}
-
-func TestRecoverKeyParallelCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// A keystream no key generates, so only cancellation can end it.
-	bogus := []byte{0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88}
-	_, err := RecoverKeyParallel(ctx, bogus, 0, KeySpace{Bits: 20}, 2)
-	if err != context.Canceled {
-		t.Fatalf("err = %v want context.Canceled", err)
-	}
-}
-
-func TestRecoverKeyParallelNotFound(t *testing.T) {
-	space := KeySpace{Bits: 6}
-	outside := uint64(1) << 20 // key outside the 6-bit space
-	down, _ := New(outside, 5).KeystreamBurst()
-	_, err := RecoverKeyParallel(context.Background(), down[:8], 5, space, 3)
-	if err != ErrKeyNotFound {
-		t.Fatalf("err = %v want ErrKeyNotFound", err)
+		t.Fatal("full 64-bit space must be rejected for brute-force search")
 	}
 }
 
@@ -240,26 +218,33 @@ func BenchmarkKeystreamBurst(b *testing.B) {
 	}
 }
 
-func BenchmarkRecoverKey12Bit(b *testing.B) {
-	space := KeySpace{Base: 0x9900000000000000, Bits: 12}
-	kc := space.Key(4095) // worst case: last key tried
-	down, _ := New(kc, 8).KeystreamBurst()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := recoverSerial(down[:8], 8, space); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecoverKeyParallel16Bit(b *testing.B) {
-	space := KeySpace{Base: 0x9900000000000000, Bits: 16}
-	kc := space.Key(65535)
-	down, _ := New(kc, 8).KeystreamBurst()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RecoverKeyParallel(context.Background(), down[:8], 8, space, 0); err != nil {
-			b.Fatal(err)
+// BenchmarkSearchKeyspace is the scalar-versus-bitsliced search cost:
+// the brute-force reference (one scalar matches per key) against the
+// 64-lane Bitsliced backend, both on one goroutine, over the whole
+// space (the key is the last one tried).
+func BenchmarkSearchKeyspace(b *testing.B) {
+	for _, bits := range []int{8, 12, 16} {
+		space := KeySpace{Base: 0x9900000000000000, Bits: bits}
+		n, _ := space.Size()
+		kc := space.Key(n - 1)
+		down, _ := New(kc, 8).KeystreamBurst()
+		for _, search := range []struct {
+			name string
+			run  func() (uint64, error)
+		}{
+			{"scalar", func() (uint64, error) { return recoverSerial(down[:8], 8, space) }},
+			{"bitsliced", func() (uint64, error) {
+				return Bitsliced{Workers: 1}.Recover(context.Background(), down[:8], 8, space)
+			}},
+		} {
+			b.Run(fmt.Sprintf("bits=%d/search=%s", bits, search.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if got, err := search.run(); err != nil || got != kc {
+						b.Fatalf("got %#x, %v; want %#x", got, err, kc)
+					}
+				}
+			})
 		}
 	}
 }

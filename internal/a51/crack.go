@@ -94,8 +94,8 @@ func (r *searchResult) watch(ctx context.Context, done <-chan struct{}) {
 // workers goroutines (0 = GOMAXPROCS) in a strided partition — worker
 // w takes w, w+workers, ... Every unit scan polls the shared atomic
 // stop flag, ctx cancellation is mirrored into that flag by a watcher,
-// and the first hit wins the CAS. It is the one fan-out harness behind
-// both the per-key exhaustive search and the per-batch bitsliced one.
+// and the first hit wins the CAS. It is the fan-out harness of the
+// per-batch bitsliced search.
 func searchStrided(ctx context.Context, n uint64, workers int, scan func(i uint64) (uint64, bool)) (uint64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -135,27 +135,6 @@ func searchStrided(ctx context.Context, n uint64, workers int, scan func(i uint6
 		return 0, err
 	}
 	return 0, ErrKeyNotFound
-}
-
-// RecoverKeyParallel searches space for the session key that generates
-// the observed downlink keystream prefix for the given frame number —
-// the XOR of captured ciphertext with known plaintext, exactly what a
-// sniffer derives from predictable GSM system messages — fanned out
-// over workers goroutines (default: GOMAXPROCS when workers <= 0). The
-// first match wins via an atomic compare-and-swap and stops the rest
-// through an atomic flag; ctx aborts the search early with ctx.Err().
-func RecoverKeyParallel(ctx context.Context, keystream []byte, frame uint32, space KeySpace, workers int) (uint64, error) {
-	if len(keystream) < minSampleBytes {
-		return 0, ErrBadKeystream
-	}
-	n, ok := space.Size()
-	if !ok {
-		return 0, ErrSpaceTooLarge
-	}
-	return searchStrided(ctx, n, workers, func(i uint64) (uint64, bool) {
-		key := space.Key(i)
-		return key, matches(key, frame, keystream)
-	})
 }
 
 // matches reports whether key reproduces the keystream prefix. It

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,8 +19,6 @@ func allBackends(t *testing.T, space KeySpace, frames int) []Cracker {
 		t.Fatal(err)
 	}
 	return []Cracker{
-		Exhaustive{Workers: 1},
-		Exhaustive{},
 		Bitsliced{},
 		Bitsliced{Workers: 1},
 		table,
@@ -231,11 +230,9 @@ func TestLoadTableRejectsGarbage(t *testing.T) {
 func TestNewCrackerFactory(t *testing.T) {
 	space := KeySpace{Bits: 8}
 	for name, want := range map[string]string{
-		"":           "bitsliced",
-		"bitsliced":  "bitsliced",
-		"exhaustive": "exhaustive",
-		"parallel":   "exhaustive-parallel",
-		"table":      "table",
+		"":          "bitsliced",
+		"bitsliced": "bitsliced",
+		"table":     "table",
 	} {
 		cr, err := NewCracker(name, space, 0)
 		if err != nil {
@@ -245,8 +242,12 @@ func TestNewCrackerFactory(t *testing.T) {
 			t.Fatalf("NewCracker(%q).Name() = %q want %q", name, cr.Name(), want)
 		}
 	}
-	if _, err := NewCracker("quantum", space, 0); err == nil {
-		t.Fatal("unknown backend accepted")
+	// The brute-force backends are gone; their names fail like any
+	// other unknown name.
+	for _, name := range []string{"quantum", "exhaustive", "parallel"} {
+		if _, err := NewCracker(name, space, 0); err == nil || !strings.Contains(err.Error(), "unknown cracker backend") {
+			t.Fatalf("NewCracker(%q): err = %v, want unknown-backend error", name, err)
+		}
 	}
 }
 

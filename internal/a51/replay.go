@@ -5,24 +5,24 @@ package a51
 // spends almost all of its time recomputing keystream fingerprints:
 // first walking from the observed fingerprint to the next distinguished
 // point, then replaying every stored chain that ends there, one cipher
-// setup per chain position. Recover does that walk with the scalar
-// clock, one keystream at a time; RecoverBatch gathers the candidate
+// setup per chain position. RecoverBatch gathers the candidate
 // positions of MANY lookups (all the sessions of a sniffer FeedBatch
-// call, plus every chain of each lookup's window) and runs them through
-// the existing lane-sliced clock 64 at a time, falling back to the
+// call, plus every chain of each lookup's window) and runs them
+// through the lane-sliced clock 64 at a time, falling back to the
 // scalar clock only for sub-64 remainders below scalarReplayCutoff.
+// Table.Recover is a batch of one.
 //
 // A fingerprint hit is only a candidate: its key must still reproduce
-// the whole sample. Recover checks it with the scalar matcher on the
-// spot; RecoverBatch parks the lookup and checks every parked candidate
-// at the start of the next round, 64 at a time, as one downlink burst
-// per lane.
+// the whole sample. RecoverBatch parks the lookup and checks every
+// parked candidate at the start of the next round, 64 at a time, as
+// one downlink burst per lane.
 //
 // Equivalence contract: for every sample, RecoverBatch returns exactly
-// what Recover returns. Only cipher work is batched; each lookup's key
-// checks, shared-tail visited set and chain visit order run in the same
-// order as the scalar path, so even pathological fingerprint collisions
-// resolve identically.
+// what one scalar walk and replay of that sample alone returns (the
+// reference in replay_test.go). Only cipher work is batched; each
+// lookup's key checks, shared-tail visited set and chain visit order
+// run in the scalar order, so even pathological fingerprint
+// collisions resolve identically.
 
 import (
 	"bytes"
@@ -113,8 +113,8 @@ type lookupState struct {
 	phase  int
 
 	// Walk state: the current chain position and how many
-	// distinguished-point checks have run (scalar Recover gives up
-	// after maxWalk+1 of them).
+	// distinguished-point checks have run (the walk gives up after
+	// maxWalk+1 of them).
 	y      uint64
 	checks int
 
@@ -198,18 +198,18 @@ func (rs *replayScratch) reset() {
 	rs.fpSlab.Reset()
 }
 
-// RecoverBatch implements BatchCracker: it resolves every sample with
-// the same overflow check, distinguished-point walk and chain replay as
-// Recover, but gathers the fingerprint computations of all samples —
-// walk steps and chain positions alike — into 64-lane bitsliced passes.
-// Samples on frames outside the precomputed window go through the
-// bitsliced-sweep fallback exactly as in Recover.
+// RecoverBatch implements BatchCracker: it resolves every sample by an
+// overflow check, a distinguished-point walk and a chain replay, but
+// gathers the fingerprint computations of all samples — walk steps and
+// chain positions alike — into 64-lane bitsliced passes. Samples on
+// frames outside the precomputed window go through the bitsliced-sweep
+// fallback.
 func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpace) (keys []uint64, errs []error) {
 	keys = make([]uint64, len(samples))
 	errs = make([]error, len(samples))
 	if space != t.space {
-		// Mirror Recover's check order per sample: an unusably short
-		// keystream reports ErrBadKeystream even on a mismatched space.
+		// Check order per sample: an unusably short keystream reports
+		// ErrBadKeystream even on a mismatched space.
 		err := fmt.Errorf("%w: built for base=%#x bits=%d, asked for base=%#x bits=%d",
 			ErrTableSpaceMismatch, t.space.Base, t.space.Bits, space.Base, space.Bits)
 		for i := range errs {
@@ -540,9 +540,8 @@ func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, n uint64, errs []
 }
 
 // scalarFingerprint recomputes one key's 40-bit keystream fingerprint
-// with the scalar clock: Recover's walk and replay step, and the
-// sub-cutoff remainder lanes of the batched rounds. Reducing it modulo
-// the space size yields the chain successor.
+// with the scalar clock: the sub-cutoff remainder lanes of the batched
+// rounds. Reducing it modulo the space size yields the chain successor.
 func scalarFingerprint(key uint64, frame uint32) uint64 {
 	var c Cipher
 	c.init(key, frame)

@@ -3,6 +3,7 @@ package a51
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -17,13 +18,103 @@ func replayTable(t *testing.T, space KeySpace, frames []uint32, chainLen int) *T
 	return table
 }
 
+// refRecover is the scalar lookup RecoverBatch must reproduce: overflow
+// hit, or walk from the observed fingerprint to the next distinguished
+// point and replay the chains stored there, one scalar cipher setup per
+// position, checking each fingerprint hit with the scalar matcher.
+// Chains started from different keys share their tails after a merge,
+// so visited positions are skipped; a lone chain has no tails to share,
+// so the visited set is only built when merges are possible.
+func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
+	if len(keystream) < minSampleBytes {
+		return 0, ErrBadKeystream
+	}
+	if space != t.space {
+		return 0, ErrTableSpaceMismatch
+	}
+	ft := t.frames[frame]
+	if ft == nil {
+		return t.fallback.Recover(ctx, keystream, frame, space)
+	}
+	n, _ := space.Size()
+	fp := fp40(keystream)
+	for _, x := range ft.overflow[fp] {
+		if key := space.Key(x); matches(key, frame, keystream) {
+			return key, nil
+		}
+	}
+	y := fp & (n - 1)
+	dpMask := t.chainLen - 1
+	for steps := 0; steps <= t.maxWalk; steps++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		if y&dpMask != 0 {
+			y = scalarFingerprint(space.Key(y), frame) & (n - 1)
+			continue
+		}
+		var visited map[uint64]struct{}
+		if len(ft.chains[y]) > 1 {
+			visited = make(map[uint64]struct{}, t.maxWalk)
+		}
+		for _, ch := range ft.chains[y] {
+			p := ch.start
+			for j := uint32(0); j < ch.length; j++ {
+				if _, seen := visited[p]; seen {
+					break // shared tail: already replayed
+				}
+				if visited != nil {
+					visited[p] = struct{}{}
+				}
+				pfp := scalarFingerprint(space.Key(p), frame)
+				if pfp == fp {
+					if key := space.Key(p); matches(key, frame, keystream) {
+						return key, nil
+					}
+				}
+				p = pfp & (n - 1)
+			}
+		}
+		break
+	}
+	return 0, ErrKeyNotFound
+}
+
+// checkAgainstRef resolves samples through one RecoverBatch call and
+// through Table.Recover (a batch of one) per sample, and fails unless
+// both return exactly what refRecover returns, sample for sample.
+func checkAgainstRef(t *testing.T, label string, table *Table, samples []Sample, space KeySpace) {
+	t.Helper()
+	ctx := context.Background()
+	keys, errs := table.RecoverBatch(ctx, samples, space)
+	for i, s := range samples {
+		wantKey, wantErr := refRecover(ctx, table, s.Keystream, s.Frame, space)
+		oneKey, oneErr := table.Recover(ctx, s.Keystream, s.Frame, space)
+		for _, got := range []struct {
+			path string
+			key  uint64
+			err  error
+		}{{"RecoverBatch", keys[i], errs[i]}, {"Recover", oneKey, oneErr}} {
+			if (got.err == nil) != (wantErr == nil) ||
+				(wantErr != nil && !errors.Is(got.err, wantErr)) {
+				t.Fatalf("%s: sample %d: %s err = %v, reference err = %v", label, i, got.path, got.err, wantErr)
+			}
+			if wantErr == nil && got.key != wantKey {
+				t.Fatalf("%s: sample %d: %s key = %#x, reference key = %#x", label, i, got.path, got.key, wantKey)
+			}
+		}
+	}
+}
+
 // TestRecoverBatchMatchesScalar is the replayBatch ≡ scalar-replay
 // property test: across chain lengths (from every-index-distinguished
 // through merge-collision-heavy long chains in tiny spaces), batch
 // sizes exercising sub-64 remainder lanes and multi-block gathers,
 // covered and uncovered frames, full-burst and fingerprint-width
-// samples and unrecoverable keystreams, RecoverBatch must return
-// exactly what Recover returns, sample for sample.
+// samples, a short sample and unrecoverable keystreams, RecoverBatch
+// and Table.Recover must return exactly what refRecover returns,
+// sample for sample — on the table's own space and on a mismatched
+// one.
 func TestRecoverBatchMatchesScalar(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -72,17 +163,8 @@ func TestRecoverBatchMatchesScalar(t *testing.T) {
 				samples[2] = Sample{Keystream: []byte{1, 2}, Frame: frames[0]}
 			}
 
-			keys, errs := table.RecoverBatch(context.Background(), samples, space)
-			for i, s := range samples {
-				wantKey, wantErr := table.Recover(context.Background(), s.Keystream, s.Frame, space)
-				if (errs[i] == nil) != (wantErr == nil) ||
-					(wantErr != nil && !errors.Is(errs[i], wantErr)) {
-					t.Fatalf("sample %d: err = %v, scalar err = %v", i, errs[i], wantErr)
-				}
-				if wantErr == nil && keys[i] != wantKey {
-					t.Fatalf("sample %d: key = %#x, scalar key = %#x", i, keys[i], wantKey)
-				}
-			}
+			checkAgainstRef(t, "own space", table, samples, space)
+			checkAgainstRef(t, "mismatched space", table, samples, KeySpace{Base: space.Base, Bits: tc.bits + 1})
 		})
 	}
 }
@@ -117,19 +199,10 @@ func TestRecoverBatchFalseHitsMatchScalar(t *testing.T) {
 				}
 				samples[i] = Sample{Keystream: ks, Frame: frame}
 			}
+			checkAgainstRef(t, fmt.Sprintf("width=%d group=%d", width, group), table, samples, space)
 			keys, errs := table.RecoverBatch(context.Background(), samples, space)
 			falseHits := 0
-			for i, s := range samples {
-				wantKey, wantErr := table.Recover(context.Background(), s.Keystream, s.Frame, space)
-				if (errs[i] == nil) != (wantErr == nil) ||
-					(wantErr != nil && !errors.Is(errs[i], wantErr)) {
-					t.Fatalf("width=%d group=%d sample %d (flip %d): err = %v, scalar err = %v",
-						width, group, i, flipped[i], errs[i], wantErr)
-				}
-				if wantErr == nil && keys[i] != wantKey {
-					t.Fatalf("width=%d group=%d sample %d (flip %d): key = %#x, scalar key = %#x",
-						width, group, i, flipped[i], keys[i], wantKey)
-				}
+			for i := range samples {
 				if flipped[i] >= 0 && flipped[i] < BurstBits {
 					falseHits++
 					if errs[i] == nil && keys[i] == space.Key(uint64(i%3)*301+5) {
@@ -234,10 +307,11 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 }
 
 // BenchmarkTableRecoverBatch compares per-sample scalar chain replay
-// (Table.Recover) with one 64-lane batched RecoverBatch call over the
-// same 64 campaign-shaped samples (12-bit space, chain length 2, full
-// 8-byte keystreams) — the mechanism cost the batch path saves per
-// crack.
+// (the refRecover reference), per-sample batches of one (Table.Recover,
+// the live sniffer's path) and one 64-lane batched RecoverBatch call
+// over the same 64 campaign-shaped samples (12-bit space, chain length
+// 2, full 8-byte keystreams) — the mechanism cost the batch path saves
+// per crack.
 func BenchmarkTableRecoverBatch(b *testing.B) {
 	const n = 64
 	space := KeySpace{Base: 0xC118000000000000, Bits: 12}
@@ -254,17 +328,25 @@ func BenchmarkTableRecoverBatch(b *testing.B) {
 		samples[i] = Sample{Keystream: down[:8], Frame: frame}
 	}
 	ctx := context.Background()
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, s := range samples {
-				if _, err := table.Recover(ctx, s.Keystream, s.Frame, space); err != nil {
-					b.Fatal(err)
+	for _, single := range []struct {
+		name    string
+		recover func(s Sample) (uint64, error)
+	}{
+		{"scalar", func(s Sample) (uint64, error) { return refRecover(ctx, table, s.Keystream, s.Frame, space) }},
+		{"single", func(s Sample) (uint64, error) { return table.Recover(ctx, s.Keystream, s.Frame, space) }},
+	} {
+		b.Run(single.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range samples {
+					if _, err := single.recover(s); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
-	})
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
+		})
+	}
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

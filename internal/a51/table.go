@@ -297,80 +297,16 @@ func (t *Table) Frames() []uint32 {
 	return out
 }
 
-// Recover implements Cracker: overflow hit, or walk from the observed
-// fingerprint to the next distinguished point and replay the chains
-// stored there. A miss after a complete walk proves no key in the
-// space generates the sample (coverage is total), so it returns
-// ErrKeyNotFound without any sweeping. Frames outside the precomputed
-// window fall back to the bitsliced sweep.
+// Recover implements Cracker as a RecoverBatch call over one sample:
+// overflow hit, or walk from the observed fingerprint to the next
+// distinguished point and replay the chains stored there. A miss after
+// a complete walk proves no key in the space generates the sample
+// (coverage is total), so it returns ErrKeyNotFound without any
+// sweeping. Frames outside the precomputed window fall back to the
+// bitsliced sweep.
 func (t *Table) Recover(ctx context.Context, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
-	if len(keystream) < minSampleBytes {
-		return 0, ErrBadKeystream
-	}
-	if space != t.space {
-		return 0, fmt.Errorf("%w: built for base=%#x bits=%d, asked for base=%#x bits=%d",
-			ErrTableSpaceMismatch, t.space.Base, t.space.Bits, space.Base, space.Bits)
-	}
-	metLookups.Inc()
-	ft := t.frames[frame]
-	if ft == nil {
-		metFallbacks.Inc()
-		return t.fallback.Recover(ctx, keystream, frame, space)
-	}
-	n, _ := space.Size()
-	fp := fp40(keystream)
-
-	for _, x := range ft.overflow[fp] {
-		if key := space.Key(x); matches(key, frame, keystream) {
-			return key, nil
-		}
-	}
-
-	y := fp & (n - 1)
-	dpMask := t.chainLen - 1
-	for steps := 0; steps <= t.maxWalk; steps++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if y&dpMask == 0 {
-			metWalkSteps.Observe(float64(steps))
-			metReplays.Add(int64(len(ft.chains[y])))
-			// Replay every chain ending at this distinguished point,
-			// comparing fingerprints (one cipher setup per position).
-			// Chains started from different keys share their tails
-			// after a merge, so visited positions are skipped: total
-			// replay work is bounded by the number of distinct key
-			// indices feeding this endpoint, not the sum of chain
-			// lengths. A lone chain has no tails to share, so the
-			// per-lookup visited set (a real allocation cost when a
-			// campaign runs millions of lookups) is built lazily.
-			var visited map[uint64]struct{}
-			if len(ft.chains[y]) > 1 {
-				visited = make(map[uint64]struct{}, t.maxWalk)
-			}
-			for _, ch := range ft.chains[y] {
-				p := ch.start
-				for j := uint32(0); j < ch.length; j++ {
-					if _, seen := visited[p]; seen {
-						break // shared tail: already replayed
-					}
-					if visited != nil {
-						visited[p] = struct{}{}
-					}
-					pfp := scalarFingerprint(space.Key(p), frame)
-					if pfp == fp {
-						if key := space.Key(p); matches(key, frame, keystream) {
-							return key, nil
-						}
-					}
-					p = pfp & (n - 1)
-				}
-			}
-			break
-		}
-		y = scalarFingerprint(space.Key(y), frame) & (n - 1)
-	}
-	return 0, ErrKeyNotFound
+	keys, errs := t.RecoverBatch(ctx, []Sample{{Keystream: keystream, Frame: frame}}, space)
+	return keys[0], errs[0]
 }
 
 // --- serialization (the "ship the tables" step of the real attack) ---

@@ -26,11 +26,11 @@ type ScenarioConfig struct {
 	// milliseconds, still a real key recovery).
 	KeyBits int
 	// CrackBackend selects the A5/1 key-recovery backend for the
-	// passive rig: "exhaustive", "parallel", "bitsliced" (the default
-	// when empty) or "table". "table" precomputes an a51.Table over
-	// the network's key space and wraps the network's cipher frame
-	// counter into the table's window, so every session resolves with
-	// an amortized table lookup.
+	// passive rig (see a51.NewCracker): "bitsliced" (the default when
+	// empty) or "table". "table" precomputes an a51.Table over the
+	// network's key space and the paging frame classes of the 51×26
+	// COUNT schedule, so every session resolves with an amortized
+	// table lookup.
 	CrackBackend string
 	// Launch lists service names to bring up live; empty launches the
 	// case-study set (gmail, paypal, alipay, baidu-wallet, ctrip).
@@ -81,15 +81,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		Seed:     cfg.Seed,
 	}
 	net := telecom.NewNetwork(netCfg)
-	var cracker a51.Cracker
-	if cfg.CrackBackend == "table" {
-		// Precompute the table over the paging frame classes of the
-		// 51×26 COUNT schedule, so every known-plaintext burst the
-		// network emits resolves by lookup.
-		cracker, err = a51.BuildTable(net.KeySpace(), a51.TableConfig{Frames: telecom.PagingFrames()})
-	} else {
-		cracker, err = a51.NewCracker(cfg.CrackBackend, net.KeySpace(), 0)
-	}
+	cracker, err := a51.NewCracker(cfg.CrackBackend, net.KeySpace(), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -121,17 +121,17 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 // scalarCracker hides a backend's a51.BatchCracker implementation, so
-// the rigs resolve every crack through the per-session Recover path:
-// the test-only scalar chain-replay reference, passed in through
-// Config.Cracker.
+// the rigs resolve every crack inline through Cracker.Recover — for a
+// table, one single-sample RecoverBatch per session instead of one
+// batch per shard trace — passed in through Config.Cracker.
 type scalarCracker struct{ a51.Cracker }
 
 // TestCampaignBatchReplayMatchesScalar pins the batched chain-replay
 // contract at campaign scale: resolving every fresh crack of a shard's
 // trace through one 64-lane a51.RecoverBatch call must produce a
 // byte-identical Summary — same crack, cache-hit and Kc-reuse
-// counters, same per-victim outcomes — as the per-session scalar
-// chain replay of scalarCracker, on a fixed seed.
+// counters, same per-victim outcomes — as the single-sample batches per
+// session of scalarCracker, on a fixed seed.
 func TestCampaignBatchReplayMatchesScalar(t *testing.T) {
 	scenarios := []Scenario{
 		{}, // paper baseline: 20% A5/0, rest A5/1, reauth skip 0.6

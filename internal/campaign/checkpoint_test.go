@@ -37,8 +37,8 @@ func sharedCracker(t *testing.T, cfg Config) a51.Cracker {
 
 // TestCampaignResumeEquivalence is the core recovery invariant: a run
 // killed at every instrumented crash point and then resumed yields a
-// Summary byte-identical to an uninterrupted run, on both the batched
-// and the scalar (scalarCracker) chain-replay paths.
+// Summary byte-identical to an uninterrupted run, with fresh cracks
+// batched per shard trace and per session (scalarCracker).
 func TestCampaignResumeEquivalence(t *testing.T) {
 	pop := testPop(t, 2048, 128) // 16 shards
 	base := Config{Population: pop, KeyBits: 10, Workers: 2}

@@ -8,15 +8,16 @@
 // to, so interception probability scales with how many of the cell's
 // channels the attacker can cover — reproduced by experiment E6.
 //
-// Batch ≡ scalar invariant: FeedBatch ingests a whole recorded trace
-// at once and batches both payload decryption (64-lane a51 encryptor)
+// One session pipeline: Feed is FeedBatch over a single burst, and
+// FeedBatch batches both payload decryption (64-lane a51 encryptor)
 // and fresh key recovery (one a51.BatchCracker.RecoverBatch call per
 // trace, deduplicated against the session and auth-context caches),
 // yet produces exactly the captures, statistics and cache state of
-// feeding the same bursts through Feed one at a time. A Cracker that
-// does not implement a51.BatchCracker takes the per-session crack
-// path, which is how the equivalence tests hold the batch engine
-// against it.
+// resolving the trace's sessions one at a time in trace order. A
+// Cracker that does not implement a51.BatchCracker (the default
+// Bitsliced search) resolves each fresh crack inline through
+// Cracker.Recover, which is how the equivalence tests hold the batch
+// engine against one-at-a-time resolution.
 package sniffer
 
 import (
@@ -187,8 +188,7 @@ type session struct {
 
 // appendPayloadBursts appends the session's payload bursts (seq
 // 1..total-1) in order onto dst; ok is false (and dst is returned
-// unchanged) when one was lost — the shared framing walk of the scalar
-// and batched processing paths.
+// unchanged) when one was lost.
 func (sess *session) appendPayloadBursts(dst []telecom.RadioBurst) ([]telecom.RadioBurst, bool) {
 	base := len(dst)
 	for seq := 1; seq < sess.total; seq++ {
@@ -199,11 +199,6 @@ func (sess *session) appendPayloadBursts(dst []telecom.RadioBurst) ([]telecom.Ra
 		dst = append(dst, b)
 	}
 	return dst, true
-}
-
-// payloadBursts is appendPayloadBursts into a fresh slice.
-func (sess *session) payloadBursts() ([]telecom.RadioBurst, bool) {
-	return sess.appendPayloadBursts(make([]telecom.RadioBurst, 0, sess.total-1))
 }
 
 // New builds a sniffer against a network.
@@ -279,18 +274,11 @@ func (s *Sniffer) Stop() {
 	}
 }
 
-// Feed processes one burst. It is the Subscribe callback, and is also
-// exported for replaying recorded traffic (failure-injection tests
-// feed lossy traces directly).
+// Feed processes one burst — a FeedBatch of one. It is the Subscribe
+// callback, and is also exported for replaying recorded traffic
+// (failure-injection tests feed lossy traces directly).
 func (s *Sniffer) Feed(b telecom.RadioBurst) {
-	s.mu.Lock()
-	sess, complete := s.ingestLocked(b)
-	s.mu.Unlock()
-
-	if complete {
-		s.processSession(sess)
-		s.recycleSessions(sess)
-	}
+	s.FeedBatch([]telecom.RadioBurst{b})
 }
 
 // feedScratch is the reusable memory of one FeedBatch call — completed
@@ -367,16 +355,16 @@ func (fs *feedScratch) reset() {
 	fs.tpdu = fs.tpdu[:0]
 }
 
-// FeedBatch ingests a whole recorded trace at once — the campaign
-// engine's path. Sessions complete exactly as they would under
-// burst-by-burst Feed, but two batch engines replace the per-session
-// scalar work: every fresh key recovery the batch needs is resolved in
-// ONE a51.BatchCracker.RecoverBatch call (64-lane bitsliced chain
-// replay across all sessions; see prefetchCracks), and the A5/1
-// payload decryption of every completed session runs through the
-// 64-lane bitsliced batch encryptor instead of one scalar cipher per
-// burst. Captures, statistics and Kc-cache behavior are identical to
-// feeding the same bursts through Feed in order.
+// FeedBatch ingests a trace of bursts — a whole recorded shard on the
+// campaign engine's path, a single burst on the live path (Feed).
+// Sessions complete exactly as they would burst by burst, and two
+// batch engines do the per-session work: every fresh key recovery the
+// batch needs is resolved in ONE a51.BatchCracker.RecoverBatch call
+// (64-lane bitsliced chain replay across all sessions; see
+// prefetchCracks), and the A5/1 payload decryption of every completed
+// session runs through the 64-lane bitsliced batch encryptor.
+// Captures, statistics and Kc-cache behavior are identical to feeding
+// the same bursts through Feed in order.
 //
 // The input bursts are only read during the call: payloads the rig
 // keeps are copied, so callers may recycle the trace memory (e.g. a
@@ -397,14 +385,16 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 		}
 	}
 	s.mu.Unlock()
+	if len(fs.completed) == 0 {
+		return // most live Feed calls: nothing to crack, decrypt or observe
+	}
 
 	s.prefetchCracks(fs)
 
 	// Resolve every completed session in trace order — cache hits,
-	// prefetched table lookups and scalar fallbacks take the exact
-	// paths Feed takes — queueing the encrypted payload bursts of
-	// resolvable sessions as decryption lanes. Lossy sessions cost no
-	// batched cipher work.
+	// prefetched table lookups and inline cracks — queueing the
+	// encrypted payload bursts of resolvable sessions as decryption
+	// lanes. Lossy sessions cost no batched cipher work.
 	prefetched := len(fs.crackOf) == len(fs.completed)
 	for ci, sess := range fs.completed {
 		var pre *crackResult
@@ -412,7 +402,7 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 			k := fs.crackOf[ci]
 			pre = &crackResult{kc: fs.keys[k], err: fs.errs[k], took: fs.share}
 		}
-		kc, crackTime, ok := s.resolveSessionPre(sess, pre)
+		kc, crackTime, ok := s.resolveSession(sess, pre)
 		if !ok {
 			continue
 		}
@@ -459,8 +449,8 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 // first crack fills the cache the rest will hit — and resolves all of
 // them in a single BatchCracker.RecoverBatch call. The results are
 // only a memo: resolution still runs in trace order against the real
-// caches (resolveSessionPre), so statistics, cache fills and returned
-// keys stay byte-identical to the scalar path; a prefetch the
+// caches (resolveSession), so statistics, cache fills and returned
+// keys stay byte-identical to one-at-a-time resolution; a prefetch the
 // sequential pass disagrees with (say, a cache entry evicted between
 // passes, or a failed crack a later duplicate session must retry) is
 // ignored or recomputed inline.
@@ -494,7 +484,7 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 			}
 		}
 		if len(paging.Payload) != len(plain) {
-			continue // DeriveKeystream would reject it; resolve scalar
+			continue // DeriveKeystream would reject it; resolve inline
 		}
 		telecom.FillPagingPlaintext(plain[:], paging.SessionID)
 		ks := fs.grab(len(plain))
@@ -561,31 +551,8 @@ func (s *Sniffer) ingestLocked(b telecom.RadioBurst) (*session, bool) {
 	return sess, false
 }
 
-// processSession cracks (if needed), decodes and records one complete
-// transmission — the scalar per-session path live traffic goes
-// through.
-func (s *Sniffer) processSession(sess *session) {
-	kc, crackTime, ok := s.resolveSession(sess)
-	if !ok {
-		return
-	}
-	pb, ok := sess.payloadBursts()
-	if !ok {
-		return // lost a payload burst
-	}
-	tpdu := make([]byte, 0, len(pb)*16)
-	for _, b := range pb {
-		payload := b.Payload
-		if b.Encrypted {
-			payload = a51.EncryptBurst(kc, b.Frame, payload)
-		}
-		tpdu = append(tpdu, payload...)
-	}
-	s.record(sess, kc, crackTime, tpdu)
-}
-
 // crackResult carries a batch-prefetched key recovery into
-// resolveSessionPre: the key (or error) RecoverBatch produced for this
+// resolveSession: the key (or error) RecoverBatch produced for this
 // session's sample, and the amortized share of the batch wall time.
 type crackResult struct {
 	kc   uint64
@@ -595,21 +562,15 @@ type crackResult struct {
 
 // resolveSession produces the session key for one complete
 // transmission — replay cache, per-subscriber (IMSI, RAND) cache, or a
-// fresh crack through the backend — updating the crack statistics. ok
-// is false when the session is unusable: paging burst lost, A5/3
-// announced, or recovery failed.
-func (s *Sniffer) resolveSession(sess *session) (kc uint64, crackTime time.Duration, ok bool) {
-	return s.resolveSessionPre(sess, nil)
-}
-
-// resolveSessionPre is resolveSession with an optional prefetched
-// crack: when the caches miss and pre is non-nil, the batch's result
-// stands in for the Cracker.Recover call (the sample was derived from
-// the same paging burst, so the result is the same by determinism of
-// the backend); everything else — cache consultation order, statistic
-// increments, cache fills and eviction — is the scalar path, executed
-// in the caller's session order.
-func (s *Sniffer) resolveSessionPre(sess *session, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
+// fresh crack — updating the crack statistics. ok is false when the
+// session is unusable: paging burst lost, A5/3 announced, or recovery
+// failed. When the caches miss and pre is non-nil, the batch's
+// prefetched result stands in for the Cracker.Recover call (the sample
+// was derived from the same paging burst, so the result is the same by
+// determinism of the backend); cache consultation order, statistic
+// increments, cache fills and eviction run in the caller's session
+// order either way.
+func (s *Sniffer) resolveSession(sess *session, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
 	paging, ok := sess.bursts[0]
 	if !ok {
 		return 0, 0, false // lost the paging burst: no known plaintext, no crack

@@ -118,7 +118,9 @@ func TestReceiverCapacity(t *testing.T) {
 // a recorded trace to FeedBatch must produce the same captures and
 // statistics as feeding each burst through Feed in order — including
 // lossy sessions, A5/0 plaintext, A5/3 abandons and Kc-reuse cache
-// hits.
+// hits. Feed is a batch of one burst, so it completes at most one
+// session per call: the comparison holds cross-session batching
+// against one-at-a-time resolution.
 func TestFeedBatchMatchesFeed(t *testing.T) {
 	trace := func(t *testing.T) []telecom.RadioBurst {
 		t.Helper()
@@ -168,8 +170,9 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 }
 
 // scalarCracker hides a backend's a51.BatchCracker implementation, so
-// FeedBatch resolves every crack through the per-session Recover path:
-// the test-only scalar chain-replay reference.
+// FeedBatch resolves every crack inline through Cracker.Recover — for a
+// table, one single-sample RecoverBatch per session instead of one
+// batch per trace.
 type scalarCracker struct{ a51.Cracker }
 
 // TestFeedBatchMatchesFeedTableBackend pins the batched-crack contract
@@ -178,8 +181,9 @@ type scalarCracker struct{ a51.Cracker }
 // one bitsliced RecoverBatch call — deduplicating session-ID repeats
 // and (IMSI, RAND) auth-context reuse within the batch — and must
 // still produce the same captures and statistics as burst-by-burst
-// Feed, and as FeedBatch over a scalarCracker forcing per-session
-// scalar chain replay.
+// Feed (cross-session dedupe and cache resolution in trace order), and
+// as FeedBatch over a scalarCracker forcing single-sample batches per
+// session.
 func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
 	space := a51.KeySpace{Base: 0xC118000000000000, Bits: 10}
 	table, err := a51.BuildTable(space, a51.TableConfig{Frames: telecom.PagingFrames(), ChainLen: 2})

@@ -59,22 +59,12 @@ func (m CellMix) Mode(u float64) CipherMode {
 	}
 }
 
-// EncryptBurstA53 XORs payload with an A5/3 (KASUMI) keystream
+// xorBurstA53 XORs payload in place with an A5/3 (KASUMI) keystream
 // stand-in derived via SHA-256. The construction is not KASUMI — it is
 // a stand-in the same way deriveKc stands in for COMP128 — but it has
 // the one property the fortification scenarios need: no backend in
 // internal/a51 recovers its key, so A5/3 traffic is opaque to the rig.
 // XOR symmetry makes it its own inverse.
-func EncryptBurstA53(kc uint64, frame uint32, payload []byte) []byte {
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	xorBurstA53(kc, frame, out)
-	return out
-}
-
-// xorBurstA53 is EncryptBurstA53 in place: the pooled batch encoder
-// ciphers A5/3 payloads inside its recycled slab instead of paying a
-// fresh allocation per burst.
 func xorBurstA53(kc uint64, frame uint32, payload []byte) {
 	var seed [12]byte
 	binary.BigEndian.PutUint64(seed[:8], kc)

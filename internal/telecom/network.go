@@ -15,14 +15,13 @@
 // (no network authentication to the phone) is modeled faithfully
 // because it is the flaw the fake base station exploits.
 //
-// Batch ≡ scalar invariant: the two burst encoders — per-session
-// EncodeSMSBursts (the live Network's) and the pooled flat batch
-// EncodeSMSBurstsInto (the campaign engine's) — produce byte-identical
-// bursts for the same sessions. The batch form only changes where
-// cipher arithmetic runs (64-lane a51 passes across sessions) and
-// where memory comes from (a recycled BurstBuffer slab); layout, COUNT
-// schedule and payloads are the scalar encoder's, and property tests
-// pin the equality.
+// One burst encoder: EncodeSMSBurstsInto encodes the campaign
+// engine's whole shards and, as a batch of one, every live SendSMS.
+// Batching only changes where cipher arithmetic runs (64-lane a51
+// passes across sessions) and where memory comes from (a BurstBuffer
+// slab); layout, COUNT schedule and payloads are those of encoding
+// each session alone, and property tests pin the equality against a
+// per-session reference encoder.
 package telecom
 
 import (
@@ -504,7 +503,11 @@ func (n *Network) SendSMS(fromOriginator, toMSISDN, text string) (transport stri
 	sessionID := n.nextSession
 	n.nextSession++
 	start := NextPagingStart(n.frame)
-	bursts, err := EncodeSMSBursts(SMSSession{
+	// A fresh buffer, never released, so the bursts stay valid for as
+	// long as anything holds them; a pooled buffer would be recycled
+	// by the next send, and only emit's per-listener payload copy
+	// would keep listeners from seeing it.
+	bursts, err := EncodeSMSBurstsInto([]SMSSession{{
 		ARFCN:      cell.ARFCNs[int(sessionID)%len(cell.ARFCNs)],
 		CellID:     cell.ID,
 		SessionID:  sessionID,
@@ -514,10 +517,10 @@ func (n *Network) SendSMS(fromOriginator, toMSISDN, text string) (transport stri
 		IMSI:       sub.IMSI,
 		RAND:       ac.rand,
 		Deliver:    tpdu,
-	})
+	}}, new(BurstBuffer))
 	if err != nil {
 		n.mu.Unlock()
-		return "", err
+		return "", fmt.Errorf("telecom: encode SMS: %w", err)
 	}
 	n.frame = start + uint32(len(bursts))
 	mode := cell.Cipher

@@ -26,7 +26,9 @@ import (
 // the buffer's memory. They stay valid until the next
 // EncodeSMSBurstsInto call on the same buffer (or Release), so the
 // consumer — e.g. sniffer.FeedBatch, which copies what it keeps — must
-// be done with them before the buffer is reused.
+// be done with them before the buffer is reused. A buffer that is
+// never reused nor released (new(BurstBuffer), as Network.SendSMS
+// uses) keeps its bursts valid for as long as anyone holds them.
 type BurstBuffer struct {
 	bursts []RadioBurst
 	slab   slab.Slab[byte]
@@ -73,10 +75,11 @@ func (b *BurstBuffer) grab(n int) []byte { return b.slab.Grab(n) }
 // TPDU is marshaled once per distinct Deliver, and every A5/1 burst
 // across sessions is batched into 64-lane bitsliced encryptor passes
 // (a51.EncryptBurstsBatch). It returns one flat burst trace in session
-// order, byte-identical to calling EncodeSMSBursts on each session,
-// with all descriptor and payload memory carved from buf — the
-// zero-allocation (steady state) path the campaign engine feeds whole
-// shards through before handing the trace to sniffer.FeedBatch. A5/0
+// order, byte-identical to encoding each session alone, with all
+// descriptor and payload memory carved from buf — the zero-allocation
+// (steady state) path the campaign engine feeds whole shards through
+// before handing the trace to sniffer.FeedBatch, and, as a batch of
+// one, the encoder of Network.SendSMS. A5/0
 // bursts travel as plaintext and A5/3 bursts go through the KASUMI
 // stand-in, so mixed-cipher batches are fine; an unencodable TPDU
 // fails the whole batch.

@@ -48,7 +48,7 @@ func poolTestSessions(rng *rand.Rand, n int, sharedTPDU bool) []SMSSession {
 // TestEncodeSMSBurstsIntoMatchesScalar pins the pooled flat encoder at
 // the layer that owns the contract: for every session, the bursts
 // EncodeSMSBurstsInto appends to the flat trace must be byte-identical
-// to per-session EncodeSMSBursts — across cipher modes, shared and
+// to the per-session reference encoder — across cipher modes, shared and
 // distinct TPDUs, and ragged batch sizes straddling the 64-lane block
 // boundary.
 func TestEncodeSMSBurstsIntoMatchesScalar(t *testing.T) {
@@ -64,7 +64,7 @@ func TestEncodeSMSBurstsIntoMatchesScalar(t *testing.T) {
 			}
 			off := 0
 			for i := range sessions {
-				want, err := EncodeSMSBursts(sessions[i])
+				want, err := refEncodeSMSBursts(sessions[i])
 				if err != nil {
 					t.Fatalf("shared=%v n=%d session %d: scalar encode: %v", shared, n, i, err)
 				}
@@ -106,7 +106,7 @@ func TestBurstBufferReuseInvalidatesPreviousCall(t *testing.T) {
 	}
 	off := 0
 	for i := range sessions {
-		want, err := EncodeSMSBursts(sessions[i])
+		want, err := refEncodeSMSBursts(sessions[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,16 +166,16 @@ func TestEncodeSMSBurstsIntoA53Isolation(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeSMSBursts compares the per-session encoder the live
-// Network uses with the pooled 64-lane batch encoder the campaign
-// engine uses, on 256 campaign-shaped sessions sharing one OTP TPDU.
+// BenchmarkEncodeSMSBursts compares the per-session scalar reference
+// encoder with the pooled 64-lane batch encoder the campaign engine
+// uses, on 256 campaign-shaped sessions sharing one OTP TPDU.
 func BenchmarkEncodeSMSBursts(b *testing.B) {
 	sessions := poolTestSessions(rand.New(rand.NewSource(29)), 256, true)
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, s := range sessions {
-				if _, err := EncodeSMSBursts(s); err != nil {
+				if _, err := refEncodeSMSBursts(s); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,6 @@
 package telecom
 
 import (
-	"fmt"
-
 	"github.com/actfort/actfort/internal/a51"
 	"github.com/actfort/actfort/internal/gsmcodec"
 )
@@ -41,8 +39,8 @@ type SMSSession struct {
 	Deliver gsmcodec.Deliver
 }
 
-// SessionBurstCount returns how many radio bursts EncodeSMSBursts
-// emits for a TPDU of rawLen marshaled bytes: the paging burst plus the
+// SessionBurstCount returns how many radio bursts EncodeSMSBurstsInto
+// emits per session for a TPDU of rawLen marshaled bytes: the paging burst plus the
 // payload chunks. Batch callers (the campaign engine) use it to lay out
 // the COUNT schedule of millions of sessions from one shared TPDU
 // without marshaling each session.
@@ -52,9 +50,10 @@ func SessionBurstCount(rawLen int) int {
 
 // appendSessionBursts lays out a session's bursts — plaintext payloads
 // and final COUNT frame values, everything but the cipher pass — onto
-// dst, shared by the scalar and batch encoders. raw is the session's
-// marshaled TPDU (hoisted to the caller so batch encoders can marshal
-// a shared TPDU once). grab supplies each payload buffer; every byte
+// dst. Burst 0 is the predictable paging burst (the known-plaintext
+// foothold); the rest carry burstChunk-byte slices of raw, the
+// session's marshaled TPDU (hoisted to the caller so the batch encoder
+// can marshal a shared TPDU once). grab supplies each payload buffer; every byte
 // of a grabbed buffer is overwritten, so pooled callers may hand out
 // recycled slab memory.
 func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte, grab func(n int) []byte) ([]RadioBurst, CipherMode) {
@@ -92,34 +91,6 @@ func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte, grab func(
 		})
 	}
 	return dst, cipher
-}
-
-// plainBursts is appendSessionBursts with per-burst heap payloads — the
-// layout step of the non-pooled encoders.
-func plainBursts(s *SMSSession, raw []byte) ([]RadioBurst, CipherMode) {
-	dst := make([]RadioBurst, 0, SessionBurstCount(len(raw)))
-	return appendSessionBursts(dst, s, raw, func(n int) []byte { return make([]byte, n) })
-}
-
-// EncodeSMSBursts chunks the session's TPDU into radio bursts: burst 0
-// is the predictable paging burst (the known-plaintext foothold), the
-// rest carry burstChunk-byte payload slices, each encrypted under its
-// own COUNT frame value when the session is ciphered.
-func EncodeSMSBursts(s SMSSession) ([]RadioBurst, error) {
-	raw, err := s.Deliver.Marshal()
-	if err != nil {
-		return nil, fmt.Errorf("telecom: encode SMS: %w", err)
-	}
-	bursts, cipher := plainBursts(&s, raw)
-	for i := range bursts {
-		switch cipher {
-		case CipherA51:
-			bursts[i].Payload = a51.EncryptBurst(s.Kc, bursts[i].Frame, bursts[i].Payload)
-		case CipherA53:
-			bursts[i].Payload = EncryptBurstA53(s.Kc, bursts[i].Frame, bursts[i].Payload)
-		}
-	}
-	return bursts, nil
 }
 
 // SessionKey computes the Kc a network created with the given seed

@@ -1,10 +1,34 @@
 package telecom
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/actfort/actfort/internal/a51"
 	"github.com/actfort/actfort/internal/gsmcodec"
 )
+
+// refEncodeSMSBursts is the per-session reference encoder the batch
+// encoder is held against: it lays the session out with per-burst heap
+// payloads and ciphers each burst with the scalar A5/1 cipher (or the
+// A5/3 stand-in) under its own COUNT frame value.
+func refEncodeSMSBursts(s SMSSession) ([]RadioBurst, error) {
+	raw, err := s.Deliver.Marshal()
+	if err != nil {
+		return nil, fmt.Errorf("telecom: encode SMS: %w", err)
+	}
+	dst := make([]RadioBurst, 0, SessionBurstCount(len(raw)))
+	bursts, cipher := appendSessionBursts(dst, &s, raw, func(n int) []byte { return make([]byte, n) })
+	for i := range bursts {
+		switch cipher {
+		case CipherA51:
+			bursts[i].Payload = a51.EncryptBurst(s.Kc, bursts[i].Frame, bursts[i].Payload)
+		case CipherA53:
+			bursts[i].Payload = encryptBurstA53(s.Kc, bursts[i].Frame, bursts[i].Payload)
+		}
+	}
+	return bursts, nil
+}
 
 // TestSessionBurstCount pins the schedule arithmetic batch callers use
 // in place of per-session marshaling.
@@ -22,7 +46,7 @@ func TestSessionBurstCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursts, err := EncodeSMSBursts(s)
+	bursts, err := EncodeSMSBurstsInto([]SMSSession{s}, new(BurstBuffer))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package telecom
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -163,7 +164,7 @@ func TestBurstsCrackableViaKnownPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, err := a51.Exhaustive{Workers: 1}.Recover(context.Background(), ks, paging.Frame, n.KeySpace())
+	kc, err := a51.Bitsliced{Workers: 1}.Recover(context.Background(), ks, paging.Frame, n.KeySpace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,41 +615,126 @@ func TestReauthEveryReusesContext(t *testing.T) {
 	}
 }
 
-// TestEncodeSMSBursts checks the standalone encoder produces the
-// session structure the sniffer expects: paging burst first, frames
-// wrapped, payload decryptable back to the TPDU.
+// TestEncodeSMSBursts checks that the live encoder (EncodeSMSBurstsInto
+// with a batch of one, as SendSMS calls it) and the per-session
+// reference produce the session structure the sniffer expects: paging
+// burst first, frames on the COUNT schedule, payload decryptable back
+// to the TPDU.
 func TestEncodeSMSBursts(t *testing.T) {
 	deliver := gsmcodec.Deliver{Originator: "Svc", Text: "code 845512"}
 	const kc = 0xC118000000000042
-	bursts, err := EncodeSMSBursts(SMSSession{
+	session := SMSSession{
 		ARFCN: 512, CellID: "c", SessionID: 9, StartFrame: 49,
 		Cipher: CipherA51, Kc: kc, IMSI: "460001234567890",
 		Deliver: deliver,
-	})
+	}
+	for _, enc := range []struct {
+		name   string
+		encode func(SMSSession) ([]RadioBurst, error)
+	}{
+		{"batch-of-one", func(s SMSSession) ([]RadioBurst, error) {
+			return EncodeSMSBurstsInto([]SMSSession{s}, new(BurstBuffer))
+		}},
+		{"reference", refEncodeSMSBursts},
+	} {
+		bursts, err := enc.encode(session)
+		if err != nil {
+			t.Fatalf("%s: %v", enc.name, err)
+		}
+		if len(bursts) < 2 {
+			t.Fatalf("%s: bursts = %d", enc.name, len(bursts))
+		}
+		if bursts[0].Seq != 0 || bursts[0].Total != len(bursts) {
+			t.Fatalf("%s: paging burst = %+v", enc.name, bursts[0])
+		}
+		for i, b := range bursts {
+			if want := Count22(49 + uint32(i)); b.Frame != want {
+				t.Fatalf("%s: burst %d frame = %d want COUNT %d", enc.name, i, b.Frame, want)
+			}
+		}
+		// Decrypt payload bursts and reassemble the TPDU.
+		var tpdu []byte
+		for _, b := range bursts[1:] {
+			tpdu = append(tpdu, a51.EncryptBurst(kc, b.Frame, b.Payload)...)
+		}
+		msg, err := gsmcodec.UnmarshalDeliver(tpdu)
+		if err != nil {
+			t.Fatalf("%s: %v", enc.name, err)
+		}
+		if msg.Text != deliver.Text || msg.Originator != deliver.Originator {
+			t.Fatalf("%s: round trip = %+v", enc.name, msg)
+		}
+	}
+}
+
+// TestSendSMSBurstsOutliveNextSend pins the live path's memory
+// contract: listeners keep the bursts they receive, so the bursts of
+// one SendSMS must not change when later sends encode theirs. A pooled
+// burst buffer recycled by the next send breaks this as soon as
+// listeners receive its memory rather than emit's payload copies.
+func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
+	n, cell, sub, _ := testNet(t)
+	var (
+		mu       sync.Mutex
+		captured []RadioBurst
+		first    = true
+	)
+	for _, arfcn := range cell.ARFCNs {
+		cancel := n.Subscribe(arfcn, func(b RadioBurst) {
+			mu.Lock()
+			defer mu.Unlock()
+			if first {
+				captured = append(captured, b)
+			}
+		})
+		defer cancel()
+	}
+	const text = "PayPal code: 318806"
+	if _, err := n.SendSMS("PayPal", sub.MSISDN, text); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	first = false
+	snapshot := make([][]byte, len(captured))
+	for i, b := range captured {
+		snapshot[i] = append([]byte(nil), b.Payload...)
+	}
+	mu.Unlock()
+	if len(snapshot) < 2 {
+		t.Fatalf("captured %d bursts", len(snapshot))
+	}
+
+	for i := 0; i < 8; i++ {
+		if _, err := n.SendSMS("Spam", sub.MSISDN, fmt.Sprintf("other message %d with a longer body", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, b := range captured {
+		if !bytes.Equal(b.Payload, snapshot[i]) {
+			t.Fatalf("burst %d payload changed after later sends: %x, was %x", i, b.Payload, snapshot[i])
+		}
+	}
+	paging := captured[0]
+	ks, err := a51.DeriveKeystream(paging.Payload, PagingPlaintext(paging.SessionID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bursts) < 2 {
-		t.Fatalf("bursts = %d", len(bursts))
+	kc, err := a51.Bitsliced{Workers: 1}.Recover(context.Background(), ks, paging.Frame, n.KeySpace())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bursts[0].Seq != 0 || bursts[0].Total != len(bursts) {
-		t.Fatalf("paging burst = %+v", bursts[0])
-	}
-	for i, b := range bursts {
-		if want := Count22(49 + uint32(i)); b.Frame != want {
-			t.Fatalf("burst %d frame = %d want COUNT %d", i, b.Frame, want)
-		}
-	}
-	// Decrypt payload bursts and reassemble the TPDU.
 	var tpdu []byte
-	for _, b := range bursts[1:] {
+	for _, b := range captured[1:] {
 		tpdu = append(tpdu, a51.EncryptBurst(kc, b.Frame, b.Payload)...)
 	}
 	msg, err := gsmcodec.UnmarshalDeliver(tpdu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Text != deliver.Text || msg.Originator != deliver.Originator {
-		t.Fatalf("round trip = %+v", msg)
+	if msg.Text != text || msg.Originator != "PayPal" {
+		t.Fatalf("captured bursts decrypt to %+v", msg)
 	}
 }
