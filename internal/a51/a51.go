@@ -244,16 +244,3 @@ func (c *Cipher) XORKeyStream(dst, src []byte) {
 		dst[i] = b ^ ks
 	}
 }
-
-// EncryptBurst is a convenience that encrypts (or decrypts — the
-// operation is an involution) payload with a fresh cipher for (kc,
-// frame) using the downlink keystream, matching how the simulated BTS
-// protects each SMS burst.
-func EncryptBurst(kc uint64, frame uint32, payload []byte) []byte {
-	down, _ := New(kc, frame).KeystreamBurst()
-	out := make([]byte, len(payload))
-	for i := range payload {
-		out[i] = payload[i] ^ down[i%BurstBytes]
-	}
-	return out
-}

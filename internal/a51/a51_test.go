@@ -37,11 +37,11 @@ func TestBurstTrailingBitsZero(t *testing.T) {
 
 func TestEncryptBurstInvolution(t *testing.T) {
 	payload := []byte("Your verification code is 845512")
-	ct := EncryptBurst(katKey, 99, payload)
+	ct := encryptBurst(katKey, 99, payload)
 	if bytes.Equal(ct, payload) {
 		t.Fatal("ciphertext equals plaintext")
 	}
-	pt := EncryptBurst(katKey, 99, ct)
+	pt := encryptBurst(katKey, 99, ct)
 	if !bytes.Equal(pt, payload) {
 		t.Fatalf("decrypt(encrypt(x)) = %q want %q", pt, payload)
 	}
@@ -190,7 +190,7 @@ func TestKnownPlaintextAttackEndToEnd(t *testing.T) {
 
 	// Frame 40 carries a predictable system message.
 	sysMsg := []byte("SYSTEM INFORMATION TYPE 3 MSG")
-	ct1 := EncryptBurst(kc, 40, sysMsg)
+	ct1 := encryptBurst(kc, 40, sysMsg)
 	ks, err := DeriveKeystream(ct1, sysMsg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestKnownPlaintextAttackEndToEnd(t *testing.T) {
 
 	// Frame 41 carries the secret SMS; decrypt with recovered key.
 	secret := []byte("Google code: 942117")
-	ct2 := EncryptBurst(kc, 41, secret)
-	if got := EncryptBurst(recovered, 41, ct2); !bytes.Equal(got, secret) {
+	ct2 := encryptBurst(kc, 41, secret)
+	if got := encryptBurst(recovered, 41, ct2); !bytes.Equal(got, secret) {
 		t.Fatalf("decrypted %q want %q", got, secret)
 	}
 }

@@ -19,28 +19,87 @@ type bsState struct {
 
 // clock advances the registers by the majority rule independently in
 // every lane: m1/m2/m3 are per-lane masks of which registers step, and
-// each bit plane conditionally shifts under its mask.
+// each bit plane conditionally shifts under its mask. The shift is
+// written out one plane per statement, in descending order so every
+// plane reads its lower neighbour before that neighbour moves:
+// r[j] ^= m & (r[j] ^ r[j-1]) keeps r[j] where m is clear and takes
+// r[j-1] where it is set. Constant indices into the fixed-size arrays
+// compile without bounds checks; refClock in bitslice_test.go is the
+// loop form this must match.
 func (s *bsState) clock() {
-	b1, b2, b3 := s.r1[8], s.r2[10], s.r3[10]
+	r1, r2, r3 := &s.r1, &s.r2, &s.r3
+	b1, b2, b3 := r1[8], r2[10], r3[10]
 	maj := b1&b2 | b1&b3 | b2&b3
 	m1 := ^(b1 ^ maj)
 	m2 := ^(b2 ^ maj)
 	m3 := ^(b3 ^ maj)
-	fb1 := s.r1[18] ^ s.r1[17] ^ s.r1[16] ^ s.r1[13]
-	fb2 := s.r2[21] ^ s.r2[20]
-	fb3 := s.r3[22] ^ s.r3[21] ^ s.r3[20] ^ s.r3[7]
-	for j := 18; j > 0; j-- {
-		s.r1[j] = m1&s.r1[j-1] | ^m1&s.r1[j]
-	}
-	s.r1[0] = m1&fb1 | ^m1&s.r1[0]
-	for j := 21; j > 0; j-- {
-		s.r2[j] = m2&s.r2[j-1] | ^m2&s.r2[j]
-	}
-	s.r2[0] = m2&fb2 | ^m2&s.r2[0]
-	for j := 22; j > 0; j-- {
-		s.r3[j] = m3&s.r3[j-1] | ^m3&s.r3[j]
-	}
-	s.r3[0] = m3&fb3 | ^m3&s.r3[0]
+	fb1 := r1[18] ^ r1[17] ^ r1[16] ^ r1[13]
+	fb2 := r2[21] ^ r2[20]
+	fb3 := r3[22] ^ r3[21] ^ r3[20] ^ r3[7]
+	r1[18] ^= m1 & (r1[18] ^ r1[17])
+	r1[17] ^= m1 & (r1[17] ^ r1[16])
+	r1[16] ^= m1 & (r1[16] ^ r1[15])
+	r1[15] ^= m1 & (r1[15] ^ r1[14])
+	r1[14] ^= m1 & (r1[14] ^ r1[13])
+	r1[13] ^= m1 & (r1[13] ^ r1[12])
+	r1[12] ^= m1 & (r1[12] ^ r1[11])
+	r1[11] ^= m1 & (r1[11] ^ r1[10])
+	r1[10] ^= m1 & (r1[10] ^ r1[9])
+	r1[9] ^= m1 & (r1[9] ^ r1[8])
+	r1[8] ^= m1 & (r1[8] ^ r1[7])
+	r1[7] ^= m1 & (r1[7] ^ r1[6])
+	r1[6] ^= m1 & (r1[6] ^ r1[5])
+	r1[5] ^= m1 & (r1[5] ^ r1[4])
+	r1[4] ^= m1 & (r1[4] ^ r1[3])
+	r1[3] ^= m1 & (r1[3] ^ r1[2])
+	r1[2] ^= m1 & (r1[2] ^ r1[1])
+	r1[1] ^= m1 & (r1[1] ^ r1[0])
+	r1[0] ^= m1 & (r1[0] ^ fb1)
+	r2[21] ^= m2 & (r2[21] ^ r2[20])
+	r2[20] ^= m2 & (r2[20] ^ r2[19])
+	r2[19] ^= m2 & (r2[19] ^ r2[18])
+	r2[18] ^= m2 & (r2[18] ^ r2[17])
+	r2[17] ^= m2 & (r2[17] ^ r2[16])
+	r2[16] ^= m2 & (r2[16] ^ r2[15])
+	r2[15] ^= m2 & (r2[15] ^ r2[14])
+	r2[14] ^= m2 & (r2[14] ^ r2[13])
+	r2[13] ^= m2 & (r2[13] ^ r2[12])
+	r2[12] ^= m2 & (r2[12] ^ r2[11])
+	r2[11] ^= m2 & (r2[11] ^ r2[10])
+	r2[10] ^= m2 & (r2[10] ^ r2[9])
+	r2[9] ^= m2 & (r2[9] ^ r2[8])
+	r2[8] ^= m2 & (r2[8] ^ r2[7])
+	r2[7] ^= m2 & (r2[7] ^ r2[6])
+	r2[6] ^= m2 & (r2[6] ^ r2[5])
+	r2[5] ^= m2 & (r2[5] ^ r2[4])
+	r2[4] ^= m2 & (r2[4] ^ r2[3])
+	r2[3] ^= m2 & (r2[3] ^ r2[2])
+	r2[2] ^= m2 & (r2[2] ^ r2[1])
+	r2[1] ^= m2 & (r2[1] ^ r2[0])
+	r2[0] ^= m2 & (r2[0] ^ fb2)
+	r3[22] ^= m3 & (r3[22] ^ r3[21])
+	r3[21] ^= m3 & (r3[21] ^ r3[20])
+	r3[20] ^= m3 & (r3[20] ^ r3[19])
+	r3[19] ^= m3 & (r3[19] ^ r3[18])
+	r3[18] ^= m3 & (r3[18] ^ r3[17])
+	r3[17] ^= m3 & (r3[17] ^ r3[16])
+	r3[16] ^= m3 & (r3[16] ^ r3[15])
+	r3[15] ^= m3 & (r3[15] ^ r3[14])
+	r3[14] ^= m3 & (r3[14] ^ r3[13])
+	r3[13] ^= m3 & (r3[13] ^ r3[12])
+	r3[12] ^= m3 & (r3[12] ^ r3[11])
+	r3[11] ^= m3 & (r3[11] ^ r3[10])
+	r3[10] ^= m3 & (r3[10] ^ r3[9])
+	r3[9] ^= m3 & (r3[9] ^ r3[8])
+	r3[8] ^= m3 & (r3[8] ^ r3[7])
+	r3[7] ^= m3 & (r3[7] ^ r3[6])
+	r3[6] ^= m3 & (r3[6] ^ r3[5])
+	r3[5] ^= m3 & (r3[5] ^ r3[4])
+	r3[4] ^= m3 & (r3[4] ^ r3[3])
+	r3[3] ^= m3 & (r3[3] ^ r3[2])
+	r3[2] ^= m3 & (r3[2] ^ r3[1])
+	r3[1] ^= m3 & (r3[1] ^ r3[0])
+	r3[0] ^= m3 & (r3[0] ^ fb3)
 }
 
 // out returns the per-lane output bit plane: XOR of the three

@@ -124,7 +124,7 @@ func TestEncryptBurstWraparound(t *testing.T) {
 	// block cyclically: byte i is XORed with keystream byte i mod
 	// BurstBytes.
 	payload := bytes.Repeat([]byte("ABCDEFGHIJ"), 5) // 50 bytes > BurstBytes
-	ct := EncryptBurst(katKey, 12, payload)
+	ct := encryptBurst(katKey, 12, payload)
 	if len(ct) != len(payload) {
 		t.Fatalf("ciphertext length %d want %d", len(ct), len(payload))
 	}
@@ -134,8 +134,8 @@ func TestEncryptBurstWraparound(t *testing.T) {
 			t.Fatalf("byte %d: got %#x want %#x (keystream must wrap at %d bytes)", i, ct[i], want, BurstBytes)
 		}
 	}
-	if got := EncryptBurst(katKey, 12, ct); !bytes.Equal(got, payload) {
-		t.Fatal("EncryptBurst is not an involution on wrapped payloads")
+	if got := encryptBurst(katKey, 12, ct); !bytes.Equal(got, payload) {
+		t.Fatal("encryptBurst is not an involution on wrapped payloads")
 	}
 }
 

@@ -6,8 +6,8 @@ package a51
 // shape: 64 independent (Kc, COUNT) pairs, one burst each. The
 // population-scale campaign engine encrypts every victim's OTP sessions
 // through here, so one pass of the shared boolean clock replaces 64
-// scalar cipher setups (and skips the 114 uplink clocks the scalar
-// EncryptBurst pays for and throws away).
+// scalar cipher setups (and skips the 114 uplink clocks a scalar
+// Cipher.KeystreamBurst pays for and throws away).
 
 // BatchLanes is the number of (Kc, COUNT) pairs one bitsliced encryptor
 // pass carries: one cipher per bit position of a uint64.
@@ -90,11 +90,12 @@ func downlinkBatch(keys []uint64, frames []uint32, out *[bsLanes][BurstBytes]byt
 }
 
 // EncryptBurstsBatch XORs each payloads[i] in place with the downlink
-// keystream of (kcs[i], frames[i]) — the batch counterpart of
-// EncryptBurst (an involution, so it decrypts too). Bursts are
-// processed BatchLanes at a time, so any batch size is accepted;
-// payloads longer than BurstBytes wrap the keystream exactly as
-// EncryptBurst does. The three slices must have equal length.
+// keystream of (kcs[i], frames[i]) as Cipher.KeystreamBurst produces
+// it (an involution, so it decrypts too). Bursts are processed
+// BatchLanes at a time, so any batch size is accepted, and a batch of
+// one is the per-burst encryptor. Payloads longer than BurstBytes reuse
+// the keystream block cyclically: byte i is XORed with keystream byte
+// i mod BurstBytes. The three slices must have equal length.
 func EncryptBurstsBatch(kcs []uint64, frames []uint32, payloads [][]byte) {
 	if len(frames) != len(kcs) || len(payloads) != len(kcs) {
 		panic("a51: EncryptBurstsBatch slice lengths differ")

@@ -44,27 +44,13 @@ type Sample struct {
 // BatchCracker is the optional batched extension of Cracker: backends
 // that can amortize recovery work across samples — the table backend
 // bitslices its chain replays across every sample of a call — implement
-// it, and batch-oriented callers (sniffer.FeedBatch) use RecoverAll to
-// pick it up. Results must be identical, sample for sample, to calling
-// Recover once per sample.
+// it, and batch-oriented callers (sniffer.FeedBatch) check for it and
+// resolve a whole trace's samples in one RecoverBatch call. keys[i] is
+// meaningful only when errs[i] is nil. Results must be identical,
+// sample for sample, to calling Recover once per sample.
 type BatchCracker interface {
 	Cracker
 	RecoverBatch(ctx context.Context, samples []Sample, space KeySpace) (keys []uint64, errs []error)
-}
-
-// RecoverAll resolves every sample through cr: one RecoverBatch call
-// when the backend implements BatchCracker, a per-sample Recover loop
-// otherwise. keys[i] is meaningful only when errs[i] is nil.
-func RecoverAll(ctx context.Context, cr Cracker, samples []Sample, space KeySpace) (keys []uint64, errs []error) {
-	if bc, ok := cr.(BatchCracker); ok {
-		return bc.RecoverBatch(ctx, samples, space)
-	}
-	keys = make([]uint64, len(samples))
-	errs = make([]error, len(samples))
-	for i, s := range samples {
-		keys[i], errs[i] = cr.Recover(ctx, s.Keystream, s.Frame, space)
-	}
-	return keys, errs
 }
 
 // scalarReplayCutoff is the lane count below which a gather round uses

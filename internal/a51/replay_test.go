@@ -243,28 +243,10 @@ func TestRecoverBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestRecoverAllScalarFallback: a backend without RecoverBatch goes
-// through the per-sample loop with identical results.
-func TestRecoverAllScalarFallback(t *testing.T) {
-	space := KeySpace{Base: 0xC118000000000000, Bits: 8}
-	cr := Bitsliced{Workers: 1}
-	key := space.Key(200)
-	down, _ := New(key, 5).KeystreamBurst()
-	junk := []byte{0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88}
-	keys, errs := RecoverAll(context.Background(), cr,
-		[]Sample{{Keystream: down[:8], Frame: 5}, {Keystream: junk, Frame: 5}}, space)
-	if errs[0] != nil || keys[0] != key {
-		t.Fatalf("sample 0: key=%#x err=%v", keys[0], errs[0])
-	}
-	if !errors.Is(errs[1], ErrKeyNotFound) {
-		t.Fatalf("sample 1: err=%v want ErrKeyNotFound", errs[1])
-	}
-}
-
-// TestRecoverAllUsesBatchBackend: a table goes through RecoverBatch
-// (the results must match per-sample Recover either way; this pins the
-// dispatch).
-func TestRecoverAllUsesBatchBackend(t *testing.T) {
+// TestRecoverBatchAcrossLaneBlocks: one RecoverBatch call over more
+// samples than one 64-lane pass carries, on mixed frames, recovers
+// every key.
+func TestRecoverBatchAcrossLaneBlocks(t *testing.T) {
 	space := KeySpace{Base: 0xC118000000000000, Bits: 8}
 	table := replayTable(t, space, FrameRange(4), 2)
 	var _ BatchCracker = table // compile-time: Table is a BatchCracker
@@ -276,7 +258,7 @@ func TestRecoverAllUsesBatchBackend(t *testing.T) {
 		down, _ := New(keys[i], frame).KeystreamBurst()
 		samples[i] = Sample{Keystream: down[:8], Frame: frame}
 	}
-	got, errs := RecoverAll(context.Background(), table, samples, space)
+	got, errs := table.RecoverBatch(context.Background(), samples, space)
 	for i := range samples {
 		if errs[i] != nil || got[i] != keys[i] {
 			t.Fatalf("sample %d: key=%#x err=%v want %#x", i, got[i], errs[i], keys[i])

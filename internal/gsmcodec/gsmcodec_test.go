@@ -231,6 +231,14 @@ func TestMarshalRejectsBadOriginator(t *testing.T) {
 	if _, err := d.Marshal(); err == nil {
 		t.Error("overlong alphanumeric originator accepted")
 	}
+	d = Deliver{Originator: "+" + strings.Repeat("1", 20), Timestamp: time.Now(), Text: "x"}
+	if _, err := d.Marshal(); err != nil {
+		t.Errorf("20-digit international originator rejected: %v", err)
+	}
+	d.Originator += "1"
+	if _, err := d.Marshal(); err == nil {
+		t.Error("21-digit international originator accepted")
+	}
 }
 
 func BenchmarkPack7Bit(b *testing.B) {

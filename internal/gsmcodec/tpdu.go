@@ -79,6 +79,12 @@ type Deliver struct {
 	Text string
 }
 
+// maxAddrOctets bounds the originator address value (GSM 03.40
+// §9.1.2.5): 20 semi-octet digits or 10 octets of packed alphanumeric
+// name. With MaxSeptets of text it caps the size of every TPDU
+// Marshal produces.
+const maxAddrOctets = 10
+
 // firstOctet is SMS-DELIVER with no more messages waiting.
 const firstOctetDeliver = 0x04
 
@@ -99,6 +105,9 @@ func (d Deliver) Marshal() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("originator: %w", err)
 		}
+		if len(addr) > maxAddrOctets {
+			return nil, fmt.Errorf("gsmcodec: originator %q exceeds 20 digits", d.Originator)
+		}
 		out = append(out, byte(len(digits)), TOAInternational)
 		out = append(out, addr...)
 	} else {
@@ -106,7 +115,7 @@ func (d Deliver) Marshal() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("originator: %w", err)
 		}
-		if len(packed) > 10 { // address field is at most 10 octets
+		if len(packed) > maxAddrOctets {
 			return nil, fmt.Errorf("gsmcodec: alphanumeric originator %q too long", d.Originator)
 		}
 		_ = septets

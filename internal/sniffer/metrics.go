@@ -28,6 +28,6 @@ var (
 		"Decryption lanes (encrypted payload bursts) per FeedBatch call — how full the 64-lane batch cipher runs.",
 		obs.ExpBuckets(1, 4, 8))
 	metCrackBatch = obs.Default.NewHistogram("sniffer_crack_batch_seconds",
-		"Wall time of each batched RecoverAll call FeedBatch prefetches its fresh cracks through.",
+		"Wall time of each batched RecoverBatch call FeedBatch prefetches its fresh cracks through.",
 		obs.LatencyBuckets)
 )

@@ -18,6 +18,13 @@
 // Bitsliced search) resolves each fresh crack inline through
 // Cracker.Recover, which is how the equivalence tests hold the batch
 // engine against one-at-a-time resolution.
+//
+// Reassembly is dense: each in-flight session keeps its bursts in a
+// slot slice indexed by Seq and completes when every slot is filled, so
+// a complete session always has its paging burst and every payload
+// burst. A burst that does not fit its session — Seq outside
+// [0, Total), or a Total that is not positive or exceeds the cap on
+// session length — is counted and dropped.
 package sniffer
 
 import (
@@ -25,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -148,8 +156,8 @@ type Sniffer struct {
 	// crack. Keyed on (IMSI, RAND) — both visible on the air in real
 	// GSM — and bounded like kcCache.
 	subKc map[subKcKey]uint64
-	// sessFree recycles completed session buffers (the map-per-session
-	// allocation is a real GC cost when a campaign streams millions of
+	// sessFree recycles completed session buffers (a slot slice per
+	// session is a real GC cost when a campaign streams millions of
 	// sessions through one rig). Invisible state: Reset keeps it.
 	sessFree []*session
 	// TPDU decode memo: campaign traffic reassembles the same OTP TPDU
@@ -180,26 +188,24 @@ type subKcKey struct {
 // equally disposable).
 const kcCacheMax = 4096
 
-// session buffers bursts until a transmission is complete.
+// session reassembles one transmission in dense slots: bursts[seq]
+// holds the burst with that Seq, and the slice is as long as the Total
+// the session's first burst announced. Bit seq of present records that
+// the slot is filled, and the session is complete when every slot is
+// filled — so a complete session always holds its paging burst (seq 0)
+// and every payload burst. A duplicate Seq overwrites its slot without
+// counting again. Recycled sessions keep the capacity of bursts.
 type session struct {
-	bursts map[int]telecom.RadioBurst
-	total  int
+	bursts  []telecom.RadioBurst
+	present uint64
 }
 
-// appendPayloadBursts appends the session's payload bursts (seq
-// 1..total-1) in order onto dst; ok is false (and dst is returned
-// unchanged) when one was lost.
-func (sess *session) appendPayloadBursts(dst []telecom.RadioBurst) ([]telecom.RadioBurst, bool) {
-	base := len(dst)
-	for seq := 1; seq < sess.total; seq++ {
-		b, ok := sess.bursts[seq]
-		if !ok {
-			return dst[:base], false
-		}
-		dst = append(dst, b)
-	}
-	return dst, true
-}
+// maxSessionBursts caps the Total a session may announce. The largest
+// TPDU gsmcodec marshals (a 20-digit originator and 160 septets of
+// text) takes 13 bursts; the cap leaves headroom and lets present be
+// one word. A burst claiming a larger session is counted and dropped,
+// so a replayed trace cannot size an absurd allocation.
+const maxSessionBursts = 64
 
 // New builds a sniffer against a network.
 func New(net *telecom.Network, cfg Config) *Sniffer {
@@ -300,7 +306,6 @@ type feedScratch struct {
 	pendSub  map[subKcKey]int32
 	// Decrypt/record state.
 	pend     []pendingCapture
-	pb       []telecom.RadioBurst
 	payloads [][]byte
 	kcs      []uint64
 	frames   []uint32
@@ -336,7 +341,6 @@ func (fs *feedScratch) reset() {
 	clear(fs.completed)
 	clear(fs.samples)
 	clear(fs.pend)
-	clear(fs.pb)
 	clear(fs.payloads)
 	clear(fs.lanes)
 	clear(fs.pendSess)
@@ -346,7 +350,6 @@ func (fs *feedScratch) reset() {
 	fs.samples = fs.samples[:0]
 	fs.keys, fs.errs, fs.share = nil, nil, 0
 	fs.pend = fs.pend[:0]
-	fs.pb = fs.pb[:0]
 	fs.payloads = fs.payloads[:0]
 	fs.kcs = fs.kcs[:0]
 	fs.frames = fs.frames[:0]
@@ -366,11 +369,16 @@ func (fs *feedScratch) reset() {
 // Captures, statistics and Kc-cache behavior are identical to feeding
 // the same bursts through Feed in order.
 //
+// A burst whose Seq lies outside its session's [0, Total), or that
+// opens a session with a Total outside [1, maxSessionBursts], is
+// counted in BurstsSeen and otherwise dropped.
+//
 // The input bursts are only read during the call: payloads the rig
 // keeps are copied, so callers may recycle the trace memory (e.g. a
 // telecom.BurstBuffer) once FeedBatch returns — provided the trace
-// completed every session it started, since bursts of an incomplete
-// session stay buffered by reference until its remainder arrives.
+// completed every session it started, since the payloads of an
+// incomplete session stay buffered by reference until its remainder
+// arrives.
 func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	fs := feedScratchPool.Get().(*feedScratch)
 	defer func() {
@@ -379,8 +387,8 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	}()
 
 	s.mu.Lock()
-	for _, b := range bursts {
-		if sess, complete := s.ingestLocked(b); complete {
+	for i := range bursts {
+		if sess, complete := s.ingestLocked(&bursts[i]); complete {
 			fs.completed = append(fs.completed, sess)
 		}
 	}
@@ -394,7 +402,7 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	// Resolve every completed session in trace order — cache hits,
 	// prefetched table lookups and inline cracks — queueing the
 	// encrypted payload bursts of resolvable sessions as decryption
-	// lanes. Lossy sessions cost no batched cipher work.
+	// lanes. Unresolvable sessions cost no batched cipher work.
 	prefetched := len(fs.crackOf) == len(fs.completed)
 	for ci, sess := range fs.completed {
 		var pre *crackResult
@@ -402,17 +410,14 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 			k := fs.crackOf[ci]
 			pre = &crackResult{kc: fs.keys[k], err: fs.errs[k], took: fs.share}
 		}
-		kc, crackTime, ok := s.resolveSession(sess, pre)
+		kc, crackTime, ok := s.resolveSession(&sess.bursts[0], pre)
 		if !ok {
 			continue
 		}
-		pbStart := len(fs.pb)
-		fs.pb, ok = sess.appendPayloadBursts(fs.pb)
-		if !ok {
-			continue // lost a payload burst
-		}
 		pstart := int32(len(fs.payloads))
-		for _, b := range fs.pb[pbStart:] {
+		payloadBursts := sess.bursts[1:]
+		for i := range payloadBursts {
+			b := &payloadBursts[i]
 			payload := b.Payload
 			if b.Encrypted {
 				cp := fs.grab(len(payload))
@@ -437,7 +442,7 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 		for _, payload := range fs.payloads[p.pstart : p.pstart+p.pcount] {
 			fs.tpdu = append(fs.tpdu, payload...)
 		}
-		s.record(p.sess, p.kc, p.crackTime, fs.tpdu)
+		s.record(&p.sess.bursts[0], p.kc, p.crackTime, fs.tpdu)
 	}
 	s.recycleSessions(fs.completed...)
 }
@@ -464,8 +469,8 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 	crackObs := s.crackObs
 	for _, sess := range fs.completed {
 		fs.crackOf = append(fs.crackOf, -1)
-		paging, ok := sess.bursts[0]
-		if !ok || paging.Cipher == telecom.CipherA53 || !paging.Encrypted {
+		paging := &sess.bursts[0]
+		if paging.Cipher == telecom.CipherA53 || !paging.Encrypted {
 			continue
 		}
 		if _, hit := s.kcCache[paging.SessionID]; hit {
@@ -504,7 +509,7 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 		return
 	}
 	start := time.Now()
-	fs.keys, fs.errs = a51.RecoverAll(context.Background(), bc, fs.samples, s.net.KeySpace())
+	fs.keys, fs.errs = bc.RecoverBatch(context.Background(), fs.samples, s.net.KeySpace())
 	metCrackBatch.ObserveSince(start)
 	if crackObs != nil {
 		crackObs.ObserveSince(start)
@@ -514,41 +519,55 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 	fs.share = time.Since(start) / time.Duration(len(fs.samples))
 }
 
-// recycleSessions clears completed session buffers and returns them to
-// the freelist. Callers must be completely done with the sessions:
-// they are out of s.sessions already (ingestLocked removed them on
-// completion), so the freelist is the only remaining reference.
+// recycleSessions clears completed session buffers (dropping their
+// payload references) and returns them to the freelist. Callers must
+// be completely done with the sessions: they are out of s.sessions
+// already (ingestLocked removed them on completion), so the freelist is
+// the only remaining reference.
 func (s *Sniffer) recycleSessions(sessions ...*session) {
 	for _, sess := range sessions {
 		clear(sess.bursts)
+		sess.present = 0
 	}
 	s.mu.Lock()
 	s.sessFree = append(s.sessFree, sessions...)
 	s.mu.Unlock()
 }
 
-// ingestLocked buffers one burst, returning the session and whether
-// this burst completed it. Requires s.mu held.
-func (s *Sniffer) ingestLocked(b telecom.RadioBurst) (*session, bool) {
+// ingestLocked copies one burst into its session slot, returning the
+// session and whether this burst completed it. A burst that does not
+// fit (see FeedBatch) is counted and dropped. Requires s.mu held.
+func (s *Sniffer) ingestLocked(b *telecom.RadioBurst) (*session, bool) {
 	s.stats.BurstsSeen++
-	sess, ok := s.sessions[b.SessionID]
-	if !ok {
+	sess := s.sessions[b.SessionID]
+	total := b.Total
+	if sess != nil {
+		total = len(sess.bursts)
+	}
+	if total <= 0 || total > maxSessionBursts || b.Seq < 0 || b.Seq >= total {
+		return nil, false
+	}
+	if sess == nil {
 		if n := len(s.sessFree); n > 0 {
 			sess = s.sessFree[n-1]
 			s.sessFree = s.sessFree[:n-1]
-			sess.total = b.Total
 		} else {
-			sess = &session{bursts: make(map[int]telecom.RadioBurst), total: b.Total}
+			sess = new(session)
 		}
+		if cap(sess.bursts) < total {
+			sess.bursts = make([]telecom.RadioBurst, total)
+		}
+		sess.bursts = sess.bursts[:total]
 		s.sessions[b.SessionID] = sess
 	}
-	sess.bursts[b.Seq] = b
-	if len(sess.bursts) == sess.total {
-		delete(s.sessions, b.SessionID)
-		s.stats.SessionsComplete++
-		return sess, true
+	sess.bursts[b.Seq] = *b
+	sess.present |= 1 << b.Seq
+	if bits.OnesCount64(sess.present) < total {
+		return sess, false
 	}
-	return sess, false
+	delete(s.sessions, b.SessionID)
+	s.stats.SessionsComplete++
+	return sess, true
 }
 
 // crackResult carries a batch-prefetched key recovery into
@@ -561,20 +580,16 @@ type crackResult struct {
 }
 
 // resolveSession produces the session key for one complete
-// transmission — replay cache, per-subscriber (IMSI, RAND) cache, or a
-// fresh crack — updating the crack statistics. ok is false when the
-// session is unusable: paging burst lost, A5/3 announced, or recovery
-// failed. When the caches miss and pre is non-nil, the batch's
-// prefetched result stands in for the Cracker.Recover call (the sample
-// was derived from the same paging burst, so the result is the same by
-// determinism of the backend); cache consultation order, statistic
-// increments, cache fills and eviction run in the caller's session
-// order either way.
-func (s *Sniffer) resolveSession(sess *session, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
-	paging, ok := sess.bursts[0]
-	if !ok {
-		return 0, 0, false // lost the paging burst: no known plaintext, no crack
-	}
+// transmission from its paging burst — replay cache, per-subscriber
+// (IMSI, RAND) cache, or a fresh crack — updating the crack
+// statistics. ok is false when the session is unusable: A5/3
+// announced, or recovery failed. When the caches miss and pre is
+// non-nil, the batch's prefetched result stands in for the
+// Cracker.Recover call (the sample was derived from the same paging
+// burst, so the result is the same by determinism of the backend);
+// cache consultation order, statistic increments, cache fills and
+// eviction run in the caller's session order either way.
+func (s *Sniffer) resolveSession(paging *telecom.RadioBurst, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
 	if paging.Cipher == telecom.CipherA53 {
 		// The ciphering mode travels in the clear; A5/3 is beyond every
 		// backend, so the rig abandons the session without searching.
@@ -664,11 +679,11 @@ func (s *Sniffer) resolveSession(sess *session, pre *crackResult) (kc uint64, cr
 	return kc, crackTime, true
 }
 
-// record decodes a session's reassembled TPDU and files the capture.
-// tpdu is only read during the call (the memo copies it), so callers
-// may pass a recycled assembly buffer.
-func (s *Sniffer) record(sess *session, kc uint64, crackTime time.Duration, tpdu []byte) {
-	paging := sess.bursts[0]
+// record decodes a session's reassembled TPDU and files the capture
+// under its paging burst's coordinates. tpdu is only read during the
+// call (the memo copies it), so callers may pass a recycled assembly
+// buffer.
+func (s *Sniffer) record(paging *telecom.RadioBurst, kc uint64, crackTime time.Duration, tpdu []byte) {
 	s.mu.Lock()
 	hit := s.haveTPDU && bytes.Equal(tpdu, s.lastTPDU)
 	msg, err := s.lastMsg, s.lastErr

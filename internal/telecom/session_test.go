@@ -22,12 +22,32 @@ func refEncodeSMSBursts(s SMSSession) ([]RadioBurst, error) {
 	for i := range bursts {
 		switch cipher {
 		case CipherA51:
-			bursts[i].Payload = a51.EncryptBurst(s.Kc, bursts[i].Frame, bursts[i].Payload)
+			bursts[i].Payload = encryptBurstA51(s.Kc, bursts[i].Frame, bursts[i].Payload)
 		case CipherA53:
 			bursts[i].Payload = encryptBurstA53(s.Kc, bursts[i].Frame, bursts[i].Payload)
 		}
 	}
 	return bursts, nil
+}
+
+// encryptBurstA51 is the scalar A5/1 reference for one burst: a fresh
+// cipher's downlink keystream for (kc, frame), cycled over payload into
+// a fresh copy.
+func encryptBurstA51(kc uint64, frame uint32, payload []byte) []byte {
+	down, _ := a51.New(kc, frame).KeystreamBurst()
+	out := make([]byte, len(payload))
+	for i := range payload {
+		out[i] = payload[i] ^ down[i%a51.BurstBytes]
+	}
+	return out
+}
+
+// decryptBurstA51 decrypts one captured burst the way the sniffer does,
+// through a51.EncryptBurstsBatch with a batch of one, into a fresh copy.
+func decryptBurstA51(kc uint64, b RadioBurst) []byte {
+	out := append([]byte(nil), b.Payload...)
+	a51.EncryptBurstsBatch([]uint64{kc}, []uint32{b.Frame}, [][]byte{out})
+	return out
 }
 
 // TestSessionBurstCount pins the schedule arithmetic batch callers use

@@ -170,7 +170,7 @@ func TestBurstsCrackableViaKnownPlaintext(t *testing.T) {
 	}
 	var tpdu []byte
 	for _, b := range bursts[1:] {
-		tpdu = append(tpdu, a51.EncryptBurst(kc, b.Frame, b.Payload)...)
+		tpdu = append(tpdu, decryptBurstA51(kc, b)...)
 	}
 	msg, err := gsmcodec.UnmarshalDeliver(tpdu)
 	if err != nil {
@@ -655,7 +655,7 @@ func TestEncodeSMSBursts(t *testing.T) {
 		// Decrypt payload bursts and reassemble the TPDU.
 		var tpdu []byte
 		for _, b := range bursts[1:] {
-			tpdu = append(tpdu, a51.EncryptBurst(kc, b.Frame, b.Payload)...)
+			tpdu = append(tpdu, decryptBurstA51(kc, b)...)
 		}
 		msg, err := gsmcodec.UnmarshalDeliver(tpdu)
 		if err != nil {
@@ -728,7 +728,7 @@ func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 	}
 	var tpdu []byte
 	for _, b := range captured[1:] {
-		tpdu = append(tpdu, a51.EncryptBurst(kc, b.Frame, b.Payload)...)
+		tpdu = append(tpdu, decryptBurstA51(kc, b)...)
 	}
 	msg, err := gsmcodec.UnmarshalDeliver(tpdu)
 	if err != nil {
