@@ -74,6 +74,8 @@ var documentedPackages = []string{
 	"internal/server",
 	"internal/ratelimit",
 	"internal/loadgen",
+	"internal/strategy",
+	"internal/tdg",
 }
 
 // TestDocsExportedComments fails on exported identifiers missing doc

@@ -484,9 +484,14 @@ func LoadTable(r io.Reader) (*Table, error) {
 	if bodyLen > maxTableBody {
 		return nil, fmt.Errorf("%w: implausible body length %d", ErrTableCorrupt, bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("%w: body truncated: %v", ErrTableCorrupt, err)
+	// Read rather than preallocate: the length is not yet trusted, and
+	// a 16-byte file must not cost a maxTableBody allocation.
+	body, err := io.ReadAll(io.LimitReader(br, int64(bodyLen)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading body: %v", ErrTableCorrupt, err)
+	}
+	if uint64(len(body)) != bodyLen {
+		return nil, fmt.Errorf("%w: body truncated: %d of %d bytes", ErrTableCorrupt, len(body), bodyLen)
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(br, sum[:]); err != nil {

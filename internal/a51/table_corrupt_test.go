@@ -5,14 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // savedTable builds a small real table and returns its serialized form.
-func savedTable(t *testing.T) (*Table, []byte) {
+func savedTable(t testing.TB) (*Table, []byte) {
+	return savedTableBits(t, 8)
+}
+
+// savedTableBits is savedTable over a bits-wide key space.
+func savedTableBits(t testing.TB, bits int) (*Table, []byte) {
 	t.Helper()
-	space := KeySpace{Base: 0xC118000000000000, Bits: 8}
+	space := KeySpace{Base: 0xC118000000000000, Bits: bits}
 	table, err := BuildTable(space, TableConfig{Frames: FrameRange(2)})
 	if err != nil {
 		t.Fatal(err)
@@ -158,32 +164,35 @@ func (b tinyBody) bytes() []byte {
 	return buf.Bytes()
 }
 
+// tinyMutations bend validTiny one field at a time; each must fail
+// with ErrTableCorrupt naming the field.
+var tinyMutations = []struct {
+	name string
+	mut  func(*tinyBody)
+	want string
+}{
+	{"bits zero", func(b *tinyBody) { b.bits = 0 }, "geometry"},
+	{"bits too wide", func(b *tinyBody) { b.bits = 30 }, "geometry"},
+	{"chainLen not power of two", func(b *tinyBody) { b.chainLen = 12 }, "geometry"},
+	{"chainLen zero", func(b *tinyBody) { b.chainLen = 0 }, "geometry"},
+	{"endpoint outside space", func(b *tinyBody) { b.end = 256 }, "endpoint"},
+	{"chain start outside space", func(b *tinyBody) { b.start = 1 << 20 }, "bounds"},
+	{"chain length zero", func(b *tinyBody) { b.length = 0 }, "bounds"},
+	{"chain length beyond walk", func(b *tinyBody) { b.length = 1 << 30 }, "bounds"},
+	{"fingerprint too wide", func(b *tinyBody) { b.fp = 1 << 40 }, "fingerprint"},
+	{"overflow key outside space", func(b *tinyBody) { b.key = 300 }, "outside"},
+	{"duplicate frame", func(b *tinyBody) { b.frames = []uint32{0, 0} }, "twice"},
+	{"chain count exceeds body", func(b *tinyBody) { b.nchains = 1 << 30 }, "exceeds remaining"},
+	{"key count exceeds body", func(b *tinyBody) { b.nkeys = 1 << 30 }, "exceeds remaining"},
+	{"trailing garbage", func(b *tinyBody) { b.trailing = []byte{0xEE} }, "trailing"},
+	{"body truncated mid-record", func(b *tinyBody) { b.skipOverflowKey = true }, "exceeds remaining"},
+}
+
 func TestLoadTableFieldValidationMatrix(t *testing.T) {
 	if _, err := LoadTable(bytes.NewReader(seal(validTiny().bytes()))); err != nil {
 		t.Fatalf("baseline tiny body rejected: %v", err)
 	}
-	cases := []struct {
-		name string
-		mut  func(*tinyBody)
-		want string
-	}{
-		{"bits zero", func(b *tinyBody) { b.bits = 0 }, "geometry"},
-		{"bits too wide", func(b *tinyBody) { b.bits = 30 }, "geometry"},
-		{"chainLen not power of two", func(b *tinyBody) { b.chainLen = 12 }, "geometry"},
-		{"chainLen zero", func(b *tinyBody) { b.chainLen = 0 }, "geometry"},
-		{"endpoint outside space", func(b *tinyBody) { b.end = 256 }, "endpoint"},
-		{"chain start outside space", func(b *tinyBody) { b.start = 1 << 20 }, "bounds"},
-		{"chain length zero", func(b *tinyBody) { b.length = 0 }, "bounds"},
-		{"chain length beyond walk", func(b *tinyBody) { b.length = 1 << 30 }, "bounds"},
-		{"fingerprint too wide", func(b *tinyBody) { b.fp = 1 << 40 }, "fingerprint"},
-		{"overflow key outside space", func(b *tinyBody) { b.key = 300 }, "outside"},
-		{"duplicate frame", func(b *tinyBody) { b.frames = []uint32{0, 0} }, "twice"},
-		{"chain count exceeds body", func(b *tinyBody) { b.nchains = 1 << 30 }, "exceeds remaining"},
-		{"key count exceeds body", func(b *tinyBody) { b.nkeys = 1 << 30 }, "exceeds remaining"},
-		{"trailing garbage", func(b *tinyBody) { b.trailing = []byte{0xEE} }, "trailing"},
-		{"body truncated mid-record", func(b *tinyBody) { b.skipOverflowKey = true }, "exceeds remaining"},
-	}
-	for _, tc := range cases {
+	for _, tc := range tinyMutations {
 		t.Run(tc.name, func(t *testing.T) {
 			b := validTiny()
 			tc.mut(&b)
@@ -196,6 +205,72 @@ func TestLoadTableFieldValidationMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadTableDoesNotTrustLength pins that a header declaring the
+// largest plausible body costs no allocation of that size before the
+// bytes arrive.
+func TestLoadTableDoesNotTrustLength(t *testing.T) {
+	in := binary.LittleEndian.AppendUint64(bytes.Clone(tableMagic[:]), maxTableBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadTable(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTableCorrupt) {
+		t.Fatalf("err = %v, want ErrTableCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a %d-byte file allocated %d bytes", len(in), grew)
+	}
+}
+
+// FuzzLoadTable feeds arbitrary bytes to LoadTable, both as a whole
+// file and sealed as a body with a valid CRC, so mutations reach the
+// field validators instead of stopping at the checksum. Every input
+// must fail with an error or load a table whose Save output reloads
+// and re-saves byte-identically; none may panic.
+func FuzzLoadTable(f *testing.F) {
+	// A 4-bit table keeps the seed near half a kilobyte: the fuzzer
+	// minimizes every new-coverage input, and minimizing a multi-
+	// kilobyte table would use up a short fuzz run.
+	_, raw := savedTableBits(f, 4)
+	f.Add(raw)
+	f.Add(raw[16 : len(raw)-4]) // the body alone, sealed below
+	v1 := bytes.Clone(raw)
+	copy(v1, tableMagicV1[:])
+	f.Add(v1)
+	f.Add([]byte("NOTATMTOFILE"))
+	huge := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(huge[8:], maxTableBody+1)
+	f.Add(huge)
+	f.Add(validTiny().bytes())
+	for _, tc := range tinyMutations {
+		b := validTiny()
+		tc.mut(&b)
+		f.Add(b.bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, seal(data)} {
+			table, err := LoadTable(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var first, second bytes.Buffer
+			if err := table.Save(&first); err != nil {
+				t.Fatal(err)
+			}
+			again, err := LoadTable(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatalf("Save output of a loaded table does not reload: %v", err)
+			}
+			if err := again.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatal("reloaded table re-saves differently")
+			}
+		}
+	})
 }
 
 func TestTableIdentityDistinguishesGeometry(t *testing.T) {

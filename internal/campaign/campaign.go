@@ -59,6 +59,7 @@ import (
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/sniffer"
 	"github.com/actfort/actfort/internal/socialdb"
+	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/telecom"
 )
 
@@ -895,7 +896,7 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 		}
 		sub := &sh.Subscribers[li]
 		part.Intercepted++
-		know := plan.baseline
+		know := plan.closure.Baseline()
 		// The dossier probe derives the victim's phone into the worker's
 		// scratch buffer and hits the sharded store via the raw-bytes
 		// lookup — no key string is ever built on the closure path.
@@ -904,9 +905,9 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 			part.DossierHits++
 			know |= leakFactorMask(rec)
 		}
-		plan.chainDepths(scr, sub.Enrolled, know)
-		accumulate(plan, scr, part)
-		scr.reset()
+		plan.chainDepths(scr.chain, sub.Enrolled, know)
+		accumulate(plan, scr.chain, part)
+		scr.chain.Reset()
 	}
 	r.phases.observe("closure", closureStart)
 	return part
@@ -914,12 +915,12 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 
 // accumulate folds one victim's chain-reaction outcome into the
 // partial summary.
-func accumulate(plan *attackPlan, scr *scratch, part *Summary) {
+func accumulate(plan *attackPlan, chain *strategy.ClosureRun, part *Summary) {
 	taken := int64(0)
 	maxDepth := 0
 	var fields uint32
-	for _, a := range scr.active {
-		d := int(scr.depth[a])
+	for _, a := range chain.Active() {
+		d := int(chain.Depth(a))
 		if d == 0 {
 			continue
 		}
@@ -957,13 +958,13 @@ func accumulate(plan *attackPlan, scr *scratch, part *Summary) {
 func leakFactorMask(rec socialdb.Record) uint64 {
 	var m uint64
 	if rec.RealName != "" {
-		m |= factorBit(ecosys.FactorRealName)
+		m |= strategy.FactorBit(ecosys.FactorRealName)
 	}
 	if rec.Address != "" {
-		m |= factorBit(ecosys.FactorAddress)
+		m |= strategy.FactorBit(ecosys.FactorAddress)
 	}
 	if rec.CitizenID != "" {
-		m |= factorBit(ecosys.FactorCitizenID)
+		m |= strategy.FactorBit(ecosys.FactorCitizenID)
 	}
 	return m
 }

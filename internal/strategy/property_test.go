@@ -10,11 +10,11 @@ import (
 	"github.com/actfort/actfort/internal/tdg"
 )
 
-// randomGraph generates a small random ecosystem: each account gets
+// randomNodes generates a small random ecosystem: each account gets
 // 1–3 takeover paths drawn from realistic factor combinations and a
 // random exposure set. It exercises the analysis invariants far from
 // the calibrated catalog's shape.
-func randomGraph(seed int64, size int) (*tdg.Graph, error) {
+func randomNodes(seed int64, size int) []tdg.Node {
 	r := rand.New(rand.NewSource(seed))
 	if size < 2 {
 		size = 2
@@ -61,12 +61,17 @@ func randomGraph(seed int64, size int) (*tdg.Graph, error) {
 		}
 		nodes = append(nodes, n)
 	}
+	return nodes
+}
+
+// randomGraph builds randomNodes under the baseline attacker.
+func randomGraph(seed int64, size int) (*tdg.Graph, error) {
 	// Couple size 3 matches the widest random path (3 factors), so the
 	// backward search sees every provider combination the closure can
 	// exploit. With the default pair-only enumeration the closure is
 	// strictly more complete (see TestTripleCouples in tdg) and the
 	// agreement property below would not hold.
-	return tdg.Build(nodes, ecosys.BaselineAttacker(), tdg.WithMaxCoupleSize(3))
+	return tdg.Build(randomNodes(seed, size), ecosys.BaselineAttacker(), tdg.WithMaxCoupleSize(3))
 }
 
 // Property: the closure compromises exactly the accounts the backward

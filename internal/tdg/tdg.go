@@ -85,9 +85,7 @@ type CoupleGroup struct {
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	maxCoupleSize     int
-	maxCouplesPerPath int
-	takeoverPathsOnly bool
+	maxCoupleSize int
 }
 
 // WithMaxCoupleSize bounds couple enumeration (default 2, the paper's
@@ -96,17 +94,9 @@ func WithMaxCoupleSize(k int) Option {
 	return func(o *buildOptions) { o.maxCoupleSize = k }
 }
 
-// WithMaxCouplesPerPath caps recorded couples per (target, path) to
-// keep dense graphs tractable (default 64).
-func WithMaxCouplesPerPath(n int) Option {
-	return func(o *buildOptions) { o.maxCouplesPerPath = n }
-}
-
-// WithAllPaths includes payment-reset paths in edge construction
-// (default: only takeover paths — sign-in and password reset).
-func WithAllPaths() Option {
-	return func(o *buildOptions) { o.takeoverPathsOnly = false }
-}
+// maxCouplesPerPath caps recorded couples per (target, path) to keep
+// dense graphs tractable.
+const maxCouplesPerPath = 64
 
 // Graph is an immutable built TDG.
 type Graph struct {
@@ -238,7 +228,7 @@ func maskRevealed(n int, spec ecosys.MaskSpec) int {
 // Build constructs the graph for the given nodes under attacker
 // profile ap.
 func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, error) {
-	o := buildOptions{maxCoupleSize: 2, maxCouplesPerPath: 64, takeoverPathsOnly: true}
+	o := buildOptions{maxCoupleSize: 2}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -271,12 +261,9 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 
 	for _, targetID := range g.order {
 		target := g.nodes[targetID]
-		paths := target.Paths
-		if o.takeoverPathsOnly {
-			paths = takeoverPaths(paths)
-		}
 		strongSeen := make(map[ecosys.AccountID]bool)
-		for _, path := range paths {
+		// Only takeover paths (sign-in and password reset) grow edges.
+		for _, path := range takeoverPaths(target.Paths) {
 			required := missingFactors(path, apFactors)
 			if len(required) == 0 {
 				// Satisfiable by the attacker profile alone: a fringe
@@ -320,7 +307,7 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 
 			// Couple enumeration: minimal half-parent groups covering
 			// the path, up to the configured size.
-			couples := enumerateCouples(halves, required, o.maxCoupleSize, o.maxCouplesPerPath,
+			couples := enumerateCouples(halves, required, o.maxCoupleSize, maxCouplesPerPath,
 				func(h halfParent) []ecosys.FactorKind { return h.provides },
 			)
 			weakSeen := make(map[ecosys.AccountID]bool)

@@ -221,20 +221,6 @@ func TestPaymentResetExcludedByDefault(t *testing.T) {
 	if count != 1 {
 		t.Errorf("strong edges into alipay = %d want 1", count)
 	}
-
-	gAll, err := Build(fixtureNodes(), ecosys.BaselineAttacker(), WithAllPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
-	countAll := 0
-	for _, e := range gAll.StrongEdges() {
-		if e.To == aid("alipay", ecosys.PlatformMobile) {
-			countAll++
-		}
-	}
-	if countAll != 2 {
-		t.Errorf("with all paths, strong edges into alipay = %d want 2", countAll)
-	}
 }
 
 func TestRicherAttackerProfileShrinksRequirements(t *testing.T) {
@@ -295,19 +281,19 @@ func TestCoupleCapRespected(t *testing.T) {
 		Paths: []ecosys.AuthPath{{ID: "r", Purpose: ecosys.PurposeReset,
 			Factors: []ecosys.FactorKind{ecosys.FactorRealName, ecosys.FactorBankcard}}},
 	}}
-	// 8 name providers x 8 card providers = 64 potential pairs.
-	for i := 0; i < 8; i++ {
+	// 9 name providers x 9 card providers = 81 potential pairs.
+	for i := 0; i < 9; i++ {
 		nodes = append(nodes,
 			Node{ID: aid("n"+string(rune('a'+i)), web), Exposes: ecosys.NewInfoSet(ecosys.InfoRealName)},
 			Node{ID: aid("c"+string(rune('a'+i)), web), Exposes: ecosys.NewInfoSet(ecosys.InfoBankcard)},
 		)
 	}
-	g, err := Build(nodes, ecosys.BaselineAttacker(), WithMaxCouplesPerPath(5))
+	g, err := Build(nodes, ecosys.BaselineAttacker())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(g.Couples(aid("t", web))); got > 5 {
-		t.Errorf("couples = %d exceeds cap 5", got)
+	if got := len(g.Couples(aid("t", web))); got != maxCouplesPerPath {
+		t.Errorf("couples = %d, want the cap %d of 81 pairs", got, maxCouplesPerPath)
 	}
 }
 
