@@ -12,6 +12,7 @@ import (
 
 // savedTable builds a small real table and returns its serialized form.
 func savedTable(t testing.TB) (*Table, []byte) {
+	t.Helper()
 	return savedTableBits(t, 8)
 }
 
