@@ -764,8 +764,10 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 	part.LeakRecords = int64(sh.LeakCount)
 
 	// Per-shard IMSI strings are carved from the shard-cycle arena:
-	// they reach the sniffer rig's session caches, which release resets
-	// before this worker's next shard reuses the arena.
+	// they reach the sniffer rig's session caches, which release's
+	// rig.Reset empties before this worker's next shard reuses the
+	// arena. Reset clears the caches in place, and clear drops the
+	// arena-backed keys exactly as a fresh map did.
 	scr.strs.Reset()
 
 	synthStart := time.Now()
@@ -884,7 +886,8 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 	// Attribute decoded captures back to victims via session IDs.
 	scr.intercepted = boolScratch(scr.intercepted, len(sh.Subscribers))
 	intercepted := scr.intercepted
-	for _, c := range rig.Captures() {
+	scr.captures = rig.AppendCaptures(scr.captures[:0])
+	for _, c := range scr.captures {
 		intercepted[int(c.SessionID)/sessions] = true
 	}
 	part.Sniffer.Add(rig.Stats())

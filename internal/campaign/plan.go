@@ -6,6 +6,7 @@ import (
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/slab"
+	"github.com/actfort/actfort/internal/sniffer"
 	"github.com/actfort/actfort/internal/socialdb"
 	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/tdg"
@@ -73,8 +74,8 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 // scratch is one worker's reusable state: the per-victim chain-closure
 // tables, the per-shard radio session buffer the gather-then-encrypt
 // path fills before the batch encryptor runs, the per-shard coverage
-// and interception marks, and the pooled burst buffer the encoded
-// trace lives in. All of it is recycled shard over shard (and, for the
+// and interception marks, the rig's captures read back per shard, and
+// the pooled burst buffer the encoded trace lives in. All of it is recycled shard over shard (and, for the
 // burst buffer, scenario over scenario), so a steady-state shard
 // attack allocates nothing population-proportional.
 type scratch struct {
@@ -82,6 +83,7 @@ type scratch struct {
 	radio       []telecom.SMSSession
 	covered     []bool
 	intercepted []bool
+	captures    []sniffer.Capture
 	bursts      *telecom.BurstBuffer
 
 	// Lazy-persona working set. phone is the attribute-derivation

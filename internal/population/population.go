@@ -178,6 +178,7 @@ type Population struct {
 	catalog  *ecosys.Catalog
 	services []string
 	adoption []float64
+	thresh   []uint64 // adoption as integer draw thresholds (enrollThresholds)
 	gen      *identity.Generator
 	words    int // enrollment bitset words per subscriber
 	pool     sync.Pool
@@ -214,6 +215,7 @@ func New(cfg Config) (*Population, error) {
 		gen:      identity.NewGenerator(cfg.Seed),
 		adoption: adoptionRates(cfg.Catalog, cfg.EnrollmentScale),
 	}
+	p.thresh = enrollThresholds(p.adoption)
 	p.words = (len(p.adoption) + 63) / 64
 	p.pool.New = func() any { return &Shard{owner: p} }
 	for _, svc := range cfg.Catalog.Services() {
@@ -349,13 +351,42 @@ func (p *Population) enrollmentInto(arena *slab.Slab[uint64], idx int) ServiceSe
 // fillEnrollment draws the subscriber's service set: one independent,
 // index-keyed draw per service, so the profile is order-independent
 // and shards need no coordination.
+//
+// Service j enrolls when unit(mix(seed, tagEnroll, idx, j)) < rate_j.
+// Mix folds left, so that draw is splitmix(prefix ^ j) over the
+// subscriber's prefix mix(seed, tagEnroll, idx), and the prefix is
+// computed once: each service costs one splitmix. The compare runs on
+// integers against thresh (see enrollThresholds), which is exact.
 func (p *Population) fillEnrollment(set ServiceSet, idx int) {
-	seed := uint64(p.cfg.Seed)
-	for j, rate := range p.adoption {
-		if unit(mix(seed, tagEnroll, uint64(idx), uint64(j))) < rate {
+	prefix := mix(uint64(p.cfg.Seed), tagEnroll, uint64(idx))
+	for j, t := range p.thresh {
+		if splitmix(prefix^uint64(j))>>11 < t {
 			set[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
+}
+
+// enrollThresholds maps each adoption rate to the integer threshold
+// thresh = ceil(rate·2⁵³), so that for every draw h
+//
+//	h>>11 < thresh  ⇔  unit(h) < rate.
+//
+// unit(h) is (h>>11)/2⁵³ with h>>11 < 2⁵³, so both sides of
+// unit(h) < rate scale by 2⁵³ without rounding; and an integer x is
+// below the real rate·2⁵³ exactly when it is below its ceiling. Rates
+// at or above 1 map to 2⁵³ (every draw enrolls), and rates at or below
+// 0 (or NaN) map to 0 (none does).
+func enrollThresholds(rates []float64) []uint64 {
+	out := make([]uint64, len(rates))
+	for j, rate := range rates {
+		switch {
+		case rate >= 1:
+			out[j] = 1 << 53
+		case rate > 0:
+			out[j] = uint64(math.Ceil(rate * (1 << 53)))
+		}
+	}
+	return out
 }
 
 // leakRecord builds the attacker-visible dump entry. Two tiers mirror

@@ -196,8 +196,8 @@ func TestMaxSessionBurstsFitsLargestDeliver(t *testing.T) {
 // campaignTrace encodes a campaign-shaped trace: the campaign's OTP
 // message delivered once to each of sessions distinct subscribers, every
 // paging burst on a CCCH paging block, under cipher.
-func campaignTrace(b *testing.B, sessions int, cipher telecom.CipherMode, space a51.KeySpace) []telecom.RadioBurst {
-	b.Helper()
+func campaignTrace(tb testing.TB, sessions int, cipher telecom.CipherMode, space a51.KeySpace) []telecom.RadioBurst {
+	tb.Helper()
 	deliver := gsmcodec.Deliver{
 		Originator: "ActFort",
 		Timestamp:  time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC),
@@ -225,7 +225,7 @@ func campaignTrace(b *testing.B, sessions int, cipher telecom.CipherMode, space 
 	}
 	trace, err := telecom.EncodeSMSBurstsInto(batch, new(telecom.BurstBuffer))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return trace
 }

@@ -25,6 +25,12 @@
 // burst. A burst that does not fit its session — Seq outside
 // [0, Total), or a Total that is not positive or exceeds the cap on
 // session length — is counted and dropped.
+//
+// A rig is built to be recycled: Reset empties it in place, keeping the
+// capacity of its session table, Kc caches and capture slice, and
+// AppendCaptures reads the captures into caller-owned storage. A
+// campaign worker that feeds a shard, reads its captures into a reused
+// slice and resets the rig allocates nothing per shard in steady state.
 package sniffer
 
 import (
@@ -156,6 +162,11 @@ type Sniffer struct {
 	// crack. Keyed on (IMSI, RAND) — both visible on the air in real
 	// GSM — and bounded like kcCache.
 	subKc map[subKcKey]uint64
+	// fs is the rig's own FeedBatch scratch, kept across calls and
+	// across Reset, so a rig fed shard after shard reuses one set of
+	// buffers sized to its largest trace. A FeedBatch that finds it
+	// taken by a concurrent call borrows from feedScratchPool instead.
+	fs *feedScratch
 	// sessFree recycles completed session buffers (a slot slice per
 	// session is a real GC cost when a campaign streams millions of
 	// sessions through one rig). Invisible state: Reset keeps it.
@@ -289,8 +300,9 @@ func (s *Sniffer) Feed(b telecom.RadioBurst) {
 
 // feedScratch is the reusable memory of one FeedBatch call — completed
 // sessions, the crack prefetch queue, decryption lanes, payload copies
-// and the TPDU assembly buffer — recycled through a sync.Pool so a
-// campaign shard's trace costs no per-session allocation storm.
+// and the TPDU assembly buffer — kept on the rig between calls (with a
+// sync.Pool for concurrent ones) so a campaign shard's trace costs no
+// per-session allocation storm.
 type feedScratch struct {
 	completed []*session
 	// Crack prefetch state: crackOf[i] is the sample index queued for
@@ -380,13 +392,13 @@ func (fs *feedScratch) reset() {
 // incomplete session stay buffered by reference until its remainder
 // arrives.
 func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
-	fs := feedScratchPool.Get().(*feedScratch)
-	defer func() {
-		fs.reset()
-		feedScratchPool.Put(fs)
-	}()
-
 	s.mu.Lock()
+	fs := s.fs
+	s.fs = nil
+	if fs == nil {
+		fs = feedScratchPool.Get().(*feedScratch)
+	}
+	defer s.putScratch(fs)
 	for i := range bursts {
 		if sess, complete := s.ingestLocked(&bursts[i]); complete {
 			fs.completed = append(fs.completed, sess)
@@ -445,6 +457,20 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 		s.record(&p.sess.bursts[0], p.kc, p.crackTime, fs.tpdu)
 	}
 	s.recycleSessions(fs.completed...)
+}
+
+// putScratch empties fs and parks it as the rig's own scratch, or
+// returns it to the pool when a concurrent FeedBatch parked one first.
+func (s *Sniffer) putScratch(fs *feedScratch) {
+	fs.reset()
+	s.mu.Lock()
+	if s.fs == nil {
+		s.fs, fs = fs, nil
+	}
+	s.mu.Unlock()
+	if fs != nil {
+		feedScratchPool.Put(fs)
+	}
 }
 
 // prefetchCracks is the batched half of key recovery: one pass over
@@ -733,14 +759,23 @@ func (s *Sniffer) record(paging *telecom.RadioBurst, kc uint64, crackTime time.D
 // resets a rig after every shard before handing it to the next shard
 // of any scenario, so no cracked key or capture leaks between shards or
 // radio environments.
+//
+// Reset empties the rig in place: the session table, both Kc caches
+// and the capture slice keep their capacity, so a rig cycled shard
+// after shard stops allocating once it has seen its largest shard.
+// Every entry and capture is cleared before the storage is reused, so
+// no string or payload of an earlier trace stays reachable from the
+// rig, and slices returned by Captures or AppendCaptures are copies
+// that a later Reset does not touch.
 func (s *Sniffer) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sessions = make(map[uint32]*session)
-	s.captures = nil
+	clear(s.sessions)
+	clear(s.captures)
+	s.captures = s.captures[:0]
 	s.stats = Stats{}
-	s.kcCache = make(map[uint32]uint64)
-	s.subKc = make(map[subKcKey]uint64)
+	clear(s.kcCache)
+	clear(s.subKc)
 }
 
 // SetCrackObserver installs (or, with nil, removes) an extra histogram
@@ -755,11 +790,19 @@ func (s *Sniffer) SetCrackObserver(h *obs.Histogram) {
 	s.crackObs = h
 }
 
-// Captures returns a copy of recorded (filter-matching) messages.
-func (s *Sniffer) Captures() []Capture {
+// Captures returns a copy of recorded (filter-matching) messages:
+// AppendCaptures(nil).
+func (s *Sniffer) Captures() []Capture { return s.AppendCaptures(nil) }
+
+// AppendCaptures appends the recorded (filter-matching) messages to dst
+// and returns the extended slice. The result is the caller's: the rig
+// keeps no reference to it, so a later Reset or trace leaves it intact.
+// Passing a recycled dst[:0] reads a shard's captures without
+// allocating once dst has grown to the shard's size.
+func (s *Sniffer) AppendCaptures(dst []Capture) []Capture {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Capture(nil), s.captures...)
+	return append(dst, s.captures...)
 }
 
 // Stats returns a snapshot of run counters.

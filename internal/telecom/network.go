@@ -432,21 +432,24 @@ func (n *Network) smsAuthLocked(sub *Subscriber) *authCtx {
 
 // deriveKc computes the session key from the SIM secret and the RAND
 // challenge, confined to the configured key space (COMP128 stand-in).
+// The preimage is ki ‖ rnd, hashed from a stack array so campaign
+// synthesis (one derivation per auth epoch) allocates nothing.
 func deriveKc(ki [16]byte, rnd [16]byte, space a51.KeySpace) uint64 {
-	h := sha256.New()
-	h.Write(ki[:])
-	h.Write(rnd[:])
-	sum := h.Sum(nil)
+	var in [32]byte
+	copy(in[:16], ki[:])
+	copy(in[16:], rnd[:])
+	sum := sha256.Sum256(in[:])
 	return space.Key(binary.BigEndian.Uint64(sum[:8]))
 }
 
-// sres computes the authentication response (SRES) for a challenge.
+// sres computes the authentication response (SRES) for a challenge:
+// the first four bytes of SHA-256("sres" ‖ ki ‖ rnd).
 func sres(ki [16]byte, rnd [16]byte) [4]byte {
-	h := sha256.New()
-	h.Write([]byte("sres"))
-	h.Write(ki[:])
-	h.Write(rnd[:])
-	sum := h.Sum(nil)
+	var in [36]byte
+	copy(in[:4], "sres")
+	copy(in[4:20], ki[:])
+	copy(in[20:], rnd[:])
+	sum := sha256.Sum256(in[:])
 	var out [4]byte
 	copy(out[:], sum[:4])
 	return out
