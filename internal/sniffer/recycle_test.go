@@ -128,6 +128,43 @@ func TestRecycledRigMatchesFreshRigs(t *testing.T) {
 	}
 }
 
+// TestConcurrentFeedBatch feeds one rig from several goroutines at
+// once. Only one call can hold the rig's own scratch; the others build
+// their own, and every session must still be decoded exactly once.
+func TestConcurrentFeedBatch(t *testing.T) {
+	const feeders, sessions = 4, 64
+	s := recycleRig(t)
+	base := campaignTrace(t, sessions, telecom.CipherA51, recycleSpace)
+	var wg sync.WaitGroup
+	for g := 0; g < feeders; g++ {
+		trace := append([]telecom.RadioBurst(nil), base...)
+		for i := range trace {
+			trace[i].SessionID += uint32(g * sessions)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for half := 0; half < 2; half++ {
+				s.FeedBatch(trace[half*len(trace)/2 : (half+1)*len(trace)/2])
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.MessagesDecoded != feeders*sessions || st.SessionsComplete != feeders*sessions {
+		t.Fatalf("stats = %+v, want %d sessions decoded", st, feeders*sessions)
+	}
+	seen := make(map[uint32]bool)
+	for _, c := range s.Captures() {
+		if seen[c.SessionID] {
+			t.Fatalf("session %d captured twice", c.SessionID)
+		}
+		seen[c.SessionID] = true
+	}
+	if len(seen) != feeders*sessions {
+		t.Fatalf("captured %d distinct sessions, want %d", len(seen), feeders*sessions)
+	}
+}
+
 // TestRigCycleAllocs guards the steady-state shard cycle: once a rig
 // has seen a trace, feeding it again, reading its captures into a
 // reused slice and resetting it must allocate (nearly) nothing. A

@@ -165,7 +165,8 @@ type Sniffer struct {
 	// fs is the rig's own FeedBatch scratch, kept across calls and
 	// across Reset, so a rig fed shard after shard reuses one set of
 	// buffers sized to its largest trace. A FeedBatch that finds it
-	// taken by a concurrent call borrows from feedScratchPool instead.
+	// taken by a concurrent call builds a fresh one, and the first to
+	// finish parks its scratch here.
 	fs *feedScratch
 	// sessFree recycles completed session buffers (a slot slice per
 	// session is a real GC cost when a campaign streams millions of
@@ -300,9 +301,8 @@ func (s *Sniffer) Feed(b telecom.RadioBurst) {
 
 // feedScratch is the reusable memory of one FeedBatch call — completed
 // sessions, the crack prefetch queue, decryption lanes, payload copies
-// and the TPDU assembly buffer — kept on the rig between calls (with a
-// sync.Pool for concurrent ones) so a campaign shard's trace costs no
-// per-session allocation storm.
+// and the TPDU assembly buffer — kept on the rig between calls so a
+// campaign shard's trace costs no per-session allocation storm.
 type feedScratch struct {
 	completed []*session
 	// Crack prefetch state: crackOf[i] is the sample index queued for
@@ -335,19 +335,19 @@ type pendingCapture struct {
 	pstart, pcount int32
 }
 
-var feedScratchPool = sync.Pool{New: func() any {
+func newFeedScratch() *feedScratch {
 	return &feedScratch{
 		pendSess: make(map[uint32]int32),
 		pendSub:  make(map[subKcKey]int32),
 	}
-}}
+}
 
 // grab carves an n-byte buffer from the scratch slab arena (every
 // byte is overwritten by the caller; see internal/slab for the
 // aliasing guarantees).
 func (fs *feedScratch) grab(n int) []byte { return fs.slab.Grab(n) }
 
-// reset drops every reference the scratch accumulated (so the pool
+// reset drops every reference the scratch accumulated (so the rig
 // retains capacity, not sessions or payloads) and empties it.
 func (fs *feedScratch) reset() {
 	clear(fs.completed)
@@ -396,7 +396,7 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	fs := s.fs
 	s.fs = nil
 	if fs == nil {
-		fs = feedScratchPool.Get().(*feedScratch)
+		fs = newFeedScratch()
 	}
 	defer s.putScratch(fs)
 	for i := range bursts {
@@ -459,18 +459,15 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	s.recycleSessions(fs.completed...)
 }
 
-// putScratch empties fs and parks it as the rig's own scratch, or
-// returns it to the pool when a concurrent FeedBatch parked one first.
+// putScratch empties fs and parks it as the rig's own scratch, unless
+// a concurrent FeedBatch parked one first.
 func (s *Sniffer) putScratch(fs *feedScratch) {
 	fs.reset()
 	s.mu.Lock()
 	if s.fs == nil {
-		s.fs, fs = fs, nil
+		s.fs = fs
 	}
 	s.mu.Unlock()
-	if fs != nil {
-		feedScratchPool.Put(fs)
-	}
 }
 
 // prefetchCracks is the batched half of key recovery: one pass over
