@@ -761,9 +761,11 @@ func (s *Sniffer) record(paging *telecom.RadioBurst, kc uint64, crackTime time.D
 // and the capture slice keep their capacity, so a rig cycled shard
 // after shard stops allocating once it has seen its largest shard.
 // Every entry and capture is cleared before the storage is reused, so
-// no string or payload of an earlier trace stays reachable from the
-// rig, and slices returned by Captures or AppendCaptures are copies
-// that a later Reset does not touch.
+// no session, key or capture of an earlier trace stays reachable from
+// them, and slices returned by Captures or AppendCaptures are copies
+// that a later Reset does not touch. The content-keyed TPDU memo, the
+// session freelist and the FeedBatch scratch (all emptied or
+// content-addressed) are kept.
 func (s *Sniffer) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
