@@ -198,6 +198,13 @@ func TestMaxSessionBurstsFitsLargestDeliver(t *testing.T) {
 // paging burst on a CCCH paging block, under cipher.
 func campaignTrace(tb testing.TB, sessions int, cipher telecom.CipherMode, space a51.KeySpace) []telecom.RadioBurst {
 	tb.Helper()
+	return campaignTraceFrom(tb, 0, sessions, cipher, space)
+}
+
+// campaignTraceFrom is campaignTrace for subscribers (and session IDs)
+// first, first+1, ….
+func campaignTraceFrom(tb testing.TB, first, sessions int, cipher telecom.CipherMode, space a51.KeySpace) []telecom.RadioBurst {
+	tb.Helper()
 	deliver := gsmcodec.Deliver{
 		Originator: "ActFort",
 		Timestamp:  time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC),
@@ -205,12 +212,13 @@ func campaignTrace(tb testing.TB, sessions int, cipher telecom.CipherMode, space
 	}
 	batch := make([]telecom.SMSSession, sessions)
 	frame := uint32(0)
-	for i := range batch {
+	for k := range batch {
+		i := first + k
 		imsi := fmt.Sprintf("4600000%08d", i)
 		var rnd [16]byte
 		rnd[0], rnd[1] = byte(i), byte(i>>8)
 		start := telecom.NextPagingStart(frame)
-		batch[i] = telecom.SMSSession{
+		batch[k] = telecom.SMSSession{
 			ARFCN:      512,
 			CellID:     "campaign-cell",
 			SessionID:  uint32(i),

@@ -134,13 +134,9 @@ func TestRecycledRigMatchesFreshRigs(t *testing.T) {
 func TestConcurrentFeedBatch(t *testing.T) {
 	const feeders, sessions = 4, 64
 	s := recycleRig(t)
-	base := campaignTrace(t, sessions, telecom.CipherA51, recycleSpace)
 	var wg sync.WaitGroup
 	for g := 0; g < feeders; g++ {
-		trace := append([]telecom.RadioBurst(nil), base...)
-		for i := range trace {
-			trace[i].SessionID += uint32(g * sessions)
-		}
+		trace := campaignTraceFrom(t, g*sessions, sessions, telecom.CipherA51, recycleSpace)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
