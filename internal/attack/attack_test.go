@@ -292,3 +292,22 @@ func TestScenarioRejectsUnknownBackend(t *testing.T) {
 		t.Fatal("unknown backend accepted")
 	}
 }
+
+// TestCaseTranscriptDeterministic runs each case study twice from the
+// same seed and requires identical step lines: harvested profile fields
+// must not follow map iteration order.
+func TestCaseTranscriptDeterministic(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		var lines [2][]string
+		for run := range lines {
+			rep, err := newScenario(t).RunCase(ctxFor(t), n)
+			if err != nil {
+				t.Fatalf("case %d run %d: %v", n, run, err)
+			}
+			lines[run] = rep.Lines
+		}
+		if a, b := strings.Join(lines[0], "\n"), strings.Join(lines[1], "\n"); a != b {
+			t.Errorf("case %d transcripts differ:\n%s\n---\n%s", n, a, b)
+		}
+	}
+}

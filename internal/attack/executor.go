@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 
 	"github.com/actfort/actfort/internal/ecosys"
@@ -157,9 +159,11 @@ func (e *Executor) executeStep(ctx context.Context, step strategy.PlanStep) (Ste
 		return sr, "", err
 	}
 	if status == http.StatusOK {
-		for name, displayed := range prof.Fields {
+		// Sorted, so the dossier and the step transcript do not depend
+		// on map iteration order.
+		for _, name := range slices.Sorted(maps.Keys(prof.Fields)) {
 			if field, ok := parseField(name); ok {
-				e.Know.Ingest(field, displayed)
+				e.Know.Ingest(field, prof.Fields[name])
 				sr.Harvested = append(sr.Harvested, name)
 			}
 		}

@@ -865,9 +865,8 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 	if len(batch) > 0 {
 		encStart := time.Now()
 		// The flat trace lives in the worker's pooled burst buffer:
-		// FeedBatch copies what it keeps and campaign traffic is
-		// lossless (every session completes within the call), so the
-		// buffer is free for reuse as soon as it returns.
+		// FeedBatch copies each burst into its own session slots, so
+		// the buffer is free for reuse as soon as it returns.
 		flat, err := telecom.EncodeSMSBurstsInto(batch, scr.bursts)
 		if err != nil {
 			// The shared TPDU marshaled above, so the batch cannot fail;

@@ -272,7 +272,7 @@ func (a *Attack) probeCrack() (kc uint64, elapsed time.Duration, err error) {
 		if b.Seq != 0 || !b.Encrypted {
 			continue
 		}
-		ks, err := a51.DeriveKeystream(b.Payload, telecom.PagingPlaintext(b.SessionID))
+		ks, err := a51.DeriveKeystream(b.Bytes(), telecom.PagingPlaintext(b.SessionID))
 		if err != nil {
 			return 0, 0, err
 		}

@@ -56,8 +56,8 @@ func feedBothWays(t *testing.T, n *telecom.Network, trace []telecom.RadioBurst) 
 
 // TestFeedBatchMalformedBursts: bursts that do not fit their session —
 // Seq outside [0, Total), a first-seen Total that is not positive or
-// exceeds maxSessionBursts — are counted and dropped, and a duplicate
-// Seq overwrites its slot without counting again (the last copy wins).
+// exceeds maxSessionBursts, a PayloadLen beyond the inline payload —
+// are counted and dropped, and a duplicate Seq overwrites its slot without counting again (the last copy wins).
 // None may panic or yield a capture, and FeedBatch must agree with
 // burst-by-burst Feed.
 func TestFeedBatchMalformedBursts(t *testing.T) {
@@ -82,12 +82,17 @@ func TestFeedBatchMalformedBursts(t *testing.T) {
 		})
 	}
 	corrupt := func(b telecom.RadioBurst) telecom.RadioBurst {
-		p := append([]byte(nil), b.Payload...)
+		p := b.Bytes()
 		for i := range p {
 			p[i] ^= 0xA5
 		}
-		b.Payload = p
 		return b
+	}
+	withPayloadLen := func(v uint8) []telecom.RadioBurst {
+		return edit(func(bs []telecom.RadioBurst) []telecom.RadioBurst {
+			bs[1].PayloadLen = v
+			return bs
+		})
 	}
 
 	for _, tc := range []struct {
@@ -112,6 +117,10 @@ func TestFeedBatchMalformedBursts(t *testing.T) {
 		{"total-negative", withTotal(-3)},
 		{"total-above-cap", withTotal(maxSessionBursts + 1)},
 		{"total-huge", withTotal(1 << 30)},
+		// A payload burst claims more bytes than it carries inline: it
+		// is dropped, so the session never completes.
+		{"payload-len-15", withPayloadLen(telecom.BurstPayloadMax + 1)},
+		{"payload-len-255", withPayloadLen(255)},
 		// A payload burst arrives twice and the paging burst is missing:
 		// the repeat must not count toward completion.
 		{"duplicate-not-counted", edit(func(bs []telecom.RadioBurst) []telecom.RadioBurst {

@@ -1,10 +1,13 @@
 package sniffer
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/actfort/actfort/internal/a51"
+	"github.com/actfort/actfort/internal/gsmcodec"
 	"github.com/actfort/actfort/internal/telecom"
 )
 
@@ -196,3 +199,51 @@ func TestRigCycleAllocs(t *testing.T) {
 // Reset that drops only the capture slice measures 11, and one that
 // also remakes the session and Kc maps measures 43.
 const maxRigCycleAllocs = 6
+
+// TestSessionSurvivesTraceReuse feeds the first half of a session from
+// a pooled telecom.BurstBuffer, re-encodes the buffer with another
+// message, then feeds the rest. The rig buffers its own copy of every
+// burst, so the re-encode cannot reach the half-assembled session and
+// the capture decodes to the first message.
+func TestSessionSurvivesTraceReuse(t *testing.T) {
+	otp := func(id uint32, text string) []telecom.SMSSession {
+		imsi := fmt.Sprintf("imsi-%03d", id)
+		rnd := [16]byte{byte(id)}
+		return []telecom.SMSSession{{
+			ARFCN:      512,
+			CellID:     "reuse-cell",
+			SessionID:  id,
+			StartFrame: telecom.NextPagingStart(id * 64),
+			Cipher:     telecom.CipherA51,
+			Kc:         telecom.SessionKey(1, imsi, rnd, recycleSpace),
+			IMSI:       imsi,
+			RAND:       rnd,
+			Deliver: gsmcodec.Deliver{
+				Originator: "ActFort",
+				Timestamp:  time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC),
+				Text:       text,
+			},
+		}}
+	}
+	s := recycleRig(t)
+	buf := telecom.AcquireBurstBuffer()
+	defer buf.Release()
+	trace, err := telecom.EncodeSMSBurstsInto(otp(1, "Code 845512"), buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(trace) / 2
+	s.FeedBatch(trace[:half])
+	rest := append([]telecom.RadioBurst(nil), trace[half:]...)
+	if _, err := telecom.EncodeSMSBurstsInto(otp(2, "Code 000000"), buf); err != nil {
+		t.Fatal(err)
+	}
+	s.FeedBatch(rest)
+	st := s.Stats()
+	if st.SessionsComplete != 1 || st.MessagesDecoded != 1 {
+		t.Fatalf("stats = %+v, want the session complete and decoded", st)
+	}
+	if c := s.Captures(); len(c) != 1 || c[0].Text != "Code 845512" || c[0].SessionID != 1 {
+		t.Fatalf("captures = %+v, want the first message", c)
+	}
+}

@@ -24,7 +24,14 @@
 // a complete session always has its paging burst and every payload
 // burst. A burst that does not fit its session — Seq outside
 // [0, Total), or a Total that is not positive or exceeds the cap on
-// session length — is counted and dropped.
+// session length — is counted and dropped, and so is a burst whose
+// PayloadLen overstates its inline payload.
+//
+// Bursts are values: a session slot holds its own copy of the burst,
+// payload included. FeedBatch decrypts completed sessions in place in
+// those slots, so the rig never holds a reference into the caller's
+// trace, and the caller may reuse the trace memory as soon as the call
+// returns.
 //
 // A rig is built to be recycled: Reset empties it in place, keeping the
 // capacity of its session table, Kc caches and capture slice, and
@@ -46,7 +53,6 @@ import (
 	"github.com/actfort/actfort/internal/a51"
 	"github.com/actfort/actfort/internal/gsmcodec"
 	"github.com/actfort/actfort/internal/obs"
-	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/telecom"
 )
 
@@ -300,16 +306,19 @@ func (s *Sniffer) Feed(b telecom.RadioBurst) {
 }
 
 // feedScratch is the reusable memory of one FeedBatch call — completed
-// sessions, the crack prefetch queue, decryption lanes, payload copies
-// and the TPDU assembly buffer — kept on the rig between calls so a
-// campaign shard's trace costs no per-session allocation storm.
+// sessions, the crack prefetch queue, decryption lanes and the TPDU
+// assembly buffer — kept on the rig between calls so a campaign
+// shard's trace costs no per-session allocation storm. It holds no
+// payload bytes: those stay in the completed sessions' slots.
 type feedScratch struct {
 	completed []*session
 	// Crack prefetch state: crackOf[i] is the sample index queued for
 	// completed[i] (-1 when resolution will not need a fresh crack),
-	// and pendSess/pendSub dedupe repeats of one session ID or one
-	// (IMSI, RAND) auth context within the batch.
+	// ks[k] is sample k's keystream, and pendSess/pendSub dedupe
+	// repeats of one session ID or one (IMSI, RAND) auth context within
+	// the batch.
 	crackOf  []int32
+	ks       [][telecom.PagingPlaintextLen]byte
 	samples  []a51.Sample
 	keys     []uint64
 	errs     []error
@@ -317,22 +326,18 @@ type feedScratch struct {
 	pendSess map[uint32]int32
 	pendSub  map[subKcKey]int32
 	// Decrypt/record state.
-	pend     []pendingCapture
-	payloads [][]byte
-	kcs      []uint64
-	frames   []uint32
-	lanes    [][]byte
-	slab     slab.Slab[byte]
-	tpdu     []byte
+	pend   []pendingCapture
+	kcs    []uint64
+	frames []uint32
+	lanes  [][]byte
+	tpdu   []byte
 }
 
-// pendingCapture is one resolved session awaiting batched decryption:
-// its payload slices live in feedScratch.payloads[pstart:pstart+pcount].
+// pendingCapture is one resolved session awaiting batched decryption.
 type pendingCapture struct {
-	sess           *session
-	kc             uint64
-	crackTime      time.Duration
-	pstart, pcount int32
+	sess      *session
+	kc        uint64
+	crackTime time.Duration
 }
 
 func newFeedScratch() *feedScratch {
@@ -342,31 +347,24 @@ func newFeedScratch() *feedScratch {
 	}
 }
 
-// grab carves an n-byte buffer from the scratch slab arena (every
-// byte is overwritten by the caller; see internal/slab for the
-// aliasing guarantees).
-func (fs *feedScratch) grab(n int) []byte { return fs.slab.Grab(n) }
-
 // reset drops every reference the scratch accumulated (so the rig
 // retains capacity, not sessions or payloads) and empties it.
 func (fs *feedScratch) reset() {
 	clear(fs.completed)
 	clear(fs.samples)
 	clear(fs.pend)
-	clear(fs.payloads)
 	clear(fs.lanes)
 	clear(fs.pendSess)
 	clear(fs.pendSub)
 	fs.completed = fs.completed[:0]
 	fs.crackOf = fs.crackOf[:0]
+	fs.ks = fs.ks[:0]
 	fs.samples = fs.samples[:0]
 	fs.keys, fs.errs, fs.share = nil, nil, 0
 	fs.pend = fs.pend[:0]
-	fs.payloads = fs.payloads[:0]
 	fs.kcs = fs.kcs[:0]
 	fs.frames = fs.frames[:0]
 	fs.lanes = fs.lanes[:0]
-	fs.slab.Reset()
 	fs.tpdu = fs.tpdu[:0]
 }
 
@@ -381,16 +379,14 @@ func (fs *feedScratch) reset() {
 // Captures, statistics and Kc-cache behavior are identical to feeding
 // the same bursts through Feed in order.
 //
-// A burst whose Seq lies outside its session's [0, Total), or that
-// opens a session with a Total outside [1, maxSessionBursts], is
-// counted in BurstsSeen and otherwise dropped.
+// A burst whose Seq lies outside its session's [0, Total), that opens
+// a session with a Total outside [1, maxSessionBursts], or whose
+// PayloadLen exceeds BurstPayloadMax, is counted in BurstsSeen and
+// otherwise dropped.
 //
-// The input bursts are only read during the call: payloads the rig
-// keeps are copied, so callers may recycle the trace memory (e.g. a
-// telecom.BurstBuffer) once FeedBatch returns — provided the trace
-// completed every session it started, since the payloads of an
-// incomplete session stay buffered by reference until its remainder
-// arrives.
+// The input bursts are only read during the call (each is copied into
+// its session slot), so callers may recycle the trace memory, e.g. a
+// telecom.BurstBuffer, once FeedBatch returns.
 func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	s.mu.Lock()
 	fs := s.fs
@@ -426,35 +422,21 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 		if !ok {
 			continue
 		}
-		pstart := int32(len(fs.payloads))
-		payloadBursts := sess.bursts[1:]
-		for i := range payloadBursts {
-			b := &payloadBursts[i]
-			payload := b.Payload
-			if b.Encrypted {
-				cp := fs.grab(len(payload))
-				copy(cp, payload)
+		// The lanes decrypt in place in the session's own slots, which
+		// the rig owns until recycleSessions.
+		for i := 1; i < len(sess.bursts); i++ {
+			if b := &sess.bursts[i]; b.Encrypted {
 				fs.kcs = append(fs.kcs, kc)
 				fs.frames = append(fs.frames, b.Frame)
-				fs.lanes = append(fs.lanes, cp)
-				payload = cp
+				fs.lanes = append(fs.lanes, b.Bytes())
 			}
-			fs.payloads = append(fs.payloads, payload)
 		}
-		fs.pend = append(fs.pend, pendingCapture{
-			sess: sess, kc: kc, crackTime: crackTime,
-			pstart: pstart, pcount: int32(len(fs.payloads)) - pstart,
-		})
+		fs.pend = append(fs.pend, pendingCapture{sess: sess, kc: kc, crackTime: crackTime})
 	}
 	metFeedLanes.Observe(float64(len(fs.lanes)))
 	a51.EncryptBurstsBatch(fs.kcs, fs.frames, fs.lanes)
 	for i := range fs.pend {
-		p := &fs.pend[i]
-		fs.tpdu = fs.tpdu[:0]
-		for _, payload := range fs.payloads[p.pstart : p.pstart+p.pcount] {
-			fs.tpdu = append(fs.tpdu, payload...)
-		}
-		s.record(&p.sess.bursts[0], p.kc, p.crackTime, fs.tpdu)
+		s.record(fs, &fs.pend[i])
 	}
 	s.recycleSessions(fs.completed...)
 }
@@ -511,16 +493,17 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 				continue
 			}
 		}
-		if len(paging.Payload) != len(plain) {
+		if int(paging.PayloadLen) != len(plain) {
 			continue // DeriveKeystream would reject it; resolve inline
 		}
 		telecom.FillPagingPlaintext(plain[:], paging.SessionID)
-		ks := fs.grab(len(plain))
+		var ks [telecom.PagingPlaintextLen]byte
 		for i := range plain {
 			ks[i] = paging.Payload[i] ^ plain[i]
 		}
 		idx := int32(len(fs.samples))
-		fs.samples = append(fs.samples, a51.Sample{Keystream: ks, Frame: paging.Frame})
+		fs.ks = append(fs.ks, ks)
+		fs.samples = append(fs.samples, a51.Sample{Frame: paging.Frame})
 		fs.crackOf[len(fs.crackOf)-1] = idx
 		fs.pendSess[paging.SessionID] = idx
 		if paging.IMSI != "" {
@@ -530,6 +513,10 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 	s.mu.Unlock()
 	if len(fs.samples) == 0 {
 		return
+	}
+	// The samples point into fs.ks, which has stopped growing.
+	for k := range fs.samples {
+		fs.samples[k].Keystream = fs.ks[k][:]
 	}
 	start := time.Now()
 	fs.keys, fs.errs = bc.RecoverBatch(context.Background(), fs.samples, s.net.KeySpace())
@@ -562,6 +549,9 @@ func (s *Sniffer) recycleSessions(sessions ...*session) {
 // fit (see FeedBatch) is counted and dropped. Requires s.mu held.
 func (s *Sniffer) ingestLocked(b *telecom.RadioBurst) (*session, bool) {
 	s.stats.BurstsSeen++
+	if int(b.PayloadLen) > len(b.Payload) {
+		return nil, false
+	}
 	sess := s.sessions[b.SessionID]
 	total := b.Total
 	if sess != nil {
@@ -665,7 +655,7 @@ func (s *Sniffer) resolveSession(paging *telecom.RadioBurst, pre *crackResult) (
 		kc, crackTime = pre.kc, pre.took
 	} else {
 		start := time.Now()
-		ks, err := a51.DeriveKeystream(paging.Payload, telecom.PagingPlaintext(paging.SessionID))
+		ks, err := a51.DeriveKeystream(paging.Bytes(), telecom.PagingPlaintext(paging.SessionID))
 		if err != nil {
 			return 0, 0, false
 		}
@@ -702,11 +692,15 @@ func (s *Sniffer) resolveSession(paging *telecom.RadioBurst, pre *crackResult) (
 	return kc, crackTime, true
 }
 
-// record decodes a session's reassembled TPDU and files the capture
-// under its paging burst's coordinates. tpdu is only read during the
-// call (the memo copies it), so callers may pass a recycled assembly
-// buffer.
-func (s *Sniffer) record(paging *telecom.RadioBurst, kc uint64, crackTime time.Duration, tpdu []byte) {
+// record assembles a resolved session's TPDU from its decrypted
+// payload bursts (sess.bursts[1:]) into fs.tpdu, decodes it and files
+// the capture under the paging burst's coordinates.
+func (s *Sniffer) record(fs *feedScratch, p *pendingCapture) {
+	fs.tpdu = fs.tpdu[:0]
+	for i := 1; i < len(p.sess.bursts); i++ {
+		fs.tpdu = append(fs.tpdu, p.sess.bursts[i].Bytes()...)
+	}
+	tpdu, paging := fs.tpdu, &p.sess.bursts[0]
 	s.mu.Lock()
 	hit := s.haveTPDU && bytes.Equal(tpdu, s.lastTPDU)
 	msg, err := s.lastMsg, s.lastErr
@@ -735,8 +729,8 @@ func (s *Sniffer) record(paging *telecom.RadioBurst, kc uint64, crackTime time.D
 		Text:       msg.Text,
 		Timestamp:  msg.Timestamp,
 		Encrypted:  paging.Encrypted,
-		Kc:         kc,
-		CrackTime:  crackTime,
+		Kc:         p.kc,
+		CrackTime:  p.crackTime,
 	}
 
 	metDecoded.Inc()

@@ -18,10 +18,15 @@
 // One burst encoder: EncodeSMSBurstsInto encodes the campaign
 // engine's whole shards and, as a batch of one, every live SendSMS.
 // Batching only changes where cipher arithmetic runs (64-lane a51
-// passes across sessions) and where memory comes from (a BurstBuffer
-// slab); layout, COUNT schedule and payloads are those of encoding
-// each session alone, and property tests pin the equality against a
-// per-session reference encoder.
+// passes across sessions) and where the burst descriptors live (a
+// pooled BurstBuffer); layout, COUNT schedule and payloads are those of
+// encoding each session alone, and property tests pin the equality
+// against a per-session reference encoder.
+//
+// A RadioBurst carries its payload inline (at most BurstPayloadMax
+// bytes), so a burst is a self-contained value: a listener, a sniffer
+// or a recorded trace owns the bursts it holds, and no module has to
+// know whose memory a payload lives in.
 package telecom
 
 import (
@@ -124,13 +129,17 @@ type RadioBurst struct {
 	SessionID uint32
 	Seq       int
 	Total     int
-	Encrypted bool
 	// Cipher is the mode the burst was transmitted under. Real GSM
 	// announces it in the clear (Ciphering Mode Command), so a passive
 	// sniffer knows whether a session is crackable A5/1 or opaque A5/3
 	// before spending any search effort.
-	Cipher  CipherMode
-	Payload []byte
+	Cipher    CipherMode
+	Encrypted bool
+	// Payload holds the burst's bytes inline, so copying a burst
+	// copies them: the first PayloadLen (at most BurstPayloadMax in a
+	// well-formed burst), which Bytes returns.
+	PayloadLen uint8
+	Payload    [BurstPayloadMax]byte
 	// IMSI and RAND identify the authentication context the session
 	// was ciphered under. Real GSM exposes both in the clear (paging
 	// identities, the authentication-request RAND), so a passive
@@ -138,6 +147,15 @@ type RadioBurst struct {
 	IMSI string
 	RAND [16]byte
 }
+
+// BurstPayloadMax is the most payload bytes one burst carries: 14
+// bytes = 112 bits fits the 114-bit A5/1 burst keystream.
+const BurstPayloadMax = 14
+
+// Bytes returns the burst's payload, Payload[:PayloadLen]. The slice
+// aliases b, so writing through it edits the burst in place. It panics
+// when PayloadLen exceeds BurstPayloadMax.
+func (b *RadioBurst) Bytes() []byte { return b.Payload[:b.PayloadLen] }
 
 // BurstListener receives a copy of every burst on a subscribed ARFCN.
 // Listeners must not block; heavy work should be handed off.
@@ -354,10 +372,7 @@ func (n *Network) emit(b RadioBurst) {
 	}
 	n.mu.Unlock()
 	for _, fn := range fns {
-		// Copy payload per listener: receivers own their bytes.
-		cp := b
-		cp.Payload = append([]byte(nil), b.Payload...)
-		fn(cp)
+		fn(b)
 	}
 }
 
@@ -372,21 +387,17 @@ func PagingPlaintext(sessionID uint32) []byte {
 }
 
 // PagingPlaintextLen is the byte length of every paging burst payload.
-const PagingPlaintextLen = burstChunk
+const PagingPlaintextLen = BurstPayloadMax
 
 // FillPagingPlaintext writes PagingPlaintext(sessionID) into a
 // PagingPlaintextLen-sized buffer, overwriting every byte — the
-// allocation-free form pooled encoders and the batch sniffer use on
-// recycled slab memory (the 10 header bytes plus the 4-byte session ID
-// cover the length exactly).
+// allocation-free form the encoder and the batch sniffer write into
+// burst payloads and keystream scratch (the 10 header bytes plus the
+// 4-byte session ID cover the length exactly).
 func FillPagingPlaintext(buf []byte, sessionID uint32) {
 	copy(buf, "PAGINGREQ1")
 	binary.BigEndian.PutUint32(buf[10:], sessionID)
 }
-
-// burstChunk is the payload bytes carried per burst: 14 bytes = 112
-// bits fits the 114-bit A5/1 burst keystream.
-const burstChunk = 14
 
 // kiFor derives a subscriber's SIM secret from the network seed, so
 // experiments are reproducible and synthesized traffic (SessionKey)
@@ -506,10 +517,8 @@ func (n *Network) SendSMS(fromOriginator, toMSISDN, text string) (transport stri
 	sessionID := n.nextSession
 	n.nextSession++
 	start := NextPagingStart(n.frame)
-	// A fresh buffer, never released, so the bursts stay valid for as
-	// long as anything holds them; a pooled buffer would be recycled
-	// by the next send, and only emit's per-listener payload copy
-	// would keep listeners from seeing it.
+	buf := AcquireBurstBuffer()
+	defer buf.Release()
 	bursts, err := EncodeSMSBurstsInto([]SMSSession{{
 		ARFCN:      cell.ARFCNs[int(sessionID)%len(cell.ARFCNs)],
 		CellID:     cell.ID,
@@ -520,7 +529,7 @@ func (n *Network) SendSMS(fromOriginator, toMSISDN, text string) (transport stri
 		IMSI:       sub.IMSI,
 		RAND:       ac.rand,
 		Deliver:    tpdu,
-	}}, new(BurstBuffer))
+	}}, buf)
 	if err != nil {
 		n.mu.Unlock()
 		return "", fmt.Errorf("telecom: encode SMS: %w", err)

@@ -45,37 +45,23 @@ type SMSSession struct {
 // the COUNT schedule of millions of sessions from one shared TPDU
 // without marshaling each session.
 func SessionBurstCount(rawLen int) int {
-	return 1 + (rawLen+burstChunk-1)/burstChunk
+	return 1 + (rawLen+BurstPayloadMax-1)/BurstPayloadMax
 }
 
 // appendSessionBursts lays out a session's bursts — plaintext payloads
 // and final COUNT frame values, everything but the cipher pass — onto
 // dst. Burst 0 is the predictable paging burst (the known-plaintext
-// foothold); the rest carry burstChunk-byte slices of raw, the
+// foothold); the rest carry BurstPayloadMax-byte chunks of raw, the
 // session's marshaled TPDU (hoisted to the caller so the batch encoder
-// can marshal a shared TPDU once). grab supplies each payload buffer; every byte
-// of a grabbed buffer is overwritten, so pooled callers may hand out
-// recycled slab memory.
-func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte, grab func(n int) []byte) ([]RadioBurst, CipherMode) {
+// can marshal a shared TPDU once). Payloads are written in place into
+// the appended bursts.
+func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte) ([]RadioBurst, CipherMode) {
 	total := SessionBurstCount(len(raw))
 	cipher := s.Cipher
 	if cipher == 0 {
 		cipher = CipherA50
 	}
 	for seq := 0; seq < total; seq++ {
-		var payload []byte
-		if seq == 0 {
-			payload = grab(burstChunk)
-			FillPagingPlaintext(payload, s.SessionID)
-		} else {
-			off := (seq - 1) * burstChunk
-			end := off + burstChunk
-			if end > len(raw) {
-				end = len(raw)
-			}
-			payload = grab(end - off)
-			copy(payload, raw[off:end])
-		}
 		dst = append(dst, RadioBurst{
 			ARFCN:     s.ARFCN,
 			CellID:    s.CellID,
@@ -85,10 +71,16 @@ func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte, grab func(
 			Total:     total,
 			Encrypted: cipher.Encrypts(),
 			Cipher:    cipher,
-			Payload:   payload,
 			IMSI:      s.IMSI,
 			RAND:      s.RAND,
 		})
+		b := &dst[len(dst)-1]
+		if seq == 0 {
+			FillPagingPlaintext(b.Payload[:], s.SessionID)
+			b.PayloadLen = PagingPlaintextLen
+		} else {
+			b.PayloadLen = uint8(copy(b.Payload[:], raw[(seq-1)*BurstPayloadMax:]))
+		}
 	}
 	return dst, cipher
 }

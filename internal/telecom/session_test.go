@@ -9,22 +9,23 @@ import (
 )
 
 // refEncodeSMSBursts is the per-session reference encoder the batch
-// encoder is held against: it lays the session out with per-burst heap
-// payloads and ciphers each burst with the scalar A5/1 cipher (or the
-// A5/3 stand-in) under its own COUNT frame value.
+// encoder is held against: it lays the session out alone and ciphers
+// each burst with the scalar A5/1 cipher (or the A5/3 stand-in) under
+// its own COUNT frame value.
 func refEncodeSMSBursts(s SMSSession) ([]RadioBurst, error) {
 	raw, err := s.Deliver.Marshal()
 	if err != nil {
 		return nil, fmt.Errorf("telecom: encode SMS: %w", err)
 	}
 	dst := make([]RadioBurst, 0, SessionBurstCount(len(raw)))
-	bursts, cipher := appendSessionBursts(dst, &s, raw, func(n int) []byte { return make([]byte, n) })
+	bursts, cipher := appendSessionBursts(dst, &s, raw)
 	for i := range bursts {
+		b := &bursts[i]
 		switch cipher {
 		case CipherA51:
-			bursts[i].Payload = encryptBurstA51(s.Kc, bursts[i].Frame, bursts[i].Payload)
+			copy(b.Payload[:], encryptBurstA51(s.Kc, b.Frame, b.Bytes()))
 		case CipherA53:
-			bursts[i].Payload = encryptBurstA53(s.Kc, bursts[i].Frame, bursts[i].Payload)
+			copy(b.Payload[:], encryptBurstA53(s.Kc, b.Frame, b.Bytes()))
 		}
 	}
 	return bursts, nil
@@ -45,7 +46,7 @@ func encryptBurstA51(kc uint64, frame uint32, payload []byte) []byte {
 // decryptBurstA51 decrypts one captured burst the way the sniffer does,
 // through a51.EncryptBurstsBatch with a batch of one, into a fresh copy.
 func decryptBurstA51(kc uint64, b RadioBurst) []byte {
-	out := append([]byte(nil), b.Payload...)
+	out := append([]byte(nil), b.Bytes()...)
 	a51.EncryptBurstsBatch([]uint64{kc}, []uint32{b.Frame}, [][]byte{out})
 	return out
 }

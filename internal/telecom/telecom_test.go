@@ -160,7 +160,7 @@ func TestBurstsCrackableViaKnownPlaintext(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	paging := bursts[0]
-	ks, err := a51.DeriveKeystream(paging.Payload, PagingPlaintext(paging.SessionID))
+	ks, err := a51.DeriveKeystream(paging.Bytes(), PagingPlaintext(paging.SessionID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestA50CellSendsPlaintext(t *testing.T) {
 		if b.Encrypted {
 			t.Fatal("A5/0 burst marked encrypted")
 		}
-		tpdu = append(tpdu, b.Payload...)
+		tpdu = append(tpdu, b.Bytes()...)
 	}
 	msg, err := gsmcodec.UnmarshalDeliver(tpdu)
 	if err != nil {
@@ -668,10 +668,10 @@ func TestEncodeSMSBursts(t *testing.T) {
 }
 
 // TestSendSMSBurstsOutliveNextSend pins the live path's memory
-// contract: listeners keep the bursts they receive, so the bursts of
-// one SendSMS must not change when later sends encode theirs. A pooled
-// burst buffer recycled by the next send breaks this as soon as
-// listeners receive its memory rather than emit's payload copies.
+// contract: listeners own the bursts they receive. The bursts of one
+// SendSMS must not change when later sends re-encode the pooled burst
+// buffer, nor when another listener scribbles over its own copies of
+// the same bursts.
 func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 	n, cell, sub, _ := testNet(t)
 	var (
@@ -688,6 +688,13 @@ func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 			}
 		})
 		defer cancel()
+		scribble := n.Subscribe(arfcn, func(b RadioBurst) {
+			p := b.Bytes()
+			for i := range p {
+				p[i] = 0xFF
+			}
+		})
+		defer scribble()
 	}
 	const text = "PayPal code: 318806"
 	if _, err := n.SendSMS("PayPal", sub.MSISDN, text); err != nil {
@@ -697,7 +704,7 @@ func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 	first = false
 	snapshot := make([][]byte, len(captured))
 	for i, b := range captured {
-		snapshot[i] = append([]byte(nil), b.Payload...)
+		snapshot[i] = append([]byte(nil), b.Bytes()...)
 	}
 	mu.Unlock()
 	if len(snapshot) < 2 {
@@ -713,12 +720,12 @@ func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, b := range captured {
-		if !bytes.Equal(b.Payload, snapshot[i]) {
-			t.Fatalf("burst %d payload changed after later sends: %x, was %x", i, b.Payload, snapshot[i])
+		if !bytes.Equal(b.Bytes(), snapshot[i]) {
+			t.Fatalf("burst %d payload changed after later sends: %x, was %x", i, b.Bytes(), snapshot[i])
 		}
 	}
 	paging := captured[0]
-	ks, err := a51.DeriveKeystream(paging.Payload, PagingPlaintext(paging.SessionID))
+	ks, err := a51.DeriveKeystream(paging.Bytes(), PagingPlaintext(paging.SessionID))
 	if err != nil {
 		t.Fatal(err)
 	}
