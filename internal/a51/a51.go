@@ -33,16 +33,19 @@
 //
 // Batch ≡ scalar invariant: the two 64-lane batch engines — the
 // encryptor (EncryptBurstsBatch: 64 independent (Kc, COUNT) bursts
-// per boolean-clock pass) and the table chain-replay engine
-// (Table.RecoverBatch: the distinguished-point walks and chain
-// replays of many lookups gathered into shared lane-sliced passes) —
-// are bit-for-bit equivalent to the scalar cipher applied one burst,
-// or one lookup, at a time; those scalar references live in the
-// tests. Only the cipher arithmetic is batched, including the key
-// check that confirms a fingerprint hit: parked hits are checked 64
-// at a time, in each lookup's scalar order, on the bits the scalar
-// matcher compares. Match order, shared-tail skipping and error cases
-// are the scalar walk's, so a batch of one (Table.Recover) answers
+// per boolean-clock pass, handed out as two keystream words per lane)
+// and the table chain-replay engine (Table.RecoverBatch: one lane per
+// unresolved lookup per round, each the next fingerprint that lookup's
+// scalar walk or chain replay would compute) — are bit-for-bit
+// equivalent to the scalar cipher applied one burst, or one lookup, at
+// a time; those scalar references live in the tests. Only the cipher
+// arithmetic is batched, including the key check that confirms a
+// fingerprint hit: parked hits are checked 64 at a time, in each
+// lookup's scalar order, on the bits the scalar matcher compares.
+// Match order, shared-tail skipping and error cases are the scalar
+// walk's, and no lane runs ahead of its lookup, so a batch computes
+// exactly the fingerprints its scalar lookups compute and a batch of
+// one (Table.Recover) costs what the scalar walk costs and answers
 // exactly what a batch of thousands does.
 //
 // Every cipher setup, scalar or 64-lane, skips the 86 regular key- and

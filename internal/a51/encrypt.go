@@ -9,6 +9,11 @@ package a51
 // scalar cipher setups (and skips the 114 uplink clocks a scalar
 // Cipher.KeystreamBurst pays for and throws away).
 
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
+
 // BatchLanes is the number of (Kc, COUNT) pairs one bitsliced encryptor
 // pass carries: one cipher per bit position of a uint64.
 const BatchLanes = bsLanes
@@ -58,18 +63,23 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
+// burstRow is one lane's downlink burst as downlinkBatch hands it out:
+// the two transposed keystream words, big-endian, so bytes
+// [0, BurstBytes) are the burst exactly as Cipher.KeystreamBurst packs
+// it and the last byte is zero padding.
+type burstRow [16]byte
+
 // downlinkBatch generates the 114-bit downlink keystream burst for up
 // to 64 (key, frame) pairs in one bitsliced pass, writing lane l's
-// burst into out[l] with the same MSB-first packing KeystreamBurst
-// uses. Lanes beyond len(keys) are left untouched.
-func downlinkBatch(keys []uint64, frames []uint32, out *[bsLanes][BurstBytes]byte) {
+// burst into out[l]. Lanes beyond len(keys) are left untouched.
+func downlinkBatch(keys []uint64, frames []uint32, out *[bsLanes]burstRow) {
 	var s bsState
 	s.loadPairs(keys, frames)
 	// Collect the output planes — plane i holds every lane's keystream
 	// bit i — then transpose 64 planes at a time back into per-lane
 	// words. BurstBits = 114 spans two transpose blocks; the unused tail
-	// planes of the second block stay zero, so the trailing six bits of
-	// byte 14 are zero exactly as the scalar packing leaves them.
+	// planes of the second block stay zero, so the trailing bits of the
+	// row are zero exactly as the scalar packing leaves them.
 	var planes [2][64]uint64
 	for i := 0; i < BurstBits; i++ {
 		s.clock()
@@ -79,12 +89,8 @@ func downlinkBatch(keys []uint64, frames []uint32, out *[bsLanes][BurstBytes]byt
 		transpose64(&planes[half])
 		for l := range keys {
 			// After the transpose, bit (63-i) of word (63-l) is lane l's
-			// keystream bit i of this block: the word reads MSB-first, so
-			// its bytes are the burst bytes in order.
-			w := planes[half][63-l]
-			for j := 0; j < 8 && half*8+j < BurstBytes; j++ {
-				out[l][half*8+j] = byte(w >> (56 - 8*uint(j)))
-			}
+			// keystream bit i of this block: the word reads MSB-first.
+			binary.BigEndian.PutUint64(out[l][8*half:], planes[half][63-l])
 		}
 	}
 }
@@ -100,16 +106,14 @@ func EncryptBurstsBatch(kcs []uint64, frames []uint32, payloads [][]byte) {
 	if len(frames) != len(kcs) || len(payloads) != len(kcs) {
 		panic("a51: EncryptBurstsBatch slice lengths differ")
 	}
-	var ks [bsLanes][BurstBytes]byte
+	var rows [bsLanes]burstRow
 	for base := 0; base < len(kcs); base += bsLanes {
-		end := base + bsLanes
-		if end > len(kcs) {
-			end = len(kcs)
-		}
-		downlinkBatch(kcs[base:end], frames[base:end], &ks)
+		end := min(base+bsLanes, len(kcs))
+		downlinkBatch(kcs[base:end], frames[base:end], &rows)
 		for l, p := range payloads[base:end] {
-			for i := range p {
-				p[i] ^= ks[l][i%BurstBytes]
+			ks := rows[l][:BurstBytes]
+			for off := 0; off < len(p); off += BurstBytes {
+				subtle.XORBytes(p[off:], p[off:], ks)
 			}
 		}
 	}

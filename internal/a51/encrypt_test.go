@@ -22,8 +22,10 @@ func encryptBurst(kc uint64, frame uint32, payload []byte) []byte {
 // TestEncryptBurstsBatchMatchesScalar is the batch≡scalar property for
 // the encryptor: every lane of EncryptBurstsBatch must produce exactly
 // the bytes the scalar reference encryptBurst produces for the same (Kc, COUNT, payload),
-// across ragged batch sizes (partial final blocks), per-lane frames and
-// payloads long enough to wrap the 114-bit keystream.
+// across ragged batch sizes (partial final blocks) and per-lane frames.
+// Lane i carries a payload of i mod (3·BurstBytes+1) bytes, so every
+// batch of 46 or more covers every length from empty through three
+// wraps of the 114-bit keystream block.
 func TestEncryptBurstsBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 63, 64, 65, 130} {
@@ -33,8 +35,8 @@ func TestEncryptBurstsBatchMatchesScalar(t *testing.T) {
 		batch := make([][]byte, n)
 		for i := range kcs {
 			kcs[i] = rng.Uint64()
-			frames[i] = rng.Uint32() & 0x3FFFFF         // 22-bit COUNT
-			p := make([]byte, 1+rng.Intn(2*BurstBytes)) // past BurstBytes: wraparound lanes
+			frames[i] = rng.Uint32() & 0x3FFFFF // 22-bit COUNT
+			p := make([]byte, i%(3*BurstBytes+1))
 			rng.Read(p)
 			plain[i] = p
 			batch[i] = append([]byte(nil), p...)

@@ -5,12 +5,15 @@ package a51
 // spends almost all of its time recomputing keystream fingerprints:
 // first walking from the observed fingerprint to the next distinguished
 // point, then replaying every stored chain that ends there, one cipher
-// setup per chain position. RecoverBatch gathers the candidate
-// positions of MANY lookups (all the sessions of a sniffer FeedBatch
-// call, plus every chain of each lookup's window) and runs them
-// through the lane-sliced clock 64 at a time, falling back to the
-// scalar clock only for sub-64 remainders below scalarReplayCutoff.
-// Table.Recover is a batch of one.
+// setup per chain position. RecoverBatch runs MANY lookups (all the
+// sessions of a sniffer FeedBatch call) in rounds: each round, every
+// unresolved lookup contributes one lane — the next fingerprint its
+// scalar lookup would compute, in the scalar order — and the round's
+// lanes go through the lane-sliced clock 64 at a time, with the scalar
+// clock for a remainder below scalarReplayCutoff. No lane runs ahead of
+// its lookup, so a batch computes exactly the fingerprints its scalar
+// lookups compute (a51_chain_fingerprints_total), and Table.Recover, a
+// batch of one, costs what the scalar walk costs.
 //
 // A fingerprint hit is only a candidate: its key must still reproduce
 // the whole sample. RecoverBatch parks the lookup and checks every
@@ -28,9 +31,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
-
-	"github.com/actfort/actfort/internal/slab"
 )
 
 // Sample is one key-recovery request: the keystream derived from a
@@ -85,103 +87,89 @@ func fpBatch(keys []uint64, frames []uint32, out []uint64) {
 // lookup phases of the batched state machine.
 const (
 	phaseWalk   = iota // stepping toward the next distinguished point
-	phaseReplay        // consuming chain fingerprints in scalar order
-	phaseVerify        // parked on a fingerprint hit at candidate index p
+	phaseReplay        // replaying the chains stored at that point
+	phaseVerify        // parked on a fingerprint hit at candidate pos
 	phaseDone          // key recovered, exhausted, or errored
 )
 
-// lookupState tracks one sample through the batched walk + replay.
+// lookupState tracks one sample through the batched walk + replay. pos
+// is the key index whose fingerprint the lookup needs next: the walk
+// position, then the replay position, then (parked) the candidate.
 type lookupState struct {
 	sample int // index into the samples slice
 	ft     *frameTable
 	frame  uint32
 	fp     uint64
 	phase  int
+	pos    uint64
 
-	// Walk state: the current chain position and how many
-	// distinguished-point checks have run (the walk gives up after
-	// maxWalk+1 of them).
-	y      uint64
+	// checks counts the walk's distinguished-point checks (it gives up
+	// after maxWalk+1 of them).
 	checks int
 
-	// Replay state: the stored chains at the reached endpoint, the
-	// index of this lookup's first cursor, and the scalar-order
-	// consumer position (chain index, position within it, current key
-	// index, shared-tail visited set). The visited set is the scratch
-	// stamp array (gen != 0) for small spaces, a map otherwise; both
-	// implement exactly the scalar path's set-membership semantics.
-	chains     []chainRef
-	cursorBase int
-	chainIdx   int
-	posIdx     int
-	p          uint64
-	gen        uint32
-	visited    map[uint64]struct{}
-}
-
-// replayCursor precomputes the fingerprints of one stored chain, in
-// chain order, ahead of the lookup's scalar-order consumer. Cursors
-// are what the gather rounds feed through fpBatch.
-type replayCursor struct {
-	lookup    int    // index into the lookups slice
-	pos       uint64 // next key index to fingerprint
-	remaining uint32 // chain positions left to compute; 0 = dead
-	fps       []uint64
+	// Replay state: the stored chains at the reached endpoint and the
+	// scalar replay's place in them (chain index, position within the
+	// chain). seenOff/seenMask locate this lookup's shared-tail visited
+	// set in the scratch (seenMask == 0: none, as for a lone chain).
+	chains   []chainRef
+	chainIdx int
+	posIdx   int
+	seenOff  int
+	seenMask uint64
 }
 
 // replayScratch is the reusable memory of one RecoverBatch call,
 // recycled through a sync.Pool so campaign-scale lookup streams do not
 // pay an allocation storm per shard.
 type replayScratch struct {
-	lookups    []lookupState
-	cursors    []replayCursor
-	laneKeys   []uint64
-	laneFrames []uint32
-	laneFPs    []uint64
-	laneOwner  []int32 // >= 0: walker (lookup index); < 0: cursor index ^owner
-	fpSlab     slab.Slab[uint64]
-	// stamp is the shared-tail visited set for spaces up to
-	// stampMaxKeys: stamp[pos] == a lookup's generation means pos was
-	// replayed for that lookup. Generations make clearing free — the
-	// array persists across calls and only wraps (with one clear) every
-	// 2^32 lookups. Larger spaces fall back to a per-lookup map.
-	stamp   []uint32
-	lastGen uint32
+	lookups []lookupState
+	active  []int32 // unresolved lookups, in lane order
+	parked  []int32 // lookups parked on a fingerprint hit
+	// seen holds every lookup's visited set back to back: an
+	// open-addressed table of key index + 1 (0 = empty; tables cover at
+	// most 24 bits), sized past 1.5× the positions its endpoint's chains
+	// hold, so it never fills. Each lookup owns its own set, exactly as
+	// the scalar replay owns its map.
+	seen []uint32
 }
 
-// stampMaxKeys bounds the visited stamp array at 4 MiB; the 24-bit
-// table build ceiling would want 64 MiB, which is not worth pinning in
-// a pooled scratch.
-const stampMaxKeys = 1 << 20
+// newSeenSet carves lk's empty visited set for chains holding total
+// positions.
+func (rs *replayScratch) newSeenSet(lk *lookupState, total uint64) {
+	size := uint64(1) << bits.Len64(total+total/2)
+	lk.seenOff, lk.seenMask = len(rs.seen), size-1
+	rs.seen = append(rs.seen, make([]uint32, size)...)
+}
 
-// nextGen hands out a fresh, never-in-the-array generation.
-func (rs *replayScratch) nextGen() uint32 {
-	rs.lastGen++
-	if rs.lastGen == 0 { // wrapped: retire every stale stamp
-		clear(rs.stamp)
-		rs.lastGen = 1
+// visit marks lk.pos replayed for lk and reports whether it was new. A
+// lookup with no visited set (a lone chain) sees every position as new.
+func (rs *replayScratch) visit(lk *lookupState) bool {
+	if lk.seenMask == 0 {
+		return true
 	}
-	return rs.lastGen
+	set := rs.seen[lk.seenOff : lk.seenOff+int(lk.seenMask)+1]
+	mark := uint32(lk.pos) + 1
+	for h := (lk.pos * 0x9E3779B97F4A7C15 >> 32) & lk.seenMask; ; h = (h + 1) & lk.seenMask {
+		switch set[h] {
+		case 0:
+			set[h] = mark
+			return true
+		case mark:
+			return false
+		}
+	}
 }
 
 var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
-// fpBuf carves an empty fixed-capacity fingerprint buffer of capacity
-// n from the scratch slab arena; carves stay valid as the arena grows
-// (see internal/slab), so cursors created early in a batch never alias
-// later ones.
-func (rs *replayScratch) fpBuf(n int) []uint64 {
-	return rs.fpSlab.GrabEmpty(n)
-}
-
 func (rs *replayScratch) reset() {
-	// Drop the chain/map/buffer references before truncating, so the
-	// pooled scratch retains capacity, not table internals.
+	// Drop the chain references before truncating, so the pooled
+	// scratch retains capacity, not table internals.
 	clear(rs.lookups)
-	clear(rs.cursors)
 	rs.lookups = rs.lookups[:0]
-	rs.cursors = rs.cursors[:0]
-	rs.fpSlab.Reset()
+	rs.active = rs.active[:0]
+	rs.parked = rs.parked[:0]
+	rs.seen = rs.seen[:0]
 }
 
 // RecoverBatch implements BatchCracker: it resolves every sample by an
@@ -243,9 +231,10 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 		if resolved {
 			continue
 		}
+		rs.active = append(rs.active, int32(len(rs.lookups)))
 		rs.lookups = append(rs.lookups, lookupState{
 			sample: si, ft: ft, frame: s.Frame, fp: fp,
-			phase: phaseWalk, y: fp & (n - 1),
+			phase: phaseWalk, pos: fp & (n - 1),
 		})
 	}
 
@@ -258,271 +247,183 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 	return keys, errs
 }
 
-// runReplayRounds drives the batched state machine to completion: each
-// round first key-checks the lookups parked on a fingerprint hit, then
-// transitions walkers that reached a distinguished point into replay,
-// gathers one fingerprint per active walker and cursor, runs the
-// gathered lanes through fpBatch (scalar below the cutoff), applies
-// the results, and pumps each lookup's scalar-order consumer. It ends
-// when no lane is active and no lookup is parked.
+// runReplayRounds drives the batched state machine to completion. Each
+// round key-checks the lookups parked on last round's fingerprint hits,
+// settles every other lookup on the next position its scalar lookup
+// would fingerprint, and computes those fingerprints — one lane per
+// lookup — through fpBatch (the scalar clock for a remainder below
+// scalarReplayCutoff). It ends when no lookup is left unresolved.
 func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
-	dpMask := t.chainLen - 1
+	var (
+		laneKeys   [bsLanes]uint64
+		laneFrames [bsLanes]uint32
+		laneFPs    [bsLanes]uint64
+	)
 	for {
 		if err := ctx.Err(); err != nil {
-			for li := range rs.lookups {
-				if rs.lookups[li].phase != phaseDone {
-					errs[rs.lookups[li].sample] = err
+			for _, li := range rs.active {
+				if lk := &rs.lookups[li]; lk.phase != phaseDone {
+					errs[lk.sample] = err
 				}
 			}
 			return
 		}
 
-		// Verify phase: settle last round's fingerprint hits.
-		t.verifyParked(rs, samples, space, n, keys, errs)
+		rs.verifyParked(samples, space, n, keys)
 
-		// Transition phase: distinguished-point checks, replay setup.
-		for li := range rs.lookups {
-			lk := &rs.lookups[li]
-			if lk.phase != phaseWalk {
-				continue
-			}
-			if lk.y&dpMask == 0 {
-				metWalkSteps.Observe(float64(lk.checks))
-				metReplays.Add(int64(len(lk.ft.chains[lk.y])))
-				lk.phase = phaseReplay
-				lk.chains = lk.ft.chains[lk.y]
-				lk.cursorBase = len(rs.cursors)
-				lk.gen, lk.visited = 0, nil
-				if len(lk.chains) > 1 {
-					// Same laziness as the scalar path: a lone chain has
-					// no shared tails to skip, so the visited set is only
-					// built when merges are possible.
-					if n <= stampMaxKeys {
-						if uint64(len(rs.stamp)) < n {
-							rs.stamp = make([]uint32, n)
-						}
-						lk.gen = rs.nextGen()
-					} else {
-						lk.visited = make(map[uint64]struct{}, t.maxWalk)
-					}
-				}
-				for _, ch := range lk.chains {
-					rs.cursors = append(rs.cursors, replayCursor{
-						lookup:    li,
-						pos:       ch.start,
-						remaining: ch.length,
-						fps:       rs.fpBuf(int(ch.length)),
-					})
-				}
-				// Zero-chain endpoints resolve right here, as the scalar
-				// walk does when it breaks out of an empty replay loop.
-				t.pumpLookup(lk, rs, n, errs)
-			} else if lk.checks++; lk.checks > t.maxWalk {
-				errs[lk.sample] = ErrKeyNotFound
-				lk.phase = phaseDone
+		// Settle phase: keep the lookups that still need a fingerprint.
+		live := rs.active[:0]
+		for _, li := range rs.active {
+			if t.settle(&rs.lookups[li], rs, n, errs) {
+				live = append(live, li)
 			}
 		}
-
-		// Gather phase: one lane per walker still walking, one per live
-		// cursor.
-		rs.laneKeys = rs.laneKeys[:0]
-		rs.laneFrames = rs.laneFrames[:0]
-		rs.laneOwner = rs.laneOwner[:0]
-		for li := range rs.lookups {
-			lk := &rs.lookups[li]
-			if lk.phase == phaseWalk {
-				rs.laneKeys = append(rs.laneKeys, space.Key(lk.y))
-				rs.laneFrames = append(rs.laneFrames, lk.frame)
-				rs.laneOwner = append(rs.laneOwner, int32(li))
-			}
+		rs.active = live
+		if len(live) == 0 {
+			return
 		}
-		for ci := range rs.cursors {
-			cur := &rs.cursors[ci]
-			if cur.remaining == 0 {
-				continue
-			}
-			rs.laneKeys = append(rs.laneKeys, space.Key(cur.pos))
-			rs.laneFrames = append(rs.laneFrames, rs.lookups[cur.lookup].frame)
-			rs.laneOwner = append(rs.laneOwner, int32(^ci))
-		}
-		if len(rs.laneKeys) == 0 {
-			// Nothing left to fingerprint: done, unless a consumer the
-			// verify phase resumed has parked on another hit.
-			parked := false
-			for li := range rs.lookups {
-				parked = parked || rs.lookups[li].phase == phaseVerify
-			}
-			if !parked {
-				return
-			}
-			continue
-		}
+		metFingerprints.Add(int64(len(live)))
 
 		// Fingerprint phase: full 64-lane blocks through the bitsliced
 		// clock; a sub-cutoff remainder runs the scalar clock instead.
-		if cap(rs.laneFPs) < len(rs.laneKeys) {
-			rs.laneFPs = make([]uint64, len(rs.laneKeys))
-		}
-		rs.laneFPs = rs.laneFPs[:len(rs.laneKeys)]
-		for base := 0; base < len(rs.laneKeys); base += bsLanes {
-			end := base + bsLanes
-			if end > len(rs.laneKeys) {
-				end = len(rs.laneKeys)
+		// A walker steps; a replaying lookup parks on a hit or moves one
+		// position along its chain.
+		for base := 0; base < len(live); base += bsLanes {
+			block := live[base:min(base+bsLanes, len(live))]
+			for l, li := range block {
+				laneKeys[l] = space.Key(rs.lookups[li].pos)
+				laneFrames[l] = rs.lookups[li].frame
 			}
-			if end-base < scalarReplayCutoff {
-				for l := base; l < end; l++ {
-					rs.laneFPs[l] = scalarFingerprint(rs.laneKeys[l], rs.laneFrames[l])
+			if len(block) < scalarReplayCutoff {
+				for l := range block {
+					laneFPs[l] = scalarFingerprint(laneKeys[l], laneFrames[l])
 				}
-				continue
+			} else {
+				fpBatch(laneKeys[:len(block)], laneFrames[:len(block)], laneFPs[:len(block)])
 			}
-			fpBatch(rs.laneKeys[base:end], rs.laneFrames[base:end], rs.laneFPs[base:end])
-		}
-
-		// Apply phase: walkers step, cursors record and step; then each
-		// replaying lookup's consumer pumps once, as far as the round's
-		// new fingerprints allow.
-		for l, owner := range rs.laneOwner {
-			fp := rs.laneFPs[l]
-			if owner >= 0 {
-				lk := &rs.lookups[owner]
-				if lk.phase == phaseWalk { // may have errored this round
-					lk.y = fp & (n - 1)
+			for l, li := range block {
+				lk := &rs.lookups[li]
+				switch fp := laneFPs[l]; {
+				case lk.phase == phaseWalk:
+					lk.pos = fp & (n - 1)
+				case fp == lk.fp:
+					lk.phase = phaseVerify
+					rs.parked = append(rs.parked, li)
+				default:
+					lk.pos = fp & (n - 1)
+					lk.posIdx++
 				}
-				continue
-			}
-			cur := &rs.cursors[^owner]
-			cur.fps = append(cur.fps, fp)
-			cur.pos = fp & (n - 1)
-			cur.remaining--
-		}
-		for li := range rs.lookups {
-			if rs.lookups[li].phase == phaseReplay {
-				t.pumpLookup(&rs.lookups[li], rs, n, errs)
 			}
 		}
 	}
+}
+
+// settle moves one lookup to the next position whose fingerprint its
+// scalar lookup would compute, and reports whether it needs one. A
+// walker on a distinguished point starts replaying the chains stored
+// there; one past its last check gives up. A replaying lookup skips
+// exhausted chains and shared tails exactly as the scalar replay loop
+// does, marking the position it settles on visited, and reports
+// ErrKeyNotFound after the last chain.
+func (t *Table) settle(lk *lookupState, rs *replayScratch, n uint64, errs []error) bool {
+	switch lk.phase {
+	case phaseDone:
+		return false
+	case phaseWalk:
+		if lk.pos&(t.chainLen-1) != 0 {
+			if lk.checks++; lk.checks > t.maxWalk {
+				errs[lk.sample] = ErrKeyNotFound
+				lk.phase = phaseDone
+				return false
+			}
+			return true
+		}
+		metWalkSteps.Observe(float64(lk.checks))
+		lk.chains = lk.ft.chains[lk.pos]
+		metReplays.Add(int64(len(lk.chains)))
+		lk.phase = phaseReplay
+		if len(lk.chains) > 1 {
+			// Same laziness as the scalar path: a lone chain has no
+			// shared tails to skip, so the visited set is only built
+			// when merges are possible.
+			var total uint64
+			for _, ch := range lk.chains {
+				total += uint64(ch.length)
+			}
+			rs.newSeenSet(lk, total)
+		}
+	}
+	for ; lk.chainIdx < len(lk.chains); lk.chainIdx, lk.posIdx = lk.chainIdx+1, 0 {
+		ch := lk.chains[lk.chainIdx]
+		if lk.posIdx == 0 {
+			lk.pos = ch.start
+		}
+		if lk.posIdx < int(ch.length) && rs.visit(lk) {
+			return true
+		}
+	}
+	errs[lk.sample] = ErrKeyNotFound
+	lk.phase = phaseDone
+	return false
 }
 
 // verifyParked settles every lookup parked on a fingerprint hit. The
 // candidate keys' downlink bursts are generated 64 at a time through
 // downlinkBatch (the scalar matcher below scalarReplayCutoff) and
 // compared on exactly the bits matches compares. A pass resolves the
-// lookup and kills its cursors; a failure resumes its consumer one
-// position past the hit, where the scalar loop would continue.
-func (t *Table) verifyParked(rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
-	rs.laneKeys = rs.laneKeys[:0]
-	rs.laneFrames = rs.laneFrames[:0]
-	rs.laneOwner = rs.laneOwner[:0]
-	for li := range rs.lookups {
-		if lk := &rs.lookups[li]; lk.phase == phaseVerify {
-			rs.laneKeys = append(rs.laneKeys, space.Key(lk.p))
-			rs.laneFrames = append(rs.laneFrames, lk.frame)
-			rs.laneOwner = append(rs.laneOwner, int32(li))
+// lookup; a failure resumes its replay one position past the hit,
+// where the scalar loop would continue.
+func (rs *replayScratch) verifyParked(samples []Sample, space KeySpace, n uint64, keys []uint64) {
+	var (
+		laneKeys   [bsLanes]uint64
+		laneFrames [bsLanes]uint32
+		rows       [bsLanes]burstRow
+	)
+	for base := 0; base < len(rs.parked); base += bsLanes {
+		block := rs.parked[base:min(base+bsLanes, len(rs.parked))]
+		for l, li := range block {
+			laneKeys[l] = space.Key(rs.lookups[li].pos)
+			laneFrames[l] = rs.lookups[li].frame
 		}
-	}
-	var bursts [bsLanes][BurstBytes]byte
-	for base := 0; base < len(rs.laneKeys); base += bsLanes {
-		end := min(base+bsLanes, len(rs.laneKeys))
-		batched := end-base >= scalarReplayCutoff
+		batched := len(block) >= scalarReplayCutoff
 		if batched {
-			downlinkBatch(rs.laneKeys[base:end], rs.laneFrames[base:end], &bursts)
+			downlinkBatch(laneKeys[:len(block)], laneFrames[:len(block)], &rows)
 		}
-		for l := base; l < end; l++ {
-			lk := &rs.lookups[rs.laneOwner[l]]
+		for l, li := range block {
+			lk := &rs.lookups[li]
 			ks := samples[lk.sample].Keystream
 			var ok bool
 			if batched {
-				ok = burstMatches(&bursts[l-base], ks)
+				ok = burstMatches(&rows[l], ks)
 			} else {
-				ok = matches(rs.laneKeys[l], lk.frame, ks)
+				ok = matches(laneKeys[l], lk.frame, ks)
 			}
 			if ok {
-				keys[lk.sample] = rs.laneKeys[l]
+				keys[lk.sample] = laneKeys[l]
 				lk.phase = phaseDone
-				for c := range lk.chains {
-					rs.cursors[lk.cursorBase+c].remaining = 0
-				}
 				continue
 			}
 			// The hit's fingerprint is lk.fp, so its successor is lk.fp
-			// mod n; a resumed consumer that parks again waits for the
-			// next round.
+			// mod n.
 			lk.phase = phaseReplay
-			lk.p = lk.fp & (n - 1)
+			lk.pos = lk.fp & (n - 1)
 			lk.posIdx++
-			t.pumpLookup(lk, rs, n, errs)
 		}
 	}
+	rs.parked = rs.parked[:0]
 }
 
-// burstMatches reports whether a downlink burst agrees with keystream
-// on the bits matches compares: the first min(len(keystream)*8,
-// BurstBits), MSB-first.
-func burstMatches(burst *[BurstBytes]byte, keystream []byte) bool {
+// burstMatches reports whether a downlink burst row agrees with
+// keystream on the bits matches compares: the first
+// min(len(keystream)*8, BurstBits), MSB-first.
+func burstMatches(row *burstRow, keystream []byte) bool {
 	nbits := min(len(keystream)*8, BurstBits)
 	full := nbits / 8
-	if !bytes.Equal(burst[:full], keystream[:full]) {
+	if !bytes.Equal(row[:full], keystream[:full]) {
 		return false
 	}
 	rem := nbits % 8
-	return rem == 0 || (burst[full]^keystream[full])>>(8-rem) == 0
-}
-
-// pumpLookup advances one lookup's consumer: the exact scalar replay
-// loop of Recover — chains in stored order, positions in chain order,
-// shared tails skipped through the visited set — except that
-// fingerprints are read from the cursors' precomputed buffers instead
-// of the scalar clock, and a fingerprint hit parks the lookup for the
-// batched key check instead of running the scalar matcher. It stops
-// when it runs out of computed fingerprints or parks; the final pump
-// reports ErrKeyNotFound after the last chain.
-func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, n uint64, errs []error) {
-	if lk.phase != phaseReplay {
-		return
-	}
-	for lk.chainIdx < len(lk.chains) {
-		ch := lk.chains[lk.chainIdx]
-		cur := &rs.cursors[lk.cursorBase+lk.chainIdx]
-		if lk.posIdx == 0 {
-			lk.p = ch.start
-		}
-		for lk.posIdx < int(ch.length) {
-			var seen bool
-			if lk.gen != 0 {
-				seen = rs.stamp[lk.p] == lk.gen
-			} else if lk.visited != nil {
-				_, seen = lk.visited[lk.p]
-			}
-			if seen {
-				break // shared tail: already replayed
-			}
-			if lk.posIdx >= len(cur.fps) {
-				return // cursor has not computed this far yet
-			}
-			if lk.gen != 0 {
-				rs.stamp[lk.p] = lk.gen
-			} else if lk.visited != nil {
-				lk.visited[lk.p] = struct{}{}
-			}
-			pfp := cur.fps[lk.posIdx]
-			if pfp == lk.fp {
-				// Fingerprint hit: park on candidate lk.p until the next
-				// round's batched key check (verifyParked) resolves it or
-				// resumes here one position on.
-				lk.phase = phaseVerify
-				return
-			}
-			lk.p = pfp & (n - 1)
-			lk.posIdx++
-		}
-		// Chain fully consumed (exhausted or shared tail): its cursor
-		// has nothing left to contribute.
-		cur.remaining = 0
-		lk.chainIdx++
-		lk.posIdx = 0
-	}
-	errs[lk.sample] = ErrKeyNotFound
-	lk.phase = phaseDone
+	return rem == 0 || (row[full]^keystream[full])>>(8-rem) == 0
 }
 
 // scalarFingerprint recomputes one key's 40-bit keystream fingerprint

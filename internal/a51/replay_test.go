@@ -1,6 +1,7 @@
 package a51
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,10 @@ func replayTable(t *testing.T, space KeySpace, frames []uint32, chainLen int) *T
 	}
 	return table
 }
+
+// refFingerprints counts the scalar fingerprints refRecover computes,
+// so checkAgainstRef can hold RecoverBatch to the same cipher work.
+var refFingerprints int64
 
 // refRecover is the scalar lookup RecoverBatch must reproduce: overflow
 // hit, or walk from the observed fingerprint to the next distinguished
@@ -37,6 +42,10 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 		return t.fallback.Recover(ctx, keystream, frame, space)
 	}
 	n, _ := space.Size()
+	fingerprint := func(x uint64) uint64 {
+		refFingerprints++
+		return scalarFingerprint(space.Key(x), frame)
+	}
 	fp := fp40(keystream)
 	for _, x := range ft.overflow[fp] {
 		if key := space.Key(x); matches(key, frame, keystream) {
@@ -50,7 +59,10 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 			return 0, err
 		}
 		if y&dpMask != 0 {
-			y = scalarFingerprint(space.Key(y), frame) & (n - 1)
+			if steps == t.maxWalk {
+				break // the next fingerprint would never be checked
+			}
+			y = fingerprint(y) & (n - 1)
 			continue
 		}
 		var visited map[uint64]struct{}
@@ -66,7 +78,7 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 				if visited != nil {
 					visited[p] = struct{}{}
 				}
-				pfp := scalarFingerprint(space.Key(p), frame)
+				pfp := fingerprint(p)
 				if pfp == fp {
 					if key := space.Key(p); matches(key, frame, keystream) {
 						return key, nil
@@ -82,11 +94,18 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 
 // checkAgainstRef resolves samples through one RecoverBatch call and
 // through Table.Recover (a batch of one) per sample, and fails unless
-// both return exactly what refRecover returns, sample for sample.
+// both return exactly what refRecover returns, sample for sample. It
+// also pins the work: the RecoverBatch call must compute exactly the
+// fingerprints the scalar lookups of its samples compute
+// (a51_chain_fingerprints_total against refFingerprints), no
+// speculative lanes past a hit or down a shared tail.
 func checkAgainstRef(t *testing.T, label string, table *Table, samples []Sample, space KeySpace) {
 	t.Helper()
 	ctx := context.Background()
+	before := metFingerprints.Value()
 	keys, errs := table.RecoverBatch(ctx, samples, space)
+	batchFPs := metFingerprints.Value() - before
+	refFingerprints = 0
 	for i, s := range samples {
 		wantKey, wantErr := refRecover(ctx, table, s.Keystream, s.Frame, space)
 		oneKey, oneErr := table.Recover(ctx, s.Keystream, s.Frame, space)
@@ -103,6 +122,9 @@ func checkAgainstRef(t *testing.T, label string, table *Table, samples []Sample,
 				t.Fatalf("%s: sample %d: %s key = %#x, reference key = %#x", label, i, got.path, got.key, wantKey)
 			}
 		}
+	}
+	if batchFPs != refFingerprints {
+		t.Fatalf("%s: RecoverBatch computed %d fingerprints, the scalar lookups %d", label, batchFPs, refFingerprints)
 	}
 }
 
@@ -217,6 +239,57 @@ func TestRecoverBatchFalseHitsMatchScalar(t *testing.T) {
 	}
 }
 
+// fuzzTables caches FuzzRecoverBatch's tables by (bits, chain length).
+var fuzzTables = map[[2]int]*Table{}
+
+// FuzzRecoverBatch decodes arbitrary bytes into one batch of samples on
+// a small table (8–10 bits, frames 0–3, chain length 2–16) and holds
+// every sample to refRecover through checkAgainstRef. The first byte
+// picks the table; every further 4-byte record [h w a b] is one sample:
+// frame h&7 (4–7 are uncovered, so they take the sweep fallback),
+// keystream width w%21 bytes (below 5 is unusably short), and either
+// the burst of key index a<<8|b (h&8 == 0, one bit flipped when h&16
+// is set) or w%21 bytes of arbitrary keystream taken from the input.
+func FuzzRecoverBatch(f *testing.F) {
+	f.Add([]byte{0, 0, 8, 0, 7, 1, 8, 0, 7, 2, 5, 1, 9})
+	f.Add([]byte{4, 0, 8, 0, 7, 0, 8, 0, 7, 0, 8, 0, 7, 16, 15, 0, 7, 5, 8, 3, 3})
+	f.Add([]byte{11, 8, 8, 0xde, 0xad, 0xbe, 0xef, 0x10, 0x20, 0x30, 0x40, 1, 2, 0x33, 2, 4})
+	f.Add([]byte{6, 1, 20, 3, 255, 17, 14, 1, 2, 9, 3, 0, 0, 2, 114, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		bits, chainLen := 8+int(data[0]%3), 2<<(data[0]/3%4)
+		table := fuzzTables[[2]int{bits, chainLen}]
+		space := KeySpace{Base: 0xC118000000000000, Bits: bits}
+		if table == nil {
+			table = replayTable(t, space, FrameRange(4), chainLen)
+			fuzzTables[[2]int{bits, chainLen}] = table
+		}
+		n, _ := space.Size()
+		var samples []Sample
+		for rest := data[1:]; len(rest) >= 4 && len(samples) < 256; {
+			h, width, a, b := rest[0], int(rest[1]%21), rest[2], rest[3]
+			rest = rest[4:]
+			frame := uint32(h & 7)
+			var ks []byte
+			if h&8 == 0 {
+				down, up := New(space.Key((uint64(a)<<8|uint64(b))%n), frame).KeystreamBurst()
+				ks = append(down[:], up[:]...)[:width]
+				if h&16 != 0 && width > 0 {
+					bit := int(a^b) % (width * 8)
+					ks[bit/8] ^= 0x80 >> (bit % 8)
+				}
+			} else {
+				width = min(width, len(rest))
+				ks, rest = bytes.Clone(rest[:width]), rest[width:]
+			}
+			samples = append(samples, Sample{Keystream: ks, Frame: frame})
+		}
+		checkAgainstRef(t, "fuzz", table, samples, space)
+	})
+}
+
 // TestRecoverBatchSpaceMismatch pins the whole-batch space check.
 func TestRecoverBatchSpaceMismatch(t *testing.T) {
 	space := KeySpace{Base: 0xC118000000000000, Bits: 8}
@@ -291,11 +364,13 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 // BenchmarkTableRecoverBatch compares per-sample scalar chain replay
 // (the refRecover reference), per-sample batches of one (Table.Recover,
 // the live sniffer's path) and one 64-lane batched RecoverBatch call
-// over the same 64 campaign-shaped samples (12-bit space, chain length
-// 2, full 8-byte keystreams) — the mechanism cost the batch path saves
-// per crack.
+// over the same 64 samples (12-bit space, chain length 2, full 8-byte
+// keystreams) — the mechanism cost the batch path saves per crack. The
+// shard row times the call one campaign shard makes: ~5,800 14-byte
+// paging samples over every PagingFrames class, on a table built
+// outside the timer.
 func BenchmarkTableRecoverBatch(b *testing.B) {
-	const n = 64
+	const n, shardN = 64, 5800
 	space := KeySpace{Base: 0xC118000000000000, Bits: 12}
 	frames := FrameRange(16)
 	table, err := BuildTable(space, TableConfig{Frames: frames, ChainLen: 2})
@@ -308,6 +383,17 @@ func BenchmarkTableRecoverBatch(b *testing.B) {
 		frame := frames[rng.Intn(len(frames))]
 		down, _ := New(space.Key(rng.Uint64()%4096), frame).KeystreamBurst()
 		samples[i] = Sample{Keystream: down[:8], Frame: frame}
+	}
+	paging := PagingFrames()
+	shardTable, err := BuildTable(space, TableConfig{Frames: paging, ChainLen: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shard := make([]Sample, shardN)
+	for i := range shard {
+		frame := paging[rng.Intn(len(paging))]
+		down, _ := New(space.Key(rng.Uint64()%4096), frame).KeystreamBurst()
+		shard[i] = Sample{Keystream: down[:14], Frame: frame}
 	}
 	ctx := context.Background()
 	for _, single := range []struct {
@@ -329,13 +415,19 @@ func BenchmarkTableRecoverBatch(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
 		})
 	}
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, errs := table.RecoverBatch(ctx, samples, space); errs[0] != nil {
-				b.Fatal(errs[0])
+	for _, batch := range []struct {
+		name    string
+		table   *Table
+		samples []Sample
+	}{{"batch", table, samples}, {"shard", shardTable, shard}} {
+		b.Run(batch.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, errs := batch.table.RecoverBatch(ctx, batch.samples, space); errs[0] != nil {
+					b.Fatal(errs[0])
+				}
 			}
-		}
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
-	})
+			b.ReportMetric(float64(len(batch.samples))*float64(b.N)/b.Elapsed().Seconds(), "cracks/s")
+		})
+	}
 }

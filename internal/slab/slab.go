@@ -39,12 +39,6 @@ func (s *Slab[T]) Grab(n int) []T {
 	return s.buf[off : off+n : off+n]
 }
 
-// GrabEmpty carves a length-0, capacity-n buffer for append-style
-// filling, with the same aliasing guarantees as Grab.
-func (s *Slab[T]) GrabEmpty(n int) []T {
-	return s.Grab(n)[:0]
-}
-
 // Reset empties the slab for reuse, keeping the largest block.
 func (s *Slab[T]) Reset() { s.buf = s.buf[:0] }
 
