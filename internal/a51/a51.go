@@ -65,17 +65,9 @@ const (
 	r2Mask = 0x3FFFFF // 22 bits
 	r3Mask = 0x7FFFFF // 23 bits
 
-	r1Mid = 0x000100 // clocking tap: bit 8
-	r2Mid = 0x000400 // clocking tap: bit 10
-	r3Mid = 0x000400 // clocking tap: bit 10
-
 	r1Taps = 0x072000 // feedback: bits 18,17,16,13
 	r2Taps = 0x300000 // feedback: bits 21,20
 	r3Taps = 0x700080 // feedback: bits 22,21,20,7
-
-	r1Out = 0x040000 // output: bit 18
-	r2Out = 0x200000 // output: bit 21
-	r3Out = 0x400000 // output: bit 22
 )
 
 // BurstBits is the keystream length per direction per GSM frame.
@@ -115,9 +107,9 @@ func clockOne(reg, mask, taps uint32) uint32 {
 // about half the time, and this is the single hottest function of every
 // scalar cipher path (table replays, live sniffing, burst decryption).
 func (c *Cipher) clock() {
-	b1 := (c.r1 >> 8) & 1  // r1Mid
-	b2 := (c.r2 >> 10) & 1 // r2Mid
-	b3 := (c.r3 >> 10) & 1 // r3Mid
+	b1 := (c.r1 >> 8) & 1 // clocking taps: r1 bit 8, r2 and r3 bit 10
+	b2 := (c.r2 >> 10) & 1
+	b3 := (c.r3 >> 10) & 1
 	maj := b1&b2 | b1&b3 | b2&b3
 	m1 := -(b1 ^ maj ^ 1) // all-ones when the register steps
 	m2 := -(b2 ^ maj ^ 1)
@@ -128,8 +120,7 @@ func (c *Cipher) clock() {
 }
 
 // outBit returns the current output bit: XOR of the three registers'
-// top bits (r1Out/r2Out/r3Out are single-bit masks, so plain shifts
-// beat three POPCNTs).
+// top bits (18, 21 and 22).
 func (c *Cipher) outBit() uint32 {
 	return ((c.r1 >> 18) ^ (c.r2 >> 21) ^ (c.r3 >> 22)) & 1
 }

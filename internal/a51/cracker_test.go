@@ -10,6 +10,22 @@ import (
 	"testing/quick"
 )
 
+// DefaultTableFrames is the contiguous frame window the table tests
+// conventionally use: one GSM 51-multiframe. Tables built with no
+// explicit frame set default to PagingFrames() instead — the COUNT
+// frame classes the network can actually put a known-plaintext paging
+// burst on.
+const DefaultTableFrames = 51
+
+// FrameRange returns the frames [0, n).
+func FrameRange(n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = uint32(i)
+	}
+	return out
+}
+
 // allBackends builds one of each Cracker over space for table-covered
 // frames [0, frames).
 func allBackends(t *testing.T, space KeySpace, frames int) []Cracker {

@@ -14,10 +14,6 @@ import (
 	"encoding/binary"
 )
 
-// BatchLanes is the number of (Kc, COUNT) pairs one bitsliced encryptor
-// pass carries: one cipher per bit position of a uint64.
-const BatchLanes = bsLanes
-
 // loadPairs initializes the lanes for up to 64 independent (key, frame)
 // pairs, mirroring Cipher.init bit for bit: every lane's packed setup
 // state comes from the setupState tables, one transpose64 turns the 64
@@ -98,7 +94,7 @@ func downlinkBatch(keys []uint64, frames []uint32, out *[bsLanes]burstRow) {
 // EncryptBurstsBatch XORs each payloads[i] in place with the downlink
 // keystream of (kcs[i], frames[i]) as Cipher.KeystreamBurst produces
 // it (an involution, so it decrypts too). Bursts are processed
-// BatchLanes at a time, so any batch size is accepted, and a batch of
+// 64 at a time, so any batch size is accepted, and a batch of
 // one is the per-burst encryptor. Payloads longer than BurstBytes reuse
 // the keystream block cyclically: byte i is XORed with keystream byte
 // i mod BurstBytes. The three slices must have equal length.

@@ -15,14 +15,6 @@ import (
 	"sync"
 )
 
-// DefaultTableFrames is the contiguous frame window FrameRange-based
-// callers (tests, ablations) conventionally use: one GSM
-// 51-multiframe. Tables built with no explicit frame set default to
-// PagingFrames() instead — the COUNT frame classes the network can
-// actually put a known-plaintext paging burst on — the reduced-scale
-// analogue of the Kraken tables covering the full cipher state space.
-const DefaultTableFrames = 51
-
 // tableFPBits is the keystream-prefix fingerprint width. 40 bits
 // matches minSampleBytes, so every sample a Cracker is required to
 // accept can be fingerprinted.
@@ -36,16 +28,6 @@ const tableFPBits = 40
 // full ~chainLen× reduction of classic Hellman tables, which buy it
 // by abandoning a fraction of the space.)
 const defaultChainLen = 8
-
-// FrameRange returns the frames [0, n) — the window helper shared by
-// table builders and the CLI.
-func FrameRange(n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = uint32(i)
-	}
-	return out
-}
 
 // TableConfig parameterizes BuildTable.
 type TableConfig struct {

@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"github.com/actfort/actfort/internal/ecosys"
-	"github.com/actfort/actfort/internal/mitm"
-	"github.com/actfort/actfort/internal/socialdb"
 	"github.com/actfort/actfort/internal/strategy"
-	"github.com/actfort/actfort/internal/telecom"
 )
 
 func newScenario(t *testing.T) *Scenario {
@@ -115,103 +112,6 @@ func TestExecutorFailsOnUnlaunchedService(t *testing.T) {
 	_, _, err = exec.executeStep(ctxFor(t), planStepFor("linkedin", ecosys.PlatformWeb, "reset-sms"))
 	if !errors.Is(err, ErrNotLaunched) {
 		t.Errorf("err = %v want ErrNotLaunched", err)
-	}
-}
-
-// The MitM variant of Case I: covert interception through the fake
-// victim terminal; the victim's handset stays silent.
-func TestCaseIOverMitM(t *testing.T) {
-	s := newScenario(t)
-	ctx := ctxFor(t)
-
-	// Attacker's own phone to receive the reveal call.
-	attSub, err := s.Net.Register("460009990000099", "+8613800000099")
-	if err != nil {
-		t.Fatal(err)
-	}
-	attTerm, err := s.Net.NewTerminal(attSub, telecom.RATGSM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := attTerm.Attach(s.Cell); err != nil {
-		t.Fatal(err)
-	}
-
-	// The scenario's cracker doubles as the MitM's pre-attack probe.
-	atk, err := mitm.New(s.Net, s.VictimTerminal, s.Cell, attTerm, mitm.Config{Cracker: s.Cracker})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := atk.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mres.VictimMSISDN != s.Victim.Persona.Phone {
-		t.Fatalf("MitM revealed %s want %s", mres.VictimMSISDN, s.Victim.Persona.Phone)
-	}
-	if mres.ProbeKc == 0 {
-		t.Error("A5/1 probe recovered no key despite a configured cracker")
-	}
-
-	inboxBefore := len(s.VictimTerminal.Inbox())
-	exec := &Executor{
-		Platform:  s.Platform,
-		Intercept: &MitMInterceptor{FVT: mres.FVT},
-		Know:      NewKnowledge(mres.VictimMSISDN),
-	}
-	plan, err := s.PlanFor(ecosys.AccountID{Service: "baidu-wallet", Platform: ecosys.PlatformMobile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exec.Execute(ctx, plan)
-	if err != nil {
-		t.Fatalf("%v (transcript: %v)", err, res.Transcript())
-	}
-	if res.FinalToken == "" {
-		t.Fatal("no session on target")
-	}
-	// Covert: the victim received nothing during the attack.
-	if got := len(s.VictimTerminal.Inbox()); got != inboxBefore {
-		t.Errorf("victim inbox grew by %d; MitM should be silent", got-inboxBefore)
-	}
-}
-
-// Random-attack mode (§II): no prior knowledge beyond a phone number
-// harvested off phishing WiFi. The attacker still chains into a
-// Fintech account, picking up the identity information along the way.
-func TestRandomAttackFromPhishingWiFi(t *testing.T) {
-	s := newScenario(t)
-	ctx := ctxFor(t)
-
-	wifi := s.HarvestByPhishingWiFi("Free_Airport_WiFi")
-	exec, err := s.NewRandomExecutor(wifi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sanity: the dossier starts with nothing but the number.
-	if _, ok := exec.Know.Value(ecosys.InfoRealName); ok {
-		t.Fatal("random attacker should not know the victim's name upfront")
-	}
-
-	plan, err := s.PlanVia(ecosys.AccountID{Service: "alipay", Platform: ecosys.PlatformMobile}, "ctrip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exec.Execute(ctx, plan)
-	if err != nil {
-		t.Fatalf("%v (transcript: %v)", err, res.Transcript())
-	}
-	if res.FinalToken == "" {
-		t.Fatal("no session on the fintech target")
-	}
-	// The chain itself supplied the identity data.
-	if _, ok := exec.Know.Value(ecosys.InfoCitizenID); !ok {
-		t.Error("citizen ID not harvested during the chain")
-	}
-
-	empty := socialdb.NewPhishingWiFi("quiet")
-	if _, err := s.NewRandomExecutor(empty); err == nil {
-		t.Error("empty harvest accepted")
 	}
 }
 

@@ -53,8 +53,8 @@ type Executor struct {
 	// Platform hosts the target services; every plan account must be
 	// launched.
 	Platform *services.Platform
-	// Intercept supplies SMS codes (sniffer or MitM).
-	Intercept Interceptor
+	// Intercept supplies SMS codes.
+	Intercept *SnifferInterceptor
 	// Know is the victim dossier; it grows as steps complete.
 	Know *Knowledge
 	// Client defaults to http.DefaultClient.

@@ -7,30 +7,20 @@ import (
 
 	"github.com/actfort/actfort/internal/email"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/telecom"
 )
 
-// Interceptor obtains SMS one-time codes out of band — the attack's
-// primary capability. Two implementations mirror the paper's §V.A.2:
-// passive GSM sniffing and the active MitM's fake victim terminal.
-type Interceptor interface {
-	// InterceptCode blocks until an SMS from originator that carries
-	// an OTP arrives, and returns the extracted digits. Each call
-	// consumes one message: successive resets return successive codes.
-	InterceptCode(ctx context.Context, originator string) (string, error)
-}
-
-// SnifferInterceptor extracts codes from a passive sniffer's capture
-// stream (Fig 6). The victim also receives each code — passive
+// SnifferInterceptor obtains SMS one-time codes out of band — the
+// attack's primary capability — from a passive sniffer's capture
+// stream (§V.A.2, Fig 6). The victim also receives each code: passive
 // interception is observable.
 type SnifferInterceptor struct {
 	Sniffer *sniffer.Sniffer
 	cursor  int
 }
 
-var _ Interceptor = (*SnifferInterceptor)(nil)
-
-// InterceptCode implements Interceptor.
+// InterceptCode blocks until an SMS from originator that carries an
+// OTP arrives, and returns the extracted digits. Each call consumes
+// one message: successive resets return successive codes.
 func (s *SnifferInterceptor) InterceptCode(ctx context.Context, originator string) (string, error) {
 	for {
 		caps := s.Sniffer.Captures()
@@ -47,38 +37,6 @@ func (s *SnifferInterceptor) InterceptCode(ctx context.Context, originator strin
 		select {
 		case <-ctx.Done():
 			return "", fmt.Errorf("attack: sniffing for %q: %w", originator, ctx.Err())
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// MitMInterceptor extracts codes from the fake victim terminal's inbox
-// after an active takeover (Fig 7/10). The victim receives nothing —
-// covert interception.
-type MitMInterceptor struct {
-	FVT    *telecom.Terminal
-	cursor int
-}
-
-var _ Interceptor = (*MitMInterceptor)(nil)
-
-// InterceptCode implements Interceptor.
-func (m *MitMInterceptor) InterceptCode(ctx context.Context, originator string) (string, error) {
-	for {
-		inbox := m.FVT.Inbox()
-		for ; m.cursor < len(inbox); m.cursor++ {
-			msg := inbox[m.cursor]
-			if msg.Originator != originator {
-				continue
-			}
-			if code, ok := email.ExtractCode(msg.Text); ok {
-				m.cursor++
-				return code, nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return "", fmt.Errorf("attack: MitM waiting for %q: %w", originator, ctx.Err())
 		case <-time.After(time.Millisecond):
 		}
 	}

@@ -110,17 +110,6 @@ func (k *Knowledge) Session(service string) (string, bool) {
 	return t, ok
 }
 
-// Controlled lists controlled services.
-func (k *Knowledge) Controlled() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]string, 0, len(k.sessions))
-	for s := range k.sessions {
-		out = append(out, s)
-	}
-	return out
-}
-
 // factorField maps credential factors to the dossier field supplying
 // them (the inverse of ecosys.InfoField.Factor for value lookup).
 var factorField = map[ecosys.FactorKind]ecosys.InfoField{

@@ -215,31 +215,6 @@ func (s *Scenario) PlanVia(target ecosys.AccountID, via string) (*strategy.Plan,
 	return nil, fmt.Errorf("attack: no plan for %s via %s", target, via)
 }
 
-// HarvestByPhishingWiFi models the random-attack entry point (§V.A.1):
-// a fake access point at a crowded venue observes nearby victims'
-// phone numbers. It returns the harvester after the scenario's victim
-// "connects".
-func (s *Scenario) HarvestByPhishingWiFi(ssid string) *socialdb.PhishingWiFi {
-	wifi := socialdb.NewPhishingWiFi(ssid)
-	wifi.Observe(s.Victim.Persona.Phone)
-	return wifi
-}
-
-// NewRandomExecutor wires an executor for the random-attack mode: the
-// dossier holds ONLY a phone number harvested off phishing WiFi — no
-// leaked records, no victim identity.
-func (s *Scenario) NewRandomExecutor(wifi *socialdb.PhishingWiFi) (*Executor, error) {
-	harvested := wifi.Harvested()
-	if len(harvested) == 0 {
-		return nil, errors.New("attack: phishing WiFi harvested nothing")
-	}
-	return &Executor{
-		Platform:  s.Platform,
-		Intercept: &SnifferInterceptor{Sniffer: s.Sniffer},
-		Know:      NewKnowledge(harvested[0]),
-	}, nil
-}
-
 // NewExecutor wires an executor with passive-sniffer interception and
 // a dossier seeded from the leaked-records database.
 func (s *Scenario) NewExecutor() (*Executor, error) {

@@ -245,9 +245,6 @@ func New(cfg Config) (*Engine, error) {
 // its name).
 func (e *Engine) Cracker() a51.Cracker { return e.cracker }
 
-// LeakDB exposes the merged leak database after Run.
-func (e *Engine) LeakDB() *socialdb.DB { return e.leaks }
-
 // RigsBuilt reports how many sniffer rigs the engine has constructed:
 // at most Workers over the engine's lifetime, one per shard slot.
 func (e *Engine) RigsBuilt() int64 { return e.rigsBuilt.Load() }

@@ -85,18 +85,6 @@ type AttackerBudget struct {
 	CellChannels int `json:"cellChannels,omitempty"`
 }
 
-// Coverage is the resulting per-victim interception probability.
-func (b AttackerBudget) Coverage() float64 {
-	if b.CellChannels <= 0 {
-		return 1
-	}
-	c := float64(b.Receivers) / float64(b.CellChannels)
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
 // Leak-tier cohort names for VictimSegment.LeakTier.
 const (
 	// LeakTierLeaked targets subscribers present in any leak database.

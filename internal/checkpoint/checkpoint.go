@@ -188,7 +188,6 @@ type Journal struct {
 	every     int
 	sinceSnap int
 	done      []bool
-	doneCount int
 }
 
 // crcTable is the Castagnoli polynomial every frame is checked with
@@ -266,16 +265,9 @@ func Open(dir string, m Manifest, opts Options) (*Journal, *State, error) {
 		every:     every,
 		sinceSnap: len(st.Records),
 		done:      append([]bool(nil), st.Done...),
-		doneCount: st.DoneCount,
 	}
 	return j, st, nil
 }
-
-// Manifest returns the run manifest the journal was opened with.
-func (j *Journal) Manifest() Manifest { return j.manifest }
-
-// DoneCount reports how many shards are journaled (snapshot + log).
-func (j *Journal) DoneCount() int { return j.doneCount }
 
 // Append journals one completed shard: frame, fsync, mark done. An
 // injected crash tears the frame mid-write — the kill-9 signature the
@@ -302,10 +294,7 @@ func (j *Journal) Append(shard int, payload []byte) error {
 	}
 	metJournalFsync.ObserveSince(syncStart)
 	metJournalBytes.Add(int64(len(frame)))
-	if !j.done[shard] {
-		j.done[shard] = true
-		j.doneCount++
-	}
+	j.done[shard] = true
 	j.sinceSnap++
 	return nil
 }

@@ -60,17 +60,6 @@ func (s ExposureStats) Pct(f ecosys.InfoField) float64 {
 	return 100 * float64(s.FieldCounts[f]) / float64(s.Accounts)
 }
 
-// Classify groups a field set by category, fields in declaration
-// order.
-func Classify(fields ecosys.InfoSet) map[ecosys.InfoCategory][]ecosys.InfoField {
-	out := make(map[ecosys.InfoCategory][]ecosys.InfoField)
-	for _, f := range fields.Sorted() {
-		c := f.Category()
-		out[c] = append(out[c], f)
-	}
-	return out
-}
-
 // Harvest renders the values a persona's profile page displays for a
 // presence, with the presence's masks applied — exactly what an
 // attacker scrapes after logging in. Fields with no persona value

@@ -59,19 +59,6 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	got := Classify(ecosys.NewInfoSet(
-		ecosys.InfoRealName, ecosys.InfoCitizenID, ecosys.InfoCellphone,
-		ecosys.InfoBankcard, ecosys.InfoChatHistory,
-	))
-	if len(got[ecosys.CategoryIdentity]) != 2 {
-		t.Errorf("identity fields = %v", got[ecosys.CategoryIdentity])
-	}
-	if len(got[ecosys.CategoryAccount]) != 1 || len(got[ecosys.CategoryProperty]) != 1 || len(got[ecosys.CategoryHistorical]) != 1 {
-		t.Errorf("classification = %v", got)
-	}
-}
-
 func TestHarvestAppliesMasks(t *testing.T) {
 	persona := identity.NewGenerator(42).Persona(7)
 	cat := testCatalog()

@@ -56,12 +56,6 @@ func New(cat *ecosys.Catalog, ap ecosys.AttackerProfile) (*ActFort, error) {
 	}, nil
 }
 
-// Catalog returns the analyzed catalog.
-func (a *ActFort) Catalog() *ecosys.Catalog { return a.cat }
-
-// Profile returns a copy of the attacker profile.
-func (a *ActFort) Profile() ecosys.AttackerProfile { return a.ap.Clone() }
-
 // Graph returns the Transformation Dependency Graph over the given
 // platforms (both when none given), building and caching it on first
 // use.
@@ -211,7 +205,3 @@ func (a *ActFort) Measure() (*Measurement, error) {
 	}
 	return m, nil
 }
-
-// TotalPaths reports the catalog's path count (the paper's "405
-// authentication paths in total").
-func (a *ActFort) TotalPaths() int { return a.cat.TotalPaths() }

@@ -185,16 +185,7 @@ func TestMeasure(t *testing.T) {
 			}
 		}
 	}
-	if a.TotalPaths() != 5 {
-		t.Errorf("TotalPaths = %d", a.TotalPaths())
-	}
-}
-
-func TestProfileCopied(t *testing.T) {
-	a := newEngine(t)
-	p := a.Profile()
-	p.Capabilities.Add(ecosys.FactorU2F)
-	if a.Profile().Capabilities.Has(ecosys.FactorU2F) {
-		t.Error("Profile leaked internal attacker profile")
+	if a.cat.TotalPaths() != 5 {
+		t.Errorf("TotalPaths = %d", a.cat.TotalPaths())
 	}
 }

@@ -43,7 +43,6 @@ var (
 	ErrUnknownDevice   = errors.New("countermeasure: phone has no registered device")
 	ErrUnknownRequest  = errors.New("countermeasure: unknown or expired auth request")
 	ErrNotAuthorized   = errors.New("countermeasure: request not authorized by the device")
-	ErrBadSignal       = errors.New("countermeasure: verification signal invalid or consumed")
 	ErrTampered        = errors.New("countermeasure: push payload failed authentication")
 	ErrAlreadyRegister = errors.New("countermeasure: phone already registered")
 )

@@ -22,8 +22,6 @@ const (
 	NumWeb = 187
 	// NumMobile is the mobile-presence count (Table I denominator).
 	NumMobile = 56
-	// NumPaths is the paper's 405 total authentication paths.
-	NumPaths = 405
 )
 
 // Default builds the calibrated 201-service catalog. The result is
@@ -155,8 +153,8 @@ func Default() (*ecosys.Catalog, error) {
 	return ecosys.NewCatalog(specs)
 }
 
-// MustDefault is Default panicking on error, for use in binaries and
-// benchmarks where the calibrated catalog is a precondition.
+// MustDefault is Default panicking on error, for tests and benchmarks
+// where the calibrated catalog is a precondition.
 func MustDefault() *ecosys.Catalog {
 	cat, err := Default()
 	if err != nil {
@@ -412,15 +410,4 @@ func Fig4Graph(cat *ecosys.Catalog, ap ecosys.AttackerProfile) (*tdg.Graph, erro
 		return nil, fmt.Errorf("dataset: Fig4 subset found %d of %d accounts", len(nodes), len(want))
 	}
 	return tdg.Build(nodes, ap)
-}
-
-// Flagships lists the hand-written service names, sorted.
-func Flagships() []string {
-	plans := flagshipPlans()
-	out := make([]string, 0, len(plans))
-	for _, p := range plans {
-		out = append(out, p.name)
-	}
-	sort.Strings(out)
-	return out
 }

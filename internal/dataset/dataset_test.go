@@ -20,6 +20,9 @@ func defaultCatalog(t *testing.T) *ecosys.Catalog {
 	return cat
 }
 
+// NumPaths is the paper's 405 total authentication paths.
+const NumPaths = 405
+
 func TestCatalogFrameCounts(t *testing.T) {
 	cat := defaultCatalog(t)
 	if cat.Len() != NumServices {
@@ -332,18 +335,6 @@ func TestBankcardNeverOnFringeWeb(t *testing.T) {
 			if !e.Mask.Masked {
 				t.Errorf("%s/%v exposes an unmasked bankcard", svc.Name, pr.Platform)
 			}
-		}
-	}
-}
-
-func TestFlagshipsListed(t *testing.T) {
-	names := Flagships()
-	if len(names) != 39 {
-		t.Errorf("flagships = %d want 39", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("flagships not sorted: %v", names)
 		}
 	}
 }

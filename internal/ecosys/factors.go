@@ -133,18 +133,6 @@ func (k FactorKind) Valid() bool {
 	return k >= FactorPassword && int(k) <= factorKindCount
 }
 
-// ParseFactor resolves a long factor name (the String form, e.g.
-// "sms-code") back to its kind. Used by the wire protocol of the live
-// service platform.
-func ParseFactor(name string) (FactorKind, bool) {
-	for k, n := range factorNames {
-		if n == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // AllFactorKinds returns every defined factor kind in declaration
 // order. The returned slice is fresh and safe to mutate.
 func AllFactorKinds() []FactorKind {
@@ -216,12 +204,6 @@ func (s FactorSet) Clone() FactorSet {
 	return out
 }
 
-// Add inserts k and returns s for chaining.
-func (s FactorSet) Add(k FactorKind) FactorSet {
-	s[k] = true
-	return s
-}
-
 // Union merges other into a new set.
 func (s FactorSet) Union(other FactorSet) FactorSet {
 	out := s.Clone()
@@ -231,17 +213,6 @@ func (s FactorSet) Union(other FactorSet) FactorSet {
 		}
 	}
 	return out
-}
-
-// Len returns the number of members.
-func (s FactorSet) Len() int {
-	n := 0
-	for _, v := range s {
-		if v {
-			n++
-		}
-	}
-	return n
 }
 
 // Sorted returns members in declaration order for stable output.

@@ -179,9 +179,6 @@ func NewInfoSet(fields ...InfoField) InfoSet {
 	return s
 }
 
-// Has reports membership.
-func (s InfoSet) Has(f InfoField) bool { return s[f] }
-
 // Clone returns an independent copy.
 func (s InfoSet) Clone() InfoSet {
 	out := make(InfoSet, len(s))
@@ -197,28 +194,6 @@ func (s InfoSet) Clone() InfoSet {
 func (s InfoSet) Add(f InfoField) InfoSet {
 	s[f] = true
 	return s
-}
-
-// Union merges other into a new set.
-func (s InfoSet) Union(other InfoSet) InfoSet {
-	out := s.Clone()
-	for f, v := range other {
-		if v {
-			out[f] = true
-		}
-	}
-	return out
-}
-
-// Len returns the number of members.
-func (s InfoSet) Len() int {
-	n := 0
-	for _, v := range s {
-		if v {
-			n++
-		}
-	}
-	return n
 }
 
 // Sorted returns members in declaration order.

@@ -2,7 +2,6 @@ package ecosys
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/actfort/actfort/internal/intern"
 )
@@ -318,17 +317,6 @@ func (pr *Presence) Exposure(f InfoField) (Exposure, bool) {
 	return Exposure{}, false
 }
 
-// PathsFor returns the paths with the given purpose.
-func (pr *Presence) PathsFor(purpose PathPurpose) []AuthPath {
-	var out []AuthPath
-	for _, p := range pr.Paths {
-		if p.Purpose == purpose {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // TakeoverPaths returns the paths that yield account control: sign-in
 // and password reset both do (a reset is followed by a login the
 // attacker controls); payment reset alone does not.
@@ -372,12 +360,6 @@ func (s *ServiceSpec) Presence(p Platform) (*Presence, bool) {
 		}
 	}
 	return nil, false
-}
-
-// HasPlatform reports whether the service exists on platform p.
-func (s *ServiceSpec) HasPlatform(p Platform) bool {
-	_, ok := s.Presence(p)
-	return ok
 }
 
 // AccountID identifies one node of the ecosystem: a service presence.
@@ -454,19 +436,6 @@ func (c *Catalog) CloneSpecs() []*ServiceSpec {
 	return out
 }
 
-// Clone deep-copies the whole catalog. Service order — and hence every
-// index-keyed structure derived from it (population enrollment bitsets,
-// campaign plan tables) — is preserved, so a patched clone stays
-// comparable position-by-position with its original.
-func (c *Catalog) Clone() *Catalog {
-	clone, err := NewCatalog(c.CloneSpecs())
-	if err != nil {
-		// The specs came from a valid catalog; rebuild cannot fail.
-		panic(err)
-	}
-	return clone
-}
-
 // MustCatalog is NewCatalog that panics on error; for use with
 // compile-time-constant datasets.
 func MustCatalog(specs []*ServiceSpec) *Catalog {
@@ -490,18 +459,6 @@ func (c *Catalog) ByName(name string) (*ServiceSpec, bool) {
 // Len returns the number of services.
 func (c *Catalog) Len() int { return len(c.services) }
 
-// Accounts enumerates every presence as an AccountID, web before
-// mobile, services in insertion order.
-func (c *Catalog) Accounts() []AccountID {
-	var out []AccountID
-	for _, s := range c.services {
-		for _, pr := range s.Presences {
-			out = append(out, AccountID{Service: s.Name, Platform: pr.Platform})
-		}
-	}
-	return out
-}
-
 // PresenceOf resolves an AccountID to its presence.
 func (c *Catalog) PresenceOf(id AccountID) (*Presence, bool) {
 	s, ok := c.byName[id.Service]
@@ -515,7 +472,7 @@ func (c *Catalog) PresenceOf(id AccountID) (*Presence, bool) {
 func (c *Catalog) CountPlatform(p Platform) int {
 	n := 0
 	for _, s := range c.services {
-		if s.HasPlatform(p) {
+		if _, ok := s.Presence(p); ok {
 			n++
 		}
 	}
@@ -531,18 +488,6 @@ func (c *Catalog) TotalPaths() int {
 		}
 	}
 	return n
-}
-
-// DomainServices returns service names per domain, sorted.
-func (c *Catalog) DomainServices(d Domain) []string {
-	var out []string
-	for _, s := range c.services {
-		if s.Domain == d {
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // AttackerProfile (AP in the paper's notation) describes the assumed

@@ -85,27 +85,6 @@ func (s *Server) Inbox(addr string) ([]Message, error) {
 	return append([]Message(nil), box...), nil
 }
 
-// LastMatching returns the newest message satisfying pred.
-func (s *Server) LastMatching(addr string, pred func(Message) bool) (Message, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	box := s.mailboxes[addr]
-	for i := len(box) - 1; i >= 0; i-- {
-		if pred(box[i]) {
-			return box[i], true
-		}
-	}
-	return Message{}, false
-}
-
-// Exists reports whether the mailbox is provisioned.
-func (s *Server) Exists(addr string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.mailboxes[addr]
-	return ok
-}
-
 // codeRe matches standalone 4–8 digit runs — OTP codes as they appear
 // in real verification mails.
 var codeRe = regexp.MustCompile(`\b([0-9]{4,8})\b`)
@@ -117,18 +96,6 @@ func ExtractCode(body string) (string, bool) {
 		return "", false
 	}
 	return m[1], true
-}
-
-// linkRe matches https reset links.
-var linkRe = regexp.MustCompile(`https://[^\s"<>]+`)
-
-// ExtractLink pulls the first https link from a body (reset links).
-func ExtractLink(body string) (string, bool) {
-	m := linkRe.FindString(body)
-	if m == "" {
-		return "", false
-	}
-	return m, true
 }
 
 // CodeSender adapts the server as an smsotp delivery transport, so

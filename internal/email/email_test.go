@@ -2,7 +2,6 @@ package email
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +21,11 @@ func TestMailboxLifecycle(t *testing.T) {
 	if err := s.CreateMailbox(""); err == nil {
 		t.Error("empty address accepted")
 	}
-	if !s.Exists("alice@mail.example") || s.Exists("bob@mail.example") {
-		t.Error("Exists wrong")
+	if _, err := s.Inbox("alice@mail.example"); err != nil {
+		t.Errorf("created mailbox missing: %v", err)
+	}
+	if _, err := s.Inbox("bob@mail.example"); !errors.Is(err, ErrNoMailbox) {
+		t.Errorf("uncreated mailbox err = %v", err)
 	}
 }
 
@@ -57,28 +59,6 @@ func TestDeliverAndInbox(t *testing.T) {
 	}
 }
 
-func TestLastMatching(t *testing.T) {
-	s := NewServer()
-	if err := s.CreateMailbox("a@x.example"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Deliver(Message{From: "svc@y.example", To: "a@x.example", Body: fmt.Sprintf("msg %d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, ok := s.LastMatching("a@x.example", func(m Message) bool { return strings.Contains(m.Body, "msg") })
-	if !ok || m.Body != "msg 4" {
-		t.Errorf("LastMatching = %+v, %v", m, ok)
-	}
-	if _, ok := s.LastMatching("a@x.example", func(Message) bool { return false }); ok {
-		t.Error("predicate false matched")
-	}
-	if _, ok := s.LastMatching("missing@x.example", func(Message) bool { return true }); ok {
-		t.Error("missing mailbox matched")
-	}
-}
-
 func TestExtractCode(t *testing.T) {
 	cases := []struct {
 		body string
@@ -100,17 +80,6 @@ func TestExtractCode(t *testing.T) {
 	}
 }
 
-func TestExtractLink(t *testing.T) {
-	body := `Click <a href="https://paypal.example/reset?token=abc123">here</a> to reset.`
-	link, ok := ExtractLink(body)
-	if !ok || !strings.HasPrefix(link, "https://paypal.example/reset?token=abc123") {
-		t.Errorf("ExtractLink = %q,%v", link, ok)
-	}
-	if _, ok := ExtractLink("no links"); ok {
-		t.Error("matched absent link")
-	}
-}
-
 func TestCodeSender(t *testing.T) {
 	s := NewServer()
 	if err := s.CreateMailbox("victim@mail.example"); err != nil {
@@ -120,12 +89,11 @@ func TestCodeSender(t *testing.T) {
 	if err := cs.SendCode("victim@mail.example", "PayPal", "339201"); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := s.LastMatching("victim@mail.example", func(m Message) bool {
-		return strings.Contains(m.Subject, "PayPal")
-	})
-	if !ok {
-		t.Fatal("code mail not delivered")
+	box, err := s.Inbox("victim@mail.example")
+	if err != nil || len(box) != 1 || !strings.Contains(box[0].Subject, "PayPal") {
+		t.Fatalf("code mail not delivered: %+v, %v", box, err)
 	}
+	m := box[0]
 	code, ok := ExtractCode(m.Body)
 	if !ok || code != "339201" {
 		t.Errorf("extracted %q,%v from %q", code, ok, m.Body)

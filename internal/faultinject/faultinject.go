@@ -151,16 +151,6 @@ func (in *Injector) At(p Point) error {
 	return nil
 }
 
-// Hits reports how many times point p has been reached.
-func (in *Injector) Hits(p Point) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.hits[p]
-}
-
 // ShardAttempt reports the injected outcome of attempt (0-based) on a
 // shard: nil to proceed, ErrPoisoned for quarantined-forever shards,
 // ErrTransient while the shard's seeded leading-failure count has not

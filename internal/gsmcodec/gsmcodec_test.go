@@ -66,11 +66,8 @@ func TestPack7BitRejectsLongAndUnmappable(t *testing.T) {
 	if _, _, err := Pack7Bit("code 中 123"); !errors.Is(err, ErrUnmappableRune) {
 		t.Errorf("CJK err = %v", err)
 	}
-	if Mappable("中") {
-		t.Error("CJK rune reported mappable")
-	}
-	if !Mappable("Your code is 1234 @ großes ä") {
-		t.Error("GSM-alphabet text reported unmappable")
+	if _, _, err := Pack7Bit("Your code is 1234 @ großes ä"); err != nil {
+		t.Errorf("GSM-alphabet text rejected: %v", err)
 	}
 }
 

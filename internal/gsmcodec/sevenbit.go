@@ -109,14 +109,3 @@ func Unpack7Bit(packed []byte, septets int) (string, error) {
 	}
 	return string(out), nil
 }
-
-// Mappable reports whether every rune of text is representable in the
-// default alphabet.
-func Mappable(text string) bool {
-	for _, r := range text {
-		if _, ok := runeToGSM[r]; !ok {
-			return false
-		}
-	}
-	return true
-}

@@ -140,9 +140,6 @@ func (g *Generator) Ref(i int) Ref {
 	return Ref{z0: originOf(g.seed, i), idx: i}
 }
 
-// Index returns the persona index the handle refers to.
-func (r Ref) Index() int { return r.idx }
-
 // draw is the k-th draw of this persona's stream.
 func (r Ref) draw(k int) uint64 { return drawAt(r.z0, k) }
 
@@ -292,15 +289,6 @@ func (g *Generator) Persona(i int) Persona {
 	return g.Ref(i).Persona()
 }
 
-// Personas returns personas [0, n).
-func (g *Generator) Personas(n int) []Persona {
-	out := make([]Persona, n)
-	for i := range out {
-		out[i] = g.Persona(i)
-	}
-	return out
-}
-
 // phonePrefixes are the +86 mobile prefixes personas cycle through.
 var phonePrefixes = []string{"138", "139", "150", "159", "176", "186", "188", "199"}
 
@@ -346,15 +334,11 @@ func lowerAll(in []string) []string {
 	return out
 }
 
-// CitizenIDCheckChar computes the ISO 7064 MOD 11-2 check character for
-// the first 17 digits of a citizen ID. It panics if body is not 17
-// decimal digits; callers validate with ValidCitizenID instead when
-// handling untrusted input.
-func CitizenIDCheckChar(body string) byte { return citizenCheckChar(body) }
-
-// citizenCheckChar is the byte/string-generic core of
-// CitizenIDCheckChar, so the append-based lazy accessors avoid a
-// string conversion per call.
+// citizenCheckChar computes the ISO 7064 MOD 11-2 check character for
+// the first 17 digits of a citizen ID, over bytes or a string so the
+// append-based lazy accessors avoid a string conversion per call. It
+// panics if body is not 17 decimal digits; ValidCitizenID checks
+// untrusted input.
 func citizenCheckChar[T ~string | ~[]byte](body T) byte {
 	if len(body) != 17 {
 		panic("identity: citizen ID body must be 17 digits")
@@ -387,14 +371,12 @@ func ValidCitizenID(id string) bool {
 	if last != 'X' && (last < '0' || last > '9') {
 		return false
 	}
-	return CitizenIDCheckChar(id[:17]) == last
+	return citizenCheckChar(id[:17]) == last
 }
 
-// LuhnCheckDigit computes the Luhn check digit for a digit string.
-// It panics on non-digit input; use ValidLuhn for untrusted data.
-func LuhnCheckDigit(body string) byte { return luhnCheckDigit(body) }
-
-// luhnCheckDigit is the byte/string-generic core of LuhnCheckDigit.
+// luhnCheckDigit computes the Luhn check digit for a digit string,
+// over bytes or a string. It panics on non-digit input; ValidLuhn
+// checks untrusted input.
 func luhnCheckDigit[T ~string | ~[]byte](body T) byte {
 	sum := 0
 	// Walking right to left, the rightmost body digit is doubled
@@ -429,5 +411,5 @@ func ValidLuhn(pan string) bool {
 			return false
 		}
 	}
-	return LuhnCheckDigit(pan[:len(pan)-1]) == pan[len(pan)-1]
+	return luhnCheckDigit(pan[:len(pan)-1]) == pan[len(pan)-1]
 }

@@ -134,7 +134,7 @@ func TestCitizenIDCheckProperty(t *testing.T) {
 			digits[i] = byte('0' + r.Intn(10))
 		}
 		body := string(digits)
-		return ValidCitizenID(body + string(CitizenIDCheckChar(body)))
+		return ValidCitizenID(body + string(citizenCheckChar(body)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -151,7 +151,7 @@ func TestLuhnCheckProperty(t *testing.T) {
 			digits[i] = byte('0' + r.Intn(10))
 		}
 		body := string(digits)
-		return ValidLuhn(body + string(LuhnCheckDigit(body)))
+		return ValidLuhn(body + string(luhnCheckDigit(body)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -172,19 +172,6 @@ func TestPersonaFieldsPopulated(t *testing.T) {
 	}
 	if !strings.Contains(p.Email, "@") {
 		t.Errorf("email %q malformed", p.Email)
-	}
-}
-
-func TestPersonasBatch(t *testing.T) {
-	g := NewGenerator(1)
-	batch := g.Personas(10)
-	if len(batch) != 10 {
-		t.Fatalf("Personas(10) returned %d personas", len(batch))
-	}
-	for i, p := range batch {
-		if p.Index != i {
-			t.Errorf("persona %d has Index %d", i, p.Index)
-		}
 	}
 }
 
@@ -217,8 +204,8 @@ func TestRefAccessorsMatchPersona(t *testing.T) {
 		for _, i := range []int{0, 1, 7, 999, 123456} {
 			r := g.Ref(i)
 			p := g.Persona(i)
-			if r.Index() != i {
-				t.Fatalf("Ref(%d).Index() = %d", i, r.Index())
+			if r.idx != i {
+				t.Fatalf("Ref(%d).idx = %d", i, r.idx)
 			}
 			checks := []struct {
 				name, got, want string

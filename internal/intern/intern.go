@@ -36,17 +36,7 @@ func init() {
 	}
 }
 
-// bucketBytes hashes content to its bucket (FNV-1a, the same function
-// for both key forms so String and Bytes agree on placement).
-func bucketBytes(b []byte) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * 16777619
-	}
-	return &shards[h&(numShards-1)]
-}
-
-// bucketString is bucketBytes for a string key.
+// bucketString hashes content to its bucket (FNV-1a).
 func bucketString(s string) *shard {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -76,45 +66,4 @@ func String(s string) string {
 	}
 	sh.mu.Unlock()
 	return v
-}
-
-// Bytes returns the canonical string for the content of b, allocating
-// only on first sight: the hit path keeps the []byte→string conversion
-// inside the map index expression, which Go compiles without a copy.
-// Callers assembling keys in reusable scratch buffers (the campaign's
-// per-worker slabs) intern through this to stay allocation-free at
-// steady state.
-func Bytes(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	sh := bucketBytes(b)
-	sh.mu.RLock()
-	v, ok := sh.m[string(b)]
-	sh.mu.RUnlock()
-	if ok {
-		return v
-	}
-	s := string(b)
-	sh.mu.Lock()
-	v, ok = sh.m[s]
-	if !ok {
-		sh.m[s] = s
-		v = s
-	}
-	sh.mu.Unlock()
-	return v
-}
-
-// Len reports how many distinct strings are interned (diagnostics and
-// the vocabulary-boundedness tests).
-func Len() int {
-	n := 0
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
 }

@@ -50,25 +50,6 @@ func Apply(value string, spec ecosys.MaskSpec) string {
 	return b.String()
 }
 
-// Revealed returns the number of visible characters Apply would leave
-// for a value of length n.
-func Revealed(n int, spec ecosys.MaskSpec) int {
-	if !spec.Masked {
-		return n
-	}
-	pre, suf := spec.VisiblePrefix, spec.VisibleSuffix
-	if pre < 0 {
-		pre = 0
-	}
-	if suf < 0 {
-		suf = 0
-	}
-	if pre+suf >= n {
-		return n
-	}
-	return pre + suf
-}
-
 // ErrConflict reports that two masked views disagree on a visible
 // position — they cannot belong to the same underlying value.
 var ErrConflict = errors.New("mask: views conflict on a visible position")
@@ -162,10 +143,4 @@ func (u UnifiedStandard) SpecFor(f ecosys.InfoField) (ecosys.MaskSpec, bool) {
 		return u.Bankcard, true
 	}
 	return ecosys.MaskSpec{}, false
-}
-
-// Governs reports whether the standard mandates a mask for field f.
-func (u UnifiedStandard) Governs(f ecosys.InfoField) bool {
-	_, ok := u.SpecFor(f)
-	return ok
 }

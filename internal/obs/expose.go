@@ -44,9 +44,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	case s.g != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(s.g.Value()))
 		return err
-	case s.gf != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(s.gf()))
-		return err
 	case s.h != nil:
 		return writeHistogram(w, f.name, s)
 	}
@@ -159,8 +156,6 @@ func (r *Registry) PublishExpvar(name string) {
 					out[key] = s.c.Value()
 				case s.g != nil:
 					out[key] = s.g.Value()
-				case s.gf != nil:
-					out[key] = s.gf()
 				case s.h != nil:
 					out[key] = map[string]any{
 						"count": s.h.Count(),

@@ -219,21 +219,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Sub returns the snapshot of observations made after base — s minus
-// base, bucket by bucket. Both must come from the same histogram.
-func (s HistSnapshot) Sub(base HistSnapshot) HistSnapshot {
-	out := HistSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count - base.Count,
-		Sum:    s.Sum - base.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] - base.Counts[i]
-	}
-	return out
-}
-
 // Quantile estimates the q-quantile of the snapshot, like
 // Histogram.Quantile.
 func (s HistSnapshot) Quantile(q float64) float64 {
@@ -262,7 +247,6 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -283,7 +267,6 @@ type series struct {
 	labels []Label // sorted by name
 	c      *Counter
 	g      *Gauge
-	gf     func() float64
 	h      *Histogram
 }
 
@@ -393,14 +376,6 @@ func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 	return s.g
 }
 
-// NewGaugeFunc registers a gauge whose value is computed by fn at
-// exposition time — for values that are cheaper to read on demand than
-// to push (pool sizes, queue depths).
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	f := r.getFamily(name, help, kindGaugeFunc, nil)
-	f.getSeries(labels, func(s *series) { s.gf = fn })
-}
-
 // NewHistogram returns the histogram for name plus labels. The first
 // registration of a family fixes its bucket bounds; later calls reuse
 // them (per-series bucket layouts would break exposition).
@@ -433,8 +408,6 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 		return float64(s.c.Value()), true
 	case s.g != nil:
 		return s.g.Value(), true
-	case s.gf != nil:
-		return s.gf(), true
 	}
 	return 0, false
 }

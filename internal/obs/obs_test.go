@@ -134,7 +134,6 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("b_total", "b help", L("k", "v")).Add(7)
 	r.NewGauge("a_gauge", "a help").Set(1.5)
-	r.NewGaugeFunc("c_fn", "", func() float64 { return 9 })
 	h := r.NewHistogram("d_hist", "d help", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)
@@ -151,8 +150,6 @@ a_gauge 1.5
 # HELP b_total b help
 # TYPE b_total counter
 b_total{k="v"} 7
-# TYPE c_fn gauge
-c_fn 9
 # HELP d_hist d help
 # TYPE d_hist histogram
 d_hist_bucket{le="1"} 1

@@ -13,7 +13,7 @@ func TestShardEnrollmentMatchesFloatDraw(t *testing.T) {
 	for _, seed := range []int64{1, 42, -7} {
 		for _, scale := range []float64{0.25, 1, 3} {
 			p := testPop(t, Config{Seed: seed, Size: 3000, ShardSize: 1024, EnrollmentScale: scale})
-			rates := p.AdoptionRates()
+			rates := p.adoption
 			clamped := 0
 			for _, r := range rates {
 				if r == 1 {

@@ -22,16 +22,14 @@
 //
 // That purity is the invariant the campaign's golden Summaries rest
 // on: regenerating a shard yields bit-identical subscribers
-// (Fingerprint pins it, versioned by FingerprintVersion, computed over
-// the fully materialized form), so two campaign runs over one seed
+// (the package tests' Fingerprint digest pins it, versioned by
+// FingerprintVersion, computed over the fully materialized form), so two campaign runs over one seed
 // differ only in engine mechanics, never in the world being attacked.
 package population
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -112,26 +110,8 @@ type Subscriber struct {
 	Class  LeakClass
 }
 
-// AppendIMSI appends the subscriber's 15-digit IMSI.
-func (s *Subscriber) AppendIMSI(b []byte) []byte { return AppendIMSI(b, s.Index) }
-
 // ServiceSet is a bitset over catalog service indices.
 type ServiceSet []uint64
-
-// Has reports membership of service index i.
-func (s ServiceSet) Has(i int) bool {
-	w := i >> 6
-	return w < len(s) && s[w]>>(uint(i)&63)&1 == 1
-}
-
-// Count returns the number of enrolled services.
-func (s ServiceSet) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Shard is one contiguous slice of the population.
 type Shard struct {
@@ -311,12 +291,6 @@ func (p *Population) leakClass(idx int) LeakClass {
 	return LeakWiFi
 }
 
-// IMSIFor maps a subscriber index to its 15-digit IMSI (MCC/MNC 46000,
-// the PLMN the paper's field setup observed).
-func IMSIFor(idx int) string {
-	return string(AppendIMSI(make([]byte, 0, 15), idx))
-}
-
 // AppendIMSI appends the 15-digit IMSI of subscriber idx — the
 // allocation-free form campaigns carve per-shard IMSI bytes with.
 func AppendIMSI(b []byte, idx int) []byte {
@@ -389,28 +363,10 @@ func enrollThresholds(rates []float64) []uint64 {
 	return out
 }
 
-// leakRecord builds the attacker-visible dump entry. Two tiers mirror
-// §V.A.1's sources: full breach rows (name and address, sometimes the
-// citizen ID) and phishing-WiFi harvests (phone number only).
-func (p *Population) leakRecord(idx int, persona identity.Persona) socialdb.Record {
-	seed := uint64(p.cfg.Seed)
-	rec := socialdb.Record{Phone: persona.Phone}
-	if p.leakClass(idx) == LeakBreach {
-		rec.Source = SourceBreach
-		rec.RealName = persona.RealName
-		rec.Address = persona.Address
-		if unit(mix(seed, tagLeakDeep, uint64(idx))) < 0.40 {
-			rec.CitizenID = persona.CitizenID
-		}
-	} else {
-		rec.Source = SourceWiFi
-	}
-	return rec
-}
-
 // AppendLeakRecords derives the leak-database rows of every leaked
 // subscriber in sh and appends them to dst — record for record the
-// rows leakRecord builds from a fully materialized persona.
+// rows the package tests' eager reference (leakRecord) builds from a
+// fully materialized persona.
 // Variable-length string fields (phone, address, citizen ID) are
 // carved from arena; names and source labels resolve to interned
 // vocabulary strings. The records are built to outlive the shard:
@@ -496,14 +452,8 @@ func adoptionRates(cat *ecosys.Catalog, scale float64) []float64 {
 	return out
 }
 
-// AdoptionRates returns a copy of the per-service adoption
-// probabilities, catalog order.
-func (p *Population) AdoptionRates() []float64 {
-	return append([]float64(nil), p.adoption...)
-}
-
 // FingerprintVersion identifies the generation of the persona draw
-// streams folded into Fingerprint. Same seed + same version ⇒ same
+// streams folded into the package tests' Fingerprint digest. Same seed + same version ⇒ same
 // fingerprint across runs and machines; the version bumps whenever
 // the draw pipeline changes the materialized bytes.
 //
@@ -515,73 +465,3 @@ func (p *Population) AdoptionRates() []float64 {
 //	    the eager builder, so the materialized bytes never moved (the
 //	    pinned-fingerprint test holds v2 digests constant).
 const FingerprintVersion = 2
-
-// Fingerprint hashes every subscriber's complete materialized state
-// (identity, persona, enrollment, leak record) into one FNV-64 digest,
-// prefixed with FingerprintVersion. Two populations with equal
-// fingerprints are byte-identical; the determinism property test pins
-// same-seed reproducibility with it. The digest covers the fully
-// materialized form — the compact Shard is a compression of the same
-// bytes — and is independent of shard geometry (subscribers hash in
-// index order).
-func (p *Population) Fingerprint() uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte{FingerprintVersion})
-	buf := make([]byte, 0, 512)
-	enrolled := make(ServiceSet, p.words)
-	for idx := 0; idx < p.cfg.Size; idx++ {
-		persona := p.gen.Ref(idx).Persona()
-		clear(enrolled)
-		p.fillEnrollment(enrolled, idx)
-		var rec *socialdb.Record
-		if p.leaked(idx) {
-			r := p.leakRecord(idx, persona)
-			rec = &r
-		}
-		buf = appendSubscriber(buf[:0], idx, &persona, enrolled, rec)
-		_, _ = h.Write(buf)
-	}
-	return h.Sum64()
-}
-
-// appendSubscriber canonically serializes one fully materialized
-// subscriber; rec is nil for an unleaked one.
-func appendSubscriber(buf []byte, idx int, pe *identity.Persona, enrolled ServiceSet, rec *socialdb.Record) []byte {
-	appendStr := func(s string) {
-		buf = append(buf, byte(len(s)>>8), byte(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = append(buf, byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx))
-	appendStr(IMSIFor(idx))
-	appendStr(pe.RealName)
-	appendStr(pe.CitizenID)
-	appendStr(pe.Phone)
-	appendStr(pe.Email)
-	appendStr(pe.Address)
-	appendStr(pe.Bankcard)
-	appendStr(pe.UserID)
-	appendStr(pe.StudentID)
-	appendStr(pe.DeviceType)
-	for _, a := range pe.Acquaintances {
-		appendStr(a)
-	}
-	for _, ph := range pe.Photos {
-		appendStr(ph)
-	}
-	for _, w := range enrolled {
-		for s := 56; s >= 0; s -= 8 {
-			buf = append(buf, byte(w>>uint(s)))
-		}
-	}
-	if rec != nil {
-		buf = append(buf, 1)
-		appendStr(rec.Phone)
-		appendStr(rec.RealName)
-		appendStr(rec.Address)
-		appendStr(rec.CitizenID)
-		appendStr(rec.Source)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
-}

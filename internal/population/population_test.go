@@ -1,6 +1,7 @@
 package population
 
 import (
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,6 +12,21 @@ import (
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/socialdb"
 )
+
+// Has reports membership of service index i.
+func (s ServiceSet) Has(i int) bool {
+	w := i >> 6
+	return w < len(s) && s[w]>>(uint(i)&63)&1 == 1
+}
+
+// Count returns the number of enrolled services.
+func (s ServiceSet) Count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 func testPop(t *testing.T, cfg Config) *Population {
 	t.Helper()
@@ -122,7 +138,7 @@ func TestSubscriberValidity(t *testing.T) {
 		if !identity.ValidLuhn(e.Persona.Bankcard) {
 			t.Fatalf("subscriber %d: invalid bankcard %q", sub.Index, e.Persona.Bankcard)
 		}
-		if imsi := sub.AppendIMSI(nil); len(imsi) != 15 {
+		if imsi := AppendIMSI(nil, sub.Index); len(imsi) != 15 {
 			t.Fatalf("subscriber %d: IMSI %q not 15 digits", sub.Index, imsi)
 		}
 		if phones[e.Persona.Phone] {
@@ -208,7 +224,7 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 			if !reflect.DeepEqual(lsub.Enrolled, e.Enrolled) {
 				t.Fatalf("shard %d sub %d: enrollment mismatch", i, j)
 			}
-			if got := string(lsub.AppendIMSI(nil)); got != e.IMSI {
+			if got := string(AppendIMSI(nil, lsub.Index)); got != e.IMSI {
 				t.Fatalf("sub %d: IMSI %q != %q", lsub.Index, got, e.IMSI)
 			}
 			if got := string(lsub.Ref.AppendPhone(nil)); got != e.Persona.Phone {

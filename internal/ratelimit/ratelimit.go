@@ -63,22 +63,3 @@ func (l *Limiter) Allow() bool {
 	l.tokens--
 	return true
 }
-
-// Tokens reports the current bucket fill (refilled to now) — a
-// diagnostics read for gauges and tests, not an admission check.
-func (l *Limiter) Tokens() float64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.now()
-	if el := now.Sub(l.last).Seconds(); el > 0 {
-		l.tokens += el * l.rate
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-		l.last = now
-	}
-	return l.tokens
-}

@@ -140,10 +140,6 @@ func New(cfg Config) *Server {
 // completes; queries arriving earlier are answered 503.
 func (s *Server) SetEngine(e *campaign.Engine) { s.engine.Store(e) }
 
-// Ready reports whether the server would answer readyz 200: engine
-// resident and not draining.
-func (s *Server) Ready() bool { return s.engine.Load() != nil && !s.draining.Load() }
-
 // StartDrain marks the server draining: readyz answers 503 so load
 // balancers stop routing here, and new query requests are refused,
 // while queries already admitted run to completion. The caller then

@@ -287,9 +287,6 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	s.SetEngine(newEngine(t, 1024, 256, nil))
-	if !s.Ready() {
-		t.Fatal("Ready() false after SetEngine")
-	}
 	if got := get("/v1/readyz"); got != http.StatusOK {
 		t.Fatalf("readyz after engine = %d", got)
 	}
@@ -298,9 +295,6 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	s.StartDrain()
-	if s.Ready() {
-		t.Fatal("Ready() true while draining")
-	}
 	if got := get("/v1/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("readyz draining = %d, want 503", got)
 	}

@@ -31,9 +31,6 @@ type Instance struct {
 // URL returns the instance's base URL.
 func (in *Instance) URL() string { return in.server.URL }
 
-// ID returns the account identity this instance serves.
-func (in *Instance) ID() ecosys.AccountID { return in.id }
-
 func (in *Instance) provision(u User) {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -191,16 +191,5 @@ func (p *Platform) session(token string) (Session, bool) {
 	return s, ok
 }
 
-// SessionFor reports the session behind a token (exported for tests
-// and the SSO verifier).
-func (p *Platform) SessionFor(token string) (Session, bool) { return p.session(token) }
-
 // Catalog returns the catalog the platform serves.
 func (p *Platform) Catalog() *ecosys.Catalog { return p.cat }
-
-// Mail exposes the mail substrate (instances in the email domain serve
-// mailboxes from it).
-func (p *Platform) Mail() *email.Server { return p.mail }
-
-// OTP exposes the code service (tests inspect issuance state).
-func (p *Platform) OTP() *smsotp.Service { return p.otp }

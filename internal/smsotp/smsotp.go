@@ -34,22 +34,6 @@ type Sender interface {
 // Option configures a Service.
 type Option func(*Service)
 
-// WithTTL sets code lifetime (default 5 minutes).
-func WithTTL(ttl time.Duration) Option {
-	return func(s *Service) { s.ttl = ttl }
-}
-
-// WithMaxAttempts sets the verification attempt limit per code
-// (default 3).
-func WithMaxAttempts(n int) Option {
-	return func(s *Service) { s.maxAttempts = n }
-}
-
-// WithCodeLength sets the number of digits (default 6).
-func WithCodeLength(n int) Option {
-	return func(s *Service) { s.codeLen = n }
-}
-
 // WithSeed makes code generation deterministic for experiments.
 func WithSeed(seed int64) Option {
 	return func(s *Service) { s.rng = rand.New(rand.NewSource(seed)) }
@@ -60,28 +44,25 @@ func WithClock(now func() time.Time) Option {
 	return func(s *Service) { s.now = now }
 }
 
-// WithRateLimit caps issues per destination within a sliding window
-// (default 5 per minute).
-func WithRateLimit(maxPerWindow int, window time.Duration) Option {
-	return func(s *Service) {
-		s.rateMax = maxPerWindow
-		s.rateWindow = window
-	}
-}
+// Issuance policy: the code lifetime, the verification attempts per
+// code, the code length, and the sliding-window issue limit per
+// destination.
+const (
+	codeTTL     = 5 * time.Minute
+	maxAttempts = 3
+	codeLen     = 6
+	rateMax     = 5
+	rateWindow  = time.Minute
+)
 
 // Service issues and verifies one-time codes. One Service instance
 // typically backs one online service's SC/EMC factors.
 type Service struct {
-	mu          sync.Mutex
-	rng         *rand.Rand
-	now         func() time.Time
-	ttl         time.Duration
-	maxAttempts int
-	codeLen     int
-	rateMax     int
-	rateWindow  time.Duration
-	pending     map[pendKey]*issued
-	issueLog    map[string][]time.Time // destination -> recent issue times
+	mu       sync.Mutex
+	rng      *rand.Rand
+	now      func() time.Time
+	pending  map[pendKey]*issued
+	issueLog map[string][]time.Time // destination -> recent issue times
 }
 
 type pendKey struct {
@@ -98,15 +79,10 @@ type issued struct {
 // New builds a Service.
 func New(opts ...Option) *Service {
 	s := &Service{
-		rng:         rand.New(rand.NewSource(1)),
-		now:         time.Now,
-		ttl:         5 * time.Minute,
-		maxAttempts: 3,
-		codeLen:     6,
-		rateMax:     5,
-		rateWindow:  time.Minute,
-		pending:     make(map[pendKey]*issued),
-		issueLog:    make(map[string][]time.Time),
+		rng:      rand.New(rand.NewSource(1)),
+		now:      time.Now,
+		pending:  make(map[pendKey]*issued),
+		issueLog: make(map[string][]time.Time),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -127,21 +103,21 @@ func (s *Service) Issue(service, destination string, send Sender) error {
 	// Sliding-window rate limit per destination.
 	recent := s.issueLog[destination][:0]
 	for _, ts := range s.issueLog[destination] {
-		if now.Sub(ts) < s.rateWindow {
+		if now.Sub(ts) < rateWindow {
 			recent = append(recent, ts)
 		}
 	}
-	if len(recent) >= s.rateMax {
+	if len(recent) >= rateMax {
 		s.issueLog[destination] = recent
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %d issues in %v", ErrRateLimited, len(recent), s.rateWindow)
+		return fmt.Errorf("%w: %d issues in %v", ErrRateLimited, len(recent), rateWindow)
 	}
 	s.issueLog[destination] = append(recent, now)
 
 	code := s.genCodeLocked()
 	s.pending[pendKey{service, destination}] = &issued{
 		code:    code,
-		expires: now.Add(s.ttl),
+		expires: now.Add(codeTTL),
 	}
 	s.mu.Unlock()
 
@@ -157,7 +133,7 @@ func (s *Service) Issue(service, destination string, send Sender) error {
 
 // genCodeLocked requires s.mu held.
 func (s *Service) genCodeLocked() string {
-	digits := make([]byte, s.codeLen)
+	digits := make([]byte, codeLen)
 	for i := range digits {
 		digits[i] = byte('0' + s.rng.Intn(10))
 	}
@@ -178,13 +154,13 @@ func (s *Service) Verify(service, destination, code string) error {
 		delete(s.pending, k)
 		return ErrExpired
 	}
-	if iss.attempts >= s.maxAttempts {
+	if iss.attempts >= maxAttempts {
 		delete(s.pending, k)
 		return ErrTooManyAttempts
 	}
 	iss.attempts++
 	if iss.code != code {
-		if iss.attempts >= s.maxAttempts {
+		if iss.attempts >= maxAttempts {
 			delete(s.pending, k)
 			return ErrTooManyAttempts
 		}
@@ -192,15 +168,6 @@ func (s *Service) Verify(service, destination, code string) error {
 	}
 	delete(s.pending, k)
 	return nil
-}
-
-// Outstanding reports whether a code is pending for the pair (for
-// tests and monitoring; it does not reveal the code).
-func (s *Service) Outstanding(service, destination string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	iss, ok := s.pending[pendKey{service, destination}]
-	return ok && !s.now().After(iss.expires)
 }
 
 // TelecomSender delivers codes as GSM/LTE SMS through the simulated
@@ -241,12 +208,4 @@ func (t *TelecomSender) SendCode(destination, serviceName, code string) error {
 	}
 	_, err := t.Net.SendSMS(origin, destination, fmt.Sprintf(tmpl, name, code))
 	return err
-}
-
-// FuncSender adapts a function to Sender (test hooks, push channels).
-type FuncSender func(destination, serviceName, code string) error
-
-// SendCode implements Sender.
-func (f FuncSender) SendCode(destination, serviceName, code string) error {
-	return f(destination, serviceName, code)
 }

@@ -26,6 +26,15 @@ func (c *capture) SendCode(destination, serviceName, code string) error {
 	return nil
 }
 
+// Outstanding reports whether a code is pending for the pair (for
+// tests and monitoring; it does not reveal the code).
+func (s *Service) Outstanding(service, destination string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	iss, ok := s.pending[pendKey{service, destination}]
+	return ok && !s.now().After(iss.expires)
+}
+
 func TestIssueAndVerify(t *testing.T) {
 	s := New(WithSeed(42))
 	snd := &capture{}
@@ -48,7 +57,7 @@ func TestIssueAndVerify(t *testing.T) {
 }
 
 func TestVerifyWrongCodeAndAttemptLimit(t *testing.T) {
-	s := New(WithSeed(1), WithMaxAttempts(3))
+	s := New(WithSeed(1))
 	snd := &capture{}
 	if err := s.Issue("svc", "d", snd); err != nil {
 		t.Fatal(err)
@@ -70,7 +79,7 @@ func TestVerifyWrongCodeAndAttemptLimit(t *testing.T) {
 }
 
 func TestCorrectCodeWithinAttemptLimit(t *testing.T) {
-	s := New(WithSeed(1), WithMaxAttempts(3))
+	s := New(WithSeed(1))
 	snd := &capture{}
 	if err := s.Issue("svc", "d", snd); err != nil {
 		t.Fatal(err)
@@ -86,12 +95,12 @@ func TestCorrectCodeWithinAttemptLimit(t *testing.T) {
 func TestExpiry(t *testing.T) {
 	now := time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	s := New(WithSeed(1), WithTTL(time.Minute), WithClock(clock))
+	s := New(WithSeed(1), WithClock(clock))
 	snd := &capture{}
 	if err := s.Issue("svc", "d", snd); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Minute)
+	now = now.Add(codeTTL + time.Minute)
 	if s.Outstanding("svc", "d") {
 		t.Error("expired code still outstanding")
 	}
@@ -128,22 +137,22 @@ func TestReissueReplacesCode(t *testing.T) {
 func TestRateLimit(t *testing.T) {
 	now := time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	s := New(WithSeed(1), WithRateLimit(2, time.Minute), WithClock(clock))
+	s := New(WithSeed(1), WithClock(clock))
 	snd := &capture{}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < rateMax; i++ {
 		if err := s.Issue("svc", "d", snd); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Issue("svc", "d", snd); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("third issue err = %v want ErrRateLimited", err)
+		t.Fatalf("issue over the limit err = %v want ErrRateLimited", err)
 	}
 	// Other destinations are unaffected.
 	if err := s.Issue("svc", "other", snd); err != nil {
 		t.Errorf("unrelated destination rate-limited: %v", err)
 	}
 	// The window slides.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(rateWindow + time.Minute)
 	if err := s.Issue("svc", "d", snd); err != nil {
 		t.Errorf("issue after window err = %v", err)
 	}
@@ -181,22 +190,6 @@ func TestServiceScoping(t *testing.T) {
 	}
 	if err := s.Verify("gmail", "d", a.code); err != nil {
 		t.Errorf("gmail verify: %v", err)
-	}
-}
-
-func TestCodeLength(t *testing.T) {
-	s := New(WithSeed(1), WithCodeLength(8))
-	snd := &capture{}
-	if err := s.Issue("svc", "d", snd); err != nil {
-		t.Fatal(err)
-	}
-	if len(snd.code) != 8 {
-		t.Errorf("code length = %d want 8", len(snd.code))
-	}
-	for _, c := range snd.code {
-		if c < '0' || c > '9' {
-			t.Errorf("non-digit %q in code", c)
-		}
 	}
 }
 
@@ -259,28 +252,18 @@ func TestTelecomSenderErrors(t *testing.T) {
 	}
 }
 
-func TestFuncSender(t *testing.T) {
-	var got string
-	f := FuncSender(func(_, _, code string) error { got = code; return nil })
-	s := New(WithSeed(2))
-	if err := s.Issue("svc", "d", f); err != nil {
-		t.Fatal(err)
-	}
-	if got == "" {
-		t.Error("FuncSender not invoked")
-	}
-}
-
 func BenchmarkIssueVerify(b *testing.B) {
-	s := New(WithSeed(1), WithRateLimit(1<<30, time.Minute))
-	var code string
-	f := FuncSender(func(_, _, c string) error { code = c; return nil })
+	// Each issue lands in a fresh rate window, so the limit never trips.
+	now := time.Now()
+	s := New(WithSeed(1), WithClock(func() time.Time { return now }))
+	snd := &capture{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := s.Issue("svc", "d", f); err != nil {
+		now = now.Add(rateWindow)
+		if err := s.Issue("svc", "d", snd); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Verify("svc", "d", code); err != nil {
+		if err := s.Verify("svc", "d", snd.code); err != nil {
 			b.Fatal(err)
 		}
 	}

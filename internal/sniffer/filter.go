@@ -52,15 +52,6 @@ func ParseFilter(src string) (Filter, error) {
 	return expr, nil
 }
 
-// MustFilter is ParseFilter panicking on error, for constant filters.
-func MustFilter(src string) Filter {
-	f, err := ParseFilter(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // --- lexer ---
 
 type tokKind int

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// MustFilter is ParseFilter panicking on error, for constant filters.
+func MustFilter(src string) Filter {
+	f, err := ParseFilter(src)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func capFor(src, text string, arfcn int, enc bool) Capture {
 	return Capture{Originator: src, Text: text, ARFCN: arfcn, Encrypted: enc}
 }

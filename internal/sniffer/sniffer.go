@@ -804,26 +804,3 @@ func (s *Sniffer) Stats() Stats {
 	defer s.mu.Unlock()
 	return s.stats
 }
-
-// WaitForCode polls until a capture whose text matches filter appears,
-// or ctx expires. It is the primitive the attack orchestrator uses:
-// "trigger the reset, then wait for the code to fly by".
-func (s *Sniffer) WaitForCode(ctx context.Context, f Filter) (Capture, error) {
-	seen := 0
-	for {
-		s.mu.Lock()
-		for ; seen < len(s.captures); seen++ {
-			if f == nil || f.Match(s.captures[seen]) {
-				c := s.captures[seen]
-				s.mu.Unlock()
-				return c, nil
-			}
-		}
-		s.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return Capture{}, ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-}

@@ -1,11 +1,9 @@
 package sniffer
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/actfort/actfort/internal/a51"
 	"github.com/actfort/actfort/internal/telecom"
@@ -369,45 +367,6 @@ func TestBurstLossDropsSession(t *testing.T) {
 	}
 	if got := len(full.Captures()); got != 1 {
 		t.Errorf("full replay captures = %d want 1", got)
-	}
-}
-
-func TestWaitForCode(t *testing.T) {
-	n, sub, s := rig(t, Config{})
-	if err := s.Tune(512, 513, 514); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan Capture, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		c, err := s.WaitForCode(ctx, MustFilter(`sms.src == "PayPal"`))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		done <- c
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if _, err := n.SendSMS("PayPal", sub.MSISDN, "PayPal: 998877"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-done:
-		if c.Originator != "PayPal" {
-			t.Errorf("capture = %+v", c)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitForCode never returned")
-	}
-}
-
-func TestWaitForCodeTimeout(t *testing.T) {
-	_, _, s := rig(t, Config{})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := s.WaitForCode(ctx, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package socialdb models the attacker's out-of-band information
-// sources from §V.A.1: leaked personal-information databases used for
+// source from §V.A.1: leaked personal-information databases used for
 // targeted attacks ("the attacker could utilize the existing illegal
-// databases of leaked personal information") and the phishing-WiFi
-// harvester used for random attacks at airports and railway stations.
+// databases of leaked personal information"). The random attack's
+// phishing-WiFi harvest is a leak cohort of internal/population
+// (phone number only) rather than a type here.
 //
 // All data here is synthetic (see internal/identity); the package
 // exists to give the attack orchestrator the same two entry points the
@@ -126,52 +127,4 @@ func (d *DB) LookupBytes(phone []byte) (Record, error) {
 		return Record{}, ErrNotFound
 	}
 	return r, nil
-}
-
-// Len reports the number of records.
-func (d *DB) Len() int {
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		n += len(s.byPhone)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// PhishingWiFi is the random-attack harvester: a fake access point at
-// a crowded venue collecting the phone numbers of nearby victims.
-type PhishingWiFi struct {
-	// SSID is the bait network name.
-	SSID string
-
-	mu       sync.Mutex
-	captured []string
-	seen     map[string]bool
-}
-
-// NewPhishingWiFi deploys a fake AP.
-func NewPhishingWiFi(ssid string) *PhishingWiFi {
-	return &PhishingWiFi{SSID: ssid, seen: make(map[string]bool)}
-}
-
-// Observe records a victim's phone number (dedup by number); it
-// returns true when the number is new.
-func (w *PhishingWiFi) Observe(phone string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.seen[phone] {
-		return false
-	}
-	w.seen[phone] = true
-	w.captured = append(w.captured, phone)
-	return true
-}
-
-// Harvested returns captured numbers in observation order.
-func (w *PhishingWiFi) Harvested() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.captured...)
 }

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// Len reports the number of records.
+func (d *DB) Len() int {
+	n := 0
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.RLock()
+		n += len(s.byPhone)
+		s.mu.RUnlock()
+	}
+	return n
+}
+
 func TestDBAddLookup(t *testing.T) {
 	d := New()
 	if _, err := d.Lookup("+8613800000001"); !errors.Is(err, ErrNotFound) {
@@ -28,27 +40,8 @@ func TestDBAddLookup(t *testing.T) {
 	}
 }
 
-func TestPhishingWiFi(t *testing.T) {
-	w := NewPhishingWiFi("Free_Airport_WiFi")
-	if !w.Observe("+8613800000001") {
-		t.Error("first observation should be new")
-	}
-	if w.Observe("+8613800000001") {
-		t.Error("duplicate observation reported as new")
-	}
-	w.Observe("+8613800000002")
-	got := w.Harvested()
-	if len(got) != 2 || got[0] != "+8613800000001" || got[1] != "+8613800000002" {
-		t.Errorf("Harvested = %v", got)
-	}
-	if w.SSID != "Free_Airport_WiFi" {
-		t.Errorf("SSID = %q", w.SSID)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	d := New()
-	w := NewPhishingWiFi("x")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -58,13 +51,12 @@ func TestConcurrentAccess(t *testing.T) {
 				phone := string(rune('a'+i)) + "-phone"
 				d.Add(Record{Phone: phone})
 				_, _ = d.Lookup(phone)
-				w.Observe(phone)
 			}
 		}(i)
 	}
 	wg.Wait()
-	if d.Len() != 8 || len(w.Harvested()) != 8 {
-		t.Errorf("Len=%d harvested=%d want 8/8", d.Len(), len(w.Harvested()))
+	if d.Len() != 8 {
+		t.Errorf("Len=%d want 8", d.Len())
 	}
 }
 

@@ -9,7 +9,6 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/tdg"
@@ -217,21 +216,4 @@ func Layers(res *ForwardResult, total int) LayerStats {
 	}
 	st.Uncompromised = len(res.Survivors)
 	return st
-}
-
-// SortedVictims lists compromised accounts ordered by round then name,
-// for stable reporting.
-func (r *ForwardResult) SortedVictims() []ecosys.AccountID {
-	out := make([]ecosys.AccountID, 0, len(r.Compromised))
-	for id := range r.Compromised {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := r.Compromised[out[i]], r.Compromised[out[j]]
-		if ci.Round != cj.Round {
-			return ci.Round < cj.Round
-		}
-		return out[i].String() < out[j].String()
-	})
-	return out
 }

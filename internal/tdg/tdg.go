@@ -106,9 +106,7 @@ type Graph struct {
 	strong  []Edge
 	weak    []Edge
 	couples []CoupleGroup
-
-	strongParents map[ecosys.AccountID][]ecosys.AccountID
-	fringe        map[ecosys.AccountID]bool
+	fringe  map[ecosys.AccountID]bool
 }
 
 // maskableFieldLens gives the canonical value lengths used for the
@@ -237,10 +235,9 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 	}
 
 	g := &Graph{
-		nodes:         make(map[ecosys.AccountID]*Node, len(nodes)),
-		ap:            ap.Clone(),
-		strongParents: make(map[ecosys.AccountID][]ecosys.AccountID),
-		fringe:        make(map[ecosys.AccountID]bool),
+		nodes:  make(map[ecosys.AccountID]*Node, len(nodes)),
+		ap:     ap.Clone(),
+		fringe: make(map[ecosys.AccountID]bool),
 	}
 	for i := range nodes {
 		n := nodes[i] // copy
@@ -261,7 +258,6 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 
 	for _, targetID := range g.order {
 		target := g.nodes[targetID]
-		strongSeen := make(map[ecosys.AccountID]bool)
 		// Only takeover paths (sign-in and password reset) grow edges.
 		for _, path := range takeoverPaths(target.Paths) {
 			required := missingFactors(path, apFactors)
@@ -296,10 +292,6 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 						From: fromID, To: targetID, Kind: EdgeStrong,
 						PathID: path.ID, Provides: provides,
 					})
-					if !strongSeen[fromID] {
-						strongSeen[fromID] = true
-						g.strongParents[targetID] = append(g.strongParents[targetID], fromID)
-					}
 					continue
 				}
 				halves = append(halves, halfParent{id: fromID, provides: provides})
@@ -539,12 +531,6 @@ func (g *Graph) InternalNodes() []ecosys.AccountID {
 		}
 	}
 	return out
-}
-
-// StrongParents returns the full-capacity parents of a node (unique,
-// discovery order).
-func (g *Graph) StrongParents(id ecosys.AccountID) []ecosys.AccountID {
-	return append([]ecosys.AccountID(nil), g.strongParents[id]...)
 }
 
 // StrongEdges returns all strong-directivity edges.

@@ -18,6 +18,21 @@ import (
 //	shop/web     — exposes bankcard (half parent for bank); fringe
 //	fortress/web — sign-in with U2F only (unattackable)
 //	expedia/web  — sign-in via linked gmail account
+
+// strongParents returns the full-capacity parents of a node: the
+// sources of its strong edges, unique, in discovery order.
+func strongParents(g *Graph, id ecosys.AccountID) []ecosys.AccountID {
+	var out []ecosys.AccountID
+	seen := map[ecosys.AccountID]bool{}
+	for _, e := range g.StrongEdges() {
+		if e.To == id && !seen[e.From] {
+			seen[e.From] = true
+			out = append(out, e.From)
+		}
+	}
+	return out
+}
+
 func fixtureNodes() []Node {
 	id := func(s string, p ecosys.Platform) ecosys.AccountID {
 		return ecosys.AccountID{Service: s, Platform: p}
@@ -130,25 +145,25 @@ func TestStrongEdges(t *testing.T) {
 	g := buildFixture(t)
 
 	// ctrip exposes citizen ID -> full-capacity parent of alipay.
-	parents := g.StrongParents(aid("alipay", ecosys.PlatformMobile))
+	parents := strongParents(g, aid("alipay", ecosys.PlatformMobile))
 	if len(parents) != 1 || parents[0] != aid("ctrip", ecosys.PlatformWeb) {
 		t.Errorf("alipay strong parents = %v", parents)
 	}
 
 	// gmail hosts paypal's mailbox -> full-capacity parent of paypal.
-	parents = g.StrongParents(aid("paypal", ecosys.PlatformWeb))
+	parents = strongParents(g, aid("paypal", ecosys.PlatformWeb))
 	if len(parents) != 1 || parents[0] != aid("gmail", ecosys.PlatformWeb) {
 		t.Errorf("paypal strong parents = %v", parents)
 	}
 
 	// expedia is bound to gmail -> gmail is its full-capacity parent.
-	parents = g.StrongParents(aid("expedia", ecosys.PlatformWeb))
+	parents = strongParents(g, aid("expedia", ecosys.PlatformWeb))
 	if len(parents) != 1 || parents[0] != aid("gmail", ecosys.PlatformWeb) {
 		t.Errorf("expedia strong parents = %v", parents)
 	}
 
 	// fortress (U2F) must have no parents at all.
-	if got := g.StrongParents(aid("fortress", ecosys.PlatformWeb)); len(got) != 0 {
+	if got := strongParents(g, aid("fortress", ecosys.PlatformWeb)); len(got) != 0 {
 		t.Errorf("fortress strong parents = %v", got)
 	}
 	for _, e := range g.WeakEdges() {
@@ -192,7 +207,7 @@ func TestCoupleNodes(t *testing.T) {
 	}
 
 	// No strong parent for bank: nobody alone covers all three.
-	if got := g.StrongParents(bank); len(got) != 0 {
+	if got := strongParents(g, bank); len(got) != 0 {
 		t.Errorf("bank strong parents = %v", got)
 	}
 
@@ -366,7 +381,7 @@ func TestDescribeNode(t *testing.T) {
 func TestProfileIsCopied(t *testing.T) {
 	g := buildFixture(t)
 	p := g.Profile()
-	p.Capabilities.Add(ecosys.FactorU2F)
+	p.Capabilities[ecosys.FactorU2F] = true
 	if g.Profile().Capabilities.Has(ecosys.FactorU2F) {
 		t.Error("Profile() leaked internal state")
 	}

@@ -7,21 +7,12 @@ import (
 	"github.com/actfort/actfort/internal/a51"
 )
 
-// The 51×26 COUNT schedule is defined next to the cipher it keys (see
-// internal/a51/frames.go); the telecom substrate re-exports it so
-// radio callers never import the cipher package directly.
-const (
-	// Multi26 is the traffic-channel multiframe length.
-	Multi26 = a51.Multi26
-	// Multi51 is the control-channel multiframe length.
-	Multi51 = a51.Multi51
-	// HyperPeriod is the reduced hyperframe (lcm(51, 26) frames).
-	HyperPeriod = a51.HyperPeriod
-)
-
 // Count22 maps an absolute downlink frame number to the 22-bit COUNT
 // value bursts are ciphered under (T1 pinned to the reduced
-// hyperframe; see a51.Count22).
+// hyperframe; see a51.Count22). The 51×26 COUNT schedule is defined
+// next to the cipher it keys (internal/a51/frames.go); the telecom
+// substrate re-exports it so radio callers never import the cipher
+// package directly.
 func Count22(fn uint32) uint32 { return a51.Count22(fn) }
 
 // NextPagingStart returns the first frame at or after fn that begins a

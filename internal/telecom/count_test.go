@@ -11,19 +11,19 @@ import (
 func TestCount22Structure(t *testing.T) {
 	for _, fn := range []uint32{0, 1, 25, 26, 50, 51, 52, 1325, 1326, 99999} {
 		c := Count22(fn)
-		if t3 := c >> 5; t3 != fn%Multi51 {
-			t.Errorf("Count22(%d) T3 = %d want %d", fn, t3, fn%Multi51)
+		if t3 := c >> 5; t3 != fn%a51.Multi51 {
+			t.Errorf("Count22(%d) T3 = %d want %d", fn, t3, fn%a51.Multi51)
 		}
-		if t2 := c & 31; t2 != fn%Multi26 {
-			t.Errorf("Count22(%d) T2 = %d want %d", fn, t2, fn%Multi26)
+		if t2 := c & 31; t2 != fn%a51.Multi26 {
+			t.Errorf("Count22(%d) T2 = %d want %d", fn, t2, fn%a51.Multi26)
 		}
-		if c != Count22(fn+HyperPeriod) {
+		if c != Count22(fn+a51.HyperPeriod) {
 			t.Errorf("Count22 not periodic at %d", fn)
 		}
 	}
 	// CRT: within one hyperframe every frame gets a distinct COUNT.
-	seen := make(map[uint32]uint32, HyperPeriod)
-	for fn := uint32(0); fn < HyperPeriod; fn++ {
+	seen := make(map[uint32]uint32, a51.HyperPeriod)
+	for fn := uint32(0); fn < a51.HyperPeriod; fn++ {
 		c := Count22(fn)
 		if prev, dup := seen[c]; dup {
 			t.Fatalf("frames %d and %d share COUNT %d", prev, fn, c)
@@ -37,14 +37,14 @@ func TestCount22Structure(t *testing.T) {
 // values paging bursts can be ciphered under.
 func TestPagingSchedule(t *testing.T) {
 	frames := PagingFrames()
-	if len(frames) != 9*Multi26 {
-		t.Fatalf("paging frame classes = %d want %d", len(frames), 9*Multi26)
+	if len(frames) != 9*a51.Multi26 {
+		t.Fatalf("paging frame classes = %d want %d", len(frames), 9*a51.Multi26)
 	}
 	covered := make(map[uint32]bool, len(frames))
 	for _, f := range frames {
 		covered[f] = true
 	}
-	for fn := uint32(0); fn < 3*HyperPeriod; fn += 7 {
+	for fn := uint32(0); fn < 3*a51.HyperPeriod; fn += 7 {
 		start := NextPagingStart(fn)
 		if start < fn {
 			t.Fatalf("NextPagingStart(%d) = %d went backwards", fn, start)

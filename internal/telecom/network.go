@@ -219,10 +219,6 @@ type Network struct {
 	frame       uint32
 	nextSession uint32
 	rng         *rand.Rand
-
-	// delivered counts successful SMS deliveries, keyed by transport,
-	// for the stealthiness experiments.
-	delivered map[string]int
 }
 
 // NewNetwork builds an empty network.
@@ -241,7 +237,6 @@ func NewNetwork(cfg Config) *Network {
 		jammed:      make(map[string]bool),
 		listeners:   make(map[int]map[int]BurstListener),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		delivered:   make(map[string]int),
 	}
 }
 
@@ -265,14 +260,6 @@ func (n *Network) AddCell(c Cell) (*Cell, error) {
 	cell := c // copy
 	n.cells[c.ID] = &cell
 	return &cell, nil
-}
-
-// Cell looks up a cell by ID.
-func (n *Network) Cell(id string) (*Cell, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c, ok := n.cells[id]
-	return c, ok
 }
 
 // StrongestCell returns the highest-power cell on the air — what an
@@ -335,14 +322,6 @@ func (n *Network) Register(imsi, msisdn string) (*Subscriber, error) {
 	n.subscribers[imsi] = sub
 	n.byMSISDN[msisdn] = sub
 	return sub, nil
-}
-
-// SubscriberByMSISDN resolves a phone number.
-func (n *Network) SubscriberByMSISDN(msisdn string) (*Subscriber, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.byMSISDN[msisdn]
-	return s, ok
 }
 
 // Subscribe attaches a burst listener to an ARFCN, returning a cancel
@@ -503,7 +482,6 @@ func (n *Network) SendSMS(fromOriginator, toMSISDN, text string) (transport stri
 			n.mu.Unlock()
 			return "", fmt.Errorf("telecom: encode SMS: %w", err)
 		}
-		n.delivered["lte"]++
 		n.mu.Unlock()
 		term.receiveSMS(tpdu)
 		return "lte", nil
@@ -536,7 +514,6 @@ func (n *Network) SendSMS(fromOriginator, toMSISDN, text string) (transport stri
 	}
 	n.frame = start + uint32(len(bursts))
 	mode := cell.Cipher
-	n.delivered["gsm:"+mode.String()]++
 	n.mu.Unlock()
 
 	for _, b := range bursts {
@@ -578,25 +555,6 @@ func (n *Network) Call(fromMSISDN, toMSISDN string) error {
 	}
 	term.receiveCall(CallEvent{FromMSISDN: fromMSISDN, ToMSISDN: toMSISDN})
 	return nil
-}
-
-// DeliveryStats returns a copy of per-transport delivery counters.
-func (n *Network) DeliveryStats() map[string]int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]int, len(n.delivered))
-	for k, v := range n.delivered {
-		out[k] = v
-	}
-	return out
-}
-
-// ServingTerminal reports which terminal currently receives the
-// subscriber's traffic (nil if none).
-func (n *Network) ServingTerminal(imsi string) *Terminal {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.serving[imsi]
 }
 
 // --- GSM location-update authentication (one-way, as deployed) ---

@@ -109,13 +109,6 @@ func (t *Terminal) snapshot() (*Cell, RAT) {
 	return t.cell, t.rat
 }
 
-// Cell returns the attached cell (nil when detached).
-func (t *Terminal) Cell() *Cell {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cell
-}
-
 // AttachTo camps the terminal on a cell. Real phones pick the
 // strongest broadcast — including a rogue cell overpowering the
 // legitimate one; the caller decides which cell "wins".
@@ -127,13 +120,6 @@ func (t *Terminal) AttachTo(cell *Cell) error {
 	t.cell = cell
 	t.mu.Unlock()
 	return nil
-}
-
-// Detach drops cell attachment.
-func (t *Terminal) Detach() {
-	t.mu.Lock()
-	t.cell = nil
-	t.mu.Unlock()
 }
 
 // Reselect camps the terminal on the strongest broadcasting cell, the
