@@ -64,13 +64,16 @@ var (
 	ErrUnknownTarget = errors.New("strategy: target not in graph")
 )
 
-// searchBudget caps option expansions per FindPlan call so that
-// pathological graphs terminate promptly.
-const searchBudget = 200_000
-
 // FindPlan returns a minimal-step attack plan compromising target,
 // searching backward through full-capacity parents and merged couple
 // groups, bounded by maxDepth layers (0 means the default of 5).
+//
+// The search runs layer by layer: layer 1 is the fringe, and an
+// account joins layer k when one of its options has every provider in
+// a layer below k. An account's layer is the depth of its shallowest
+// plan, and building each plan only from providers in lower layers
+// keeps the search acyclic, so every account's best plan is solved
+// once and reused.
 func FindPlan(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*Plan, error) {
 	if maxDepth <= 0 {
 		maxDepth = 5
@@ -78,10 +81,9 @@ func FindPlan(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*Plan, error
 	if _, ok := g.Node(target); !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTarget, target)
 	}
-
-	s := &searcher{g: g, maxDepth: maxDepth, budget: searchBudget}
-	steps, ok := s.solve(target, make(map[ecosys.AccountID]bool), maxDepth)
-	if !ok {
+	s := newSearcher(g, maxDepth)
+	steps, ok := s.solve(target)
+	if !ok || s.layer[target] > maxDepth {
 		return nil, fmt.Errorf("%w: %s (depth <= %d)", ErrNoPlan, target, maxDepth)
 	}
 	return &Plan{Target: target, Steps: steps}, nil
@@ -90,11 +92,12 @@ func FindPlan(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*Plan, error
 type searcher struct {
 	g        *tdg.Graph
 	maxDepth int
-	budget   int
-	// optionsByNode caches per-target provider options; without it the
-	// DFS rescans every strong edge at each expansion, which is
-	// quadratic on dense graphs.
+	// optionsByNode indexes each target's provider options.
 	optionsByNode map[ecosys.AccountID][]option
+	// layer is each plannable account's layer (absent: no plan).
+	layer map[ecosys.AccountID]int
+	// plans memoizes solve: each account's best plan from lower layers.
+	plans map[ecosys.AccountID][]PlanStep
 }
 
 // option is one way to satisfy a node: a set of providers for a path.
@@ -103,27 +106,66 @@ type option struct {
 	parents []ecosys.AccountID
 }
 
-// options enumerates single full-capacity parents first (cheapest),
-// then couple groups. The full index is built once per search.
-func (s *searcher) options(id ecosys.AccountID) []option {
-	if s.optionsByNode == nil {
-		s.optionsByNode = make(map[ecosys.AccountID][]option)
-		seen := make(map[string]bool)
-		for _, e := range s.g.StrongEdges() {
-			key := e.To.String() + "|" + e.From.String() + "|" + e.PathID
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			s.optionsByNode[e.To] = append(s.optionsByNode[e.To],
-				option{pathID: e.PathID, parents: []ecosys.AccountID{e.From}})
+// newSearcher indexes the graph's options, single full-capacity
+// parents first (cheapest), then couple groups, and assigns layers.
+func newSearcher(g *tdg.Graph, maxDepth int) *searcher {
+	s := &searcher{
+		g:             g,
+		maxDepth:      maxDepth,
+		optionsByNode: make(map[ecosys.AccountID][]option),
+		layer:         make(map[ecosys.AccountID]int),
+		plans:         make(map[ecosys.AccountID][]PlanStep),
+	}
+	seen := make(map[string]bool)
+	for _, e := range g.StrongEdges() {
+		key := e.To.String() + "|" + e.From.String() + "|" + e.PathID
+		if seen[key] {
+			continue
 		}
-		for _, c := range s.g.Couples(ecosys.AccountID{}) {
-			s.optionsByNode[c.Target] = append(s.optionsByNode[c.Target],
-				option{pathID: c.PathID, parents: append([]ecosys.AccountID(nil), c.Members...)})
+		seen[key] = true
+		s.optionsByNode[e.To] = append(s.optionsByNode[e.To],
+			option{pathID: e.PathID, parents: []ecosys.AccountID{e.From}})
+	}
+	for _, c := range g.Couples(ecosys.AccountID{}) {
+		s.optionsByNode[c.Target] = append(s.optionsByNode[c.Target],
+			option{pathID: c.PathID, parents: append([]ecosys.AccountID(nil), c.Members...)})
+	}
+	nodes := g.Nodes()
+	for _, id := range nodes {
+		if g.IsFringe(id) {
+			s.layer[id] = 1
 		}
 	}
-	return s.optionsByNode[id]
+	for k := 2; ; k++ {
+		var joined []ecosys.AccountID
+		for _, id := range nodes {
+			if _, ok := s.layer[id]; ok {
+				continue
+			}
+			for _, opt := range s.optionsByNode[id] {
+				if s.below(opt, k) {
+					joined = append(joined, id)
+					break
+				}
+			}
+		}
+		if len(joined) == 0 {
+			return s
+		}
+		for _, id := range joined {
+			s.layer[id] = k
+		}
+	}
+}
+
+// below reports whether every provider of opt sits in a layer below k.
+func (s *searcher) below(opt option, k int) bool {
+	for _, p := range opt.parents {
+		if l, ok := s.layer[p]; !ok || l >= k {
+			return false
+		}
+	}
+	return true
 }
 
 // fringePath returns the path ID a fringe node falls by.
@@ -141,51 +183,54 @@ func (s *searcher) fringePath(id ecosys.AccountID) string {
 	return ""
 }
 
-// solve returns a step list whose execution compromises id. stack
-// guards against cycles along the current route.
-func (s *searcher) solve(id ecosys.AccountID, stack map[ecosys.AccountID]bool, depthLeft int) ([]PlanStep, bool) {
-	if s.budget <= 0 || depthLeft <= 0 || stack[id] {
+// solve returns the fewest-step plan compromising id whose options
+// draw only on providers in lower layers (ties keep the first option).
+func (s *searcher) solve(id ecosys.AccountID) ([]PlanStep, bool) {
+	if steps, ok := s.plans[id]; ok {
+		return steps, true
+	}
+	k, ok := s.layer[id]
+	if !ok {
 		return nil, false
 	}
-	s.budget--
-
-	if s.g.IsFringe(id) {
-		return []PlanStep{{Account: id, PathID: s.fringePath(id)}}, true
+	if k == 1 {
+		steps := []PlanStep{{Account: id, PathID: s.fringePath(id)}}
+		s.plans[id] = steps
+		return steps, true
 	}
-
-	stack[id] = true
-	defer delete(stack, id)
-
 	var best []PlanStep
-	for _, opt := range s.options(id) {
-		merged := make([]PlanStep, 0, 4)
-		have := make(map[ecosys.AccountID]bool)
-		ok := true
-		for _, parent := range opt.parents {
-			if have[parent] {
-				continue
-			}
-			sub, solved := s.solve(parent, stack, depthLeft-1)
-			if !solved {
-				ok = false
-				break
-			}
-			for _, step := range sub {
-				if !have[step.Account] {
-					have[step.Account] = true
-					merged = append(merged, step)
-				}
-			}
-		}
-		if !ok {
+	for _, opt := range s.optionsByNode[id] {
+		if !s.below(opt, k) {
 			continue
 		}
+		merged := s.merge(opt.parents)
 		merged = append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents})
 		if best == nil || len(merged) < len(best) {
 			best = merged
 		}
 	}
-	return best, best != nil
+	s.plans[id] = best
+	return best, true
+}
+
+// merge concatenates the plans of parents, each account once. Every
+// parent must be solvable.
+func (s *searcher) merge(parents []ecosys.AccountID) []PlanStep {
+	merged := make([]PlanStep, 0, 4)
+	have := make(map[ecosys.AccountID]bool)
+	for _, parent := range parents {
+		if have[parent] {
+			continue
+		}
+		sub, _ := s.solve(parent)
+		for _, step := range sub {
+			if !have[step.Account] {
+				have[step.Account] = true
+				merged = append(merged, step)
+			}
+		}
+	}
+	return merged
 }
 
 // FindPlans enumerates up to limit distinct plans for target, shortest
@@ -201,16 +246,12 @@ func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*P
 		return plans, nil
 	}
 	seen := map[string]bool{first.String(): true}
-	// Re-run the search with each immediate parent suppressed by
-	// removing it from the plan's last step options via a filtered
-	// graph view. The graph is immutable, so emulate by rejecting
-	// plans that repeat a seen signature.
+	if maxDepth <= 0 {
+		maxDepth = 5
+	}
+	s := newSearcher(g, maxDepth)
 	for attempt := 0; attempt < 8*limit && len(plans) < limit; attempt++ {
-		s := &searcher{g: g, maxDepth: maxDepth, budget: searchBudget}
-		if maxDepth <= 0 {
-			s.maxDepth = 5
-		}
-		steps, ok := s.solveExcluding(target, make(map[ecosys.AccountID]bool), s.maxDepth, plans[len(plans)-1].Steps[len(plans[len(plans)-1].Steps)-1].Parents, attempt)
+		steps, ok := s.solveExcluding(target, attempt)
 		if !ok {
 			break
 		}
@@ -224,10 +265,12 @@ func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*P
 	return plans, nil
 }
 
-// solveExcluding is solve with the target's first `skip+1` options
-// rotated away, to force plan diversity.
-func (s *searcher) solveExcluding(id ecosys.AccountID, stack map[ecosys.AccountID]bool, depthLeft int, _ []ecosys.AccountID, skip int) ([]PlanStep, bool) {
-	opts := s.options(id)
+// solveExcluding returns a plan for id through the first usable option
+// after rotating id's first skip+1 options to the back, to force plan
+// diversity. An option is usable when every provider has a plan within
+// maxDepth-1 layers that does not pass through id.
+func (s *searcher) solveExcluding(id ecosys.AccountID, skip int) ([]PlanStep, bool) {
+	opts := s.optionsByNode[id]
 	if len(opts) <= 1 {
 		return nil, false
 	}
@@ -237,33 +280,30 @@ func (s *searcher) solveExcluding(id ecosys.AccountID, stack map[ecosys.AccountI
 	if s.g.IsFringe(id) {
 		return []PlanStep{{Account: id, PathID: s.fringePath(id)}}, true
 	}
-	stack[id] = true
-	defer delete(stack, id)
 	for _, opt := range opts {
-		merged := make([]PlanStep, 0, 4)
-		have := make(map[ecosys.AccountID]bool)
-		ok := true
-		for _, parent := range opt.parents {
-			if have[parent] {
-				continue
-			}
-			sub, solved := s.solve(parent, stack, depthLeft-1)
-			if !solved {
-				ok = false
-				break
-			}
-			for _, step := range sub {
-				if !have[step.Account] {
-					have[step.Account] = true
-					merged = append(merged, step)
-				}
-			}
-		}
-		if !ok {
+		if !s.usableAvoiding(opt, id) {
 			continue
 		}
-		merged = append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents})
-		return merged, true
+		merged := s.merge(opt.parents)
+		return append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents}), true
 	}
 	return nil, false
+}
+
+// usableAvoiding reports whether every provider of opt has a plan
+// within maxDepth-1 layers that never compromises avoid.
+func (s *searcher) usableAvoiding(opt option, avoid ecosys.AccountID) bool {
+	for _, p := range opt.parents {
+		l, ok := s.layer[p]
+		if !ok || l > s.maxDepth-1 {
+			return false
+		}
+		sub, _ := s.solve(p)
+		for _, step := range sub {
+			if step.Account == avoid {
+				return false
+			}
+		}
+	}
+	return true
 }

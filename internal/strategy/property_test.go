@@ -102,6 +102,27 @@ func TestPropertyClosurePlanAgreement(t *testing.T) {
 	}
 }
 
+// TestClosurePlanAgreementRegression pins a random ecosystem on which
+// a budget-capped backward search once gave up on r015/web although the
+// closure compromises it.
+func TestClosurePlanAgreementRegression(t *testing.T) {
+	g, err := randomGraph(-3164003334501215520, int(byte(0x1e)%16)+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ForwardClosure(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := ecosys.AccountID{Service: "r015", Platform: ecosys.PlatformWeb}
+	if _, fell := res.Compromised[target]; !fell {
+		t.Fatalf("closure no longer compromises %s", target)
+	}
+	if _, err := FindPlan(g, target, g.Len()+1); err != nil {
+		t.Fatalf("FindPlan(%s): %v", target, err)
+	}
+}
+
 // Property: AccountDepths equals the closure round for every
 // compromised account and Unreachable for every survivor.
 func TestPropertyDepthsMatchClosureRounds(t *testing.T) {
