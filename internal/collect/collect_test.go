@@ -59,6 +59,24 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
+// TestClassify pins the category grouping the exposure statistics
+// count by (CategoryCounts groups fields by InfoField.Category).
+func TestClassify(t *testing.T) {
+	got := map[ecosys.InfoCategory]int{}
+	for _, f := range []ecosys.InfoField{
+		ecosys.InfoRealName, ecosys.InfoCitizenID, ecosys.InfoCellphone,
+		ecosys.InfoBankcard, ecosys.InfoChatHistory,
+	} {
+		got[f.Category()]++
+	}
+	if got[ecosys.CategoryIdentity] != 2 {
+		t.Errorf("identity fields = %d", got[ecosys.CategoryIdentity])
+	}
+	if got[ecosys.CategoryAccount] != 1 || got[ecosys.CategoryProperty] != 1 || got[ecosys.CategoryHistorical] != 1 {
+		t.Errorf("classification = %v", got)
+	}
+}
+
 func TestHarvestAppliesMasks(t *testing.T) {
 	persona := identity.NewGenerator(42).Persona(7)
 	cat := testCatalog()

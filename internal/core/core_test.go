@@ -189,3 +189,17 @@ func TestMeasure(t *testing.T) {
 		t.Errorf("TotalPaths = %d", a.cat.TotalPaths())
 	}
 }
+
+// TestProfileCopied pins that New keeps its own copy of the attacker
+// profile: the caller mutating theirs afterwards changes nothing.
+func TestProfileCopied(t *testing.T) {
+	ap := ecosys.BaselineAttacker()
+	a, err := New(testCatalog(t), ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap.Capabilities[ecosys.FactorU2F] = true
+	if a.ap.Capabilities[ecosys.FactorU2F] {
+		t.Error("New shares the caller's attacker profile")
+	}
+}

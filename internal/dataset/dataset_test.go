@@ -339,6 +339,22 @@ func TestBankcardNeverOnFringeWeb(t *testing.T) {
 	}
 }
 
+// TestFlagshipsListed pins the 39 hand-written flagship services, each
+// planned once.
+func TestFlagshipsListed(t *testing.T) {
+	plans := flagshipPlans()
+	if len(plans) != 39 {
+		t.Errorf("flagships = %d want 39", len(plans))
+	}
+	seen := map[string]bool{}
+	for _, p := range plans {
+		if seen[p.name] {
+			t.Fatalf("flagship %s planned twice", p.name)
+		}
+		seen[p.name] = true
+	}
+}
+
 func BenchmarkDefaultCatalog(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -175,6 +175,17 @@ func TestPersonaFieldsPopulated(t *testing.T) {
 	}
 }
 
+// TestPersonasBatch pins that a run of personas carries each one's own
+// index.
+func TestPersonasBatch(t *testing.T) {
+	g := NewGenerator(1)
+	for i := 0; i < 10; i++ {
+		if p := g.Persona(i); p.Index != i {
+			t.Errorf("persona %d has Index %d", i, p.Index)
+		}
+	}
+}
+
 func TestNegativeIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -193,6 +193,22 @@ func TestServiceScoping(t *testing.T) {
 	}
 }
 
+func TestCodeLength(t *testing.T) {
+	s := New(WithSeed(1))
+	snd := &capture{}
+	if err := s.Issue("svc", "d", snd); err != nil {
+		t.Fatal(err)
+	}
+	if len(snd.code) != codeLen {
+		t.Errorf("code length = %d want %d", len(snd.code), codeLen)
+	}
+	for _, c := range snd.code {
+		if c < '0' || c > '9' {
+			t.Errorf("non-digit %q in code", c)
+		}
+	}
+}
+
 // The paper's core loop: a service issues a code over GSM SMS, and the
 // code that lands in the victim's inbox verifies.
 func TestTelecomSenderEndToEnd(t *testing.T) {
