@@ -21,10 +21,11 @@
 // allocates nothing per subscriber.
 //
 // That purity is the invariant the campaign's golden Summaries rest
-// on: regenerating a shard yields bit-identical subscribers
-// (the package tests' Fingerprint digest pins it, versioned by
-// FingerprintVersion, computed over the fully materialized form), so two campaign runs over one seed
-// differ only in engine mechanics, never in the world being attacked.
+// on: regenerating a shard yields bit-identical subscribers (the
+// package tests' Fingerprint digest pins it, versioned by
+// FingerprintVersion, computed over the fully materialized form), so
+// two campaign runs over one seed differ only in engine mechanics,
+// never in the world being attacked.
 package population
 
 import (
@@ -453,9 +454,10 @@ func adoptionRates(cat *ecosys.Catalog, scale float64) []float64 {
 }
 
 // FingerprintVersion identifies the generation of the persona draw
-// streams folded into the package tests' Fingerprint digest. Same seed + same version ⇒ same
-// fingerprint across runs and machines; the version bumps whenever
-// the draw pipeline changes the materialized bytes.
+// streams folded into the package tests' Fingerprint digest. Same
+// seed + same version ⇒ same fingerprint across runs and machines; the
+// version bumps whenever the draw pipeline changes the materialized
+// bytes.
 //
 //	v1: per-persona math/rand sources.
 //	v2: identity moved to single-word splitmix streams (seeding a

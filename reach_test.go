@@ -112,12 +112,6 @@ func TestNoUnreachableCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range g.dead(nil) {
-		if _, ok := reachAllow[d.key]; !ok {
-			t.Errorf("%s: %s is unreachable from cmd/, examples/, bench/ and the root package (%d lines)",
-				g.fset.Position(d.pos), d.key, d.lines)
-		}
-	}
 	deadWithout := map[string]bool{}
 	for _, d := range g.dead(nil) {
 		deadWithout[d.key] = true
@@ -147,10 +141,8 @@ func TestNoUnreachableCode(t *testing.T) {
 		t.Logf("allowlisted %s: %s (used by %s)", k, e.reason, strings.Join(e.tests, ", "))
 	}
 	for _, d := range g.dead(allowed) {
-		if _, ok := reachAllow[d.key]; !ok {
-			t.Errorf("%s: %s is reachable only from allowlisted code (%d lines)",
-				g.fset.Position(d.pos), d.key, d.lines)
-		}
+		t.Errorf("%s: %s is unreachable from cmd/, examples/, bench/, the root package and the allowlist (%d lines)",
+			g.fset.Position(d.pos), d.key, d.lines)
 	}
 }
 
