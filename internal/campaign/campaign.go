@@ -24,6 +24,10 @@
 //     of every scenario — a rig holds no radio-environment state;
 //   - harvested leak records live in one sharded socialdb hit by every
 //     worker concurrently;
+//   - each shard's radio stage (synth → encrypt → feed → crack) is
+//     memoized per (radio environment, budget, segment): policy and
+//     platform never reach it, so a fortification scenario after its
+//     baseline runs only the chain reaction;
 //   - per-victim chain reactions are evaluated against a precompiled
 //     Transformation Dependency Graph plan (integer tables, no
 //     per-victim graph builds); each scenario compiles its own plan
@@ -127,7 +131,8 @@ type Config struct {
 // Engine is the resident core: the shared resources every scenario —
 // sequential or concurrent — draws on. Everything here is either
 // immutable after New (population, cracker table, key space) or
-// guarded for concurrent use (plan cache, leak DB, shard slots), so
+// guarded for concurrent use (plan cache, leak DB, shard slots, radio
+// memo), so
 // RunScenario is safe to call from multiple goroutines at once; all
 // per-run state lives in the run type. Build with New,
 // execute one scenario with Run/RunScenario or a comparative list with
@@ -164,6 +169,12 @@ type Engine struct {
 	slots     chan *sniffer.Sniffer
 	shell     *telecom.Network
 	rigsBuilt atomic.Int64
+
+	// memo keeps each owned shard's radio stage per radio environment,
+	// so a run whose (radio, budget, segment) an earlier run already
+	// attacked skips straight to the chain reaction. Bounded by
+	// radioMemoMax environments, least recently used evicted.
+	memo radioMemo
 }
 
 // planKey identifies one compiled plan.
@@ -202,6 +213,7 @@ func New(cfg Config) (*Engine, error) {
 		harvest: make([]sync.Once, cfg.Population.NumShards()),
 		plans:   make(map[planKey]*attackPlan),
 		slots:   make(chan *sniffer.Sniffer, cfg.Workers),
+		memo:    radioMemo{keys: make(map[radioKey]*radioShards)},
 	}
 	for range cfg.Workers {
 		e.slots <- nil
@@ -350,6 +362,7 @@ type run struct {
 	norm   Scenario
 	rt     *runtimeScenario
 	plan   *attackPlan
+	radio  *radioShards
 	ck     *ckptRun
 	phases *phaseSet
 }
@@ -370,6 +383,8 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, dir string) (*Sum
 	if r.rt, err = e.newRuntime(norm); err != nil {
 		return nil, err
 	}
+	r.radio = e.memo.shards(radioKey{radio: norm.Radio, budget: norm.Budget, segment: norm.Segment},
+		e.cfg.ShardHi-e.cfg.ShardLo)
 	if dir != "" {
 		r.ck, err = e.openCheckpoint(dir, norm)
 		if err != nil {
@@ -652,9 +667,13 @@ func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *sc
 		err := e.cfg.Fault.ShardAttempt(i, attempt)
 		if err == nil {
 			sh := pop.Shard(i)
-			part := r.attackShard(sh, rig, scr)
+			part, memoHit := r.attackShard(sh, rig, scr)
 			sh.Release()
-			e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt, Subscribers: part.Subscribers})
+			done := obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt, Subscribers: part.Subscribers}
+			if memoHit {
+				done.Detail = "radio_memo"
+			}
+			e.cfg.Trace.Emit(done)
 			return part
 		}
 		if faultinject.IsTransient(err) && attempt+1 < e.cfg.MaxShardAttempts {
@@ -720,17 +739,16 @@ var otpTimestamp = time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC)
 // victims spread across [baseARFCN, baseARFCN+CellChannels).
 const baseARFCN = 512
 
-// attackShard runs one batch end to end, gather-then-encrypt: walk the
-// shard once collecting every targeted victim's session descriptors
-// (the per-victim draws and COUNT schedule are identical to the former
-// encode-as-you-go path), encrypt the gathered A5/1 sessions in
-// 64-lane bitsliced blocks, feed the bursts to the slot's sniffer rig
-// backed by the shared cracker, then evaluate the chain reaction for
-// each intercepted victim against the scenario's compiled plan.
-func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) *Summary {
-	e, rt, plan := r.e, r.rt, r.plan
+// attackShard attacks one shard: harvest its leak records, take its
+// radio stage from the run's memo entry or run it on the slot's rig,
+// then evaluate the chain reaction for each intercepted victim against
+// the scenario's compiled plan. memoHit reports that the radio stage
+// came from the memo. Only a completed attackShard stores an entry, so
+// a failed or quarantined shard never leaves one behind.
+func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) (part *Summary, memoHit bool) {
+	e, plan := r.e, r.plan
 	pop := e.cfg.Population
-	part := newSummary(len(pop.Services()))
+	part = newSummary(len(pop.Services()))
 	part.Subscribers = int64(len(sh.Subscribers))
 	if n := len(sh.Subscribers); n > 0 {
 		metPopBytesPerSub.Set(float64(sh.MemBytes() / n))
@@ -760,6 +778,62 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 	// exact — a global e.leaks.Len() would miss skipped shards.
 	part.LeakRecords = int64(sh.LeakCount)
 
+	memoStart := time.Now()
+	slot := &r.radio.entries[sh.Index-e.cfg.ShardLo]
+	rad := slot.Load()
+	if memoHit = rad != nil; memoHit {
+		r.phases.observe("radio_memo", memoStart)
+	} else {
+		rad = r.radioStage(sh, rig, scr)
+	}
+	part.Targeted, part.Covered = rad.targeted, rad.covered
+	part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
+	part.Sniffer.Add(rad.sniffer)
+
+	// Chain-reaction phase: evaluate every intercepted victim, in shard
+	// order.
+	closureStart := time.Now()
+	for w, word := range rad.intercepted {
+		for word != 0 {
+			li := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			sub := &sh.Subscribers[li]
+			part.Intercepted++
+			know := plan.closure.Baseline()
+			// The dossier probe derives the victim's phone into the
+			// worker's scratch buffer and hits the sharded store via the
+			// raw-bytes lookup — no key string is ever built on the
+			// closure path.
+			scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
+			if rec, err := e.leaks.LookupBytes(scr.phone); err == nil {
+				part.DossierHits++
+				know |= leakFactorMask(rec)
+			}
+			plan.chainDepths(scr.chain, sub.Enrolled, know)
+			accumulate(plan, scr.chain, part)
+			scr.chain.Reset()
+		}
+	}
+	r.phases.observe("closure", closureStart)
+	if !memoHit {
+		slot.Store(rad)
+	}
+	return part, memoHit
+}
+
+// radioStage runs one shard's radio half, gather-then-encrypt: walk the
+// shard once collecting every targeted victim's session descriptors,
+// encrypt the gathered A5/1 sessions in 64-lane bitsliced blocks, feed
+// the bursts to the slot's sniffer rig backed by the shared cracker,
+// and mark the victims whose sessions it decoded. The result is a pure
+// function of (population seed, shard, radio environment, budget,
+// segment) — policy and platform never reach it — which is what lets
+// the memo replay it for any scenario with the same key.
+func (r *run) radioStage(sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) *radioOut {
+	e, rt := r.e, r.rt
+	pop := e.cfg.Population
+	out := &radioOut{intercepted: make([]uint64, (len(sh.Subscribers)+63)/64)}
+
 	// Per-shard IMSI strings are carved from the shard-cycle arena:
 	// they reach the sniffer rig's session caches, which release's
 	// rig.Reset empties before this worker's next shard reuses the
@@ -768,10 +842,8 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 	scr.strs.Reset()
 
 	synthStart := time.Now()
-	seed := uint64(e.cfg.Population.Seed())
+	seed := uint64(pop.Seed())
 	sessions := rt.sessions
-	scr.covered = boolScratch(scr.covered, len(sh.Subscribers))
-	covered := scr.covered
 	frame := uint32(0)
 
 	// Gather phase: one shared OTP TPDU serves every synthesized
@@ -796,7 +868,7 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 		if !rt.targets(sub) {
 			continue // outside the scenario's victim segment
 		}
-		part.Targeted++
+		out.targeted++
 		idx := uint64(sub.Index)
 		// The victim's serving channel: covered only when one of the
 		// fleet's receivers camps on it.
@@ -804,8 +876,7 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 		if channel >= rt.receivers {
 			continue // victim's channel outside the rig's fleet
 		}
-		covered[li] = true
-		part.Covered++
+		out.covered++
 		if !encodable {
 			continue
 		}
@@ -844,12 +915,12 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 				Deliver:    deliver,
 			})
 			frame = start + perSession
-			part.Sessions++
+			out.sessions++
 			switch mode {
 			case telecom.CipherA50:
-				part.A50Sessions++
+				out.a50Sessions++
 			case telecom.CipherA53:
-				part.A53Sessions++
+				out.a53Sessions++
 			}
 		}
 	}
@@ -878,38 +949,14 @@ func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scrat
 		r.phases.observe("feed", feedStart)
 	}
 
-	closureStart := time.Now()
 	// Attribute decoded captures back to victims via session IDs.
-	scr.intercepted = boolScratch(scr.intercepted, len(sh.Subscribers))
-	intercepted := scr.intercepted
 	scr.captures = rig.AppendCaptures(scr.captures[:0])
 	for _, c := range scr.captures {
-		intercepted[int(c.SessionID)/sessions] = true
+		li := int(c.SessionID) / sessions
+		out.intercepted[li>>6] |= 1 << (uint(li) & 63)
 	}
-	part.Sniffer.Add(rig.Stats())
-
-	// Chain-reaction phase: evaluate every intercepted victim.
-	for li := range sh.Subscribers {
-		if !covered[li] || !intercepted[li] {
-			continue
-		}
-		sub := &sh.Subscribers[li]
-		part.Intercepted++
-		know := plan.closure.Baseline()
-		// The dossier probe derives the victim's phone into the worker's
-		// scratch buffer and hits the sharded store via the raw-bytes
-		// lookup — no key string is ever built on the closure path.
-		scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
-		if rec, err := e.leaks.LookupBytes(scr.phone); err == nil {
-			part.DossierHits++
-			know |= leakFactorMask(rec)
-		}
-		plan.chainDepths(scr.chain, sub.Enrolled, know)
-		accumulate(plan, scr.chain, part)
-		scr.chain.Reset()
-	}
-	r.phases.observe("closure", closureStart)
-	return part
+	out.sniffer = rig.Stats()
+	return out
 }
 
 // accumulate folds one victim's chain-reaction outcome into the

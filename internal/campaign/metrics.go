@@ -53,12 +53,16 @@ var (
 // histogram labels — plus "aggregate", the aggregator's merge+journal
 // work per shard. The crack stage lives in the sniffer
 // (sniffer_crack_batch_seconds): key recovery happens inside feed.
-var phaseNames = []string{"synth", "encrypt", "feed", "closure", "aggregate"}
+// "radio_memo" is observed once per shard whose radio stage came from
+// the engine's memo instead of synth/encrypt/feed, so its count is the
+// memo hit count.
+var phaseNames = []string{"synth", "encrypt", "feed", "radio_memo", "closure", "aggregate"}
 
 // phaseOrder is the fixed presentation order of Summary.PhaseTimings:
 // the attackShard stages in execution order, with the sniffer's crack
-// stage (which runs inside feed) slotted after it.
-var phaseOrder = []string{"synth", "encrypt", "feed", "crack", "closure", "aggregate"}
+// stage (which runs inside feed) slotted after it and the memo's
+// replacement for the whole radio stage after that.
+var phaseOrder = []string{"synth", "encrypt", "feed", "crack", "radio_memo", "closure", "aggregate"}
 
 // phaseHists resolves one histogram handle per phase, in phaseNames
 // order. These are the process-lifetime series /metrics scrapes; they
@@ -67,7 +71,7 @@ var phaseHists = func() map[string]*obs.Histogram {
 	m := make(map[string]*obs.Histogram, len(phaseNames))
 	for _, p := range phaseNames {
 		m[p] = obs.Default.NewHistogram("campaign_phase_seconds",
-			"Per-shard wall time of each attackShard phase (synth=gather, encrypt=batch cipher, feed=rig ingest incl. cracks, closure=chain reactions, aggregate=merge+journal).",
+			"Per-shard wall time of each attackShard phase (synth=gather, encrypt=batch cipher, feed=rig ingest incl. cracks, radio_memo=radio stage answered from the memo, closure=chain reactions, aggregate=merge+journal).",
 			obs.LatencyBuckets, obs.L("phase", p))
 	}
 	return m

@@ -73,18 +73,17 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 
 // scratch is one worker's reusable state: the per-victim chain-closure
 // tables, the per-shard radio session buffer the gather-then-encrypt
-// path fills before the batch encryptor runs, the per-shard coverage
-// and interception marks, the rig's captures read back per shard, and
-// the pooled burst buffer the encoded trace lives in. All of it is recycled shard over shard (and, for the
-// burst buffer, scenario over scenario), so a steady-state shard
-// attack allocates nothing population-proportional.
+// path fills before the batch encryptor runs, the rig's captures read
+// back per shard, and the pooled burst buffer the encoded trace lives
+// in. All of it is recycled shard over shard (and, for the burst
+// buffer, scenario over scenario), so a steady-state shard attack
+// allocates nothing population-proportional beyond its radio-memo
+// entry.
 type scratch struct {
-	chain       *strategy.ClosureRun
-	radio       []telecom.SMSSession
-	covered     []bool
-	intercepted []bool
-	captures    []sniffer.Capture
-	bursts      *telecom.BurstBuffer
+	chain    *strategy.ClosureRun
+	radio    []telecom.SMSSession
+	captures []sniffer.Capture
+	bursts   *telecom.BurstBuffer
 
 	// Lazy-persona working set. phone is the attribute-derivation
 	// scratch buffer (phones, IMSIs, leak-record fields); strs is the
@@ -112,17 +111,6 @@ func newScratch(p *attackPlan) *scratch {
 func (s *scratch) release() {
 	s.bursts.Release()
 	s.bursts = nil
-}
-
-// boolScratch returns a zeroed length-n bool slice, reusing s's
-// storage when it is large enough.
-func boolScratch(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // chainDepths runs the per-victim chain-reaction closure: it enrolls

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"github.com/actfort/actfort/internal/ecosys"
@@ -138,16 +139,18 @@ func (sc Scenario) normalize(idx int) (Scenario, error) {
 	// Every probability field must land in [0, 1] after the zero-value
 	// convention resolves (0 = paper default, negative = none). A value
 	// above 1 is a misconfiguration, never a clamp: "reauthSkip": 5
-	// would silently pin every victim to one Kc forever.
-	if r.ReauthSkip > 1 {
+	// would silently pin every victim to one Kc forever. NaN fails every
+	// comparison, so it is rejected explicitly: it would pass as "some
+	// probability" and, as a radio-memo key, never match itself.
+	if r.ReauthSkip > 1 || math.IsNaN(r.ReauthSkip) {
 		return sc, fmt.Errorf("campaign: scenario %s: reauthSkip %g out of range (probabilities live in [0, 1]; 0 = default 0.6, negative = always re-authenticate)",
 			sc.Name, r.ReauthSkip)
 	}
-	if r.A50Fraction > 1 {
+	if r.A50Fraction > 1 || math.IsNaN(r.A50Fraction) {
 		return sc, fmt.Errorf("campaign: scenario %s: a50Fraction %g out of range (fractions live in [0, 1]; 0 = default 0.2, negative = none)",
 			sc.Name, r.A50Fraction)
 	}
-	if r.A53Fraction > 1 {
+	if r.A53Fraction > 1 || math.IsNaN(r.A53Fraction) {
 		return sc, fmt.Errorf("campaign: scenario %s: a53Fraction %g out of range (fractions live in [0, 1]; 0 = none)",
 			sc.Name, r.A53Fraction)
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // TestNormalizeRejectsOutOfRangeProbabilities is the regression test
 // for the silent out-of-range bug: "reauthSkip": 5 used to pass
 // validation and pin every victim to one Kc forever. Every probability
-// field must land in [0, 1] or fail loudly.
+// field must land in [0, 1] or fail loudly, NaN included.
 func TestNormalizeRejectsOutOfRangeProbabilities(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -19,6 +20,10 @@ func TestNormalizeRejectsOutOfRangeProbabilities(t *testing.T) {
 		{"reauthSkip barely >1", RadioEnv{ReauthSkip: 1.0001}, "reauthSkip"},
 		{"a50Fraction>1", RadioEnv{A50Fraction: 1.5}, "a50Fraction"},
 		{"a53Fraction>1", RadioEnv{A53Fraction: 2}, "a53Fraction"},
+		// NaN fails every comparison, so only an explicit check stops it.
+		{"reauthSkip NaN", RadioEnv{ReauthSkip: math.NaN()}, "reauthSkip"},
+		{"a50Fraction NaN", RadioEnv{A50Fraction: math.NaN()}, "a50Fraction"},
+		{"a53Fraction NaN", RadioEnv{A53Fraction: math.NaN()}, "a53Fraction"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Scenario{Radio: tc.radio}.normalize(0)
