@@ -1,73 +1,72 @@
 package strategy
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/tdg"
 )
 
 // Closure is the chain-reaction closure compiled from a Transformation
-// Dependency Graph into dense tables: accounts become indices in graph
-// node order (account a is g.Nodes()[a]), and each takeover path
-// becomes the factors it needs beyond the graph's attacker profile,
-// each with the accounts able to supply it. One compile serves every
-// evaluation — the paper's ecosystem-wide dependency depths
-// (PathLayers, every account enrolled) and the campaign's per-victim
-// closure (the victim's accounts only, plus leaked factors). A Closure
-// is read-only after CompileClosure and safe to share between
-// goroutines.
+// Dependency Graph into need masks. Accounts are indices in graph node
+// order (account a is g.Nodes()[a]). Each factor a takeover path needs
+// beyond the graph's attacker profile is interned, with the accounts
+// able to supply it, as a need: one distinct (factor, supplier set)
+// pair, one bit of every mask. One compile serves the paper's
+// ecosystem-wide dependency depths (PathLayers, every account enrolled)
+// and the campaign's per-victim closure (the victim's accounts only,
+// plus leaked factors). A Closure is read-only after CompileClosure and
+// safe to share between goroutines.
 type Closure struct {
-	// paths holds, per account, every takeover path that could ever
-	// fall: profile-satisfiable paths have no needs; paths demanding
-	// unphishable factors are dropped.
-	paths [][]closurePath
+	// words is the mask width in uint64 words, sized to the needs.
+	words int
+	// Account a's compiled paths are [pathStart[a], pathStart[a+1]);
+	// paths demanding unphishable factors never fall and are dropped.
+	pathStart []int32
+	pathID    []string
+	// pathMask (per path: its needs), supplies (per account: the needs
+	// it meets once fallen) and byFactor (per factor bit: the needs a
+	// known factor meets) hold words each.
+	pathMask, supplies, byFactor []uint64
 	// baseline is the graph profile's factor mask.
 	baseline uint64
-}
-
-// closurePath is one compiled takeover path.
-type closurePath struct {
-	// id is the path's ID in its node's Paths.
-	id    string
-	needs []factorNeed
-}
-
-// factorNeed is one missing factor and its suppliers.
-type factorNeed struct {
-	bit       uint64
-	suppliers []int32
 }
 
 // FactorBit maps a factor kind to its bit in a known-factor mask.
 func FactorBit(f ecosys.FactorKind) uint64 { return 1 << uint(f) }
 
 // CompileClosure flattens g's takeover paths (sign-in and password
-// reset) into the dense tables, with g's profile factors as the
-// baseline.
+// reset) into need masks, with g's profile factors as the baseline.
 func CompileClosure(g *tdg.Graph) *Closure {
 	ids := g.Nodes()
 	index := make(map[ecosys.AccountID]int32, len(ids))
 	for i, id := range ids {
 		index[id] = int32(i)
 	}
-	c := &Closure{paths: make([][]closurePath, len(ids))}
+	c := &Closure{pathStart: make([]int32, 1, len(ids)+1)}
 	for _, f := range g.Profile().Factors().Sorted() {
 		c.baseline |= FactorBit(f)
 	}
-	for i, id := range ids {
+	interned := make(map[string]int)
+	var factors []ecosys.FactorKind // per need
+	var suppliers [][]int32         // per need
+	var pathNeeds [][]int           // per path
+	for _, id := range ids {
 		node, _ := g.Node(id)
 	pathLoop:
 		for _, path := range node.Paths {
 			if path.Purpose != ecosys.PurposeSignIn && path.Purpose != ecosys.PurposeReset {
 				continue // only takeover paths propagate the chain
 			}
-			cp := closurePath{id: path.ID}
-			seen := uint64(0)
+			var needs []int
+			seen := c.baseline
 			for _, f := range path.Factors {
-				bit := FactorBit(f)
-				if c.baseline&bit != 0 || seen&bit != 0 {
+				if seen&FactorBit(f) != 0 {
 					continue
 				}
-				seen |= bit
+				seen |= FactorBit(f)
 				if f.Unphishable() {
 					// Neither harvested information nor leak dossiers
 					// supply biometrics/U2F: the path never falls.
@@ -77,9 +76,35 @@ func CompileClosure(g *tdg.Graph) *Closure {
 				for _, from := range g.Suppliers(id, f) {
 					sup = append(sup, index[from])
 				}
-				cp.needs = append(cp.needs, factorNeed{bit: bit, suppliers: sup})
+				key := fmt.Sprint(f, sup)
+				n, ok := interned[key]
+				if !ok {
+					n = len(factors)
+					interned[key] = n
+					factors, suppliers = append(factors, f), append(suppliers, sup)
+				}
+				needs = append(needs, n)
 			}
-			c.paths[i] = append(c.paths[i], cp)
+			pathNeeds = append(pathNeeds, needs)
+			c.pathID = append(c.pathID, path.ID)
+		}
+		c.pathStart = append(c.pathStart, int32(len(pathNeeds)))
+	}
+	w := max(1, (len(factors)+63)/64)
+	c.words = w
+	c.pathMask = make([]uint64, len(pathNeeds)*w)
+	c.supplies = make([]uint64, len(ids)*w)
+	c.byFactor = make([]uint64, 64*w)
+	set := func(mask []uint64, row, n int) { mask[row*w+n>>6] |= 1 << (uint(n) & 63) }
+	for p, needs := range pathNeeds {
+		for _, n := range needs {
+			set(c.pathMask, p, n)
+		}
+	}
+	for n, f := range factors {
+		set(c.byFactor, int(f), n)
+		for _, s := range suppliers[n] {
+			set(c.supplies, int(s), n)
 		}
 	}
 	return c
@@ -94,73 +119,96 @@ func (c *Closure) Baseline() uint64 { return c.baseline }
 // Depth over Active, then Reset. Each goroutine owns its own run.
 type ClosureRun struct {
 	c *Closure
-	// depth is per account: 0 = not fallen (or not enrolled). Only
-	// enrolled accounts are ever written, so a nonzero depth also marks
-	// an enrolled supplier.
-	depth  []int32
-	active []int32
+	// depth is per account: 0 = not fallen (or not enrolled).
+	depth           []int32
+	active, pending []int32
+	// layers holds, words per layer, the needs met after each layer:
+	// layer 0 by the known factors, layer d also by the supplies of every
+	// account fallen by depth d.
+	layers []uint64
 }
 
 // NewRun returns an empty run over c.
 func (c *Closure) NewRun() *ClosureRun {
-	return &ClosureRun{c: c, depth: make([]int32, len(c.paths)), active: make([]int32, 0, 64)}
+	return &ClosureRun{c: c, depth: make([]int32, len(c.pathStart)-1), active: make([]int32, 0, 64)}
 }
 
 // Enroll adds account a to the footprint.
 func (r *ClosureRun) Enroll(a int32) { r.active = append(r.active, a) }
 
-// Solve runs the monotone fixpoint over the enrolled accounts: an
-// account falls at depth 1 when a compiled path needs nothing beyond
-// know (the attacker's factor mask, Baseline included), else at 1 +
-// the max over the path's missing factors of the min depth of any
-// enrolled supplier. Depths are exact; they only fall, so the sweeps
-// end once one changes nothing.
+// Solve runs the layered closure over the enrolled accounts. The needs
+// met by know (the attacker's factor mask, Baseline included) form
+// layer 0. An enrolled account falls at depth d when one of its paths
+// needs nothing outside layer d−1, and the accounts fallen at depth d
+// add their supplies to form layer d. Each depth is found once, and
+// the layers stop at the first one that meets no new need.
 func (r *ClosureRun) Solve(know uint64) {
-	for changed := true; changed; {
-		changed = false
-		for _, a := range r.active {
-			cur := r.depth[a]
-			if cur == 1 {
-				continue // already minimal
+	c, w := r.c, r.c.words
+	r.layers = append(r.layers[:0], make([]uint64, w)...)
+	for k := know; k != 0; k &= k - 1 {
+		or(r.layers, c.row(c.byFactor, bits.TrailingZeros64(k)))
+	}
+	pending := append(r.pending[:0], r.active...)
+	for d := int32(1); len(pending) > 0; d++ {
+		r.layers = append(r.layers, r.layers[len(r.layers)-w:]...)
+		avail, next := r.layers[len(r.layers)-2*w:len(r.layers)-w], r.layers[len(r.layers)-w:]
+		keep := pending[:0]
+		for _, a := range pending {
+			if !c.falls(a, avail) {
+				keep = append(keep, a)
+				continue
 			}
-			for i := range r.c.paths[a] {
-				if d := r.evalPath(&r.c.paths[a][i], know); d != 0 && (cur == 0 || d < cur) {
-					cur = d
-				}
-			}
-			if cur != r.depth[a] {
-				r.depth[a] = cur
-				changed = true
-			}
+			r.depth[a] = d
+			or(next, c.row(c.supplies, int(a)))
+		}
+		pending = keep
+		if slices.Equal(next, avail) {
+			break // no new need met: no later layer can fall
 		}
 	}
+	r.pending = pending
 }
 
-// evalPath returns p's depth under the current estimates (0 = cannot
-// fall yet).
-func (r *ClosureRun) evalPath(p *closurePath, know uint64) int32 {
-	d := int32(1)
-	for _, need := range p.needs {
-		if know&need.bit != 0 {
-			continue
-		}
-		best := int32(0)
-		for _, s := range need.suppliers {
-			if ds := r.depth[s]; ds != 0 && (best == 0 || ds < best) {
-				best = ds
-				if best == 1 {
-					break
-				}
-			}
-		}
-		if best == 0 {
-			return 0
-		}
-		if best >= d {
-			d = best + 1
+// row returns row i of one of c's mask tables.
+func (c *Closure) row(table []uint64, i int) []uint64 { return table[i*c.words : (i+1)*c.words] }
+
+// falls reports whether one of account a's paths needs nothing outside
+// avail.
+func (c *Closure) falls(a int32, avail []uint64) bool {
+	for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
+		if covers(c.row(c.pathMask, int(p)), avail) {
+			return true
 		}
 	}
-	return d
+	return false
+}
+
+// pathDepth returns compiled path p's depth after Solve: 1 + the first
+// layer that covers its needs, 0 when none does.
+func (r *ClosureRun) pathDepth(p int32) int32 {
+	for d, w := 0, r.c.words; d*w < len(r.layers); d++ {
+		if covers(r.c.row(r.c.pathMask, int(p)), r.layers[d*w:]) {
+			return int32(d + 1)
+		}
+	}
+	return 0
+}
+
+// covers reports whether every need in mask is also in avail.
+func covers(mask, avail []uint64) bool {
+	for i, m := range mask {
+		if m&^avail[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// or sets every need of src in dst.
+func or(dst, src []uint64) {
+	for i, m := range src {
+		dst[i] |= m
+	}
 }
 
 // Active returns the enrolled accounts in enrollment order.

@@ -76,7 +76,7 @@ func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, enrolled []bool, ext
 		}
 	}
 	r.Reset()
-	if len(r.Active()) != 0 || !slices.Equal(r.depth, make([]int32, len(c.paths))) {
+	if len(r.Active()) != 0 || !slices.Equal(r.depth, make([]int32, len(c.pathStart)-1)) {
 		t.Fatal("Reset left state behind")
 	}
 	return deepest
@@ -89,54 +89,96 @@ func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, enrolled []bool, ext
 // that subset (the campaign's per-victim contract); random extra
 // known factors against the reference with them in the profile; and a
 // subset with extra factors together (a victim with a leak dossier).
+// The wide ecosystems intern more needs than one mask word holds.
 func TestClosureMatchesReference(t *testing.T) {
 	const seeds = 300
-	kinds := phishable()
 	deepest := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		nodes := randomNodes(seed, 2+r.Intn(30))
-		g, err := tdg.Build(nodes, ecosys.BaselineAttacker())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := CompileClosure(g)
-		all := make([]bool, len(nodes))
-		for i := range all {
-			all[i] = true
-		}
-		subset := func() []bool {
-			out := make([]bool, len(nodes))
-			for i := range out {
-				out[i] = r.Intn(3) != 0
-			}
-			return out
-		}
-		extra := func() []ecosys.FactorKind {
-			out := make([]ecosys.FactorKind, 1+r.Intn(3))
-			for i := range out {
-				out[i] = kinds[r.Intn(len(kinds))]
-			}
-			return out
-		}
-		for _, k := range []struct {
-			enrolled []bool
-			extra    []ecosys.FactorKind
-		}{
-			{all, nil},
-			{subset(), nil},
-			{all, extra()},
-			{subset(), extra()},
-		} {
-			deepest = max(deepest, oracleCase(t, nodes, c, k.enrolled, k.extra))
-		}
-		if got, want := PathLayers(g), ReferencePathLayers(g); got != want {
-			t.Fatalf("seed %d: PathLayers %+v, reference %+v", seed, got, want)
-		}
+		deepest = max(deepest, checkClosure(t, r, nodes).deepest)
 	}
 	if deepest < 3 {
 		t.Fatalf("deepest chain over the random cases is %d; the oracle never exercised depth 3", deepest)
 	}
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		if got := checkClosure(t, r, wideNodes(seed, 70+r.Intn(40))); got.words < 2 {
+			t.Fatalf("wide seed %d: masks span %d word(s); the case never left the first word", seed, got.words)
+		}
+	}
+}
+
+// closureCheck is what checkClosure saw: the deepest finite depth and
+// the closure's mask width in words.
+type closureCheck struct{ deepest, words int }
+
+// checkClosure compiles nodes under the baseline attacker and runs the
+// oracle's four kinds of case, drawing subsets and extra factors from
+// r, then checks PathLayers against the reference.
+func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
+	t.Helper()
+	kinds := phishable()
+	g, err := tdg.Build(nodes, ecosys.BaselineAttacker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := CompileClosure(g)
+	all := make([]bool, len(nodes))
+	for i := range all {
+		all[i] = true
+	}
+	subset := func() []bool {
+		out := make([]bool, len(nodes))
+		for i := range out {
+			out[i] = r.Intn(3) != 0
+		}
+		return out
+	}
+	extra := func() []ecosys.FactorKind {
+		out := make([]ecosys.FactorKind, 1+r.Intn(3))
+		for i := range out {
+			out[i] = kinds[r.Intn(len(kinds))]
+		}
+		return out
+	}
+	got := closureCheck{words: c.words}
+	for _, k := range []struct {
+		enrolled []bool
+		extra    []ecosys.FactorKind
+	}{
+		{all, nil},
+		{subset(), nil},
+		{all, extra()},
+		{subset(), extra()},
+	} {
+		got.deepest = max(got.deepest, oracleCase(t, nodes, c, k.enrolled, k.extra))
+	}
+	if pl, want := PathLayers(g), ReferencePathLayers(g); pl != want {
+		t.Fatalf("%d accounts: PathLayers %+v, reference %+v", len(nodes), pl, want)
+	}
+	return got
+}
+
+// wideNodes is randomNodes where every account also shows the real
+// name and has one more sign-in path needing it beside a random
+// factor. An account never supplies itself, so each account's
+// real-name need has its own supplier set — every other account — and
+// the closure interns at least size needs: past 64, its masks span
+// more than one word.
+func wideNodes(seed int64, size int) []tdg.Node {
+	nodes := randomNodes(seed, size)
+	r := rand.New(rand.NewSource(^seed))
+	pool := []ecosys.FactorKind{ecosys.FactorSMSCode, ecosys.FactorPassword, ecosys.FactorCitizenID, ecosys.FactorAddress}
+	for i := range nodes {
+		nodes[i].Exposes.Add(ecosys.InfoRealName)
+		nodes[i].Paths = append(nodes[i].Paths, ecosys.AuthPath{
+			ID:      "wide",
+			Purpose: ecosys.PurposeSignIn,
+			Factors: []ecosys.FactorKind{ecosys.FactorRealName, pool[r.Intn(len(pool))]},
+		})
+	}
+	return nodes
 }
 
 // BenchmarkChainDepths measures the per-victim chain-reaction closure

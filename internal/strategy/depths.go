@@ -33,27 +33,26 @@ func (s DepthStats) Pct(n int) float64 {
 
 // PathLayers computes the overlapping dependency statistics of
 // §IV.B.1 over a graph: the compiled closure with every account
-// enrolled, then each takeover path's depth under the converged
-// account depths.
+// enrolled, then each takeover path's depth from the run's recorded
+// layers.
 func PathLayers(g *tdg.Graph) DepthStats {
 	c := CompileClosure(g)
 	r := c.NewRun()
-	for a := range c.paths {
+	for a := range r.depth {
 		r.Enroll(int32(a))
 	}
 	r.Solve(c.baseline)
 	st := DepthStats{Total: g.Len()}
 	for a, id := range g.Nodes() {
 		var direct, oneMiddle, twoFull, twoCouple bool
-		for i := range c.paths[a] {
-			p := &c.paths[a][i]
-			switch r.evalPath(p, c.baseline) {
+		for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
+			switch r.pathDepth(p) {
 			case 1:
 				direct = true
 			case 2:
 				oneMiddle = true
 			case 3:
-				if g.HasStrongFor(id, p.id) {
+				if g.HasStrongFor(id, c.pathID[p]) {
 					twoFull = true
 				} else {
 					twoCouple = true

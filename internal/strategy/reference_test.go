@@ -16,7 +16,7 @@ const Unreachable = math.MaxInt32
 func AccountDepths(g *tdg.Graph) map[ecosys.AccountID]int {
 	c := CompileClosure(g)
 	r := c.NewRun()
-	for a := range c.paths {
+	for a := range r.depth {
 		r.Enroll(int32(a))
 	}
 	r.Solve(c.Baseline())
