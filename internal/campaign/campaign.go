@@ -55,7 +55,6 @@ import (
 
 	"github.com/actfort/actfort/internal/a51"
 	"github.com/actfort/actfort/internal/countermeasure"
-	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/faultinject"
 	"github.com/actfort/actfort/internal/gsmcodec"
 	"github.com/actfort/actfort/internal/obs"
@@ -175,6 +174,12 @@ type Engine struct {
 	// attacked skips straight to the chain reaction. Bounded by
 	// radioMemoMax environments, least recently used evicted.
 	memo radioMemo
+	// resident keeps each owned shard's closure inputs, indexed by
+	// shard − ShardLo and filled on the shard's first memo hit, so
+	// later hits skip shard generation, the harvest gate and the leak
+	// DB. residentBytes is their total size.
+	resident      []atomic.Pointer[closureIn]
+	residentBytes atomic.Int64
 }
 
 // planKey identifies one compiled plan.
@@ -215,6 +220,7 @@ func New(cfg Config) (*Engine, error) {
 		slots:   make(chan *sniffer.Sniffer, cfg.Workers),
 		memo:    radioMemo{keys: make(map[radioKey]*radioShards)},
 	}
+	e.resident = make([]atomic.Pointer[closureIn], cfg.ShardHi-cfg.ShardLo)
 	for range cfg.Workers {
 		e.slots <- nil
 	}
@@ -365,6 +371,10 @@ type run struct {
 	radio  *radioShards
 	ck     *ckptRun
 	phases *phaseSet
+	// free holds merged partial summaries, zeroed, for the next
+	// shards: the aggregator returns each part once merged and
+	// journaled, so a run allocates a few parts, not one per shard.
+	free chan *Summary
 }
 
 // runScenario is RunScenario with an explicit checkpoint directory, so
@@ -376,7 +386,7 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, dir string) (*Sum
 		return nil, err
 	}
 	e.cfg.Trace.Emit(obs.TraceEvent{Event: "run_start", Shard: -1, Detail: norm.Name})
-	r := &run{e: e, norm: norm, phases: newPhaseSet()}
+	r := &run{e: e, norm: norm, phases: newPhaseSet(), free: make(chan *Summary, 2*e.cfg.Workers)}
 	if r.plan, err = e.plan(norm); err != nil {
 		return nil, err
 	}
@@ -609,6 +619,11 @@ func (r *run) attack(ctx context.Context) (*Summary, error) {
 			}
 		}
 		r.phases.observe("aggregate", aggStart)
+		res.part.reset()
+		select {
+		case r.free <- res.part:
+		default:
+		}
 	}
 	ferr := <-feedErr
 	if runErr != nil {
@@ -666,14 +681,9 @@ func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *sc
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_start", Shard: i, Attempt: attempt})
 		err := e.cfg.Fault.ShardAttempt(i, attempt)
 		if err == nil {
-			sh := pop.Shard(i)
-			part, memoHit := r.attackShard(sh, rig, scr)
-			sh.Release()
-			done := obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt, Subscribers: part.Subscribers}
-			if memoHit {
-				done.Detail = "radio_memo"
-			}
-			e.cfg.Trace.Emit(done)
+			part, detail := r.attackShard(i, rig, scr)
+			e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt,
+				Subscribers: part.Subscribers, Detail: detail})
 			return part
 		}
 		if faultinject.IsTransient(err) && attempt+1 < e.cfg.MaxShardAttempts {
@@ -686,11 +696,22 @@ func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *sc
 		}
 		metShardsQuarantined.Inc()
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_quarantine", Shard: i, Attempt: attempt, Detail: err.Error()})
-		part := newSummary(len(pop.Services()))
+		part := r.newPart()
 		start, end := pop.ShardBounds(i)
 		part.ShardsQuarantined = 1
 		part.SubscribersSkipped = int64(end - start)
 		return part
+	}
+}
+
+// newPart returns a zeroed partial summary, reusing a merged one when
+// the aggregator has returned any.
+func (r *run) newPart() *Summary {
+	select {
+	case p := <-r.free:
+		return p
+	default:
+		return newSummary(len(r.e.cfg.Population.Services()))
 	}
 }
 
@@ -739,86 +760,105 @@ var otpTimestamp = time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC)
 // victims spread across [baseARFCN, baseARFCN+CellChannels).
 const baseARFCN = 512
 
-// attackShard attacks one shard: harvest its leak records, take its
-// radio stage from the run's memo entry or run it on the slot's rig,
-// then evaluate the chain reaction for each intercepted victim against
-// the scenario's compiled plan. memoHit reports that the radio stage
-// came from the memo. Only a completed attackShard stores an entry, so
-// a failed or quarantined shard never leaves one behind.
-func (r *run) attackShard(sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) (part *Summary, memoHit bool) {
-	e, plan := r.e, r.plan
+// attackShard attacks shard i. On a radio-memo hit for a shard whose
+// closure inputs are resident it runs only the chain reaction, with
+// detail "resident". Otherwise it generates the shard and harvests its
+// leak records; then a memo hit (detail "radio_memo") makes the
+// shard's closure inputs resident, and a miss runs the radio stage on
+// the slot's rig and gathers the intercepted victims' inputs into the
+// worker's scratch. Either way the chain reaction is evaluated for
+// each intercepted victim against the scenario's compiled plan. Only a
+// completed attackShard stores a memo entry, so a failed or
+// quarantined shard never leaves one behind.
+func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summary, detail string) {
+	e := r.e
 	pop := e.cfg.Population
-	part = newSummary(len(pop.Services()))
-	part.Subscribers = int64(len(sh.Subscribers))
-	if n := len(sh.Subscribers); n > 0 {
-		metPopBytesPerSub.Set(float64(sh.MemBytes() / n))
-	}
+	part = r.newPart()
+	start, end := pop.ShardBounds(i)
+	part.Subscribers = int64(end - start)
 
-	// Harvest first: land this shard's leaked records in the global
-	// attacker database (§V.A.1's "existing illegal databases"). A
-	// victim's dossier lives in their own shard, so harvesting here
-	// keeps lookups correct while every other worker's inserts and
-	// lookups hit the same sharded store concurrently. The leak DB is a
-	// population fact, not a scenario artifact, so each shard harvests
-	// exactly once per engine and later sweep scenarios skip the
-	// rewrite. The records are rebuilt from the draw streams into the
-	// worker's pooled record buffer, their strings carved from the
-	// worker's durable arena (never reset — the global DB retains them
-	// for the engine's lifetime), and bulk-inserted. The sync.Once gate
-	// (not a swapped flag) makes a concurrent run's worker reaching this
-	// shard block until the insert completes, so its closure-phase
-	// lookups never see a half-harvested shard.
-	e.harvest[sh.Index].Do(func() {
-		scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
-		e.leaks.AddAll(scr.leakRecs)
-	})
+	memoStart := time.Now()
+	slot := &r.radio.entries[i-e.cfg.ShardLo]
+	res := &e.resident[i-e.cfg.ShardLo]
+	rad, in := slot.Load(), res.Load()
+	if rad != nil {
+		r.phases.observe("radio_memo", memoStart)
+		detail = "resident"
+	}
+	closureStart := time.Now()
+	if rad == nil || in == nil {
+		sh := pop.Shard(i)
+		defer sh.Release()
+		metPopBytesPerSub.Set(float64(sh.MemBytes() / len(sh.Subscribers)))
+		// Harvest first: land this shard's leaked records in the global
+		// attacker database (§V.A.1's "existing illegal databases"). A
+		// victim's dossier lives in their own shard, so harvesting here
+		// keeps lookups correct while every other worker's inserts and
+		// lookups hit the same sharded store concurrently. The leak DB
+		// is a population fact, not a scenario artifact, so each shard
+		// harvests exactly once per engine and later scenarios skip the
+		// rewrite. The records are rebuilt from the draw streams into
+		// the worker's pooled record buffer, their strings carved from
+		// the worker's durable arena (never reset — the global DB
+		// retains them for the engine's lifetime), and bulk-inserted.
+		// The sync.Once gate (not a swapped flag) makes a concurrent
+		// run's worker reaching this shard block until the insert
+		// completes, so its dossier probes never see a half-harvested
+		// shard.
+		e.harvest[i].Do(func() {
+			scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
+			e.leaks.AddAll(scr.leakRecs)
+		})
+		switch {
+		case rad != nil:
+			// The shard's second attack: keep its closure inputs.
+			detail = "radio_memo"
+			closureStart = time.Now()
+			in = new(closureIn)
+			scr.phone = in.fill(sh, nil, e.leaks, scr.phone)
+			if res.CompareAndSwap(nil, in) {
+				metResidentBytes.Set(float64(e.residentBytes.Add(in.bytes())))
+			}
+		default:
+			rad = r.radioStage(sh, rig, scr)
+			closureStart = time.Now()
+			if in == nil {
+				scr.phone = scr.in.fill(sh, rad.intercepted, e.leaks, scr.phone)
+				in = &scr.in
+			}
+		}
+	}
 	// Per-shard leak accounting (persona phones are unique, so summing
 	// shard counts equals the merged DB size): the count lands in the
 	// journaled partial, which keeps resumed and multi-process runs
-	// exact — a global e.leaks.Len() would miss skipped shards.
-	part.LeakRecords = int64(sh.LeakCount)
-
-	memoStart := time.Now()
-	slot := &r.radio.entries[sh.Index-e.cfg.ShardLo]
-	rad := slot.Load()
-	if memoHit = rad != nil; memoHit {
-		r.phases.observe("radio_memo", memoStart)
-	} else {
-		rad = r.radioStage(sh, rig, scr)
-	}
+	// exact — a global leak DB size would miss skipped shards.
+	part.LeakRecords = in.leakCount
 	part.Targeted, part.Covered = rad.targeted, rad.covered
 	part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
 	part.Sniffer.Add(rad.sniffer)
 
 	// Chain-reaction phase: evaluate every intercepted victim, in shard
-	// order.
-	closureStart := time.Now()
+	// order, from the shard's closure inputs.
+	plan := r.plan
 	for w, word := range rad.intercepted {
-		for word != 0 {
+		for ; word != 0; word &= word - 1 {
 			li := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			sub := &sh.Subscribers[li]
 			part.Intercepted++
 			know := plan.closure.Baseline()
-			// The dossier probe derives the victim's phone into the
-			// worker's scratch buffer and hits the sharded store via the
-			// raw-bytes lookup — no key string is ever built on the
-			// closure path.
-			scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
-			if rec, err := e.leaks.LookupBytes(scr.phone); err == nil {
+			if d := in.dossier[li]; d&dossierFound != 0 {
 				part.DossierHits++
-				know |= leakFactorMask(rec)
+				know |= dossierFactors(d)
 			}
-			plan.chainDepths(scr.chain, sub.Enrolled, know)
+			plan.chainDepths(scr.chain, in.enrolled[li*in.words:(li+1)*in.words], know)
 			accumulate(plan, scr.chain, part)
 			scr.chain.Reset()
 		}
 	}
 	r.phases.observe("closure", closureStart)
-	if !memoHit {
-		slot.Store(rad)
+	if detail == "" {
+		slot.Store(rad) // a miss: the radio stage ran here
 	}
-	return part, memoHit
+	return part, detail
 }
 
 // radioStage runs one shard's radio half, gather-then-encrypt: walk the
@@ -998,21 +1038,6 @@ func accumulate(plan *attackPlan, chain *strategy.ClosureRun, part *Summary) {
 			part.FieldTotals[f]++
 		}
 	}
-}
-
-// leakFactorMask maps a leak record's fields to credential factors.
-func leakFactorMask(rec socialdb.Record) uint64 {
-	var m uint64
-	if rec.RealName != "" {
-		m |= strategy.FactorBit(ecosys.FactorRealName)
-	}
-	if rec.Address != "" {
-		m |= strategy.FactorBit(ecosys.FactorAddress)
-	}
-	if rec.CitizenID != "" {
-		m |= strategy.FactorBit(ecosys.FactorCitizenID)
-	}
-	return m
 }
 
 // rand16 expands one draw into a RAND challenge.

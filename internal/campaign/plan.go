@@ -72,15 +72,18 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 }
 
 // scratch is one worker's reusable state: the per-victim chain-closure
-// tables, the per-shard radio session buffer the gather-then-encrypt
-// path fills before the batch encryptor runs, the rig's captures read
-// back per shard, and the pooled burst buffer the encoded trace lives
-// in. All of it is recycled shard over shard (and, for the burst
-// buffer, scenario over scenario), so a steady-state shard attack
-// allocates nothing population-proportional beyond its radio-memo
-// entry.
+// tables, the closure inputs of the intercepted victims of the shard it
+// last generated, the per-shard radio session buffer the
+// gather-then-encrypt path fills before the batch encryptor runs, the
+// rig's captures read back per shard, and the pooled burst buffer the
+// encoded trace lives in. All of it is recycled shard over shard (and,
+// for the burst buffer, scenario over scenario), so a steady-state
+// shard attack allocates nothing population-proportional beyond its
+// radio-memo entry and, on a shard's second attack, its resident
+// closure inputs.
 type scratch struct {
 	chain    *strategy.ClosureRun
+	in       closureIn
 	radio    []telecom.SMSSession
 	captures []sniffer.Capture
 	bursts   *telecom.BurstBuffer

@@ -2,8 +2,16 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/actfort/actfort/internal/faultinject"
+	"github.com/actfort/actfort/internal/obs"
 )
 
 // memoScenarios is every built-in scenario plus the radio keys the
@@ -51,12 +59,17 @@ func runOn(t *testing.T, eng *Engine, sc Scenario) *Summary {
 // scenario. Each scenario must take all its radio stages from the memo
 // and still report a Summary byte-identical to a fresh engine's. The
 // primers' keys all fit the memo at once, so a key missing any radio
-// input would hand a scenario another key's radio stages.
+// input would hand a scenario another key's radio stages. Then, on an
+// engine of its own per scenario, the three kinds of shard attack run
+// in turn — the primer's radio stages, the memo hit that makes the
+// shard's closure inputs resident, the resident hit — and each run
+// must equal the fresh engine's Summary. Last, inputs made resident
+// under a narrow radio key must serve every scenario.
 func TestRadioMemoEquivalence(t *testing.T) {
 	pop := testPop(t, 1024, 128)
 	cfg := Config{Population: pop, KeyBits: 10, Workers: 2}
 	cfg.Cracker = sharedCracker(t, cfg)
-	newEngine := func() *Engine {
+	newEngine := func(cfg Config) *Engine {
 		eng, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -66,9 +79,9 @@ func TestRadioMemoEquivalence(t *testing.T) {
 	scenarios := memoScenarios()
 	want := make([]string, len(scenarios))
 	for i, sc := range scenarios {
-		want[i] = string(canonicalSummary(t, runOn(t, newEngine(), sc)))
+		want[i] = string(canonicalSummary(t, runOn(t, newEngine(cfg), sc)))
 	}
-	warm := newEngine()
+	warm := newEngine(cfg)
 	for _, sc := range scenarios {
 		runOn(t, warm, memoPrimer(sc))
 	}
@@ -87,6 +100,78 @@ func TestRadioMemoEquivalence(t *testing.T) {
 			t.Errorf("scenario %s: warm summary differs from fresh:\nfresh %s\nwarm  %s", sc.Name, want[i], got)
 		}
 	}
+
+	for i, sc := range scenarios {
+		traced := cfg
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		tw, err := obs.OpenTraceFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced.Trace = tw
+		eng := newEngine(traced)
+		runOn(t, eng, memoPrimer(sc)) // a cold engine: every run so far is fresh
+		for run := 2; run <= 3; run++ {
+			if got := string(canonicalSummary(t, runOn(t, eng, sc))); got != want[i] {
+				t.Errorf("scenario %s run %d: summary differs from fresh:\nfresh %s\ngot   %s", sc.Name, run, want[i], got)
+			}
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		details := shardDoneDetails(t, path)
+		for r, wantDetail := range []string{"", "radio_memo", "resident"} {
+			if int64(len(details[r])) != shards {
+				t.Fatalf("scenario %s run %d: %d shards done, want %d", sc.Name, r+1, len(details[r]), shards)
+			}
+			for shard, d := range details[r] {
+				if d != wantDetail {
+					t.Errorf("scenario %s run %d shard %d: shard_done detail %q, want %q", sc.Name, r+1, shard, d, wantDetail)
+				}
+			}
+		}
+	}
+
+	// Closure inputs are population facts: made resident under a narrow
+	// radio key — one segment, one receiver — they must serve every
+	// other key, on its radio misses and on its hits.
+	narrow := newEngine(cfg)
+	n := Scenario{Name: "narrow", Segment: VictimSegment{Domain: "email", LeakTier: LeakTierBreach},
+		Budget: AttackerBudget{Receivers: 1, CellChannels: 7}}
+	runOn(t, narrow, n)
+	runOn(t, narrow, n)
+	for pass := 1; pass <= 2; pass++ {
+		for i, sc := range scenarios {
+			if got := string(canonicalSummary(t, runOn(t, narrow, sc))); got != want[i] {
+				t.Errorf("scenario %s pass %d after a narrow fill: summary differs from fresh:\nfresh %s\ngot   %s",
+					sc.Name, pass, want[i], got)
+			}
+		}
+	}
+}
+
+// shardDoneDetails reads a trace of sequential runs and returns, per
+// run, each shard's shard_done detail.
+func shardDoneDetails(t *testing.T, path string) []map[int]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []map[int]string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var ev obs.TraceEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		switch ev.Event {
+		case "run_start":
+			runs = append(runs, map[int]string{})
+		case "shard_done":
+			runs[len(runs)-1][ev.Shard] = ev.Detail
+		}
+	}
+	return runs
 }
 
 // TestRadioMemoBound sends 1,000 distinct radio environments to one
@@ -135,7 +220,10 @@ func TestRadioMemoBound(t *testing.T) {
 // key, two policies — concurrently on one engine, several rounds: the
 // runs race to fill and read the same memo entries (run under -race in
 // CI), and every result must equal a fresh engine's, with each shard's
-// radio stage either run or replayed exactly once.
+// radio stage either run or replayed exactly once. A primer with the
+// same key runs first, so the first round's two runs both hit the memo
+// on every shard and race to make its closure inputs resident; later
+// rounds read them.
 func TestRadioMemoConcurrentRuns(t *testing.T) {
 	pop := testPop(t, 2048, 128)
 	cfg := Config{Population: pop, KeyBits: 10, Workers: 4}
@@ -158,6 +246,7 @@ func TestRadioMemoConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runOn(t, eng, Scenario{Name: "primer", Policy: "harden-email"})
 	for round := 0; round < 3; round++ {
 		sums := make([]*Summary, len(scenarios))
 		errs := make([]error, len(scenarios))
@@ -181,8 +270,95 @@ func TestRadioMemoConcurrentRuns(t *testing.T) {
 				t.Errorf("round %d scenario %s: %s", round, sc.Name, msg)
 			}
 		}
+		if round == 0 {
+			var bytes int64
+			for shard := range eng.resident {
+				in := eng.resident[shard].Load()
+				if in == nil {
+					t.Fatalf("shard %d: closure inputs not resident after its second attack", shard)
+				}
+				bytes += in.bytes()
+			}
+			if got := eng.residentBytes.Load(); got != bytes {
+				t.Errorf("resident bytes %d, want the entries' %d (a lost fill race counted twice?)", got, bytes)
+			}
+		}
 	}
 	if got := eng.RigsBuilt(); got > int64(cfg.Workers) {
 		t.Errorf("rigs built = %d, want <= %d workers", got, cfg.Workers)
+	}
+}
+
+// TestResidentFaultsStillApply runs one scenario three times on a
+// fault-injected engine — cold, the memo hit that makes closure inputs
+// resident, the resident hit. The fault schedule runs before the memo
+// or the resident inputs are consulted, so the warm runs still retry
+// the transient shards and quarantine the poisoned one, and every run
+// equals a fresh engine's Summary under the same faults.
+func TestResidentFaultsStillApply(t *testing.T) {
+	pop := testPop(t, 2048, 128) // 16 shards
+	cfg := Config{Population: pop, KeyBits: 10, Workers: 2, MaxShardAttempts: 40,
+		RetryBackoff: time.Microsecond, RetryBackoffMax: 10 * time.Microsecond}
+	cfg.Cracker = sharedCracker(t, Config{Population: pop, KeyBits: 10})
+	in, err := faultinject.New(faultinject.Config{Seed: 3, TransientRate: 0.5, Poisoned: []int{5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = in
+	want := string(canonicalSummary(t, runCampaign(t, cfg)))
+
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tw, err := obs.OpenTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Trace = tw
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 3; run++ {
+		sum := runOn(t, eng, Scenario{})
+		if sum.ShardsQuarantined != 1 {
+			t.Errorf("run %d: %d shards quarantined, want the poisoned one", run, sum.ShardsQuarantined)
+		}
+		if got := string(canonicalSummary(t, sum)); got != want {
+			t.Errorf("run %d: summary differs from a fresh faulty run:\nfresh %s\ngot   %s", run, want, got)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, retries, quarantines := 0, map[int]int{}, map[int]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var ev obs.TraceEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		switch ev.Event {
+		case "run_start":
+			run++
+		case "shard_retry":
+			retries[run]++
+		case "shard_quarantine":
+			if ev.Shard != 5 {
+				t.Errorf("run %d quarantined shard %d, want only the poisoned 5", run, ev.Shard)
+			}
+			quarantines[run]++
+		case "shard_done":
+			if run == 3 && ev.Detail != "resident" {
+				t.Errorf("run 3 shard %d: shard_done detail %q, want resident", ev.Shard, ev.Detail)
+			}
+		}
+	}
+	for run := 1; run <= 3; run++ {
+		if retries[run] == 0 || retries[run] != retries[1] || quarantines[run] != 1 {
+			t.Errorf("run %d: %d retries and %d quarantines, want run 1's %d (nonzero) and 1",
+				run, retries[run], quarantines[run], retries[1])
+		}
 	}
 }

@@ -1,9 +1,15 @@
 package campaign
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/actfort/actfort/internal/countermeasure"
+	"github.com/actfort/actfort/internal/ecosys"
 )
 
 // TestNormalizeRejectsOutOfRangeProbabilities is the regression test
@@ -141,6 +147,86 @@ func TestNormalizeIdempotent(t *testing.T) {
 		}
 		if list[0] != once {
 			t.Errorf("scenario %q: NormalizeSweep renormalized it:\nonce  %+v\nsweep %+v", sc.Name, once, list[0])
+		}
+	}
+}
+
+// randomScenario draws from a space wider than normalize accepts:
+// probabilities below 0, above 1 and NaN; negative and zero counts;
+// unknown platforms, domains and leak tiers. Policies come from the
+// registry, which normalize leaves to the run. OTP sessions stay at 8
+// or fewer, so no draw asks for an outsized radio stage.
+func randomScenario(r *rand.Rand, i int) Scenario {
+	prob := func() float64 {
+		switch r.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return -r.Float64()
+		case 2:
+			return 1 + r.Float64()
+		case 3:
+			return math.NaN()
+		}
+		return r.Float64()
+	}
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	policies := []string{""}
+	for _, p := range countermeasure.Policies() {
+		policies = append(policies, p.Name)
+	}
+	domains := []string{"", "no-such-domain"}
+	for _, d := range ecosys.AllDomains() {
+		domains = append(domains, d.String())
+	}
+	return Scenario{
+		Name:     fmt.Sprintf("random-%d", i),
+		Policy:   pick(policies...),
+		Platform: pick("", "both", "web", "mobile", "Mobile", "tablet"),
+		Radio: RadioEnv{A50Fraction: prob(), A53Fraction: prob(), ReauthSkip: prob(),
+			OTPSessions: r.Intn(11) - 2},
+		Budget: AttackerBudget{Receivers: r.Intn(24) - 4, CellChannels: r.Intn(24) - 4},
+		Segment: VictimSegment{Domain: pick(domains...),
+			LeakTier: pick("", LeakTierLeaked, LeakTierClean, LeakTierBreach, LeakTierWiFi, "darkweb")},
+	}
+}
+
+// TestPropertyNormalizedScenariosComplete: every random scenario that
+// normalize accepts runs to completion on a tiny population, three
+// times on one engine — cold, warm from the radio memo (which makes the
+// closure inputs resident), then warm from the resident inputs — and
+// every run reports the cold run's Summary.
+func TestPropertyNormalizedScenariosComplete(t *testing.T) {
+	pop := testPop(t, 256, 64)
+	cfg := Config{Population: pop, KeyBits: 10, Workers: 2}
+	cfg.Cracker = sharedCracker(t, cfg)
+	r := rand.New(rand.NewSource(23))
+	accepted := 0
+	for i := 0; accepted < 40; i++ {
+		if i == 2000 {
+			t.Fatalf("normalize accepted %d of %d random scenarios; the generator is too narrow", accepted, i)
+		}
+		sc := randomScenario(r, i)
+		if _, err := sc.Normalized(); err != nil {
+			continue
+		}
+		accepted++
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := eng.RunScenario(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("%+v: cold run: %v", sc, err)
+		}
+		for run := 2; run <= 3; run++ {
+			warm, err := eng.RunScenario(context.Background(), sc)
+			if err != nil {
+				t.Fatalf("%+v: run %d: %v", sc, run, err)
+			}
+			if c, w := canonicalSummary(t, cold), canonicalSummary(t, warm); string(c) != string(w) {
+				t.Errorf("%+v: run %d differs from the cold run:\ncold %s\nwarm %s", sc, run, c, w)
+			}
 		}
 	}
 }

@@ -127,6 +127,15 @@ func newSummary(numServices int) *Summary {
 	}
 }
 
+// reset zeroes s for reuse, keeping its tables.
+func (s *Summary) reset() {
+	st, ft, hh := s.ServiceTakeovers, s.FieldTotals, s.HarvestHist
+	clear(st)
+	clear(ft)
+	clear(hh)
+	*s = Summary{ServiceTakeovers: st, FieldTotals: ft, HarvestHist: hh}
+}
+
 // Merge accumulates a partial summary.
 func (s *Summary) Merge(o *Summary) {
 	s.Subscribers += o.Subscribers
