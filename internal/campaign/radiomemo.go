@@ -119,10 +119,7 @@ const (
 func (in *closureIn) fill(sh *population.Shard, which []uint64, leaks *socialdb.DB, phone []byte) []byte {
 	n := len(sh.Subscribers)
 	in.leakCount = int64(sh.LeakCount)
-	if n == 0 {
-		return phone
-	}
-	in.words = len(sh.Subscribers[0].Enrolled) // every bitset has the population's width
+	in.words = len(sh.Subscribers[0].Enrolled) // a shard is never empty; every bitset has the population's width
 	in.enrolled = slices.Grow(in.enrolled[:0], n*in.words)[:n*in.words]
 	in.dossier = slices.Grow(in.dossier[:0], n)[:n]
 	row := func(li int) {

@@ -119,15 +119,20 @@ func TestRadioMemoEquivalence(t *testing.T) {
 		if err := tw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		details := shardDoneDetails(t, path)
+		runs := traceRuns(t, path)
 		for r, wantDetail := range []string{"", "radio_memo", "resident"} {
-			if int64(len(details[r])) != shards {
-				t.Fatalf("scenario %s run %d: %d shards done, want %d", sc.Name, r+1, len(details[r]), shards)
-			}
-			for shard, d := range details[r] {
-				if d != wantDetail {
-					t.Errorf("scenario %s run %d shard %d: shard_done detail %q, want %q", sc.Name, r+1, shard, d, wantDetail)
+			done := int64(0)
+			for _, ev := range runs[r] {
+				if ev.Event != "shard_done" {
+					continue
 				}
+				done++
+				if ev.Detail != wantDetail {
+					t.Errorf("scenario %s run %d shard %d: shard_done detail %q, want %q", sc.Name, r+1, ev.Shard, ev.Detail, wantDetail)
+				}
+			}
+			if done != shards {
+				t.Errorf("scenario %s run %d: %d shards done, want %d", sc.Name, r+1, done, shards)
 			}
 		}
 	}
@@ -150,25 +155,24 @@ func TestRadioMemoEquivalence(t *testing.T) {
 	}
 }
 
-// shardDoneDetails reads a trace of sequential runs and returns, per
-// run, each shard's shard_done detail.
-func shardDoneDetails(t *testing.T, path string) []map[int]string {
+// traceRuns reads a trace of sequential runs and returns each run's
+// events after its run_start.
+func traceRuns(t *testing.T, path string) [][]obs.TraceEvent {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs []map[int]string
+	var runs [][]obs.TraceEvent
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		var ev obs.TraceEvent
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("bad trace line %q: %v", line, err)
 		}
-		switch ev.Event {
-		case "run_start":
-			runs = append(runs, map[int]string{})
-		case "shard_done":
-			runs[len(runs)-1][ev.Shard] = ev.Detail
+		if ev.Event == "run_start" {
+			runs = append(runs, nil)
+		} else if len(runs) > 0 {
+			runs[len(runs)-1] = append(runs[len(runs)-1], ev)
 		}
 	}
 	return runs
@@ -329,36 +333,32 @@ func TestResidentFaultsStillApply(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, retries, quarantines := 0, map[int]int{}, map[int]int{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var ev obs.TraceEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		switch ev.Event {
-		case "run_start":
-			run++
-		case "shard_retry":
-			retries[run]++
-		case "shard_quarantine":
-			if ev.Shard != 5 {
-				t.Errorf("run %d quarantined shard %d, want only the poisoned 5", run, ev.Shard)
-			}
-			quarantines[run]++
-		case "shard_done":
-			if run == 3 && ev.Detail != "resident" {
-				t.Errorf("run 3 shard %d: shard_done detail %q, want resident", ev.Shard, ev.Detail)
+	runs := traceRuns(t, path)
+	retries, quarantines := make([]int, len(runs)), make([]int, len(runs))
+	for run, events := range runs {
+		for _, ev := range events {
+			switch ev.Event {
+			case "shard_retry":
+				retries[run]++
+			case "shard_quarantine":
+				if ev.Shard != 5 {
+					t.Errorf("run %d quarantined shard %d, want only the poisoned 5", run+1, ev.Shard)
+				}
+				quarantines[run]++
+			case "shard_done":
+				if run == 2 && ev.Detail != "resident" {
+					t.Errorf("run 3 shard %d: shard_done detail %q, want resident", ev.Shard, ev.Detail)
+				}
 			}
 		}
 	}
-	for run := 1; run <= 3; run++ {
-		if retries[run] == 0 || retries[run] != retries[1] || quarantines[run] != 1 {
+	if len(runs) != 3 {
+		t.Fatalf("trace holds %d runs, want 3", len(runs))
+	}
+	for run := range runs {
+		if retries[run] == 0 || retries[run] != retries[0] || quarantines[run] != 1 {
 			t.Errorf("run %d: %d retries and %d quarantines, want run 1's %d (nonzero) and 1",
-				run, retries[run], quarantines[run], retries[1])
+				run+1, retries[run], quarantines[run], retries[0])
 		}
 	}
 }
