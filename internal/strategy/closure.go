@@ -137,16 +137,19 @@ func (c *Closure) NewRun() *ClosureRun {
 func (r *ClosureRun) Enroll(a int32) { r.active = append(r.active, a) }
 
 // Solve runs the layered closure over the enrolled accounts. The needs
-// met by know (the attacker's factor mask, Baseline included) form
-// layer 0. An enrolled account falls at depth d when one of its paths
+// met by know (the attacker's factor mask, Baseline included) and by
+// the given accounts, fallen before the first layer, form layer 0. An enrolled account falls at depth d when one of its paths
 // needs nothing outside layer d−1, and the accounts fallen at depth d
 // add their supplies to form layer d. Each depth is found once, and
 // the layers stop at the first one that meets no new need.
-func (r *ClosureRun) Solve(know uint64) {
+func (r *ClosureRun) Solve(know uint64, given ...int32) {
 	c, w := r.c, r.c.words
 	r.layers = append(r.layers[:0], make([]uint64, w)...)
 	for k := know; k != 0; k &= k - 1 {
 		or(r.layers, c.row(c.byFactor, bits.TrailingZeros64(k)))
+	}
+	for _, a := range given {
+		or(r.layers, c.row(c.supplies, int(a)))
 	}
 	pending := append(r.pending[:0], r.active...)
 	for d := int32(1); len(pending) > 0; d++ {

@@ -1,7 +1,9 @@
 package strategy
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -238,4 +240,67 @@ func BenchmarkChainDepths(b *testing.B) {
 			_ = ReferenceDepths(graphs[i%victims])
 		}
 	})
+}
+
+// TestForwardClosureMatchesReference holds ForwardClosure, built on
+// the compiled closure, equal to the map-keyed reference rounds — every
+// account's round, path and couple flag, the rounds in order, the
+// survivors and the harvested information — on random ecosystems under
+// varied attacker profiles and couple sizes, and on the default catalog
+// per platform, each from scratch and from random initial sets.
+func TestForwardClosureMatchesReference(t *testing.T) {
+	check := func(g *tdg.Graph, initial []ecosys.AccountID, label string) {
+		t.Helper()
+		want, err := referenceForwardClosure(g, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ForwardClosure(g, initial)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (initial %v):\ngot  %+v\nwant %+v", label, initial, got, want)
+		}
+	}
+	randomInitial := func(r *rand.Rand, g *tdg.Graph, oneIn int) []ecosys.AccountID {
+		var out []ecosys.AccountID
+		for _, id := range g.Nodes() {
+			if r.Intn(oneIn) == 0 {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ap := ecosys.BaselineAttacker()
+		if r.Intn(3) == 0 {
+			ap.Capabilities[ecosys.FactorPassword] = true
+		}
+		if r.Intn(4) == 0 {
+			ap.KnownInfo.Add(ecosys.InfoRealName)
+		}
+		g, err := tdg.Build(randomNodes(seed, 2+r.Intn(40)), ap, tdg.WithMaxCoupleSize(2+r.Intn(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(g, nil, fmt.Sprintf("seed %d", seed))
+		check(g, randomInitial(r, g, 6), fmt.Sprintf("seed %d with initial accounts", seed))
+	}
+	cat, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, platforms := range [][]ecosys.Platform{nil, {ecosys.PlatformWeb}, {ecosys.PlatformMobile}} {
+		g, err := tdg.Build(tdg.NodesFromCatalog(cat, platforms...), ecosys.BaselineAttacker())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(g, nil, fmt.Sprintf("catalog %v", platforms))
+		for k := 0; k < 10; k++ {
+			check(g, randomInitial(r, g, 30), fmt.Sprintf("catalog %v with initial accounts", platforms))
+		}
+	}
 }

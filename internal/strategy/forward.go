@@ -56,8 +56,11 @@ func (r *ForwardResult) VictimCount() int {
 
 // ForwardClosure runs the PAV computation: starting from the graph's
 // attacker profile plus an optional initially compromised set (OAAS),
-// repeatedly takes over every account whose factors are now covered,
-// harvesting its exposed information into the IAD, until fixpoint.
+// it takes over, round by round, every account one of whose takeover
+// paths the profile and the accounts fallen so far cover, harvesting
+// their exposed information into the IAD, until nothing more falls.
+// The rounds are the compiled closure's layers, with the initial
+// accounts' supplies in layer 0.
 func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, error) {
 	res := &ForwardResult{
 		Compromised: make(map[ecosys.AccountID]Compromise),
@@ -67,108 +70,67 @@ func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, e
 	for f := range ap.KnownInfo {
 		res.FinalInfo.Add(f)
 	}
-
-	controlled := make(map[string]bool) // service names under control
 	for _, id := range initial {
-		node, ok := g.Node(id)
-		if !ok {
+		if _, ok := g.Node(id); !ok {
 			return nil, fmt.Errorf("strategy: initial account %s not in graph", id)
 		}
 		res.Compromised[id] = Compromise{Round: 0}
-		controlled[id.Service] = true
+	}
+	ids := g.Nodes()
+	c := CompileClosure(g)
+	r := c.NewRun()
+	var given []int32
+	for a, id := range ids {
+		if _, done := res.Compromised[id]; done {
+			given = append(given, int32(a))
+		} else {
+			r.Enroll(int32(a))
+		}
+	}
+	r.Solve(c.baseline, given...)
+	for a, id := range ids {
+		node, _ := g.Node(id)
+		if _, done := res.Compromised[id]; !done {
+			d := r.Depth(int32(a))
+			if d == 0 {
+				res.Survivors = append(res.Survivors, id)
+				continue
+			}
+			if int(d) > len(res.Rounds) {
+				res.Rounds = append(res.Rounds, make([][]ecosys.AccountID, int(d)-len(res.Rounds))...)
+			}
+			res.Rounds[d-1] = append(res.Rounds[d-1], id)
+			p := c.pathStart[a]
+			for r.pathDepth(p) != d {
+				p++ // no path is covered before the layer the account fell in
+			}
+			res.Compromised[id] = Compromise{Round: int(d), PathID: c.pathID[p],
+				UsedCouple: harvested(node, c.pathID[p], ap.Capabilities) > 1}
+		}
 		for f := range node.Exposes {
 			res.FinalInfo.Add(f)
-		}
-	}
-
-	for round := 1; ; round++ {
-		available := ap.Capabilities.Union(res.FinalInfo.Factors())
-		var fell []ecosys.AccountID
-		newInfo := make(ecosys.InfoSet)
-		for _, id := range g.Nodes() {
-			if _, done := res.Compromised[id]; done {
-				continue
-			}
-			node, _ := g.Node(id)
-			pathID, usedCouple, ok := satisfiablePath(node, ap.Capabilities, available, controlled)
-			if !ok {
-				continue
-			}
-			res.Compromised[id] = Compromise{Round: round, PathID: pathID, UsedCouple: usedCouple}
-			fell = append(fell, id)
-			for f := range node.Exposes {
-				newInfo.Add(f)
-			}
-		}
-		if len(fell) == 0 {
-			break
-		}
-		res.Rounds = append(res.Rounds, fell)
-		for _, id := range fell {
-			controlled[id.Service] = true
-		}
-		for f := range newInfo {
-			res.FinalInfo.Add(f)
-		}
-	}
-
-	for _, id := range g.Nodes() {
-		if _, done := res.Compromised[id]; !done {
-			res.Survivors = append(res.Survivors, id)
 		}
 	}
 	return res, nil
 }
 
-// satisfiablePath finds the first takeover path of node coverable by
-// the available factors and controlled services. usedCouple reports
-// whether more than one harvested (non-capability) factor was needed —
-// the measurement-granularity stand-in for the paper's half-capacity-
-// parent notion.
-func satisfiablePath(node *tdg.Node, capabilities, available ecosys.FactorSet, controlled map[string]bool) (pathID string, usedCouple bool, ok bool) {
+// harvested counts the factors of node's path pathID beyond the
+// attacker's capabilities. More than one marks the fall UsedCouple: the
+// measurement-granularity stand-in for the paper's half-capacity-parent
+// notion.
+func harvested(node *tdg.Node, pathID string, capabilities ecosys.FactorSet) int {
+	n := 0
 	for _, p := range node.Paths {
-		if p.Purpose != ecosys.PurposeSignIn && p.Purpose != ecosys.PurposeReset {
-			continue
-		}
-		covered := true
-		extra := 0
-		for _, f := range p.Factors {
-			switch {
-			case available.Has(f):
+		if p.ID == pathID {
+			for _, f := range p.Factors {
 				if !capabilities.Has(f) {
-					extra++
+					n++
 				}
-			case f == ecosys.FactorLinkedAccount:
-				bound := false
-				for _, b := range node.BoundTo {
-					if controlled[b] {
-						bound = true
-						break
-					}
-				}
-				if !bound {
-					covered = false
-				} else {
-					extra++
-				}
-			case f == ecosys.FactorEmailCode || f == ecosys.FactorEmailLink:
-				if node.EmailProvider == "" || !controlled[node.EmailProvider] {
-					covered = false
-				} else {
-					extra++
-				}
-			default:
-				covered = false
 			}
-			if !covered {
-				break
-			}
-		}
-		if covered {
-			return p.ID, extra > 1, true
+			return n
 		}
 	}
-	return "", false, false
+	return n
 }
 
 // LayerStats aggregates a ForwardResult into the paper's §IV.B.1

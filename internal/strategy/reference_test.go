@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/actfort/actfort/internal/ecosys"
@@ -176,4 +177,120 @@ func ReferencePathLayers(g *tdg.Graph) DepthStats {
 		}
 	}
 	return st
+}
+
+// referenceForwardClosure is the reference ForwardClosure: rounds over
+// the graph's own nodes, with the harvested information, capabilities
+// and controlled services in maps, and no compiled closure.
+func referenceForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, error) {
+	res := &ForwardResult{
+		Compromised: make(map[ecosys.AccountID]Compromise),
+		FinalInfo:   make(ecosys.InfoSet),
+	}
+	ap := g.Profile()
+	for f := range ap.KnownInfo {
+		res.FinalInfo.Add(f)
+	}
+
+	controlled := make(map[string]bool) // service names under control
+	for _, id := range initial {
+		node, ok := g.Node(id)
+		if !ok {
+			return nil, fmt.Errorf("strategy: initial account %s not in graph", id)
+		}
+		res.Compromised[id] = Compromise{Round: 0}
+		controlled[id.Service] = true
+		for f := range node.Exposes {
+			res.FinalInfo.Add(f)
+		}
+	}
+
+	for round := 1; ; round++ {
+		available := ap.Capabilities.Union(res.FinalInfo.Factors())
+		var fell []ecosys.AccountID
+		newInfo := make(ecosys.InfoSet)
+		for _, id := range g.Nodes() {
+			if _, done := res.Compromised[id]; done {
+				continue
+			}
+			node, _ := g.Node(id)
+			pathID, usedCouple, ok := referenceSatisfiablePath(node, ap.Capabilities, available, controlled)
+			if !ok {
+				continue
+			}
+			res.Compromised[id] = Compromise{Round: round, PathID: pathID, UsedCouple: usedCouple}
+			fell = append(fell, id)
+			for f := range node.Exposes {
+				newInfo.Add(f)
+			}
+		}
+		if len(fell) == 0 {
+			break
+		}
+		res.Rounds = append(res.Rounds, fell)
+		for _, id := range fell {
+			controlled[id.Service] = true
+		}
+		for f := range newInfo {
+			res.FinalInfo.Add(f)
+		}
+	}
+
+	for _, id := range g.Nodes() {
+		if _, done := res.Compromised[id]; !done {
+			res.Survivors = append(res.Survivors, id)
+		}
+	}
+	return res, nil
+}
+
+// satisfiablePath finds the first takeover path of node coverable by
+// the available factors and controlled services. usedCouple reports
+// whether more than one harvested (non-capability) factor was needed —
+// the measurement-granularity stand-in for the paper's half-capacity-
+// parent notion.
+func referenceSatisfiablePath(node *tdg.Node, capabilities, available ecosys.FactorSet, controlled map[string]bool) (pathID string, usedCouple bool, ok bool) {
+	for _, p := range node.Paths {
+		if p.Purpose != ecosys.PurposeSignIn && p.Purpose != ecosys.PurposeReset {
+			continue
+		}
+		covered := true
+		extra := 0
+		for _, f := range p.Factors {
+			switch {
+			case available.Has(f):
+				if !capabilities.Has(f) {
+					extra++
+				}
+			case f == ecosys.FactorLinkedAccount:
+				bound := false
+				for _, b := range node.BoundTo {
+					if controlled[b] {
+						bound = true
+						break
+					}
+				}
+				if !bound {
+					covered = false
+				} else {
+					extra++
+				}
+			case f == ecosys.FactorEmailCode || f == ecosys.FactorEmailLink:
+				if node.EmailProvider == "" || !controlled[node.EmailProvider] {
+					covered = false
+				} else {
+					extra++
+				}
+			default:
+				covered = false
+			}
+			if !covered {
+				break
+			}
+		}
+		if covered {
+			return p.ID, extra > 1, true
+		}
+	}
+	return "", false, false
 }
