@@ -138,10 +138,11 @@ func (r *ClosureRun) Enroll(a int32) { r.active = append(r.active, a) }
 
 // Solve runs the layered closure over the enrolled accounts. The needs
 // met by know (the attacker's factor mask, Baseline included) and by
-// the given accounts, fallen before the first layer, form layer 0. An enrolled account falls at depth d when one of its paths
-// needs nothing outside layer d−1, and the accounts fallen at depth d
-// add their supplies to form layer d. Each depth is found once, and
-// the layers stop at the first one that meets no new need.
+// the given accounts, fallen before the first layer, form layer 0. An
+// enrolled account falls at depth d when one of its paths needs
+// nothing outside layer d−1, and the accounts fallen at depth d add
+// their supplies to form layer d. Each depth is found once, and the
+// layers stop at the first one that meets no new need.
 func (r *ClosureRun) Solve(know uint64, given ...int32) {
 	c, w := r.c, r.c.words
 	r.layers = append(r.layers[:0], make([]uint64, w)...)
