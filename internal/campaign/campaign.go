@@ -10,11 +10,9 @@
 //
 //   - the population is sharded; a bounded worker pool streams shards,
 //     so subscriber state (personas, enrollments, radio sessions) is
-//     O(shard). The population-proportional structures are the
-//     attacker's merged leak database — the artifact the paper's
-//     attacker actually accumulates — which grows with the leaked
-//     fraction only (string headers over shard-owned bytes), and, on a
-//     warm engine, the resident closure inputs below;
+//     O(shard). A cold run holds nothing population-proportional; a
+//     warm engine holds the radio memo and the resident closure inputs
+//     below;
 //   - every worker synthesizes each victim's OTP radio sessions with
 //     the same burst encoder the live Network uses and feeds them to a
 //     per-shard passive sniffer rig — batched sniffer sessions;
@@ -23,16 +21,18 @@
 //     every scenario of a sweep; the rigs themselves live in the
 //     engine's Workers shard slots and are reused, reset, by every shard
 //     of every scenario — a rig holds no radio-environment state;
-//   - harvested leak records live in one sharded socialdb hit by every
-//     worker concurrently;
+//   - the attacker's join of a victim's phone against the leaked
+//     databases (§V.A.1) is the population's Dossier of that victim, a
+//     pure function of its leak draws: phones are unique per
+//     subscriber, so the join finds only the victim's own record and
+//     the engine keeps no leak database;
 //   - each shard's radio stage (synth → encrypt → feed → crack) is
 //     memoized per (radio environment, budget, segment): policy and
 //     platform never reach it, so a fortification scenario after its
 //     baseline runs only the chain reaction;
 //   - a shard attacked a second time keeps its closure inputs resident
-//     (enrollment words and a dossier byte per subscriber, 33 B), so
-//     from then on a memo hit skips shard generation, the harvest gate
-//     and the leak DB too;
+//     (enrollment words, 32 B per subscriber), so from then on a memo
+//     hit skips shard generation too;
 //   - per-victim chain reactions are evaluated against a precompiled
 //     Transformation Dependency Graph plan (need masks, one layer per
 //     depth, no per-victim graph builds); each scenario compiles its
@@ -67,7 +67,6 @@ import (
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/socialdb"
 	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/telecom"
 )
@@ -136,26 +135,15 @@ type Config struct {
 // Engine is the resident core: the shared resources every scenario —
 // sequential or concurrent — draws on. Everything here is either
 // immutable after New (population, cracker table, key space) or
-// guarded for concurrent use (plan cache, leak DB, shard slots, radio
-// memo), so
-// RunScenario is safe to call from multiple goroutines at once; all
-// per-run state lives in the run type. Build with New,
-// execute one scenario with Run/RunScenario or a comparative list with
-// RunSweep.
+// guarded for concurrent use (plan cache, shard slots, radio memo,
+// resident closure inputs), so RunScenario is safe to call from
+// multiple goroutines at once; all per-run state lives in the run type.
+// Build with New, execute one scenario with Run/RunScenario or a
+// comparative list with RunSweep.
 type Engine struct {
 	cfg     Config
 	space   a51.KeySpace
 	cracker a51.Cracker
-	// leaks is the attacker's merged leak database, assembled during
-	// the harvest phase and hit concurrently by every attack worker.
-	// It persists across sweep scenarios: the records are population
-	// facts, independent of any scenario knob. harvest gates each
-	// shard's merge behind a sync.Once, so later scenarios skip the
-	// redundant rewrite — and a concurrent scenario reaching the shard
-	// first blocks until the insert completes instead of racing past a
-	// half-set flag into lookups over missing records.
-	leaks   *socialdb.DB
-	harvest []sync.Once
 
 	// plans caches compiled attack plans by (policy, platform): a sweep
 	// comparing radio environments under one policy compiles once.
@@ -182,8 +170,8 @@ type Engine struct {
 	memo radioMemo
 	// resident keeps each owned shard's closure inputs, indexed by
 	// shard − ShardLo and filled on the shard's first memo hit, so
-	// later hits skip shard generation, the harvest gate and the leak
-	// DB. residentBytes is their total size.
+	// later hits skip shard generation. residentBytes is their total
+	// size.
 	resident      []atomic.Pointer[closureIn]
 	residentBytes atomic.Int64
 }
@@ -218,13 +206,11 @@ func New(cfg Config) (*Engine, error) {
 			cfg.ShardLo, cfg.ShardHi, num)
 	}
 	e := &Engine{
-		cfg:     cfg,
-		space:   a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
-		leaks:   socialdb.New(),
-		harvest: make([]sync.Once, cfg.Population.NumShards()),
-		plans:   make(map[planKey]*attackPlan),
-		slots:   make(chan *sniffer.Sniffer, cfg.Workers),
-		memo:    radioMemo{keys: make(map[radioKey]*radioShards)},
+		cfg:   cfg,
+		space: a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
+		plans: make(map[planKey]*attackPlan),
+		slots: make(chan *sniffer.Sniffer, cfg.Workers),
+		memo:  radioMemo{keys: make(map[radioKey]*radioShards)},
 	}
 	e.resident = make([]atomic.Pointer[closureIn], cfg.ShardHi-cfg.ShardLo)
 	for range cfg.Workers {
@@ -346,9 +332,8 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 	return e.RunScenario(ctx, e.cfg.Scenario)
 }
 
-// RunScenario executes one scenario: harvest the leak databases, then
-// attack every owned shard through the worker pool, streaming partial
-// summaries into one aggregate. The returned Summary is deterministic
+// RunScenario executes one scenario: attack every owned shard through
+// the worker pool, streaming partial summaries into one aggregate. The returned Summary is deterministic
 // for a fixed config apart from Duration/VictimsPerSec — including
 // across kill-and-resume boundaries when a Checkpoint is configured.
 // RunScenario is safe to call concurrently: each call builds its own
@@ -770,11 +755,10 @@ const baseARFCN = 512
 
 // attackShard attacks shard i. On a radio-memo hit for a shard whose
 // closure inputs are resident it runs only the chain reaction, with
-// detail "resident". Otherwise it generates the shard and harvests its
-// leak records; then a memo hit (detail "radio_memo") makes the
-// shard's closure inputs resident, and a miss runs the radio stage on
-// the slot's rig and gathers the intercepted victims' inputs into the
-// worker's scratch. Either way the chain reaction is evaluated for
+// detail "resident". Otherwise it generates the shard; then a memo hit
+// (detail "radio_memo") makes the shard's closure inputs resident, and
+// a miss runs the radio stage on the slot's rig and gathers the
+// intercepted victims' inputs into the worker's scratch. Either way the chain reaction is evaluated for
 // each intercepted victim against the scenario's compiled plan. Only a
 // completed attackShard stores a memo entry, so a failed or
 // quarantined shard never leaves one behind.
@@ -799,31 +783,12 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 		sh := pop.Shard(i)
 		defer sh.Release()
 		metPopBytesPerSub.Set(float64(sh.MemBytes() / len(sh.Subscribers)))
-		// Harvest first: land this shard's leaked records in the global
-		// attacker database (§V.A.1's "existing illegal databases"). A
-		// victim's dossier lives in their own shard, so harvesting here
-		// keeps lookups correct while every other worker's inserts and
-		// lookups hit the same sharded store concurrently. The leak DB
-		// is a population fact, not a scenario artifact, so each shard
-		// harvests exactly once per engine and later scenarios skip the
-		// rewrite. The records are rebuilt from the draw streams into
-		// the worker's pooled record buffer, their strings carved from
-		// the worker's durable arena (never reset — the global DB
-		// retains them for the engine's lifetime), and bulk-inserted.
-		// The sync.Once gate (not a swapped flag) makes a concurrent
-		// run's worker reaching this shard block until the insert
-		// completes, so its dossier probes never see a half-harvested
-		// shard.
-		e.harvest[i].Do(func() {
-			scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
-			e.leaks.AddAll(scr.leakRecs)
-		})
 		if rad != nil {
 			// The shard's second attack: keep its closure inputs.
 			detail = "radio_memo"
 			closureStart = time.Now()
 			in = new(closureIn)
-			scr.phone = in.fill(sh, nil, e.leaks, scr.phone)
+			in.fill(sh, nil)
 			if res.CompareAndSwap(nil, in) {
 				metResidentBytes.Set(float64(e.residentBytes.Add(in.bytes())))
 			}
@@ -831,29 +796,29 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 			rad = r.radioStage(sh, rig, scr)
 			closureStart = time.Now()
 			if in == nil {
-				scr.phone = scr.in.fill(sh, rad.intercepted, e.leaks, scr.phone)
+				scr.in.fill(sh, rad.intercepted)
 				in = &scr.in
 			}
 		}
 	}
 	// Per-shard leak accounting (persona phones are unique, so summing
-	// shard counts equals the merged DB size): the count lands in the
-	// journaled partial, which keeps resumed and multi-process runs
-	// exact — a global leak DB size would miss skipped shards.
+	// shard counts equals the size of the merged leak database): the
+	// count lands in the journaled partial, which keeps resumed and
+	// multi-process runs exact.
 	part.LeakRecords = in.leakCount
 	part.Targeted, part.Covered = rad.targeted, rad.covered
 	part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
 	part.Sniffer.Add(rad.sniffer)
 
 	// Chain-reaction phase: evaluate every intercepted victim, in shard
-	// order, from the shard's closure inputs.
+	// order, from the shard's closure inputs and the victim's Dossier.
 	plan := r.plan
 	for w, word := range rad.intercepted {
 		for ; word != 0; word &= word - 1 {
 			li := w<<6 | bits.TrailingZeros64(word)
 			part.Intercepted++
 			know := plan.closure.Baseline()
-			if d := in.dossier[li]; d&dossierFound != 0 {
+			if d := pop.Dossier(start + li); d&population.DossierFound != 0 {
 				part.DossierHits++
 				know |= dossierFactors(d)
 			}

@@ -48,7 +48,7 @@ var (
 	metPopBytesPerSub = obs.Default.NewGauge("campaign_population_bytes_per_subscriber",
 		"Resident bytes per subscriber of the last generated shard (subscriber structs + enrollment arena).")
 	metResidentBytes = obs.Default.NewGauge("campaign_resident_bytes",
-		"Bytes of closure inputs (enrollment words and a dossier byte per subscriber) the last filling engine keeps resident for shards attacked more than once.")
+		"Bytes of closure inputs (enrollment words, 32 B per subscriber) the last filling engine keeps resident for shards attacked more than once.")
 )
 
 // phaseNames are the attackShard stages the campaign_phase_seconds

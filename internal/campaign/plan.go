@@ -7,7 +7,6 @@ import (
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/socialdb"
 	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/tdg"
 	"github.com/actfort/actfort/internal/telecom"
@@ -89,17 +88,11 @@ type scratch struct {
 	bursts   *telecom.BurstBuffer
 
 	// Lazy-persona working set. phone is the attribute-derivation
-	// scratch buffer (phones, IMSIs, leak-record fields); strs is the
-	// shard-cycle string arena (per-shard IMSIs — reset at each shard's
-	// start, after release has cleared the rig caches that saw the
-	// previous shard's carves); durable is the grow-only arena behind
-	// leak-record strings, never reset because the engine-lifetime leak
-	// DB retains them; leakRecs is the pooled per-shard record buffer
-	// the harvest phase rebuilds dump rows into.
-	phone    []byte
-	strs     slab.Slab[byte]
-	durable  slab.Slab[byte]
-	leakRecs []socialdb.Record
+	// scratch buffer (IMSIs); strs is the shard-cycle string arena
+	// (per-shard IMSIs — reset at each shard's start, after release has
+	// cleared the rig caches that saw the previous shard's carves).
+	phone []byte
+	strs  slab.Slab[byte]
 }
 
 func newScratch(p *attackPlan) *scratch {

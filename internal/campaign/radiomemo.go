@@ -9,7 +9,6 @@ import (
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/socialdb"
 	"github.com/actfort/actfort/internal/strategy"
 )
 
@@ -88,94 +87,55 @@ func (m *radioMemo) shards(key radioKey, n int) *radioShards {
 }
 
 // closureIn is a shard's closure inputs: per subscriber, in shard
-// order, its enrollment words and its dossier byte. They are
-// population facts — the population is immutable, and a shard's
-// harvest completes before any memo entry for it exists — so the
-// engine keeps one resident closureIn per owned shard once the shard
-// is attacked a second time, and it serves every radio key with no
-// invalidation. A worker's scratch closureIn carries the same inputs
-// for the victims of a shard it has just generated.
+// order, its enrollment words. They are population facts — the
+// population is immutable — so the engine keeps one resident closureIn
+// per owned shard once the shard is attacked a second time, and it
+// serves every radio key with no invalidation. A worker's scratch
+// closureIn carries the same inputs for the victims of a shard it has
+// just generated. A victim's leak dossier is not stored: the closure
+// reads it from the population's draws (population.Dossier).
 type closureIn struct {
 	words     int      // enrollment words per subscriber
 	enrolled  []uint64 // words per subscriber
-	dossier   []byte   // dossierFound plus the dossier's factor bits
 	leakCount int64    // the shard's LeakCount
 }
 
-// Dossier byte bits: whether the leak DB holds a record for the
-// subscriber, and which credential factors that record supplies.
-const (
-	dossierFound = 1 << iota
-	dossierRealName
-	dossierAddress
-	dossierCitizenID
-)
-
 // fill copies shard sh's closure inputs into in for every subscriber
-// whose bit is set in which, or for all of them when which is nil,
-// probing the leak DB once per subscriber. Rows outside which keep
-// stale values and must not be read. phone is scratch for the probe
-// key and is returned grown.
-func (in *closureIn) fill(sh *population.Shard, which []uint64, leaks *socialdb.DB, phone []byte) []byte {
+// whose bit is set in which, or for all of them when which is nil.
+// Rows outside which keep stale values and must not be read.
+func (in *closureIn) fill(sh *population.Shard, which []uint64) {
 	n := len(sh.Subscribers)
 	in.leakCount = int64(sh.LeakCount)
 	in.words = len(sh.Subscribers[0].Enrolled) // a shard is never empty; every bitset has the population's width
 	in.enrolled = slices.Grow(in.enrolled[:0], n*in.words)[:n*in.words]
-	in.dossier = slices.Grow(in.dossier[:0], n)[:n]
-	row := func(li int) {
-		sub := &sh.Subscribers[li]
-		copy(in.enrolled[li*in.words:], sub.Enrolled)
-		// The probe derives the phone into scratch and hits the sharded
-		// store via the raw-bytes lookup: no key string is built.
-		phone = sub.Ref.AppendPhone(phone[:0])
-		in.dossier[li] = 0
-		if rec, err := leaks.LookupBytes(phone); err == nil {
-			in.dossier[li] = dossierOf(rec)
-		}
-	}
 	if which == nil {
 		for li := range n {
-			row(li)
+			copy(in.enrolled[li*in.words:], sh.Subscribers[li].Enrolled)
 		}
-		return phone
+		return
 	}
 	for w, word := range which {
 		for ; word != 0; word &= word - 1 {
-			row(w<<6 | bits.TrailingZeros64(word))
+			li := w<<6 | bits.TrailingZeros64(word)
+			copy(in.enrolled[li*in.words:], sh.Subscribers[li].Enrolled)
 		}
 	}
-	return phone
 }
 
 // bytes is the memory a resident closureIn holds.
-func (in *closureIn) bytes() int64 { return int64(len(in.enrolled)*8 + len(in.dossier)) }
+func (in *closureIn) bytes() int64 { return int64(len(in.enrolled) * 8) }
 
-// dossierOf maps a found leak record to its dossier byte.
-func dossierOf(rec socialdb.Record) byte {
-	b := byte(dossierFound)
-	if rec.RealName != "" {
-		b |= dossierRealName
-	}
-	if rec.Address != "" {
-		b |= dossierAddress
-	}
-	if rec.CitizenID != "" {
-		b |= dossierCitizenID
-	}
-	return b
-}
-
-// dossierFactors maps a dossier byte to the credential factors it
-// gives the attacker.
-func dossierFactors(b byte) uint64 {
+// dossierFactors maps a victim's leak dossier to the credential factors
+// it gives the attacker.
+func dossierFactors(d population.Dossier) uint64 {
 	var m uint64
-	if b&dossierRealName != 0 {
+	if d&population.DossierRealName != 0 {
 		m |= strategy.FactorBit(ecosys.FactorRealName)
 	}
-	if b&dossierAddress != 0 {
+	if d&population.DossierAddress != 0 {
 		m |= strategy.FactorBit(ecosys.FactorAddress)
 	}
-	if b&dossierCitizenID != 0 {
+	if d&population.DossierCitizenID != 0 {
 		m |= strategy.FactorBit(ecosys.FactorCitizenID)
 	}
 	return m

@@ -64,9 +64,17 @@ type RadioEnv struct {
 	// must not exceed 1.
 	ReauthSkip float64 `json:"reauthSkip,omitempty"`
 	// OTPSessions is how many OTP transmissions each victim's services
-	// send during the observation window (0 = 3).
+	// send during the observation window (0 = 3); must not exceed
+	// maxOTPSessions.
 	OTPSessions int `json:"otpSessions,omitempty"`
 }
+
+// maxOTPSessions bounds RadioEnv.OTPSessions. A shard's radio stage
+// gathers shard size × sessions radio sessions at once and numbers
+// them li·sessions + s in a uint32, so an unbounded count from a
+// scenario file or request would exhaust memory (100,000 sessions is
+// 409M sessions per 4,096-subscriber shard) long before it overflowed.
+const maxOTPSessions = 64
 
 // cellMix folds the fractions into the telecom draw helper.
 func (r RadioEnv) cellMix() telecom.CellMix {
@@ -133,6 +141,10 @@ func (sc Scenario) normalize(idx int) (Scenario, error) {
 		return sc, fmt.Errorf("campaign: scenario %s: unknown platform %q (want web, mobile or both)", sc.Name, sc.Platform)
 	}
 	r := &sc.Radio
+	if r.OTPSessions > maxOTPSessions {
+		return sc, fmt.Errorf("campaign: scenario %s: otpSessions %d out of range (at most %d per victim; 0 = default 3)",
+			sc.Name, r.OTPSessions, maxOTPSessions)
+	}
 	if r.OTPSessions <= 0 {
 		r.OTPSessions = 3
 	}

@@ -15,7 +15,9 @@ import (
 // TestNormalizeRejectsOutOfRangeProbabilities is the regression test
 // for the silent out-of-range bug: "reauthSkip": 5 used to pass
 // validation and pin every victim to one Kc forever. Every probability
-// field must land in [0, 1] or fail loudly, NaN included.
+// field must land in [0, 1] or fail loudly, NaN included, and the OTP
+// session count must not exceed maxOTPSessions ("otpSessions": 100000
+// used to be admitted and gather 409M sessions per shard).
 func TestNormalizeRejectsOutOfRangeProbabilities(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -30,6 +32,8 @@ func TestNormalizeRejectsOutOfRangeProbabilities(t *testing.T) {
 		{"reauthSkip NaN", RadioEnv{ReauthSkip: math.NaN()}, "reauthSkip"},
 		{"a50Fraction NaN", RadioEnv{A50Fraction: math.NaN()}, "a50Fraction"},
 		{"a53Fraction NaN", RadioEnv{A53Fraction: math.NaN()}, "a53Fraction"},
+		{"otpSessions>max", RadioEnv{OTPSessions: maxOTPSessions + 1}, "otpSessions"},
+		{"otpSessions 100000", RadioEnv{OTPSessions: 100000}, "otpSessions"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Scenario{Radio: tc.radio}.normalize(0)
@@ -44,8 +48,8 @@ func TestNormalizeRejectsOutOfRangeProbabilities(t *testing.T) {
 }
 
 // TestNormalizeProbabilityBoundaries pins the values that must keep
-// working: exactly 1, the zero-value default and the negative "none"
-// convention.
+// working: exactly 1, the zero-value default, the negative "none"
+// convention and exactly maxOTPSessions.
 func TestNormalizeProbabilityBoundaries(t *testing.T) {
 	sc, err := Scenario{Radio: RadioEnv{ReauthSkip: 1, A50Fraction: -1, A53Fraction: 1}}.normalize(0)
 	if err != nil {
@@ -60,6 +64,10 @@ func TestNormalizeProbabilityBoundaries(t *testing.T) {
 	}
 	if sc.Radio.ReauthSkip != 0.6 || sc.Radio.A50Fraction != 0.2 || sc.Radio.A53Fraction != 0 {
 		t.Errorf("defaults = %+v", sc.Radio)
+	}
+	sc, err = Scenario{Radio: RadioEnv{OTPSessions: maxOTPSessions}}.normalize(0)
+	if err != nil || sc.Radio.OTPSessions != maxOTPSessions {
+		t.Errorf("otpSessions %d: normalized %d, %v", maxOTPSessions, sc.Radio.OTPSessions, err)
 	}
 	// The combined-fraction check still applies after per-field checks.
 	if _, err := (Scenario{Radio: RadioEnv{A50Fraction: 0.7, A53Fraction: 0.7}}).normalize(0); err == nil {

@@ -39,9 +39,12 @@ type Summary struct {
 	// Intercepted counts covered subscribers with at least one OTP
 	// session decoded (cracked or plaintext).
 	Intercepted int64
-	// LeakRecords is the size of the attacker's merged leak database.
+	// LeakRecords is the size of the attacker's merged leak database:
+	// the owned shards' leaked subscribers (phones are unique, so one
+	// record each).
 	LeakRecords int64
-	// DossierHits counts intercepted victims with a leak-DB record.
+	// DossierHits counts intercepted victims with a leak record (a
+	// Dossier with DossierFound set).
 	DossierHits int64
 	// Sessions counts sniffed OTP transmissions; A50Sessions the
 	// subset on unencrypted (A5/0) cells and A53Sessions the subset on

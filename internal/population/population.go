@@ -15,8 +15,9 @@
 // leak flags — no persona strings, no per-subscriber leak records, no
 // shard-local leak store. Attribute bytes (IMSI, phone, name, address)
 // derive on demand from the Ref's draw stream exactly when a consumer
-// touches them, and AppendLeakRecords rebuilds the attacker-visible
-// dump rows from the same streams when the campaign harvests a shard.
+// touches them. Dossier says what a leaked subscriber's record gives
+// the attacker, and AppendLeakRecords rebuilds the attacker-visible
+// dump rows from the same draws.
 // Shards recycle through a pool (Release), so steady-state streaming
 // allocates nothing per subscriber.
 //
@@ -364,37 +365,77 @@ func enrollThresholds(rates []float64) []uint64 {
 	return out
 }
 
+// Dossier is what a leaked subscriber's record gives the attacker: a
+// bitmask of DossierFound and the credential fields the record carries.
+// It is a pure function of the subscriber's leak draws, so the
+// attacker's join of a victim's phone against the leak databases needs
+// no database: phones are unique per index, and the record found for
+// subscriber idx is the one AppendLeakRecords rebuilds for idx.
+type Dossier uint8
+
+// Dossier bits.
+const (
+	// DossierFound marks a subscriber present in a leak database.
+	DossierFound Dossier = 1 << iota
+	// DossierRealName marks a record carrying the real name.
+	DossierRealName
+	// DossierAddress marks a record carrying the street address.
+	DossierAddress
+	// DossierCitizenID marks a record carrying the citizen ID.
+	DossierCitizenID
+)
+
+// Dossier returns subscriber idx's dossier: zero when the subscriber is
+// in no leak database, DossierFound alone for a phishing-WiFi harvest
+// (phone number only), and for a breach row the real name and address
+// plus, for 40% of them, the citizen ID.
+func (p *Population) Dossier(idx int) Dossier {
+	if !p.leaked(idx) {
+		return 0
+	}
+	if p.leakClass(idx) != LeakBreach {
+		return DossierFound
+	}
+	d := DossierFound | DossierRealName | DossierAddress
+	if unit(mix(uint64(p.cfg.Seed), tagLeakDeep, uint64(idx))) < 0.40 {
+		d |= DossierCitizenID
+	}
+	return d
+}
+
 // AppendLeakRecords derives the leak-database rows of every leaked
 // subscriber in sh and appends them to dst — record for record the
 // rows the package tests' eager reference (leakRecord) builds from a
-// fully materialized persona.
+// fully materialized persona. Which fields a row carries is its
+// subscriber's Dossier.
 // Variable-length string fields (phone, address, citizen ID) are
 // carved from arena; names and source labels resolve to interned
 // vocabulary strings. The records are built to outlive the shard:
-// arena must never be Reset while any returned record is retained
-// (campaign harvest uses a grow-only per-worker arena), and tmp is a
-// reusable scratch buffer (may be nil).
+// arena must never be Reset while any returned record is retained, and
+// tmp is a reusable scratch buffer (may be nil).
 func (p *Population) AppendLeakRecords(dst []socialdb.Record, sh *Shard, arena *slab.Slab[byte], tmp []byte) ([]socialdb.Record, []byte) {
-	seed := uint64(p.cfg.Seed)
 	for i := range sh.Subscribers {
 		sub := &sh.Subscribers[i]
 		if !sub.Leaked {
 			continue
 		}
-		rec := socialdb.Record{}
-		tmp = sub.Ref.AppendPhone(tmp[:0])
-		rec.Phone = slab.StringOf(arena, tmp)
+		d := p.Dossier(sub.Index)
+		rec := socialdb.Record{Source: SourceWiFi}
 		if sub.Class == LeakBreach {
 			rec.Source = SourceBreach
+		}
+		tmp = sub.Ref.AppendPhone(tmp[:0])
+		rec.Phone = slab.StringOf(arena, tmp)
+		if d&DossierRealName != 0 {
 			rec.RealName = sub.Ref.RealName()
+		}
+		if d&DossierAddress != 0 {
 			tmp = sub.Ref.AppendAddress(tmp[:0])
 			rec.Address = slab.StringOf(arena, tmp)
-			if unit(mix(seed, tagLeakDeep, uint64(sub.Index))) < 0.40 {
-				tmp = sub.Ref.AppendCitizenID(tmp[:0])
-				rec.CitizenID = slab.StringOf(arena, tmp)
-			}
-		} else {
-			rec.Source = SourceWiFi
+		}
+		if d&DossierCitizenID != 0 {
+			tmp = sub.Ref.AppendCitizenID(tmp[:0])
+			rec.CitizenID = slab.StringOf(arena, tmp)
 		}
 		dst = append(dst, rec)
 	}

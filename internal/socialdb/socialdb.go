@@ -9,10 +9,14 @@
 // exists to give the attack orchestrator the same two entry points the
 // paper assumes: a victim phone number, and optionally a name/address.
 //
-// The store is sharded: population-scale campaigns (internal/campaign)
-// hammer one DB with millions of concurrent lookups from a worker
-// pool, so records are spread over NumShards independently locked
-// buckets and reads take only a bucket's RLock.
+// The population-scale campaign keeps no DB: phones are unique per
+// subscriber, so its join of a victim's phone against the leaks is the
+// population's Dossier of that victim. A DB built from every shard's
+// AppendLeakRecords is the oracle the population tests and the bench
+// replay hold that Dossier against. The store is sharded — records are
+// spread over NumShards independently locked buckets and reads take
+// only a bucket's RLock — so concurrent writers and probes rarely
+// contend.
 package socialdb
 
 import (
@@ -37,7 +41,7 @@ var ErrNotFound = errors.New("socialdb: no record for phone")
 
 // NumShards is the bucket count. A power of two keeps the shard index
 // a mask; 64 buckets outnumber any realistic worker-pool size, so
-// concurrent campaign lookups almost never contend on one lock.
+// concurrent lookups almost never contend on one lock.
 const NumShards = 64
 
 // DB is an in-memory leaked-records store. Safe for concurrent use.
@@ -81,9 +85,9 @@ func (d *DB) Add(r Record) {
 }
 
 // AddAll bulk-inserts records, grouping lock acquisitions: each bucket
-// is locked once per distinct bucket hit instead of once per record.
-// The campaign's lazy harvest ingests whole shards of reconstructed
-// leak records through this.
+// is locked once per run of consecutive records in that bucket instead
+// of once per record. The bench replay and the population tests ingest
+// whole shards of reconstructed leak records through this.
 func (d *DB) AddAll(recs []Record) {
 	for i := 0; i < len(recs); {
 		b := shardOf(recs[i].Phone)
