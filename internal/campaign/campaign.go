@@ -67,7 +67,6 @@ import (
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/telecom"
 )
 
@@ -379,15 +378,10 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, dir string) (*Sum
 		return nil, err
 	}
 	e.cfg.Trace.Emit(obs.TraceEvent{Event: "run_start", Shard: -1, Detail: norm.Name})
-	r := &run{e: e, norm: norm, phases: newPhaseSet(), free: make(chan *Summary, 2*e.cfg.Workers)}
-	if r.plan, err = e.plan(norm); err != nil {
+	r, err := e.newRun(norm)
+	if err != nil {
 		return nil, err
 	}
-	if r.rt, err = e.newRuntime(norm); err != nil {
-		return nil, err
-	}
-	r.radio = e.memo.shards(radioKey{radio: norm.Radio, budget: norm.Budget, segment: norm.Segment},
-		e.cfg.ShardHi-e.cfg.ShardLo)
 	if dir != "" {
 		r.ck, err = e.openCheckpoint(dir, norm)
 		if err != nil {
@@ -436,6 +430,22 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, dir string) (*Sum
 	e.cfg.Trace.Emit(obs.TraceEvent{Event: "run_done", Shard: -1, Subscribers: sum.Subscribers})
 	e.cfg.Trace.Flush()
 	return sum, nil
+}
+
+// newRun builds normalized scenario norm's run over the engine's
+// shared core: its plan, runtime view and radio-memo entries.
+func (e *Engine) newRun(norm Scenario) (*run, error) {
+	r := &run{e: e, norm: norm, phases: newPhaseSet(), free: make(chan *Summary, 2*e.cfg.Workers)}
+	var err error
+	if r.plan, err = e.plan(norm); err != nil {
+		return nil, err
+	}
+	if r.rt, err = e.newRuntime(norm); err != nil {
+		return nil, err
+	}
+	r.radio = e.memo.shards(radioKey{radio: norm.Radio, budget: norm.Budget, segment: norm.Segment},
+		e.cfg.ShardHi-e.cfg.ShardLo)
+	return r, nil
 }
 
 // runtimeScenario is a normalized scenario with its draw helpers
@@ -810,23 +820,33 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 	part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
 	part.Sniffer.Add(rad.sniffer)
 
-	// Chain-reaction phase: evaluate every intercepted victim, in shard
-	// order, from the shard's closure inputs and the victim's Dossier.
-	plan := r.plan
+	// Chain-reaction phase: evaluate the intercepted victims 64 at a
+	// time, one per lane in shard order, from the shard's closure inputs
+	// and each victim's Dossier.
+	plan, lanes, blk := r.plan, scr.lanes, &scr.blk
+	blocks, layers := 0, 0
 	for w, word := range rad.intercepted {
 		for ; word != 0; word &= word - 1 {
 			li := w<<6 | bits.TrailingZeros64(word)
 			part.Intercepted++
-			know := plan.closure.Baseline()
 			if d := pop.Dossier(start + li); d&population.DossierFound != 0 {
 				part.DossierHits++
-				know |= dossierFactors(d)
+				lanes.Know(dossierFactors(d), 1<<blk.n)
 			}
-			plan.chainDepths(scr.chain, in.enrolled[li*in.words:(li+1)*in.words], know)
-			accumulate(plan, scr.chain, part)
-			scr.chain.Reset()
+			blk.rows[blk.n] = int32(li)
+			if blk.n++; blk.n == 64 {
+				layers += plan.solveBlock(lanes, blk, in, part)
+				blocks++
+			}
 		}
 	}
+	if blk.n > 0 {
+		layers += plan.solveBlock(lanes, blk, in, part)
+		blocks++
+	}
+	metClosureBlocks.Add(int64(blocks))
+	metClosureLanes.Add(part.Intercepted)
+	metClosureLayers.Add(int64(layers))
 	r.phases.observe("closure", closureStart)
 	if detail == "" {
 		slot.Store(rad) // a miss: the radio stage ran here
@@ -970,47 +990,6 @@ func (r *run) radioStage(sh *population.Shard, rig *sniffer.Sniffer, scr *scratc
 	}
 	out.sniffer = rig.Stats()
 	return out
-}
-
-// accumulate folds one victim's chain-reaction outcome into the
-// partial summary.
-func accumulate(plan *attackPlan, chain *strategy.ClosureRun, part *Summary) {
-	taken := int64(0)
-	maxDepth := 0
-	var fields uint32
-	for _, a := range chain.Active() {
-		d := int(chain.Depth(a))
-		if d == 0 {
-			continue
-		}
-		taken++
-		if d > MaxDepth {
-			d = MaxDepth
-		}
-		if d > maxDepth {
-			maxDepth = d
-		}
-		part.AccountsByDepth[d]++
-		part.ServiceTakeovers[plan.svcIdx[a]]++
-		fields |= plan.exposes[a]
-	}
-	if taken == 0 {
-		part.HarvestHist[0]++
-		return
-	}
-	part.VictimsCompromised++
-	part.AccountsCompromised += taken
-	part.VictimsByMaxDepth[maxDepth]++
-	n := bits.OnesCount32(fields)
-	if n >= len(part.HarvestHist) {
-		n = len(part.HarvestHist) - 1
-	}
-	part.HarvestHist[n]++
-	for f := 1; f < len(part.FieldTotals); f++ {
-		if fields>>uint(f)&1 == 1 {
-			part.FieldTotals[f]++
-		}
-	}
 }
 
 // rand16 expands one draw into a RAND challenge.

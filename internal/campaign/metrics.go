@@ -49,6 +49,15 @@ var (
 		"Resident bytes per subscriber of the last generated shard (subscriber structs + enrollment arena).")
 	metResidentBytes = obs.Default.NewGauge("campaign_resident_bytes",
 		"Bytes of closure inputs (enrollment words, 32 B per subscriber) the last filling engine keeps resident for shards attacked more than once.")
+
+	// Chain-reaction work: each worker counts a shard's blocks, lanes
+	// and layers locally and adds them once per shard.
+	metClosureBlocks = obs.Default.NewCounter("campaign_closure_blocks_total",
+		"Lane-engine closure passes run: blocks of up to 64 intercepted victims of one shard.")
+	metClosureLanes = obs.Default.NewCounter("campaign_closure_lanes_total",
+		"Intercepted victims evaluated by the chain-reaction closure, one lane each.")
+	metClosureLayers = obs.Default.NewCounter("campaign_closure_layers_total",
+		"Closure layers evaluated, summed over blocks: a block runs until no lane meets a new need.")
 )
 
 // phaseNames are the attackShard stages the campaign_phase_seconds

@@ -3,42 +3,61 @@ package strategy
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/tdg"
 )
 
 // Closure is the chain-reaction closure compiled from a Transformation
-// Dependency Graph into need masks. Accounts are indices in graph node
+// Dependency Graph into need lists. Accounts are indices in graph node
 // order (account a is g.Nodes()[a]). Each factor a takeover path needs
 // beyond the graph's attacker profile is interned, with the accounts
 // able to supply it, as a need: one distinct (factor, supplier set)
-// pair, one bit of every mask. One compile serves the paper's
+// pair, numbered from 0. One compile serves the paper's
 // ecosystem-wide dependency depths (PathLayers, every account enrolled)
 // and the campaign's per-victim closure (the victim's accounts only,
-// plus leaked factors). A Closure is read-only after CompileClosure and
-// safe to share between goroutines.
+// plus leaked factors), both through Lanes. A Closure is read-only
+// after CompileClosure and safe to share between goroutines.
 type Closure struct {
-	// words is the mask width in uint64 words, sized to the needs.
-	words int
+	// needs is the number of interned needs, at least 1.
+	needs int
 	// Account a's compiled paths are [pathStart[a], pathStart[a+1]);
 	// paths demanding unphishable factors never fall and are dropped.
 	pathStart []int32
 	pathID    []string
-	// pathMask (per path: its needs), supplies (per account: the needs
-	// it meets once fallen) and byFactor (per factor bit: the needs a
-	// known factor meets) hold words each.
-	pathMask, supplies, byFactor []uint64
+	// Accounts that meet the same needs once fallen share a supply
+	// class, supplyClass[a]; the catalog's 243 accounts form 38.
+	supplyClass []int32
+	// pathNeeds (per path: its needs), supplies (per supply class: the
+	// needs its accounts meet once fallen) and byFactor (per factor bit:
+	// the needs a known factor meets).
+	pathNeeds, supplies, byFactor lists
 	// baseline is the graph profile's factor mask.
 	baseline uint64
 }
+
+// lists is a table of need lists in one backing array: list i is
+// items[start[i]:start[i+1]].
+type lists struct{ start, items []int32 }
+
+// newLists flattens rows into a lists table.
+func newLists(rows [][]int32) lists {
+	l := lists{start: make([]int32, 1, len(rows)+1)}
+	for _, row := range rows {
+		l.items = append(l.items, row...)
+		l.start = append(l.start, int32(len(l.items)))
+	}
+	return l
+}
+
+// of returns list i.
+func (l *lists) of(i int) []int32 { return l.items[l.start[i]:l.start[i+1]] }
 
 // FactorBit maps a factor kind to its bit in a known-factor mask.
 func FactorBit(f ecosys.FactorKind) uint64 { return 1 << uint(f) }
 
 // CompileClosure flattens g's takeover paths (sign-in and password
-// reset) into need masks, with g's profile factors as the baseline.
+// reset) into need lists, with g's profile factors as the baseline.
 func CompileClosure(g *tdg.Graph) *Closure {
 	ids := g.Nodes()
 	index := make(map[ecosys.AccountID]int32, len(ids))
@@ -49,10 +68,10 @@ func CompileClosure(g *tdg.Graph) *Closure {
 	for _, f := range g.Profile().Factors().Sorted() {
 		c.baseline |= FactorBit(f)
 	}
-	interned := make(map[string]int)
-	var factors []ecosys.FactorKind // per need
-	var suppliers [][]int32         // per need
-	var pathNeeds [][]int           // per path
+	interned := make(map[string]int32)
+	var pathNeeds [][]int32
+	supplies := make([][]int32, len(ids))
+	byFactor := make([][]int32, 64)
 	for _, id := range ids {
 		node, _ := g.Node(id)
 	pathLoop:
@@ -60,7 +79,7 @@ func CompileClosure(g *tdg.Graph) *Closure {
 			if path.Purpose != ecosys.PurposeSignIn && path.Purpose != ecosys.PurposeReset {
 				continue // only takeover paths propagate the chain
 			}
-			var needs []int
+			var needs []int32
 			seen := c.baseline
 			for _, f := range path.Factors {
 				if seen&FactorBit(f) != 0 {
@@ -79,9 +98,12 @@ func CompileClosure(g *tdg.Graph) *Closure {
 				key := fmt.Sprint(f, sup)
 				n, ok := interned[key]
 				if !ok {
-					n = len(factors)
+					n = int32(len(interned))
 					interned[key] = n
-					factors, suppliers = append(factors, f), append(suppliers, sup)
+					byFactor[f] = append(byFactor[f], n)
+					for _, s := range sup {
+						supplies[s] = append(supplies[s], n)
+					}
 				}
 				needs = append(needs, n)
 			}
@@ -90,23 +112,21 @@ func CompileClosure(g *tdg.Graph) *Closure {
 		}
 		c.pathStart = append(c.pathStart, int32(len(pathNeeds)))
 	}
-	w := max(1, (len(factors)+63)/64)
-	c.words = w
-	c.pathMask = make([]uint64, len(pathNeeds)*w)
-	c.supplies = make([]uint64, len(ids)*w)
-	c.byFactor = make([]uint64, 64*w)
-	set := func(mask []uint64, row, n int) { mask[row*w+n>>6] |= 1 << (uint(n) & 63) }
-	for p, needs := range pathNeeds {
-		for _, n := range needs {
-			set(c.pathMask, p, n)
+	// At least one word per layer, so len(layers) counts the layers.
+	c.needs = max(1, len(interned))
+	classes := make(map[string]int32)
+	var classSupplies [][]int32
+	for _, sup := range supplies {
+		key := fmt.Sprint(sup)
+		cls, ok := classes[key]
+		if !ok {
+			cls = int32(len(classSupplies))
+			classes[key] = cls
+			classSupplies = append(classSupplies, sup)
 		}
+		c.supplyClass = append(c.supplyClass, cls)
 	}
-	for n, f := range factors {
-		set(c.byFactor, int(f), n)
-		for _, s := range suppliers[n] {
-			set(c.supplies, int(s), n)
-		}
-	}
+	c.pathNeeds, c.supplies, c.byFactor = newLists(pathNeeds), newLists(classSupplies), newLists(byFactor)
 	return c
 }
 
@@ -114,119 +134,163 @@ func CompileClosure(g *tdg.Graph) *Closure {
 // compiled under.
 func (c *Closure) Baseline() uint64 { return c.baseline }
 
-// ClosureRun is the working set of one closure evaluation at a time,
-// reused footprint after footprint: Enroll the accounts, Solve, read
-// Depth over Active, then Reset. Each goroutine owns its own run.
-type ClosureRun struct {
+// Lanes is the working set of one closure evaluation over a block of
+// up to 64 victims, one victim per bit lane, reused block after block:
+// Enroll each victim's accounts and Know its factors, Solve, read
+// Falls, then Reset. A single victim is a block of one, in lane 0.
+// Each goroutine owns its own Lanes.
+type Lanes struct {
 	c *Closure
-	// depth is per account: 0 = not fallen (or not enrolled).
-	depth           []int32
-	active, pending []int32
-	// layers holds, words per layer, the needs met after each layer:
-	// layer 0 by the known factors, layer d also by the supplies of every
-	// account fallen by depth d.
+	// enrolled and fallen are per account: the lanes holding it and the
+	// lanes where it has fallen.
+	enrolled, fallen []uint64
+	active, pending  []int32
+	// fellNow is per supply class: the lanes where one of its accounts
+	// fell in the layer being evaluated.
+	fellNow []uint64
+	// layers holds, one word per need and layer, the lanes meeting each
+	// need after each layer: layer 0 by the known factors and given
+	// accounts, layer d also by the supplies of every account fallen by
+	// depth d in that lane.
 	layers []uint64
+	falls  []Fall
 }
 
-// NewRun returns an empty run over c.
-func (c *Closure) NewRun() *ClosureRun {
-	return &ClosureRun{c: c, depth: make([]int32, len(c.pathStart)-1), active: make([]int32, 0, 64)}
+// Fall records that an account fell at one depth in a set of lanes.
+type Fall struct {
+	Account int32
+	// Depth is the number of compromise layers needed to take the
+	// account over (1 = attacker profile alone).
+	Depth int32
+	Lanes uint64
 }
 
-// Enroll adds account a to the footprint.
-func (r *ClosureRun) Enroll(a int32) { r.active = append(r.active, a) }
+// NewLanes returns an empty block over c.
+func (c *Closure) NewLanes() *Lanes {
+	n := len(c.pathStart) - 1
+	return &Lanes{
+		c:        c,
+		enrolled: make([]uint64, n),
+		fallen:   make([]uint64, n),
+		active:   make([]int32, 0, n),
+		fellNow:  make([]uint64, len(c.supplies.start)-1),
+		layers:   make([]uint64, c.needs, 8*c.needs),
+	}
+}
 
-// Solve runs the layered closure over the enrolled accounts. The needs
-// met by know (the attacker's factor mask, Baseline included) and by
-// the given accounts, fallen before the first layer, form layer 0. An
-// enrolled account falls at depth d when one of its paths needs
-// nothing outside layer d−1, and the accounts fallen at depth d add
-// their supplies to form layer d. Each depth is found once, and the
-// layers stop at the first one that meets no new need.
-func (r *ClosureRun) Solve(know uint64, given ...int32) {
-	c, w := r.c, r.c.words
-	r.layers = append(r.layers[:0], make([]uint64, w)...)
-	for k := know; k != 0; k &= k - 1 {
-		or(r.layers, c.row(c.byFactor, bits.TrailingZeros64(k)))
+// Enroll adds account a to the footprints of the given lanes.
+func (l *Lanes) Enroll(a int32, lanes uint64) {
+	if l.enrolled[a] == 0 {
+		l.active = append(l.active, a)
 	}
-	for _, a := range given {
-		or(r.layers, c.row(c.supplies, int(a)))
+	l.enrolled[a] |= lanes
+}
+
+// Know adds the factors of mask (FactorBit bits, the Baseline included
+// when the lanes hold it) to the attacker's knowledge in the given
+// lanes.
+func (l *Lanes) Know(mask, lanes uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		l.meet(l.c.byFactor.of(bits.TrailingZeros64(mask)), lanes)
 	}
-	pending := append(r.pending[:0], r.active...)
-	for d := int32(1); len(pending) > 0; d++ {
-		r.layers = append(r.layers, r.layers[len(r.layers)-w:]...)
-		avail, next := r.layers[len(r.layers)-2*w:len(r.layers)-w], r.layers[len(r.layers)-w:]
+}
+
+// Give marks account a fallen before the first layer in the given
+// lanes: its supplies join layer 0.
+func (l *Lanes) Give(a int32, lanes uint64) {
+	l.meet(l.c.supplies.of(int(l.c.supplyClass[a])), lanes)
+}
+
+// meet sets needs in layer 0 for the given lanes.
+func (l *Lanes) meet(needs []int32, lanes uint64) {
+	for _, n := range needs {
+		l.layers[n] |= lanes
+	}
+}
+
+// Solve runs the layered closure in every lane at once and returns the
+// number of layers it evaluated. An enrolled account falls in a lane at
+// depth d when one of its paths' needs all lie in that lane's layer
+// d−1, and the lanes where it fell at depth d OR, through its supply
+// class, into its supplies' words of layer d. The layers stop at the first one where no lane
+// meets a new need: a lane whose layer gained nothing has nothing new
+// to offer any account, so no later layer can gain anything either.
+func (l *Lanes) Solve() int {
+	c, n := l.c, l.c.needs
+	pending := append(l.pending[:0], l.active...)
+	d := int32(0)
+	for len(pending) > 0 {
+		d++
+		l.layers = append(l.layers, l.layers[len(l.layers)-n:]...)
+		avail, next := l.layers[len(l.layers)-2*n:len(l.layers)-n], l.layers[len(l.layers)-n:]
 		keep := pending[:0]
 		for _, a := range pending {
-			if !c.falls(a, avail) {
-				keep = append(keep, a)
-				continue
+			open := l.enrolled[a] &^ l.fallen[a]
+			fell := uint64(0)
+			for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
+				m := open
+				for _, need := range c.pathNeeds.of(int(p)) {
+					m &= avail[need]
+				}
+				fell |= m
 			}
-			r.depth[a] = d
-			or(next, c.row(c.supplies, int(a)))
+			if fell != 0 {
+				l.fallen[a] |= fell
+				l.falls = append(l.falls, Fall{Account: a, Depth: d, Lanes: fell})
+				l.fellNow[c.supplyClass[a]] |= fell
+			}
+			if open != fell {
+				keep = append(keep, a)
+			}
 		}
 		pending = keep
-		if slices.Equal(next, avail) {
-			break // no new need met: no later layer can fall
+		for cls, fell := range l.fellNow {
+			if fell != 0 {
+				for _, need := range c.supplies.of(cls) {
+					next[need] |= fell
+				}
+				l.fellNow[cls] = 0
+			}
+		}
+		grew := uint64(0)
+		for i, m := range next {
+			grew |= m ^ avail[i]
+		}
+		if grew == 0 {
+			break // no lane met a new need: no later layer can fall
 		}
 	}
-	r.pending = pending
+	l.pending = pending
+	return int(d)
 }
 
-// row returns row i of one of c's mask tables.
-func (c *Closure) row(table []uint64, i int) []uint64 { return table[i*c.words : (i+1)*c.words] }
+// Falls returns, after Solve, every fall in layer order.
+func (l *Lanes) Falls() []Fall { return l.falls }
 
-// falls reports whether one of account a's paths needs nothing outside
-// avail.
-func (c *Closure) falls(a int32, avail []uint64) bool {
-	for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
-		if covers(c.row(c.pathMask, int(p)), avail) {
-			return true
+// pathDepth returns compiled path p's depth in lane after Solve: 1 +
+// the first layer that meets all its needs in that lane, 0 when none
+// does.
+func (l *Lanes) pathDepth(p int32, lane uint) int32 {
+	needs := l.c.pathNeeds.of(int(p))
+	for d, n := 0, l.c.needs; d*n < len(l.layers); d++ {
+		layer := l.layers[d*n:]
+		met := true
+		for _, need := range needs {
+			met = met && layer[need]>>lane&1 == 1
 		}
-	}
-	return false
-}
-
-// pathDepth returns compiled path p's depth after Solve: 1 + the first
-// layer that covers its needs, 0 when none does.
-func (r *ClosureRun) pathDepth(p int32) int32 {
-	for d, w := 0, r.c.words; d*w < len(r.layers); d++ {
-		if covers(r.c.row(r.c.pathMask, int(p)), r.layers[d*w:]) {
+		if met {
 			return int32(d + 1)
 		}
 	}
 	return 0
 }
 
-// covers reports whether every need in mask is also in avail.
-func covers(mask, avail []uint64) bool {
-	for i, m := range mask {
-		if m&^avail[i] != 0 {
-			return false
-		}
+// Reset empties the block for the next evaluation.
+func (l *Lanes) Reset() {
+	for _, a := range l.active {
+		l.enrolled[a], l.fallen[a] = 0, 0
 	}
-	return true
-}
-
-// or sets every need of src in dst.
-func or(dst, src []uint64) {
-	for i, m := range src {
-		dst[i] |= m
-	}
-}
-
-// Active returns the enrolled accounts in enrollment order.
-func (r *ClosureRun) Active() []int32 { return r.active }
-
-// Depth returns account a's depth after Solve: the number of
-// compromise layers needed to take it over (1 = attacker profile
-// alone), 0 when it never falls.
-func (r *ClosureRun) Depth(a int32) int32 { return r.depth[a] }
-
-// Reset empties the footprint for the next evaluation.
-func (r *ClosureRun) Reset() {
-	for _, a := range r.active {
-		r.depth[a] = 0
-	}
-	r.active = r.active[:0]
+	l.active, l.falls = l.active[:0], l.falls[:0]
+	l.layers = l.layers[:l.c.needs]
+	clear(l.layers)
 }

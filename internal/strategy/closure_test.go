@@ -1,7 +1,9 @@
 package strategy
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -25,24 +27,38 @@ func phishable() []ecosys.FactorKind {
 	return out
 }
 
-// oracleCase runs c, the closure compiled from all of nodes under the
-// baseline attacker, with only the accounts in enrolled and the extra
-// known factors, and the reference on tdg.Build of just those nodes
-// under a profile holding the extra factors. It returns the deepest
-// finite depth seen.
-func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, enrolled []bool, extra []ecosys.FactorKind) int {
+// laneCase is one victim of the oracle: the accounts it enrolls and
+// the factors it knows beyond the baseline.
+type laneCase struct {
+	enrolled []bool
+	extra    []ecosys.FactorKind
+}
+
+// know returns k's known-factor mask under c.
+func (k laneCase) know(c *Closure) uint64 {
+	know := c.Baseline()
+	for _, f := range k.extra {
+		know |= FactorBit(f)
+	}
+	return know
+}
+
+// oracleCase runs the scalar reference run on c, the closure compiled
+// from all of nodes under the baseline attacker, with only the
+// accounts of k and its extra known factors, and the map-keyed
+// reference on tdg.Build of just those nodes under a profile holding
+// the extra factors. It returns the deepest finite depth seen.
+func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, k laneCase) int {
 	t.Helper()
 	ap := ecosys.BaselineAttacker()
 	var sub []tdg.Node
 	for i := range nodes {
-		if enrolled[i] {
+		if k.enrolled[i] {
 			sub = append(sub, nodes[i])
 		}
 	}
-	know := c.Baseline()
-	for _, f := range extra {
+	for _, f := range k.extra {
 		ap.Capabilities[f] = true
-		know |= FactorBit(f)
 	}
 	gs, err := tdg.Build(sub, ap)
 	if err != nil {
@@ -52,15 +68,15 @@ func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, enrolled []bool, ext
 
 	r := c.NewRun()
 	for i := range nodes {
-		if enrolled[i] {
+		if k.enrolled[i] {
 			r.Enroll(int32(i))
 		}
 	}
-	r.Solve(know)
+	r.Solve(k.know(c))
 	deepest := 0
 	for i, n := range nodes {
 		got := int(r.Depth(int32(i)))
-		if !enrolled[i] {
+		if !k.enrolled[i] {
 			if got != 0 {
 				t.Fatalf("%s not enrolled but depth %d", n.ID, got)
 			}
@@ -71,27 +87,93 @@ func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, enrolled []bool, ext
 		}
 		if got != want[n.ID] {
 			t.Fatalf("%s: closure depth %d, reference %d (enrolled %v, extra %v)",
-				n.ID, got, want[n.ID], enrolled, extra)
+				n.ID, got, want[n.ID], k.enrolled, k.extra)
 		}
 		if got != Unreachable && got > deepest {
 			deepest = got
 		}
 	}
 	r.Reset()
-	if len(r.Active()) != 0 || !slices.Equal(r.depth, make([]int32, len(c.pathStart)-1)) {
+	if len(r.active) != 0 || !slices.Equal(r.depth, make([]int32, len(c.pathStart)-1)) {
 		t.Fatal("Reset left state behind")
 	}
 	return deepest
 }
 
+// checkLanes runs cases as the lanes of one block on l — lane i is
+// cases[i] — and holds every lane's account depths and path depths
+// equal to the scalar reference run on that case alone. No account may
+// fall twice in a lane, or at all in a lane that does not enroll it,
+// and Reset must leave l empty for the next block.
+func checkLanes(t *testing.T, c *Closure, l *Lanes, cases []laneCase) {
+	t.Helper()
+	for i, k := range cases {
+		for a, on := range k.enrolled {
+			if on {
+				l.Enroll(int32(a), 1<<i)
+			}
+		}
+		l.Know(k.know(c), 1<<i)
+	}
+	l.Solve()
+	depth := make([][]int32, len(cases))
+	for i, k := range cases {
+		depth[i] = make([]int32, len(k.enrolled))
+	}
+	for _, f := range l.Falls() {
+		if f.Lanes>>len(cases) != 0 {
+			t.Fatalf("account %d fell in lanes %#x of a %d-lane block", f.Account, f.Lanes, len(cases))
+		}
+		for m := f.Lanes; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if depth[i][f.Account] != 0 {
+				t.Fatalf("lane %d: account %d fell at depths %d and %d", i, f.Account, depth[i][f.Account], f.Depth)
+			}
+			depth[i][f.Account] = f.Depth
+		}
+	}
+	r := c.NewRun()
+	for i, k := range cases {
+		for a, on := range k.enrolled {
+			if on {
+				r.Enroll(int32(a))
+			}
+		}
+		r.Solve(k.know(c))
+		for a := range k.enrolled {
+			if got, want := depth[i][a], r.Depth(int32(a)); got != want {
+				t.Fatalf("lane %d of %d: account %d depth %d, scalar reference %d (enrolled %v, extra %v)",
+					i, len(cases), a, got, want, k.enrolled, k.extra)
+			}
+		}
+		for p := range c.pathID {
+			if got, want := l.pathDepth(int32(p), uint(i)), r.pathDepth(int32(p)); got != want {
+				t.Fatalf("lane %d of %d: path %d depth %d, scalar reference %d", i, len(cases), p, got, want)
+			}
+		}
+		r.Reset()
+	}
+	l.Reset()
+	if len(l.active) != 0 || len(l.Falls()) != 0 || len(l.layers) != c.needs ||
+		slices.ContainsFunc(l.enrolled, nonzero) || slices.ContainsFunc(l.fallen, nonzero) || slices.ContainsFunc(l.layers, nonzero) {
+		t.Fatal("Lanes.Reset left state behind")
+	}
+}
+
+func nonzero(w uint64) bool { return w != 0 }
+
 // TestClosureMatchesReference is the oracle: on random ecosystems the
-// compiled closure agrees with the map-keyed reference fixpoint,
+// scalar reference run agrees with the map-keyed reference fixpoint,
 // account by account, in four kinds of case — every account enrolled;
 // a random enrolled subset against the reference on a graph of just
 // that subset (the campaign's per-victim contract); random extra
 // known factors against the reference with them in the profile; and a
 // subset with extra factors together (a victim with a leak dossier).
-// The wide ecosystems intern more needs than one mask word holds.
+// Those four cases and 60 more random victims, each with its own
+// footprint and extra factors, then run as the lanes of blocks of 1,
+// 63 and 64 lanes, and of 64 identical lanes, where every lane must
+// match the scalar run of its case. The wide ecosystems intern more
+// needs than one mask word holds.
 func TestClosureMatchesReference(t *testing.T) {
 	const seeds = 300
 	deepest := 0
@@ -112,12 +194,13 @@ func TestClosureMatchesReference(t *testing.T) {
 }
 
 // closureCheck is what checkClosure saw: the deepest finite depth and
-// the closure's mask width in words.
+// the scalar reference's mask width in words.
 type closureCheck struct{ deepest, words int }
 
 // checkClosure compiles nodes under the baseline attacker and runs the
 // oracle's four kinds of case, drawing subsets and extra factors from
-// r, then checks PathLayers against the reference.
+// r, then the lane blocks, then checks PathLayers against the
+// reference.
 func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 	t.Helper()
 	kinds := phishable()
@@ -144,22 +227,81 @@ func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 		}
 		return out
 	}
-	got := closureCheck{words: c.words}
-	for _, k := range []struct {
-		enrolled []bool
-		extra    []ecosys.FactorKind
-	}{
+	got := closureCheck{words: c.NewRun().words}
+	cases := []laneCase{
 		{all, nil},
 		{subset(), nil},
 		{all, extra()},
 		{subset(), extra()},
-	} {
-		got.deepest = max(got.deepest, oracleCase(t, nodes, c, k.enrolled, k.extra))
+	}
+	for _, k := range cases {
+		got.deepest = max(got.deepest, oracleCase(t, nodes, c, k))
+	}
+	for len(cases) < 64 {
+		k := laneCase{enrolled: all}
+		if r.Intn(4) != 0 {
+			k.enrolled = subset()
+		}
+		if r.Intn(3) != 0 {
+			k.extra = extra()
+		}
+		cases = append(cases, k)
+	}
+	l := c.NewLanes()
+	for _, block := range [][]laneCase{cases[:1], cases[:63], cases, slices.Repeat(cases[3:4], 64)} {
+		checkLanes(t, c, l, block)
 	}
 	if pl, want := PathLayers(g), ReferencePathLayers(g); pl != want {
 		t.Fatalf("%d accounts: PathLayers %+v, reference %+v", len(nodes), pl, want)
 	}
 	return got
+}
+
+// FuzzClosureLanes decodes arbitrary bytes into one block of lanes
+// over a random ecosystem and holds every lane to the scalar reference
+// run through checkLanes. seed draws the ecosystem: randomNodes of
+// 2–41 accounts, or, when size has its top bit set, wideNodes of
+// 65–104 accounts, whose needs span two mask words. Each further
+// record of data is one lane, little-endian: its known-factor mask
+// word, then one enrollment word per 64 accounts (bit a enrolls
+// account a). Up to 64 whole records are read; a partial one is
+// dropped.
+func FuzzClosureLanes(f *testing.F) {
+	f.Add(int64(1), uint8(10), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(7), uint8(25), []byte{
+		0x80, 0, 0, 0, 0, 0, 0, 0, 0x5a, 0xa5, 0x3c, 0, 0, 0, 0, 0,
+		0, 0x01, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(3), uint8(0x85), []byte{
+		0x80, 0x01, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0, 0, 0, 0, 0, 0, 0, 0, 0x0f, 0xf0, 0x0f, 0xf0, 0x0f, 0xf0, 0x0f, 0xf0, 0x33, 0x33, 0x33, 0x33, 0x33, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, data []byte) {
+		nodes := randomNodes(seed, 2+int(size)%40)
+		if size&0x80 != 0 {
+			nodes = wideNodes(seed, 65+int(size&0x7f)%40)
+		}
+		g, err := tdg.Build(nodes, ecosys.BaselineAttacker())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := CompileClosure(g)
+		record := 8 * (1 + (len(nodes)+63)/64)
+		var cases []laneCase
+		for ; len(data) >= record && len(cases) < 64; data = data[record:] {
+			var k laneCase
+			for know := binary.LittleEndian.Uint64(data); know != 0; know &= know - 1 {
+				k.extra = append(k.extra, ecosys.FactorKind(bits.TrailingZeros64(know)))
+			}
+			k.enrolled = make([]bool, len(nodes))
+			for a := range k.enrolled {
+				k.enrolled[a] = binary.LittleEndian.Uint64(data[8+8*(a>>6):])>>(a&63)&1 == 1
+			}
+			cases = append(cases, k)
+		}
+		if len(cases) > 0 {
+			checkLanes(t, c, c.NewLanes(), cases)
+		}
+	})
 }
 
 // wideNodes is randomNodes where every account also shows the real
@@ -184,12 +326,14 @@ func wideNodes(seed int64, size int) []tdg.Node {
 }
 
 // BenchmarkChainDepths measures the per-victim chain-reaction closure
-// on the default catalog (both platforms): one op is one victim, over 256
-// seeded footprints, each service enrolled with probability 1/4 and
-// every account of an enrolled service in the footprint. The closure
-// row is the compiled engine the campaign runs (enroll, solve, reset);
-// the reference row is the map-keyed fixpoint over each footprint's
-// prebuilt graph, so neither row pays a graph build.
+// on the default catalog (both platforms), over 256 seeded footprints,
+// each service enrolled with probability 1/4 and every account of an
+// enrolled service in the footprint. The closure row is the lane engine
+// the campaign runs: one op is one 64-lane block of those footprints
+// (enroll, know, solve, reset), reported per victim as ns/victim. The
+// reference row is the map-keyed fixpoint over each footprint's
+// prebuilt graph, one op per victim, so neither row pays a graph
+// build.
 func BenchmarkChainDepths(b *testing.B) {
 	cat, err := dataset.Default()
 	if err != nil {
@@ -222,16 +366,21 @@ func BenchmarkChainDepths(b *testing.B) {
 		}
 	}
 	b.Run("engine=closure", func(b *testing.B) {
-		run := c.NewRun()
+		l := c.NewLanes()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, a := range footprints[i%victims] {
-				run.Enroll(a)
+			base := i * 64 % victims
+			for lane, fp := range footprints[base : base+64] {
+				for _, a := range fp {
+					l.Enroll(a, 1<<lane)
+				}
 			}
-			run.Solve(c.Baseline())
-			run.Reset()
+			l.Know(c.Baseline(), ^uint64(0))
+			l.Solve()
+			l.Reset()
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/victim")
 	})
 	b.Run("engine=reference", func(b *testing.B) {
 		b.ReportAllocs()

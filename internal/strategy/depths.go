@@ -32,21 +32,22 @@ func (s DepthStats) Pct(n int) float64 {
 }
 
 // PathLayers computes the overlapping dependency statistics of
-// §IV.B.1 over a graph: the compiled closure with every account
-// enrolled, then each takeover path's depth from the run's recorded
-// layers.
+// §IV.B.1 over a graph: the compiled closure as a block of one lane
+// with every account enrolled, then each takeover path's depth from
+// the block's recorded layers.
 func PathLayers(g *tdg.Graph) DepthStats {
 	c := CompileClosure(g)
-	r := c.NewRun()
-	for a := range r.depth {
-		r.Enroll(int32(a))
+	l := c.NewLanes()
+	for a := range l.enrolled {
+		l.Enroll(int32(a), 1)
 	}
-	r.Solve(c.baseline)
+	l.Know(c.baseline, 1)
+	l.Solve()
 	st := DepthStats{Total: g.Len()}
 	for a, id := range g.Nodes() {
 		var direct, oneMiddle, twoFull, twoCouple bool
 		for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
-			switch r.pathDepth(p) {
+			switch l.pathDepth(p, 0) {
 			case 1:
 				direct = true
 			case 2:
@@ -71,7 +72,7 @@ func PathLayers(g *tdg.Graph) DepthStats {
 		if twoCouple {
 			st.TwoLayerCouple++
 		}
-		if r.depth[a] == 0 {
+		if l.fallen[a] == 0 {
 			st.Uncompromisable++
 		}
 	}

@@ -59,8 +59,8 @@ func (r *ForwardResult) VictimCount() int {
 // it takes over, round by round, every account one of whose takeover
 // paths the profile and the accounts fallen so far cover, harvesting
 // their exposed information into the IAD, until nothing more falls.
-// The rounds are the compiled closure's layers, with the initial
-// accounts' supplies in layer 0.
+// The rounds are the compiled closure's layers, run as a block of one
+// lane, with the initial accounts' supplies in layer 0.
 func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, error) {
 	res := &ForwardResult{
 		Compromised: make(map[ecosys.AccountID]Compromise),
@@ -78,20 +78,24 @@ func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, e
 	}
 	ids := g.Nodes()
 	c := CompileClosure(g)
-	r := c.NewRun()
-	var given []int32
+	l := c.NewLanes()
+	l.Know(c.baseline, 1)
 	for a, id := range ids {
 		if _, done := res.Compromised[id]; done {
-			given = append(given, int32(a))
+			l.Give(int32(a), 1)
 		} else {
-			r.Enroll(int32(a))
+			l.Enroll(int32(a), 1)
 		}
 	}
-	r.Solve(c.baseline, given...)
+	l.Solve()
+	depth := make([]int32, len(ids))
+	for _, f := range l.Falls() {
+		depth[f.Account] = f.Depth
+	}
 	for a, id := range ids {
 		node, _ := g.Node(id)
 		if _, done := res.Compromised[id]; !done {
-			d := r.Depth(int32(a))
+			d := depth[a]
 			if d == 0 {
 				res.Survivors = append(res.Survivors, id)
 				continue
@@ -101,7 +105,7 @@ func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, e
 			}
 			res.Rounds[d-1] = append(res.Rounds[d-1], id)
 			p := c.pathStart[a]
-			for r.pathDepth(p) != d {
+			for l.pathDepth(p, 0) != d {
 				p++ // no path is covered before the layer the account fell in
 			}
 			res.Compromised[id] = Compromise{Round: int(d), PathID: c.pathID[p],

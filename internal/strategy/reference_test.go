@@ -3,6 +3,8 @@ package strategy
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/tdg"
@@ -11,24 +13,155 @@ import (
 // Unreachable is the depth of an account no chain compromises.
 const Unreachable = math.MaxInt32
 
-// AccountDepths runs the compiled closure with every account enrolled
-// under g's profile and returns each account's depth (1 = attacker
-// profile alone, Unreachable = never).
+// AccountDepths runs the compiled closure as a block of one lane with
+// every account enrolled under g's profile and returns each account's
+// depth (1 = attacker profile alone, Unreachable = never).
 func AccountDepths(g *tdg.Graph) map[ecosys.AccountID]int {
 	c := CompileClosure(g)
-	r := c.NewRun()
-	for a := range r.depth {
-		r.Enroll(int32(a))
+	l := c.NewLanes()
+	for a := range l.enrolled {
+		l.Enroll(int32(a), 1)
 	}
-	r.Solve(c.Baseline())
+	l.Know(c.Baseline(), 1)
+	l.Solve()
 	out := make(map[ecosys.AccountID]int, g.Len())
-	for a, id := range g.Nodes() {
+	for _, id := range g.Nodes() {
 		out[id] = Unreachable
-		if d := r.Depth(int32(a)); d != 0 {
-			out[id] = int(d)
-		}
+	}
+	for _, f := range l.Falls() {
+		out[g.Nodes()[f.Account]] = int(f.Depth)
 	}
 	return out
+}
+
+// ClosureRun is the scalar layered closure the lane engine replaced,
+// kept as its oracle: one victim at a time over dense need masks, one
+// bit per need and words per mask. NewRun builds the masks from the
+// compiled need lists. Enroll the accounts, Solve, read Depth, then
+// Reset.
+type ClosureRun struct {
+	c     *Closure
+	words int
+	// pathMask (per path: its needs), supplies (per account: the needs
+	// it meets once fallen) and byFactor (per factor bit: the needs a
+	// known factor meets) hold words each.
+	pathMask, supplies, byFactor []uint64
+	// depth is per account: 0 = not fallen (or not enrolled).
+	depth           []int32
+	active, pending []int32
+	// layers holds, words per layer, the needs met after each layer.
+	layers []uint64
+}
+
+// NewRun returns an empty scalar run over c.
+func (c *Closure) NewRun() *ClosureRun {
+	w := (c.needs + 63) / 64
+	masks := func(rows int, needs func(i int) []int32) []uint64 {
+		out := make([]uint64, rows*w)
+		for i := range rows {
+			for _, n := range needs(i) {
+				out[i*w+int(n>>6)] |= 1 << (uint(n) & 63)
+			}
+		}
+		return out
+	}
+	accounts := len(c.pathStart) - 1
+	return &ClosureRun{c: c, words: w,
+		pathMask: masks(len(c.pathID), c.pathNeeds.of),
+		supplies: masks(accounts, func(a int) []int32 { return c.supplies.of(int(c.supplyClass[a])) }),
+		byFactor: masks(64, c.byFactor.of),
+		depth:    make([]int32, accounts)}
+}
+
+// Enroll adds account a to the footprint.
+func (r *ClosureRun) Enroll(a int32) { r.active = append(r.active, a) }
+
+// Solve runs the layered closure over the enrolled accounts: layer 0
+// is the needs met by know and by the given accounts; an enrolled
+// account falls at depth d when one of its paths needs nothing outside
+// layer d−1, and the accounts fallen at depth d add their supplies to
+// form layer d, until a layer meets no new need.
+func (r *ClosureRun) Solve(know uint64, given ...int32) {
+	w := r.words
+	r.layers = append(r.layers[:0], make([]uint64, w)...)
+	for k := know; k != 0; k &= k - 1 {
+		or(r.layers, r.row(r.byFactor, bits.TrailingZeros64(k)))
+	}
+	for _, a := range given {
+		or(r.layers, r.row(r.supplies, int(a)))
+	}
+	pending := append(r.pending[:0], r.active...)
+	for d := int32(1); len(pending) > 0; d++ {
+		r.layers = append(r.layers, r.layers[len(r.layers)-w:]...)
+		avail, next := r.layers[len(r.layers)-2*w:len(r.layers)-w], r.layers[len(r.layers)-w:]
+		keep := pending[:0]
+		for _, a := range pending {
+			if !r.falls(a, avail) {
+				keep = append(keep, a)
+				continue
+			}
+			r.depth[a] = d
+			or(next, r.row(r.supplies, int(a)))
+		}
+		pending = keep
+		if slices.Equal(next, avail) {
+			break
+		}
+	}
+	r.pending = pending
+}
+
+// row returns row i of one of r's mask tables.
+func (r *ClosureRun) row(table []uint64, i int) []uint64 { return table[i*r.words : (i+1)*r.words] }
+
+// falls reports whether one of account a's paths needs nothing outside
+// avail.
+func (r *ClosureRun) falls(a int32, avail []uint64) bool {
+	for p := r.c.pathStart[a]; p < r.c.pathStart[a+1]; p++ {
+		if covers(r.row(r.pathMask, int(p)), avail) {
+			return true
+		}
+	}
+	return false
+}
+
+// pathDepth returns compiled path p's depth after Solve: 1 + the first
+// layer that covers its needs, 0 when none does.
+func (r *ClosureRun) pathDepth(p int32) int32 {
+	for d, w := 0, r.words; d*w < len(r.layers); d++ {
+		if covers(r.row(r.pathMask, int(p)), r.layers[d*w:]) {
+			return int32(d + 1)
+		}
+	}
+	return 0
+}
+
+// covers reports whether every need in mask is also in avail.
+func covers(mask, avail []uint64) bool {
+	for i, m := range mask {
+		if m&^avail[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// or sets every need of src in dst.
+func or(dst, src []uint64) {
+	for i, m := range src {
+		dst[i] |= m
+	}
+}
+
+// Depth returns account a's depth after Solve, 0 when it never falls.
+func (r *ClosureRun) Depth(a int32) int32 { return r.depth[a] }
+
+// Reset empties the footprint for the next evaluation.
+func (r *ClosureRun) Reset() {
+	for _, a := range r.active {
+		r.depth[a] = 0
+	}
+	r.active = r.active[:0]
 }
 
 // The map-keyed fixpoint below is the reference the compiled closure
