@@ -33,18 +33,19 @@
 //   - a shard attacked a second time keeps its closure inputs resident
 //     (enrollment words, 32 B per subscriber), so from then on a memo
 //     hit skips shard generation too;
-//   - per-victim chain reactions are evaluated against a precompiled
-//     Transformation Dependency Graph plan (need masks, one layer per
-//     depth, no per-victim graph builds); each scenario compiles its
-//     own plan from its policy-fortified catalog, cached by (policy,
-//     platform);
+//   - chain reactions are evaluated 64 intercepted victims at a time,
+//     one victim per bit lane, against a precompiled Transformation
+//     Dependency Graph plan (need lists, one layer per depth, no
+//     per-victim graph builds); each scenario compiles its own plan
+//     from its policy-fortified catalog, cached by (policy, platform);
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //
 // Each layer has one production path: 64-lane batch radio synthesis,
-// the 64-lane batched TMTO chain replay and lazily derived subscriber
-// attributes. Their naive twins — per-session encoding, per-session
-// chain replay, eagerly materialized personas — live on as test-only
+// the 64-lane batched TMTO chain replay, the 64-lane chain-reaction
+// closure and lazily derived subscriber attributes. Their naive twins —
+// per-session encoding, per-session chain replay, the one-victim scalar
+// closure, eagerly materialized personas — live on as test-only
 // references, and fixed-seed golden Summaries pin the results.
 package campaign
 

@@ -13,11 +13,11 @@ import (
 )
 
 // attackPlan is the campaign's precompiled view of the ecosystem: the
-// Transformation Dependency Graph compiled into strategy's dense
+// Transformation Dependency Graph compiled into strategy's
 // chain-reaction closure, plus the campaign's own per-account tables,
-// so the closure for one victim costs a few array sweeps instead of a
-// graph build. It is computed once per campaign and shared read-only
-// by every worker.
+// so a block of 64 victims costs a few sweeps over need words instead
+// of a graph build each. It is computed once per campaign and shared
+// read-only by every worker.
 type attackPlan struct {
 	closure *strategy.Closure
 	// svcIdx maps an account (closure index) to its catalog service

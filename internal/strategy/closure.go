@@ -227,7 +227,7 @@ func (l *Lanes) Solve() int {
 		for _, a := range pending {
 			open := l.enrolled[a] &^ l.fallen[a]
 			fell := uint64(0)
-			for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
+			for p := c.pathStart[a]; p < c.pathStart[a+1] && fell != open; p++ {
 				m := open
 				for _, need := range c.pathNeeds.of(int(p)) {
 					m &= avail[need]

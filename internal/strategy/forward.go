@@ -5,6 +5,13 @@
 // that answers "how do I reach this specific target from cellphone +
 // SMS code?" (full-capacity parents and merged couple nodes, walked
 // down to fringe roots).
+//
+// Both the forward closure and the paper's dependency depths run the
+// compiled chain-reaction closure (Closure), whose one engine, Lanes,
+// evaluates up to 64 victims per pass, one victim per bit lane; a
+// single victim is a block of one. The scalar closure it replaced and
+// the map-keyed fixpoint over the graph live on in the tests as its
+// references.
 package strategy
 
 import (
