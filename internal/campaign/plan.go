@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/slab"
@@ -30,6 +31,10 @@ type attackPlan struct {
 	// information bitmask (1 << InfoField).
 	exposeClass []int32
 	exposes     []uint32
+	// lanes pools the closure's lane blocks, reset, across the runs
+	// that share this plan, so a short run does not rebuild its
+	// workers' lane state.
+	lanes sync.Pool
 }
 
 // buildPlan compiles the catalog into the dense tables.
@@ -53,6 +58,7 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 		svcAccounts: make([][]int32, cat.Len()),
 		exposeClass: make([]int32, 0, len(nodes)),
 	}
+	p.lanes.New = func() any { return p.closure.NewLanes() }
 	classes := make(map[uint32]int32)
 	for i := range nodes {
 		n := &nodes[i]
@@ -80,16 +86,18 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 }
 
 // scratch is one worker's reusable state: the chain-reaction lane
-// block, the closure inputs of the intercepted victims of the shard it
-// last generated, the per-shard radio session buffer the
-// gather-then-encrypt path fills before the batch encryptor runs, the
-// rig's captures read back per shard, and the pooled burst buffer the
-// encoded trace lives in. All of it is recycled shard over shard (and,
-// for the burst buffer, scenario over scenario), so a steady-state
+// block, pooled by the plan, the closure inputs of the intercepted
+// victims of the shard it last generated, the per-shard radio session
+// buffer the gather-then-encrypt path fills before the batch encryptor
+// runs, the rig's captures read back per shard, and the pooled burst
+// buffer the encoded trace lives in. All of it is recycled shard over
+// shard (and, for the lane block and the burst buffer, scenario over
+// scenario), so a steady-state
 // shard attack allocates nothing population-proportional beyond its
 // radio-memo entry and, on a shard's second attack, its resident
 // closure inputs.
 type scratch struct {
+	plan     *attackPlan
 	lanes    *strategy.Lanes
 	blk      block
 	in       closureIn
@@ -107,7 +115,8 @@ type scratch struct {
 
 func newScratch(p *attackPlan) *scratch {
 	return &scratch{
-		lanes:  p.closure.NewLanes(),
+		plan:   p,
+		lanes:  p.lanes.Get().(*strategy.Lanes),
 		blk:    block{exposed: make([]uint64, len(p.exposes))},
 		bursts: telecom.AcquireBurstBuffer(),
 	}
@@ -118,6 +127,8 @@ func newScratch(p *attackPlan) *scratch {
 func (s *scratch) release() {
 	s.bursts.Release()
 	s.bursts = nil
+	s.plan.lanes.Put(s.lanes)
+	s.lanes = nil
 }
 
 // block is up to 64 intercepted victims of one shard gathered for one
