@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/tdg"
@@ -212,9 +213,10 @@ func (l *Lanes) meet(needs []int32, lanes uint64) {
 // number of layers it evaluated. An enrolled account falls in a lane at
 // depth d when one of its paths' needs all lie in that lane's layer
 // d−1, and the lanes where it fell at depth d OR, through its supply
-// class, into its supplies' words of layer d. The layers stop at the first one where no lane
-// meets a new need: a lane whose layer gained nothing has nothing new
-// to offer any account, so no later layer can gain anything either.
+// class, into its supplies' words of layer d. The layers stop at the
+// first one where no lane meets a new need: a lane whose layer gained
+// nothing has nothing new to offer any account, so no later layer can
+// gain anything either.
 func (l *Lanes) Solve() int {
 	c, n := l.c, l.c.needs
 	pending := append(l.pending[:0], l.active...)
@@ -252,11 +254,7 @@ func (l *Lanes) Solve() int {
 				l.fellNow[cls] = 0
 			}
 		}
-		grew := uint64(0)
-		for i, m := range next {
-			grew |= m ^ avail[i]
-		}
-		if grew == 0 {
+		if slices.Equal(next, avail) {
 			break // no lane met a new need: no later layer can fall
 		}
 	}
