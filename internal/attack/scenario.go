@@ -168,7 +168,7 @@ func (s *Scenario) LaunchedGraph() (*tdg.Graph, error) {
 	return tdg.Build(nodes, ecosys.BaselineAttacker())
 }
 
-// PlanFor computes a minimal chain to target over launched services.
+// PlanFor computes a shallowest chain to target over launched services.
 func (s *Scenario) PlanFor(target ecosys.AccountID) (*strategy.Plan, error) {
 	g, err := s.LaunchedGraph()
 	if err != nil {

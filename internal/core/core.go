@@ -86,8 +86,8 @@ func graphKey(platforms []ecosys.Platform) string {
 	return strings.Join(names, "+")
 }
 
-// AttackPlan runs the backward search of §III.E scenario 2: a minimal
-// Chain Reaction Attack plan reaching target, over the target
+// AttackPlan runs the backward search of §III.E scenario 2: a
+// shallowest Chain Reaction Attack plan reaching target, over the target
 // platform's graph combined with web (middle accounts may live on
 // either platform).
 func (a *ActFort) AttackPlan(target ecosys.AccountID, maxDepth int) (*strategy.Plan, error) {

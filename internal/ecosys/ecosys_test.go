@@ -82,6 +82,21 @@ func (s FactorSet) Len() int {
 	return n
 }
 
+// Contains reports whether every factor in other is in s.
+func (s FactorSet) Contains(other FactorSet) bool {
+	for k, v := range other {
+		if v && !s[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// CanSatisfy reports whether the profile alone satisfies path p.
+func (a AttackerProfile) CanSatisfy(p AuthPath) bool {
+	return a.Factors().Contains(NewFactorSet(p.Factors...))
+}
+
 func TestFactorSetOperations(t *testing.T) {
 	s := NewFactorSet(FactorSMSCode, FactorCellphone)
 	if !s.Has(FactorSMSCode) || s.Has(FactorPassword) {

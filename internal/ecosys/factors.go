@@ -183,16 +183,6 @@ func NewFactorSet(kinds ...FactorKind) FactorSet {
 // Has reports membership.
 func (s FactorSet) Has(k FactorKind) bool { return s[k] }
 
-// Contains reports whether every factor in other is in s.
-func (s FactorSet) Contains(other FactorSet) bool {
-	for k, v := range other {
-		if v && !s[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy (copy-at-boundary).
 func (s FactorSet) Clone() FactorSet {
 	out := make(FactorSet, len(s))

@@ -195,9 +195,6 @@ type AuthPath struct {
 	Factors []FactorKind
 }
 
-// FactorSet returns the required factors as a set.
-func (p AuthPath) FactorSet() FactorSet { return NewFactorSet(p.Factors...) }
-
 // Requires reports whether the path demands factor k.
 func (p AuthPath) Requires(k FactorKind) bool {
 	for _, f := range p.Factors {
@@ -525,9 +522,4 @@ func (a AttackerProfile) Clone() AttackerProfile {
 // inherent capabilities plus factors derived from known information.
 func (a AttackerProfile) Factors() FactorSet {
 	return a.Capabilities.Union(a.KnownInfo.Factors())
-}
-
-// CanSatisfy reports whether the profile alone satisfies path p.
-func (a AttackerProfile) CanSatisfy(p AuthPath) bool {
-	return a.Factors().Contains(p.FactorSet())
 }

@@ -3,6 +3,7 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/actfort/actfort/internal/ecosys"
@@ -64,246 +65,217 @@ var (
 	ErrUnknownTarget = errors.New("strategy: target not in graph")
 )
 
-// FindPlan returns a minimal-step attack plan compromising target,
-// searching backward through full-capacity parents and merged couple
-// groups, bounded by maxDepth layers (0 means the default of 5).
+// FindPlan returns a shallowest attack plan compromising target,
+// bounded by maxDepth layers (0 means the default of 5); among the
+// shallowest plans it keeps the steps few by a greedy tie-break.
 //
-// The search runs layer by layer: layer 1 is the fringe, and an
-// account joins layer k when one of its options has every provider in
-// a layer below k. An account's layer is the depth of its shallowest
-// plan, and building each plan only from providers in lower layers
-// keeps the search acyclic, so every account's best plan is solved
-// once and reused.
+// The plan is a witness of the compiled closure, run as a block of one
+// lane with every account enrolled under g's profile. The target fell
+// at some depth d by a path whose needs all lie in layer d−1; each of
+// those needs is met by one supplier fallen at a smaller depth, and
+// each supplier's own plan is read the same way. The plan's depth is
+// therefore the target's closure depth, and ErrNoPlan comes exactly
+// when the closure leaves the target standing or deeper than maxDepth.
 func FindPlan(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*Plan, error) {
-	if maxDepth <= 0 {
-		maxDepth = 5
-	}
-	if _, ok := g.Node(target); !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTarget, target)
-	}
-	s := newSearcher(g, maxDepth)
-	steps, ok := s.solve(target)
-	if !ok || s.layer[target] > maxDepth {
-		return nil, fmt.Errorf("%w: %s (depth <= %d)", ErrNoPlan, target, maxDepth)
-	}
-	return &Plan{Target: target, Steps: steps}, nil
-}
-
-type searcher struct {
-	g        *tdg.Graph
-	maxDepth int
-	// optionsByNode indexes each target's provider options.
-	optionsByNode map[ecosys.AccountID][]option
-	// layer is each plannable account's layer (absent: no plan).
-	layer map[ecosys.AccountID]int
-	// plans memoizes solve: each account's best plan from lower layers.
-	plans map[ecosys.AccountID][]PlanStep
-}
-
-// option is one way to satisfy a node: a set of providers for a path.
-type option struct {
-	pathID  string
-	parents []ecosys.AccountID
-}
-
-// newSearcher indexes the graph's options, single full-capacity
-// parents first (cheapest), then couple groups, and assigns layers.
-func newSearcher(g *tdg.Graph, maxDepth int) *searcher {
-	s := &searcher{
-		g:             g,
-		maxDepth:      maxDepth,
-		optionsByNode: make(map[ecosys.AccountID][]option),
-		layer:         make(map[ecosys.AccountID]int),
-		plans:         make(map[ecosys.AccountID][]PlanStep),
-	}
-	seen := make(map[string]bool)
-	for _, e := range g.StrongEdges() {
-		key := e.To.String() + "|" + e.From.String() + "|" + e.PathID
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s.optionsByNode[e.To] = append(s.optionsByNode[e.To],
-			option{pathID: e.PathID, parents: []ecosys.AccountID{e.From}})
-	}
-	for _, c := range g.Couples(ecosys.AccountID{}) {
-		s.optionsByNode[c.Target] = append(s.optionsByNode[c.Target],
-			option{pathID: c.PathID, parents: append([]ecosys.AccountID(nil), c.Members...)})
-	}
-	nodes := g.Nodes()
-	for _, id := range nodes {
-		if g.IsFringe(id) {
-			s.layer[id] = 1
-		}
-	}
-	for k := 2; ; k++ {
-		var joined []ecosys.AccountID
-		for _, id := range nodes {
-			if _, ok := s.layer[id]; ok {
-				continue
-			}
-			for _, opt := range s.optionsByNode[id] {
-				if s.below(opt, k) {
-					joined = append(joined, id)
-					break
-				}
-			}
-		}
-		if len(joined) == 0 {
-			return s
-		}
-		for _, id := range joined {
-			s.layer[id] = k
-		}
-	}
-}
-
-// below reports whether every provider of opt sits in a layer below k.
-func (s *searcher) below(opt option, k int) bool {
-	for _, p := range opt.parents {
-		if l, ok := s.layer[p]; !ok || l >= k {
-			return false
-		}
-	}
-	return true
-}
-
-// fringePath returns the path ID a fringe node falls by.
-func (s *searcher) fringePath(id ecosys.AccountID) string {
-	node, _ := s.g.Node(id)
-	ap := s.g.Profile()
-	for _, p := range node.Paths {
-		if p.Purpose != ecosys.PurposeSignIn && p.Purpose != ecosys.PurposeReset {
-			continue
-		}
-		if ap.CanSatisfy(p) {
-			return p.ID
-		}
-	}
-	return ""
-}
-
-// solve returns the fewest-step plan compromising id whose options
-// draw only on providers in lower layers (ties keep the first option).
-func (s *searcher) solve(id ecosys.AccountID) ([]PlanStep, bool) {
-	if steps, ok := s.plans[id]; ok {
-		return steps, true
-	}
-	k, ok := s.layer[id]
-	if !ok {
-		return nil, false
-	}
-	if k == 1 {
-		steps := []PlanStep{{Account: id, PathID: s.fringePath(id)}}
-		s.plans[id] = steps
-		return steps, true
-	}
-	var best []PlanStep
-	for _, opt := range s.optionsByNode[id] {
-		if !s.below(opt, k) {
-			continue
-		}
-		merged := s.merge(opt.parents)
-		merged = append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents})
-		if best == nil || len(merged) < len(best) {
-			best = merged
-		}
-	}
-	s.plans[id] = best
-	return best, true
-}
-
-// merge concatenates the plans of parents, each account once. Every
-// parent must be solvable.
-func (s *searcher) merge(parents []ecosys.AccountID) []PlanStep {
-	merged := make([]PlanStep, 0, 4)
-	have := make(map[ecosys.AccountID]bool)
-	for _, parent := range parents {
-		if have[parent] {
-			continue
-		}
-		sub, _ := s.solve(parent)
-		for _, step := range sub {
-			if !have[step.Account] {
-				have[step.Account] = true
-				merged = append(merged, step)
-			}
-		}
-	}
-	return merged
-}
-
-// FindPlans enumerates up to limit distinct plans for target, shortest
-// first, by iteratively excluding the first-hop option of each found
-// plan. It is a diversity heuristic, not an exhaustive enumeration.
-func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*Plan, error) {
-	first, err := FindPlan(g, target, maxDepth)
+	w, a, err := newWitness(g, target, maxDepth)
 	if err != nil {
 		return nil, err
 	}
-	plans := []*Plan{first}
-	if limit <= 1 {
-		return plans, nil
+	return w.toPlan(w.plan(a), w.steps[a]), nil
+}
+
+// FindPlans returns up to limit distinct plans for target, the first
+// being FindPlan's. The others take the target over by each takeover
+// path within maxDepth in turn, shallowest first, with each supplier of
+// the path's needs in turn as the first parent, completed as FindPlan
+// completes a plan. No plan passes through the target before its last
+// step. It is a diversity heuristic, not an exhaustive enumeration.
+func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*Plan, error) {
+	w, a, err := newWitness(g, target, maxDepth)
+	if err != nil {
+		return nil, err
 	}
-	seen := map[string]bool{first.String(): true}
-	if maxDepth <= 0 {
-		maxDepth = 5
-	}
-	s := newSearcher(g, maxDepth)
-	for attempt := 0; attempt < 8*limit && len(plans) < limit; attempt++ {
-		steps, ok := s.solveExcluding(target, attempt)
-		if !ok {
-			break
+	plans := []*Plan{w.toPlan(w.plan(a), w.steps[a])}
+	seen := map[string]bool{plans[0].String(): true}
+	for d := w.depth[a]; d <= w.maxDepth; d++ {
+		for p := w.c.pathStart[a]; p < w.c.pathStart[a+1]; p++ {
+			if w.l.pathDepth(p, 0) != d {
+				continue
+			}
+			for _, n := range w.c.pathNeeds.of(int(p)) {
+				for _, s := range w.suppliers[n] {
+					if len(plans) >= limit {
+						return plans, nil
+					}
+					if !w.usable(s, d, a) {
+						continue
+					}
+					if plan, parents, ok := w.assemble(a, p, d, s, a); ok {
+						alt := w.toPlan(plan, w.step(a, p, parents))
+						if !seen[alt.String()] {
+							seen[alt.String()] = true
+							plans = append(plans, alt)
+						}
+					}
+				}
+			}
 		}
-		p := &Plan{Target: target, Steps: steps}
-		if seen[p.String()] {
-			break
-		}
-		seen[p.String()] = true
-		plans = append(plans, p)
 	}
 	return plans, nil
 }
 
-// solveExcluding returns a plan for id through the first usable option
-// after rotating id's first skip+1 options to the back, to force plan
-// diversity. An option is usable when every provider has a plan within
-// maxDepth-1 layers that does not pass through id.
-func (s *searcher) solveExcluding(id ecosys.AccountID, skip int) ([]PlanStep, bool) {
-	opts := s.optionsByNode[id]
-	if len(opts) <= 1 {
-		return nil, false
-	}
-	rot := (skip + 1) % len(opts)
-	opts = append(opts[rot:], opts[:rot]...)
-
-	if s.g.IsFringe(id) {
-		return []PlanStep{{Account: id, PathID: s.fringePath(id)}}, true
-	}
-	for _, opt := range opts {
-		if !s.usableAvoiding(opt, id) {
-			continue
-		}
-		merged := s.merge(opt.parents)
-		return append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents}), true
-	}
-	return nil, false
+// witness reads attack plans off the compiled closure solved as a
+// block of one lane, every account enrolled under the graph's profile.
+// Needs are factors beyond the profile, so layer 0 is empty and every
+// need of a fallen path is met by a fallen supplier.
+type witness struct {
+	c        *Closure
+	l        *Lanes
+	ids      []ecosys.AccountID
+	maxDepth int32
+	// depth is per account: its closure depth, 0 while standing.
+	depth []int32
+	// suppliers is per need: the accounts meeting it once fallen, in
+	// node order.
+	suppliers [][]int32
+	// plans memoizes each fallen account's plan, its accounts in step
+	// order, and steps the account's own step in it.
+	plans [][]int32
+	steps []PlanStep
 }
 
-// usableAvoiding reports whether every provider of opt has a plan
-// within maxDepth-1 layers that never compromises avoid.
-func (s *searcher) usableAvoiding(opt option, avoid ecosys.AccountID) bool {
-	for _, p := range opt.parents {
-		l, ok := s.layer[p]
-		if !ok || l > s.maxDepth-1 {
-			return false
+// newWitness solves g's closure for a plan reaching target within
+// maxDepth layers (0 means 5) and returns target's account index.
+func newWitness(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*witness, int32, error) {
+	if maxDepth <= 0 {
+		maxDepth = 5
+	}
+	ids := g.Nodes()
+	a := int32(slices.Index(ids, target))
+	if a < 0 {
+		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownTarget, target)
+	}
+	c := CompileClosure(g)
+	w := &witness{c: c, l: c.NewLanes(), ids: ids, maxDepth: int32(maxDepth),
+		depth:     make([]int32, len(ids)),
+		suppliers: make([][]int32, c.needs),
+		plans:     make([][]int32, len(ids)),
+		steps:     make([]PlanStep, len(ids)),
+	}
+	for s := range ids {
+		w.l.Enroll(int32(s), 1)
+		for _, n := range c.supplies.of(int(c.supplyClass[s])) {
+			w.suppliers[n] = append(w.suppliers[n], int32(s))
 		}
-		sub, _ := s.solve(p)
-		for _, step := range sub {
-			if step.Account == avoid {
-				return false
+	}
+	w.l.Know(c.baseline, 1)
+	w.l.Solve()
+	for _, f := range w.l.Falls() {
+		w.depth[f.Account] = f.Depth
+	}
+	if d := w.depth[a]; d == 0 || d > w.maxDepth {
+		return nil, 0, fmt.Errorf("%w: %s (depth <= %d)", ErrNoPlan, target, maxDepth)
+	}
+	return w, a, nil
+}
+
+// plan returns fallen account a's plan, memoized: among the paths a
+// fell by at its depth, the witness with the fewest steps.
+func (w *witness) plan(a int32) []int32 {
+	if w.plans[a] == nil {
+		d := w.depth[a]
+		for p := w.c.pathStart[a]; p < w.c.pathStart[a+1]; p++ {
+			if w.l.pathDepth(p, 0) != d {
+				continue
+			}
+			if plan, parents, _ := w.assemble(a, p, d, -1, -1); w.plans[a] == nil || len(plan) < len(w.plans[a]) {
+				w.plans[a], w.steps[a] = plan, w.step(a, p, parents)
 			}
 		}
 	}
-	return true
+	return w.plans[a]
+}
+
+// usable reports whether s has fallen below depth d by a plan that
+// does not pass through avoid (-1: none).
+func (w *witness) usable(s, d, avoid int32) bool {
+	return w.depth[s] > 0 && w.depth[s] < d && (avoid < 0 || !slices.Contains(w.plan(s), avoid))
+}
+
+// assemble returns a plan taking account a over by compiled path p,
+// its accounts in step order, and the step's parents: each need of p
+// is met by one usable supplier fallen below depth d. Suppliers are
+// picked greedily: first forced (unless -1), then the one adding the
+// fewest new steps per newly met need, then the one meeting the most
+// needs, then the first in node order; an account already in the plan
+// adds none. ok is false when some need has no usable supplier.
+func (w *witness) assemble(a, p, d, forced, avoid int32) (plan, parents []int32, ok bool) {
+	open := slices.Clone(w.c.pathNeeds.of(int(p)))
+	take := func(s int32) {
+		parents = append(parents, s)
+		for _, x := range w.plan(s) {
+			if !slices.Contains(plan, x) {
+				plan = append(plan, x)
+			}
+		}
+		open = slices.DeleteFunc(open, func(n int32) bool { return w.meets(s, n) })
+	}
+	if forced >= 0 {
+		take(forced)
+	}
+	for len(open) > 0 {
+		best, bestFresh, bestMet := int32(-1), 0, 0
+		for _, n := range open {
+			for _, s := range w.suppliers[n] {
+				if !w.usable(s, d, avoid) {
+					continue
+				}
+				fresh, met := 0, 0
+				for _, x := range w.plan(s) {
+					if !slices.Contains(plan, x) {
+						fresh++
+					}
+				}
+				for _, m := range open {
+					if w.meets(s, m) {
+						met++
+					}
+				}
+				if best < 0 || fresh*bestMet < bestFresh*met ||
+					fresh*bestMet == bestFresh*met && (met > bestMet || met == bestMet && s < best) {
+					best, bestFresh, bestMet = s, fresh, met
+				}
+			}
+		}
+		if best < 0 {
+			return nil, nil, false
+		}
+		take(best)
+	}
+	return append(plan, a), parents, true
+}
+
+// meets reports whether account s meets need n once fallen.
+func (w *witness) meets(s, n int32) bool {
+	return slices.Contains(w.c.supplies.of(int(w.c.supplyClass[s])), n)
+}
+
+// step returns account a's plan step by compiled path p after parents,
+// listed in node order.
+func (w *witness) step(a, p int32, parents []int32) PlanStep {
+	s := PlanStep{Account: w.ids[a], PathID: w.c.pathID[p]}
+	slices.Sort(parents)
+	for _, x := range parents {
+		s.Parents = append(s.Parents, w.ids[x])
+	}
+	return s
+}
+
+// toPlan turns a plan's accounts into its steps, ending with last.
+func (w *witness) toPlan(plan []int32, last PlanStep) *Plan {
+	steps := make([]PlanStep, 0, len(plan))
+	for _, x := range plan[:len(plan)-1] {
+		steps = append(steps, w.steps[x])
+	}
+	return &Plan{Target: last.Account, Steps: append(steps, last)}
 }

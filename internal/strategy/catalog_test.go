@@ -1,6 +1,8 @@
 package strategy_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/actfort/actfort/internal/countermeasure"
@@ -10,15 +12,22 @@ import (
 	"github.com/actfort/actfort/internal/tdg"
 )
 
-// TestClosureMatchesReferenceOnCatalog runs the oracle over the
-// calibrated ecosystem: the default catalog under every built-in
-// countermeasure policy, on web, mobile and both platforms.
-func TestClosureMatchesReferenceOnCatalog(t *testing.T) {
+// catalogGraph is one graph of the calibrated ecosystem.
+type catalogGraph struct {
+	name string // "policy [platforms]"
+	g    *tdg.Graph
+}
+
+// catalogGraphs builds the calibrated ecosystem's graphs: the default
+// catalog under every built-in countermeasure policy, on web, mobile
+// and both platforms.
+func catalogGraphs(t *testing.T) []catalogGraph {
+	t.Helper()
 	base, err := dataset.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
-	deepest := 0
+	var out []catalogGraph
 	for _, pol := range countermeasure.Policies() {
 		cat, err := pol.Apply(base)
 		if err != nil {
@@ -31,21 +40,110 @@ func TestClosureMatchesReferenceOnCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := strategy.AccountDepths(g), strategy.ReferenceDepths(g)
-			for _, id := range g.Nodes() {
-				if got[id] != want[id] {
-					t.Errorf("%s %v %s: closure depth %d, reference %d", pol.Name, plats, id, got[id], want[id])
-				}
-				if d := got[id]; d != strategy.Unreachable && d > deepest {
-					deepest = d
-				}
+			out = append(out, catalogGraph{fmt.Sprint(pol.Name, " ", plats), g})
+		}
+	}
+	return out
+}
+
+// TestClosureMatchesReferenceOnCatalog runs the oracle over the
+// calibrated ecosystem.
+func TestClosureMatchesReferenceOnCatalog(t *testing.T) {
+	deepest := 0
+	for _, cg := range catalogGraphs(t) {
+		name, g := cg.name, cg.g
+		got, want := strategy.AccountDepths(g), strategy.ReferenceDepths(g)
+		for _, id := range g.Nodes() {
+			if got[id] != want[id] {
+				t.Errorf("%s %s: closure depth %d, reference %d", name, id, got[id], want[id])
 			}
-			if got, want := strategy.PathLayers(g), strategy.ReferencePathLayers(g); got != want {
-				t.Errorf("%s %v: PathLayers %+v, reference %+v", pol.Name, plats, got, want)
+			if d := got[id]; d != strategy.Unreachable && d > deepest {
+				deepest = d
 			}
+		}
+		if got, want := strategy.PathLayers(g), strategy.ReferencePathLayers(g); got != want {
+			t.Errorf("%s: PathLayers %+v, reference %+v", name, got, want)
 		}
 	}
 	if deepest < 3 {
 		t.Fatalf("deepest catalog chain is %d, want ≥ 3", deepest)
+	}
+}
+
+// TestFindPlanMatchesClosureOnCatalog holds the backward search to the
+// closure on the calibrated ecosystem: FindPlan succeeds exactly on the
+// accounts the closure takes over, and each plan is executable, as
+// deep as the account's closure depth and no longer than the reference
+// searcher's. The searcher, bounded by the couple file, lost or
+// deepened 18 of these plans under harden-email.
+func TestFindPlanMatchesClosureOnCatalog(t *testing.T) {
+	for _, cg := range catalogGraphs(t) {
+		name, g := cg.name, cg.g
+		depths := strategy.AccountDepths(g)
+		ref := strategy.ReferencePlans(g, g.Len()+1, 1)
+		for _, id := range g.Nodes() {
+			plan, err := strategy.FindPlan(g, id, g.Len()+1)
+			if (err == nil) != (depths[id] != strategy.Unreachable) {
+				t.Errorf("%s %s: closure depth %d, FindPlan: %v", name, id, depths[id], err)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if err := strategy.CheckPlan(g, plan); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if plan.Depth() != depths[id] {
+				t.Errorf("%s %s: plan %s has depth %d, the closure %d", name, id, plan, plan.Depth(), depths[id])
+			}
+			if r := ref[id]; len(r) > 0 && len(plan.Steps) > len(r[0].Steps) {
+				t.Errorf("%s %s: plan %s is longer than the searcher's %s", name, id, plan, r[0])
+			}
+		}
+	}
+}
+
+// TestFindPlansOnCatalog checks FindPlans's contract on the default
+// catalog: up to limit distinct executable plans, the first being
+// FindPlan's, within the depth bound, and no fewer or shallower than
+// the reference searcher lists.
+func TestFindPlansOnCatalog(t *testing.T) {
+	base, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 3
+	for _, plats := range [][]ecosys.Platform{{ecosys.PlatformWeb}, {ecosys.PlatformMobile}, nil} {
+		g, err := tdg.Build(tdg.NodesFromCatalog(base, plats...), ecosys.BaselineAttacker())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := strategy.ReferencePlans(g, 0, limit)
+		for _, id := range g.Nodes() {
+			plans, err := strategy.FindPlans(g, id, 0, limit)
+			first, firstErr := strategy.FindPlan(g, id, 0)
+			if err != nil {
+				if firstErr == nil || len(ref[id]) > 0 {
+					t.Errorf("%v %s: FindPlans: %v", plats, id, err)
+				}
+				continue
+			}
+			if len(plans) > limit || !reflect.DeepEqual(plans[0], first) {
+				t.Errorf("%v %s: %d plans, first %s, FindPlan's %s", plats, id, len(plans), plans[0], first)
+			}
+			if len(plans) < len(ref[id]) {
+				t.Errorf("%v %s: %d plans, the searcher %d", plats, id, len(plans), len(ref[id]))
+			}
+			seen := make(map[string]bool)
+			for i, p := range plans {
+				if err := strategy.CheckPlan(g, p); err != nil || seen[p.String()] || p.Depth() > 5 {
+					t.Errorf("%v %s: plan %d %s (depth %d, repeated %v): %v", plats, id, i, p, p.Depth(), seen[p.String()], err)
+				}
+				seen[p.String()] = true
+				if i < len(ref[id]) && p.Depth() > ref[id][i].Depth() {
+					t.Errorf("%v %s: plan %d %s deeper than the searcher's %s", plats, id, i, p, ref[id][i])
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package strategy
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 
@@ -70,6 +70,7 @@ func CompileClosure(g *tdg.Graph) *Closure {
 		c.baseline |= FactorBit(f)
 	}
 	interned := make(map[string]int32)
+	var key []byte
 	var pathNeeds [][]int32
 	supplies := make([][]int32, len(ids))
 	byFactor := make([][]int32, 64)
@@ -96,11 +97,11 @@ func CompileClosure(g *tdg.Graph) *Closure {
 				for _, from := range g.Suppliers(id, f) {
 					sup = append(sup, index[from])
 				}
-				key := fmt.Sprint(f, sup)
-				n, ok := interned[key]
+				key = appendKey(append(key[:0], byte(f)), sup)
+				n, ok := interned[string(key)]
 				if !ok {
 					n = int32(len(interned))
-					interned[key] = n
+					interned[string(key)] = n
 					byFactor[f] = append(byFactor[f], n)
 					for _, s := range sup {
 						supplies[s] = append(supplies[s], n)
@@ -118,17 +119,25 @@ func CompileClosure(g *tdg.Graph) *Closure {
 	classes := make(map[string]int32)
 	var classSupplies [][]int32
 	for _, sup := range supplies {
-		key := fmt.Sprint(sup)
-		cls, ok := classes[key]
+		key = appendKey(key[:0], sup)
+		cls, ok := classes[string(key)]
 		if !ok {
 			cls = int32(len(classSupplies))
-			classes[key] = cls
+			classes[string(key)] = cls
 			classSupplies = append(classSupplies, sup)
 		}
 		c.supplyClass = append(c.supplyClass, cls)
 	}
 	c.pathNeeds, c.supplies, c.byFactor = newLists(pathNeeds), newLists(classSupplies), newLists(byFactor)
 	return c
+}
+
+// appendKey appends list's bytes to key, to intern lists in a map.
+func appendKey(key []byte, list []int32) []byte {
+	for _, x := range list {
+		key = binary.LittleEndian.AppendUint32(key, uint32(x))
+	}
+	return key
 }
 
 // Baseline returns the factor mask of the profile the closure was

@@ -3,14 +3,17 @@
 // holds, which accounts fall?" (Online Account Attacked Set → Initial
 // Attack Database → Potential Account Victims) and the backward search
 // that answers "how do I reach this specific target from cellphone +
-// SMS code?" (full-capacity parents and merged couple nodes, walked
-// down to fringe roots).
+// SMS code?".
 //
-// Both the forward closure and the paper's dependency depths run the
-// compiled chain-reaction closure (Closure), whose one engine, Lanes,
-// evaluates up to 64 victims per pass, one victim per bit lane; a
-// single victim is a block of one. The scalar closure it replaced and
-// the map-keyed fixpoint over the graph live on in the tests as its
+// Both run the compiled chain-reaction closure (Closure), whose one
+// engine, Lanes, evaluates up to 64 victims per pass, one victim per
+// bit lane; a single victim is a block of one. The forward closure,
+// the paper's dependency depths and the campaign read which accounts
+// fall at which depth. The backward search reads a witness of the same
+// layers: the path the target fell by and, per need of that path, one
+// supplier fallen earlier, down to the fringe roots. The scalar
+// closure, the map-keyed fixpoint over the graph and the couple-file
+// searcher the witness read replaced live on in the tests as
 // references.
 package strategy
 

@@ -1,8 +1,10 @@
 package strategy
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,14 +66,11 @@ func randomNodes(seed int64, size int) []tdg.Node {
 	return nodes
 }
 
-// randomGraph builds randomNodes under the baseline attacker.
+// randomGraph builds randomNodes under the baseline attacker, at the
+// default couple size: plans are witnesses of the closure, which no
+// couple bound limits.
 func randomGraph(seed int64, size int) (*tdg.Graph, error) {
-	// Couple size 3 matches the widest random path (3 factors), so the
-	// backward search sees every provider combination the closure can
-	// exploit. With the default pair-only enumeration the closure is
-	// strictly more complete (see TestTripleCouples in tdg) and the
-	// agreement property below would not hold.
-	return tdg.Build(randomNodes(seed, size), ecosys.BaselineAttacker(), tdg.WithMaxCoupleSize(3))
+	return tdg.Build(randomNodes(seed, size), ecosys.BaselineAttacker())
 }
 
 // Property: the closure compromises exactly the accounts the backward
@@ -172,41 +171,85 @@ func TestPropertyFringeIsDepthOne(t *testing.T) {
 	}
 }
 
-// Property: plans are well-formed — every parent precedes its child
-// and the last step is the target.
+// Property: plans are witnesses of the closure. Each is executable in
+// order, ends at its target, takes no account over twice and is as
+// deep as the closure; ErrNoPlan comes exactly when the closure leaves
+// the account standing or deeper than the bound.
 func TestPropertyPlansWellFormed(t *testing.T) {
-	f := func(seed int64, sz uint8) bool {
+	f := func(seed int64, sz, bound uint8) bool {
 		g, err := randomGraph(seed, int(sz%16)+2)
 		if err != nil {
 			return false
 		}
+		maxDepth := 1 + int(bound%6)
+		depths := AccountDepths(g)
 		for _, id := range g.Nodes() {
-			plan, err := FindPlan(g, id, 5)
-			if err != nil {
+			plan, err := FindPlan(g, id, maxDepth)
+			if d := depths[id]; d == Unreachable || d > maxDepth {
+				if !errors.Is(err, ErrNoPlan) {
+					t.Logf("seed=%d %s: depth %d, bound %d, err %v", seed, id, d, maxDepth, err)
+					return false
+				}
 				continue
 			}
-			if plan.Steps[len(plan.Steps)-1].Account != id {
+			if err != nil {
+				t.Logf("seed=%d %s: %v", seed, id, err)
 				return false
 			}
-			pos := make(map[ecosys.AccountID]int)
-			for i, s := range plan.Steps {
-				if _, dup := pos[s.Account]; dup {
-					return false // an account compromised twice
-				}
-				pos[s.Account] = i
-				for _, parent := range s.Parents {
-					pi, ok := pos[parent]
-					if !ok || pi >= i {
-						return false
-					}
-				}
+			if err := CheckPlan(g, plan); err != nil || plan.Depth() != depths[id] {
+				t.Logf("seed=%d %s: %v, depth %d, closure %d", seed, id, err, plan.Depth(), depths[id])
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPlanStepsAgainstReference compares plans with the reference
+// searcher's on random ecosystems with triple couples, which cover the
+// widest random path (3 factors). Every account the searcher plans for
+// has a plan at most as deep. Neither search is step-minimal, so the
+// plans with more and with fewer steps than the searcher's are counted
+// and logged, not bounded.
+func TestPlanStepsAgainstReference(t *testing.T) {
+	var plans, longer, shorter int
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g, err := tdg.Build(randomNodes(seed, 2+r.Intn(40)), ecosys.BaselineAttacker(), tdg.WithMaxCoupleSize(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := ReferencePlans(g, g.Len()+1, 1)
+		for _, id := range g.Nodes() {
+			plan, err := FindPlan(g, id, g.Len()+1)
+			if err != nil {
+				if len(ref[id]) > 0 {
+					t.Errorf("seed %d %s: the searcher plans %s, FindPlan: %v", seed, id, ref[id][0], err)
+				}
+				continue
+			}
+			if err := CheckPlan(g, plan); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+			}
+			plans++
+			if len(ref[id]) == 0 {
+				continue
+			}
+			if plan.Depth() > ref[id][0].Depth() {
+				t.Errorf("seed %d %s: plan %s is deeper than the searcher's %s", seed, id, plan, ref[id][0])
+			}
+			switch n, m := len(plan.Steps), len(ref[id][0].Steps); {
+			case n > m:
+				longer++
+			case n < m:
+				shorter++
+			}
+		}
+	}
+	t.Logf("%d plans: %d with more steps than the searcher's, %d with fewer", plans, longer, shorter)
 }
 
 // Property: growing the attacker profile never shrinks the victim set
@@ -253,4 +296,39 @@ func TestPropertyClosureMonotoneInProfile(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// CheckPlan returns why plan is not an executable attack on its
+// target, or nil: its last step takes the target over, no account
+// appears twice, every parent precedes its step, and every factor of
+// each step's takeover path is met by the graph's profile or by an
+// earlier step's account, as g.Suppliers answers.
+func CheckPlan(g *tdg.Graph, plan *Plan) error {
+	if n := len(plan.Steps); n == 0 || plan.Steps[n-1].Account != plan.Target {
+		return fmt.Errorf("plan %s does not end at %s", plan, plan.Target)
+	}
+	profile := g.Profile().Factors()
+	done := make(map[ecosys.AccountID]bool, len(plan.Steps))
+	for _, s := range plan.Steps {
+		if done[s.Account] {
+			return fmt.Errorf("plan %s takes %s over twice", plan, s.Account)
+		}
+		for _, parent := range s.Parents {
+			if !done[parent] {
+				return fmt.Errorf("plan %s: %s needs %s, not taken over before it", plan, s.Account, parent)
+			}
+		}
+		node, _ := g.Node(s.Account)
+		i := slices.IndexFunc(takeoverOf(node), func(p ecosys.AuthPath) bool { return p.ID == s.PathID })
+		if i < 0 {
+			return fmt.Errorf("plan %s: %s has no takeover path %q", plan, s.Account, s.PathID)
+		}
+		for _, f := range takeoverOf(node)[i].Factors {
+			if !profile.Has(f) && !slices.ContainsFunc(g.Suppliers(s.Account, f), func(id ecosys.AccountID) bool { return done[id] }) {
+				return fmt.Errorf("plan %s: nothing before %s supplies %s", plan, s.Account, f)
+			}
+		}
+		done[s.Account] = true
+	}
+	return nil
 }

@@ -427,3 +427,236 @@ func referenceSatisfiablePath(node *tdg.Node, capabilities, available ecosys.Fac
 	}
 	return "", false, false
 }
+
+// The searcher below is the backward search FindPlan and FindPlans
+// replaced, kept as their oracle: it walks full-capacity parents
+// (strong edges) and the couple groups tdg records, assigns its own
+// layers and solves each account's fewest-step plan from lower layers.
+// Its providers are bounded by the couple file (at most
+// WithMaxCoupleSize members, 64 couples per path), so it may miss or
+// deepen plans the closure's witnesses find.
+
+type searcher struct {
+	g        *tdg.Graph
+	maxDepth int
+	// optionsByNode indexes each target's provider options.
+	optionsByNode map[ecosys.AccountID][]option
+	// layer is each plannable account's layer (absent: no plan).
+	layer map[ecosys.AccountID]int
+	// plans memoizes solve: each account's best plan from lower layers.
+	plans map[ecosys.AccountID][]PlanStep
+}
+
+// option is one way to satisfy a node: a set of providers for a path.
+type option struct {
+	pathID  string
+	parents []ecosys.AccountID
+}
+
+// newSearcher indexes the graph's options, single full-capacity
+// parents first (cheapest), then couple groups, and assigns layers.
+func newSearcher(g *tdg.Graph, maxDepth int) *searcher {
+	s := &searcher{
+		g:             g,
+		maxDepth:      maxDepth,
+		optionsByNode: make(map[ecosys.AccountID][]option),
+		layer:         make(map[ecosys.AccountID]int),
+		plans:         make(map[ecosys.AccountID][]PlanStep),
+	}
+	seen := make(map[string]bool)
+	for _, e := range g.StrongEdges() {
+		key := e.To.String() + "|" + e.From.String() + "|" + e.PathID
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		s.optionsByNode[e.To] = append(s.optionsByNode[e.To],
+			option{pathID: e.PathID, parents: []ecosys.AccountID{e.From}})
+	}
+	for _, c := range g.Couples(ecosys.AccountID{}) {
+		s.optionsByNode[c.Target] = append(s.optionsByNode[c.Target],
+			option{pathID: c.PathID, parents: append([]ecosys.AccountID(nil), c.Members...)})
+	}
+	nodes := g.Nodes()
+	for _, id := range nodes {
+		if g.IsFringe(id) {
+			s.layer[id] = 1
+		}
+	}
+	for k := 2; ; k++ {
+		var joined []ecosys.AccountID
+		for _, id := range nodes {
+			if _, ok := s.layer[id]; ok {
+				continue
+			}
+			for _, opt := range s.optionsByNode[id] {
+				if s.below(opt, k) {
+					joined = append(joined, id)
+					break
+				}
+			}
+		}
+		if len(joined) == 0 {
+			return s
+		}
+		for _, id := range joined {
+			s.layer[id] = k
+		}
+	}
+}
+
+// below reports whether every provider of opt sits in a layer below k.
+func (s *searcher) below(opt option, k int) bool {
+	for _, p := range opt.parents {
+		if l, ok := s.layer[p]; !ok || l >= k {
+			return false
+		}
+	}
+	return true
+}
+
+// fringePath returns the path ID a fringe node falls by.
+func (s *searcher) fringePath(id ecosys.AccountID) string {
+	node, _ := s.g.Node(id)
+	have := s.g.Profile().Factors()
+	for _, p := range takeoverOf(node) {
+		if !slices.ContainsFunc(p.Factors, func(f ecosys.FactorKind) bool { return !have.Has(f) }) {
+			return p.ID
+		}
+	}
+	return ""
+}
+
+// solve returns the fewest-step plan compromising id whose options
+// draw only on providers in lower layers (ties keep the first option).
+func (s *searcher) solve(id ecosys.AccountID) ([]PlanStep, bool) {
+	if steps, ok := s.plans[id]; ok {
+		return steps, true
+	}
+	k, ok := s.layer[id]
+	if !ok {
+		return nil, false
+	}
+	if k == 1 {
+		steps := []PlanStep{{Account: id, PathID: s.fringePath(id)}}
+		s.plans[id] = steps
+		return steps, true
+	}
+	var best []PlanStep
+	for _, opt := range s.optionsByNode[id] {
+		if !s.below(opt, k) {
+			continue
+		}
+		merged := s.merge(opt.parents)
+		merged = append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents})
+		if best == nil || len(merged) < len(best) {
+			best = merged
+		}
+	}
+	s.plans[id] = best
+	return best, true
+}
+
+// merge concatenates the plans of parents, each account once. Every
+// parent must be solvable.
+func (s *searcher) merge(parents []ecosys.AccountID) []PlanStep {
+	merged := make([]PlanStep, 0, 4)
+	have := make(map[ecosys.AccountID]bool)
+	for _, parent := range parents {
+		if have[parent] {
+			continue
+		}
+		sub, _ := s.solve(parent)
+		for _, step := range sub {
+			if !have[step.Account] {
+				have[step.Account] = true
+				merged = append(merged, step)
+			}
+		}
+	}
+	return merged
+}
+
+// findPlans is the reference FindPlans over the searcher's layers: up to
+// limit distinct plans for target, the fewest-step plan first, then by
+// iteratively excluding the first-hop option of each found plan; none
+// when target has no plan within maxDepth layers.
+func (s *searcher) findPlans(target ecosys.AccountID, limit int) []*Plan {
+	steps, ok := s.solve(target)
+	if !ok || s.layer[target] > s.maxDepth {
+		return nil
+	}
+	plans := []*Plan{{Target: target, Steps: steps}}
+	seen := map[string]bool{plans[0].String(): true}
+	for attempt := 0; attempt < 8*limit && len(plans) < limit; attempt++ {
+		steps, ok := s.solveExcluding(target, attempt)
+		if !ok {
+			break
+		}
+		p := &Plan{Target: target, Steps: steps}
+		if seen[p.String()] {
+			break
+		}
+		seen[p.String()] = true
+		plans = append(plans, p)
+	}
+	return plans
+}
+
+// solveExcluding returns a plan for id through the first usable option
+// after rotating id's first skip+1 options to the back, to force plan
+// diversity. An option is usable when every provider has a plan within
+// maxDepth-1 layers that does not pass through id.
+func (s *searcher) solveExcluding(id ecosys.AccountID, skip int) ([]PlanStep, bool) {
+	opts := s.optionsByNode[id]
+	if len(opts) <= 1 {
+		return nil, false
+	}
+	rot := (skip + 1) % len(opts)
+	opts = append(opts[rot:], opts[:rot]...)
+
+	if s.g.IsFringe(id) {
+		return []PlanStep{{Account: id, PathID: s.fringePath(id)}}, true
+	}
+	for _, opt := range opts {
+		if !s.usableAvoiding(opt, id) {
+			continue
+		}
+		merged := s.merge(opt.parents)
+		return append(merged, PlanStep{Account: id, PathID: opt.pathID, Parents: opt.parents}), true
+	}
+	return nil, false
+}
+
+// usableAvoiding reports whether every provider of opt has a plan
+// within maxDepth-1 layers that never compromises avoid.
+func (s *searcher) usableAvoiding(opt option, avoid ecosys.AccountID) bool {
+	for _, p := range opt.parents {
+		l, ok := s.layer[p]
+		if !ok || l > s.maxDepth-1 {
+			return false
+		}
+		sub, _ := s.solve(p)
+		for _, step := range sub {
+			if step.Account == avoid {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ReferencePlans runs the reference FindPlans for every account of g
+// from one search bounded by maxDepth layers (0 means 5): up to limit
+// plans each, none for an account without a plan.
+func ReferencePlans(g *tdg.Graph, maxDepth, limit int) map[ecosys.AccountID][]*Plan {
+	if maxDepth <= 0 {
+		maxDepth = 5
+	}
+	s := newSearcher(g, maxDepth)
+	out := make(map[ecosys.AccountID][]*Plan, g.Len())
+	for _, id := range g.Nodes() {
+		out[id] = s.findPlans(id, limit)
+	}
+	return out
+}

@@ -89,13 +89,17 @@ type buildOptions struct {
 }
 
 // WithMaxCoupleSize bounds couple enumeration (default 2, the paper's
-// "u, w" pairs; 3 explores triples).
+// "u, w" pairs; 3 explores triples). Couples shape only the weak
+// edges, the DOT rendering and the reported edge counts: attack plans
+// and depths read the chain-reaction closure, which no couple bound
+// limits.
 func WithMaxCoupleSize(k int) Option {
 	return func(o *buildOptions) { o.maxCoupleSize = k }
 }
 
 // maxCouplesPerPath caps recorded couples per (target, path) to keep
-// dense graphs tractable.
+// dense graphs tractable; like the couple size, it shapes only the weak
+// edges.
 const maxCouplesPerPath = 64
 
 // Graph is an immutable built TDG.
@@ -107,6 +111,9 @@ type Graph struct {
 	weak    []Edge
 	couples []CoupleGroup
 	fringe  map[ecosys.AccountID]bool
+	// factors holds, in node order, the mask (bit f for factor f) of
+	// the credential factors each node's exposed information supplies.
+	factors []uint64
 }
 
 // maskableFieldLens gives the canonical value lengths used for the
@@ -250,10 +257,13 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 
 	apFactors := g.ap.Factors()
 
-	// Per-provider factor sets, computed once.
-	providerFactors := make(map[ecosys.AccountID]ecosys.FactorSet, len(nodes))
-	for id, n := range g.nodes {
-		providerFactors[id] = n.Exposes.Factors()
+	// Per-provider factor masks, computed once.
+	for _, id := range g.order {
+		var mask uint64
+		for f := range g.nodes[id].Exposes.Factors() {
+			mask |= 1 << uint(f)
+		}
+		g.factors = append(g.factors, mask)
 	}
 
 	for _, targetID := range g.order {
@@ -279,11 +289,11 @@ func Build(nodes []Node, ap ecosys.AttackerProfile, opts ...Option) (*Graph, err
 				provides []ecosys.FactorKind
 			}
 			var halves []halfParent
-			for _, fromID := range g.order {
+			for i, fromID := range g.order {
 				if fromID == targetID {
 					continue
 				}
-				provides := contribution(providerFactors[fromID], fromID, target, required)
+				provides := contribution(g.factors[i], fromID, target, required)
 				if len(provides) == 0 {
 					continue
 				}
@@ -363,25 +373,26 @@ func hasUnphishable(factors []ecosys.FactorKind) bool {
 // supply to `target`: exposure-derived factors, linked-account control
 // when the target is bound to the provider, and email codes/links when
 // the provider hosts the target's mailbox.
-func contribution(fromFactors ecosys.FactorSet, fromID ecosys.AccountID, target *Node, required []ecosys.FactorKind) []ecosys.FactorKind {
+func contribution(fromFactors uint64, fromID ecosys.AccountID, target *Node, required []ecosys.FactorKind) []ecosys.FactorKind {
 	var out []ecosys.FactorKind
 	for _, f := range required {
-		switch f {
-		case ecosys.FactorLinkedAccount:
-			if boundTo(target, fromID.Service) {
-				out = append(out, f)
-			}
-		case ecosys.FactorEmailCode, ecosys.FactorEmailLink:
-			if target.EmailProvider != "" && target.EmailProvider == fromID.Service {
-				out = append(out, f)
-			}
-		default:
-			if fromFactors.Has(f) {
-				out = append(out, f)
-			}
+		if supplies(fromFactors, fromID, target, f) {
+			out = append(out, f)
 		}
 	}
 	return out
+}
+
+// supplies reports whether `from`, whose exposures supply the factor
+// mask fromFactors, supplies factor f to target.
+func supplies(fromFactors uint64, fromID ecosys.AccountID, target *Node, f ecosys.FactorKind) bool {
+	switch f {
+	case ecosys.FactorLinkedAccount:
+		return boundTo(target, fromID.Service)
+	case ecosys.FactorEmailCode, ecosys.FactorEmailLink:
+		return target.EmailProvider != "" && target.EmailProvider == fromID.Service
+	}
+	return fromFactors>>uint(f)&1 == 1
 }
 
 func boundTo(target *Node, service string) bool {
@@ -469,12 +480,8 @@ func (g *Graph) Suppliers(target ecosys.AccountID, f ecosys.FactorKind) []ecosys
 		return nil
 	}
 	var out []ecosys.AccountID
-	for _, fromID := range g.order {
-		if fromID == target {
-			continue
-		}
-		provides := contribution(g.nodes[fromID].Exposes.Factors(), fromID, tnode, []ecosys.FactorKind{f})
-		if len(provides) > 0 {
+	for i, fromID := range g.order {
+		if fromID != target && supplies(g.factors[i], fromID, tnode, f) {
 			out = append(out, fromID)
 		}
 	}

@@ -62,8 +62,8 @@ var reachAllow = map[string]struct {
 		tests:  []string{"TestKeySpace", "TestProbeCrackStep", "TestSniffEncryptedSMS", "TestSniffWithTableBackend"},
 	},
 	"internal/countermeasure.Policies": {
-		reason: "lets the closure oracle run under every registered policy; a list kept in the test would miss a new one",
-		tests:  []string{"TestClosureMatchesReferenceOnCatalog"},
+		reason: "lets the closure and plan oracles run under every registered policy; a list kept in the test would miss a new one",
+		tests:  []string{"TestClosureMatchesReferenceOnCatalog", "TestFindPlanMatchesClosureOnCatalog"},
 	},
 	"internal/dataset.MustDefault": {
 		reason: "the calibrated catalog as a test and benchmark precondition in five packages",
@@ -93,9 +93,13 @@ var reachAllow = map[string]struct {
 		reason: "test seam: drives code expiry and the sliding rate window without sleeping",
 		tests:  []string{"TestExpiry", "TestRateLimit", "BenchmarkIssueVerify", "BenchmarkE14SMSOTPRoundTrip"},
 	},
+	"internal/tdg.Graph.Couples": {
+		reason: "the couple file as the reference backward searcher reads it, and as the tdg couple tests check it; attack plans read the closure instead",
+		tests:  []string{"TestCoupleNodes", "TestTripleCouples", "TestCoupleCapRespected", "TestPlanStepsAgainstReference", "TestFindPlanMatchesClosureOnCatalog"},
+	},
 	"internal/tdg.WithMaxCoupleSize": {
-		reason: "test seam: the property tests need triple couples, and the ablation benchmark sweeps the couple size",
-		tests:  []string{"TestTripleCouples", "TestPropertyCouplesMinimalAndSufficient", "TestPropertyClosurePlanAgreement", "BenchmarkAblationCoupleSize"},
+		reason: "test seam: the couple tests and the reference searcher's comparison graphs need triple couples, and the ablation benchmark sweeps the couple size",
+		tests:  []string{"TestTripleCouples", "TestPropertyCouplesMinimalAndSufficient", "TestPlanStepsAgainstReference", "BenchmarkAblationCoupleSize"},
 	},
 }
 
