@@ -54,7 +54,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -196,6 +195,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxShardAttempts <= 0 {
 		cfg.MaxShardAttempts = 3
+	}
+	if n := len(cfg.Population.Services()); n > maxServices {
+		return nil, fmt.Errorf("campaign: %d catalog services, at most %d", n, maxServices)
 	}
 	num := cfg.Population.NumShards()
 	if cfg.ShardLo == 0 && cfg.ShardHi == 0 {
@@ -798,8 +800,8 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 			// The shard's second attack: keep its closure inputs.
 			detail = "radio_memo"
 			closureStart = time.Now()
-			in = new(closureIn)
-			in.fill(sh, nil)
+			scr.in.fill(pop, sh, nil)
+			in = scr.in.clone()
 			if res.CompareAndSwap(nil, in) {
 				metResidentBytes.Set(float64(e.residentBytes.Add(in.bytes())))
 			}
@@ -807,7 +809,7 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 			rad = r.radioStage(sh, rig, scr)
 			closureStart = time.Now()
 			if in == nil {
-				scr.in.fill(sh, rad.intercepted)
+				scr.in.fill(pop, sh, rad.intercepted)
 				in = &scr.in
 			}
 		}
@@ -822,29 +824,13 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 	part.Sniffer.Add(rad.sniffer)
 
 	// Chain-reaction phase: evaluate the intercepted victims 64 at a
-	// time, one per lane in shard order, from the shard's closure inputs
-	// and each victim's Dossier.
-	plan, lanes, blk := r.plan, scr.lanes, &scr.blk
+	// time, one per lane in shard order, packed from the shard's
+	// closure inputs.
 	blocks, layers := 0, 0
-	for w, word := range rad.intercepted {
-		for ; word != 0; word &= word - 1 {
-			li := w<<6 | bits.TrailingZeros64(word)
-			part.Intercepted++
-			if d := pop.Dossier(start + li); d&population.DossierFound != 0 {
-				part.DossierHits++
-				lanes.Know(dossierFactors(d), 1<<blk.n)
-			}
-			blk.rows[blk.n] = int32(li)
-			if blk.n++; blk.n == 64 {
-				layers += plan.solveBlock(lanes, blk, in, part)
-				blocks++
-			}
-		}
-	}
-	if blk.n > 0 {
-		layers += plan.solveBlock(lanes, blk, in, part)
+	scr.blk.pack(in, rad.intercepted, func(words []uint64, lanes uint64) {
+		layers += scr.solveBlock(words, lanes, part)
 		blocks++
-	}
+	})
 	metClosureBlocks.Add(int64(blocks))
 	metClosureLanes.Add(part.Intercepted)
 	metClosureLayers.Add(int64(layers))

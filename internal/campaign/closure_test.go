@@ -2,9 +2,16 @@ package campaign
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/actfort/actfort/internal/ecosys"
+	"github.com/actfort/actfort/internal/population"
+	"github.com/actfort/actfort/internal/strategy"
 )
 
 // TestTranspose64 holds transpose64 to the bit-by-bit definition, bit c
@@ -41,6 +48,234 @@ func TestTranspose64(t *testing.T) {
 			t.Fatalf("transpose64(%x)\n= %x\nwant %x", m, got, want)
 		}
 	}
+}
+
+// TestCompress holds compress to the bit-by-bit definition, bit j of
+// the result being x's bit at the j-th set bit of m, on the zero and
+// all-ones masks, every single bit, the alternating masks and random
+// ones.
+func TestCompress(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	masks := []uint64{0, ^uint64(0), 0x5555555555555555, 0xAAAAAAAAAAAAAAAA}
+	for b := range 64 {
+		masks = append(masks, 1<<b)
+	}
+	for range 100 {
+		masks = append(masks, r.Uint64()&r.Uint64()|r.Uint64()&r.Uint64())
+	}
+	xs := []uint64{0, ^uint64(0)}
+	for range 20 {
+		xs = append(xs, r.Uint64())
+	}
+	for _, m := range masks {
+		c := newCompressor(m)
+		got := c.compress(make([]uint64, len(xs)), xs)
+		for k, x := range xs {
+			var want uint64
+			for b, j := 0, 0; b < 64; b++ {
+				if m>>b&1 == 1 {
+					want |= (x >> b & 1) << j
+					j++
+				}
+			}
+			if got[k] != want {
+				t.Fatalf("compress(%#x, %#x) = %#x, want %#x", x, m, got[k], want)
+			}
+		}
+	}
+}
+
+// dossierFactors maps a victim's leak dossier to the credential factors
+// it gives the attacker, field by field.
+func dossierFactors(d population.Dossier) uint64 {
+	var m uint64
+	if d&population.DossierRealName != 0 {
+		m |= strategy.FactorBit(ecosys.FactorRealName)
+	}
+	if d&population.DossierAddress != 0 {
+		m |= strategy.FactorBit(ecosys.FactorAddress)
+	}
+	if d&population.DossierCitizenID != 0 {
+		m |= strategy.FactorBit(ecosys.FactorCitizenID)
+	}
+	return m
+}
+
+// laneBlock is one lane-engine block as the closure reads it: its
+// lanes, per catalog service the lanes enrolled in it, the lanes whose
+// dossier was found, and per lane the factors its dossier gives.
+type laneBlock struct {
+	lanes    uint64
+	services []uint64
+	found    uint64
+	factors  [64]uint64
+}
+
+// gatherBlocks is the reference for packing: the intercepted victims of
+// sh, 64 per block in shard order, each block's enrollment words
+// gathered row by row and transposed tile by tile, and each victim's
+// dossier drawn.
+func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted []uint64) []laneBlock {
+	nsvc := len(pop.Services())
+	var out []laneBlock
+	var rows []int
+	flush := func() {
+		b := laneBlock{lanes: ^uint64(0) >> (64 - len(rows)), services: make([]uint64, nsvc)}
+		for w := range sh.Subscribers[0].Enrolled {
+			var t [64]uint64
+			for l, row := range rows {
+				t[l] = sh.Subscribers[row].Enrolled[w]
+			}
+			transpose64(&t)
+			copy(b.services[w*64:], t[:min(64, nsvc-w*64)])
+		}
+		for l, row := range rows {
+			d := pop.Dossier(sh.Subscribers[row].Index)
+			if d&population.DossierFound != 0 {
+				b.found |= 1 << l
+			}
+			b.factors[l] = dossierFactors(d)
+		}
+		out = append(out, b)
+		rows = rows[:0]
+	}
+	for li := range sh.Subscribers {
+		if intercepted[li>>6]>>(li&63)&1 == 1 {
+			if rows = append(rows, li); len(rows) == 64 {
+				flush()
+			}
+		}
+	}
+	if len(rows) > 0 {
+		flush()
+	}
+	return out
+}
+
+// packBlocks packs in's blocks for intercepted and reads each back as
+// a laneBlock.
+func packBlocks(pop *population.Population, in *closureIn, intercepted []uint64) []laneBlock {
+	nsvc := len(pop.Services())
+	blk := newBlock(inServices + nsvc)
+	var out []laneBlock
+	blk.pack(in, intercepted, func(words []uint64, lanes uint64) {
+		b := laneBlock{lanes: lanes, services: slices.Clone(words[inServices:]), found: words[inFound]}
+		for l := range 64 {
+			if words[inBreach]>>l&1 == 1 {
+				b.factors[l] |= breachFactors
+			}
+			if words[inCitizenID]>>l&1 == 1 {
+				b.factors[l] |= citizenIDFactors
+			}
+		}
+		out = append(out, b)
+	})
+	return out
+}
+
+// checkPack compares, block by block, the packed blocks of shard sh's
+// intercepted victims, from resident and from scratch closure inputs,
+// with the gathered ones.
+func checkPack(pop *population.Population, sh *population.Shard, intercepted []uint64) error {
+	want := gatherBlocks(pop, sh, intercepted)
+	var resident, scr closureIn
+	resident.fill(pop, sh, nil)
+	scr.fill(pop, sh, intercepted)
+	for _, in := range []struct {
+		name string
+		in   *closureIn
+	}{{"resident", &resident}, {"scratch", &scr}} {
+		got := packBlocks(pop, in.in, intercepted)
+		if len(got) != len(want) {
+			return fmt.Errorf("%s: %d blocks, gathered %d", in.name, len(got), len(want))
+		}
+		for i := range want {
+			g, w := &got[i], &want[i]
+			switch {
+			case g.lanes != w.lanes:
+				return fmt.Errorf("%s block %d: lanes %#x, gathered %#x", in.name, i, g.lanes, w.lanes)
+			case g.found != w.found:
+				return fmt.Errorf("%s block %d: found %#x, gathered %#x", in.name, i, g.found, w.found)
+			case g.factors != w.factors:
+				return fmt.Errorf("%s block %d: dossier factors %x, gathered %x", in.name, i, g.factors, w.factors)
+			case !slices.Equal(g.services, w.services):
+				return fmt.Errorf("%s block %d: service words %x, gathered %x", in.name, i, g.services, w.services)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPackMatchesGather checks that packing a shard's lane-major
+// closure inputs builds, block by block, the blocks the per-victim
+// gather built: the same lanes, service words and dossier words, on
+// shards of 1 to 4,096 subscribers (partial last groups included) and
+// on empty, full, single-lane and random interceptions.
+func TestPackMatchesGather(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 63, 64, 65, 200, 4096} {
+		// The second shard, so subscriber indices are not shard offsets.
+		pop, err := population.New(population.Config{Seed: 7, Size: 2 * n, ShardSize: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := pop.Shard(1)
+		words := (n + 63) / 64
+		set := func(li int, b []uint64) { b[li>>6] |= 1 << (li & 63) }
+		cases := map[string][]uint64{"empty": make([]uint64, words)}
+		full := make([]uint64, words)
+		for li := range n {
+			set(li, full)
+		}
+		cases["full"] = full
+		for _, li := range []int{0, n / 2, n - 1} {
+			one := make([]uint64, words)
+			set(li, one)
+			cases[fmt.Sprintf("lane %d", li)] = one
+		}
+		for _, density := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+			b := make([]uint64, words)
+			for li := range n {
+				if r.Float64() < density {
+					set(li, b)
+				}
+			}
+			cases[fmt.Sprintf("density %.1f", density)] = b
+		}
+		for name, intercepted := range cases {
+			if err := checkPack(pop, sh, intercepted); err != nil {
+				t.Errorf("%d subscribers, %s: %v", n, name, err)
+			}
+		}
+		sh.Release()
+	}
+}
+
+// FuzzPackShard checks packing against the gather on a 200-subscriber
+// shard for any interception, read from the fuzzer's bytes.
+func FuzzPackShard(f *testing.F) {
+	const n = 200
+	pop, err := population.New(population.Config{Seed: 7, Size: n, ShardSize: n})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0x55, 0xaa})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf [32]byte
+		copy(buf[:], data)
+		intercepted := make([]uint64, (n+63)/64)
+		for w := range intercepted {
+			intercepted[w] = binary.LittleEndian.Uint64(buf[w*8:])
+		}
+		intercepted[len(intercepted)-1] &= 1<<(n%64) - 1
+		sh := pop.Shard(0)
+		defer sh.Release()
+		if err := checkPack(pop, sh, intercepted); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // closureLayers pins the closure layers each built-in scenario
@@ -136,5 +371,40 @@ func TestResidentShardClosureAllocs(t *testing.T) {
 	attack() // allocates the run's one partial summary
 	if got := testing.AllocsPerRun(10, attack); got != 0 {
 		t.Fatalf("a warm resident shard's closure allocates %.1f times per shard, want 0", got)
+	}
+}
+
+// BenchmarkWarmScenario times one warm run of each built-in scenario on
+// a 100k-subscriber engine whose radio stages are memoized and whose
+// closure inputs are resident, so each iteration is the chain reaction
+// alone: the per-scenario cost of the closure and its plumbing. It also
+// reports the resident closure inputs' bytes per subscriber.
+func BenchmarkWarmScenario(b *testing.B) {
+	pop, err := population.New(population.Config{Seed: 42, Size: 100_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := New(Config{Population: pop})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range 2 { // the radio stages, then the memo hits that make the inputs resident
+		for _, sc := range BuiltinScenarios() {
+			if _, err := eng.RunScenario(context.Background(), sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, sc := range BuiltinScenarios() {
+		b.Run(sc.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := eng.RunScenario(context.Background(), sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pop.Size())*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
+			b.ReportMetric(float64(eng.residentBytes.Load())/float64(pop.Size()), "resident-B/sub")
+		})
 	}
 }

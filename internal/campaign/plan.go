@@ -31,10 +31,9 @@ type attackPlan struct {
 	// information bitmask (1 << InfoField).
 	exposeClass []int32
 	exposes     []uint32
-	// lanes pools the closure's lane blocks, reset, across the runs
-	// that share this plan, so a short run does not rebuild its
-	// workers' lane state.
-	lanes sync.Pool
+	// solvers pools the workers' chain-reaction state, reset, across
+	// the runs that share this plan, so a short run does not rebuild it.
+	solvers sync.Pool
 }
 
 // buildPlan compiles the catalog into the dense tables.
@@ -58,7 +57,14 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 		svcAccounts: make([][]int32, cat.Len()),
 		exposeClass: make([]int32, 0, len(nodes)),
 	}
-	p.lanes.New = func() any { return p.closure.NewLanes() }
+	p.solvers.New = func() any {
+		return &solver{
+			plan:    p,
+			lanes:   p.closure.NewLanes(),
+			blk:     newBlock(inServices + len(p.svcAccounts)),
+			exposed: make([]uint64, len(p.exposes)),
+		}
+	}
 	classes := make(map[uint32]int32)
 	for i := range nodes {
 		n := &nodes[i]
@@ -85,21 +91,18 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 	return p, nil
 }
 
-// scratch is one worker's reusable state: the chain-reaction lane
-// block, pooled by the plan, the closure inputs of the intercepted
-// victims of the shard it last generated, the per-shard radio session
-// buffer the gather-then-encrypt path fills before the batch encryptor
-// runs, the rig's captures read back per shard, and the pooled burst
-// buffer the encoded trace lives in. All of it is recycled shard over
-// shard (and, for the lane block and the burst buffer, scenario over
-// scenario), so a steady-state
-// shard attack allocates nothing population-proportional beyond its
-// radio-memo entry and, on a shard's second attack, its resident
-// closure inputs.
+// scratch is one worker's reusable state: the chain-reaction solver,
+// pooled by the plan, the closure inputs of the intercepted victims of
+// the shard it last generated, the per-shard radio session buffer the
+// gather-then-encrypt path fills before the batch encryptor runs, the
+// rig's captures read back per shard, and the pooled burst buffer the
+// encoded trace lives in. All of it is recycled shard over shard (and,
+// for the solver and the burst buffer, scenario over scenario), so a
+// steady-state shard attack allocates nothing population-proportional
+// beyond its radio-memo entry and, on a shard's second attack, its
+// resident closure inputs.
 type scratch struct {
-	plan     *attackPlan
-	lanes    *strategy.Lanes
-	blk      block
+	*solver
 	in       closureIn
 	radio    []telecom.SMSSession
 	captures []sniffer.Capture
@@ -114,12 +117,7 @@ type scratch struct {
 }
 
 func newScratch(p *attackPlan) *scratch {
-	return &scratch{
-		plan:   p,
-		lanes:  p.lanes.Get().(*strategy.Lanes),
-		blk:    block{exposed: make([]uint64, len(p.exposes))},
-		bursts: telecom.AcquireBurstBuffer(),
-	}
+	return &scratch{solver: p.solvers.Get().(*solver), bursts: telecom.AcquireBurstBuffer()}
 }
 
 // release returns the scratch's pooled resources; the scratch must not
@@ -127,79 +125,187 @@ func newScratch(p *attackPlan) *scratch {
 func (s *scratch) release() {
 	s.bursts.Release()
 	s.bursts = nil
-	s.plan.lanes.Put(s.lanes)
-	s.lanes = nil
+	s.plan.solvers.Put(s.solver)
+	s.solver = nil
 }
 
-// block is up to 64 intercepted victims of one shard gathered for one
-// lane-engine pass: lane l is the victim in row rows[l] of the shard's
-// closure inputs.
-type block struct {
-	rows [64]int32
-	n    int
-	// exposed is per exposure class: the lanes where one of its
-	// accounts fell.
+// solver is one worker's chain-reaction state over a plan: the lane
+// block, the packer that fills it and the exposure-class words its
+// harvest is gathered in.
+type solver struct {
+	plan  *attackPlan
+	lanes *strategy.Lanes
+	blk   block
+	// exposed is per exposure class: the lanes of the block being
+	// solved where one of its accounts fell.
 	exposed []uint64
-	// t is the transpose buffer: victims' enrollment words in,
-	// per-service lane words out; per-field lane words in, per-lane
-	// field words out.
-	t [64]uint64
 }
 
-// solveBlock runs the chain-reaction closure for the victims gathered
-// in b, whose leak-dossier factors the caller has already made known
-// in their lanes, folds the outcome into part and empties b and lanes
-// for the next block. Each victim's accounts are those of its enrolled
-// services and its attacker knows the baseline factors beside its
-// dossier's — the fixpoint strategy.PathLayers runs over the whole
-// ecosystem, restricted to each victim's footprint. It returns the
-// number of layers the closure evaluated.
-func (p *attackPlan) solveBlock(lanes *strategy.Lanes, b *block, in *closureIn, part *Summary) int {
-	lanes.Know(p.closure.Baseline(), ^uint64(0)>>(64-b.n))
-	for w := 0; w < in.words; w++ {
-		for l, row := range b.rows[:b.n] {
-			b.t[l] = in.enrolled[int(row)*in.words+w]
+// block packs a shard's intercepted victims into lane-engine blocks of
+// 64, lane l of a block being the block's l-th intercepted victim in
+// shard order.
+type block struct {
+	// cur and nxt are per closureIn entry: the lanes of the block being
+	// packed, and those of the next block that the current group spills.
+	cur, nxt []uint64
+	// packed holds a group's entry words compressed to its intercepted
+	// lanes.
+	packed []uint64
+}
+
+// newBlock returns a block for closureIn entries [0, entries).
+func newBlock(entries int) block {
+	return block{cur: make([]uint64, entries), nxt: make([]uint64, entries), packed: make([]uint64, entries)}
+}
+
+// pack walks the groups of in that hold intercepted victims and calls
+// solve once per block of 64 of them, then once for the partial last
+// block, with the block's entry words (indexed like in's entries) and
+// its lanes. Each group's entries, masked to its intercepted lanes, are
+// compressed to the low end and appended at the block's fill offset;
+// what overflows the block spills into the next one. solve must not
+// keep words.
+func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []uint64, lanes uint64)) {
+	cur, nxt := b.cur, b.nxt
+	fill := uint(0)
+	for g, m := range intercepted {
+		if m == 0 {
+			continue
 		}
-		clear(b.t[b.n:])
-		transpose64(&b.t)
-		for k, on := range b.t[:min(64, len(p.svcAccounts)-w<<6)] {
-			if on != 0 {
-				for _, a := range p.svcAccounts[w<<6|k] {
-					lanes.Enroll(a, on)
-				}
+		lo, hi := in.at[g], in.at[g+1]
+		idx, words := in.idx[lo:hi], in.lanes[lo:hi]
+		if m != ^uint64(0) { // a full group needs no compress
+			c := newCompressor(m)
+			words = c.compress(b.packed[:len(words)], words)
+		}
+		idx = idx[:len(words)]
+		for k, x := range words {
+			cur[idx[k]] |= x << fill
+			nxt[idx[k]] |= x >> (64 - fill)
+		}
+		if fill += uint(bits.OnesCount64(m)); fill >= 64 {
+			solve(cur, ^uint64(0))
+			clear(cur)
+			cur, nxt = nxt, cur
+			fill -= 64
+		}
+	}
+	if fill > 0 {
+		solve(cur, 1<<fill-1)
+		clear(cur)
+	}
+}
+
+// compressor holds, for one mask m, the six stage masks of Hacker's
+// Delight §7-4 compress.
+type compressor struct {
+	m     uint64
+	stage [6]uint64
+}
+
+// newCompressor computes m's stage masks.
+func newCompressor(m uint64) compressor {
+	c := compressor{m: m}
+	mk := ^m << 1 // count the zeros of m to each bit's right
+	for i := range c.stage {
+		mp := mk ^ mk<<1 // parallel suffix
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv := mp & m // the bits of m to move
+		c.stage[i] = mv
+		m = m ^ mv | mv>>(1<<i)
+		mk &^= mp
+	}
+	return c
+}
+
+// compress sets dst[k], for each word xs[k], to the bits of xs[k]
+// within m moved to the low end in order: bit j of dst[k] is xs[k]'s
+// bit at the j-th set bit of m. It returns dst[:len(xs)].
+func (c *compressor) compress(dst, xs []uint64) []uint64 {
+	m, s0, s1, s2, s3, s4, s5 := c.m, c.stage[0], c.stage[1], c.stage[2], c.stage[3], c.stage[4], c.stage[5]
+	dst = dst[:len(xs)]
+	for k, x := range xs {
+		// Each stage moves its bits right into places it has emptied,
+		// so clearing and setting them is one xor.
+		x &= m
+		t := x & s0
+		x ^= t ^ t>>1
+		t = x & s1
+		x ^= t ^ t>>2
+		t = x & s2
+		x ^= t ^ t>>4
+		t = x & s3
+		x ^= t ^ t>>8
+		t = x & s4
+		x ^= t ^ t>>16
+		t = x & s5
+		dst[k] = x ^ t ^ t>>32
+	}
+	return dst
+}
+
+// Known-factor masks of a victim's dossier entries.
+var (
+	breachFactors    = strategy.FactorBit(ecosys.FactorRealName) | strategy.FactorBit(ecosys.FactorAddress)
+	citizenIDFactors = strategy.FactorBit(ecosys.FactorCitizenID)
+)
+
+// solveBlock runs the chain-reaction closure for the victims in the
+// given lanes of one block, whose entry words are words, and folds the
+// outcome into part, leaving the solver's lanes empty for the next
+// block. Each victim's accounts are those of its enrolled services and
+// its attacker knows the baseline factors beside its dossier's — the
+// fixpoint strategy.PathLayers runs over the whole ecosystem,
+// restricted to each victim's footprint. It returns the number of
+// layers the closure evaluated.
+func (s *solver) solveBlock(words []uint64, mask uint64, part *Summary) int {
+	p, lanes := s.plan, s.lanes
+	part.Intercepted += int64(bits.OnesCount64(mask))
+	part.DossierHits += int64(bits.OnesCount64(words[inFound]))
+	lanes.Know(p.closure.Baseline(), mask)
+	lanes.Know(breachFactors, words[inBreach])
+	lanes.Know(citizenIDFactors, words[inCitizenID])
+	for svc, on := range words[inServices:] {
+		if on != 0 {
+			for _, a := range p.svcAccounts[svc] {
+				lanes.Enroll(a, on)
 			}
 		}
 	}
 	layers := lanes.Solve()
-	p.accumulate(lanes.Falls(), b, part)
+	s.accumulate(mask, part)
 	lanes.Reset()
-	b.n = 0
 	return layers
 }
 
-// accumulate folds the falls of block b's closure into the partial
-// summary: per-depth and per-service takeovers are popcounts of the
-// fall records; a victim's deepest chain is the deepest layer with a
-// fall in its lane; its harvested fields, gathered per exposure class
-// into one lane word per field and transposed back to one field word
-// per lane, give the harvest histogram.
-func (p *attackPlan) accumulate(falls []strategy.Fall, b *block, part *Summary) {
+// accumulate folds the falls of the block just solved, in the given
+// lanes, into the partial summary: per-depth and per-service takeovers
+// are popcounts of the fall records; a victim's deepest chain is the
+// deepest layer with a fall in its lane; its harvested fields,
+// gathered per exposure class into one lane word per field and summed
+// by a bitsliced per-lane counter, give the harvest histogram.
+func (s *solver) accumulate(mask uint64, part *Summary) {
+	p := s.plan
 	var fellAt [MaxDepth + 1]uint64
-	for _, f := range falls {
+	for _, f := range s.lanes.Falls() {
 		n := int64(bits.OnesCount64(f.Lanes))
 		d := min(int(f.Depth), MaxDepth)
 		part.AccountsByDepth[d] += n
 		part.ServiceTakeovers[p.svcIdx[f.Account]] += n
 		part.AccountsCompromised += n
 		fellAt[d] |= f.Lanes
-		b.exposed[p.exposeClass[f.Account]] |= f.Lanes
+		s.exposed[p.exposeClass[f.Account]] |= f.Lanes
 	}
-	clear(b.t[:])
-	for cls, lanes := range b.exposed {
+	var fields [32]uint64 // per InfoField: the lanes that harvested it
+	for cls, lanes := range s.exposed {
 		for x := p.exposes[cls]; x != 0 && lanes != 0; x &= x - 1 {
-			b.t[bits.TrailingZeros32(x)] |= lanes
+			fields[bits.TrailingZeros32(x)] |= lanes
 		}
-		b.exposed[cls] = 0
+		s.exposed[cls] = 0
 	}
 	var seen uint64
 	for d := MaxDepth; d > 0; d-- {
@@ -208,13 +314,27 @@ func (p *attackPlan) accumulate(falls []strategy.Fall, b *block, part *Summary) 
 		seen |= deepest
 	}
 	part.VictimsCompromised += int64(bits.OnesCount64(seen))
+	// count's bit i, per lane, is bit i of that lane's harvested-field
+	// count: each field word is added in by ripple carry.
+	var count [5]uint64
 	for f := 1; f < len(part.FieldTotals); f++ {
-		part.FieldTotals[f] += int64(bits.OnesCount64(b.t[f]))
+		x := fields[f]
+		part.FieldTotals[f] += int64(bits.OnesCount64(x))
+		for i := range count {
+			count[i], x = count[i]^x, count[i]&x
+		}
 	}
-	transpose64(&b.t)
-	for _, fields := range b.t[:b.n] {
-		part.HarvestHist[min(bits.OnesCount64(fields), len(part.HarvestHist)-1)]++
+	last := len(part.HarvestHist) - 1
+	rest := mask
+	for v := 0; v < last && rest != 0; v++ {
+		eq := rest
+		for i, c := range count {
+			eq &= c ^ (uint64(v>>i&1) - 1) // c where v has bit i, else ^c
+		}
+		part.HarvestHist[v] += int64(bits.OnesCount64(eq))
+		rest &^= eq
 	}
+	part.HarvestHist[last] += int64(bits.OnesCount64(rest))
 }
 
 // transpose64 transposes a 64×64 bit matrix in place: bit c of a[r]

@@ -6,10 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/strategy"
 )
 
 // radioMemoMax bounds how many radio environments an engine remembers;
@@ -86,57 +84,103 @@ func (m *radioMemo) shards(key radioKey, n int) *radioShards {
 	return s
 }
 
-// closureIn is a shard's closure inputs: per subscriber, in shard
-// order, its enrollment words. They are population facts — the
-// population is immutable — so the engine keeps one resident closureIn
-// per owned shard once the shard is attacked a second time, and it
-// serves every radio key with no invalidation. A worker's scratch
-// closureIn carries the same inputs for the victims of a shard it has
-// just generated. A victim's leak dossier is not stored: the closure
-// reads it from the population's draws (population.Dossier).
+// Entries of a closureIn group, and the words of a block: the lanes
+// whose leak dossier was found, the lanes whose breach row carries the
+// real name and the address (a breach row always carries both), the
+// lanes whose row carries the citizen ID, then one per catalog service
+// s, at inServices+s: the lanes enrolled in it.
+const (
+	inFound = iota
+	inBreach
+	inCitizenID
+	inServices
+)
+
+// maxServices is the largest catalog a closureIn can index.
+const maxServices = 1<<16 - inServices
+
+// closureIn is a shard's closure inputs, lane-major: per group of 64
+// subscribers in shard order (lane l of group g is the shard's
+// subscriber 64g+l), the group's entries — each an entry index and the
+// lanes it holds, zero words left out — at at[g]:at[g+1]. They are
+// population facts — the population is immutable — so the engine keeps
+// one resident closureIn per owned shard once the shard is attacked a
+// second time, and it serves every radio key with no invalidation. A
+// worker's scratch closureIn carries the same inputs for the groups of
+// a shard it has just generated that hold intercepted victims, masked
+// to them.
 type closureIn struct {
-	words     int      // enrollment words per subscriber
-	enrolled  []uint64 // words per subscriber
-	leakCount int64    // the shard's LeakCount
+	at        []int32
+	idx       []uint16
+	lanes     []uint64
+	leakCount int64 // the shard's LeakCount
 }
 
-// fill copies shard sh's closure inputs into in for every subscriber
-// whose bit is set in which, or for all of them when which is nil.
-// Rows outside which keep stale values and must not be read.
-func (in *closureIn) fill(sh *population.Shard, which []uint64) {
-	n := len(sh.Subscribers)
+// fill builds shard sh's closure inputs into in for the lanes set in
+// which, or for every subscriber when which is nil: per group, a
+// Dossier draw per lane and one transpose64 per enrollment word turn
+// subscriber-major facts into lane words. Groups with no lane in which
+// hold no entries.
+func (in *closureIn) fill(pop *population.Population, sh *population.Shard, which []uint64) {
+	subs := sh.Subscribers
 	in.leakCount = int64(sh.LeakCount)
-	in.words = len(sh.Subscribers[0].Enrolled) // a shard is never empty; every bitset has the population's width
-	in.enrolled = slices.Grow(in.enrolled[:0], n*in.words)[:n*in.words]
-	if which == nil {
-		for li := range n {
-			copy(in.enrolled[li*in.words:], sh.Subscribers[li].Enrolled)
+	in.at = append(in.at[:0], 0)
+	in.idx, in.lanes = in.idx[:0], in.lanes[:0]
+	var t [64]uint64
+	for g := 0; g < len(subs); g += 64 {
+		rows := subs[g:min(g+64, len(subs))]
+		m := ^uint64(0) >> (64 - len(rows))
+		if which != nil {
+			m = which[g>>6]
 		}
-		return
+		if m != 0 {
+			var dossier [inServices]uint64
+			for x := m; x != 0; x &= x - 1 {
+				l := bits.TrailingZeros64(x)
+				d := pop.Dossier(rows[l].Index)
+				if d&population.DossierFound != 0 {
+					dossier[inFound] |= 1 << l
+				}
+				if d&population.DossierRealName != 0 {
+					dossier[inBreach] |= 1 << l
+				}
+				if d&population.DossierCitizenID != 0 {
+					dossier[inCitizenID] |= 1 << l
+				}
+			}
+			in.add(inFound, dossier[:])
+			for w := range rows[0].Enrolled {
+				for l := range rows {
+					t[l] = rows[l].Enrolled[w]
+				}
+				clear(t[len(rows):])
+				transpose64(&t)
+				for k := range t {
+					t[k] &= m
+				}
+				in.add(inServices+w<<6, t[:])
+			}
+		}
+		in.at = append(in.at, int32(len(in.lanes)))
 	}
-	for w, word := range which {
-		for ; word != 0; word &= word - 1 {
-			li := w<<6 | bits.TrailingZeros64(word)
-			copy(in.enrolled[li*in.words:], sh.Subscribers[li].Enrolled)
+}
+
+// add appends the non-zero words of lanes as entries first, first+1, ….
+func (in *closureIn) add(first int, lanes []uint64) {
+	for k, x := range lanes {
+		if x != 0 {
+			in.idx = append(in.idx, uint16(first+k))
+			in.lanes = append(in.lanes, x)
 		}
 	}
+}
+
+// clone returns a copy of in that holds exactly its entries.
+func (in *closureIn) clone() *closureIn {
+	return &closureIn{at: slices.Clone(in.at), idx: slices.Clone(in.idx), lanes: slices.Clone(in.lanes), leakCount: in.leakCount}
 }
 
 // bytes is the memory a resident closureIn holds.
-func (in *closureIn) bytes() int64 { return int64(len(in.enrolled) * 8) }
-
-// dossierFactors maps a victim's leak dossier to the credential factors
-// it gives the attacker.
-func dossierFactors(d population.Dossier) uint64 {
-	var m uint64
-	if d&population.DossierRealName != 0 {
-		m |= strategy.FactorBit(ecosys.FactorRealName)
-	}
-	if d&population.DossierAddress != 0 {
-		m |= strategy.FactorBit(ecosys.FactorAddress)
-	}
-	if d&population.DossierCitizenID != 0 {
-		m |= strategy.FactorBit(ecosys.FactorCitizenID)
-	}
-	return m
+func (in *closureIn) bytes() int64 {
+	return int64(len(in.at)*4 + len(in.idx)*2 + len(in.lanes)*8)
 }

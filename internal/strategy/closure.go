@@ -61,16 +61,13 @@ func FactorBit(f ecosys.FactorKind) uint64 { return 1 << uint(f) }
 // reset) into need lists, with g's profile factors as the baseline.
 func CompileClosure(g *tdg.Graph) *Closure {
 	ids := g.Nodes()
-	index := make(map[ecosys.AccountID]int32, len(ids))
-	for i, id := range ids {
-		index[id] = int32(i)
-	}
 	c := &Closure{pathStart: make([]int32, 1, len(ids)+1)}
 	for _, f := range g.Profile().Factors().Sorted() {
 		c.baseline |= FactorBit(f)
 	}
 	interned := make(map[string]int32)
 	var key []byte
+	var sup []int32
 	var pathNeeds [][]int32
 	supplies := make([][]int32, len(ids))
 	byFactor := make([][]int32, 64)
@@ -93,10 +90,7 @@ func CompileClosure(g *tdg.Graph) *Closure {
 					// supply biometrics/U2F: the path never falls.
 					continue pathLoop
 				}
-				var sup []int32
-				for _, from := range g.Suppliers(id, f) {
-					sup = append(sup, index[from])
-				}
+				sup = g.AppendSuppliers(sup[:0], id, f)
 				key = appendKey(append(key[:0], byte(f)), sup)
 				n, ok := interned[string(key)]
 				if !ok {

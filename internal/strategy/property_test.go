@@ -302,12 +302,13 @@ func TestPropertyClosureMonotoneInProfile(t *testing.T) {
 // target, or nil: its last step takes the target over, no account
 // appears twice, every parent precedes its step, and every factor of
 // each step's takeover path is met by the graph's profile or by an
-// earlier step's account, as g.Suppliers answers.
+// earlier step's account, as g.AppendSuppliers answers.
 func CheckPlan(g *tdg.Graph, plan *Plan) error {
 	if n := len(plan.Steps); n == 0 || plan.Steps[n-1].Account != plan.Target {
 		return fmt.Errorf("plan %s does not end at %s", plan, plan.Target)
 	}
 	profile := g.Profile().Factors()
+	ids := g.Nodes()
 	done := make(map[ecosys.AccountID]bool, len(plan.Steps))
 	for _, s := range plan.Steps {
 		if done[s.Account] {
@@ -324,7 +325,7 @@ func CheckPlan(g *tdg.Graph, plan *Plan) error {
 			return fmt.Errorf("plan %s: %s has no takeover path %q", plan, s.Account, s.PathID)
 		}
 		for _, f := range takeoverOf(node)[i].Factors {
-			if !profile.Has(f) && !slices.ContainsFunc(g.Suppliers(s.Account, f), func(id ecosys.AccountID) bool { return done[id] }) {
+			if !profile.Has(f) && !slices.ContainsFunc(g.AppendSuppliers(nil, s.Account, f), func(i int32) bool { return done[ids[i]] }) {
 				return fmt.Errorf("plan %s: nothing before %s supplies %s", plan, s.Account, f)
 			}
 		}

@@ -201,13 +201,24 @@ func newDepthAnalysis(g *tdg.Graph) *depthAnalysis {
 				}
 				k := needKey{id, f}
 				if _, done := a.suppliers[k]; !done {
-					a.suppliers[k] = g.Suppliers(id, f)
+					a.suppliers[k] = suppliers(g, id, f)
 				}
 			}
 		}
 	}
 	a.converge()
 	return a
+}
+
+// suppliers returns, as account IDs, every node whose compromise
+// supplies factor f for target.
+func suppliers(g *tdg.Graph, target ecosys.AccountID, f ecosys.FactorKind) []ecosys.AccountID {
+	ids := g.Nodes()
+	var out []ecosys.AccountID
+	for _, i := range g.AppendSuppliers(nil, target, f) {
+		out = append(out, ids[i])
+	}
+	return out
 }
 
 // converge runs the monotone fixpoint: a path's depth is 1 + the max

@@ -200,7 +200,7 @@ func TestPropertyEdgesMonotoneInExposure(t *testing.T) {
 	}
 }
 
-// Property: Suppliers() agrees with edge construction — every strong
+// Property: AppendSuppliers agrees with edge construction — every strong
 // edge's source appears as a supplier of each factor it provides.
 func TestPropertySuppliersConsistent(t *testing.T) {
 	ap := ecosys.BaselineAttacker()
@@ -210,11 +210,12 @@ func TestPropertySuppliersConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		ids := g.Nodes()
 		for _, e := range g.StrongEdges() {
 			for _, fk := range e.Provides {
 				found := false
-				for _, s := range g.Suppliers(e.To, fk) {
-					if s == e.From {
+				for _, s := range g.AppendSuppliers(nil, e.To, fk) {
+					if ids[s] == e.From {
 						found = true
 						break
 					}

@@ -470,22 +470,21 @@ func enumerateCouples[H any](halves []H, required []ecosys.FactorKind, maxSize, 
 // Len returns the node count.
 func (g *Graph) Len() int { return len(g.order) }
 
-// Suppliers returns every node whose compromise supplies factor f for
-// target, in insertion order. It applies the same rules as edge
-// construction: exposure-derived factors, SSO bindings and email
-// hosting.
-func (g *Graph) Suppliers(target ecosys.AccountID, f ecosys.FactorKind) []ecosys.AccountID {
+// AppendSuppliers appends to dst the node-order index (into Nodes) of
+// every node whose compromise supplies factor f for target, in
+// insertion order. It applies the same rules as edge construction:
+// exposure-derived factors, SSO bindings and email hosting.
+func (g *Graph) AppendSuppliers(dst []int32, target ecosys.AccountID, f ecosys.FactorKind) []int32 {
 	tnode, ok := g.nodes[target]
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []ecosys.AccountID
 	for i, fromID := range g.order {
 		if fromID != target && supplies(g.factors[i], fromID, tnode, f) {
-			out = append(out, fromID)
+			dst = append(dst, int32(i))
 		}
 	}
-	return out
+	return dst
 }
 
 // HasStrongFor reports whether some single full-capacity parent covers
