@@ -30,14 +30,18 @@
 //     memoized per (radio environment, budget, segment): policy and
 //     platform never reach it, so a fortification scenario after its
 //     baseline runs only the chain reaction;
-//   - a shard attacked a second time keeps its closure inputs resident
-//     (enrollment words, 32 B per subscriber), so from then on a memo
-//     hit skips shard generation too;
+//   - a shard attacked a second time keeps its closure inputs resident,
+//     lane-major (per 64 subscribers, a lane word per catalog service
+//     and per dossier field, zero words left out; about 20 B per
+//     subscriber), so from then on a memo hit skips shard generation
+//     and the dossier draws too;
 //   - chain reactions are evaluated 64 intercepted victims at a time,
-//     one victim per bit lane, against a precompiled Transformation
-//     Dependency Graph plan (need lists, one layer per depth, no
-//     per-victim graph builds); each scenario compiles its own plan
-//     from its policy-fortified catalog, cached by (policy, platform);
+//     one victim per bit lane, packed into blocks by compressing each
+//     group's lane words to its intercepted lanes, against a
+//     precompiled Transformation Dependency Graph plan (need lists,
+//     one layer per depth, no per-victim graph builds); each scenario
+//     compiles its own plan from its policy-fortified catalog, cached
+//     by (policy, platform);
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //

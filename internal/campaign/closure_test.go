@@ -51,9 +51,9 @@ func TestTranspose64(t *testing.T) {
 }
 
 // TestCompress holds compress to the bit-by-bit definition, bit j of
-// the result being x's bit at the j-th set bit of m, on the zero and
-// all-ones masks, every single bit, the alternating masks and random
-// ones.
+// the result being x's bit at the j-th set bit of m, and to keeping
+// exactly the non-zero results in order, on the zero and all-ones
+// masks, every single bit, the alternating masks and random ones.
 func TestCompress(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	masks := []uint64{0, ^uint64(0), 0x5555555555555555, 0xAAAAAAAAAAAAAAAA}
@@ -67,20 +67,29 @@ func TestCompress(t *testing.T) {
 	for range 20 {
 		xs = append(xs, r.Uint64())
 	}
+	idx := make([]uint16, len(xs))
+	for k := range idx {
+		idx[k] = uint16(k)
+	}
 	for _, m := range masks {
 		c := newCompressor(m)
-		got := c.compress(make([]uint64, len(xs)), xs)
+		gotIdx, got := c.compress(make([]uint16, len(xs)), make([]uint64, len(xs)), idx, xs)
+		var wantIdx []uint16
+		var want []uint64
 		for k, x := range xs {
-			var want uint64
+			var w uint64
 			for b, j := 0, 0; b < 64; b++ {
 				if m>>b&1 == 1 {
-					want |= (x >> b & 1) << j
+					w |= (x >> b & 1) << j
 					j++
 				}
 			}
-			if got[k] != want {
-				t.Fatalf("compress(%#x, %#x) = %#x, want %#x", x, m, got[k], want)
+			if w != 0 {
+				wantIdx, want = append(wantIdx, uint16(k)), append(want, w)
 			}
+		}
+		if !slices.Equal(gotIdx, wantIdx) || !slices.Equal(got, want) {
+			t.Fatalf("compress(%#x, mask %#x) = %#x at %d, want %#x at %d", xs, m, got, gotIdx, want, wantIdx)
 		}
 	}
 }

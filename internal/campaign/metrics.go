@@ -48,7 +48,7 @@ var (
 	metPopBytesPerSub = obs.Default.NewGauge("campaign_population_bytes_per_subscriber",
 		"Resident bytes per subscriber of the last generated shard (subscriber structs + enrollment arena).")
 	metResidentBytes = obs.Default.NewGauge("campaign_resident_bytes",
-		"Bytes of closure inputs (enrollment words, 32 B per subscriber) the last filling engine keeps resident for shards attacked more than once.")
+		"Bytes of closure inputs (lane-major service and dossier words, at most 25.6 B per subscriber) the last filling engine keeps resident for shards attacked more than once.")
 
 	// Chain-reaction work: each worker counts a shard's blocks, lanes
 	// and layers locally and adds them once per shard.

@@ -148,14 +148,18 @@ type block struct {
 	// cur and nxt are per closureIn entry: the lanes of the block being
 	// packed, and those of the next block that the current group spills.
 	cur, nxt []uint64
-	// packed holds a group's entry words compressed to its intercepted
-	// lanes.
-	packed []uint64
+	// idx and words hold a sparse group's non-zero entries compressed
+	// to its intercepted lanes.
+	idx   []uint16
+	words []uint64
 }
 
 // newBlock returns a block for closureIn entries [0, entries).
 func newBlock(entries int) block {
-	return block{cur: make([]uint64, entries), nxt: make([]uint64, entries), packed: make([]uint64, entries)}
+	return block{
+		cur: make([]uint64, entries), nxt: make([]uint64, entries),
+		idx: make([]uint16, entries), words: make([]uint64, entries),
+	}
 }
 
 // pack walks the groups of in that hold intercepted victims and calls
@@ -176,14 +180,19 @@ func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []uin
 		idx, words := in.idx[lo:hi], in.lanes[lo:hi]
 		if m != ^uint64(0) { // a full group needs no compress
 			c := newCompressor(m)
-			words = c.compress(b.packed[:len(words)], words)
+			idx, words = c.compress(b.idx, b.words, idx, words)
 		}
 		idx = idx[:len(words)]
 		for k, x := range words {
 			cur[idx[k]] |= x << fill
-			nxt[idx[k]] |= x >> (64 - fill)
 		}
-		if fill += uint(bits.OnesCount64(m)); fill >= 64 {
+		n := uint(bits.OnesCount64(m))
+		if fill+n > 64 {
+			for k, x := range words {
+				nxt[idx[k]] |= x >> (64 - fill)
+			}
+		}
+		if fill += n; fill >= 64 {
 			solve(cur, ^uint64(0))
 			clear(cur)
 			cur, nxt = nxt, cur
@@ -222,12 +231,15 @@ func newCompressor(m uint64) compressor {
 	return c
 }
 
-// compress sets dst[k], for each word xs[k], to the bits of xs[k]
-// within m moved to the low end in order: bit j of dst[k] is xs[k]'s
-// bit at the j-th set bit of m. It returns dst[:len(xs)].
-func (c *compressor) compress(dst, xs []uint64) []uint64 {
+// compress compresses each word xs[k], entry idx[k]: its bits within m
+// move to the low end in order, bit j of the result being xs[k]'s bit
+// at the j-th set bit of m. It stores the non-zero results, with their
+// entries, at the front of dstIdx and dst, which must be as long as xs,
+// and returns them.
+func (c *compressor) compress(dstIdx []uint16, dst []uint64, idx []uint16, xs []uint64) ([]uint16, []uint64) {
 	m, s0, s1, s2, s3, s4, s5 := c.m, c.stage[0], c.stage[1], c.stage[2], c.stage[3], c.stage[4], c.stage[5]
-	dst = dst[:len(xs)]
+	dstIdx, dst, idx = dstIdx[:len(xs)], dst[:len(xs)], idx[:len(xs)]
+	n := 0
 	for k, x := range xs {
 		// Each stage moves its bits right into places it has emptied,
 		// so clearing and setting them is one xor.
@@ -243,9 +255,13 @@ func (c *compressor) compress(dst, xs []uint64) []uint64 {
 		t = x & s4
 		x ^= t ^ t>>16
 		t = x & s5
-		dst[k] = x ^ t ^ t>>32
+		x ^= t ^ t>>32
+		// Branch-free: about half a sparse group's words miss its
+		// lanes, and overwriting costs less than mispredicting them.
+		dstIdx[n], dst[n] = idx[k], x
+		n += int((x | -x) >> 63)
 	}
-	return dst
+	return dstIdx[:n], dst[:n]
 }
 
 // Known-factor masks of a victim's dossier entries.
