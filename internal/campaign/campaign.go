@@ -35,18 +35,19 @@
 //     and per dossier field, zero words left out; about 20 B per
 //     subscriber), so from then on a memo hit skips shard generation
 //     and the dossier draws too;
-//   - chain reactions are evaluated 64 intercepted victims at a time,
-//     one victim per bit lane, packed into blocks by compressing each
-//     group's lane words to its intercepted lanes, against a
-//     precompiled Transformation Dependency Graph plan (need lists,
-//     one layer per depth, no per-victim graph builds); each scenario
-//     compiles its own plan from its policy-fortified catalog, cached
-//     by (policy, platform);
+//   - chain reactions are evaluated 256 intercepted victims at a time,
+//     one victim per bit lane of a four-word strategy.Word, packed into
+//     blocks by compressing each 64-subscriber group's lane words to its
+//     intercepted lanes and appending them at the block's fill offset,
+//     against a precompiled Transformation Dependency Graph plan (need
+//     lists and path classes, one layer per depth, no per-victim graph
+//     builds); each scenario compiles its own plan from its
+//     policy-fortified catalog, cached by (policy, platform);
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //
 // Each layer has one production path: 64-lane batch radio synthesis,
-// the 64-lane batched TMTO chain replay, the 64-lane chain-reaction
+// the 64-lane batched TMTO chain replay, the 256-lane chain-reaction
 // closure and lazily derived subscriber attributes. Their naive twins —
 // per-session encoding, per-session chain replay, the one-victim scalar
 // closure, eagerly materialized personas — live on as test-only
@@ -71,6 +72,7 @@ import (
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/sniffer"
+	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/telecom"
 )
 
@@ -827,11 +829,11 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 	part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
 	part.Sniffer.Add(rad.sniffer)
 
-	// Chain-reaction phase: evaluate the intercepted victims 64 at a
+	// Chain-reaction phase: evaluate the intercepted victims 256 at a
 	// time, one per lane in shard order, packed from the shard's
 	// closure inputs.
 	blocks, layers := 0, 0
-	scr.blk.pack(in, rad.intercepted, func(words []uint64, lanes uint64) {
+	scr.blk.pack(in, rad.intercepted, func(words []strategy.Word, lanes *strategy.Word) {
 		layers += scr.solveBlock(words, lanes, part)
 		blocks++
 	})

@@ -114,34 +114,41 @@ func dossierFactors(d population.Dossier) uint64 {
 // lanes, per catalog service the lanes enrolled in it, the lanes whose
 // dossier was found, and per lane the factors its dossier gives.
 type laneBlock struct {
-	lanes    uint64
-	services []uint64
-	found    uint64
-	factors  [64]uint64
+	lanes    strategy.Word
+	services []strategy.Word
+	found    strategy.Word
+	factors  [strategy.BlockLanes]uint64
 }
 
 // gatherBlocks is the reference for packing: the intercepted victims of
-// sh, 64 per block in shard order, each block's enrollment words
-// gathered row by row and transposed tile by tile, and each victim's
-// dossier drawn.
+// sh, strategy.BlockLanes per block in shard order, each block's
+// enrollment words gathered row by row and transposed tile by tile of
+// 64 rows, and each victim's dossier drawn.
 func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted []uint64) []laneBlock {
 	nsvc := len(pop.Services())
 	var out []laneBlock
 	var rows []int
 	flush := func() {
-		b := laneBlock{lanes: ^uint64(0) >> (64 - len(rows)), services: make([]uint64, nsvc)}
+		b := laneBlock{services: make([]strategy.Word, nsvc)}
+		for l := range rows {
+			b.lanes[l>>6] |= 1 << (l & 63)
+		}
 		for w := range sh.Subscribers[0].Enrolled {
-			var t [64]uint64
-			for l, row := range rows {
-				t[l] = sh.Subscribers[row].Enrolled[w]
+			for k := 0; 64*k < len(rows); k++ {
+				var t [64]uint64
+				for l, row := range rows[64*k : min(64*k+64, len(rows))] {
+					t[l] = sh.Subscribers[row].Enrolled[w]
+				}
+				transpose64(&t)
+				for j, x := range t[:min(64, nsvc-w*64)] {
+					b.services[w*64+j][k] = x
+				}
 			}
-			transpose64(&t)
-			copy(b.services[w*64:], t[:min(64, nsvc-w*64)])
 		}
 		for l, row := range rows {
 			d := pop.Dossier(sh.Subscribers[row].Index)
 			if d&population.DossierFound != 0 {
-				b.found |= 1 << l
+				b.found[l>>6] |= 1 << (l & 63)
 			}
 			b.factors[l] = dossierFactors(d)
 		}
@@ -150,7 +157,7 @@ func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted 
 	}
 	for li := range sh.Subscribers {
 		if intercepted[li>>6]>>(li&63)&1 == 1 {
-			if rows = append(rows, li); len(rows) == 64 {
+			if rows = append(rows, li); len(rows) == strategy.BlockLanes {
 				flush()
 			}
 		}
@@ -167,13 +174,13 @@ func packBlocks(pop *population.Population, in *closureIn, intercepted []uint64)
 	nsvc := len(pop.Services())
 	blk := newBlock(inServices + nsvc)
 	var out []laneBlock
-	blk.pack(in, intercepted, func(words []uint64, lanes uint64) {
-		b := laneBlock{lanes: lanes, services: slices.Clone(words[inServices:]), found: words[inFound]}
-		for l := range 64 {
-			if words[inBreach]>>l&1 == 1 {
+	blk.pack(in, intercepted, func(words []strategy.Word, lanes *strategy.Word) {
+		b := laneBlock{lanes: *lanes, services: slices.Clone(words[inServices:]), found: words[inFound]}
+		for l := range strategy.BlockLanes {
+			if words[inBreach][l>>6]>>(l&63)&1 == 1 {
 				b.factors[l] |= breachFactors
 			}
-			if words[inCitizenID]>>l&1 == 1 {
+			if words[inCitizenID][l>>6]>>(l&63)&1 == 1 {
 				b.factors[l] |= citizenIDFactors
 			}
 		}
@@ -219,10 +226,13 @@ func checkPack(pop *population.Population, sh *population.Shard, intercepted []u
 // closure inputs builds, block by block, the blocks the per-victim
 // gather built: the same lanes, service words and dossier words, on
 // shards of 1 to 4,096 subscribers (partial last groups included) and
-// on empty, full, single-lane and random interceptions.
+// on empty, full, single-lane and random interceptions. The offset
+// cases intercept 1, 10 or 63 victims of the first group and every
+// victim after it, so each later group straddles a word boundary
+// inside its block or the boundary between two blocks.
 func TestPackMatchesGather(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 63, 64, 65, 200, 4096} {
+	for _, n := range []int{1, 63, 64, 65, 200, 255, 256, 257, 600, 4096} {
 		// The second shard, so subscriber indices are not shard offsets.
 		pop, err := population.New(population.Config{Seed: 7, Size: 2 * n, ShardSize: n})
 		if err != nil {
@@ -237,6 +247,17 @@ func TestPackMatchesGather(t *testing.T) {
 			set(li, full)
 		}
 		cases["full"] = full
+		for _, k := range []int{1, 10, 63} {
+			if k < n {
+				b := make([]uint64, words)
+				for li := range n {
+					if li < k || li >= 64 {
+						set(li, b)
+					}
+				}
+				cases[fmt.Sprintf("offset %d", k)] = b
+			}
+		}
 		for _, li := range []int{0, n / 2, n - 1} {
 			one := make([]uint64, words)
 			set(li, one)
@@ -260,10 +281,11 @@ func TestPackMatchesGather(t *testing.T) {
 	}
 }
 
-// FuzzPackShard checks packing against the gather on a 200-subscriber
-// shard for any interception, read from the fuzzer's bytes.
+// FuzzPackShard checks packing against the gather on a 600-subscriber
+// shard, which spans three blocks, for any interception, read from the
+// fuzzer's bytes.
 func FuzzPackShard(f *testing.F) {
-	const n = 200
+	const n = 600
 	pop, err := population.New(population.Config{Seed: 7, Size: n, ShardSize: n})
 	if err != nil {
 		f.Fatal(err)
@@ -272,7 +294,7 @@ func FuzzPackShard(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0x55, 0xaa})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var buf [32]byte
+		var buf [(n + 63) / 64 * 8]byte
 		copy(buf[:], data)
 		intercepted := make([]uint64, (n+63)/64)
 		for w := range intercepted {
@@ -293,17 +315,17 @@ func FuzzPackShard(f *testing.F) {
 // TestGoldenSummaries still passes; one that changes the work on
 // purpose re-pins it and states the delta.
 var closureLayers = map[string]int64{
-	"baseline":       471,
-	"fortified":      157,
-	"a53-mix":        198,
-	"harden-email":   471,
-	"budget-4of16":   138,
-	"fintech-leaked": 164,
+	"baseline":       120,
+	"fortified":      40,
+	"a53-mix":        60,
+	"harden-email":   120,
+	"budget-4of16":   48,
+	"fintech-leaked": 60,
 }
 
 // TestClosureCounters checks the closure work counters on the golden
 // engine for every built-in scenario: one lane per intercepted victim,
-// one block per started group of 64 intercepted victims of a shard,
+// one block per started group of 256 intercepted victims of a shard,
 // read back from the radio memo's per-shard interception bits, and the
 // pinned layers.
 func TestClosureCounters(t *testing.T) {
@@ -327,13 +349,13 @@ func TestClosureCounters(t *testing.T) {
 			for _, w := range memo.entries[i].Load().intercepted {
 				n += bits.OnesCount64(w)
 			}
-			wantBlocks += int64((n + 63) / 64)
+			wantBlocks += int64((n + strategy.BlockLanes - 1) / strategy.BlockLanes)
 		}
 		if lanes != sum.Intercepted {
 			t.Errorf("%s: campaign_closure_lanes_total +%d, Summary.Intercepted %d", sc.Name, lanes, sum.Intercepted)
 		}
 		if blocks != wantBlocks {
-			t.Errorf("%s: campaign_closure_blocks_total +%d, want %d (⌈intercepted/64⌉ per shard)", sc.Name, blocks, wantBlocks)
+			t.Errorf("%s: campaign_closure_blocks_total +%d, want %d (⌈intercepted/256⌉ per shard)", sc.Name, blocks, wantBlocks)
 		}
 		if want, ok := closureLayers[sc.Name]; !ok || layers != want {
 			t.Errorf("%s: campaign_closure_layers_total +%d, pinned %d", sc.Name, layers, want)
@@ -344,7 +366,7 @@ func TestClosureCounters(t *testing.T) {
 // TestResidentShardClosureAllocs pins the lane engine's zero
 // allocation per block: once a shard's closure inputs are resident and
 // the worker's scratch has warmed, attacking the shard again — every
-// intercepted victim's chain reaction, 64 lanes at a time — allocates
+// intercepted victim's chain reaction, 256 lanes at a time — allocates
 // nothing, its partial summary recycled as the aggregator does.
 func TestResidentShardClosureAllocs(t *testing.T) {
 	eng, err := New(Config{Population: testPop(t, 4096, 1024), Workers: 1, KeyBits: 10})
@@ -371,7 +393,7 @@ func TestResidentShardClosureAllocs(t *testing.T) {
 		if detail != "resident" {
 			t.Fatalf("shard attack detail %q, want resident", detail)
 		}
-		if part.Intercepted < 64 {
+		if part.Intercepted < strategy.BlockLanes {
 			t.Fatalf("%d intercepted victims: the shard never fills a block", part.Intercepted)
 		}
 		part.reset()

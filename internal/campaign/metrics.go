@@ -53,7 +53,7 @@ var (
 	// Chain-reaction work: each worker counts a shard's blocks, lanes
 	// and layers locally and adds them once per shard.
 	metClosureBlocks = obs.Default.NewCounter("campaign_closure_blocks_total",
-		"Lane-engine closure passes run: blocks of up to 64 intercepted victims of one shard.")
+		"Lane-engine closure passes run: blocks of up to 256 intercepted victims of one shard.")
 	metClosureLanes = obs.Default.NewCounter("campaign_closure_lanes_total",
 		"Intercepted victims evaluated by the chain-reaction closure, one lane each.")
 	metClosureLayers = obs.Default.NewCounter("campaign_closure_layers_total",

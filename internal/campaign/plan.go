@@ -16,7 +16,7 @@ import (
 // attackPlan is the campaign's precompiled view of the ecosystem: the
 // Transformation Dependency Graph compiled into strategy's
 // chain-reaction closure, plus the campaign's own per-account tables,
-// so a block of 64 victims costs a few sweeps over need words instead
+// so a block of 256 victims costs a few sweeps over need words instead
 // of a graph build each. It is computed once per campaign and shared
 // read-only by every worker.
 type attackPlan struct {
@@ -62,7 +62,7 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 			plan:    p,
 			lanes:   p.closure.NewLanes(),
 			blk:     newBlock(inServices + len(p.svcAccounts)),
-			exposed: make([]uint64, len(p.exposes)),
+			exposed: make([]strategy.Word, len(p.exposes)),
 		}
 	}
 	classes := make(map[uint32]int32)
@@ -138,38 +138,43 @@ type solver struct {
 	blk   block
 	// exposed is per exposure class: the lanes of the block being
 	// solved where one of its accounts fell.
-	exposed []uint64
+	exposed []strategy.Word
 }
 
 // block packs a shard's intercepted victims into lane-engine blocks of
-// 64, lane l of a block being the block's l-th intercepted victim in
-// shard order.
+// strategy.BlockLanes, lane l of a block being the block's l-th
+// intercepted victim in shard order.
 type block struct {
 	// cur and nxt are per closureIn entry: the lanes of the block being
 	// packed, and those of the next block that the current group spills.
-	cur, nxt []uint64
+	cur, nxt []strategy.Word
 	// idx and words hold a sparse group's non-zero entries compressed
 	// to its intercepted lanes.
 	idx   []uint16
 	words []uint64
+	// lanes is the lane mask of the block handed to solve, held here
+	// because a local's address passed to solve would escape.
+	lanes strategy.Word
 }
 
 // newBlock returns a block for closureIn entries [0, entries).
 func newBlock(entries int) block {
 	return block{
-		cur: make([]uint64, entries), nxt: make([]uint64, entries),
+		cur: make([]strategy.Word, entries), nxt: make([]strategy.Word, entries),
 		idx: make([]uint16, entries), words: make([]uint64, entries),
 	}
 }
 
 // pack walks the groups of in that hold intercepted victims and calls
-// solve once per block of 64 of them, then once for the partial last
-// block, with the block's entry words (indexed like in's entries) and
-// its lanes. Each group's entries, masked to its intercepted lanes, are
-// compressed to the low end and appended at the block's fill offset;
-// what overflows the block spills into the next one. solve must not
-// keep words.
-func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []uint64, lanes uint64)) {
+// solve once per block of strategy.BlockLanes of them, then once for
+// the partial last block, with the block's entry words (indexed like
+// in's entries) and its lanes. Each group's entries, masked to its
+// intercepted lanes, are compressed to the low end and appended at the
+// block's fill offset, into word fill>>6 at shift fill&63; what
+// overflows that word spills into the next one, or past the block's
+// last word into the next block's first. solve must not keep words.
+func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []strategy.Word, lanes *strategy.Word)) {
+	const last = strategy.BlockLanes/64 - 1
 	cur, nxt := b.cur, b.nxt
 	fill := uint(0)
 	for g, m := range intercepted {
@@ -183,24 +188,36 @@ func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []uin
 			idx, words = c.compress(b.idx, b.words, idx, words)
 		}
 		idx = idx[:len(words)]
-		for k, x := range words {
-			cur[idx[k]] |= x << fill
+		k, shift := fill>>6&last, fill&63
+		for j, x := range words {
+			cur[idx[j]][k] |= x << shift
 		}
 		n := uint(bits.OnesCount64(m))
-		if fill+n > 64 {
-			for k, x := range words {
-				nxt[idx[k]] |= x >> (64 - fill)
+		if shift+n > 64 {
+			spill, sk := cur, k+1
+			if k == last {
+				spill, sk = nxt, 0
+			}
+			for j, x := range words {
+				spill[idx[j]][sk&last] |= x >> (64 - shift)
 			}
 		}
-		if fill += n; fill >= 64 {
-			solve(cur, ^uint64(0))
+		if fill += n; fill >= strategy.BlockLanes {
+			b.lanes = strategy.Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+			solve(cur, &b.lanes)
 			clear(cur)
 			cur, nxt = nxt, cur
-			fill -= 64
+			fill -= strategy.BlockLanes
 		}
 	}
 	if fill > 0 {
-		solve(cur, 1<<fill-1)
+		b.lanes = strategy.Word{}
+		for k := range b.lanes {
+			if lo := 64 * uint(k); fill > lo {
+				b.lanes[k] = ^uint64(0) >> (64 - min(fill-lo, 64))
+			}
+		}
+		solve(cur, &b.lanes)
 		clear(cur)
 	}
 }
@@ -278,15 +295,16 @@ var (
 // fixpoint strategy.PathLayers runs over the whole ecosystem,
 // restricted to each victim's footprint. It returns the number of
 // layers the closure evaluated.
-func (s *solver) solveBlock(words []uint64, mask uint64, part *Summary) int {
+func (s *solver) solveBlock(words []strategy.Word, mask *strategy.Word, part *Summary) int {
 	p, lanes := s.plan, s.lanes
-	part.Intercepted += int64(bits.OnesCount64(mask))
-	part.DossierHits += int64(bits.OnesCount64(words[inFound]))
+	part.Intercepted += int64(mask.Count())
+	part.DossierHits += int64(words[inFound].Count())
 	lanes.Know(p.closure.Baseline(), mask)
-	lanes.Know(breachFactors, words[inBreach])
-	lanes.Know(citizenIDFactors, words[inCitizenID])
-	for svc, on := range words[inServices:] {
-		if on != 0 {
+	lanes.Know(breachFactors, &words[inBreach])
+	lanes.Know(citizenIDFactors, &words[inCitizenID])
+	services := words[inServices:]
+	for svc := range services {
+		if on := &services[svc]; on[0]|on[1]|on[2]|on[3] != 0 {
 			for _, a := range p.svcAccounts[svc] {
 				lanes.Enroll(a, on)
 			}
@@ -303,54 +321,63 @@ func (s *solver) solveBlock(words []uint64, mask uint64, part *Summary) int {
 // are popcounts of the fall records; a victim's deepest chain is the
 // deepest layer with a fall in its lane; its harvested fields,
 // gathered per exposure class into one lane word per field and summed
-// by a bitsliced per-lane counter, give the harvest histogram.
-func (s *solver) accumulate(mask uint64, part *Summary) {
+// word by word by a bitsliced per-lane counter, give the harvest
+// histogram.
+func (s *solver) accumulate(mask *strategy.Word, part *Summary) {
 	p := s.plan
-	var fellAt [MaxDepth + 1]uint64
-	for _, f := range s.lanes.Falls() {
-		n := int64(bits.OnesCount64(f.Lanes))
+	var fellAt [MaxDepth + 1]strategy.Word
+	falls := s.lanes.Falls()
+	for i := range falls {
+		f := &falls[i]
+		n := int64(f.Lanes.Count())
 		d := min(int(f.Depth), MaxDepth)
 		part.AccountsByDepth[d] += n
 		part.ServiceTakeovers[p.svcIdx[f.Account]] += n
 		part.AccountsCompromised += n
-		fellAt[d] |= f.Lanes
-		s.exposed[p.exposeClass[f.Account]] |= f.Lanes
+		fellAt[d].Or(&f.Lanes)
+		s.exposed[p.exposeClass[f.Account]].Or(&f.Lanes)
 	}
-	var fields [32]uint64 // per InfoField: the lanes that harvested it
-	for cls, lanes := range s.exposed {
-		for x := p.exposes[cls]; x != 0 && lanes != 0; x &= x - 1 {
-			fields[bits.TrailingZeros32(x)] |= lanes
+	var fields [32]strategy.Word // per InfoField: the lanes that harvested it
+	for cls := range s.exposed {
+		lanes := &s.exposed[cls]
+		if *lanes == (strategy.Word{}) {
+			continue
 		}
-		s.exposed[cls] = 0
-	}
-	var seen uint64
-	for d := MaxDepth; d > 0; d-- {
-		deepest := fellAt[d] &^ seen
-		part.VictimsByMaxDepth[d] += int64(bits.OnesCount64(deepest))
-		seen |= deepest
-	}
-	part.VictimsCompromised += int64(bits.OnesCount64(seen))
-	// count's bit i, per lane, is bit i of that lane's harvested-field
-	// count: each field word is added in by ripple carry.
-	var count [5]uint64
-	for f := 1; f < len(part.FieldTotals); f++ {
-		x := fields[f]
-		part.FieldTotals[f] += int64(bits.OnesCount64(x))
-		for i := range count {
-			count[i], x = count[i]^x, count[i]&x
+		for x := p.exposes[cls]; x != 0; x &= x - 1 {
+			fields[bits.TrailingZeros32(x)].Or(lanes)
 		}
+		*lanes = strategy.Word{}
 	}
 	last := len(part.HarvestHist) - 1
-	rest := mask
-	for v := 0; v < last && rest != 0; v++ {
-		eq := rest
-		for i, c := range count {
-			eq &= c ^ (uint64(v>>i&1) - 1) // c where v has bit i, else ^c
+	for k, rest := range mask {
+		var seen uint64
+		for d := MaxDepth; d > 0; d-- {
+			deepest := fellAt[d][k] &^ seen
+			part.VictimsByMaxDepth[d] += int64(bits.OnesCount64(deepest))
+			seen |= deepest
 		}
-		part.HarvestHist[v] += int64(bits.OnesCount64(eq))
-		rest &^= eq
+		part.VictimsCompromised += int64(bits.OnesCount64(seen))
+		// count's bit i, per lane, is bit i of that lane's
+		// harvested-field count: each field word is added in by ripple
+		// carry.
+		var count [5]uint64
+		for f := 1; f < len(part.FieldTotals); f++ {
+			x := fields[f][k]
+			part.FieldTotals[f] += int64(bits.OnesCount64(x))
+			for i := range count {
+				count[i], x = count[i]^x, count[i]&x
+			}
+		}
+		for v := 0; v < last && rest != 0; v++ {
+			eq := rest
+			for i, c := range count {
+				eq &= c ^ (uint64(v>>i&1) - 1) // c where v has bit i, else ^c
+			}
+			part.HarvestHist[v] += int64(bits.OnesCount64(eq))
+			rest &^= eq
+		}
+		part.HarvestHist[last] += int64(bits.OnesCount64(rest))
 	}
-	part.HarvestHist[last] += int64(bits.OnesCount64(rest))
 }
 
 // transpose64 transposes a 64×64 bit matrix in place: bit c of a[r]

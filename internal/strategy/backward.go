@@ -162,13 +162,14 @@ func newWitness(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*witness, 
 		plans:     make([][]int32, len(ids)),
 		steps:     make([]PlanStep, len(ids)),
 	}
+	one := &Word{1} // a block of one, in lane 0
 	for s := range ids {
-		w.l.Enroll(int32(s), 1)
+		w.l.Enroll(int32(s), one)
 		for _, n := range c.supplies.of(int(c.supplyClass[s])) {
 			w.suppliers[n] = append(w.suppliers[n], int32(s))
 		}
 	}
-	w.l.Know(c.baseline, 1)
+	w.l.Know(c.baseline, one)
 	w.l.Solve()
 	for _, f := range w.l.Falls() {
 		w.depth[f.Account] = f.Depth

@@ -100,6 +100,13 @@ func oracleCase(t *testing.T, nodes []tdg.Node, c *Closure, k laneCase) int {
 	return deepest
 }
 
+// lane returns the lane word of lane i alone.
+func lane(i int) *Word {
+	var w Word
+	w[i>>6] = 1 << (i & 63)
+	return &w
+}
+
 // checkLanes runs cases as the lanes of one block on l — lane i is
 // cases[i] — and holds every lane's account depths and path depths
 // equal to the scalar reference run on that case alone. No account may
@@ -110,10 +117,10 @@ func checkLanes(t *testing.T, c *Closure, l *Lanes, cases []laneCase) {
 	for i, k := range cases {
 		for a, on := range k.enrolled {
 			if on {
-				l.Enroll(int32(a), 1<<i)
+				l.Enroll(int32(a), lane(i))
 			}
 		}
-		l.Know(k.know(c), 1<<i)
+		l.Know(k.know(c), lane(i))
 	}
 	l.Solve()
 	depth := make([][]int32, len(cases))
@@ -121,15 +128,17 @@ func checkLanes(t *testing.T, c *Closure, l *Lanes, cases []laneCase) {
 		depth[i] = make([]int32, len(k.enrolled))
 	}
 	for _, f := range l.Falls() {
-		if f.Lanes>>len(cases) != 0 {
-			t.Fatalf("account %d fell in lanes %#x of a %d-lane block", f.Account, f.Lanes, len(cases))
-		}
-		for m := f.Lanes; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if depth[i][f.Account] != 0 {
-				t.Fatalf("lane %d: account %d fell at depths %d and %d", i, f.Account, depth[i][f.Account], f.Depth)
+		for w, m := range f.Lanes {
+			for ; m != 0; m &= m - 1 {
+				i := 64*w + bits.TrailingZeros64(m)
+				if i >= len(cases) {
+					t.Fatalf("account %d fell in lanes %#x of a %d-lane block", f.Account, f.Lanes, len(cases))
+				}
+				if depth[i][f.Account] != 0 {
+					t.Fatalf("lane %d: account %d fell at depths %d and %d", i, f.Account, depth[i][f.Account], f.Depth)
+				}
+				depth[i][f.Account] = f.Depth
 			}
-			depth[i][f.Account] = f.Depth
 		}
 	}
 	r := c.NewRun()
@@ -160,7 +169,66 @@ func checkLanes(t *testing.T, c *Closure, l *Lanes, cases []laneCase) {
 	}
 }
 
-func nonzero(w uint64) bool { return w != 0 }
+func nonzero(w Word) bool { return w != Word{} }
+
+// CheckPathClasses compiles g and holds its path classes to their
+// definition: two accounts share a class exactly when their compiled
+// paths' need lists are equal in order, class −1 means no compiled
+// path, and each class's representative is its first account. It then
+// enrolls every account in every lane and checks that no account
+// without a compiled path falls. It returns the number of classes and
+// of accounts without a compiled path.
+func CheckPathClasses(g *tdg.Graph) (classes, pathless int, err error) {
+	c := CompileClosure(g)
+	ids := g.Nodes()
+	needLists := func(a int) [][]int32 {
+		var out [][]int32
+		for p := c.pathStart[a]; p < c.pathStart[a+1]; p++ {
+			out = append(out, c.pathNeeds.of(int(p)))
+		}
+		return out
+	}
+	for a := range ids {
+		cls, la := c.pathClass[a], needLists(a)
+		if (cls < 0) != (len(la) == 0) {
+			return 0, 0, fmt.Errorf("%s: class %d with %d compiled paths", ids[a], cls, len(la))
+		}
+		if cls < 0 {
+			pathless++
+			continue
+		}
+		if int(cls) >= len(c.classRep) || c.classRep[cls] > int32(a) {
+			return 0, 0, fmt.Errorf("%s: class %d of %d, its first account %d", ids[a], cls, len(c.classRep), c.classRep[cls])
+		}
+		for b := range a {
+			if same := c.pathClass[b] == cls; same != reflect.DeepEqual(needLists(b), la) {
+				return 0, 0, fmt.Errorf("%s and %s: need lists %v and %v, classes %d and %d",
+					ids[b], ids[a], needLists(b), la, c.pathClass[b], cls)
+			}
+		}
+	}
+	for k, rep := range c.classRep {
+		if c.pathClass[rep] != int32(k) {
+			return 0, 0, fmt.Errorf("class %d: representative %s is in class %d", k, ids[rep], c.pathClass[rep])
+		}
+	}
+	all := &Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	l := c.NewLanes()
+	for a := range ids {
+		l.Enroll(int32(a), all)
+	}
+	l.Know(c.Baseline(), all)
+	l.Solve()
+	for _, f := range l.Falls() {
+		if c.pathClass[f.Account] < 0 {
+			return 0, 0, fmt.Errorf("%s has no compiled path but fell at depth %d", ids[f.Account], f.Depth)
+		}
+	}
+	return len(c.classRep), pathless, nil
+}
+
+// RandomGraph is randomGraph, for the external tests.
+func RandomGraph(seed int64, size int) (*tdg.Graph, error) { return randomGraph(seed, size) }
 
 // TestClosureMatchesReference is the oracle: on random ecosystems the
 // scalar reference run agrees with the map-keyed reference fixpoint,
@@ -169,11 +237,11 @@ func nonzero(w uint64) bool { return w != 0 }
 // that subset (the campaign's per-victim contract); random extra
 // known factors against the reference with them in the profile; and a
 // subset with extra factors together (a victim with a leak dossier).
-// Those four cases and 60 more random victims, each with its own
+// Those four cases and 252 more random victims, each with its own
 // footprint and extra factors, then run as the lanes of blocks of 1,
-// 63 and 64 lanes, and of 64 identical lanes, where every lane must
-// match the scalar run of its case. The wide ecosystems intern more
-// needs than one mask word holds.
+// 63, 64, 65, 255 and 256 lanes, and of 256 identical lanes, where
+// every lane must match the scalar run of its case. The wide
+// ecosystems intern more needs than one mask word holds.
 func TestClosureMatchesReference(t *testing.T) {
 	const seeds = 300
 	deepest := 0
@@ -237,7 +305,7 @@ func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 	for _, k := range cases {
 		got.deepest = max(got.deepest, oracleCase(t, nodes, c, k))
 	}
-	for len(cases) < 64 {
+	for len(cases) < BlockLanes {
 		k := laneCase{enrolled: all}
 		if r.Intn(4) != 0 {
 			k.enrolled = subset()
@@ -248,7 +316,7 @@ func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 		cases = append(cases, k)
 	}
 	l := c.NewLanes()
-	for _, block := range [][]laneCase{cases[:1], cases[:63], cases, slices.Repeat(cases[3:4], 64)} {
+	for _, block := range [][]laneCase{cases[:1], cases[:63], cases[:64], cases[:65], cases[:255], cases, slices.Repeat(cases[3:4], BlockLanes)} {
 		checkLanes(t, c, l, block)
 	}
 	if pl, want := PathLayers(g), ReferencePathLayers(g); pl != want {
@@ -262,10 +330,12 @@ func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 // run through checkLanes. seed draws the ecosystem: randomNodes of
 // 2–41 accounts, or, when size has its top bit set, wideNodes of
 // 65–104 accounts, whose needs span two mask words. Each further
-// record of data is one lane, little-endian: its known-factor mask
+// record of data is one victim, little-endian: its known-factor mask
 // word, then one enrollment word per 64 accounts (bit a enrolls
-// account a). Up to 64 whole records are read; a partial one is
-// dropped.
+// account a). Up to BlockLanes whole records are read; a partial one
+// is dropped. Record r takes lane 64(r mod 4) + r/4, so four records
+// already reach every word of the block; the lanes between them hold
+// victims enrolled in nothing.
 func FuzzClosureLanes(f *testing.F) {
 	f.Add(int64(1), uint8(10), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0})
 	f.Add(int64(7), uint8(25), []byte{
@@ -275,6 +345,12 @@ func FuzzClosureLanes(f *testing.F) {
 	f.Add(int64(3), uint8(0x85), []byte{
 		0x80, 0x01, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 		0, 0, 0, 0, 0, 0, 0, 0, 0x0f, 0xf0, 0x0f, 0xf0, 0x0f, 0xf0, 0x0f, 0xf0, 0x33, 0x33, 0x33, 0x33, 0x33, 0, 0, 0})
+	f.Add(int64(11), uint8(30), []byte{
+		0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0,
+		0x10, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x0f, 0xf0, 0x0f, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0x55, 0x55, 0x55, 0x55, 0, 0, 0, 0,
+		0x80, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0xaa, 0xaa, 0xaa, 0xaa, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, data []byte) {
 		nodes := randomNodes(seed, 2+int(size)%40)
 		if size&0x80 != 0 {
@@ -287,16 +363,18 @@ func FuzzClosureLanes(f *testing.F) {
 		c := CompileClosure(g)
 		record := 8 * (1 + (len(nodes)+63)/64)
 		var cases []laneCase
-		for ; len(data) >= record && len(cases) < 64; data = data[record:] {
-			var k laneCase
+		for r := 0; len(data) >= record && r < BlockLanes; r, data = r+1, data[record:] {
+			i := 64*(r%4) + r/4
+			for len(cases) <= i {
+				cases = append(cases, laneCase{enrolled: make([]bool, len(nodes))})
+			}
+			k := &cases[i]
 			for know := binary.LittleEndian.Uint64(data); know != 0; know &= know - 1 {
 				k.extra = append(k.extra, ecosys.FactorKind(bits.TrailingZeros64(know)))
 			}
-			k.enrolled = make([]bool, len(nodes))
 			for a := range k.enrolled {
 				k.enrolled[a] = binary.LittleEndian.Uint64(data[8+8*(a>>6):])>>(a&63)&1 == 1
 			}
-			cases = append(cases, k)
 		}
 		if len(cases) > 0 {
 			checkLanes(t, c, c.NewLanes(), cases)
@@ -329,7 +407,7 @@ func wideNodes(seed int64, size int) []tdg.Node {
 // on the default catalog (both platforms), over 256 seeded footprints,
 // each service enrolled with probability 1/4 and every account of an
 // enrolled service in the footprint. The closure row is the lane engine
-// the campaign runs: one op is one 64-lane block of those footprints
+// the campaign runs: one op is one 256-lane block of those footprints
 // (enroll, know, solve, reset), reported per victim as ns/victim. The
 // reference row is the map-keyed fixpoint over each footprint's
 // prebuilt graph, one op per victim, so neither row pays a graph
@@ -346,7 +424,7 @@ func BenchmarkChainDepths(b *testing.B) {
 	}
 	c := CompileClosure(g)
 	r := rand.New(rand.NewSource(1))
-	const victims = 256
+	const victims = BlockLanes
 	footprints := make([][]int32, victims)
 	graphs := make([]*tdg.Graph, victims)
 	for v := range footprints {
@@ -369,18 +447,22 @@ func BenchmarkChainDepths(b *testing.B) {
 		l := c.NewLanes()
 		b.ReportAllocs()
 		b.ResetTimer()
+		all := &Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		lanes := make([]*Word, victims)
+		for v := range lanes {
+			lanes[v] = lane(v)
+		}
 		for i := 0; i < b.N; i++ {
-			base := i * 64 % victims
-			for lane, fp := range footprints[base : base+64] {
+			for v, fp := range footprints {
 				for _, a := range fp {
-					l.Enroll(a, 1<<lane)
+					l.Enroll(a, lanes[v])
 				}
 			}
-			l.Know(c.Baseline(), ^uint64(0))
+			l.Know(c.Baseline(), all)
 			l.Solve()
 			l.Reset()
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/victim")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(victims*b.N), "ns/victim")
 	})
 	b.Run("engine=reference", func(b *testing.B) {
 		b.ReportAllocs()

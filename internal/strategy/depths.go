@@ -37,11 +37,12 @@ func (s DepthStats) Pct(n int) float64 {
 // the block's recorded layers.
 func PathLayers(g *tdg.Graph) DepthStats {
 	c := CompileClosure(g)
+	one := &Word{1} // a block of one, in lane 0
 	l := c.NewLanes()
 	for a := range l.enrolled {
-		l.Enroll(int32(a), 1)
+		l.Enroll(int32(a), one)
 	}
-	l.Know(c.baseline, 1)
+	l.Know(c.baseline, one)
 	l.Solve()
 	st := DepthStats{Total: g.Len()}
 	for a, id := range g.Nodes() {
@@ -72,7 +73,7 @@ func PathLayers(g *tdg.Graph) DepthStats {
 		if twoCouple {
 			st.TwoLayerCouple++
 		}
-		if l.fallen[a] == 0 {
+		if l.fallen[a] == (Word{}) {
 			st.Uncompromisable++
 		}
 	}

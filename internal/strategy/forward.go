@@ -6,7 +6,7 @@
 // SMS code?".
 //
 // Both run the compiled chain-reaction closure (Closure), whose one
-// engine, Lanes, evaluates up to 64 victims per pass, one victim per
+// engine, Lanes, evaluates up to 256 victims per pass, one victim per
 // bit lane; a single victim is a block of one. The forward closure,
 // the paper's dependency depths and the campaign read which accounts
 // fall at which depth. The backward search reads a witness of the same
@@ -88,13 +88,14 @@ func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, e
 	}
 	ids := g.Nodes()
 	c := CompileClosure(g)
+	one := &Word{1} // a block of one, in lane 0
 	l := c.NewLanes()
-	l.Know(c.baseline, 1)
+	l.Know(c.baseline, one)
 	for a, id := range ids {
 		if _, done := res.Compromised[id]; done {
-			l.Give(int32(a), 1)
+			l.Give(int32(a), one)
 		} else {
-			l.Enroll(int32(a), 1)
+			l.Enroll(int32(a), one)
 		}
 	}
 	l.Solve()

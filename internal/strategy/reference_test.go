@@ -18,11 +18,12 @@ const Unreachable = math.MaxInt32
 // depth (1 = attacker profile alone, Unreachable = never).
 func AccountDepths(g *tdg.Graph) map[ecosys.AccountID]int {
 	c := CompileClosure(g)
+	one := &Word{1} // a block of one, in lane 0
 	l := c.NewLanes()
 	for a := range l.enrolled {
-		l.Enroll(int32(a), 1)
+		l.Enroll(int32(a), one)
 	}
-	l.Know(c.Baseline(), 1)
+	l.Know(c.Baseline(), one)
 	l.Solve()
 	out := make(map[ecosys.AccountID]int, g.Len())
 	for _, id := range g.Nodes() {
