@@ -112,5 +112,5 @@ func Account(service string, platform PlatformKind) AccountID {
 // PathLayers computes the overlapping dependency-depth statistics over
 // a graph (the §IV.B.1 percentages).
 func PathLayers(g *Graph) DepthStats {
-	return strategy.PathLayers(g)
+	return strategy.Solve(g).DepthStats()
 }

@@ -76,7 +76,7 @@ func BenchmarkE4DependencyLayers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_ = strategy.PathLayers(g)
+			_ = strategy.Solve(g).DepthStats()
 		}
 	}
 }
@@ -353,14 +353,14 @@ func BenchmarkE15Scaling(b *testing.B) {
 		b.Run(fmt.Sprintf("path-layers/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = strategy.PathLayers(g)
+				_ = strategy.Solve(g).DepthStats()
 			}
 		})
 		target := g.Nodes()[len(g.Nodes())-1]
 		b.Run(fmt.Sprintf("backward/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _ = strategy.FindPlan(g, target, 0)
+				_, _ = strategy.Solve(g).Plan(target, 0)
 			}
 		})
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/actfort/actfort/internal/authproc"
-	"github.com/actfort/actfort/internal/collect"
 	"github.com/actfort/actfort/internal/core"
 	"github.com/actfort/actfort/internal/countermeasure"
 	"github.com/actfort/actfort/internal/dataset"
@@ -22,30 +20,15 @@ import (
 // that file, or to stdout for "-".
 func printMeasure(cat *ecosys.Catalog, engine *core.ActFort, all bool, fig4 string) error {
 	if all {
-		web := authproc.Measure(cat, ecosys.PlatformWeb)
-		mob := authproc.Measure(cat, ecosys.PlatformMobile)
-		fmt.Println(report.Fig3(web, mob))
-		fmt.Printf("total services: %d, total paths: %d (paper: 201 / 405)\n\n",
-			cat.Len(), cat.TotalPaths())
-
-		webExp := collect.Measure(cat, ecosys.PlatformWeb)
-		mobExp := collect.Measure(cat, ecosys.PlatformMobile)
-		fmt.Println(report.Table1(webExp, mobExp))
-
-		gw, err := engine.Graph(ecosys.PlatformWeb)
-		if err != nil {
-			return err
-		}
-		gm, err := engine.Graph(ecosys.PlatformMobile)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Layers(strategy.PathLayers(gw), strategy.PathLayers(gm)))
-
 		m, err := engine.Measure()
 		if err != nil {
 			return err
 		}
+		fmt.Println(report.Fig3(m.Web, m.Mobile))
+		fmt.Printf("total services: %d, total paths: %d (paper: 201 / 405)\n\n",
+			m.Services, m.Web.Paths+m.Mobile.Paths)
+		fmt.Println(report.Table1(m.WebExposure, m.MobileExposure))
+		fmt.Println(report.Layers(m.WebLayers, m.MobileLayers))
 		fmt.Println(report.Domains(m.Domains))
 	}
 

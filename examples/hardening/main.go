@@ -8,33 +8,25 @@ import (
 	"fmt"
 	"log"
 
+	"github.com/actfort/actfort/internal/core"
 	"github.com/actfort/actfort/internal/countermeasure"
 	"github.com/actfort/actfort/internal/dataset"
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/mask"
-	"github.com/actfort/actfort/internal/strategy"
-	"github.com/actfort/actfort/internal/tdg"
 )
 
-func directPct(cat *ecosys.Catalog) float64 {
-	g, err := tdg.Build(tdg.NodesFromCatalog(cat, ecosys.PlatformWeb), ecosys.BaselineAttacker())
+// summary measures cat under the baseline attacker and renders its web
+// direct share and forward-closure victim count.
+func summary(cat *ecosys.Catalog) string {
+	engine, err := core.New(cat, ecosys.BaselineAttacker())
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := strategy.PathLayers(g)
-	return st.Pct(st.Direct)
-}
-
-func victims(cat *ecosys.Catalog) int {
-	g, err := tdg.Build(tdg.NodesFromCatalog(cat), ecosys.BaselineAttacker())
+	m, err := engine.Measure()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := strategy.ForwardClosure(g, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res.VictimCount()
+	return fmt.Sprintf("web direct %.2f%%, closure victims %d", m.WebLayers.Pct(m.WebLayers.Direct), m.Victims)
 }
 
 func main() {
@@ -42,25 +34,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("baseline:              web direct %.2f%%, closure victims %d\n", directPct(cat), victims(cat))
+	fmt.Println("baseline:             ", summary(cat))
 
 	masked, err := countermeasure.ApplyUnifiedMasking(cat, mask.DefaultUnifiedStandard())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("+ unified masking:     web direct %.2f%%, closure victims %d\n", directPct(masked), victims(masked))
+	fmt.Println("+ unified masking:    ", summary(masked))
 
 	mailHard, err := countermeasure.HardenEmailProviders(masked)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("+ hardened email:      web direct %.2f%%, closure victims %d\n", directPct(mailHard), victims(mailHard))
+	fmt.Println("+ hardened email:     ", summary(mailHard))
 
 	full, err := countermeasure.AdoptBuiltinAuth(mailHard)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("+ built-in auth:       web direct %.2f%%, closure victims %d\n", directPct(full), victims(full))
+	fmt.Println("+ built-in auth:      ", summary(full))
 
 	// The Fig 8 push flow, end to end.
 	fmt.Println("\nbuilt-in authentication (Fig 8):")

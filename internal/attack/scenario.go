@@ -174,7 +174,7 @@ func (s *Scenario) PlanFor(target ecosys.AccountID) (*strategy.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return strategy.FindPlan(g, target, 0)
+	return strategy.Solve(g).Plan(target, 0)
 }
 
 // PlanVia selects, among ActFort's candidate plans for target, one
@@ -185,7 +185,8 @@ func (s *Scenario) PlanVia(target ecosys.AccountID, via string) (*strategy.Plan,
 	if err != nil {
 		return nil, err
 	}
-	plans, err := strategy.FindPlans(g, target, 0, 8)
+	sol := strategy.Solve(g)
+	plans, err := sol.Plans(target, 0, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +203,7 @@ func (s *Scenario) PlanVia(target ecosys.AccountID, via string) (*strategy.Plan,
 		if e.To != target || e.From.Service != via {
 			continue
 		}
-		sub, err := strategy.FindPlan(g, e.From, 0)
+		sub, err := sol.Plan(e.From, 0)
 		if err != nil {
 			continue
 		}

@@ -292,9 +292,9 @@ var (
 // outcome into part, leaving the solver's lanes empty for the next
 // block. Each victim's accounts are those of its enrolled services and
 // its attacker knows the baseline factors beside its dossier's — the
-// fixpoint strategy.PathLayers runs over the whole ecosystem,
-// restricted to each victim's footprint. It returns the number of
-// layers the closure evaluated.
+// fixpoint strategy.Solve runs over the whole ecosystem, restricted to
+// each victim's footprint. It returns the number of layers the closure
+// evaluated.
 func (s *solver) solveBlock(words []strategy.Word, mask *strategy.Word, part *Summary) int {
 	p, lanes := s.plan, s.lanes
 	part.Intercepted += int64(mask.Count())

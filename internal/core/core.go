@@ -27,8 +27,11 @@ type ActFort struct {
 	cat *ecosys.Catalog
 	ap  ecosys.AttackerProfile
 
-	mu     sync.Mutex
-	graphs map[string]*tdg.Graph
+	mu sync.Mutex
+	// solved caches, per platform set, its graph's closure solution;
+	// every plan, measurement and forward closure from no initial
+	// account reads it.
+	solved map[string]*strategy.Solution
 }
 
 // ErrInvalidCatalog wraps specification-hygiene failures found at
@@ -52,26 +55,37 @@ func New(cat *ecosys.Catalog, ap ecosys.AttackerProfile) (*ActFort, error) {
 	return &ActFort{
 		cat:    cat,
 		ap:     ap.Clone(),
-		graphs: make(map[string]*tdg.Graph),
+		solved: make(map[string]*strategy.Solution),
 	}, nil
 }
 
 // Graph returns the Transformation Dependency Graph over the given
-// platforms (both when none given), building and caching it on first
-// use.
+// platforms (both when none given), building, solving and caching it
+// on first use.
 func (a *ActFort) Graph(platforms ...ecosys.Platform) (*tdg.Graph, error) {
+	s, err := a.solve(platforms)
+	if err != nil {
+		return nil, err
+	}
+	return s.Graph(), nil
+}
+
+// solve returns the closure solution of the graph over platforms,
+// building and solving the graph on first use.
+func (a *ActFort) solve(platforms []ecosys.Platform) (*strategy.Solution, error) {
 	key := graphKey(platforms)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if g, ok := a.graphs[key]; ok {
-		return g, nil
+	if s, ok := a.solved[key]; ok {
+		return s, nil
 	}
 	g, err := tdg.Build(tdg.NodesFromCatalog(a.cat, platforms...), a.ap)
 	if err != nil {
 		return nil, err
 	}
-	a.graphs[key] = g
-	return g, nil
+	s := strategy.Solve(g)
+	a.solved[key] = s
+	return s, nil
 }
 
 func graphKey(platforms []ecosys.Platform) string {
@@ -91,31 +105,34 @@ func graphKey(platforms []ecosys.Platform) string {
 // platform's graph combined with web (middle accounts may live on
 // either platform).
 func (a *ActFort) AttackPlan(target ecosys.AccountID, maxDepth int) (*strategy.Plan, error) {
-	g, err := a.Graph()
+	s, err := a.solve(nil)
 	if err != nil {
 		return nil, err
 	}
-	return strategy.FindPlan(g, target, maxDepth)
+	return s.Plan(target, maxDepth)
 }
 
 // AttackPlans enumerates up to limit distinct plans for target.
 func (a *ActFort) AttackPlans(target ecosys.AccountID, maxDepth, limit int) ([]*strategy.Plan, error) {
-	g, err := a.Graph()
+	s, err := a.solve(nil)
 	if err != nil {
 		return nil, err
 	}
-	return strategy.FindPlans(g, target, maxDepth, limit)
+	return s.Plans(target, maxDepth, limit)
 }
 
 // Victims runs the forward closure of §III.E scenario 1: given
 // initially compromised accounts (may be empty — pure phone+SMS
 // attacker), every account that ultimately falls.
 func (a *ActFort) Victims(initial []ecosys.AccountID, platforms ...ecosys.Platform) (*strategy.ForwardResult, error) {
-	g, err := a.Graph(platforms...)
+	s, err := a.solve(platforms)
 	if err != nil {
 		return nil, err
 	}
-	return strategy.ForwardClosure(g, initial)
+	if len(initial) > 0 {
+		return strategy.ForwardClosure(s.Graph(), initial)
+	}
+	return s.Forward(), nil
 }
 
 // DomainStats is the per-domain vulnerability breakdown behind the
@@ -140,8 +157,11 @@ type Measurement struct {
 	WebExposure    collect.ExposureStats
 	MobileExposure collect.ExposureStats
 	// Dependency-depth stats per platform (§IV.B.1 percentages).
-	WebLayers    strategy.LayerStats
-	MobileLayers strategy.LayerStats
+	WebLayers    strategy.DepthStats
+	MobileLayers strategy.DepthStats
+	// Victims counts the accounts falling in the forward closure over
+	// both platforms.
+	Victims int
 	// Domains is the per-domain breakdown over both platforms, sorted
 	// by domain.
 	Domains []DomainStats
@@ -156,32 +176,23 @@ func (a *ActFort) Measure() (*Measurement, error) {
 		WebExposure:    collect.Measure(a.cat, ecosys.PlatformWeb),
 		MobileExposure: collect.Measure(a.cat, ecosys.PlatformMobile),
 	}
-	for _, platform := range ecosys.AllPlatforms() {
-		g, err := a.Graph(platform)
-		if err != nil {
-			return nil, err
-		}
-		res, err := strategy.ForwardClosure(g, nil)
-		if err != nil {
-			return nil, err
-		}
-		st := strategy.Layers(res, g.Len())
-		if platform == ecosys.PlatformWeb {
-			m.WebLayers = st
-		} else {
-			m.MobileLayers = st
-		}
+	web, err := a.solve([]ecosys.Platform{ecosys.PlatformWeb})
+	if err != nil {
+		return nil, err
 	}
+	mobile, err := a.solve([]ecosys.Platform{ecosys.PlatformMobile})
+	if err != nil {
+		return nil, err
+	}
+	m.WebLayers, m.MobileLayers = web.DepthStats(), mobile.DepthStats()
 
 	// Per-domain breakdown over the combined graph.
-	g, err := a.Graph()
+	s, err := a.solve(nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := strategy.ForwardClosure(g, nil)
-	if err != nil {
-		return nil, err
-	}
+	g, res := s.Graph(), s.Forward()
+	m.Victims = res.VictimCount()
 	byDomain := make(map[ecosys.Domain]*DomainStats)
 	for _, id := range g.Nodes() {
 		node, _ := g.Node(id)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/actfort/actfort/internal/ecosys"
@@ -146,6 +148,45 @@ func TestVictims(t *testing.T) {
 	}
 }
 
+// TestConcurrentQueries runs AttackPlan, AttackPlans, Victims(nil) and
+// Measure at once on one fresh engine, two goroutines each, so the
+// first builds and solves of its graphs race, and holds every answer
+// equal to the one a sequential engine gives.
+func TestConcurrentQueries(t *testing.T) {
+	target := ecosys.AccountID{Service: "alipay", Platform: ecosys.PlatformMobile}
+	queries := []func(*ActFort) (any, error){
+		func(a *ActFort) (any, error) { return a.AttackPlan(target, 0) },
+		func(a *ActFort) (any, error) { return a.AttackPlans(target, 0, 3) },
+		func(a *ActFort) (any, error) { return a.Victims(nil) },
+		func(a *ActFort) (any, error) { return a.Measure() },
+	}
+	seq := newEngine(t)
+	want := make([]any, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = q(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := newEngine(t)
+	var wg sync.WaitGroup
+	for range 2 {
+		for i, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := q(a)
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+				} else if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("query %d: concurrent answer %+v, sequential %+v", i, got, want[i])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
 func TestMeasure(t *testing.T) {
 	a := newEngine(t)
 	m, err := a.Measure()
@@ -164,12 +205,12 @@ func TestMeasure(t *testing.T) {
 	if m.WebLayers.Direct != 2 { // gmail + ctrip
 		t.Errorf("web direct = %d want 2", m.WebLayers.Direct)
 	}
-	if m.WebLayers.Uncompromised != 1 { // fortress
-		t.Errorf("web uncompromised = %d want 1", m.WebLayers.Uncompromised)
+	if m.WebLayers.Uncompromisable != 1 { // fortress
+		t.Errorf("web uncompromisable = %d want 1", m.WebLayers.Uncompromisable)
 	}
 	// Mobile alone: alipay needs citizen ID with no mobile source.
-	if m.MobileLayers.Uncompromised != 1 {
-		t.Errorf("mobile uncompromised = %d want 1", m.MobileLayers.Uncompromised)
+	if m.MobileLayers.Uncompromisable != 1 {
+		t.Errorf("mobile uncompromisable = %d want 1", m.MobileLayers.Uncompromisable)
 	}
 	// Domain breakdown covers all 4 domains present.
 	if len(m.Domains) != 3 {
@@ -185,8 +226,8 @@ func TestMeasure(t *testing.T) {
 			}
 		}
 	}
-	if a.cat.TotalPaths() != 5 {
-		t.Errorf("TotalPaths = %d", a.cat.TotalPaths())
+	if m.Web.Paths+m.Mobile.Paths != 5 {
+		t.Errorf("paths = %d", m.Web.Paths+m.Mobile.Paths)
 	}
 }
 

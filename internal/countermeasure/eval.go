@@ -1,9 +1,9 @@
 package countermeasure
 
 import (
+	"github.com/actfort/actfort/internal/core"
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/strategy"
-	"github.com/actfort/actfort/internal/tdg"
 )
 
 // Outcome compares the ecosystem before and after fortification: the
@@ -19,54 +19,34 @@ type Outcome struct {
 	Total int
 }
 
-// Evaluate runs the paper's measurement on cat and on FortifyAll(cat)
-// under the baseline phone+SMS attacker.
+// Evaluate runs the paper's measurement (core.ActFort.Measure) on cat
+// and on FortifyAll(cat) under the baseline phone+SMS attacker.
 func Evaluate(cat *ecosys.Catalog) (*Outcome, error) {
 	fortified, err := FortifyAll(cat)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{}
-
-	layers := func(c *ecosys.Catalog, platform ecosys.Platform) (strategy.DepthStats, error) {
-		g, err := tdg.Build(tdg.NodesFromCatalog(c, platform), ecosys.BaselineAttacker())
-		if err != nil {
-			return strategy.DepthStats{}, err
-		}
-		return strategy.PathLayers(g), nil
-	}
-	if out.WebBefore, err = layers(cat, ecosys.PlatformWeb); err != nil {
-		return nil, err
-	}
-	if out.WebAfter, err = layers(fortified, ecosys.PlatformWeb); err != nil {
-		return nil, err
-	}
-	if out.MobileBefore, err = layers(cat, ecosys.PlatformMobile); err != nil {
-		return nil, err
-	}
-	if out.MobileAfter, err = layers(fortified, ecosys.PlatformMobile); err != nil {
-		return nil, err
-	}
-
-	closureVictims := func(c *ecosys.Catalog) (int, int, error) {
-		g, err := tdg.Build(tdg.NodesFromCatalog(c), ecosys.BaselineAttacker())
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := strategy.ForwardClosure(g, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.VictimCount(), g.Len(), nil
-	}
-	before, total, err := closureVictims(cat)
+	before, err := measure(cat)
 	if err != nil {
 		return nil, err
 	}
-	after, _, err := closureVictims(fortified)
+	after, err := measure(fortified)
 	if err != nil {
 		return nil, err
 	}
-	out.VictimsBefore, out.VictimsAfter, out.Total = before, after, total
-	return out, nil
+	return &Outcome{
+		WebBefore: before.WebLayers, WebAfter: after.WebLayers,
+		MobileBefore: before.MobileLayers, MobileAfter: after.MobileLayers,
+		VictimsBefore: before.Victims, VictimsAfter: after.Victims,
+		Total: before.WebLayers.Total + before.MobileLayers.Total,
+	}, nil
+}
+
+// measure measures cat under the baseline attacker.
+func measure(cat *ecosys.Catalog) (*core.Measurement, error) {
+	engine, err := core.New(cat, ecosys.BaselineAttacker())
+	if err != nil {
+		return nil, err
+	}
+	return engine.Measure()
 }

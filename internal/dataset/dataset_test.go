@@ -34,7 +34,7 @@ func TestCatalogFrameCounts(t *testing.T) {
 	if got := cat.CountPlatform(ecosys.PlatformMobile); got != NumMobile {
 		t.Errorf("mobile presences = %d want %d", got, NumMobile)
 	}
-	if got := cat.TotalPaths(); got != NumPaths {
+	if got := authproc.Measure(cat, ecosys.PlatformWeb).Paths + authproc.Measure(cat, ecosys.PlatformMobile).Paths; got != NumPaths {
 		t.Errorf("total paths = %d want %d", got, NumPaths)
 	}
 }
@@ -145,7 +145,7 @@ func TestDependencyLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	webStats := strategy.PathLayers(webGraph)
+	webStats := strategy.Solve(webGraph).DepthStats()
 	if webStats.Direct != 139 { // 74.33% vs paper 74.13%
 		t.Errorf("web direct = %d want 139", webStats.Direct)
 	}
@@ -166,7 +166,7 @@ func TestDependencyLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mobStats := strategy.PathLayers(mobGraph)
+	mobStats := strategy.Solve(mobGraph).DepthStats()
 	if mobStats.Direct != 42 { // 75.00% vs paper 75.56%
 		t.Errorf("mobile direct = %d want 42", mobStats.Direct)
 	}

@@ -36,7 +36,7 @@ func TestSyntheticShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := strategy.PathLayers(g)
+	st := strategy.Solve(g).DepthStats()
 	directPct := st.Pct(st.Direct)
 	if directPct < 60 || directPct > 90 {
 		t.Errorf("synthetic direct = %.1f%%, expected near the calibrated ~74%%", directPct)

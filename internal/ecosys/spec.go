@@ -476,17 +476,6 @@ func (c *Catalog) CountPlatform(p Platform) int {
 	return n
 }
 
-// TotalPaths counts authentication paths across all presences.
-func (c *Catalog) TotalPaths() int {
-	n := 0
-	for _, s := range c.services {
-		for _, pr := range s.Presences {
-			n += len(pr.Paths)
-		}
-	}
-	return n
-}
-
 // AttackerProfile (AP in the paper's notation) describes the assumed
 // attacker: inherent capabilities expressed as credential factors the
 // attacker can always supply, plus victim information already known

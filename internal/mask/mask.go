@@ -26,18 +26,9 @@ const MaskChar = '*'
 // than their sum), the whole value is shown: there is nothing left to
 // hide.
 func Apply(value string, spec ecosys.MaskSpec) string {
-	if !spec.Masked {
-		return value
-	}
 	n := len(value)
-	pre, suf := spec.VisiblePrefix, spec.VisibleSuffix
-	if pre < 0 {
-		pre = 0
-	}
-	if suf < 0 {
-		suf = 0
-	}
-	if pre+suf >= n {
+	pre, suf, whole := window(n, spec)
+	if whole {
 		return value
 	}
 	var b strings.Builder
@@ -48,6 +39,23 @@ func Apply(value string, spec ecosys.MaskSpec) string {
 	}
 	b.WriteString(value[n-suf:])
 	return b.String()
+}
+
+// Revealed returns the number of visible characters Apply leaves for a
+// value of length n.
+func Revealed(n int, spec ecosys.MaskSpec) int {
+	if pre, suf, whole := window(n, spec); !whole {
+		return pre + suf
+	}
+	return n
+}
+
+// window returns spec's visible prefix and suffix lengths, clamped at
+// 0, for a value of length n; whole reports that spec hides nothing of
+// it.
+func window(n int, spec ecosys.MaskSpec) (pre, suf int, whole bool) {
+	pre, suf = max(spec.VisiblePrefix, 0), max(spec.VisibleSuffix, 0)
+	return pre, suf, !spec.Masked || pre+suf >= n
 }
 
 // ErrConflict reports that two masked views disagree on a visible

@@ -34,25 +34,6 @@ func TestApply(t *testing.T) {
 	}
 }
 
-// Revealed returns the number of visible characters Apply would leave
-// for a value of length n.
-func Revealed(n int, spec ecosys.MaskSpec) int {
-	if !spec.Masked {
-		return n
-	}
-	pre, suf := spec.VisiblePrefix, spec.VisibleSuffix
-	if pre < 0 {
-		pre = 0
-	}
-	if suf < 0 {
-		suf = 0
-	}
-	if pre+suf >= n {
-		return n
-	}
-	return pre + suf
-}
-
 func TestRevealedMatchesApply(t *testing.T) {
 	f := func(seed int64, pre, suf uint8) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -9,7 +9,6 @@ import (
 	"github.com/actfort/actfort/internal/core"
 	"github.com/actfort/actfort/internal/dataset"
 	"github.com/actfort/actfort/internal/ecosys"
-	"github.com/actfort/actfort/internal/strategy"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -75,24 +74,15 @@ func TestPaperRenderersOnCalibratedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := engine.Graph(ecosys.PlatformWeb)
+	m, err := engine.Measure()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, err := engine.Graph(ecosys.PlatformMobile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layers := Layers(strategy.PathLayers(gw), strategy.PathLayers(gm)).String()
+	layers := Layers(m.WebLayers, m.MobileLayers).String()
 	for _, want := range []string{"74.13%", "75.56%", "direct", "couples"} {
 		if !strings.Contains(layers, want) {
 			t.Errorf("Layers missing %q:\n%s", want, layers)
 		}
-	}
-
-	m, err := engine.Measure()
-	if err != nil {
-		t.Fatal(err)
 	}
 	dom := Domains(m.Domains).String()
 	if !strings.Contains(dom, "fintech") || !strings.Contains(dom, "email") {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/actfort/actfort/internal/ecosys"
-	"github.com/actfort/actfort/internal/tdg"
 )
 
 // PlanStep is one compromise in an attack plan: take over Account via
@@ -65,33 +64,32 @@ var (
 	ErrUnknownTarget = errors.New("strategy: target not in graph")
 )
 
-// FindPlan returns a shallowest attack plan compromising target,
-// bounded by maxDepth layers (0 means the default of 5); among the
-// shallowest plans it keeps the steps few by a greedy tie-break.
+// Plan returns a shallowest attack plan compromising target, bounded
+// by maxDepth layers (0 means the default of 5); among the shallowest
+// plans it keeps the steps few by a greedy tie-break.
 //
-// The plan is a witness of the compiled closure, run as a block of one
-// lane with every account enrolled under g's profile. The target fell
-// at some depth d by a path whose needs all lie in layer d−1; each of
-// those needs is met by one supplier fallen at a smaller depth, and
-// each supplier's own plan is read the same way. The plan's depth is
-// therefore the target's closure depth, and ErrNoPlan comes exactly
-// when the closure leaves the target standing or deeper than maxDepth.
-func FindPlan(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*Plan, error) {
-	w, a, err := newWitness(g, target, maxDepth)
+// The plan is a witness of the solve. The target fell at some depth d
+// by a path whose needs all lie in layer d−1; each of those needs is
+// met by one supplier fallen at a smaller depth, and each supplier's
+// own plan is read the same way. The plan's depth is therefore the
+// target's closure depth, and ErrNoPlan comes exactly when the closure
+// leaves the target standing or deeper than maxDepth.
+func (s *Solution) Plan(target ecosys.AccountID, maxDepth int) (*Plan, error) {
+	w, a, err := s.witness(target, maxDepth)
 	if err != nil {
 		return nil, err
 	}
 	return w.toPlan(w.plan(a), w.steps[a]), nil
 }
 
-// FindPlans returns up to limit distinct plans for target, the first
-// being FindPlan's. The others take the target over by each takeover
-// path within maxDepth in turn, shallowest first, with each supplier of
-// the path's needs in turn as the first parent, completed as FindPlan
-// completes a plan. No plan passes through the target before its last
-// step. It is a diversity heuristic, not an exhaustive enumeration.
-func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*Plan, error) {
-	w, a, err := newWitness(g, target, maxDepth)
+// Plans returns up to limit distinct plans for target, the first being
+// Plan's. The others take the target over by each takeover path within
+// maxDepth in turn, shallowest first, with each supplier of the path's
+// needs in turn as the first parent, completed as Plan completes a
+// plan. No plan passes through the target before its last step. It is
+// a diversity heuristic, not an exhaustive enumeration.
+func (s *Solution) Plans(target ecosys.AccountID, maxDepth, limit int) ([]*Plan, error) {
+	w, a, err := s.witness(target, maxDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -103,14 +101,14 @@ func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*P
 				continue
 			}
 			for _, n := range w.c.pathNeeds.of(int(p)) {
-				for _, s := range w.suppliers[n] {
+				for _, sup := range w.suppliers[n] {
 					if len(plans) >= limit {
 						return plans, nil
 					}
-					if !w.usable(s, d, a) {
+					if !w.usable(sup, d, a) {
 						continue
 					}
-					if plan, parents, ok := w.assemble(a, p, d, s, a); ok {
+					if plan, parents, ok := w.assemble(a, p, d, sup, a); ok {
 						alt := w.toPlan(plan, w.step(a, p, parents))
 						if !seen[alt.String()] {
 							seen[alt.String()] = true
@@ -124,60 +122,35 @@ func FindPlans(g *tdg.Graph, target ecosys.AccountID, maxDepth, limit int) ([]*P
 	return plans, nil
 }
 
-// witness reads attack plans off the compiled closure solved as a
-// block of one lane, every account enrolled under the graph's profile.
-// Needs are factors beyond the profile, so layer 0 is empty and every
-// need of a fallen path is met by a fallen supplier.
+// witness reads attack plans off a solution. Needs are factors beyond
+// the profile, so layer 0 is empty and every need of a fallen path is
+// met by a fallen supplier.
 type witness struct {
-	c        *Closure
-	l        *Lanes
-	ids      []ecosys.AccountID
+	*Solution
 	maxDepth int32
-	// depth is per account: its closure depth, 0 while standing.
-	depth []int32
-	// suppliers is per need: the accounts meeting it once fallen, in
-	// node order.
-	suppliers [][]int32
 	// plans memoizes each fallen account's plan, its accounts in step
 	// order, and steps the account's own step in it.
 	plans [][]int32
 	steps []PlanStep
 }
 
-// newWitness solves g's closure for a plan reaching target within
-// maxDepth layers (0 means 5) and returns target's account index.
-func newWitness(g *tdg.Graph, target ecosys.AccountID, maxDepth int) (*witness, int32, error) {
+// witness returns a plan memo over s for a plan reaching target within
+// maxDepth layers (0 means 5), and target's account index.
+func (s *Solution) witness(target ecosys.AccountID, maxDepth int) (*witness, int32, error) {
 	if maxDepth <= 0 {
 		maxDepth = 5
 	}
-	ids := g.Nodes()
-	a := int32(slices.Index(ids, target))
+	a := int32(slices.Index(s.ids, target))
 	if a < 0 {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownTarget, target)
 	}
-	c := CompileClosure(g)
-	w := &witness{c: c, l: c.NewLanes(), ids: ids, maxDepth: int32(maxDepth),
-		depth:     make([]int32, len(ids)),
-		suppliers: make([][]int32, c.needs),
-		plans:     make([][]int32, len(ids)),
-		steps:     make([]PlanStep, len(ids)),
-	}
-	one := &Word{1} // a block of one, in lane 0
-	for s := range ids {
-		w.l.Enroll(int32(s), one)
-		for _, n := range c.supplies.of(int(c.supplyClass[s])) {
-			w.suppliers[n] = append(w.suppliers[n], int32(s))
-		}
-	}
-	w.l.Know(c.baseline, one)
-	w.l.Solve()
-	for _, f := range w.l.Falls() {
-		w.depth[f.Account] = f.Depth
-	}
-	if d := w.depth[a]; d == 0 || d > w.maxDepth {
+	if d := s.depth[a]; d == 0 || d > int32(maxDepth) {
 		return nil, 0, fmt.Errorf("%w: %s (depth <= %d)", ErrNoPlan, target, maxDepth)
 	}
-	return w, a, nil
+	return &witness{Solution: s, maxDepth: int32(maxDepth),
+		plans: make([][]int32, len(s.ids)),
+		steps: make([]PlanStep, len(s.ids)),
+	}, a, nil
 }
 
 // plan returns fallen account a's plan, memoized: among the paths a

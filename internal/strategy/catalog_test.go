@@ -52,7 +52,8 @@ func TestClosureMatchesReferenceOnCatalog(t *testing.T) {
 	deepest := 0
 	for _, cg := range catalogGraphs(t) {
 		name, g := cg.name, cg.g
-		got, want := strategy.AccountDepths(g), strategy.ReferenceDepths(g)
+		sol := strategy.Solve(g)
+		got, want := sol.AccountDepths(), strategy.ReferenceDepths(g)
 		for _, id := range g.Nodes() {
 			if got[id] != want[id] {
 				t.Errorf("%s %s: closure depth %d, reference %d", name, id, got[id], want[id])
@@ -61,8 +62,8 @@ func TestClosureMatchesReferenceOnCatalog(t *testing.T) {
 				deepest = d
 			}
 		}
-		if got, want := strategy.PathLayers(g), strategy.ReferencePathLayers(g); got != want {
-			t.Errorf("%s: PathLayers %+v, reference %+v", name, got, want)
+		if got, want := sol.DepthStats(), strategy.ReferenceDepthStats(g); got != want {
+			t.Errorf("%s: DepthStats %+v, reference %+v", name, got, want)
 		}
 	}
 	if deepest < 3 {
@@ -108,7 +109,7 @@ func TestPathClasses(t *testing.T) {
 }
 
 // TestFindPlanMatchesClosureOnCatalog holds the backward search to the
-// closure on the calibrated ecosystem: FindPlan succeeds exactly on the
+// closure on the calibrated ecosystem: Plan succeeds exactly on the
 // accounts the closure takes over, and each plan is executable, as
 // deep as the account's closure depth and no longer than the reference
 // searcher's. The searcher, bounded by the couple file, lost or
@@ -116,12 +117,13 @@ func TestPathClasses(t *testing.T) {
 func TestFindPlanMatchesClosureOnCatalog(t *testing.T) {
 	for _, cg := range catalogGraphs(t) {
 		name, g := cg.name, cg.g
-		depths := strategy.AccountDepths(g)
+		sol := strategy.Solve(g)
+		depths := sol.AccountDepths()
 		ref := strategy.ReferencePlans(g, g.Len()+1, 1)
 		for _, id := range g.Nodes() {
-			plan, err := strategy.FindPlan(g, id, g.Len()+1)
+			plan, err := sol.Plan(id, g.Len()+1)
 			if (err == nil) != (depths[id] != strategy.Unreachable) {
-				t.Errorf("%s %s: closure depth %d, FindPlan: %v", name, id, depths[id], err)
+				t.Errorf("%s %s: closure depth %d, Plan: %v", name, id, depths[id], err)
 				continue
 			}
 			if err != nil {
@@ -140,9 +142,9 @@ func TestFindPlanMatchesClosureOnCatalog(t *testing.T) {
 	}
 }
 
-// TestFindPlansOnCatalog checks FindPlans's contract on the default
+// TestFindPlansOnCatalog checks Plans's contract on the default
 // catalog: up to limit distinct executable plans, the first being
-// FindPlan's, within the depth bound, and no fewer or shallower than
+// Plan's, within the depth bound, and no fewer or shallower than
 // the reference searcher lists.
 func TestFindPlansOnCatalog(t *testing.T) {
 	base, err := dataset.Default()
@@ -156,17 +158,18 @@ func TestFindPlansOnCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := strategy.ReferencePlans(g, 0, limit)
+		sol := strategy.Solve(g)
 		for _, id := range g.Nodes() {
-			plans, err := strategy.FindPlans(g, id, 0, limit)
-			first, firstErr := strategy.FindPlan(g, id, 0)
+			plans, err := sol.Plans(id, 0, limit)
+			first, firstErr := sol.Plan(id, 0)
 			if err != nil {
 				if firstErr == nil || len(ref[id]) > 0 {
-					t.Errorf("%v %s: FindPlans: %v", plats, id, err)
+					t.Errorf("%v %s: Plans: %v", plats, id, err)
 				}
 				continue
 			}
 			if len(plans) > limit || !reflect.DeepEqual(plans[0], first) {
-				t.Errorf("%v %s: %d plans, first %s, FindPlan's %s", plats, id, len(plans), plans[0], first)
+				t.Errorf("%v %s: %d plans, first %s, Plan's %s", plats, id, len(plans), plans[0], first)
 			}
 			if len(plans) < len(ref[id]) {
 				t.Errorf("%v %s: %d plans, the searcher %d", plats, id, len(plans), len(ref[id]))

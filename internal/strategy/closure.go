@@ -14,11 +14,11 @@ import (
 // order (account a is g.Nodes()[a]). Each factor a takeover path needs
 // beyond the graph's attacker profile is interned, with the accounts
 // able to supply it, as a need: one distinct (factor, supplier set)
-// pair, numbered from 0. One compile serves the paper's
-// ecosystem-wide dependency depths (PathLayers, every account enrolled)
-// and the campaign's per-victim closure (the victim's accounts only,
-// plus leaked factors), both through Lanes. A Closure is read-only
-// after CompileClosure and safe to share between goroutines.
+// pair, numbered from 0. One compile serves a graph's Solution (every
+// account enrolled, solved once) and the campaign's per-victim closure
+// (the victim's accounts only, plus leaked factors), both through
+// Lanes. A Closure is read-only after CompileClosure and safe to share
+// between goroutines.
 type Closure struct {
 	// needs is the number of interned needs, at least 1.
 	needs int

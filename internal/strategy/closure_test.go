@@ -267,7 +267,7 @@ type closureCheck struct{ deepest, words int }
 
 // checkClosure compiles nodes under the baseline attacker and runs the
 // oracle's four kinds of case, drawing subsets and extra factors from
-// r, then the lane blocks, then checks PathLayers against the
+// r, then the lane blocks, then checks DepthStats against the
 // reference.
 func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 	t.Helper()
@@ -319,8 +319,8 @@ func checkClosure(t *testing.T, r *rand.Rand, nodes []tdg.Node) closureCheck {
 	for _, block := range [][]laneCase{cases[:1], cases[:63], cases[:64], cases[:65], cases[:255], cases, slices.Repeat(cases[3:4], BlockLanes)} {
 		checkLanes(t, c, l, block)
 	}
-	if pl, want := PathLayers(g), ReferencePathLayers(g); pl != want {
-		t.Fatalf("%d accounts: PathLayers %+v, reference %+v", len(nodes), pl, want)
+	if st, want := Solve(g).DepthStats(), ReferenceDepthStats(g); st != want {
+		t.Fatalf("%d accounts: DepthStats %+v, reference %+v", len(nodes), st, want)
 	}
 	return got
 }
@@ -408,10 +408,12 @@ func wideNodes(seed int64, size int) []tdg.Node {
 // each service enrolled with probability 1/4 and every account of an
 // enrolled service in the footprint. The closure row is the lane engine
 // the campaign runs: one op is one 256-lane block of those footprints
-// (enroll, know, solve, reset), reported per victim as ns/victim. The
-// reference row is the map-keyed fixpoint over each footprint's
-// prebuilt graph, one op per victim, so neither row pays a graph
-// build.
+// (enroll, know, solve, reset), reported per victim as ns/victim. As
+// the campaign enrolls each service word once per block, the row
+// enrolls each account once, with the lanes of the victims holding it,
+// ORed before the timer starts. The reference row is the map-keyed
+// fixpoint over each footprint's prebuilt graph, one op per victim, so
+// neither row pays a graph build.
 func BenchmarkChainDepths(b *testing.B) {
 	cat, err := dataset.Default()
 	if err != nil {
@@ -445,17 +447,19 @@ func BenchmarkChainDepths(b *testing.B) {
 	}
 	b.Run("engine=closure", func(b *testing.B) {
 		l := c.NewLanes()
+		all := &Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		holders := make([]Word, g.Len()) // per account: the lanes enrolling it
+		for v, fp := range footprints {
+			for _, a := range fp {
+				holders[a].Or(lane(v))
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		all := &Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-		lanes := make([]*Word, victims)
-		for v := range lanes {
-			lanes[v] = lane(v)
-		}
 		for i := 0; i < b.N; i++ {
-			for v, fp := range footprints {
-				for _, a := range fp {
-					l.Enroll(a, lanes[v])
+			for a := range holders {
+				if holders[a] != (Word{}) {
+					l.Enroll(int32(a), &holders[a])
 				}
 			}
 			l.Know(c.Baseline(), all)
@@ -475,7 +479,7 @@ func BenchmarkChainDepths(b *testing.B) {
 
 // TestForwardClosureMatchesReference holds ForwardClosure, built on
 // the compiled closure, equal to the map-keyed reference rounds — every
-// account's round, path and couple flag, the rounds in order, the
+// account's round and path, the rounds in order, the
 // survivors and the harvested information — on random ecosystems under
 // varied attacker profiles and couple sizes, and on the default catalog
 // per platform, each from scratch and from random initial sets.

@@ -9,7 +9,7 @@ import (
 
 func TestAccountDepths(t *testing.T) {
 	g := fixtureGraph(t)
-	depths := AccountDepths(g)
+	depths := Solve(g).AccountDepths()
 	want := map[string]int{
 		"gmail/web": 1, "ctrip/web": 1, "shop/web": 1,
 		"paypal/web": 2, "alipay/web": 2, "bank/web": 2,
@@ -25,7 +25,7 @@ func TestAccountDepths(t *testing.T) {
 
 func TestAccountDepthsAgreeWithClosureRounds(t *testing.T) {
 	g := fixtureGraph(t)
-	depths := AccountDepths(g)
+	depths := Solve(g).AccountDepths()
 	res, err := ForwardClosure(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestAccountDepthsAgreeWithClosureRounds(t *testing.T) {
 
 func TestPathLayersBasic(t *testing.T) {
 	g := fixtureGraph(t)
-	st := PathLayers(g)
+	st := Solve(g).DepthStats()
 	if st.Total != 8 {
 		t.Fatalf("Total = %d", st.Total)
 	}
@@ -86,7 +86,7 @@ func TestPathLayersOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := PathLayers(g)
+	st := Solve(g).DepthStats()
 	if st.Direct != 2 {
 		t.Errorf("Direct = %d want 2", st.Direct)
 	}
@@ -126,11 +126,11 @@ func TestPathLayersDepth3Classification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depths := AccountDepths(g)
+	depths := Solve(g).AccountDepths()
 	if depths[aid("l3full", web)] != 3 || depths[aid("l3couple", web)] != 3 {
 		t.Fatalf("depths = %v", depths)
 	}
-	st := PathLayers(g)
+	st := Solve(g).DepthStats()
 	if st.TwoLayerFull != 1 {
 		t.Errorf("TwoLayerFull = %d want 1", st.TwoLayerFull)
 	}
@@ -157,17 +157,17 @@ func TestAccountDepthsCycleSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depths := AccountDepths(g)
+	depths := Solve(g).AccountDepths()
 	if depths[aid("a", web)] != Unreachable || depths[aid("b", web)] != Unreachable {
 		t.Errorf("cyclic depths = %v, want both Unreachable", depths)
 	}
 }
 
-func BenchmarkPathLayers(b *testing.B) {
+func BenchmarkDepthStats(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PathLayers(g)
+		_ = Solve(g).DepthStats()
 	}
 }

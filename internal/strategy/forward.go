@@ -7,11 +7,14 @@
 //
 // Both run the compiled chain-reaction closure (Closure), whose one
 // engine, Lanes, evaluates up to 256 victims per pass, one victim per
-// bit lane; a single victim is a block of one. The forward closure,
-// the paper's dependency depths and the campaign read which accounts
-// fall at which depth. The backward search reads a witness of the same
-// layers: the path the target fell by and, per need of that path, one
-// supplier fallen earlier, down to the fringe roots. The scalar
+// bit lane; a single victim is a block of one. Solve solves a graph
+// once, as a block of one with every account enrolled, and its
+// Solution serves the paper's dependency depths, the forward closure
+// and the backward search; the campaign runs its own blocks. The
+// forward closure and the depths read which accounts fall at which
+// depth. The backward search reads a witness of the same layers: the
+// path the target fell by and, per need of that path, one supplier
+// fallen earlier, down to the fringe roots. The scalar
 // closure, the map-keyed fixpoint over the graph and the couple-file
 // searcher the witness read replaced live on in the tests as
 // references.
@@ -19,6 +22,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/tdg"
@@ -31,10 +35,6 @@ type Compromise struct {
 	Round int
 	// PathID is the authentication path used.
 	PathID string
-	// UsedCouple reports that no single previously compromised
-	// account covered the path alone — the step needed jointly
-	// contributed factors (half-capacity parents).
-	UsedCouple bool
 }
 
 // ForwardResult is the outcome of a closure run.
@@ -69,128 +69,60 @@ func (r *ForwardResult) VictimCount() int {
 // it takes over, round by round, every account one of whose takeover
 // paths the profile and the accounts fallen so far cover, harvesting
 // their exposed information into the IAD, until nothing more falls.
-// The rounds are the compiled closure's layers, run as a block of one
-// lane, with the initial accounts' supplies in layer 0.
+// The rounds are the compiled closure's layers, solved as Solve solves
+// them, with the initial accounts' supplies in layer 0. From no
+// initial account it is Solve(g).Forward().
 func ForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, error) {
+	var given []bool
+	if len(initial) > 0 {
+		ids := g.Nodes()
+		given = make([]bool, len(ids))
+		for _, id := range initial {
+			a := slices.Index(ids, id)
+			if a < 0 {
+				return nil, fmt.Errorf("strategy: initial account %s not in graph", id)
+			}
+			given[a] = true
+		}
+	}
+	return solve(g, given).Forward(), nil
+}
+
+// Forward returns the solved forward closure: each fallen account's
+// round and the first of its paths covered in that round, the
+// survivors, and the profile's information plus everything the fallen
+// and initial accounts expose.
+func (s *Solution) Forward() *ForwardResult {
 	res := &ForwardResult{
 		Compromised: make(map[ecosys.AccountID]Compromise),
 		FinalInfo:   make(ecosys.InfoSet),
 	}
-	ap := g.Profile()
-	for f := range ap.KnownInfo {
+	for f := range s.g.Profile().KnownInfo {
 		res.FinalInfo.Add(f)
 	}
-	for _, id := range initial {
-		if _, ok := g.Node(id); !ok {
-			return nil, fmt.Errorf("strategy: initial account %s not in graph", id)
-		}
-		res.Compromised[id] = Compromise{Round: 0}
-	}
-	ids := g.Nodes()
-	c := CompileClosure(g)
-	one := &Word{1} // a block of one, in lane 0
-	l := c.NewLanes()
-	l.Know(c.baseline, one)
-	for a, id := range ids {
-		if _, done := res.Compromised[id]; done {
-			l.Give(int32(a), one)
-		} else {
-			l.Enroll(int32(a), one)
-		}
-	}
-	l.Solve()
-	depth := make([]int32, len(ids))
-	for _, f := range l.Falls() {
-		depth[f.Account] = f.Depth
-	}
-	for a, id := range ids {
-		node, _ := g.Node(id)
-		if _, done := res.Compromised[id]; !done {
-			d := depth[a]
-			if d == 0 {
-				res.Survivors = append(res.Survivors, id)
-				continue
-			}
+	for a, id := range s.ids {
+		d := s.depth[a]
+		switch {
+		case s.given != nil && s.given[a]:
+			res.Compromised[id] = Compromise{}
+		case d == 0:
+			res.Survivors = append(res.Survivors, id)
+			continue
+		default:
 			if int(d) > len(res.Rounds) {
 				res.Rounds = append(res.Rounds, make([][]ecosys.AccountID, int(d)-len(res.Rounds))...)
 			}
 			res.Rounds[d-1] = append(res.Rounds[d-1], id)
-			p := c.pathStart[a]
-			for l.pathDepth(p, 0) != d {
+			p := s.c.pathStart[a]
+			for s.l.pathDepth(p, 0) != d {
 				p++ // no path is covered before the layer the account fell in
 			}
-			res.Compromised[id] = Compromise{Round: int(d), PathID: c.pathID[p],
-				UsedCouple: harvested(node, c.pathID[p], ap.Capabilities) > 1}
+			res.Compromised[id] = Compromise{Round: int(d), PathID: s.c.pathID[p]}
 		}
+		node, _ := s.g.Node(id)
 		for f := range node.Exposes {
 			res.FinalInfo.Add(f)
 		}
 	}
-	return res, nil
-}
-
-// harvested counts the factors of node's path pathID beyond the
-// attacker's capabilities. More than one marks the fall UsedCouple: the
-// measurement-granularity stand-in for the paper's half-capacity-parent
-// notion.
-func harvested(node *tdg.Node, pathID string, capabilities ecosys.FactorSet) int {
-	n := 0
-	for _, p := range node.Paths {
-		if p.ID == pathID {
-			for _, f := range p.Factors {
-				if !capabilities.Has(f) {
-					n++
-				}
-			}
-			return n
-		}
-	}
-	return n
-}
-
-// LayerStats aggregates a ForwardResult into the paper's §IV.B.1
-// dependency categories. Percentages overlap by construction (the
-// paper: "the overall percentage can not be summed up to 100").
-type LayerStats struct {
-	Total int
-	// Direct is |round 1|: compromised with phone + SMS code alone.
-	Direct int
-	// OneMiddle is |round 2|: one layer of middle accounts.
-	OneMiddle int
-	// TwoLayerFull is |round >= 3| without couple use.
-	TwoLayerFull int
-	// WithCouples counts accounts whose fall needed jointly
-	// contributed factors at any depth.
-	WithCouples int
-	// Uncompromised never fell.
-	Uncompromised int
-}
-
-// Pct returns 100*n/total, 0 for an empty graph.
-func (s LayerStats) Pct(n int) float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(s.Total)
-}
-
-// Layers computes LayerStats from a closure that started with an empty
-// initial set.
-func Layers(res *ForwardResult, total int) LayerStats {
-	st := LayerStats{Total: total}
-	for _, c := range res.Compromised {
-		switch {
-		case c.Round == 1:
-			st.Direct++
-		case c.Round == 2:
-			st.OneMiddle++
-		case c.Round >= 3 && !c.UsedCouple:
-			st.TwoLayerFull++
-		}
-		if c.UsedCouple {
-			st.WithCouples++
-		}
-	}
-	st.Uncompromised = len(res.Survivors)
-	return st
+	return res
 }

@@ -81,13 +81,11 @@ func TestPropertyClosurePlanAgreement(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := ForwardClosure(g, nil)
-		if err != nil {
-			return false
-		}
+		s := Solve(g)
+		res := s.Forward()
 		for _, id := range g.Nodes() {
 			// Depth bound generous enough for any chain in the graph.
-			_, planErr := FindPlan(g, id, g.Len()+1)
+			_, planErr := s.Plan(id, g.Len()+1)
 			_, fell := res.Compromised[id]
 			if fell != (planErr == nil) {
 				t.Logf("seed=%d sz=%d node=%s fell=%v planErr=%v", seed, sz, id, fell, planErr)
@@ -117,8 +115,8 @@ func TestClosurePlanAgreementRegression(t *testing.T) {
 	if _, fell := res.Compromised[target]; !fell {
 		t.Fatalf("closure no longer compromises %s", target)
 	}
-	if _, err := FindPlan(g, target, g.Len()+1); err != nil {
-		t.Fatalf("FindPlan(%s): %v", target, err)
+	if _, err := Solve(g).Plan(target, g.Len()+1); err != nil {
+		t.Fatalf("Plan(%s): %v", target, err)
 	}
 }
 
@@ -134,7 +132,7 @@ func TestPropertyDepthsMatchClosureRounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		depths := AccountDepths(g)
+		depths := Solve(g).AccountDepths()
 		for _, id := range g.Nodes() {
 			c, fell := res.Compromised[id]
 			if fell && depths[id] != c.Round {
@@ -158,7 +156,7 @@ func TestPropertyFringeIsDepthOne(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		depths := AccountDepths(g)
+		depths := Solve(g).AccountDepths()
 		for _, id := range g.Nodes() {
 			if g.IsFringe(id) != (depths[id] == 1) {
 				return false
@@ -182,9 +180,10 @@ func TestPropertyPlansWellFormed(t *testing.T) {
 			return false
 		}
 		maxDepth := 1 + int(bound%6)
-		depths := AccountDepths(g)
+		s := Solve(g)
+		depths := s.AccountDepths()
 		for _, id := range g.Nodes() {
-			plan, err := FindPlan(g, id, maxDepth)
+			plan, err := s.Plan(id, maxDepth)
 			if d := depths[id]; d == Unreachable || d > maxDepth {
 				if !errors.Is(err, ErrNoPlan) {
 					t.Logf("seed=%d %s: depth %d, bound %d, err %v", seed, id, d, maxDepth, err)
@@ -223,11 +222,12 @@ func TestPlanStepsAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := ReferencePlans(g, g.Len()+1, 1)
+		s := Solve(g)
 		for _, id := range g.Nodes() {
-			plan, err := FindPlan(g, id, g.Len()+1)
+			plan, err := s.Plan(id, g.Len()+1)
 			if err != nil {
 				if len(ref[id]) > 0 {
-					t.Errorf("seed %d %s: the searcher plans %s, FindPlan: %v", seed, id, ref[id][0], err)
+					t.Errorf("seed %d %s: the searcher plans %s, Plan: %v", seed, id, ref[id][0], err)
 				}
 				continue
 			}

@@ -13,24 +13,15 @@ import (
 // Unreachable is the depth of an account no chain compromises.
 const Unreachable = math.MaxInt32
 
-// AccountDepths runs the compiled closure as a block of one lane with
-// every account enrolled under g's profile and returns each account's
-// depth (1 = attacker profile alone, Unreachable = never).
-func AccountDepths(g *tdg.Graph) map[ecosys.AccountID]int {
-	c := CompileClosure(g)
-	one := &Word{1} // a block of one, in lane 0
-	l := c.NewLanes()
-	for a := range l.enrolled {
-		l.Enroll(int32(a), one)
-	}
-	l.Know(c.Baseline(), one)
-	l.Solve()
-	out := make(map[ecosys.AccountID]int, g.Len())
-	for _, id := range g.Nodes() {
+// AccountDepths returns each account's solved depth (1 = attacker
+// profile alone, Unreachable = never).
+func (s *Solution) AccountDepths() map[ecosys.AccountID]int {
+	out := make(map[ecosys.AccountID]int, len(s.ids))
+	for a, id := range s.ids {
 		out[id] = Unreachable
-	}
-	for _, f := range l.Falls() {
-		out[g.Nodes()[f.Account]] = int(f.Depth)
+		if d := s.depth[a]; d > 0 {
+			out[id] = int(d)
+		}
 	}
 	return out
 }
@@ -284,8 +275,8 @@ func ReferenceDepths(g *tdg.Graph) map[ecosys.AccountID]int {
 	return newDepthAnalysis(g).depth
 }
 
-// ReferencePathLayers is the reference PathLayers.
-func ReferencePathLayers(g *tdg.Graph) DepthStats {
+// ReferenceDepthStats is the reference Solution.DepthStats.
+func ReferenceDepthStats(g *tdg.Graph) DepthStats {
 	a := newDepthAnalysis(g)
 	st := DepthStats{Total: g.Len()}
 	for _, id := range g.Nodes() {
@@ -359,11 +350,11 @@ func referenceForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*Forward
 				continue
 			}
 			node, _ := g.Node(id)
-			pathID, usedCouple, ok := referenceSatisfiablePath(node, ap.Capabilities, available, controlled)
+			pathID, ok := referenceSatisfiablePath(node, available, controlled)
 			if !ok {
 				continue
 			}
-			res.Compromised[id] = Compromise{Round: round, PathID: pathID, UsedCouple: usedCouple}
+			res.Compromised[id] = Compromise{Round: round, PathID: pathID}
 			fell = append(fell, id)
 			for f := range node.Exposes {
 				newInfo.Add(f)
@@ -389,43 +380,21 @@ func referenceForwardClosure(g *tdg.Graph, initial []ecosys.AccountID) (*Forward
 	return res, nil
 }
 
-// satisfiablePath finds the first takeover path of node coverable by
-// the available factors and controlled services. usedCouple reports
-// whether more than one harvested (non-capability) factor was needed —
-// the measurement-granularity stand-in for the paper's half-capacity-
-// parent notion.
-func referenceSatisfiablePath(node *tdg.Node, capabilities, available ecosys.FactorSet, controlled map[string]bool) (pathID string, usedCouple bool, ok bool) {
+// referenceSatisfiablePath finds the first takeover path of node
+// coverable by the available factors and controlled services.
+func referenceSatisfiablePath(node *tdg.Node, available ecosys.FactorSet, controlled map[string]bool) (pathID string, ok bool) {
 	for _, p := range node.Paths {
 		if p.Purpose != ecosys.PurposeSignIn && p.Purpose != ecosys.PurposeReset {
 			continue
 		}
 		covered := true
-		extra := 0
 		for _, f := range p.Factors {
 			switch {
 			case available.Has(f):
-				if !capabilities.Has(f) {
-					extra++
-				}
 			case f == ecosys.FactorLinkedAccount:
-				bound := false
-				for _, b := range node.BoundTo {
-					if controlled[b] {
-						bound = true
-						break
-					}
-				}
-				if !bound {
-					covered = false
-				} else {
-					extra++
-				}
+				covered = slices.ContainsFunc(node.BoundTo, func(b string) bool { return controlled[b] })
 			case f == ecosys.FactorEmailCode || f == ecosys.FactorEmailLink:
-				if node.EmailProvider == "" || !controlled[node.EmailProvider] {
-					covered = false
-				} else {
-					extra++
-				}
+				covered = node.EmailProvider != "" && controlled[node.EmailProvider]
 			default:
 				covered = false
 			}
@@ -434,13 +403,13 @@ func referenceSatisfiablePath(node *tdg.Node, capabilities, available ecosys.Fac
 			}
 		}
 		if covered {
-			return p.ID, extra > 1, true
+			return p.ID, true
 		}
 	}
-	return "", false, false
+	return "", false
 }
 
-// The searcher below is the backward search FindPlan and FindPlans
+// The searcher below is the backward search Solution.Plan and Plans
 // replaced, kept as their oracle: it walks full-capacity parents
 // (strong edges) and the couple groups tdg records, assigns its own
 // layers and solves each account's fewest-step plan from lower layers.
@@ -589,7 +558,7 @@ func (s *searcher) merge(parents []ecosys.AccountID) []PlanStep {
 	return merged
 }
 
-// findPlans is the reference FindPlans over the searcher's layers: up to
+// findPlans is the reference Solution.Plans over the searcher's layers: up to
 // limit distinct plans for target, the fewest-step plan first, then by
 // iteratively excluding the first-hop option of each found plan; none
 // when target has no plan within maxDepth layers.
@@ -658,7 +627,7 @@ func (s *searcher) usableAvoiding(opt option, avoid ecosys.AccountID) bool {
 	return true
 }
 
-// ReferencePlans runs the reference FindPlans for every account of g
+// ReferencePlans runs the reference Solution.Plans for every account of g
 // from one search bounded by maxDepth layers (0 means 5): up to limit
 // plans each, none for an account without a plan.
 func ReferencePlans(g *tdg.Graph, maxDepth, limit int) map[ecosys.AccountID][]*Plan {

