@@ -509,6 +509,7 @@ func BenchmarkAblationCrackKeyspace(b *testing.B) {
 		}
 		kc := space.Key(n - 1) // worst case for sweeping backends
 		down, _ := a51.New(kc, frame).KeystreamBurst()
+		sample := []a51.Sample{{Keystream: down[:8], Frame: frame}}
 		table, err := a51.BuildTable(space, a51.TableConfig{Frames: []uint32{frame}})
 		if err != nil {
 			b.Fatal(err)
@@ -523,8 +524,8 @@ func BenchmarkAblationCrackKeyspace(b *testing.B) {
 			b.Run(fmt.Sprintf("bits=%d/backend=%s", bits, backend.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := backend.cr.Recover(context.Background(), down[:8], frame, space); err != nil {
-						b.Fatal(err)
+					if _, errs := backend.cr.RecoverBatch(context.Background(), sample, space); errs[0] != nil {
+						b.Fatal(errs[0])
 					}
 				}
 			})

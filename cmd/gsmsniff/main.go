@@ -80,7 +80,7 @@ func main() {
 		}
 		cracker = table
 	} else {
-		if cracker, err = a51.NewCracker(*backend, space, 0); err != nil {
+		if cracker, err = a51.NewCracker(*backend, space); err != nil {
 			fatal(err)
 		}
 	}

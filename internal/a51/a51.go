@@ -12,7 +12,9 @@
 // The real-world attack uses precomputed rainbow tables over the full
 // 64-bit key space (the srlabs "Kraken" tables cited by the paper).
 // This package reproduces that time–memory trade-off at reduced scale
-// behind the pluggable Cracker interface, with two backends:
+// behind the pluggable Cracker interface — one batched contract,
+// Cracker.RecoverBatch, for a trace's worth of samples or for one —
+// with two backends:
 //
 //   - Bitsliced: packs 64 candidate keys into the bit positions of
 //     uint64 words — one word per register bit — and clocks all 64
@@ -45,8 +47,8 @@
 // Match order, shared-tail skipping and error cases are the scalar
 // walk's, and no lane runs ahead of its lookup, so a batch computes
 // exactly the fingerprints its scalar lookups compute and a batch of
-// one (Table.Recover) costs what the scalar walk costs and answers
-// exactly what a batch of thousands does.
+// one costs what the scalar walk costs and answers exactly what a
+// batch of thousands does.
 //
 // Every cipher setup, scalar or 64-lane, skips the 86 regular key- and
 // COUNT-loading clocks: their result is linear in (Kc, COUNT), so it is

@@ -152,20 +152,33 @@ func bsMatch(keys []uint64, frame uint32, keystream []byte) (uint64, bool) {
 
 // Bitsliced is the 64-lane search backend: it packs 64 candidate keys
 // into uint64 bit planes and clocks all of them with one sequence of
-// boolean operations, batching the key space 64 candidates at a time.
-type Bitsliced struct {
-	// Workers is the number of concurrent batch scanners: 0 means
-	// GOMAXPROCS, 1 serial.
-	Workers int
-}
+// boolean operations, batching the key space 64 candidates at a time
+// over GOMAXPROCS goroutines.
+type Bitsliced struct{}
 
 var _ Cracker = Bitsliced{}
 
 // Name implements Cracker.
-func (b Bitsliced) Name() string { return "bitsliced" }
+func (Bitsliced) Name() string { return "bitsliced" }
 
-// Recover implements Cracker.
-func (b Bitsliced) Recover(ctx context.Context, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
+// Identity implements Cracker. The search has no parameters, so the
+// backend's name is its whole identity.
+func (Bitsliced) Identity() string { return "backend/bitsliced" }
+
+// RecoverBatch implements Cracker: one strided sweep of the space per
+// sample, in sample order. Once ctx is canceled, every sample not yet
+// resolved reports ctx.Err().
+func (b Bitsliced) RecoverBatch(ctx context.Context, samples []Sample, space KeySpace) (keys []uint64, errs []error) {
+	keys = make([]uint64, len(samples))
+	errs = make([]error, len(samples))
+	for i, s := range samples {
+		keys[i], errs[i] = b.recover(ctx, s.Keystream, s.Frame, space)
+	}
+	return keys, errs
+}
+
+// recover sweeps space for one sample's key.
+func (Bitsliced) recover(ctx context.Context, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
 	if len(keystream) < minSampleBytes {
 		return 0, ErrBadKeystream
 	}
@@ -173,8 +186,11 @@ func (b Bitsliced) Recover(ctx context.Context, keystream []byte, frame uint32, 
 	if !ok {
 		return 0, ErrSpaceTooLarge
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	batches := (n + bsLanes - 1) / bsLanes
-	return searchStrided(ctx, batches, b.Workers, func(bi uint64) (uint64, bool) {
+	return searchStrided(ctx, batches, func(bi uint64) (uint64, bool) {
 		var buf [bsLanes]uint64
 		base := bi * bsLanes
 		count := uint64(bsLanes)

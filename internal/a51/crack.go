@@ -91,15 +91,13 @@ func (r *searchResult) watch(ctx context.Context, done <-chan struct{}) {
 }
 
 // searchStrided fans a first-match scan over units [0, n) across
-// workers goroutines (0 = GOMAXPROCS) in a strided partition — worker
-// w takes w, w+workers, ... Every unit scan polls the shared atomic
-// stop flag, ctx cancellation is mirrored into that flag by a watcher,
-// and the first hit wins the CAS. It is the fan-out harness of the
-// per-batch bitsliced search.
-func searchStrided(ctx context.Context, n uint64, workers int, scan func(i uint64) (uint64, bool)) (uint64, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// GOMAXPROCS goroutines in a strided partition — worker w takes w,
+// w+workers, ... Every unit scan polls the shared atomic stop flag, ctx
+// cancellation is mirrored into that flag by a watcher, and the first
+// hit wins the CAS. It is the fan-out harness of the per-sample
+// bitsliced search.
+func searchStrided(ctx context.Context, n uint64, scan func(i uint64) (uint64, bool)) (uint64, error) {
+	workers := runtime.GOMAXPROCS(0)
 	if uint64(workers) > n {
 		workers = int(n)
 	}
@@ -156,17 +154,4 @@ func matches(key uint64, frame uint32, keystream []byte) bool {
 		}
 	}
 	return true
-}
-
-// DeriveKeystream recovers keystream bytes from a ciphertext/plaintext
-// pair — the known-plaintext step. The slices must be equal length.
-func DeriveKeystream(ciphertext, plaintext []byte) ([]byte, error) {
-	if len(ciphertext) != len(plaintext) {
-		return nil, errors.New("a51: ciphertext/plaintext length mismatch")
-	}
-	out := make([]byte, len(ciphertext))
-	for i := range ciphertext {
-		out[i] = ciphertext[i] ^ plaintext[i]
-	}
-	return out, nil
 }

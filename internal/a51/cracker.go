@@ -5,22 +5,36 @@ import (
 	"fmt"
 )
 
-// Cracker recovers an A5/1 session key from an observed keystream
-// prefix. It is the pluggable search backend behind the sniffer, the
-// MitM rig and the attack scenarios: all of them speak this interface
-// and stay agnostic of whether recovery is a bitsliced search or a
-// table lookup.
+// Sample is one key-recovery request: the keystream derived from a
+// known-plaintext burst and the COUNT frame value it was ciphered
+// under.
+type Sample struct {
+	Keystream []byte
+	Frame     uint32
+}
+
+// Cracker recovers A5/1 session keys from observed keystream prefixes.
+// It is the pluggable search backend behind the sniffer, the MitM rig
+// and the attack scenarios: all of them speak this interface and stay
+// agnostic of whether recovery is a bitsliced search or a table lookup.
 //
 // Implementations must be safe for concurrent use; the sniffer cracks
 // sessions from multiple receiver callbacks.
 type Cracker interface {
 	// Name identifies the backend in stats and CLI output.
 	Name() string
-	// Recover searches space for the key whose downlink keystream for
-	// frame starts with keystream (at least minSampleBytes bytes). It
-	// returns ErrKeyNotFound when no key in the space matches,
-	// ErrBadKeystream for short samples, and ctx.Err() on cancellation.
-	Recover(ctx context.Context, keystream []byte, frame uint32, space KeySpace) (uint64, error)
+	// Identity describes everything about the backend that can change
+	// a crack outcome. Campaign checkpoints pin it in the run manifest,
+	// so a journal never resumes against a different backend.
+	Identity() string
+	// RecoverBatch searches space, for every sample, for the key whose
+	// downlink keystream for the sample's frame starts with its
+	// keystream (at least minSampleBytes bytes). keys[i] is meaningful
+	// only when errs[i] is nil. errs[i] is ErrKeyNotFound when no key in
+	// the space matches, ErrBadKeystream for a short sample, and
+	// ctx.Err() for a sample left unresolved by cancellation. Each
+	// result is the one a batch of that sample alone returns.
+	RecoverBatch(ctx context.Context, samples []Sample, space KeySpace) (keys []uint64, errs []error)
 }
 
 // NewCracker builds a backend by name — the switch the CLI flags and
@@ -30,14 +44,13 @@ type Cracker interface {
 //	"table"               TMTO table built for space over the paging
 //	                      frame classes (PagingFrames)
 //
-// workers bounds the parallelism of the backend (and of the table
-// build); 0 means GOMAXPROCS.
-func NewCracker(name string, space KeySpace, workers int) (Cracker, error) {
+// Both backends spread their work over GOMAXPROCS goroutines.
+func NewCracker(name string, space KeySpace) (Cracker, error) {
 	switch name {
 	case "bitsliced", "":
-		return Bitsliced{Workers: workers}, nil
+		return Bitsliced{}, nil
 	case "table":
-		return BuildTable(space, TableConfig{Workers: workers})
+		return BuildTable(space, TableConfig{})
 	}
 	return nil, fmt.Errorf("a51: unknown cracker backend %q", name)
 }

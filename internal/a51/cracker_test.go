@@ -34,11 +34,14 @@ func allBackends(t *testing.T, space KeySpace, frames int) []Cracker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Cracker{
-		Bitsliced{},
-		Bitsliced{Workers: 1},
-		table,
-	}
+	return []Cracker{Bitsliced{}, table}
+}
+
+// recoverOne is a one-sample RecoverBatch call, the form the sniffer's
+// uncached crack and the MitM probe use.
+func recoverOne(ctx context.Context, cr Cracker, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
+	keys, errs := cr.RecoverBatch(ctx, []Sample{{Keystream: keystream, Frame: frame}}, space)
+	return keys[0], errs[0]
 }
 
 func TestCrackerBackendsAgree(t *testing.T) {
@@ -48,7 +51,7 @@ func TestCrackerBackendsAgree(t *testing.T) {
 			kc := space.Key(idx)
 			down, _ := New(kc, frame).KeystreamBurst()
 			for _, cr := range allBackends(t, space, 40) {
-				got, err := cr.Recover(context.Background(), down[:8], frame, space)
+				got, err := recoverOne(context.Background(), cr, down[:8], frame, space)
 				if err != nil {
 					t.Fatalf("%s: frame=%d idx=%d: %v", cr.Name(), frame, idx, err)
 				}
@@ -65,7 +68,7 @@ func TestCrackerBackendsNotFound(t *testing.T) {
 	outside := uint64(1) << 20
 	down, _ := New(outside, 5).KeystreamBurst()
 	for _, cr := range allBackends(t, space, 8) {
-		if _, err := cr.Recover(context.Background(), down[:8], 5, space); !errors.Is(err, ErrKeyNotFound) {
+		if _, err := recoverOne(context.Background(), cr, down[:8], 5, space); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("%s: err = %v want ErrKeyNotFound", cr.Name(), err)
 		}
 	}
@@ -73,24 +76,30 @@ func TestCrackerBackendsNotFound(t *testing.T) {
 
 func TestCrackerBackendsShortSample(t *testing.T) {
 	for _, cr := range allBackends(t, KeySpace{Bits: 6}, 2) {
-		if _, err := cr.Recover(context.Background(), []byte{1, 2}, 0, KeySpace{Bits: 6}); !errors.Is(err, ErrBadKeystream) {
+		if _, err := recoverOne(context.Background(), cr, []byte{1, 2}, 0, KeySpace{Bits: 6}); !errors.Is(err, ErrBadKeystream) {
 			t.Fatalf("%s: err = %v want ErrBadKeystream", cr.Name(), err)
 		}
 	}
 }
 
+// TestBitslicedCancel: a canceled context must surface on every sample
+// of a batch, including one whose key a sweep would find.
 func TestBitslicedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	space := KeySpace{Bits: 20}
 	bogus := []byte{0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88}
-	_, err := Bitsliced{Workers: 2}.Recover(ctx, bogus, 0, KeySpace{Bits: 20})
-	if err != context.Canceled {
-		t.Fatalf("err = %v want context.Canceled", err)
+	down, _ := New(space.Key(0), 0).KeystreamBurst()
+	_, errs := Bitsliced{}.RecoverBatch(ctx, []Sample{{Keystream: bogus}, {Keystream: down[:8]}}, space)
+	for i, err := range errs {
+		if err != context.Canceled {
+			t.Fatalf("sample %d: err = %v want context.Canceled", i, err)
+		}
 	}
 }
 
 func TestBitslicedFullSpaceRejected(t *testing.T) {
-	if _, err := (Bitsliced{}).Recover(context.Background(), make([]byte, 8), 0, KeySpace{Bits: 64}); !errors.Is(err, ErrSpaceTooLarge) {
+	if _, err := recoverOne(context.Background(), Bitsliced{}, make([]byte, 8), 0, KeySpace{Bits: 64}); !errors.Is(err, ErrSpaceTooLarge) {
 		t.Fatalf("err = %v want ErrSpaceTooLarge", err)
 	}
 }
@@ -166,7 +175,7 @@ func TestTableRecoverAcrossFrames(t *testing.T) {
 		kc := space.Key(rng.Uint64())
 		frame := uint32(rng.Intn(DefaultTableFrames))
 		down, _ := New(kc, frame).KeystreamBurst()
-		got, err := table.Recover(context.Background(), down[:8], frame, space)
+		got, err := recoverOne(context.Background(), table, down[:8], frame, space)
 		if err != nil {
 			t.Fatalf("trial %d frame %d: %v", trial, frame, err)
 		}
@@ -185,7 +194,7 @@ func TestTableUncoveredFrameFallsBack(t *testing.T) {
 	kc := space.Key(200)
 	frame := uint32(999) // far outside the window
 	down, _ := New(kc, frame).KeystreamBurst()
-	got, err := table.Recover(context.Background(), down[:8], frame, space)
+	got, err := recoverOne(context.Background(), table, down[:8], frame, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +208,7 @@ func TestTableSpaceMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = table.Recover(context.Background(), make([]byte, 8), 0, KeySpace{Bits: 7})
+	_, err = recoverOne(context.Background(), table, make([]byte, 8), 0, KeySpace{Bits: 7})
 	if !errors.Is(err, ErrTableSpaceMismatch) {
 		t.Fatalf("err = %v want ErrTableSpaceMismatch", err)
 	}
@@ -228,7 +237,7 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 	kc := space.Key(777)
 	frame := uint32(5)
 	down, _ := New(kc, frame).KeystreamBurst()
-	got, err := loaded.Recover(context.Background(), down[:8], frame, space)
+	got, err := recoverOne(context.Background(), loaded, down[:8], frame, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +259,7 @@ func TestNewCrackerFactory(t *testing.T) {
 		"bitsliced": "bitsliced",
 		"table":     "table",
 	} {
-		cr, err := NewCracker(name, space, 0)
+		cr, err := NewCracker(name, space)
 		if err != nil {
 			t.Fatalf("NewCracker(%q): %v", name, err)
 		}
@@ -258,10 +267,15 @@ func TestNewCrackerFactory(t *testing.T) {
 			t.Fatalf("NewCracker(%q).Name() = %q want %q", name, cr.Name(), want)
 		}
 	}
+	// Checkpoint manifests written before Identity joined the Cracker
+	// interface pin the bitsliced backend under exactly this string.
+	if got := (Bitsliced{}).Identity(); got != "backend/bitsliced" {
+		t.Fatalf("Bitsliced.Identity() = %q, want %q", got, "backend/bitsliced")
+	}
 	// The brute-force backends are gone; their names fail like any
 	// other unknown name.
 	for _, name := range []string{"quantum", "exhaustive", "parallel"} {
-		if _, err := NewCracker(name, space, 0); err == nil || !strings.Contains(err.Error(), "unknown cracker backend") {
+		if _, err := NewCracker(name, space); err == nil || !strings.Contains(err.Error(), "unknown cracker backend") {
 			t.Fatalf("NewCracker(%q): err = %v, want unknown-backend error", name, err)
 		}
 	}

@@ -12,8 +12,8 @@ package a51
 // lanes go through the lane-sliced clock 64 at a time, with the scalar
 // clock for a remainder below scalarReplayCutoff. No lane runs ahead of
 // its lookup, so a batch computes exactly the fingerprints its scalar
-// lookups compute (a51_chain_fingerprints_total), and Table.Recover, a
-// batch of one, costs what the scalar walk costs.
+// lookups compute (a51_chain_fingerprints_total), and a batch of one
+// costs what the scalar walk costs.
 //
 // A fingerprint hit is only a candidate: its key must still reproduce
 // the whole sample. RecoverBatch parks the lookup and checks every
@@ -34,26 +34,6 @@ import (
 	"math/bits"
 	"sync"
 )
-
-// Sample is one key-recovery request: the keystream derived from a
-// known-plaintext burst and the COUNT frame value it was ciphered
-// under. It is the unit batched recovery (BatchCracker) works in.
-type Sample struct {
-	Keystream []byte
-	Frame     uint32
-}
-
-// BatchCracker is the optional batched extension of Cracker: backends
-// that can amortize recovery work across samples — the table backend
-// bitslices its chain replays across every sample of a call — implement
-// it, and batch-oriented callers (sniffer.FeedBatch) check for it and
-// resolve a whole trace's samples in one RecoverBatch call. keys[i] is
-// meaningful only when errs[i] is nil. Results must be identical,
-// sample for sample, to calling Recover once per sample.
-type BatchCracker interface {
-	Cracker
-	RecoverBatch(ctx context.Context, samples []Sample, space KeySpace) (keys []uint64, errs []error)
-}
 
 // scalarReplayCutoff is the lane count below which a gather round uses
 // the scalar fingerprint instead of a bitsliced pass. One 64-lane pass
@@ -172,12 +152,14 @@ func (rs *replayScratch) reset() {
 	rs.seen = rs.seen[:0]
 }
 
-// RecoverBatch implements BatchCracker: it resolves every sample by an
+// RecoverBatch implements Cracker: it resolves every sample by an
 // overflow check, a distinguished-point walk and a chain replay, but
 // gathers the fingerprint computations of all samples — walk steps and
-// chain positions alike — into 64-lane bitsliced passes. Samples on
-// frames outside the precomputed window go through the bitsliced-sweep
-// fallback.
+// chain positions alike — into 64-lane bitsliced passes. A miss after
+// a complete walk proves no key in the space generates the sample
+// (coverage is total), so it reports ErrKeyNotFound without sweeping.
+// Samples on frames outside the precomputed window go, in one call, to
+// the bitsliced-sweep fallback.
 func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpace) (keys []uint64, errs []error) {
 	keys = make([]uint64, len(samples))
 	errs = make([]error, len(samples))
@@ -240,9 +222,17 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 
 	t.runReplayRounds(ctx, rs, samples, space, n, keys, errs)
 
+	if len(fallback) == 0 {
+		return keys, errs
+	}
 	metFallbacks.Add(int64(len(fallback)))
-	for _, si := range fallback {
-		keys[si], errs[si] = t.fallback.Recover(ctx, samples[si].Keystream, samples[si].Frame, space)
+	swept := make([]Sample, len(fallback))
+	for i, si := range fallback {
+		swept[i] = samples[si]
+	}
+	fkeys, ferrs := Bitsliced{}.RecoverBatch(ctx, swept, space)
+	for i, si := range fallback {
+		keys[si], errs[si] = fkeys[i], ferrs[i]
 	}
 	return keys, errs
 }

@@ -39,7 +39,7 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 	}
 	ft := t.frames[frame]
 	if ft == nil {
-		return t.fallback.Recover(ctx, keystream, frame, space)
+		return recoverOne(ctx, Bitsliced{}, keystream, frame, space)
 	}
 	n, _ := space.Size()
 	fingerprint := func(x uint64) uint64 {
@@ -93,7 +93,7 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 }
 
 // checkAgainstRef resolves samples through one RecoverBatch call and
-// through Table.Recover (a batch of one) per sample, and fails unless
+// through a batch of one per sample, and fails unless
 // both return exactly what refRecover returns, sample for sample. It
 // also pins the work: the RecoverBatch call must compute exactly the
 // fingerprints the scalar lookups of its samples compute
@@ -108,12 +108,12 @@ func checkAgainstRef(t *testing.T, label string, table *Table, samples []Sample,
 	refFingerprints = 0
 	for i, s := range samples {
 		wantKey, wantErr := refRecover(ctx, table, s.Keystream, s.Frame, space)
-		oneKey, oneErr := table.Recover(ctx, s.Keystream, s.Frame, space)
+		oneKey, oneErr := recoverOne(ctx, table, s.Keystream, s.Frame, space)
 		for _, got := range []struct {
 			path string
 			key  uint64
 			err  error
-		}{{"RecoverBatch", keys[i], errs[i]}, {"Recover", oneKey, oneErr}} {
+		}{{"RecoverBatch", keys[i], errs[i]}, {"batch of one", oneKey, oneErr}} {
 			if (got.err == nil) != (wantErr == nil) ||
 				(wantErr != nil && !errors.Is(got.err, wantErr)) {
 				t.Fatalf("%s: sample %d: %s err = %v, reference err = %v", label, i, got.path, got.err, wantErr)
@@ -134,7 +134,7 @@ func checkAgainstRef(t *testing.T, label string, table *Table, samples []Sample,
 // sizes exercising sub-64 remainder lanes and multi-block gathers,
 // covered and uncovered frames, full-burst and fingerprint-width
 // samples, a short sample and unrecoverable keystreams, RecoverBatch
-// and Table.Recover must return exactly what refRecover returns,
+// and a batch of one must return exactly what refRecover returns,
 // sample for sample — on the table's own space and on a mismatched
 // one.
 func TestRecoverBatchMatchesScalar(t *testing.T) {
@@ -322,7 +322,6 @@ func TestRecoverBatchCancellation(t *testing.T) {
 func TestRecoverBatchAcrossLaneBlocks(t *testing.T) {
 	space := KeySpace{Base: 0xC118000000000000, Bits: 8}
 	table := replayTable(t, space, FrameRange(4), 2)
-	var _ BatchCracker = table // compile-time: Table is a BatchCracker
 	keys := make([]uint64, 70)
 	samples := make([]Sample, 70)
 	for i := range samples {
@@ -362,8 +361,8 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 }
 
 // BenchmarkTableRecoverBatch compares per-sample scalar chain replay
-// (the refRecover reference), per-sample batches of one (Table.Recover,
-// the live sniffer's path) and one 64-lane batched RecoverBatch call
+// (the refRecover reference), per-sample batches of one (the live
+// sniffer's path) and one 64-lane batched RecoverBatch call
 // over the same 64 samples (12-bit space, chain length 2, full 8-byte
 // keystreams) — the mechanism cost the batch path saves per crack. The
 // shard row times the call one campaign shard makes: ~5,800 14-byte
@@ -401,7 +400,7 @@ func BenchmarkTableRecoverBatch(b *testing.B) {
 		recover func(s Sample) (uint64, error)
 	}{
 		{"scalar", func(s Sample) (uint64, error) { return refRecover(ctx, table, s.Keystream, s.Frame, space) }},
-		{"single", func(s Sample) (uint64, error) { return table.Recover(ctx, s.Keystream, s.Frame, space) }},
+		{"single", func(s Sample) (uint64, error) { return recoverOne(ctx, table, s.Keystream, s.Frame, space) }},
 	} {
 		b.Run(single.name, func(b *testing.B) {
 			b.ReportAllocs()

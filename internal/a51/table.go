@@ -3,7 +3,6 @@ package a51
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,9 +37,6 @@ type TableConfig struct {
 	// (rounded to a power of two, clamped to the space); 0 means
 	// defaultChainLen. Longer chains trade lookup time for memory.
 	ChainLen int
-	// Workers is the build parallelism across frames; 0 means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // chainRef locates one stored chain: it starts at key index start and
@@ -76,13 +72,12 @@ type Table struct {
 	chainLen uint64
 	maxWalk  int
 	frames   map[uint32]*frameTable
-	fallback Bitsliced
 }
 
 var _ Cracker = (*Table)(nil)
 
-// ErrTableSpaceMismatch reports a Recover call whose space differs
-// from the one the table was built for.
+// ErrTableSpaceMismatch reports a RecoverBatch call whose space
+// differs from the one the table was built for.
 var ErrTableSpaceMismatch = errors.New("a51: table built for a different key space")
 
 // BuildTable precomputes the trade-off for space over cfg.Frames. The
@@ -115,10 +110,8 @@ func BuildTable(space KeySpace, cfg TableConfig) (*Table, error) {
 	for chainLen > 1 && chainLen > n/8 {
 		chainLen >>= 1
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// One build worker per core, each working whole frames.
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(frames) {
 		workers = len(frames)
 	}
@@ -250,11 +243,10 @@ func fp40(ks []byte) uint64 {
 // Name implements Cracker.
 func (t *Table) Name() string { return "table" }
 
-// Identity digests the table's full geometry — key space, chain
-// length and covered frame set — into one string. Campaign checkpoints
-// pin it in the run manifest: resuming a journal against a different
-// table would change crack outcomes mid-run, so the manifest must
-// refuse it loudly.
+// Identity implements Cracker: it digests the table's full geometry —
+// key space, chain length and covered frame set — into one string.
+// Resuming a campaign journal against a different table would change
+// crack outcomes mid-run, so the manifest refuses it loudly.
 func (t *Table) Identity() string {
 	h := fnv.New64a()
 	var b [4]byte
@@ -277,18 +269,6 @@ func (t *Table) Frames() []uint32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Recover implements Cracker as a RecoverBatch call over one sample:
-// overflow hit, or walk from the observed fingerprint to the next
-// distinguished point and replay the chains stored there. A miss after
-// a complete walk proves no key in the space generates the sample
-// (coverage is total), so it returns ErrKeyNotFound without any
-// sweeping. Frames outside the precomputed window fall back to the
-// bitsliced sweep.
-func (t *Table) Recover(ctx context.Context, keystream []byte, frame uint32, space KeySpace) (uint64, error) {
-	keys, errs := t.RecoverBatch(ctx, []Sample{{Keystream: keystream, Frame: frame}}, space)
-	return keys[0], errs[0]
 }
 
 // --- serialization (the "ship the tables" step of the real attack) ---

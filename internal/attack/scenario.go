@@ -53,9 +53,11 @@ type Scenario struct {
 	VictimTerminal *telecom.Terminal
 	Sniffer        *sniffer.Sniffer
 	LeakDB         *socialdb.DB
-	// Cracker is the key-recovery backend the passive rig uses.
+	// Cracker is the key-recovery backend the passive rig uses: the
+	// rig hands it each trace's fresh cracks as one RecoverBatch call.
 	// Callers wiring up an active MitM attack against this scenario
-	// should pass it as mitm.Config.Cracker to enable the A5/1 probe.
+	// should pass it as mitm.Config.Cracker to enable the A5/1 probe,
+	// which cracks its one paging burst as a batch of one.
 	Cracker a51.Cracker
 }
 
@@ -81,7 +83,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		Seed:     cfg.Seed,
 	}
 	net := telecom.NewNetwork(netCfg)
-	cracker, err := a51.NewCracker(cfg.CrackBackend, net.KeySpace(), 0)
+	cracker, err := a51.NewCracker(cfg.CrackBackend, net.KeySpace())
 	if err != nil {
 		return nil, err
 	}

@@ -245,7 +245,7 @@ func New(cfg Config) (*Engine, error) {
 				ChainLen: 2,
 			})
 		} else {
-			e.cracker, err = a51.NewCracker(backend, e.space, 0)
+			e.cracker, err = a51.NewCracker(backend, e.space)
 		}
 		if err != nil {
 			return nil, err

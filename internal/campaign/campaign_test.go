@@ -120,11 +120,21 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// scalarCracker hides a backend's a51.BatchCracker implementation, so
-// the rigs resolve every crack inline through Cracker.Recover — for a
-// table, one single-sample RecoverBatch per session instead of one
-// batch per shard trace — passed in through Config.Cracker.
+// scalarCracker splits every RecoverBatch call into one-sample calls
+// to the backend it wraps, so the rigs resolve each fresh crack of a
+// shard trace as its own batch of one. Tests pass it in through
+// Config.Cracker.
 type scalarCracker struct{ a51.Cracker }
+
+func (c scalarCracker) RecoverBatch(ctx context.Context, samples []a51.Sample, space a51.KeySpace) ([]uint64, []error) {
+	keys := make([]uint64, len(samples))
+	errs := make([]error, len(samples))
+	for i := range samples {
+		k, e := c.Cracker.RecoverBatch(ctx, samples[i:i+1], space)
+		keys[i], errs[i] = k[0], e[0]
+	}
+	return keys, errs
+}
 
 // TestCampaignBatchReplayMatchesScalar pins the batched chain-replay
 // contract at campaign scale: resolving every fresh crack of a shard's

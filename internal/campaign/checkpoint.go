@@ -43,21 +43,9 @@ func scenarioHash(norm Scenario) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// identifier is the richer self-description a cracker backend may
-// carry (a51.Table pins its full geometry and frame coverage).
-type identifier interface{ Identity() string }
-
-// crackerIdentity names the shared backend for the manifest: a
-// mid-run backend swap would change crack outcomes, so resume refuses
-// it.
-func (e *Engine) crackerIdentity() string {
-	if id, ok := e.cracker.(identifier); ok {
-		return id.Identity()
-	}
-	return "backend/" + e.cracker.Name()
-}
-
-// manifest pins every input the run's results depend on.
+// manifest pins every input the run's results depend on, the cracker
+// backend's identity included: a mid-run backend swap would change
+// crack outcomes, so resume refuses it.
 func (e *Engine) manifest(norm Scenario) (checkpoint.Manifest, error) {
 	h, err := scenarioHash(norm)
 	if err != nil {
@@ -72,7 +60,7 @@ func (e *Engine) manifest(norm Scenario) (checkpoint.Manifest, error) {
 		EnrollmentScale:    pop.EnrollmentScale(),
 		FingerprintVersion: population.FingerprintVersion,
 		ScenarioHash:       h,
-		TableIdentity:      e.crackerIdentity(),
+		TableIdentity:      e.cracker.Identity(),
 		NumShards:          pop.NumShards(),
 		ShardLo:            e.cfg.ShardLo,
 		ShardHi:            e.cfg.ShardHi,

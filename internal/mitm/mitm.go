@@ -272,16 +272,16 @@ func (a *Attack) probeCrack() (kc uint64, elapsed time.Duration, err error) {
 		if b.Seq != 0 || !b.Encrypted {
 			continue
 		}
-		ks, err := a51.DeriveKeystream(b.Bytes(), telecom.PagingPlaintext(b.SessionID))
-		if err != nil {
-			return 0, 0, err
+		ks, ok := b.PagingKeystream()
+		if !ok {
+			return 0, 0, fmt.Errorf("paging burst carries %d payload bytes, want %d", b.PayloadLen, telecom.PagingPlaintextLen)
 		}
 		start := time.Now()
-		kc, err = a.cfg.Cracker.Recover(context.Background(), ks, b.Frame, a.net.KeySpace())
-		if err != nil {
-			return 0, 0, err
+		keys, errs := a.cfg.Cracker.RecoverBatch(context.Background(), []a51.Sample{{Keystream: ks[:], Frame: b.Frame}}, a.net.KeySpace())
+		if errs[0] != nil {
+			return 0, 0, errs[0]
 		}
-		return kc, time.Since(start), nil
+		return keys[0], time.Since(start), nil
 	}
 	return 0, 0, errProbeNoBurst
 }

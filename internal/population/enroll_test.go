@@ -7,7 +7,7 @@ import (
 
 // TestShardEnrollmentMatchesFloatDraw holds the hoisted-prefix,
 // integer-threshold enrollment draw to its definition: service j is
-// enrolled exactly when unit(mix(seed, tagEnroll, idx, j)) < rate_j.
+// enrolled exactly when Unit(Mix(seed, tagEnroll, idx, j)) < rate_j.
 // EnrollmentScale 3 clamps the leading services' rates at 1.
 func TestShardEnrollmentMatchesFloatDraw(t *testing.T) {
 	for _, seed := range []int64{1, 42, -7} {
@@ -27,7 +27,7 @@ func TestShardEnrollmentMatchesFloatDraw(t *testing.T) {
 				sh := p.Shard(si)
 				for _, sub := range sh.Subscribers {
 					for j, rate := range rates {
-						want := unit(mix(uint64(seed), tagEnroll, uint64(sub.Index), uint64(j))) < rate
+						want := Unit(Mix(uint64(seed), tagEnroll, uint64(sub.Index), uint64(j))) < rate
 						if got := sub.Enrolled.Has(j); got != want {
 							t.Fatalf("seed %d scale %v subscriber %d service %d (rate %v): enrolled %v, float draw says %v",
 								seed, scale, sub.Index, j, rate, got, want)
@@ -60,7 +60,7 @@ func TestEnrollThresholdBoundary(t *testing.T) {
 			}
 			// Low 11 bits set: they are discarded by both compares.
 			h := top<<11 | 0x7FF
-			if got, want := h>>11 < tj, unit(h) < rate; got != want {
+			if got, want := h>>11 < tj, Unit(h) < rate; got != want {
 				t.Errorf("rate %v thresh %d draw top %d: integer %v, float %v", rate, tj, top, got, want)
 			}
 		}

@@ -88,7 +88,7 @@ func (p *Population) leakRecord(idx int, persona identity.Persona) socialdb.Reco
 		rec.Source = SourceBreach
 		rec.RealName = persona.RealName
 		rec.Address = persona.Address
-		if unit(mix(seed, tagLeakDeep, uint64(idx))) < 0.40 {
+		if Unit(Mix(seed, tagLeakDeep, uint64(idx))) < 0.40 {
 			rec.CitizenID = persona.CitizenID
 		}
 	} else {

@@ -24,9 +24,9 @@ func splitmix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Mix folds the values into one well-scrambled 64-bit draw. Exported
-// (as Mix) for the campaign engine, which keys its per-victim radio
-// randomness on the same streams.
+// Mix folds the values into one well-scrambled 64-bit draw. The
+// campaign engine keys its per-victim radio randomness on the same
+// streams.
 func Mix(vs ...uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, v := range vs {
@@ -35,14 +35,8 @@ func Mix(vs ...uint64) uint64 {
 	return h
 }
 
-// mix is the package-local shorthand.
-func mix(vs ...uint64) uint64 { return Mix(vs...) }
-
 // Unit maps a draw to [0, 1).
 func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
-// unit is the package-local shorthand.
-func unit(h uint64) float64 { return Unit(h) }
 
 // Tags reused by the campaign engine so its draws live in the same
 // domain-separated space as the population's.

@@ -282,12 +282,12 @@ func (p *Population) Shard(i int) *Shard {
 // leaked draws whether subscriber idx is in the attacker's leak
 // databases.
 func (p *Population) leaked(idx int) bool {
-	return unit(mix(uint64(p.cfg.Seed), tagLeak, uint64(idx))) < p.cfg.LeakFraction
+	return Unit(Mix(uint64(p.cfg.Seed), tagLeak, uint64(idx))) < p.cfg.LeakFraction
 }
 
 // leakClass draws the source tier of a leaked subscriber.
 func (p *Population) leakClass(idx int) LeakClass {
-	if unit(mix(uint64(p.cfg.Seed), tagLeakTier, uint64(idx))) < 0.75 {
+	if Unit(Mix(uint64(p.cfg.Seed), tagLeakTier, uint64(idx))) < 0.75 {
 		return LeakBreach
 	}
 	return LeakWiFi
@@ -328,13 +328,13 @@ func (p *Population) enrollmentInto(arena *slab.Slab[uint64], idx int) ServiceSe
 // index-keyed draw per service, so the profile is order-independent
 // and shards need no coordination.
 //
-// Service j enrolls when unit(mix(seed, tagEnroll, idx, j)) < rate_j.
+// Service j enrolls when Unit(Mix(seed, tagEnroll, idx, j)) < rate_j.
 // Mix folds left, so that draw is splitmix(prefix ^ j) over the
-// subscriber's prefix mix(seed, tagEnroll, idx), and the prefix is
+// subscriber's prefix Mix(seed, tagEnroll, idx), and the prefix is
 // computed once: each service costs one splitmix. The compare runs on
 // integers against thresh (see enrollThresholds), which is exact.
 func (p *Population) fillEnrollment(set ServiceSet, idx int) {
-	prefix := mix(uint64(p.cfg.Seed), tagEnroll, uint64(idx))
+	prefix := Mix(uint64(p.cfg.Seed), tagEnroll, uint64(idx))
 	for j, t := range p.thresh {
 		if splitmix(prefix^uint64(j))>>11 < t {
 			set[j>>6] |= 1 << (uint(j) & 63)
@@ -345,10 +345,10 @@ func (p *Population) fillEnrollment(set ServiceSet, idx int) {
 // enrollThresholds maps each adoption rate to the integer threshold
 // thresh = ceil(rate·2⁵³), so that for every draw h
 //
-//	h>>11 < thresh  ⇔  unit(h) < rate.
+//	h>>11 < thresh  ⇔  Unit(h) < rate.
 //
-// unit(h) is (h>>11)/2⁵³ with h>>11 < 2⁵³, so both sides of
-// unit(h) < rate scale by 2⁵³ without rounding; and an integer x is
+// Unit(h) is (h>>11)/2⁵³ with h>>11 < 2⁵³, so both sides of
+// Unit(h) < rate scale by 2⁵³ without rounding; and an integer x is
 // below the real rate·2⁵³ exactly when it is below its ceiling. Rates
 // at or above 1 map to 2⁵³ (every draw enrolls), and rates at or below
 // 0 (or NaN) map to 0 (none does).
@@ -397,7 +397,7 @@ func (p *Population) Dossier(idx int) Dossier {
 		return DossierFound
 	}
 	d := DossierFound | DossierRealName | DossierAddress
-	if unit(mix(uint64(p.cfg.Seed), tagLeakDeep, uint64(idx))) < 0.40 {
+	if Unit(Mix(uint64(p.cfg.Seed), tagLeakDeep, uint64(idx))) < 0.40 {
 		d |= DossierCitizenID
 	}
 	return d

@@ -10,14 +10,12 @@
 //
 // One session pipeline: Feed is FeedBatch over a single burst, and
 // FeedBatch batches both payload decryption (64-lane a51 encryptor)
-// and fresh key recovery (one a51.BatchCracker.RecoverBatch call per
-// trace, deduplicated against the session and auth-context caches),
-// yet produces exactly the captures, statistics and cache state of
-// resolving the trace's sessions one at a time in trace order. A
-// Cracker that does not implement a51.BatchCracker (the default
-// Bitsliced search) resolves each fresh crack inline through
-// Cracker.Recover, which is how the equivalence tests hold the batch
-// engine against one-at-a-time resolution.
+// and fresh key recovery (one a51.Cracker.RecoverBatch call per trace,
+// deduplicated against the session and auth-context caches), yet
+// produces exactly the captures, statistics and cache state of
+// resolving the trace's sessions one at a time in trace order. The
+// only crack outside that call is a batch of one, for a session the
+// prefetch could not foresee missing the caches.
 //
 // Reassembly is dense: each in-flight session keeps its bursts in a
 // slot slice indexed by Seq and completes when every slot is filled, so
@@ -127,12 +125,9 @@ type Config struct {
 	// MaxReceivers caps simultaneously tuned ARFCNs; the paper's rig
 	// had 16 C118 handsets. Zero means DefaultMaxReceivers.
 	MaxReceivers int
-	// CrackWorkers is the parallelism of key recovery (0 = all cores).
-	CrackWorkers int
 	// Cracker is the key-recovery backend. Nil selects the bitsliced
-	// search (a51.Bitsliced) over CrackWorkers goroutines; a
-	// precomputed a51.Table turns per-session recovery into an
-	// amortized table lookup.
+	// search (a51.Bitsliced); a precomputed a51.Table turns
+	// per-session recovery into an amortized table lookup.
 	Cracker a51.Cracker
 	// Filter, when non-nil, restricts Captures to matching messages;
 	// non-matching messages are still decoded and counted.
@@ -231,7 +226,7 @@ func New(net *telecom.Network, cfg Config) *Sniffer {
 		cfg.MaxReceivers = DefaultMaxReceivers
 	}
 	if cfg.Cracker == nil {
-		cfg.Cracker = a51.Bitsliced{Workers: cfg.CrackWorkers}
+		cfg.Cracker = a51.Bitsliced{}
 	}
 	return &Sniffer{
 		net:      net,
@@ -372,8 +367,8 @@ func (fs *feedScratch) reset() {
 // campaign engine's path, a single burst on the live path (Feed).
 // Sessions complete exactly as they would burst by burst, and two
 // batch engines do the per-session work: every fresh key recovery the
-// batch needs is resolved in ONE a51.BatchCracker.RecoverBatch call
-// (64-lane bitsliced chain replay across all sessions; see
+// batch needs is resolved in ONE a51.Cracker.RecoverBatch call (for
+// a table, 64-lane bitsliced chain replay across all sessions; see
 // prefetchCracks), and the A5/1 payload decryption of every completed
 // session runs through the 64-lane bitsliced batch encryptor.
 // Captures, statistics and Kc-cache behavior are identical to feeding
@@ -408,13 +403,12 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	s.prefetchCracks(fs)
 
 	// Resolve every completed session in trace order — cache hits,
-	// prefetched table lookups and inline cracks — queueing the
+	// prefetched cracks and the rare batch-of-one crack — queueing the
 	// encrypted payload bursts of resolvable sessions as decryption
 	// lanes. Unresolvable sessions cost no batched cipher work.
-	prefetched := len(fs.crackOf) == len(fs.completed)
 	for ci, sess := range fs.completed {
 		var pre *crackResult
-		if prefetched && fs.crackOf[ci] >= 0 {
+		if fs.crackOf[ci] >= 0 {
 			k := fs.crackOf[ci]
 			pre = &crackResult{kc: fs.keys[k], err: fs.errs[k], took: fs.share}
 		}
@@ -457,21 +451,15 @@ func (s *Sniffer) putScratch(fs *feedScratch) {
 // which will need a fresh crack — deduplicating repeats of one session
 // ID and of one (IMSI, RAND) auth context within the batch, since the
 // first crack fills the cache the rest will hit — and resolves all of
-// them in a single BatchCracker.RecoverBatch call. The results are
-// only a memo: resolution still runs in trace order against the real
-// caches (resolveSession), so statistics, cache fills and returned
-// keys stay byte-identical to one-at-a-time resolution; a prefetch the
-// sequential pass disagrees with (say, a cache entry evicted between
-// passes, or a failed crack a later duplicate session must retry) is
-// ignored or recomputed inline.
+// them in a single RecoverBatch call. The results are only a memo:
+// resolution still runs in trace order against the real caches
+// (resolveSession), so statistics, cache fills and returned keys stay
+// byte-identical to one-at-a-time resolution; a prefetch the
+// sequential pass disagrees with is ignored, and a miss it did not
+// foresee (a cache entry evicted between passes, or a duplicate whose
+// first crack failed) cracks as a batch of one.
 func (s *Sniffer) prefetchCracks(fs *feedScratch) {
-	bc, ok := s.cfg.Cracker.(a51.BatchCracker)
-	if !ok {
-		return
-	}
-	var plain [telecom.PagingPlaintextLen]byte
 	s.mu.Lock()
-	crackObs := s.crackObs
 	for _, sess := range fs.completed {
 		fs.crackOf = append(fs.crackOf, -1)
 		paging := &sess.bursts[0]
@@ -493,13 +481,9 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 				continue
 			}
 		}
-		if int(paging.PayloadLen) != len(plain) {
-			continue // DeriveKeystream would reject it; resolve inline
-		}
-		telecom.FillPagingPlaintext(plain[:], paging.SessionID)
-		var ks [telecom.PagingPlaintextLen]byte
-		for i := range plain {
-			ks[i] = paging.Payload[i] ^ plain[i]
+		ks, ok := paging.PagingKeystream()
+		if !ok {
+			continue // resolveSession fails the same derivation
 		}
 		idx := int32(len(fs.samples))
 		fs.ks = append(fs.ks, ks)
@@ -518,15 +502,23 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 	for k := range fs.samples {
 		fs.samples[k].Keystream = fs.ks[k][:]
 	}
+	fs.keys, fs.errs, fs.share = s.crack(fs.samples)
+}
+
+// crack resolves samples in one RecoverBatch call, observes the call's
+// wall time, and returns each sample's amortized share of it: the
+// honest per-message cost of an amortized engine.
+func (s *Sniffer) crack(samples []a51.Sample) (keys []uint64, errs []error, share time.Duration) {
+	s.mu.Lock()
+	crackObs := s.crackObs
+	s.mu.Unlock()
 	start := time.Now()
-	fs.keys, fs.errs = bc.RecoverBatch(context.Background(), fs.samples, s.net.KeySpace())
+	keys, errs = s.cfg.Cracker.RecoverBatch(context.Background(), samples, s.net.KeySpace())
 	metCrackBatch.ObserveSince(start)
 	if crackObs != nil {
 		crackObs.ObserveSince(start)
 	}
-	// Per-capture CrackTime is the amortized share of the batch — the
-	// honest per-message cost of an amortized engine.
-	fs.share = time.Since(start) / time.Duration(len(fs.samples))
+	return keys, errs, time.Since(start) / time.Duration(len(samples))
 }
 
 // recycleSessions clears completed session buffers (dropping their
@@ -583,9 +575,9 @@ func (s *Sniffer) ingestLocked(b *telecom.RadioBurst) (*session, bool) {
 	return sess, true
 }
 
-// crackResult carries a batch-prefetched key recovery into
-// resolveSession: the key (or error) RecoverBatch produced for this
-// session's sample, and the amortized share of the batch wall time.
+// crackResult carries one session's key recovery into resolveSession:
+// the key (or error) RecoverBatch produced for the session's sample,
+// and the sample's amortized share of the call's wall time.
 type crackResult struct {
 	kc   uint64
 	err  error
@@ -596,12 +588,12 @@ type crackResult struct {
 // transmission from its paging burst — replay cache, per-subscriber
 // (IMSI, RAND) cache, or a fresh crack — updating the crack
 // statistics. ok is false when the session is unusable: A5/3
-// announced, or recovery failed. When the caches miss and pre is
-// non-nil, the batch's prefetched result stands in for the
-// Cracker.Recover call (the sample was derived from the same paging
-// burst, so the result is the same by determinism of the backend);
-// cache consultation order, statistic increments, cache fills and
-// eviction run in the caller's session order either way.
+// announced, or recovery failed. When the caches miss, pre is the
+// batch's prefetched result for this paging burst, or nil when the
+// prefetch did not foresee the miss; then the session cracks as a
+// batch of one (the same sample, so the same result by determinism of
+// the backend). Cache consultation order, statistic increments, cache
+// fills and eviction run in the caller's session order either way.
 func (s *Sniffer) resolveSession(paging *telecom.RadioBurst, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
 	if paging.Cipher == telecom.CipherA53 {
 		// The ciphering mode travels in the clear; A5/3 is beyond every
@@ -640,35 +632,22 @@ func (s *Sniffer) resolveSession(paging *telecom.RadioBurst, pre *crackResult) (
 		return cached, 0, true
 	}
 
-	if pre != nil {
-		// The batch already replayed this sample through the backend;
-		// consume its result instead of re-walking the chains. The
-		// derivation step is skipped too: prefetchCracks only queued a
-		// sample whose known plaintext derived cleanly.
-		s.mu.Lock()
-		s.stats.CracksAttempted++
-		s.mu.Unlock()
-		metCracksAttempted.Inc()
-		if pre.err != nil {
+	if pre == nil {
+		ks, derived := paging.PagingKeystream()
+		if !derived {
 			return 0, 0, false
 		}
-		kc, crackTime = pre.kc, pre.took
-	} else {
-		start := time.Now()
-		ks, err := a51.DeriveKeystream(paging.Bytes(), telecom.PagingPlaintext(paging.SessionID))
-		if err != nil {
-			return 0, 0, false
-		}
-		s.mu.Lock()
-		s.stats.CracksAttempted++
-		s.mu.Unlock()
-		metCracksAttempted.Inc()
-		kc, err = s.cfg.Cracker.Recover(context.Background(), ks, paging.Frame, s.net.KeySpace())
-		if err != nil {
-			return 0, 0, false
-		}
-		crackTime = time.Since(start)
+		keys, errs, took := s.crack([]a51.Sample{{Keystream: ks[:], Frame: paging.Frame}})
+		pre = &crackResult{kc: keys[0], err: errs[0], took: took}
 	}
+	s.mu.Lock()
+	s.stats.CracksAttempted++
+	s.mu.Unlock()
+	metCracksAttempted.Inc()
+	if pre.err != nil {
+		return 0, 0, false
+	}
+	kc, crackTime = pre.kc, pre.took
 	metCracksSucceeded.Inc()
 	s.mu.Lock()
 	s.stats.CracksSucceeded++

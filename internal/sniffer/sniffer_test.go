@@ -1,7 +1,9 @@
 package sniffer
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -167,95 +169,167 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 	}
 }
 
-// scalarCracker hides a backend's a51.BatchCracker implementation, so
-// FeedBatch resolves every crack inline through Cracker.Recover — for a
-// table, one single-sample RecoverBatch per session instead of one
-// batch per trace.
+// scalarCracker splits every RecoverBatch call into one-sample calls
+// to the backend it wraps, so a rig resolves each fresh crack of a
+// trace as its own batch of one.
 type scalarCracker struct{ a51.Cracker }
 
-// TestFeedBatchMatchesFeedTableBackend pins the batched-crack contract
-// of the tentpole: with a TMTO table (an a51.BatchCracker) behind the
-// rig, FeedBatch prefetches every fresh key recovery of the trace in
-// one bitsliced RecoverBatch call — deduplicating session-ID repeats
-// and (IMSI, RAND) auth-context reuse within the batch — and must
-// still produce the same captures and statistics as burst-by-burst
-// Feed (cross-session dedupe and cache resolution in trace order), and
-// as FeedBatch over a scalarCracker forcing single-sample batches per
-// session.
-func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
-	space := a51.KeySpace{Base: 0xC118000000000000, Bits: 10}
-	table, err := a51.BuildTable(space, a51.TableConfig{Frames: telecom.PagingFrames(), ChainLen: 2})
+func (c scalarCracker) RecoverBatch(ctx context.Context, samples []a51.Sample, space a51.KeySpace) ([]uint64, []error) {
+	keys := make([]uint64, len(samples))
+	errs := make([]error, len(samples))
+	for i := range samples {
+		k, e := c.Cracker.RecoverBatch(ctx, samples[i:i+1], space)
+		keys[i], errs[i] = k[0], e[0]
+	}
+	return keys, errs
+}
+
+// countingCracker counts the RecoverBatch calls a rig makes.
+type countingCracker struct {
+	a51.Cracker
+	calls *int
+}
+
+func (c countingCracker) RecoverBatch(ctx context.Context, samples []a51.Sample, space a51.KeySpace) ([]uint64, []error) {
+	*c.calls++
+	return c.Cracker.RecoverBatch(ctx, samples, space)
+}
+
+// tableSpace is the key space of the table-backed equivalence tests.
+var tableSpace = a51.KeySpace{Base: 0xC118000000000000, Bits: 10}
+
+// tableRig builds a rig over a fresh network of tableSpace.
+func tableRig(cr a51.Cracker) *Sniffer {
+	return New(telecom.NewNetwork(telecom.Config{KeySpace: tableSpace, Seed: 11}), Config{Cracker: cr})
+}
+
+// reuseTrace records nine OTP sessions to one subscriber on a network
+// that re-authenticates every reauthEvery sessions (0: every session),
+// with one payload burst dropped so a lossy session rides along.
+func reuseTrace(t *testing.T, reauthEvery int) []telecom.RadioBurst {
+	t.Helper()
+	n := telecom.NewNetwork(telecom.Config{
+		KeySpace:    tableSpace,
+		Seed:        11,
+		ReauthEvery: reauthEvery,
+	})
+	cell, err := n.AddCell(telecom.Cell{ID: "cell-1", ARFCNs: []int{512}, Cipher: telecom.CipherA51})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	trace := func(t *testing.T, reauthEvery int) []telecom.RadioBurst {
-		t.Helper()
-		n := telecom.NewNetwork(telecom.Config{
-			KeySpace:    space,
-			Seed:        11,
-			ReauthEvery: reauthEvery,
-		})
-		cell, err := n.AddCell(telecom.Cell{ID: "cell-1", ARFCNs: []int{512}, Cipher: telecom.CipherA51})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub, err := n.Register("460000000000001", "+8613800000001")
-		if err != nil {
-			t.Fatal(err)
-		}
-		term, err := n.NewTerminal(sub, telecom.RATGSM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := term.Attach(cell); err != nil {
-			t.Fatal(err)
-		}
-		var all []telecom.RadioBurst
-		done := n.Subscribe(512, func(b telecom.RadioBurst) { all = append(all, b) })
-		defer done()
-		for i := 0; i < 9; i++ {
-			if _, err := n.SendSMS("Google", sub.MSISDN, "G-845512 is your code"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Drop one payload burst so a lossy session rides along.
-		return append(all[:4], all[5:]...)
+	sub, err := n.Register("460000000000001", "+8613800000001")
+	if err != nil {
+		t.Fatal(err)
 	}
+	term, err := n.NewTerminal(sub, telecom.RATGSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := term.Attach(cell); err != nil {
+		t.Fatal(err)
+	}
+	var all []telecom.RadioBurst
+	done := n.Subscribe(512, func(b telecom.RadioBurst) { all = append(all, b) })
+	defer done()
+	for i := 0; i < 9; i++ {
+		if _, err := n.SendSMS("Google", sub.MSISDN, "G-845512 is your code"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append(all[:4], all[5:]...)
+}
 
+// tableFor builds the rig table the equivalence tests share.
+func tableFor(t *testing.T) *a51.Table {
+	t.Helper()
+	table, err := a51.BuildTable(tableSpace, a51.TableConfig{Frames: telecom.PagingFrames(), ChainLen: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
+// sameResults fails unless two rigs agree on statistics and on every
+// capture but its wall-clock CrackTime.
+func sameResults(t *testing.T, label string, want, got *Sniffer) {
+	t.Helper()
+	if a, b := want.Stats(), got.Stats(); a != b {
+		t.Errorf("%s stats differ:\nfeed  %+v\nother %+v", label, a, b)
+	}
+	wc, gc := want.Captures(), got.Captures()
+	if len(wc) != len(gc) {
+		t.Fatalf("%s capture counts differ: %d vs %d", label, len(wc), len(gc))
+	}
+	for i := range wc {
+		a, b := wc[i], gc[i]
+		a.CrackTime, b.CrackTime = 0, 0 // the only wall-clock field
+		if a != b {
+			t.Errorf("%s capture %d differs:\nfeed  %+v\nother %+v", label, i, a, b)
+		}
+	}
+}
+
+// TestFeedBatchMatchesFeedTableBackend pins the batched-crack
+// contract: with a TMTO table behind the rig, FeedBatch prefetches
+// every fresh key recovery of the trace in one bitsliced RecoverBatch
+// call — deduplicating session-ID repeats and (IMSI, RAND)
+// auth-context reuse within the batch — and must still produce the
+// same captures and statistics as burst-by-burst Feed (cross-session
+// dedupe and cache resolution in trace order), and as FeedBatch over a
+// scalarCracker forcing single-sample batches per session.
+func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
+	table := tableFor(t)
 	// reauthEvery=3: consecutive sessions reuse (RAND, Kc), so the
 	// batch's pendSub dedupe and the KcReuse counters are exercised.
 	for _, reauthEvery := range []int{0, 3} {
-		bursts := trace(t, reauthEvery)
+		bursts := reuseTrace(t, reauthEvery)
 
-		feed := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: table})
+		feed := tableRig(table)
 		for _, b := range bursts {
 			feed.Feed(b)
 		}
-		batch := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: table})
+		batch := tableRig(table)
 		batch.FeedBatch(bursts)
-		scalar := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: scalarCracker{table}})
+		scalar := tableRig(scalarCracker{table})
 		scalar.FeedBatch(bursts)
 
-		for _, cmp := range []struct {
-			name string
-			s    *Sniffer
-		}{{"batch-replay", batch}, {"scalar-replay", scalar}} {
-			if a, b := feed.Stats(), cmp.s.Stats(); a != b {
-				t.Errorf("reauth=%d %s stats differ:\nfeed  %+v\nother %+v", reauthEvery, cmp.name, a, b)
-			}
-			fc, oc := feed.Captures(), cmp.s.Captures()
-			if len(fc) != len(oc) {
-				t.Fatalf("reauth=%d %s capture counts differ: %d vs %d", reauthEvery, cmp.name, len(fc), len(oc))
-			}
-			for i := range fc {
-				a, b := fc[i], oc[i]
-				a.CrackTime, b.CrackTime = 0, 0 // the only wall-clock field
-				if a != b {
-					t.Errorf("reauth=%d %s capture %d differs:\nfeed  %+v\nother %+v", reauthEvery, cmp.name, i, a, b)
-				}
-			}
-		}
+		sameResults(t, fmt.Sprintf("reauth=%d batch-replay", reauthEvery), feed, batch)
+		sameResults(t, fmt.Sprintf("reauth=%d scalar-replay", reauthEvery), feed, scalar)
+	}
+}
+
+// TestFeedBatchRecracksAfterFailedCrack pins the one crack outside the
+// prefetch. Sessions sharing an (IMSI, RAND) context are prefetched
+// once, for the first of them; when that session's paging burst is
+// corrupted its crack fails and fills no cache, so the next session of
+// the context must crack by itself, as a batch of one. FeedBatch must
+// still match burst-by-burst Feed.
+func TestFeedBatchRecracksAfterFailedCrack(t *testing.T) {
+	table := tableFor(t)
+	bursts := reuseTrace(t, 3)
+	if bursts[0].Seq != 0 {
+		t.Fatalf("trace opens with burst %d of session %d, want its paging burst", bursts[0].Seq, bursts[0].SessionID)
+	}
+	bursts[0].Payload[0] ^= 0xFF
+
+	var feedCalls, batchCalls int
+	feed := tableRig(countingCracker{table, &feedCalls})
+	for _, b := range bursts {
+		feed.Feed(b)
+	}
+	batch := tableRig(countingCracker{table, &batchCalls})
+	batch.FeedBatch(bursts)
+	sameResults(t, "corrupt-first-crack", feed, batch)
+
+	// Sessions 1, 3, 4 and 7 crack (session 2 lost a burst; 3 shares
+	// 1's context, 5–6 share 4's, 8–9 share 7's); session 1's fails.
+	if st := batch.Stats(); st.CracksAttempted != 4 || st.CracksSucceeded != 3 {
+		t.Errorf("stats = %+v, want 4 cracks attempted, 3 succeeded", st)
+	}
+	// Feed cracks each session in its own call. FeedBatch prefetches
+	// sessions 1, 4 and 7 in one call, then recracks session 3 alone.
+	if feedCalls != 4 || batchCalls != 2 {
+		t.Errorf("RecoverBatch calls: Feed %d, FeedBatch %d; want 4 and 2", feedCalls, batchCalls)
 	}
 }
 

@@ -355,27 +355,35 @@ func (n *Network) emit(b RadioBurst) {
 	}
 }
 
-// PagingPlaintext is the predictable system-message content of burst 0
-// of every SMS transmission. Its structure is public (it models GSM
-// paging/system information messages), which is what makes the
-// known-plaintext attack possible.
-func PagingPlaintext(sessionID uint32) []byte {
-	buf := make([]byte, PagingPlaintextLen)
-	FillPagingPlaintext(buf, sessionID)
-	return buf
-}
-
 // PagingPlaintextLen is the byte length of every paging burst payload.
 const PagingPlaintextLen = BurstPayloadMax
 
-// FillPagingPlaintext writes PagingPlaintext(sessionID) into a
-// PagingPlaintextLen-sized buffer, overwriting every byte — the
-// allocation-free form the encoder and the batch sniffer write into
-// burst payloads and keystream scratch (the 10 header bytes plus the
-// 4-byte session ID cover the length exactly).
-func FillPagingPlaintext(buf []byte, sessionID uint32) {
+// fillPagingPlaintext writes the paging plaintext of session sessionID
+// into a PagingPlaintextLen-sized buffer, overwriting every byte (the
+// 10 header bytes plus the 4-byte session ID cover the length exactly).
+// It is the predictable system-message content of burst 0 of every SMS
+// transmission. Its structure is public (it models GSM paging/system
+// information messages), which is what makes the known-plaintext
+// attack possible.
+func fillPagingPlaintext(buf []byte, sessionID uint32) {
 	copy(buf, "PAGINGREQ1")
 	binary.BigEndian.PutUint32(buf[10:], sessionID)
+}
+
+// PagingKeystream derives the keystream that ciphered paging burst b
+// by XORing its payload with the known paging plaintext: the
+// known-plaintext step of the passive attack, and the sample an
+// a51.Cracker inverts to Kc. ok is false when the payload is not
+// PagingPlaintextLen bytes long, so it cannot carry the plaintext.
+func (b *RadioBurst) PagingKeystream() (ks [PagingPlaintextLen]byte, ok bool) {
+	if int(b.PayloadLen) != PagingPlaintextLen {
+		return ks, false
+	}
+	fillPagingPlaintext(ks[:], b.SessionID)
+	for i := range ks {
+		ks[i] ^= b.Payload[i]
+	}
+	return ks, true
 }
 
 // kiFor derives a subscriber's SIM secret from the network seed, so

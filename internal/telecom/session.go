@@ -76,7 +76,7 @@ func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte) ([]RadioBu
 		})
 		b := &dst[len(dst)-1]
 		if seq == 0 {
-			FillPagingPlaintext(b.Payload[:], s.SessionID)
+			fillPagingPlaintext(b.Payload[:], s.SessionID)
 			b.PayloadLen = PagingPlaintextLen
 		} else {
 			b.PayloadLen = uint8(copy(b.Payload[:], raw[(seq-1)*BurstPayloadMax:]))

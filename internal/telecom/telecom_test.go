@@ -133,7 +133,8 @@ func TestSendSMSEmitsEncryptedBursts(t *testing.T) {
 		}
 	}
 	// Burst 0 ciphertext must differ from the known paging plaintext.
-	known := PagingPlaintext(bursts[0].SessionID)
+	var known [PagingPlaintextLen]byte
+	fillPagingPlaintext(known[:], bursts[0].SessionID)
 	same := true
 	for i := range known {
 		if bursts[0].Payload[i] != known[i] {
@@ -169,14 +170,7 @@ func TestBurstsCrackableViaKnownPlaintext(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	paging := bursts[0]
-	ks, err := a51.DeriveKeystream(paging.Bytes(), PagingPlaintext(paging.SessionID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc, err := a51.Bitsliced{Workers: 1}.Recover(context.Background(), ks, paging.Frame, n.KeySpace())
-	if err != nil {
-		t.Fatal(err)
-	}
+	kc := crackPaging(t, n, &paging)
 	var tpdu []byte
 	for _, b := range bursts[1:] {
 		tpdu = append(tpdu, decryptBurstA51(kc, b)...)
@@ -721,14 +715,7 @@ func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 		}
 	}
 	paging := captured[0]
-	ks, err := a51.DeriveKeystream(paging.Bytes(), PagingPlaintext(paging.SessionID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc, err := a51.Bitsliced{Workers: 1}.Recover(context.Background(), ks, paging.Frame, n.KeySpace())
-	if err != nil {
-		t.Fatal(err)
-	}
+	kc := crackPaging(t, n, &paging)
 	var tpdu []byte
 	for _, b := range captured[1:] {
 		tpdu = append(tpdu, decryptBurstA51(kc, b)...)
@@ -739,5 +726,43 @@ func TestSendSMSBurstsOutliveNextSend(t *testing.T) {
 	}
 	if msg.Text != text || msg.Originator != "PayPal" {
 		t.Fatalf("captured bursts decrypt to %+v", msg)
+	}
+}
+
+// crackPaging recovers the Kc of paging burst b from its known
+// plaintext with a one-sample bitsliced search, as the sniffer does on
+// a cache miss.
+func crackPaging(t *testing.T, n *Network, b *RadioBurst) uint64 {
+	t.Helper()
+	ks, ok := b.PagingKeystream()
+	if !ok {
+		t.Fatalf("burst %d/%d is not a paging burst: %d payload bytes", b.Seq, b.Total, b.PayloadLen)
+	}
+	keys, errs := a51.Bitsliced{}.RecoverBatch(context.Background(), []a51.Sample{{Keystream: ks[:], Frame: b.Frame}}, n.KeySpace())
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	return keys[0]
+}
+
+// TestPagingKeystream: the keystream derived from a ciphered paging
+// burst is the cipher's true downlink keystream, and a payload of any
+// other length derives nothing.
+func TestPagingKeystream(t *testing.T) {
+	const kc, frame = 0x1223456789ABCDEF, 7
+	b := RadioBurst{Frame: frame, SessionID: 42, PayloadLen: PagingPlaintextLen}
+	fillPagingPlaintext(b.Payload[:], b.SessionID)
+	a51.EncryptBurstsBatch([]uint64{kc}, []uint32{frame}, [][]byte{b.Bytes()})
+	ks, ok := b.PagingKeystream()
+	if !ok {
+		t.Fatal("paging burst rejected")
+	}
+	down, _ := a51.New(kc, frame).KeystreamBurst()
+	if !bytes.Equal(ks[:], down[:PagingPlaintextLen]) {
+		t.Errorf("derived keystream %x, true keystream %x", ks, down[:PagingPlaintextLen])
+	}
+	b.PayloadLen--
+	if _, ok := b.PagingKeystream(); ok {
+		t.Error("short payload accepted")
 	}
 }
