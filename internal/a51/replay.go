@@ -203,8 +203,8 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 		}
 		fp := fp40(s.Keystream)
 		resolved := false
-		for _, x := range ft.overflow[fp] {
-			if key := space.Key(x); matches(key, s.Frame, s.Keystream) {
+		for _, o := range ft.overflowAt(fp) {
+			if key := space.Key(o.x); matches(key, s.Frame, s.Keystream) {
 				keys[si] = key
 				resolved = true
 				break
@@ -329,7 +329,7 @@ func (t *Table) settle(lk *lookupState, rs *replayScratch, n uint64, errs []erro
 			return true
 		}
 		metWalkSteps.Observe(float64(lk.checks))
-		lk.chains = lk.ft.chains[lk.pos]
+		lk.chains = lk.ft.chainsAt(lk.pos)
 		metReplays.Add(int64(len(lk.chains)))
 		lk.phase = phaseReplay
 		if len(lk.chains) > 1 {
@@ -346,7 +346,7 @@ func (t *Table) settle(lk *lookupState, rs *replayScratch, n uint64, errs []erro
 	for ; lk.chainIdx < len(lk.chains); lk.chainIdx, lk.posIdx = lk.chainIdx+1, 0 {
 		ch := lk.chains[lk.chainIdx]
 		if lk.posIdx == 0 {
-			lk.pos = ch.start
+			lk.pos = uint64(ch.start)
 		}
 		if lk.posIdx < int(ch.length) && rs.visit(lk) {
 			return true

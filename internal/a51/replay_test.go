@@ -47,8 +47,8 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 		return scalarFingerprint(space.Key(x), frame)
 	}
 	fp := fp40(keystream)
-	for _, x := range ft.overflow[fp] {
-		if key := space.Key(x); matches(key, frame, keystream) {
+	for _, o := range ft.overflowAt(fp) {
+		if key := space.Key(o.x); matches(key, frame, keystream) {
 			return key, nil
 		}
 	}
@@ -65,12 +65,13 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 			y = fingerprint(y) & (n - 1)
 			continue
 		}
+		chains := ft.chainsAt(y)
 		var visited map[uint64]struct{}
-		if len(ft.chains[y]) > 1 {
+		if len(chains) > 1 {
 			visited = make(map[uint64]struct{}, t.maxWalk)
 		}
-		for _, ch := range ft.chains[y] {
-			p := ch.start
+		for _, ch := range chains {
+			p := uint64(ch.start)
 			for j := uint32(0); j < ch.length; j++ {
 				if _, seen := visited[p]; seen {
 					break // shared tail: already replayed

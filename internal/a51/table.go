@@ -3,13 +3,16 @@ package a51
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -41,19 +44,77 @@ type TableConfig struct {
 
 // chainRef locates one stored chain: it starts at key index start and
 // covers length key indices before terminating at its distinguished
-// endpoint.
+// endpoint. Both fit 32 bits because tables cover at most 24-bit key
+// spaces (BuildTable and LoadTable both enforce it).
 type chainRef struct {
-	start  uint64
-	length uint32
+	start, length uint32
 }
 
-// frameTable is the per-frame slice of the trade-off.
+// overflowKey is one overflow entry: key index x, whose fingerprint is
+// fp.
+type overflowKey struct {
+	fp, x uint64
+}
+
+// frameTable is the per-frame slice of the trade-off, held in a few
+// flat arrays rather than per-endpoint lists, so a frame costs a
+// handful of heap objects and eight bytes per stored chain.
 type frameTable struct {
-	// chains indexes stored chains by their distinguished endpoint.
-	chains map[uint64][]chainRef
-	// overflow holds keys on distinguished-point-free cycles, indexed
-	// directly by fingerprint so coverage stays total.
-	overflow map[uint64][]uint64
+	// ends lists, strictly ascending, the distinguished endpoints that
+	// terminate at least one stored chain.
+	ends []uint32
+	// first has len(ends)+1 offsets: the chains ending at ends[i] are
+	// refs[first[i]:first[i+1]], in build sweep order.
+	first []uint32
+	refs  []chainRef
+	// overflow holds keys on distinguished-point-free cycles, sorted by
+	// fingerprint (keys sharing one keep build order), so coverage
+	// stays total.
+	overflow []overflowKey
+}
+
+// chainsAt returns the chains stored at distinguished point end, in
+// the order they were built; none if no chain ends there.
+//
+// Endpoints are fingerprints reduced into the key space, so they
+// spread evenly over it. The search starts where end would sit under
+// that spread and gallops outward to bracket it, then binary-searches
+// the bracket: a built table's lookup touches a cache line or two of
+// ends instead of a full binary search's dozen, and any sorted ends a
+// loaded file holds still cost O(log len(ends)).
+func (ft *frameTable) chainsAt(end uint64) []chainRef {
+	ends := ft.ends
+	if len(ends) == 0 || end > uint64(ends[len(ends)-1]) {
+		return nil
+	}
+	// Bracketed once ends[lo] <= end (or lo == 0) and end < ends[hi]
+	// (or hi == len(ends)).
+	lo := int(end * uint64(len(ends)-1) / max(uint64(ends[len(ends)-1]), 1))
+	hi := lo + 1
+	for step := 1; lo > 0 && uint64(ends[lo]) > end; step *= 2 {
+		hi, lo = lo, max(lo-step, 0)
+	}
+	for step := 1; hi < len(ends) && uint64(ends[hi]) <= end; step *= 2 {
+		lo, hi = hi, min(hi+step, len(ends))
+	}
+	i, ok := slices.BinarySearch(ends[lo:hi], uint32(end))
+	if !ok {
+		return nil
+	}
+	i += lo
+	return ft.refs[ft.first[i]:ft.first[i+1]]
+}
+
+// overflowAt returns the overflow entries whose fingerprint is fp.
+func (ft *frameTable) overflowAt(fp uint64) []overflowKey {
+	i, _ := slices.BinarySearchFunc(ft.overflow, fp, func(o overflowKey, fp uint64) int {
+		return cmp.Compare(o.fp, fp)
+	})
+	j := i
+	for j < len(ft.overflow) && ft.overflow[j].fp == fp {
+		j++
+	}
+	return ft.overflow[i:j]
 }
 
 // Table is the precomputed time–memory trade-off: built once per
@@ -61,9 +122,10 @@ type frameTable struct {
 // cipher setups instead of an O(2^Bits) sweep. Chains follow the
 // classic distinguished-point construction: the successor of key index
 // x is reduce(fingerprint(x)), chains end at indices whose low bits
-// are zero, and only (start, length) pairs are stored. Every key in
-// the space is on a stored chain or in the overflow index, so lookups
-// for covered frames are exact, not probabilistic. Frames outside the
+// are zero, and only (start, length) pairs are stored, in the flat
+// per-frame arrays of frameTable. Every key in the space is on a
+// stored chain or in the overflow index, so lookups for covered frames
+// are exact, not probabilistic. Frames outside the
 // precomputed window fall back to a bitsliced sweep.
 //
 // Table is immutable after build and safe for concurrent use.
@@ -133,9 +195,9 @@ func BuildTable(space KeySpace, cfg TableConfig) (*Table, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fps := make([]uint64, n)
+			scratch := newBuildScratch(n, chainLen, t.maxWalk)
 			for frame := range frameCh {
-				ft := buildFrame(space, frame, fps, chainLen, t.maxWalk)
+				ft := scratch.buildFrame(space, frame)
 				mu.Lock()
 				t.frames[frame] = ft
 				mu.Unlock()
@@ -150,11 +212,46 @@ func BuildTable(space KeySpace, cfg TableConfig) (*Table, error) {
 	return t, nil
 }
 
-// buildFrame computes one frame's chains. fps is a caller-owned
-// scratch buffer of len n, filled with every key's fingerprint via the
-// bitsliced engine (fpBatch with the frame broadcast to every lane);
-// chain construction is then pure array walking.
-func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, maxWalk int) *frameTable {
+// builtChain is one chain found by the build sweep, with its endpoint.
+type builtChain struct {
+	end uint32
+	ref chainRef
+}
+
+// buildScratch is one build worker's O(2^Bits) working memory, reused
+// across the frames the worker builds.
+type buildScratch struct {
+	chainLen uint64
+	maxWalk  int
+	fps      []uint64 // every key index's fingerprint
+	covered  []bool   // key indices already on a stored chain or in the overflow
+	indeg    []uint8  // in-degree under the successor map, saturating at 255
+	path     []uint64 // the walk in progress
+	chains   []builtChain
+	// buckets holds, per distinguished point, first a chain count and
+	// then the next free slot in the frame's refs.
+	buckets []uint32
+}
+
+func newBuildScratch(n, chainLen uint64, maxWalk int) *buildScratch {
+	return &buildScratch{
+		chainLen: chainLen,
+		maxWalk:  maxWalk,
+		fps:      make([]uint64, n),
+		covered:  make([]bool, n),
+		indeg:    make([]uint8, n),
+		path:     make([]uint64, 0, maxWalk),
+		buckets:  make([]uint32, n/chainLen),
+	}
+}
+
+// buildFrame computes one frame's chains. It fills fps with every
+// key's fingerprint via the bitsliced engine (fpBatch with the frame
+// broadcast to every lane); chain construction is then pure array
+// walking, and a stable counting sort on the endpoint lays the chains
+// out flat, grouped by endpoint in sweep order.
+func (s *buildScratch) buildFrame(space KeySpace, frame uint32) *frameTable {
+	fps := s.fps
 	n := uint64(len(fps))
 	var keys [bsLanes]uint64
 	var frames [bsLanes]uint32
@@ -173,25 +270,26 @@ func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, max
 		fpBatch(batch, frames[:count], fps[base:base+count])
 	}
 
-	ft := &frameTable{
-		chains:   make(map[uint64][]chainRef),
-		overflow: make(map[uint64][]uint64),
-	}
-	dpMask := chainLen - 1
-	covered := make([]bool, n)
-	path := make([]uint64, 0, maxWalk)
+	ft := &frameTable{}
+	dpMask := s.chainLen - 1
+	covered := s.covered
+	clear(covered)
+	s.chains = s.chains[:0]
 	sweep := func(x uint64) {
 		if covered[x] {
 			return
 		}
-		path = path[:0]
+		path := s.path[:0]
 		cur := x
 		stored := false
-		for len(path) < maxWalk {
+		for len(path) < s.maxWalk {
 			path = append(path, cur)
 			next := fps[cur] & (n - 1)
 			if next&dpMask == 0 {
-				ft.chains[next] = append(ft.chains[next], chainRef{start: x, length: uint32(len(path))})
+				s.chains = append(s.chains, builtChain{
+					end: uint32(next),
+					ref: chainRef{start: uint32(x), length: uint32(len(path))},
+				})
 				stored = true
 				break
 			}
@@ -206,7 +304,7 @@ func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, max
 			// DP): index its members directly so coverage stays total.
 			for _, p := range path {
 				if !covered[p] {
-					ft.overflow[fps[p]] = append(ft.overflow[fps[p]], p)
+					ft.overflow = append(ft.overflow, overflowKey{fp: fps[p], x: p})
 					covered[p] = true
 				}
 			}
@@ -215,7 +313,8 @@ func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, max
 	// Source-first sweep: chains started at indices no other index
 	// maps to are maximal, so they cover the most keys per stored
 	// (start, length) pair; the second pass mops up cycle members.
-	indeg := make([]uint8, n)
+	indeg := s.indeg
+	clear(indeg)
 	for x := uint64(0); x < n; x++ {
 		next := fps[x] & (n - 1)
 		if indeg[next] < 255 {
@@ -230,7 +329,48 @@ func buildFrame(space KeySpace, frame uint32, fps []uint64, chainLen uint64, max
 	for x := uint64(0); x < n; x++ {
 		sweep(x)
 	}
+	// The overflow is a few keys per frame, so a comparison sort is
+	// cheap there; stability keeps each fingerprint's keys in sweep
+	// order.
+	slices.SortStableFunc(ft.overflow, func(a, b overflowKey) int { return cmp.Compare(a.fp, b.fp) })
+	s.layOut(ft)
 	return ft
+}
+
+// layOut groups the sweep's chains by endpoint into ft's flat arrays:
+// a counting sort over the distinguished points (endpoint/chainLen),
+// stable, so each endpoint keeps its chains in sweep order.
+func (s *buildScratch) layOut(ft *frameTable) {
+	shift := bits.TrailingZeros64(s.chainLen)
+	buckets := s.buckets
+	clear(buckets)
+	nends := 0
+	for _, c := range s.chains {
+		b := c.end >> shift
+		if buckets[b] == 0 {
+			nends++
+		}
+		buckets[b]++
+	}
+	ft.ends = make([]uint32, 0, nends)
+	ft.first = make([]uint32, 0, nends+1)
+	ft.refs = make([]chainRef, len(s.chains))
+	next := uint32(0)
+	for b, count := range buckets {
+		if count == 0 {
+			continue
+		}
+		ft.ends = append(ft.ends, uint32(b)<<shift)
+		ft.first = append(ft.first, next)
+		buckets[b] = next
+		next += count
+	}
+	ft.first = append(ft.first, next)
+	for _, c := range s.chains {
+		b := c.end >> shift
+		ft.refs[buckets[b]] = c.ref
+		buckets[b]++
+	}
 }
 
 // fp40 extracts the 40-bit fingerprint from an MSB-first packed
@@ -318,32 +458,33 @@ func (t *Table) Save(w io.Writer) error {
 	for _, frame := range t.Frames() {
 		ft := t.frames[frame]
 		putU32(frame)
-		ends := make([]uint64, 0, len(ft.chains))
-		for e := range ft.chains {
-			ends = append(ends, e)
-		}
-		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-		putU32(uint32(len(ends)))
-		for _, e := range ends {
-			putU64(e)
-			putU32(uint32(len(ft.chains[e])))
-			for _, ch := range ft.chains[e] {
-				putU64(ch.start)
+		putU32(uint32(len(ft.ends)))
+		for i, end := range ft.ends {
+			putU64(uint64(end))
+			chains := ft.refs[ft.first[i]:ft.first[i+1]]
+			putU32(uint32(len(chains)))
+			for _, ch := range chains {
+				putU64(uint64(ch.start))
 				putU32(ch.length)
 			}
 		}
-		fps := make([]uint64, 0, len(ft.overflow))
-		for fp := range ft.overflow {
-			fps = append(fps, fp)
-		}
-		sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-		putU32(uint32(len(fps)))
-		for _, fp := range fps {
-			putU64(fp)
-			putU32(uint32(len(ft.overflow[fp])))
-			for _, x := range ft.overflow[fp] {
-				putU64(x)
+		// The overflow is written one fingerprint at a time, each with
+		// its run of keys.
+		var nfps uint32
+		for i, o := range ft.overflow {
+			if i == 0 || o.fp != ft.overflow[i-1].fp {
+				nfps++
 			}
+		}
+		putU32(nfps)
+		for rest := ft.overflow; len(rest) > 0; {
+			keys := ft.overflowAt(rest[0].fp)
+			putU64(rest[0].fp)
+			putU32(uint32(len(keys)))
+			for _, o := range keys {
+				putU64(o.x)
+			}
+			rest = rest[len(keys):]
 		}
 	}
 	bw := bufio.NewWriter(w)
@@ -484,56 +625,65 @@ func LoadTable(r io.Reader) (*Table, error) {
 			tr.fail("frame %d listed twice", frame)
 			break
 		}
-		ft := &frameTable{
-			chains:   make(map[uint64][]chainRef),
-			overflow: make(map[uint64][]uint64),
-		}
+		ft := &frameTable{first: []uint32{0}}
 		nends := tr.u32()
 		for j := uint32(0); j < nends && tr.err == nil; j++ {
 			end := tr.u64()
-			if tr.err == nil && end >= n {
+			switch {
+			case tr.err != nil:
+			case end >= n:
 				tr.fail("chain endpoint %#x outside %d-bit space", end, t.space.Bits)
-				break
+			case end&(t.chainLen-1) != 0:
+				tr.fail("chain endpoint %#x is not a distinguished point", end)
+			case j > 0 && end <= uint64(ft.ends[j-1]):
+				tr.fail("chain endpoints not strictly ascending (%#x after %#x)", end, ft.ends[j-1])
 			}
 			nchains := tr.u32()
+			if tr.err == nil && nchains == 0 {
+				tr.fail("chain endpoint %#x lists no chains", end)
+			}
 			if !tr.need(nchains, 12, "chain") {
 				break
 			}
-			refs := make([]chainRef, 0, nchains)
 			for k := uint32(0); k < nchains && tr.err == nil; k++ {
-				ref := chainRef{start: tr.u64(), length: tr.u32()}
+				start, length := tr.u64(), tr.u32()
 				if tr.err != nil {
 					break
 				}
-				if ref.start >= n || ref.length == 0 || int(ref.length) > t.maxWalk {
-					tr.fail("chain (start=%#x len=%d) outside space/walk bounds", ref.start, ref.length)
+				if start >= n || length == 0 || int(length) > t.maxWalk {
+					tr.fail("chain (start=%#x len=%d) outside space/walk bounds", start, length)
 					break
 				}
-				refs = append(refs, ref)
+				ft.refs = append(ft.refs, chainRef{start: uint32(start), length: length})
 			}
-			ft.chains[end] = refs
+			ft.ends = append(ft.ends, uint32(end))
+			ft.first = append(ft.first, uint32(len(ft.refs)))
 		}
 		nfps := tr.u32()
 		for j := uint32(0); j < nfps && tr.err == nil; j++ {
 			fp := tr.u64()
-			if tr.err == nil && fp >= 1<<tableFPBits {
+			switch {
+			case tr.err != nil:
+			case fp >= 1<<tableFPBits:
 				tr.fail("overflow fingerprint %#x wider than %d bits", fp, tableFPBits)
-				break
+			case len(ft.overflow) > 0 && fp <= ft.overflow[len(ft.overflow)-1].fp:
+				tr.fail("overflow fingerprints not strictly ascending (%#x after %#x)", fp, ft.overflow[len(ft.overflow)-1].fp)
 			}
 			nkeys := tr.u32()
+			if tr.err == nil && nkeys == 0 {
+				tr.fail("overflow fingerprint %#x lists no keys", fp)
+			}
 			if !tr.need(nkeys, 8, "overflow key") {
 				break
 			}
-			keys := make([]uint64, 0, nkeys)
 			for k := uint32(0); k < nkeys && tr.err == nil; k++ {
 				x := tr.u64()
 				if tr.err == nil && x >= n {
 					tr.fail("overflow key index %#x outside %d-bit space", x, t.space.Bits)
 					break
 				}
-				keys = append(keys, x)
+				ft.overflow = append(ft.overflow, overflowKey{fp: fp, x: x})
 			}
-			ft.overflow[fp] = keys
 		}
 		t.frames[frame] = ft
 	}

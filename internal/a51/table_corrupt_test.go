@@ -112,18 +112,20 @@ func seal(body []byte) []byte {
 }
 
 // tinyBody hand-assembles a minimal valid body (bits=8, chainLen=16,
-// one frame, one chain, one overflow entry) that mutators below bend
-// out of shape one field at a time.
+// one frame, one endpoint holding one chain, one overflow fingerprint
+// holding one key) that mutators below bend out of shape one field at
+// a time. Every endpoint in ends carries the same chain and every
+// fingerprint in fps the same key.
 type tinyBody struct {
 	base            uint64
 	bits            uint32
 	chainLen        uint64
 	frames          []uint32
-	end             uint64
+	ends            []uint64
 	nchains         uint32
 	start           uint64
 	length          uint32
-	fp              uint64
+	fps             []uint64
 	nkeys           uint32
 	key             uint64
 	trailing        []byte
@@ -134,8 +136,8 @@ func validTiny() tinyBody {
 	return tinyBody{
 		base: 0xC118000000000000, bits: 8, chainLen: 16,
 		frames: []uint32{0},
-		end:    1, nchains: 1, start: 2, length: 3,
-		fp: 5, nkeys: 1, key: 7,
+		ends:   []uint64{16}, nchains: 1, start: 2, length: 3,
+		fps: []uint64{5}, nkeys: 1, key: 7,
 	}
 }
 
@@ -149,16 +151,20 @@ func (b tinyBody) bytes() []byte {
 	u32(uint32(len(b.frames)))
 	for _, f := range b.frames {
 		u32(f)
-		u32(1) // nends
-		u64(b.end)
-		u32(b.nchains)
-		u64(b.start)
-		u32(b.length)
-		u32(1) // nfps
-		u64(b.fp)
-		u32(b.nkeys)
-		if !b.skipOverflowKey {
-			u64(b.key)
+		u32(uint32(len(b.ends)))
+		for _, end := range b.ends {
+			u64(end)
+			u32(b.nchains)
+			u64(b.start)
+			u32(b.length)
+		}
+		u32(uint32(len(b.fps)))
+		for _, fp := range b.fps {
+			u64(fp)
+			u32(b.nkeys)
+			if !b.skipOverflowKey {
+				u64(b.key)
+			}
 		}
 	}
 	buf.Write(b.trailing)
@@ -176,11 +182,18 @@ var tinyMutations = []struct {
 	{"bits too wide", func(b *tinyBody) { b.bits = 30 }, "geometry"},
 	{"chainLen not power of two", func(b *tinyBody) { b.chainLen = 12 }, "geometry"},
 	{"chainLen zero", func(b *tinyBody) { b.chainLen = 0 }, "geometry"},
-	{"endpoint outside space", func(b *tinyBody) { b.end = 256 }, "endpoint"},
+	{"endpoint outside space", func(b *tinyBody) { b.ends = []uint64{256} }, "endpoint"},
+	{"endpoint not distinguished", func(b *tinyBody) { b.ends = []uint64{1} }, "not a distinguished point"},
+	{"endpoints descending", func(b *tinyBody) { b.ends = []uint64{32, 16} }, "endpoints not strictly ascending"},
+	{"endpoint listed twice", func(b *tinyBody) { b.ends = []uint64{16, 16} }, "endpoints not strictly ascending"},
+	{"endpoint without chains", func(b *tinyBody) { b.nchains = 0 }, "no chains"},
 	{"chain start outside space", func(b *tinyBody) { b.start = 1 << 20 }, "bounds"},
 	{"chain length zero", func(b *tinyBody) { b.length = 0 }, "bounds"},
 	{"chain length beyond walk", func(b *tinyBody) { b.length = 1 << 30 }, "bounds"},
-	{"fingerprint too wide", func(b *tinyBody) { b.fp = 1 << 40 }, "fingerprint"},
+	{"fingerprint too wide", func(b *tinyBody) { b.fps = []uint64{1 << 40} }, "fingerprint"},
+	{"fingerprints descending", func(b *tinyBody) { b.fps = []uint64{9, 5} }, "fingerprints not strictly ascending"},
+	{"fingerprint listed twice", func(b *tinyBody) { b.fps = []uint64{5, 5} }, "fingerprints not strictly ascending"},
+	{"fingerprint without keys", func(b *tinyBody) { b.nkeys = 0 }, "no keys"},
 	{"overflow key outside space", func(b *tinyBody) { b.key = 300 }, "outside"},
 	{"duplicate frame", func(b *tinyBody) { b.frames = []uint32{0, 0} }, "twice"},
 	{"chain count exceeds body", func(b *tinyBody) { b.nchains = 1 << 30 }, "exceeds remaining"},
@@ -190,8 +203,23 @@ var tinyMutations = []struct {
 }
 
 func TestLoadTableFieldValidationMatrix(t *testing.T) {
-	if _, err := LoadTable(bytes.NewReader(seal(validTiny().bytes()))); err != nil {
-		t.Fatalf("baseline tiny body rejected: %v", err)
+	// The baselines load and re-save to the same bytes: every endpoint's
+	// chain and every fingerprint's key survives the load.
+	wide := validTiny()
+	wide.ends, wide.fps = []uint64{0, 16, 32}, []uint64{5, 9}
+	for _, b := range []tinyBody{validTiny(), wide} {
+		in := seal(b.bytes())
+		table, err := LoadTable(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("baseline tiny body rejected: %v", err)
+		}
+		var out bytes.Buffer
+		if err := table.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("baseline tiny body (%d endpoints) re-saves differently", len(b.ends))
+		}
 	}
 	for _, tc := range tinyMutations {
 		t.Run(tc.name, func(t *testing.T) {
