@@ -83,7 +83,7 @@ func main() {
 		sweep         = flag.Bool("sweep", false, "run a comparative scenario sweep over one shared population")
 		scenarios     = flag.String("scenarios", "", "with -sweep: comma-separated built-in scenario names (empty = baseline,fortified,a53-mix)")
 		scenarioFile  = flag.String("scenario-file", "", "with -sweep: JSON file holding the scenario list (overrides -scenarios)")
-		sweepParallel = flag.Int("sweep-parallel", 1, "with -sweep: scenarios in flight at once, sharing the one -workers shard budget (1 = sequential; results are identical either way)")
+		sweepParallel = flag.Int("sweep-parallel", 1, "with -sweep: runs in flight at once, one per plan (policy and platform), sharing the one -workers shard budget (1 = sequential; results are identical either way)")
 
 		// Durability and multi-process sharding.
 		ckptDir       = flag.String("checkpoint-dir", "", "journal completed shards under this directory; rerunning resumes from the last journaled shard")

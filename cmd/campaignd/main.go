@@ -60,7 +60,7 @@ func main() {
 		backend     = flag.String("backend", "table", "shared A5/1 cracker backend (table, bitsliced)")
 		keyBits     = flag.Int("keybits", 12, "A5/1 session-key space bits")
 		leak        = flag.Float64("leak", population.DefaultLeakFraction, "fraction of subscribers in leak databases")
-		sweepPar    = flag.Int("sweep-parallel", 1, "scenarios in flight per /v1/sweep request, sharing the -workers budget")
+		sweepPar    = flag.Int("sweep-parallel", 1, "runs in flight per /v1/sweep request, one per plan (policy and platform), sharing the -workers budget")
 
 		rate        = flag.Float64("rate", 0, "query admission rate in requests/s (0 = unlimited); beyond -burst, requests are answered 429")
 		burst       = flag.Int("burst", 0, "token-bucket burst for -rate (0 with -rate > 0 = rate rounded up)")

@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 )
 
@@ -99,8 +100,8 @@ type lookupState struct {
 }
 
 // replayScratch is the reusable memory of one RecoverBatch call,
-// recycled through a sync.Pool so campaign-scale lookup streams do not
-// pay an allocation storm per shard.
+// recycled through its table's scratchList so campaign-scale lookup
+// streams do not pay an allocation storm per shard.
 type replayScratch struct {
 	lookups []lookupState
 	active  []int32 // unresolved lookups, in lane order
@@ -140,7 +141,37 @@ func (rs *replayScratch) visit(lk *lookupState) bool {
 	}
 }
 
-var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
+// scratchList is a table's free list of replay scratch: at most
+// GOMAXPROCS entries, one per call that can run at once. Unlike a
+// sync.Pool, a garbage collection does not empty it, so a warm caller
+// keeps its grown slices across collections.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*replayScratch
+}
+
+// get takes a free scratch, or a new one when none is free.
+func (l *scratchList) get() *replayScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		rs := l.free[n-1]
+		l.free = l.free[:n-1]
+		return rs
+	}
+	return new(replayScratch)
+}
+
+// put resets rs and keeps it, unless the list already holds
+// GOMAXPROCS entries.
+func (l *scratchList) put(rs *replayScratch) {
+	rs.reset()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, rs)
+	}
+}
 
 func (rs *replayScratch) reset() {
 	// Drop the chain references before truncating, so the pooled
@@ -179,11 +210,8 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 	}
 	n, _ := space.Size()
 
-	rs := replayScratchPool.Get().(*replayScratch)
-	defer func() {
-		rs.reset()
-		replayScratchPool.Put(rs)
-	}()
+	rs := t.scratch.get()
+	defer t.scratch.put(rs)
 
 	// Classify: resolve overflow hits immediately, queue covered-frame
 	// samples into the batched state machine, defer uncovered frames to

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -358,6 +359,52 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 				t.Fatalf("lanes=%d lane %d: fp=%#x want %#x", lanes, i, out[i], want)
 			}
 		}
+	}
+}
+
+// TestRecoverBatchScratchSurvivesGC pins the table's scratch free
+// list: once a call has grown the replay scratch, a garbage collection
+// does not take it away, so a later RecoverBatch of the same samples —
+// a campaign shard's paging samples — allocates only its keys and errs.
+func TestRecoverBatchScratchSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, newSeenSet's append of a make allocates the made slice, so allocation counts differ")
+	}
+	space := KeySpace{Base: 0xC118000000000000, Bits: 12}
+	paging := PagingFrames()
+	table := replayTable(t, space, paging, 2)
+	rng := rand.New(rand.NewSource(5))
+	samples := make([]Sample, 512)
+	for i := range samples {
+		frame := paging[rng.Intn(len(paging))]
+		down, _ := New(space.Key(rng.Uint64()%4096), frame).KeystreamBurst()
+		samples[i] = Sample{Keystream: down[:14], Frame: frame}
+	}
+	ctx := context.Background()
+	recoverAll := func() {
+		_, errs := table.RecoverBatch(ctx, samples, space)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("sample %d: %v", i, err)
+			}
+		}
+	}
+	recoverAll() // grows the scratch
+	// The fewest allocations over three rounds: the count is process-wide,
+	// and another goroutine's stray allocation can land in one window. A
+	// scratch lost to the collections would regrow in every round.
+	fewest := ^uint64(0)
+	for range 3 {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recoverAll()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	if fewest != 2 {
+		t.Fatalf("RecoverBatch after two collections made %d allocations, want 2 (keys and errs)", fewest)
 	}
 }
 

@@ -134,6 +134,9 @@ type Table struct {
 	chainLen uint64
 	maxWalk  int
 	frames   map[uint32]*frameTable
+	// scratch is RecoverBatch's free list of replay scratch, the only
+	// mutable part of a table.
+	scratch scratchList
 }
 
 var _ Cracker = (*Table)(nil)

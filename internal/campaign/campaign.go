@@ -43,6 +43,14 @@
 //     lists and path classes, one layer per depth, no per-victim graph
 //     builds); each scenario compiles its own plan from its
 //     policy-fortified catalog, cached by (policy, platform);
+//   - a run is the unit of one plan: a sweep runs the scenarios that
+//     share a plan as the members of one run, since a victim's chain
+//     reaction depends only on the plan and the population. Each shard
+//     takes every member's radio outcome, packs blocks over the union of
+//     the members' intercepted victims, each member's interception word
+//     riding along as one more entry, solves each block once and folds
+//     it into every member's partial summary through that member's
+//     lanes;
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //
@@ -58,6 +66,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -99,12 +108,13 @@ type Config struct {
 	// after every merged shard of every run. Callbacks of concurrent
 	// scenarios may arrive concurrently; the callee synchronizes.
 	ScenarioProgress func(scenario string, done, total int)
-	// SweepParallel bounds how many sweep scenarios RunSweep keeps in
-	// flight at once (0 or 1 = sequential, the default). However many
-	// scenarios overlap, their shard work shares the one Workers-bounded
-	// budget, so parallelism overlaps a scenario's tail (aggregation,
-	// stragglers) with the next scenario's start instead of
-	// oversubscribing the machine.
+	// SweepParallel bounds how many runs RunSweep keeps in flight at
+	// once (0 or 1 = sequential, the default). A run carries the sweep's
+	// scenarios that share one plan (policy and platform), so this counts
+	// plans, not scenarios. However many runs overlap, their shard work
+	// shares the one Workers-bounded budget, so parallelism overlaps a
+	// run's tail (aggregation, stragglers) with the next run's start
+	// instead of oversubscribing the machine.
 	SweepParallel int
 
 	// Checkpoint, when non-nil, makes runs durable: every completed
@@ -142,7 +152,8 @@ type Config struct {
 // immutable after New (population, cracker table, key space) or
 // guarded for concurrent use (plan cache, shard slots, radio memo,
 // resident closure inputs), so RunScenario is safe to call from
-// multiple goroutines at once; all per-run state lives in the run type.
+// multiple goroutines at once; all per-run state lives in the run and
+// member types.
 // Build with New, execute one scenario with Run/RunScenario or a
 // comparative list with RunSweep.
 type Engine struct {
@@ -185,6 +196,15 @@ type Engine struct {
 type planKey struct {
 	policy   string
 	platform string
+}
+
+// planKeyOf is a normalized scenario's plan key.
+func planKeyOf(sc Scenario) planKey {
+	key := planKey{policy: sc.Policy, platform: sc.Platform}
+	if key.policy == "" {
+		key.policy = "none"
+	}
+	return key
 }
 
 // New validates the shared resources and builds the cracker backend
@@ -280,10 +300,7 @@ func (e *Engine) planForScenario(sc Scenario) (*attackPlan, error) {
 // plan returns the compiled plan for a normalized scenario, applying
 // its countermeasure policy to the catalog first.
 func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
-	key := planKey{policy: sc.Policy, platform: sc.Platform}
-	if key.policy == "" {
-		key.policy = "none"
-	}
+	key := planKeyOf(sc)
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	if p, ok := e.plans[key]; ok {
@@ -306,10 +323,9 @@ func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
 }
 
 // checkout takes a shard slot, blocking until one is free or ctx is
-// done (nil), and returns the slot's rig — built on the slot's first
-// use — with crackObs receiving its batched-crack durations until
-// release.
-func (e *Engine) checkout(ctx context.Context, crackObs *obs.Histogram) *sniffer.Sniffer {
+// done (nil), and returns the slot's rig, built on the slot's first
+// use.
+func (e *Engine) checkout(ctx context.Context) *sniffer.Sniffer {
 	var rig *sniffer.Sniffer
 	select {
 	case rig = <-e.slots:
@@ -323,11 +339,10 @@ func (e *Engine) checkout(ctx context.Context, crackObs *obs.Histogram) *sniffer
 	} else {
 		metRigsReused.Inc()
 	}
-	rig.SetCrackObserver(crackObs)
 	return rig
 }
 
-// release resets a checked-out rig, detaches the run's crack observer
+// release resets a checked-out rig, detaches the last crack observer
 // and returns the slot for the next shard of any run.
 func (e *Engine) release(rig *sniffer.Sniffer) {
 	rig.Reset()
@@ -348,66 +363,156 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 // run over the engine's shared core, and overlapping calls share the
 // Workers-bounded shard budget.
 func (e *Engine) RunScenario(ctx context.Context, sc Scenario) (*Summary, error) {
-	dir := ""
-	if e.cfg.Checkpoint != nil {
-		dir = e.cfg.Checkpoint.Dir
-	}
-	return e.runScenario(ctx, sc, dir)
-}
-
-// run is the per-run half of the engine split: everything one
-// executing scenario owns alone — the normalized scenario and its
-// runtime view, the compiled plan (shared and read-only, cached on the
-// engine), the checkpoint handle, the run-local phase histograms and
-// the bound progress callback. The Engine holds only shared state;
-// a run is built per RunScenario call and dies with it, which is what
-// makes overlapping calls safe.
-type run struct {
-	e      *Engine
-	norm   Scenario
-	rt     *runtimeScenario
-	plan   *attackPlan
-	radio  *radioShards
-	ck     *ckptRun
-	phases *phaseSet
-	// free holds merged partial summaries, zeroed, for the next
-	// shards: the aggregator returns each part once merged and
-	// journaled, so a run allocates a few parts, not one per shard. Its
-	// 2×Workers capacity is the parts a run can have outstanding: one
-	// per worker plus the parts channel's Workers-deep buffer.
-	free chan *Summary
-}
-
-// runScenario is RunScenario with an explicit checkpoint directory, so
-// a sweep can give each scenario its own subdirectory.
-func (e *Engine) runScenario(ctx context.Context, sc Scenario, dir string) (*Summary, error) {
-	start := time.Now()
 	norm, err := sc.normalize(0)
 	if err != nil {
 		return nil, err
 	}
-	e.cfg.Trace.Emit(obs.TraceEvent{Event: "run_start", Shard: -1, Detail: norm.Name})
-	r, err := e.newRun(norm)
-	if err != nil {
+	dir := ""
+	if e.cfg.Checkpoint != nil {
+		dir = e.cfg.Checkpoint.Dir
+	}
+	sums, errs := e.runPlan(ctx, []Scenario{norm}, []string{dir})
+	return sums[0], errs[0]
+}
+
+// run is the per-run half of the engine split: one compiled plan
+// (shared and read-only, cached on the engine) and its members, the
+// normalized scenarios that share it. A shard's closure half depends
+// only on the plan and the population, so the run solves each block of
+// the members' intercepted victims once and folds it into every
+// member's partial summary. The Engine holds only shared state; a run
+// is built per RunScenario call or per plan group of a sweep and dies
+// with it, which is what makes overlapping runs safe.
+type run struct {
+	e       *Engine
+	plan    *attackPlan
+	members []*member
+}
+
+// member is what one scenario of a run owns alone: the normalized
+// scenario and its runtime view, its radio-memo entries, its checkpoint
+// handle, its phase histograms and its aggregate.
+type member struct {
+	norm   Scenario
+	rt     *runtimeScenario
+	radio  *radioShards
+	ck     *ckptRun
+	phases *phaseSet
+	// free holds merged partial summaries, zeroed, for the next shards:
+	// the aggregator returns each part once merged and journaled, so a
+	// member allocates a few parts, not one per shard. Its 2×Workers
+	// capacity is the parts it can have outstanding: one per worker plus
+	// the parts channel's Workers-deep buffer.
+	free chan *Summary
+	// sum is the member's aggregate, seeded by its checkpoint; subs0 and
+	// skip0 are what the seed held, seedShards the shards it covered and
+	// merged the shards merged since.
+	sum                *Summary
+	subs0, skip0       int64
+	seedShards, merged int
+	// err is the member's own failure during the attack, a journal
+	// error, set by the aggregator; dropped, set with it, stops the
+	// workers attacking shards for the member.
+	err     error
+	dropped atomic.Bool
+}
+
+// maxRunMembers bounds the scenarios one run carries; a sweep splits a
+// larger plan group into several runs. It keeps a run's per-shard work
+// and scratch bounded by a constant, and member indices within uint16.
+const maxRunMembers = 64
+
+// runPlan runs normalized scenarios that share one plan key as one run,
+// scenario k journaling to dirs[k] ("" = no checkpoint), and returns
+// each scenario's Summary or error. A scenario whose set-up fails — its
+// plan, runtime view or checkpoint — or whose journal fails gets that
+// error and the run goes on without it. A canceled context, or an
+// injected crash in one member's journal (process death), stops the
+// run: the crashed member gets the crash and the others the
+// cancellation.
+func (e *Engine) runPlan(ctx context.Context, norms []Scenario, dirs []string) ([]*Summary, []error) {
+	start := time.Now()
+	sums, errs := make([]*Summary, len(norms)), make([]error, len(norms))
+	for _, norm := range norms {
+		e.cfg.Trace.Emit(obs.TraceEvent{Event: "run_start", Shard: -1, Detail: norm.Name})
+	}
+	r := &run{e: e}
+	var err error
+	if r.plan, err = e.plan(norms[0]); err != nil {
+		for k := range errs {
+			errs[k] = err
+		}
+		return sums, errs
+	}
+	at := make([]int, 0, len(norms)) // each member's index in norms
+	for k, norm := range norms {
+		m, err := e.newMember(norm, dirs[k])
+		if err != nil {
+			errs[k] = err
+			continue
+		}
+		if m.ck != nil {
+			defer m.ck.j.Close()
+		}
+		r.members = append(r.members, m)
+		at = append(at, k)
+	}
+	if len(r.members) == 0 {
+		return sums, errs
+	}
+	err = r.attack(ctx)
+	d := time.Since(start)
+	for j, m := range r.members {
+		switch {
+		case m.err != nil:
+			errs[at[j]] = m.err
+		case err != nil:
+			errs[at[j]] = err
+		default:
+			sums[at[j]], errs[at[j]] = e.finish(m, d)
+		}
+	}
+	return sums, errs
+}
+
+// newMember builds normalized scenario norm's member state over the
+// engine's shared core: its runtime view, its radio-memo entries and,
+// when dir is set, its opened (or resumed) checkpoint.
+func (e *Engine) newMember(norm Scenario, dir string) (*member, error) {
+	m := &member{norm: norm, phases: newPhaseSet(), free: make(chan *Summary, 2*e.cfg.Workers)}
+	var err error
+	if m.rt, err = e.newRuntime(norm); err != nil {
 		return nil, err
 	}
+	m.radio = e.memo.shards(radioKey{radio: norm.Radio, budget: norm.Budget, segment: norm.Segment},
+		e.cfg.ShardHi-e.cfg.ShardLo)
+	m.sum = newSummary(len(e.cfg.Population.Services()))
 	if dir != "" {
-		r.ck, err = e.openCheckpoint(dir, norm)
-		if err != nil {
+		if m.ck, err = e.openCheckpoint(dir, norm); err != nil {
 			return nil, err
 		}
-		defer r.ck.j.Close()
+		m.sum = m.ck.seed
+		for _, d := range m.ck.done {
+			if d {
+				m.seedShards++
+			}
+		}
 	}
-	sum, err := r.attack(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sum.Scenario = norm.Name
-	sum.Policy = norm.Policy
+	m.subs0, m.skip0 = m.sum.Subscribers, m.sum.SubscribersSkipped
+	return m, nil
+}
+
+// finish completes member m's Summary after a run of wall clock d:
+// identity, coverage, throughput and phase timings, written to its
+// checkpoint as the final result.
+func (e *Engine) finish(m *member, d time.Duration) (*Summary, error) {
+	sum := m.sum
+	sum.Scenario = m.norm.Name
+	sum.Policy = m.norm.Policy
 	sum.Backend = e.cracker.Name()
 	sum.Workers = e.cfg.Workers
 	sum.recomputeCoverage()
-	sum.Duration = time.Since(start)
+	sum.Duration = d
 	// Throughput is the cumulative rate: all subscribers ever processed
 	// over all wall clock ever spent, across every process that worked
 	// on this checkpoint directory. The pre-telemetry code divided the
@@ -415,46 +520,30 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, dir string) (*Sum
 	// overstating resumed runs' rates by the resumed fraction.
 	sum.ActiveDuration = sum.Duration
 	sum.ResumeVictimsPerSec = 0
-	if r.ck != nil {
-		sum.ActiveDuration = r.ck.activePrior + sum.Duration
-		if r.ck.resumed {
+	if m.ck != nil {
+		sum.ActiveDuration = m.ck.activePrior + sum.Duration
+		if m.ck.resumed {
 			if secs := sum.Duration.Seconds(); secs > 0 {
-				sum.ResumeVictimsPerSec = float64(sum.Subscribers-r.ck.subsPrior) / secs
+				sum.ResumeVictimsPerSec = float64(sum.Subscribers-m.ck.subsPrior) / secs
 			}
 		}
 	}
 	if secs := sum.ActiveDuration.Seconds(); secs > 0 {
 		sum.VictimsPerSec = float64(sum.Subscribers) / secs
 	}
-	sum.PhaseTimings = r.phases.timings()
-	if r.ck != nil {
+	sum.PhaseTimings = m.phases.timings()
+	if m.ck != nil {
 		payload, err := json.Marshal(sum)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: encode final summary: %w", err)
 		}
-		if err := r.ck.j.WriteResult(payload); err != nil {
+		if err := m.ck.j.WriteResult(payload); err != nil {
 			return nil, err
 		}
 	}
 	e.cfg.Trace.Emit(obs.TraceEvent{Event: "run_done", Shard: -1, Subscribers: sum.Subscribers})
 	e.cfg.Trace.Flush()
 	return sum, nil
-}
-
-// newRun builds normalized scenario norm's run over the engine's
-// shared core: its plan, runtime view and radio-memo entries.
-func (e *Engine) newRun(norm Scenario) (*run, error) {
-	r := &run{e: e, norm: norm, phases: newPhaseSet(), free: make(chan *Summary, 2*e.cfg.Workers)}
-	var err error
-	if r.plan, err = e.plan(norm); err != nil {
-		return nil, err
-	}
-	if r.rt, err = e.newRuntime(norm); err != nil {
-		return nil, err
-	}
-	r.radio = e.memo.shards(radioKey{radio: norm.Radio, budget: norm.Budget, segment: norm.Segment},
-		e.cfg.ShardHi-e.cfg.ShardLo)
-	return r, nil
 }
 
 // runtimeScenario is a normalized scenario with its draw helpers
@@ -525,27 +614,30 @@ func (rt *runtimeScenario) targets(sub *population.Subscriber) bool {
 	return true
 }
 
-// shardResult pairs a completed shard with its partial summary so the
-// aggregator can journal it under the right index.
+// shardResult is one member's partial summary of a completed shard, so
+// the aggregator can merge and journal it under the right member and
+// index.
 type shardResult struct {
-	shard int
-	part  *Summary
+	shard, member int
+	part          *Summary
 }
 
-// attack streams every owned, not-yet-journaled shard through the
-// run's worker pool and aggregates the partial summaries. Each worker
-// checks out one of the engine's shard slots per shard, so concurrent
-// runs collectively never exceed cfg.Workers shards in flight. With a
-// checkpoint, the aggregator (the journal's single owner) appends each
-// merged part and folds periodic snapshots; a journal failure —
-// including an injected crash — cancels the run and drains the pool so
-// no worker goroutine outlives the call.
-func (r *run) attack(ctx context.Context) (*Summary, error) {
+// attack streams every owned shard some member has not journaled
+// through the run's worker pool and aggregates each member's partial
+// summaries. Each worker checks out one of the engine's shard slots per
+// shard, so concurrent runs collectively never exceed cfg.Workers
+// shards in flight. With checkpoints, the aggregator (the journals'
+// single owner) appends each merged part to its member's journal and
+// folds periodic snapshots. A journal failure is its member's: the
+// member is dropped and the run goes on for the others. An injected
+// crash, or the last member dropped, cancels the run and drains the
+// pool so no worker goroutine outlives the call. The error returned is
+// the one that stopped the run for its remaining members.
+func (r *run) attack(ctx context.Context) error {
 	e := r.e
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	pop := e.cfg.Population
-	numServices := len(pop.Services())
 	shards := make(chan int)
 	parts := make(chan shardResult, e.cfg.Workers)
 
@@ -557,104 +649,131 @@ func (r *run) attack(ctx context.Context) (*Summary, error) {
 			scr := newScratch(r.plan)
 			defer scr.release()
 			for i := range shards {
-				rig := e.checkout(ctx, r.phases.crack())
+				rig := e.checkout(ctx)
 				if rig == nil {
 					return
 				}
-				part := r.runShard(ctx, i, rig, scr)
+				if scr.need = r.need(i, scr.need[:0]); len(scr.need) == 0 {
+					e.release(rig) // its members were dropped
+					continue
+				}
+				got := r.runShard(ctx, i, scr.need, rig, scr)
 				e.release(rig)
-				if part == nil {
+				if got == nil {
 					return // canceled mid-retry
 				}
-				select {
-				case parts <- shardResult{shard: i, part: part}:
-				case <-ctx.Done():
-					return
+				for k, part := range got {
+					select {
+					case parts <- shardResult{shard: i, member: scr.need[k], part: part}:
+					case <-ctx.Done():
+						return
+					}
 				}
 			}
 		}()
 	}
-	var skip []bool
-	if r.ck != nil {
-		skip = r.ck.done
-	}
 	feedErr := make(chan error, 1)
 	go func() {
-		feedErr <- feedShards(ctx, shards, e.cfg.ShardLo, e.cfg.ShardHi, skip)
+		feedErr <- feedShards(ctx, shards, e.cfg.ShardLo, e.cfg.ShardHi, r.skip())
 		wg.Wait()
 		close(parts)
 	}()
 
-	sum := newSummary(numServices)
-	seedShards := 0
-	if r.ck != nil {
-		sum = r.ck.seed
-		for _, d := range r.ck.done {
-			if d {
-				seedShards++
-			}
-		}
-	}
-	subs0, skip0 := sum.Subscribers, sum.SubscribersSkipped
 	shardsTotal := int64(e.cfg.ShardHi - e.cfg.ShardLo)
 	subsTotal := int64(pop.Size())
-	mergedShards := 0
-	prog.attach(shardsTotal, subsTotal, int64(seedShards), subs0, skip0)
-	defer func() {
-		prog.detach(shardsTotal, subsTotal, int64(seedShards+mergedShards),
-			sum.Subscribers, sum.SubscribersSkipped, sum.Subscribers-subs0)
-	}()
-	progress := func() {
-		if e.cfg.ScenarioProgress != nil {
-			e.cfg.ScenarioProgress(r.norm.Name, int(sum.Subscribers+sum.SubscribersSkipped), pop.Size())
+	for _, m := range r.members {
+		prog.attach(shardsTotal, subsTotal, int64(m.seedShards), m.subs0, m.skip0)
+		if m.sum.Subscribers+m.sum.SubscribersSkipped > 0 {
+			m.progress(e) // resumed shards count as done up front
 		}
 	}
-	if sum.Subscribers+sum.SubscribersSkipped > 0 {
-		progress() // resumed shards count as done up front
-	}
-	var runErr error
+	defer func() {
+		for _, m := range r.members {
+			prog.detach(shardsTotal, subsTotal, int64(m.seedShards+m.merged),
+				m.sum.Subscribers, m.sum.SubscribersSkipped, m.sum.Subscribers-m.subs0)
+		}
+	}()
+	stopped, live := false, len(r.members)
 	for res := range parts {
-		if runErr != nil {
+		m := r.members[res.member]
+		if stopped || m.err != nil {
 			continue // draining after failure so the pool can exit
 		}
 		aggStart := time.Now()
-		sum.Merge(res.part)
-		mergedShards++
+		m.sum.Merge(res.part)
+		m.merged++
 		prog.merge(res.part.Subscribers, res.part.SubscribersSkipped)
-		progress()
-		if r.ck != nil {
-			if err := r.journalShard(res.shard, res.part, sum); err != nil {
-				runErr = err
-				cancel()
-			} else {
-				metShardsJournaled.Inc()
+		m.progress(e)
+		if m.ck != nil {
+			if err := m.journalShard(e, res.shard, res.part); err != nil {
+				m.err = err
+				m.dropped.Store(true)
+				if live--; live == 0 || errors.Is(err, faultinject.ErrCrash) {
+					stopped = true
+					cancel()
+				}
+				continue
 			}
+			metShardsJournaled.Inc()
 		}
-		r.phases.observe("aggregate", aggStart)
+		m.phases.observe("aggregate", aggStart)
 		res.part.reset()
 		select {
-		case r.free <- res.part:
+		case m.free <- res.part:
 		default:
 		}
 	}
 	ferr := <-feedErr
-	if runErr != nil {
-		return nil, runErr
+	if stopped {
+		return context.Canceled
 	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	return sum, nil
+	return ferr
 }
 
-// journalShard appends one shard's partial summary and folds a
-// snapshot of the merged state when one is due. An error — including
-// an injected crash — means the run must stop writing immediately.
-// Each snapshot carries the run's cumulative active duration so far,
-// so a resuming process can keep accounting wall clock across the
-// crash boundary instead of restarting the throughput denominator.
-func (r *run) journalShard(shard int, part, sum *Summary) error {
-	ck := r.ck
+// need appends to dst the members that still need shard i — those not
+// dropped, without a checkpoint or whose journal lacks it — and returns
+// it.
+func (r *run) need(i int, dst []int) []int {
+	for j, m := range r.members {
+		if !m.dropped.Load() && (m.ck == nil || !m.ck.done[i]) {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
+// skip is the feeder's done-shard bitmap: the shards every member has
+// journaled (nil when some member keeps no checkpoint).
+func (r *run) skip() []bool {
+	for _, m := range r.members {
+		if m.ck == nil {
+			return nil
+		}
+	}
+	skip := make([]bool, len(r.members[0].ck.done))
+	for i := range skip {
+		skip[i] = len(r.need(i, nil)) == 0
+	}
+	return skip
+}
+
+// progress reports the member's merged subscribers to the scenario
+// progress callback.
+func (m *member) progress(e *Engine) {
+	if e.cfg.ScenarioProgress != nil {
+		e.cfg.ScenarioProgress(m.norm.Name, int(m.sum.Subscribers+m.sum.SubscribersSkipped), e.cfg.Population.Size())
+	}
+}
+
+// journalShard appends one shard's partial summary to the member's
+// journal and folds a snapshot of its merged state when one is due. An
+// error — including an injected crash — means the run must stop
+// writing immediately. Each snapshot carries the member's cumulative
+// active duration so far, so a resuming process can keep accounting
+// wall clock across the crash boundary instead of restarting the
+// throughput denominator.
+func (m *member) journalShard(e *Engine, shard int, part *Summary) error {
+	ck := m.ck
 	payload, err := json.Marshal(part)
 	if err != nil {
 		return fmt.Errorf("campaign: encode shard %d summary: %w", shard, err)
@@ -662,30 +781,33 @@ func (r *run) journalShard(shard int, part, sum *Summary) error {
 	if err := ck.j.Append(shard, payload); err != nil {
 		return err
 	}
-	r.e.cfg.Trace.Emit(obs.TraceEvent{Event: "journal_append", Shard: shard, Subscribers: part.Subscribers})
+	e.cfg.Trace.Emit(obs.TraceEvent{Event: "journal_append", Shard: shard, Subscribers: part.Subscribers})
 	if !ck.j.Due() {
 		return nil
 	}
-	sum.ActiveDuration = ck.activePrior + time.Since(ck.start)
-	snap, err := json.Marshal(sum)
+	m.sum.ActiveDuration = ck.activePrior + time.Since(ck.start)
+	snap, err := json.Marshal(m.sum)
 	if err != nil {
 		return fmt.Errorf("campaign: encode snapshot: %w", err)
 	}
 	if err := ck.j.Snapshot(snap); err != nil {
 		return err
 	}
-	r.e.cfg.Trace.Emit(obs.TraceEvent{Event: "snapshot", Shard: -1})
-	r.e.cfg.Trace.Flush()
+	e.cfg.Trace.Emit(obs.TraceEvent{Event: "snapshot", Shard: -1})
+	e.cfg.Trace.Flush()
 	return nil
 }
 
-// runShard attempts shard i against the fault injector's schedule:
-// transient failures retry with bounded exponential backoff, while a
-// poisoned shard or an exhausted attempt budget degrades to a
-// quarantine summary — the shard's subscribers are counted as skipped
-// and the run continues, reporting an explicit coverage fraction
-// instead of aborting. A nil return means ctx was canceled mid-retry.
-func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *scratch) *Summary {
+// runShard attempts shard i for the members need lists against the
+// fault injector's schedule, whose outcome depends only on (shard,
+// attempt), so each member sees what its own run would: transient
+// failures retry with bounded exponential backoff, while a poisoned
+// shard or an exhausted attempt budget degrades to a quarantine summary
+// for each member — the shard's subscribers are counted as skipped and
+// the run continues, reporting an explicit coverage fraction instead of
+// aborting. It returns one part per member of need, in the worker's
+// scratch; nil means ctx was canceled mid-retry.
+func (r *run) runShard(ctx context.Context, i int, need []int, rig *sniffer.Sniffer, scr *scratch) []*Summary {
 	e := r.e
 	pop := e.cfg.Population
 	for attempt := 0; ; attempt++ {
@@ -693,10 +815,10 @@ func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *sc
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_start", Shard: i, Attempt: attempt})
 		err := e.cfg.Fault.ShardAttempt(i, attempt)
 		if err == nil {
-			part, detail := r.attackShard(i, rig, scr)
+			parts, detail := r.attackShard(i, need, rig, scr)
 			e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt,
-				Subscribers: part.Subscribers, Detail: detail})
-			return part
+				Subscribers: parts[0].Subscribers, Detail: detail})
+			return parts
 		}
 		if faultinject.IsTransient(err) && attempt+1 < e.cfg.MaxShardAttempts {
 			metShardsRetried.Inc()
@@ -708,22 +830,26 @@ func (r *run) runShard(ctx context.Context, i int, rig *sniffer.Sniffer, scr *sc
 		}
 		metShardsQuarantined.Inc()
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_quarantine", Shard: i, Attempt: attempt, Detail: err.Error()})
-		part := r.newPart()
 		start, end := pop.ShardBounds(i)
-		part.ShardsQuarantined = 1
-		part.SubscribersSkipped = int64(end - start)
-		return part
+		scr.parts = scr.parts[:0]
+		for _, j := range need {
+			part := r.members[j].newPart(e)
+			part.ShardsQuarantined = 1
+			part.SubscribersSkipped = int64(end - start)
+			scr.parts = append(scr.parts, part)
+		}
+		return scr.parts
 	}
 }
 
 // newPart returns a zeroed partial summary, reusing a merged one when
 // the aggregator has returned any.
-func (r *run) newPart() *Summary {
+func (m *member) newPart(e *Engine) *Summary {
 	select {
-	case p := <-r.free:
+	case p := <-m.free:
 		return p
 	default:
-		return newSummary(len(r.e.cfg.Population.Services()))
+		return newSummary(len(e.cfg.Population.Services()))
 	}
 }
 
@@ -772,79 +898,119 @@ var otpTimestamp = time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC)
 // victims spread across [baseARFCN, baseARFCN+CellChannels).
 const baseARFCN = 512
 
-// attackShard attacks shard i. On a radio-memo hit for a shard whose
-// closure inputs are resident it runs only the chain reaction, with
-// detail "resident". Otherwise it generates the shard; then a memo hit
-// (detail "radio_memo") makes the shard's closure inputs resident, and
-// a miss runs the radio stage on the slot's rig and gathers the
-// intercepted victims' inputs into the worker's scratch. Either way the chain reaction is evaluated for
-// each intercepted victim against the scenario's compiled plan. Only a
-// completed attackShard stores a memo entry, so a failed or
-// quarantined shard never leaves one behind.
-func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summary, detail string) {
+// attackShard attacks shard i for the members need lists and returns
+// their parts, in need's order, in the worker's scratch. Each member's
+// radio outcome is a memo hit or its own radio stage on the slot's rig,
+// reset between members so no key, capture or arena string crosses
+// radio environments. When every member hits the memo and the shard's
+// closure inputs are resident, the shard attack is only the chain
+// reaction, with detail "resident". Otherwise it generates the shard;
+// then, if no radio stage ran (detail "radio_memo") or some member
+// hit, the shard's closure inputs become resident, and if every member
+// missed they are gathered for the intercepted victims into the
+// worker's scratch. The chain reaction is evaluated once for the union
+// of the members' intercepted victims against the run's compiled plan,
+// and each block's outcome folds into every member's part through that
+// member's lanes. Only a completed attackShard stores memo entries, so
+// a failed or quarantined shard never leaves one behind.
+func (r *run) attackShard(i int, need []int, rig *sniffer.Sniffer, scr *scratch) (parts []*Summary, detail string) {
 	e := r.e
 	pop := e.cfg.Population
-	part = r.newPart()
 	start, end := pop.ShardBounds(i)
-	part.Subscribers = int64(end - start)
-
-	memoStart := time.Now()
-	slot := &r.radio.entries[i-e.cfg.ShardLo]
-	res := &e.resident[i-e.cfg.ShardLo]
-	rad, in := slot.Load(), res.Load()
-	if rad != nil {
-		r.phases.observe("radio_memo", memoStart)
+	parts, rads := scr.parts[:0], scr.rads[:0]
+	hits := 0
+	for _, j := range need {
+		m := r.members[j]
+		part := m.newPart(e)
+		part.Subscribers = int64(end - start)
+		parts = append(parts, part)
+		memoStart := time.Now()
+		rad := m.radio.entries[i-e.cfg.ShardLo].Load()
+		if rad != nil {
+			m.phases.observe("radio_memo", memoStart)
+			hits++
+		}
+		rads = append(rads, rad)
 	}
+	scr.parts, scr.rads = parts, rads
+	res := &e.resident[i-e.cfg.ShardLo]
+	in := res.Load()
 	closureStart := time.Now()
-	if rad != nil && in != nil {
+	var sh *population.Shard
+	ran := scr.ran[:0]
+	if hits == len(need) && in != nil {
 		detail = "resident"
 	} else {
-		sh := pop.Shard(i)
+		sh = pop.Shard(i)
 		defer sh.Release()
 		metPopBytesPerSub.Set(float64(sh.MemBytes() / len(sh.Subscribers)))
-		if rad != nil {
+		detail = "radio_memo"
+		for k, j := range need {
+			if rads[k] != nil {
+				continue
+			}
+			if detail == "" {
+				rig.Reset() // the previous member's radio stage
+			}
+			detail = ""
+			rads[k] = r.radioStage(r.members[j], sh, rig, scr)
+			ran = append(ran, k)
+		}
+		scr.ran = ran
+		closureStart = time.Now()
+	}
+	// The chain reaction runs over the union of the members' intercepted
+	// victims; a lone member's lanes are the block's.
+	union, members := rads[0].intercepted, [][]uint64(nil)
+	if len(rads) > 1 {
+		union, members = scr.union(rads), scr.members(rads)
+	}
+	if in == nil {
+		if hits > 0 {
 			// The shard's second attack: keep its closure inputs.
-			detail = "radio_memo"
-			closureStart = time.Now()
 			scr.in.fill(pop, sh, nil)
 			in = scr.in.clone()
 			if res.CompareAndSwap(nil, in) {
 				metResidentBytes.Set(float64(e.residentBytes.Add(in.bytes())))
 			}
 		} else {
-			rad = r.radioStage(sh, rig, scr)
-			closureStart = time.Now()
-			if in == nil {
-				scr.in.fill(pop, sh, rad.intercepted)
-				in = &scr.in
-			}
+			scr.in.fill(pop, sh, union)
+			in = &scr.in
 		}
 	}
-	// Per-shard leak accounting (persona phones are unique, so summing
-	// shard counts equals the size of the merged leak database): the
-	// count lands in the journaled partial, which keeps resumed and
-	// multi-process runs exact.
-	part.LeakRecords = in.leakCount
-	part.Targeted, part.Covered = rad.targeted, rad.covered
-	part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
-	part.Sniffer.Add(rad.sniffer)
+	for k, part := range parts {
+		// Per-shard leak accounting (persona phones are unique, so
+		// summing shard counts equals the size of the merged leak
+		// database): the count lands in the journaled partial, which
+		// keeps resumed and multi-process runs exact.
+		rad := rads[k]
+		part.LeakRecords = in.leakCount
+		part.Targeted, part.Covered = rad.targeted, rad.covered
+		part.Sessions, part.A50Sessions, part.A53Sessions = rad.sessions, rad.a50Sessions, rad.a53Sessions
+		part.Sniffer.Add(rad.sniffer)
+	}
 
 	// Chain-reaction phase: evaluate the intercepted victims 256 at a
-	// time, one per lane in shard order, packed from the shard's
-	// closure inputs.
-	blocks, layers := 0, 0
-	scr.blk.pack(in, rad.intercepted, func(words []strategy.Word, lanes *strategy.Word) {
-		layers += scr.solveBlock(words, lanes, part)
+	// time, one per lane in shard order, packed from the shard's closure
+	// inputs, each member's interception riding along as its lanes.
+	blocks, layers, lanes := 0, 0, 0
+	scr.blk.pack(in, union, members, func(words []strategy.Word, mask *strategy.Word, member []strategy.Word) {
+		layers += scr.solveBlock(words, mask, member, parts)
+		lanes += mask.Count()
 		blocks++
 	})
 	metClosureBlocks.Add(int64(blocks))
-	metClosureLanes.Add(part.Intercepted)
+	metClosureLanes.Add(int64(lanes))
 	metClosureLayers.Add(int64(layers))
-	r.phases.observe("closure", closureStart)
-	if detail == "" {
-		slot.Store(rad) // a miss: the radio stage ran here
+	// The fused closure is every member's: each observes an even share.
+	share := time.Since(closureStart).Seconds() / float64(len(need))
+	for _, j := range need {
+		r.members[j].phases.observeSeconds("closure", share)
 	}
-	return part, detail
+	for _, k := range ran {
+		r.members[need[k]].radio.entries[i-e.cfg.ShardLo].Store(rads[k]) // a miss: the radio stage ran here
+	}
+	return parts, detail
 }
 
 // radioStage runs one shard's radio half, gather-then-encrypt: walk the
@@ -854,18 +1020,22 @@ func (r *run) attackShard(i int, rig *sniffer.Sniffer, scr *scratch) (part *Summ
 // and mark the victims whose sessions it decoded. The result is a pure
 // function of (population seed, shard, radio environment, budget,
 // segment) — policy and platform never reach it — which is what lets
-// the memo replay it for any scenario with the same key.
-func (r *run) radioStage(sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) *radioOut {
-	e, rt := r.e, r.rt
+// the memo replay it for any scenario with the same key. It runs member
+// m's stage: m's radio environment, budget and segment, its phases and
+// the rig's crack durations observed into m's histograms.
+func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) *radioOut {
+	e, rt := r.e, m.rt
 	pop := e.cfg.Population
 	out := &radioOut{intercepted: make([]uint64, (len(sh.Subscribers)+63)/64)}
 
 	// Per-shard IMSI strings are carved from the shard-cycle arena:
-	// they reach the sniffer rig's session caches, which release's
-	// rig.Reset empties before this worker's next shard reuses the
-	// arena. Reset clears the caches in place, and clear drops the
-	// arena-backed keys exactly as a fresh map did.
+	// they reach the sniffer rig's session caches, which a rig.Reset —
+	// release's, or attackShard's between members — empties before this
+	// worker's next radio stage reuses the arena. Reset clears the caches
+	// in place, and clear drops the arena-backed keys exactly as a fresh
+	// map did.
 	scr.strs.Reset()
+	rig.SetCrackObserver(m.phases.crack())
 
 	synthStart := time.Now()
 	seed := uint64(pop.Seed())
@@ -951,7 +1121,7 @@ func (r *run) radioStage(sh *population.Shard, rig *sniffer.Sniffer, scr *scratc
 		}
 	}
 	scr.radio = batch // keep the grown buffer for the next shard
-	r.phases.observe("synth", synthStart)
+	m.phases.observe("synth", synthStart)
 
 	// Encrypt phase: the whole shard's A5/1 bursts run through the
 	// 64-lane bitsliced encryptor, then the rig hears every burst in
@@ -969,10 +1139,10 @@ func (r *run) radioStage(sh *population.Shard, rig *sniffer.Sniffer, scr *scratc
 			// move the golden Summaries undetected.
 			panic(fmt.Sprintf("campaign: batch encode of pre-validated sessions failed: %v", err))
 		}
-		r.phases.observe("encrypt", encStart)
+		m.phases.observe("encrypt", encStart)
 		feedStart := time.Now()
 		rig.FeedBatch(flat)
-		r.phases.observe("feed", feedStart)
+		m.phases.observe("feed", feedStart)
 	}
 
 	// Attribute decoded captures back to victims via session IDs.

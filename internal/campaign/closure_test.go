@@ -112,19 +112,23 @@ func dossierFactors(d population.Dossier) uint64 {
 
 // laneBlock is one lane-engine block as the closure reads it: its
 // lanes, per catalog service the lanes enrolled in it, the lanes whose
-// dossier was found, and per lane the factors its dossier gives.
+// dossier was found, per lane the factors its dossier gives, and per
+// run member the member's lanes.
 type laneBlock struct {
 	lanes    strategy.Word
 	services []strategy.Word
 	found    strategy.Word
 	factors  [strategy.BlockLanes]uint64
+	members  []strategy.Word
 }
 
 // gatherBlocks is the reference for packing: the intercepted victims of
 // sh, strategy.BlockLanes per block in shard order, each block's
 // enrollment words gathered row by row and transposed tile by tile of
-// 64 rows, and each victim's dossier drawn.
-func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted []uint64) []laneBlock {
+// 64 rows, each victim's dossier drawn, and each member's lanes those
+// of the victims its interception words hold — with no members, the
+// block's lanes as the lone member's.
+func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted []uint64, members [][]uint64) []laneBlock {
 	nsvc := len(pop.Services())
 	var out []laneBlock
 	var rows []int
@@ -152,6 +156,16 @@ func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted 
 			}
 			b.factors[l] = dossierFactors(d)
 		}
+		for _, w := range members {
+			var lanes strategy.Word
+			for l, row := range rows {
+				lanes[l>>6] |= (w[row>>6] >> (row & 63) & 1) << (l & 63)
+			}
+			b.members = append(b.members, lanes)
+		}
+		if len(members) == 0 {
+			b.members = []strategy.Word{b.lanes}
+		}
 		out = append(out, b)
 		rows = rows[:0]
 	}
@@ -168,14 +182,15 @@ func gatherBlocks(pop *population.Population, sh *population.Shard, intercepted 
 	return out
 }
 
-// packBlocks packs in's blocks for intercepted and reads each back as
-// a laneBlock.
-func packBlocks(pop *population.Population, in *closureIn, intercepted []uint64) []laneBlock {
+// packBlocks packs in's blocks for intercepted and members and reads
+// each back as a laneBlock.
+func packBlocks(pop *population.Population, in *closureIn, intercepted []uint64, members [][]uint64) []laneBlock {
 	nsvc := len(pop.Services())
 	blk := newBlock(inServices + nsvc)
 	var out []laneBlock
-	blk.pack(in, intercepted, func(words []strategy.Word, lanes *strategy.Word) {
-		b := laneBlock{lanes: *lanes, services: slices.Clone(words[inServices:]), found: words[inFound]}
+	blk.pack(in, intercepted, members, func(words []strategy.Word, lanes *strategy.Word, member []strategy.Word) {
+		b := laneBlock{lanes: *lanes, services: slices.Clone(words[inServices:]), found: words[inFound],
+			members: slices.Clone(member)}
 		for l := range strategy.BlockLanes {
 			if words[inBreach][l>>6]>>(l&63)&1 == 1 {
 				b.factors[l] |= breachFactors
@@ -191,9 +206,25 @@ func packBlocks(pop *population.Population, in *closureIn, intercepted []uint64)
 
 // checkPack compares, block by block, the packed blocks of shard sh's
 // intercepted victims, from resident and from scratch closure inputs,
-// with the gathered ones.
+// with the gathered ones: alone, and as the union of two members' —
+// the even lanes, and every lane but each fourth — so each member's
+// lanes go through compress and deposit as entries do.
 func checkPack(pop *population.Population, sh *population.Shard, intercepted []uint64) error {
-	want := gatherBlocks(pop, sh, intercepted)
+	even, most := make([]uint64, len(intercepted)), make([]uint64, len(intercepted))
+	for g, m := range intercepted {
+		even[g], most[g] = m&0x5555555555555555, m&^0x1111111111111111
+	}
+	for _, members := range [][][]uint64{nil, {even, most}} {
+		if err := checkPackMembers(pop, sh, intercepted, members); err != nil {
+			return fmt.Errorf("%d members: %w", len(members), err)
+		}
+	}
+	return nil
+}
+
+// checkPackMembers is checkPack for one member list.
+func checkPackMembers(pop *population.Population, sh *population.Shard, intercepted []uint64, members [][]uint64) error {
+	want := gatherBlocks(pop, sh, intercepted, members)
 	var resident, scr closureIn
 	resident.fill(pop, sh, nil)
 	scr.fill(pop, sh, intercepted)
@@ -201,7 +232,7 @@ func checkPack(pop *population.Population, sh *population.Shard, intercepted []u
 		name string
 		in   *closureIn
 	}{{"resident", &resident}, {"scratch", &scr}} {
-		got := packBlocks(pop, in.in, intercepted)
+		got := packBlocks(pop, in.in, intercepted, members)
 		if len(got) != len(want) {
 			return fmt.Errorf("%s: %d blocks, gathered %d", in.name, len(got), len(want))
 		}
@@ -216,6 +247,8 @@ func checkPack(pop *population.Population, sh *population.Shard, intercepted []u
 				return fmt.Errorf("%s block %d: dossier factors %x, gathered %x", in.name, i, g.factors, w.factors)
 			case !slices.Equal(g.services, w.services):
 				return fmt.Errorf("%s block %d: service words %x, gathered %x", in.name, i, g.services, w.services)
+			case !slices.Equal(g.members, w.members):
+				return fmt.Errorf("%s block %d: member lanes %#x, gathered %#x", in.name, i, g.members, w.members)
 			}
 		}
 	}
@@ -380,24 +413,31 @@ func TestResidentShardClosureAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.newRun(norm)
+	plan, err := eng.plan(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := eng.checkout(context.Background(), r.phases.crack())
+	m, err := eng.newMember(norm, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{e: eng, plan: plan, members: []*member{m}}
+	rig := eng.checkout(context.Background())
 	defer eng.release(rig)
 	scr := newScratch(r.plan)
 	defer scr.release()
+	need := []int{0}
 	attack := func() {
-		part, detail := r.attackShard(eng.cfg.ShardLo, rig, scr)
+		parts, detail := r.attackShard(eng.cfg.ShardLo, need, rig, scr)
 		if detail != "resident" {
 			t.Fatalf("shard attack detail %q, want resident", detail)
 		}
+		part := parts[0]
 		if part.Intercepted < strategy.BlockLanes {
 			t.Fatalf("%d intercepted victims: the shard never fills a block", part.Intercepted)
 		}
 		part.reset()
-		r.free <- part
+		m.free <- part
 	}
 	attack() // allocates the run's one partial summary
 	if got := testing.AllocsPerRun(10, attack); got != 0 {
@@ -405,17 +445,16 @@ func TestResidentShardClosureAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmScenario times one warm run of each built-in scenario on
-// a 100k-subscriber engine whose radio stages are memoized and whose
-// closure inputs are resident, so each iteration is the chain reaction
-// alone: the per-scenario cost of the closure and its plumbing. It also
-// reports the resident closure inputs' bytes per subscriber.
-func BenchmarkWarmScenario(b *testing.B) {
+// residentEngine is the warm benchmarks' 100k-subscriber engine: every
+// built-in scenario has run twice, so its radio stages are memoized and
+// its closure inputs resident. It keeps two runs of a sweep in flight.
+func residentEngine(b *testing.B) *Engine {
+	b.Helper()
 	pop, err := population.New(population.Config{Seed: 42, Size: 100_000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := New(Config{Population: pop})
+	eng, err := New(Config{Population: pop, SweepParallel: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,6 +465,17 @@ func BenchmarkWarmScenario(b *testing.B) {
 			}
 		}
 	}
+	return eng
+}
+
+// BenchmarkWarmScenario times one warm run of each built-in scenario on
+// a 100k-subscriber engine whose radio stages are memoized and whose
+// closure inputs are resident, so each iteration is the chain reaction
+// alone: the per-scenario cost of the closure and its plumbing. It also
+// reports the resident closure inputs' bytes per subscriber.
+func BenchmarkWarmScenario(b *testing.B) {
+	eng := residentEngine(b)
+	size := eng.cfg.Population.Size()
 	for _, sc := range BuiltinScenarios() {
 		b.Run(sc.Name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -434,8 +484,31 @@ func BenchmarkWarmScenario(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(pop.Size())*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
-			b.ReportMetric(float64(eng.residentBytes.Load())/float64(pop.Size()), "resident-B/sub")
+			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
+			b.ReportMetric(float64(eng.residentBytes.Load())/float64(size), "resident-B/sub")
 		})
 	}
+}
+
+// BenchmarkWarmSweep times one warm sweep of sweep-4x250k's scenario
+// list — baseline, fortified, a53-mix and budget-4of16, two runs in
+// flight — on BenchmarkWarmScenario's resident engine: two runs, one
+// per plan, the baseline plan's solving each block once for its three
+// scenarios. victims/s counts every scenario's subscribers.
+func BenchmarkWarmSweep(b *testing.B) {
+	eng := residentEngine(b)
+	var scenarios []Scenario
+	for _, name := range []string{"baseline", "fortified", "a53-mix", "budget-4of16"} {
+		sc, _ := BuiltinScenario(name)
+		scenarios = append(scenarios, sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := eng.RunSweep(context.Background(), scenarios); err != nil {
+			b.Fatal(err)
+		}
+	}
+	victims := float64(eng.cfg.Population.Size()) * float64(len(scenarios))
+	b.ReportMetric(victims*float64(b.N)/b.Elapsed().Seconds(), "victims/s")
 }

@@ -112,7 +112,11 @@ func newPhaseSet() *phaseSet {
 // observe records one phase sample into both the run-local histogram
 // and the process-lifetime registry series.
 func (ps *phaseSet) observe(phase string, start time.Time) {
-	sec := time.Since(start).Seconds()
+	ps.observeSeconds(phase, time.Since(start).Seconds())
+}
+
+// observeSeconds records a phase sample of sec seconds, as observe does.
+func (ps *phaseSet) observeSeconds(phase string, sec float64) {
 	ps.local[phase].Observe(sec)
 	phaseHists[phase].Observe(sec)
 }

@@ -108,6 +108,17 @@ type scratch struct {
 	captures []sniffer.Capture
 	bursts   *telecom.BurstBuffer
 
+	// Per-shard run state, by member of the shard's need list: the run's
+	// members that need the shard, their parts and radio outcomes, the
+	// positions in need whose radio stage ran here, and the union of the
+	// members' interception words and the words themselves.
+	need     []int
+	parts    []*Summary
+	rads     []*radioOut
+	ran      []int
+	unionBuf []uint64
+	words    [][]uint64
+
 	// Lazy-persona working set. phone is the attribute-derivation
 	// scratch buffer (IMSIs); strs is the shard-cycle string arena
 	// (per-shard IMSIs — reset at each shard's start, after release has
@@ -129,6 +140,29 @@ func (s *scratch) release() {
 	s.solver = nil
 }
 
+// union returns the union of rads' interception words, in the
+// scratch's buffer.
+func (s *scratch) union(rads []*radioOut) []uint64 {
+	u := append(s.unionBuf[:0], rads[0].intercepted...)
+	for _, rad := range rads[1:] {
+		for g, m := range rad.intercepted {
+			u[g] |= m
+		}
+	}
+	s.unionBuf = u
+	return u
+}
+
+// members returns rads' interception words, in the scratch's buffer.
+func (s *scratch) members(rads []*radioOut) [][]uint64 {
+	w := s.words[:0]
+	for _, rad := range rads {
+		w = append(w, rad.intercepted)
+	}
+	s.words = w
+	return w
+}
+
 // solver is one worker's chain-reaction state over a plan: the lane
 // block, the packer that fills it and the exposure-class words its
 // harvest is gathered in.
@@ -139,6 +173,9 @@ type solver struct {
 	// exposed is per exposure class: the lanes of the block being
 	// solved where one of its accounts fell.
 	exposed []strategy.Word
+	// byDepth is per member of the block being accumulated: its
+	// takeovers by depth.
+	byDepth [][MaxDepth + 1]int64
 }
 
 // block packs a shard's intercepted victims into lane-engine blocks of
@@ -152,9 +189,16 @@ type block struct {
 	// to its intercepted lanes.
 	idx   []uint16
 	words []uint64
+	// mcur, mnxt, midx, mout and mwords are the same per member of a
+	// run, whose interception words travel as entries 0, 1, … of their
+	// own: midx numbers them, mout and mwords hold a group's compressed.
+	mcur, mnxt []strategy.Word
+	midx, mout []uint16
+	mwords     []uint64
 	// lanes is the lane mask of the block handed to solve, held here
-	// because a local's address passed to solve would escape.
-	lanes strategy.Word
+	// because a local's address passed to solve would escape; with no
+	// members it is also the lone member's lanes.
+	lanes [1]strategy.Word
 }
 
 // newBlock returns a block for closureIn entries [0, entries).
@@ -165,17 +209,34 @@ func newBlock(entries int) block {
 	}
 }
 
+// fitMembers grows the block's member entries to at least n.
+func (b *block) fitMembers(n int) {
+	if len(b.mcur) >= n {
+		return
+	}
+	b.mcur, b.mnxt = make([]strategy.Word, n), make([]strategy.Word, n)
+	b.midx, b.mout, b.mwords = make([]uint16, n), make([]uint16, n), make([]uint64, n)
+	for j := range b.midx {
+		b.midx[j] = uint16(j)
+	}
+}
+
 // pack walks the groups of in that hold intercepted victims and calls
 // solve once per block of strategy.BlockLanes of them, then once for
 // the partial last block, with the block's entry words (indexed like
-// in's entries) and its lanes. Each group's entries, masked to its
-// intercepted lanes, are compressed to the low end and appended at the
-// block's fill offset, into word fill>>6 at shift fill&63; what
-// overflows that word spills into the next one, or past the block's
-// last word into the next block's first. solve must not keep words.
-func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []strategy.Word, lanes *strategy.Word)) {
-	const last = strategy.BlockLanes/64 - 1
+// in's entries), its lanes and, per member of members, the member's
+// lanes of the block. Each group's entries, masked to its intercepted
+// lanes, are compressed to the low end and deposited at the block's
+// fill offset. members, when there are several, are the interception
+// words of a run's members, each within intercepted; member j's word
+// of a group is packed as one more entry, so its lanes of a block are
+// the block's lanes where member j intercepted. With no members the
+// block's lanes are the lone member's, and solve receives them as its
+// one member's lanes. solve must not keep words or the member lanes.
+func (b *block) pack(in *closureIn, intercepted []uint64, members [][]uint64, solve func(words []strategy.Word, lanes *strategy.Word, member []strategy.Word)) {
+	b.fitMembers(len(members))
 	cur, nxt := b.cur, b.nxt
+	mcur, mnxt := b.mcur[:len(members)], b.mnxt[:len(members)]
 	fill := uint(0)
 	for g, m := range intercepted {
 		if m == 0 {
@@ -183,42 +244,73 @@ func (b *block) pack(in *closureIn, intercepted []uint64, solve func(words []str
 		}
 		lo, hi := in.at[g], in.at[g+1]
 		idx, words := in.idx[lo:hi], in.lanes[lo:hi]
+		midx, mwords := b.midx[:len(members)], b.mwords[:len(members)]
+		for j, w := range members {
+			mwords[j] = w[g]
+		}
 		if m != ^uint64(0) { // a full group needs no compress
 			c := newCompressor(m)
 			idx, words = c.compress(b.idx, b.words, idx, words)
-		}
-		idx = idx[:len(words)]
-		k, shift := fill>>6&last, fill&63
-		for j, x := range words {
-			cur[idx[j]][k] |= x << shift
+			if len(members) > 0 {
+				midx, mwords = c.compress(b.mout, mwords, midx, mwords)
+			}
 		}
 		n := uint(bits.OnesCount64(m))
-		if shift+n > 64 {
-			spill, sk := cur, k+1
-			if k == last {
-				spill, sk = nxt, 0
-			}
-			for j, x := range words {
-				spill[idx[j]][sk&last] |= x >> (64 - shift)
-			}
+		deposit(cur, nxt, idx, words, fill, n)
+		if len(members) > 0 {
+			deposit(mcur, mnxt, midx, mwords, fill, n)
 		}
 		if fill += n; fill >= strategy.BlockLanes {
-			b.lanes = strategy.Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-			solve(cur, &b.lanes)
+			b.lanes[0] = strategy.Word{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+			solve(cur, &b.lanes[0], b.member(mcur))
 			clear(cur)
+			clear(mcur)
 			cur, nxt = nxt, cur
+			mcur, mnxt = mnxt, mcur
 			fill -= strategy.BlockLanes
 		}
 	}
 	if fill > 0 {
-		b.lanes = strategy.Word{}
-		for k := range b.lanes {
+		b.lanes[0] = strategy.Word{}
+		for k := range b.lanes[0] {
 			if lo := 64 * uint(k); fill > lo {
-				b.lanes[k] = ^uint64(0) >> (64 - min(fill-lo, 64))
+				b.lanes[0][k] = ^uint64(0) >> (64 - min(fill-lo, 64))
 			}
 		}
-		solve(cur, &b.lanes)
+		solve(cur, &b.lanes[0], b.member(mcur))
 		clear(cur)
+		clear(mcur)
+	}
+}
+
+// member is the member lanes solve receives for a block: mcur, or with
+// no members the block's lanes as the lone member's.
+func (b *block) member(mcur []strategy.Word) []strategy.Word {
+	if len(mcur) == 0 {
+		return b.lanes[:]
+	}
+	return mcur
+}
+
+// deposit ORs words, word j into entry idx[j], into a block at fill
+// offset fill, into word fill>>6 at shift fill&63, for a group of n
+// lanes: what overflows that word spills into the next one, or past the
+// block's last word into nxt's first.
+func deposit(cur, nxt []strategy.Word, idx []uint16, words []uint64, fill, n uint) {
+	const last = strategy.BlockLanes/64 - 1
+	idx = idx[:len(words)]
+	k, shift := fill>>6&last, fill&63
+	for j, x := range words {
+		cur[idx[j]][k] |= x << shift
+	}
+	if shift+n > 64 {
+		spill, sk := cur, k+1
+		if k == last {
+			spill, sk = nxt, 0
+		}
+		for j, x := range words {
+			spill[idx[j]][sk&last] |= x >> (64 - shift)
+		}
 	}
 }
 
@@ -252,7 +344,8 @@ func newCompressor(m uint64) compressor {
 // move to the low end in order, bit j of the result being xs[k]'s bit
 // at the j-th set bit of m. It stores the non-zero results, with their
 // entries, at the front of dstIdx and dst, which must be as long as xs,
-// and returns them.
+// and returns them. dst may be xs itself: result k is stored after
+// xs[k] is read, at an index no greater than k.
 func (c *compressor) compress(dstIdx []uint16, dst []uint64, idx []uint16, xs []uint64) ([]uint16, []uint64) {
 	m, s0, s1, s2, s3, s4, s5 := c.m, c.stage[0], c.stage[1], c.stage[2], c.stage[3], c.stage[4], c.stage[5]
 	dstIdx, dst, idx = dstIdx[:len(xs)], dst[:len(xs)], idx[:len(xs)]
@@ -289,16 +382,19 @@ var (
 
 // solveBlock runs the chain-reaction closure for the victims in the
 // given lanes of one block, whose entry words are words, and folds the
-// outcome into part, leaving the solver's lanes empty for the next
-// block. Each victim's accounts are those of its enrolled services and
-// its attacker knows the baseline factors beside its dossier's — the
-// fixpoint strategy.Solve runs over the whole ecosystem, restricted to
-// each victim's footprint. It returns the number of layers the closure
+// outcome into parts, one per member, each through its lanes of member,
+// leaving the solver's lanes empty for the next block. Each victim's
+// accounts are those of its enrolled services and its attacker knows
+// the baseline factors beside its dossier's — the fixpoint
+// strategy.Solve runs over the whole ecosystem, restricted to each
+// victim's footprint. It returns the number of layers the closure
 // evaluated.
-func (s *solver) solveBlock(words []strategy.Word, mask *strategy.Word, part *Summary) int {
+func (s *solver) solveBlock(words []strategy.Word, mask *strategy.Word, member []strategy.Word, parts []*Summary) int {
 	p, lanes := s.plan, s.lanes
-	part.Intercepted += int64(mask.Count())
-	part.DossierHits += int64(words[inFound].Count())
+	for j, part := range parts {
+		part.Intercepted += int64(member[j].Count())
+		part.DossierHits += andCount(&words[inFound], &member[j])
+	}
 	lanes.Know(p.closure.Baseline(), mask)
 	lanes.Know(breachFactors, &words[inBreach])
 	lanes.Know(citizenIDFactors, &words[inCitizenID])
@@ -311,31 +407,53 @@ func (s *solver) solveBlock(words []strategy.Word, mask *strategy.Word, part *Su
 		}
 	}
 	layers := lanes.Solve()
-	s.accumulate(mask, part)
+	s.accumulate(member, parts)
 	lanes.Reset()
 	return layers
 }
 
-// accumulate folds the falls of the block just solved, in the given
-// lanes, into the partial summary: per-depth and per-service takeovers
-// are popcounts of the fall records; a victim's deepest chain is the
-// deepest layer with a fall in its lane; its harvested fields,
+// andCount is the number of lanes set in both a and b.
+func andCount(a, b *strategy.Word) int64 {
+	return int64(bits.OnesCount64(a[0]&b[0]) + bits.OnesCount64(a[1]&b[1]) +
+		bits.OnesCount64(a[2]&b[2]) + bits.OnesCount64(a[3]&b[3]))
+}
+
+// accumulate folds the falls of the block just solved into the partial
+// summaries, one per member, each through its lanes of member: one pass
+// over the falls counts each member's per-depth and per-service
+// takeovers as popcounts of the fall records within its lanes, kept in
+// locals and added to its part once per block; a victim's deepest chain
+// is the deepest layer with a fall in its lane; its harvested fields,
 // gathered per exposure class into one lane word per field and summed
 // word by word by a bitsliced per-lane counter, give the harvest
 // histogram.
-func (s *solver) accumulate(mask *strategy.Word, part *Summary) {
+func (s *solver) accumulate(member []strategy.Word, parts []*Summary) {
 	p := s.plan
 	var fellAt [MaxDepth + 1]strategy.Word
+	if len(s.byDepth) < len(parts) {
+		s.byDepth = make([][MaxDepth + 1]int64, len(parts))
+	}
+	byDepth := s.byDepth[:len(parts)]
+	clear(byDepth)
 	falls := s.lanes.Falls()
 	for i := range falls {
 		f := &falls[i]
-		n := int64(f.Lanes.Count())
 		d := min(int(f.Depth), MaxDepth)
-		part.AccountsByDepth[d] += n
-		part.ServiceTakeovers[p.svcIdx[f.Account]] += n
-		part.AccountsCompromised += n
+		svc := p.svcIdx[f.Account]
+		for j, part := range parts {
+			if n := andCount(&f.Lanes, &member[j]); n != 0 {
+				byDepth[j][d] += n
+				part.ServiceTakeovers[svc] += n
+			}
+		}
 		fellAt[d].Or(&f.Lanes)
 		s.exposed[p.exposeClass[f.Account]].Or(&f.Lanes)
+	}
+	for j, part := range parts {
+		for d, n := range byDepth[j] {
+			part.AccountsByDepth[d] += n
+			part.AccountsCompromised += n
+		}
 	}
 	var fields [32]strategy.Word // per InfoField: the lanes that harvested it
 	for cls := range s.exposed {
@@ -348,11 +466,20 @@ func (s *solver) accumulate(mask *strategy.Word, part *Summary) {
 		}
 		*lanes = strategy.Word{}
 	}
+	for j, part := range parts {
+		tally(part, &member[j], &fellAt, &fields)
+	}
+}
+
+// tally adds the victims in lanes to part's deepest-chain and harvest
+// histograms and field totals, from the block's per-depth fall lanes
+// fellAt and per-field harvest lanes fields.
+func tally(part *Summary, lanes *strategy.Word, fellAt *[MaxDepth + 1]strategy.Word, fields *[32]strategy.Word) {
 	last := len(part.HarvestHist) - 1
-	for k, rest := range mask {
+	for k, in := range lanes {
 		var seen uint64
 		for d := MaxDepth; d > 0; d-- {
-			deepest := fellAt[d][k] &^ seen
+			deepest := fellAt[d][k] & in &^ seen
 			part.VictimsByMaxDepth[d] += int64(bits.OnesCount64(deepest))
 			seen |= deepest
 		}
@@ -362,12 +489,13 @@ func (s *solver) accumulate(mask *strategy.Word, part *Summary) {
 		// carry.
 		var count [5]uint64
 		for f := 1; f < len(part.FieldTotals); f++ {
-			x := fields[f][k]
+			x := fields[f][k] & in
 			part.FieldTotals[f] += int64(bits.OnesCount64(x))
 			for i := range count {
 				count[i], x = count[i]^x, count[i]&x
 			}
 		}
+		rest := in
 		for v := 0; v < last && rest != 0; v++ {
 			eq := rest
 			for i, c := range count {

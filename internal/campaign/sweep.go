@@ -23,9 +23,10 @@ type ScenarioResult struct {
 	Scenario Scenario `json:"scenario"`
 	Summary  *Summary `json:"summary,omitempty"`
 	Error    string   `json:"error,omitempty"`
-	// Duration is this scenario's own wall clock. Under a parallel
-	// sweep the sweep's Duration stops being the scenarios' sum, so the
-	// per-scenario cost lives here.
+	// Duration is the wall clock of the run that carried this scenario,
+	// shared by every scenario of one plan. Under a parallel sweep the
+	// sweep's Duration stops being the runs' sum, so the per-run cost
+	// lives here.
 	Duration time.Duration `json:"duration,omitempty"`
 }
 
@@ -63,16 +64,25 @@ func (s *SweepSummary) Baseline() *Summary {
 // summary. A nil or empty list runs DefaultSweep. Scenario names must
 // be unique — the comparative tables key on them.
 //
-// Config.SweepParallel > 1 overlaps that many scenarios, all sharing
-// the one Workers-bounded shard budget; Results stays in input order
-// and every per-scenario Summary is byte-identical (modulo wall-clock
-// fields) to a sequential sweep's, so parallelism only ever changes
-// cost, never results. Environmental failures — a canceled context, an
-// injected crash (treated as process death) or a checkpoint directory
-// whose inputs changed — abort the whole sweep; any other error is
-// scenario-local: it is recorded in that scenario's result row and the
-// rest of the sweep keeps its results, exactly like the sequential
-// semantics.
+// Scenarios that share a plan key — policy and platform — run as one
+// run (at most maxRunMembers to a run): a shard's chain reaction
+// depends only on the plan and the population, so the run solves each
+// intercepted victim once however many of its scenarios intercepted
+// it, and radio environment, budget and segment only decide whose
+// lanes each scenario's Summary counts. Every Summary equals the one
+// RunScenario returns for that scenario alone.
+//
+// Config.SweepParallel > 1 overlaps that many runs, all sharing the one
+// Workers-bounded shard budget; Results stays in input order and every
+// per-scenario Summary is byte-identical (modulo wall-clock fields) to
+// a sequential sweep's, so parallelism only ever changes cost, never
+// results. Environmental failures — a canceled context, an injected
+// crash (treated as process death) or a checkpoint directory whose
+// inputs changed — abort the whole sweep, naming the scenario whose
+// journal crashed; any other error, a journal failure in a grouped run
+// included, is scenario-local: it is recorded in that scenario's result
+// row and the rest of the sweep keeps its results, exactly like the
+// sequential semantics.
 func (e *Engine) RunSweep(ctx context.Context, scenarios []Scenario) (*SweepSummary, error) {
 	if len(scenarios) == 0 {
 		scenarios = DefaultSweep()
@@ -89,17 +99,13 @@ func (e *Engine) RunSweep(ctx context.Context, scenarios []Scenario) (*SweepSumm
 		Workers:     e.cfg.Workers,
 		Results:     make([]ScenarioResult, len(norm)),
 	}
-	par := e.cfg.SweepParallel
-	if par < 1 {
-		par = 1
-	}
-	if par > len(norm) {
-		par = len(norm)
-	}
-	// runCtx cancels the in-flight scenarios when one fails
-	// environmentally; the launcher stops admitting new ones. sem (not
-	// a fixed worker pool) keeps admission in input order, which with
-	// par == 1 reproduces the sequential execution order exactly.
+	groups := planGroups(norm)
+	par := min(max(e.cfg.SweepParallel, 1), len(groups))
+	// runCtx cancels the in-flight runs when one fails environmentally;
+	// the launcher stops admitting new ones. sem (not a fixed worker
+	// pool) keeps admission in order of each group's first scenario,
+	// which with par == 1 reproduces the sequential execution order
+	// exactly.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sem := make(chan struct{}, par)
@@ -109,7 +115,7 @@ func (e *Engine) RunSweep(ctx context.Context, scenarios []Scenario) (*SweepSumm
 		abortIdx = len(norm)
 		abortErr error
 	)
-	for i, sc := range norm {
+	for _, g := range groups {
 		select {
 		case sem <- struct{}{}:
 		case <-runCtx.Done():
@@ -118,35 +124,42 @@ func (e *Engine) RunSweep(ctx context.Context, scenarios []Scenario) (*SweepSumm
 			break
 		}
 		wg.Add(1)
-		go func(i int, sc Scenario) {
+		go func(g []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			dir := ""
-			if e.cfg.Checkpoint != nil {
-				dir = filepath.Join(e.cfg.Checkpoint.Dir, sc.Name)
+			scs, dirs := make([]Scenario, len(g)), make([]string, len(g))
+			for k, i := range g {
+				scs[k] = norm[i]
+				if e.cfg.Checkpoint != nil {
+					dirs[k] = filepath.Join(e.cfg.Checkpoint.Dir, norm[i].Name)
+				}
 			}
-			scStart := time.Now()
-			sum, err := e.runScenario(runCtx, sc, dir)
-			d := time.Since(scStart)
+			runStart := time.Now()
+			sums, errs := e.runPlan(runCtx, scs, dirs)
+			d := time.Since(runStart)
 			mu.Lock()
 			defer mu.Unlock()
-			if err == nil {
-				sw.Results[i] = ScenarioResult{Scenario: sc, Summary: sum, Duration: d}
-				return
-			}
-			rootCause := ctx.Err() != nil || errors.Is(err, faultinject.ErrCrash) || errors.Is(err, checkpoint.ErrManifestMismatch)
-			if rootCause || runCtx.Err() != nil {
-				// Environmental: abort everything. The reported error is
-				// the lowest-index root cause; scenarios that merely died
-				// of the resulting runCtx cancellation are not causes.
-				if rootCause && i < abortIdx {
-					abortIdx, abortErr = i, fmt.Errorf("campaign: scenario %s: %w", sc.Name, err)
+			for k, i := range g {
+				sc, sum, err := scs[k], sums[k], errs[k]
+				if err == nil {
+					sw.Results[i] = ScenarioResult{Scenario: sc, Summary: sum, Duration: d}
+					continue
 				}
-				cancel()
-				return
+				rootCause := ctx.Err() != nil || errors.Is(err, faultinject.ErrCrash) || errors.Is(err, checkpoint.ErrManifestMismatch)
+				if rootCause || runCtx.Err() != nil {
+					// Environmental: abort everything. The reported error
+					// is the lowest-index root cause; scenarios that merely
+					// died of the resulting runCtx cancellation are not
+					// causes.
+					if rootCause && i < abortIdx {
+						abortIdx, abortErr = i, fmt.Errorf("campaign: scenario %s: %w", sc.Name, err)
+					}
+					cancel()
+					continue
+				}
+				sw.Results[i] = ScenarioResult{Scenario: sc, Error: err.Error(), Duration: d}
 			}
-			sw.Results[i] = ScenarioResult{Scenario: sc, Error: err.Error(), Duration: d}
-		}(i, sc)
+		}(g)
 	}
 	wg.Wait()
 	if abortErr != nil {
@@ -161,6 +174,25 @@ func (e *Engine) RunSweep(ctx context.Context, scenarios []Scenario) (*SweepSumm
 	sw.RigsBuilt = e.rigsBuilt.Load() - rigs0
 	sw.Duration = time.Since(start)
 	return sw, nil
+}
+
+// planGroups partitions a normalized sweep list into runs: the indices
+// of the scenarios sharing a plan key, in input order, at most
+// maxRunMembers to a run, the runs ordered by their first scenario.
+func planGroups(norm []Scenario) [][]int {
+	var groups [][]int
+	open := make(map[planKey]int) // the key's run still taking members
+	for i, sc := range norm {
+		key := planKeyOf(sc)
+		g, ok := open[key]
+		if !ok || len(groups[g]) == maxRunMembers {
+			g = len(groups)
+			groups = append(groups, nil)
+			open[key] = g
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 // delta renders a fortified count against its baseline as
