@@ -89,7 +89,7 @@ func TestCampaignFacade(t *testing.T) {
 	sum, err := actfort.RunCampaign(context.Background(), actfort.CampaignConfig{
 		Population: pop,
 		KeyBits:    10,
-	})
+	}, actfort.CampaignScenario{})
 	if err != nil {
 		t.Fatal(err)
 	}

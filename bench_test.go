@@ -401,7 +401,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 				}
 				b.StartTimer()
 			}
-			sum, err := eng.Run(context.Background())
+			sum, err := eng.RunScenario(context.Background(), campaign.Scenario{})
 			if err != nil {
 				b.Fatal(err)
 			}

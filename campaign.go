@@ -43,13 +43,14 @@ func NewCampaign(cfg CampaignConfig) (*CampaignEngine, error) {
 	return campaign.New(cfg)
 }
 
-// RunCampaign is the one-call form: generate, attack, aggregate.
-func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignSummary, error) {
+// RunCampaign is the one-call form: generate, attack, aggregate. The
+// zero scenario is the paper's baseline environment.
+func RunCampaign(ctx context.Context, cfg CampaignConfig, sc CampaignScenario) (*CampaignSummary, error) {
 	eng, err := campaign.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(ctx)
+	return eng.RunScenario(ctx, sc)
 }
 
 // RunSweep is the one-call fortification evaluator: every scenario

@@ -463,9 +463,6 @@ func run(c runCfg) error {
 			SnapshotEvery: c.snapshotEvery,
 		}
 	}
-	if !c.sweep {
-		cfg.Scenario = c.scenario
-	}
 	eng, err := campaign.New(cfg)
 	if err != nil {
 		return err
@@ -502,7 +499,7 @@ func run(c runCfg) error {
 		return nil
 	}
 
-	sum, err := eng.Run(ctx)
+	sum, err := eng.RunScenario(ctx, c.scenario)
 	if err != nil {
 		return err
 	}

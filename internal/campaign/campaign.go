@@ -51,8 +51,9 @@
 //     riding along as one more entry, solves each block once and folds
 //     it into every member's partial summary through that member's
 //     lanes;
-//   - metrics stream to a single aggregator as per-shard partial
-//     summaries and render through internal/report.
+//   - the worker that attacked a shard folds its per-member partial
+//     summaries into the run's aggregates under the run's lock;
+//     summaries render through internal/report.
 //
 // Each layer has one production path: 64-lane batch radio synthesis,
 // the 64-lane batched TMTO chain replay, the 256-lane chain-reaction
@@ -100,10 +101,6 @@ type Config struct {
 	// KeyBits is the A5/1 session-key space (0 = 12, as the case-study
 	// scenarios use).
 	KeyBits int
-	// Scenario is the default scenario Run executes; the zero value is
-	// the paper's baseline environment (no policy, measured radio mix,
-	// full-coverage 16-receiver fleet, whole population).
-	Scenario Scenario
 	// ScenarioProgress, when non-nil, receives (scenario, done, total)
 	// after every merged shard of every run. Callbacks of concurrent
 	// scenarios may arrive concurrently; the callee synchronizes.
@@ -154,7 +151,7 @@ type Config struct {
 // resident closure inputs), so RunScenario is safe to call from
 // multiple goroutines at once; all per-run state lives in the run and
 // member types.
-// Build with New, execute one scenario with Run/RunScenario or a
+// Build with New, execute one scenario with RunScenario or a
 // comparative list with RunSweep.
 type Engine struct {
 	cfg     Config
@@ -166,18 +163,21 @@ type Engine struct {
 	planMu sync.Mutex
 	plans  map[planKey]*attackPlan
 
-	// slots is the shard budget and the rig pool in one: cfg.Workers
-	// slots, each nil until its first checkout builds the slot's sniffer
-	// rig. Every worker of every in-flight run takes a slot per shard, so
+	// slots is the shard budget and the radio stage's memory in one:
+	// cfg.Workers slots, each nil until its first checkout builds it.
+	// Every worker of every in-flight run takes a slot per shard, so
 	// overlapping runs together attack at most cfg.Workers shards at a
 	// time and RigsBuilt ≤ cfg.Workers by construction, whatever radio
 	// environments they mix. A rig holds no radio-environment state — it
 	// uses its network only for the key space and is never tuned — so
-	// after Reset any rig serves any run. shell is that network, shared
-	// by every rig; rigsBuilt counts constructions.
-	slots     chan *sniffer.Sniffer
+	// after release any slot serves any run. shell is that network,
+	// shared by every rig; rigsBuilt counts constructions.
+	slots     chan *slot
 	shell     *telecom.Network
 	rigsBuilt atomic.Int64
+	// otpBursts is the burst count of otpDeliver, the one OTP TPDU every
+	// synthesized session carries.
+	otpBursts uint32
 
 	// memo keeps each owned shard's radio stage per radio environment,
 	// so a run whose (radio, budget, segment) an earlier run already
@@ -237,7 +237,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:   cfg,
 		space: a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
 		plans: make(map[planKey]*attackPlan),
-		slots: make(chan *sniffer.Sniffer, cfg.Workers),
+		slots: make(chan *slot, cfg.Workers),
 		memo:  radioMemo{keys: make(map[radioKey]*radioShards)},
 	}
 	e.resident = make([]atomic.Pointer[closureIn], cfg.ShardHi-cfg.ShardLo)
@@ -245,7 +245,11 @@ func New(cfg Config) (*Engine, error) {
 		e.slots <- nil
 	}
 	e.shell = telecom.NewNetwork(telecom.Config{KeySpace: e.space, Seed: cfg.Population.Seed()})
-	var err error
+	raw, err := otpDeliver.Marshal()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: OTP TPDU: %w", err)
+	}
+	e.otpBursts = uint32(telecom.SessionBurstCount(len(raw)))
 	e.cracker = cfg.Cracker
 	if e.cracker == nil {
 		backend := cfg.Backend
@@ -271,11 +275,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Compile the default scenario's plan eagerly so a misconfigured
-	// Config fails at New, like it always has.
-	if _, err := e.planForScenario(cfg.Scenario); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
@@ -286,16 +285,6 @@ func (e *Engine) Cracker() a51.Cracker { return e.cracker }
 // RigsBuilt reports how many sniffer rigs the engine has constructed:
 // at most Workers over the engine's lifetime, one per shard slot.
 func (e *Engine) RigsBuilt() int64 { return e.rigsBuilt.Load() }
-
-// planForScenario normalizes sc and returns its cached or
-// freshly compiled plan.
-func (e *Engine) planForScenario(sc Scenario) (*attackPlan, error) {
-	norm, err := sc.normalize(0)
-	if err != nil {
-		return nil, err
-	}
-	return e.plan(norm)
-}
 
 // plan returns the compiled plan for a normalized scenario, applying
 // its countermeasure policy to the catalog first.
@@ -322,41 +311,77 @@ func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
 	return p, nil
 }
 
+// slot is one shard slot and the one owner of the working memory of
+// the radio stage run on it: the sniffer rig, the shard's radio session
+// buffer and the burst buffer its encoded trace lives in, the captures
+// read back from the rig, the IMSI scratch and string arena, and the
+// closure inputs of the shard last generated on it. All of it is
+// recycled shard over shard by every run, so a steady-state shard
+// attack allocates nothing population-proportional beyond its
+// radio-memo entry and, on a shard's second attack, its resident
+// closure inputs; the radio buffers are dropped while no radio stage
+// runs (drop).
+type slot struct {
+	rig      *sniffer.Sniffer
+	bursts   *telecom.BurstBuffer
+	radio    []telecom.SMSSession
+	captures []sniffer.Capture
+	phone    []byte
+	strs     slab.Slab[byte]
+	in       closureIn
+}
+
 // checkout takes a shard slot, blocking until one is free or ctx is
-// done (nil), and returns the slot's rig, built on the slot's first
-// use.
-func (e *Engine) checkout(ctx context.Context) *sniffer.Sniffer {
-	var rig *sniffer.Sniffer
+// done (nil), and builds it on its first use.
+func (e *Engine) checkout(ctx context.Context) *slot {
+	var sl *slot
 	select {
-	case rig = <-e.slots:
+	case sl = <-e.slots:
 	case <-ctx.Done():
 		return nil
 	}
-	if rig == nil {
+	if sl == nil {
 		e.rigsBuilt.Add(1)
 		metRigsBuilt.Inc()
-		rig = sniffer.New(e.shell, sniffer.Config{Cracker: e.cracker})
+		sl = &slot{rig: sniffer.New(e.shell, sniffer.Config{Cracker: e.cracker})}
 	} else {
 		metRigsReused.Inc()
 	}
-	return rig
+	return sl
 }
 
-// release resets a checked-out rig, detaches the last crack observer
-// and returns the slot for the next shard of any run.
-func (e *Engine) release(rig *sniffer.Sniffer) {
-	rig.Reset()
-	rig.SetCrackObserver(nil)
-	e.slots <- rig
+// release resets a checked-out slot and returns it for the next shard
+// of any run.
+func (e *Engine) release(sl *slot) {
+	sl.reset()
+	e.slots <- sl
 }
 
-// Run executes the engine's default scenario.
-func (e *Engine) Run(ctx context.Context) (*Summary, error) {
-	return e.RunScenario(ctx, e.cfg.Scenario)
+// reset readies the slot for another radio stage: the rig's caches are
+// cleared in place, and its crack observer detached, before the arena
+// their IMSI keys were carved from is reused.
+func (sl *slot) reset() {
+	sl.rig.Reset()
+	sl.rig.SetCrackObserver(nil)
+	sl.strs.Reset()
+}
+
+// drop frees the slot's radio buffers. A shard whose every member hit
+// the radio memo ran no radio stage: its runs are warm, and warm runs
+// need none, while cold runs keep them shard over shard.
+func (sl *slot) drop() {
+	if sl.bursts != nil {
+		sl.bursts.Release()
+		sl.bursts = nil
+	}
+	sl.radio, sl.captures = nil, nil
 }
 
 // RunScenario executes one scenario: attack every owned shard through
-// the worker pool, streaming partial summaries into one aggregate. The returned Summary is deterministic
+// the worker pool, folding partial summaries into one aggregate. The
+// zero Scenario is the paper's baseline environment (no policy,
+// measured radio mix, full-coverage 16-receiver fleet, whole
+// population). The returned Summary is deterministic
 // for a fixed config apart from Duration/VictimsPerSec — including
 // across kill-and-resume boundaries when a Checkpoint is configured.
 // RunScenario is safe to call concurrently: each call builds its own
@@ -387,6 +412,13 @@ type run struct {
 	e       *Engine
 	plan    *attackPlan
 	members []*member
+	// mu serializes the workers' folds: the members' aggregates, merged
+	// counts, errors and journals, and the run's live and stopped.
+	mu sync.Mutex
+	// live counts the members not dropped; stopped is set when an
+	// injected crash, or the last member dropped, stopped the run.
+	live    int
+	stopped bool
 }
 
 // member is what one scenario of a run owns alone: the normalized
@@ -398,12 +430,6 @@ type member struct {
 	radio  *radioShards
 	ck     *ckptRun
 	phases *phaseSet
-	// free holds merged partial summaries, zeroed, for the next shards:
-	// the aggregator returns each part once merged and journaled, so a
-	// member allocates a few parts, not one per shard. Its 2×Workers
-	// capacity is the parts it can have outstanding: one per worker plus
-	// the parts channel's Workers-deep buffer.
-	free chan *Summary
 	// sum is the member's aggregate, seeded by its checkpoint; subs0 and
 	// skip0 are what the seed held, seedShards the shards it covered and
 	// merged the shards merged since.
@@ -411,7 +437,7 @@ type member struct {
 	subs0, skip0       int64
 	seedShards, merged int
 	// err is the member's own failure during the attack, a journal
-	// error, set by the aggregator; dropped, set with it, stops the
+	// error, set under the run's lock; dropped, set with it, stops the
 	// workers attacking shards for the member.
 	err     error
 	dropped atomic.Bool
@@ -479,7 +505,7 @@ func (e *Engine) runPlan(ctx context.Context, norms []Scenario, dirs []string) (
 // engine's shared core: its runtime view, its radio-memo entries and,
 // when dir is set, its opened (or resumed) checkpoint.
 func (e *Engine) newMember(norm Scenario, dir string) (*member, error) {
-	m := &member{norm: norm, phases: newPhaseSet(), free: make(chan *Summary, 2*e.cfg.Workers)}
+	m := &member{norm: norm, phases: newPhaseSet()}
 	var err error
 	if m.rt, err = e.newRuntime(norm); err != nil {
 		return nil, err
@@ -614,73 +640,22 @@ func (rt *runtimeScenario) targets(sub *population.Subscriber) bool {
 	return true
 }
 
-// shardResult is one member's partial summary of a completed shard, so
-// the aggregator can merge and journal it under the right member and
-// index.
-type shardResult struct {
-	shard, member int
-	part          *Summary
-}
-
 // attack streams every owned shard some member has not journaled
-// through the run's worker pool and aggregates each member's partial
-// summaries. Each worker checks out one of the engine's shard slots per
-// shard, so concurrent runs collectively never exceed cfg.Workers
-// shards in flight. With checkpoints, the aggregator (the journals'
-// single owner) appends each merged part to its member's journal and
-// folds periodic snapshots. A journal failure is its member's: the
-// member is dropped and the run goes on for the others. An injected
-// crash, or the last member dropped, cancels the run and drains the
-// pool so no worker goroutine outlives the call. The error returned is
-// the one that stopped the run for its remaining members.
+// through the run's worker pool. Each worker checks out one of the
+// engine's shard slots per shard, so concurrent runs collectively never
+// exceed cfg.Workers shards in flight, and folds the shard's parts into
+// the members' aggregates itself (fold). A journal failure is its
+// member's: the member is dropped and the run goes on for the others.
+// An injected crash, or the last member dropped, cancels the run; the
+// caller's goroutine feeds the shards and waits for the workers, so no
+// worker goroutine outlives the call. The error returned is the one
+// that stopped the run for its remaining members.
 func (r *run) attack(ctx context.Context) error {
 	e := r.e
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pop := e.cfg.Population
-	shards := make(chan int)
-	parts := make(chan shardResult, e.cfg.Workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scr := newScratch(r.plan)
-			defer scr.release()
-			for i := range shards {
-				rig := e.checkout(ctx)
-				if rig == nil {
-					return
-				}
-				if scr.need = r.need(i, scr.need[:0]); len(scr.need) == 0 {
-					e.release(rig) // its members were dropped
-					continue
-				}
-				got := r.runShard(ctx, i, scr.need, rig, scr)
-				e.release(rig)
-				if got == nil {
-					return // canceled mid-retry
-				}
-				for k, part := range got {
-					select {
-					case parts <- shardResult{shard: i, member: scr.need[k], part: part}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}()
-	}
-	feedErr := make(chan error, 1)
-	go func() {
-		feedErr <- feedShards(ctx, shards, e.cfg.ShardLo, e.cfg.ShardHi, r.skip())
-		wg.Wait()
-		close(parts)
-	}()
-
 	shardsTotal := int64(e.cfg.ShardHi - e.cfg.ShardLo)
-	subsTotal := int64(pop.Size())
+	subsTotal := int64(e.cfg.Population.Size())
 	for _, m := range r.members {
 		prog.attach(shardsTotal, subsTotal, int64(m.seedShards), m.subs0, m.skip0)
 		if m.sum.Subscribers+m.sum.SubscribersSkipped > 0 {
@@ -693,23 +668,68 @@ func (r *run) attack(ctx context.Context) error {
 				m.sum.Subscribers, m.sum.SubscribersSkipped, m.sum.Subscribers-m.subs0)
 		}
 	}()
-	stopped, live := false, len(r.members)
-	for res := range parts {
-		m := r.members[res.member]
-		if stopped || m.err != nil {
-			continue // draining after failure so the pool can exit
+	r.live = len(r.members)
+
+	shards := make(chan int)
+	var wg sync.WaitGroup
+	for range e.cfg.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scr := newScratch(r.plan)
+			defer scr.release()
+			for i := range shards {
+				sl := e.checkout(ctx)
+				if sl == nil {
+					return
+				}
+				if scr.need = r.need(i, scr.need[:0]); len(scr.need) == 0 {
+					e.release(sl) // its members were dropped
+					continue
+				}
+				parts := r.runShard(ctx, i, scr.need, sl, scr)
+				e.release(sl)
+				if parts == nil {
+					return // canceled mid-retry
+				}
+				r.fold(i, scr.need, parts, cancel)
+			}
+		}()
+	}
+	err := feedShards(ctx, shards, e.cfg.ShardLo, e.cfg.ShardHi, r.skip())
+	wg.Wait()
+	if r.stopped {
+		return context.Canceled
+	}
+	return err
+}
+
+// fold merges shard i's parts, one per member of need, into the
+// members' aggregates under the run's lock, journals them, and resets
+// the parts for the worker's next shard. After a stop, and for a
+// dropped member, a part is discarded. A journal failure drops its
+// member; an injected crash, or the last member dropped, stops the run
+// through cancel.
+func (r *run) fold(i int, need []int, parts []*Summary, cancel context.CancelFunc) {
+	e := r.e
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, part := range parts {
+		m := r.members[need[k]]
+		if r.stopped || m.err != nil {
+			continue
 		}
 		aggStart := time.Now()
-		m.sum.Merge(res.part)
+		m.sum.Merge(part)
 		m.merged++
-		prog.merge(res.part.Subscribers, res.part.SubscribersSkipped)
+		prog.merge(part.Subscribers, part.SubscribersSkipped)
 		m.progress(e)
 		if m.ck != nil {
-			if err := m.journalShard(e, res.shard, res.part); err != nil {
+			if err := m.journalShard(e, i, part); err != nil {
 				m.err = err
 				m.dropped.Store(true)
-				if live--; live == 0 || errors.Is(err, faultinject.ErrCrash) {
-					stopped = true
+				if r.live--; r.live == 0 || errors.Is(err, faultinject.ErrCrash) {
+					r.stopped = true
 					cancel()
 				}
 				continue
@@ -717,17 +737,10 @@ func (r *run) attack(ctx context.Context) error {
 			metShardsJournaled.Inc()
 		}
 		m.phases.observe("aggregate", aggStart)
-		res.part.reset()
-		select {
-		case m.free <- res.part:
-		default:
-		}
 	}
-	ferr := <-feedErr
-	if stopped {
-		return context.Canceled
+	for _, part := range parts {
+		part.reset()
 	}
-	return ferr
 }
 
 // need appends to dst the members that still need shard i — those not
@@ -807,7 +820,7 @@ func (m *member) journalShard(e *Engine, shard int, part *Summary) error {
 // the run continues, reporting an explicit coverage fraction instead of
 // aborting. It returns one part per member of need, in the worker's
 // scratch; nil means ctx was canceled mid-retry.
-func (r *run) runShard(ctx context.Context, i int, need []int, rig *sniffer.Sniffer, scr *scratch) []*Summary {
+func (r *run) runShard(ctx context.Context, i int, need []int, sl *slot, scr *scratch) []*Summary {
 	e := r.e
 	pop := e.cfg.Population
 	for attempt := 0; ; attempt++ {
@@ -815,7 +828,7 @@ func (r *run) runShard(ctx context.Context, i int, need []int, rig *sniffer.Snif
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_start", Shard: i, Attempt: attempt})
 		err := e.cfg.Fault.ShardAttempt(i, attempt)
 		if err == nil {
-			parts, detail := r.attackShard(i, need, rig, scr)
+			parts, detail := r.attackShard(i, need, sl, scr)
 			e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt,
 				Subscribers: parts[0].Subscribers, Detail: detail})
 			return parts
@@ -831,25 +844,12 @@ func (r *run) runShard(ctx context.Context, i int, need []int, rig *sniffer.Snif
 		metShardsQuarantined.Inc()
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_quarantine", Shard: i, Attempt: attempt, Detail: err.Error()})
 		start, end := pop.ShardBounds(i)
-		scr.parts = scr.parts[:0]
-		for _, j := range need {
-			part := r.members[j].newPart(e)
+		parts := scr.zeroParts(len(need), len(pop.Services()))
+		for _, part := range parts {
 			part.ShardsQuarantined = 1
 			part.SubscribersSkipped = int64(end - start)
-			scr.parts = append(scr.parts, part)
 		}
-		return scr.parts
-	}
-}
-
-// newPart returns a zeroed partial summary, reusing a merged one when
-// the aggregator has returned any.
-func (m *member) newPart(e *Engine) *Summary {
-	select {
-	case p := <-m.free:
-		return p
-	default:
-		return newSummary(len(e.cfg.Population.Services()))
+		return parts
 	}
 }
 
@@ -891,8 +891,13 @@ func feedShards(ctx context.Context, ch chan<- int, lo, hi int, done []bool) err
 	return nil
 }
 
-// otpTimestamp keeps synthesized TPDUs deterministic.
-var otpTimestamp = time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC)
+// otpDeliver is the OTP TPDU every synthesized session carries; its
+// fixed timestamp keeps the synthesized traffic deterministic.
+var otpDeliver = gsmcodec.Deliver{
+	Originator: "ActFort",
+	Timestamp:  time.Date(2021, 4, 19, 12, 0, 0, 0, time.UTC),
+	Text:       "Code 845512",
+}
 
 // baseARFCN is the first channel of the synthesized campaign cell;
 // victims spread across [baseARFCN, baseARFCN+CellChannels).
@@ -901,29 +906,27 @@ const baseARFCN = 512
 // attackShard attacks shard i for the members need lists and returns
 // their parts, in need's order, in the worker's scratch. Each member's
 // radio outcome is a memo hit or its own radio stage on the slot's rig,
-// reset between members so no key, capture or arena string crosses
-// radio environments. When every member hits the memo and the shard's
-// closure inputs are resident, the shard attack is only the chain
-// reaction, with detail "resident". Otherwise it generates the shard;
-// then, if no radio stage ran (detail "radio_memo") or some member
-// hit, the shard's closure inputs become resident, and if every member
-// missed they are gathered for the intercepted victims into the
-// worker's scratch. The chain reaction is evaluated once for the union
-// of the members' intercepted victims against the run's compiled plan,
-// and each block's outcome folds into every member's part through that
-// member's lanes. Only a completed attackShard stores memo entries, so
-// a failed or quarantined shard never leaves one behind.
-func (r *run) attackShard(i int, need []int, rig *sniffer.Sniffer, scr *scratch) (parts []*Summary, detail string) {
+// the slot reset between members so no key, capture or arena string
+// crosses radio environments. When every member hits the memo and the
+// shard's closure inputs are resident, the shard attack is only the
+// chain reaction, with detail "resident". Otherwise it generates the
+// shard and fills its closure inputs into the slot, detail
+// "radio_memo" when no radio stage ran; if some member hit the memo, a
+// copy of them becomes resident. The chain reaction is evaluated once
+// for the union of the members' intercepted victims against the run's
+// compiled plan, and each block's outcome folds into every member's
+// part through that member's lanes. Only a completed attackShard
+// stores memo entries, so a failed or quarantined shard never leaves
+// one behind.
+func (r *run) attackShard(i int, need []int, sl *slot, scr *scratch) (parts []*Summary, detail string) {
 	e := r.e
 	pop := e.cfg.Population
 	start, end := pop.ShardBounds(i)
-	parts, rads := scr.parts[:0], scr.rads[:0]
+	parts, rads := scr.zeroParts(len(need), len(pop.Services())), scr.rads[:0]
 	hits := 0
-	for _, j := range need {
+	for k, j := range need {
 		m := r.members[j]
-		part := m.newPart(e)
-		part.Subscribers = int64(end - start)
-		parts = append(parts, part)
+		parts[k].Subscribers = int64(end - start)
 		memoStart := time.Now()
 		rad := m.radio.entries[i-e.cfg.ShardLo].Load()
 		if rad != nil {
@@ -932,7 +935,7 @@ func (r *run) attackShard(i int, need []int, rig *sniffer.Sniffer, scr *scratch)
 		}
 		rads = append(rads, rad)
 	}
-	scr.parts, scr.rads = parts, rads
+	scr.rads = rads
 	res := &e.resident[i-e.cfg.ShardLo]
 	in := res.Load()
 	closureStart := time.Now()
@@ -950,14 +953,17 @@ func (r *run) attackShard(i int, need []int, rig *sniffer.Sniffer, scr *scratch)
 				continue
 			}
 			if detail == "" {
-				rig.Reset() // the previous member's radio stage
+				sl.reset() // the previous member's radio stage
 			}
 			detail = ""
-			rads[k] = r.radioStage(r.members[j], sh, rig, scr)
+			rads[k] = r.radioStage(r.members[j], sh, sl)
 			ran = append(ran, k)
 		}
 		scr.ran = ran
 		closureStart = time.Now()
+	}
+	if len(ran) == 0 {
+		sl.drop()
 	}
 	// The chain reaction runs over the union of the members' intercepted
 	// victims; a lone member's lanes are the block's.
@@ -966,16 +972,14 @@ func (r *run) attackShard(i int, need []int, rig *sniffer.Sniffer, scr *scratch)
 		union, members = scr.union(rads), scr.members(rads)
 	}
 	if in == nil {
+		sl.in.fill(pop, sh)
+		in = &sl.in
 		if hits > 0 {
 			// The shard's second attack: keep its closure inputs.
-			scr.in.fill(pop, sh, nil)
-			in = scr.in.clone()
+			in = sl.in.clone()
 			if res.CompareAndSwap(nil, in) {
 				metResidentBytes.Set(float64(e.residentBytes.Add(in.bytes())))
 			}
-		} else {
-			scr.in.fill(pop, sh, union)
-			in = &scr.in
 		}
 	}
 	for k, part := range parts {
@@ -1022,19 +1026,14 @@ func (r *run) attackShard(i int, need []int, rig *sniffer.Sniffer, scr *scratch)
 // segment) — policy and platform never reach it — which is what lets
 // the memo replay it for any scenario with the same key. It runs member
 // m's stage: m's radio environment, budget and segment, its phases and
-// the rig's crack durations observed into m's histograms.
-func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, scr *scratch) *radioOut {
+// the rig's crack durations observed into m's histograms. The slot must
+// be fresh or reset: the shard's IMSI strings are carved from its arena
+// and reach the rig's session caches.
+func (r *run) radioStage(m *member, sh *population.Shard, sl *slot) *radioOut {
 	e, rt := r.e, m.rt
 	pop := e.cfg.Population
 	out := &radioOut{intercepted: make([]uint64, (len(sh.Subscribers)+63)/64)}
-
-	// Per-shard IMSI strings are carved from the shard-cycle arena:
-	// they reach the sniffer rig's session caches, which a rig.Reset —
-	// release's, or attackShard's between members — empties before this
-	// worker's next radio stage reuses the arena. Reset clears the caches
-	// in place, and clear drops the arena-backed keys exactly as a fresh
-	// map did.
-	scr.strs.Reset()
+	rig := sl.rig
 	rig.SetCrackObserver(m.phases.crack())
 
 	synthStart := time.Now()
@@ -1042,23 +1041,9 @@ func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, 
 	sessions := rt.sessions
 	frame := uint32(0)
 
-	// Gather phase: one shared OTP TPDU serves every synthesized
-	// session, so the burst count driving the COUNT schedule is computed
-	// once up front instead of marshaling per session. An unencodable
-	// TPDU keeps the targeting/coverage counters and synthesizes nothing
-	// — exactly what per-session encode failures used to do.
-	deliver := gsmcodec.Deliver{
-		Originator: "ActFort",
-		Timestamp:  otpTimestamp,
-		Text:       "Code 845512",
-	}
-	encodable := false
-	perSession := uint32(0)
-	if raw, err := deliver.Marshal(); err == nil {
-		encodable = true
-		perSession = uint32(telecom.SessionBurstCount(len(raw)))
-	}
-	batch := scr.radio[:0]
+	// Gather phase: every session carries otpDeliver, so the burst count
+	// driving the COUNT schedule is the engine's, computed once.
+	batch := sl.radio[:0]
 	for li := range sh.Subscribers {
 		sub := &sh.Subscribers[li]
 		if !rt.targets(sub) {
@@ -1073,11 +1058,8 @@ func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, 
 			continue // victim's channel outside the rig's fleet
 		}
 		out.covered++
-		if !encodable {
-			continue
-		}
-		scr.phone = population.AppendIMSI(scr.phone[:0], sub.Index)
-		imsi := slab.StringOf(&scr.strs, scr.phone)
+		sl.phone = population.AppendIMSI(sl.phone[:0], sub.Index)
+		imsi := slab.StringOf(&sl.strs, sl.phone)
 		mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
 		epoch := uint64(0)
 		var rnd [16]byte
@@ -1108,9 +1090,9 @@ func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, 
 				Kc:         kc,
 				IMSI:       imsi,
 				RAND:       rnd,
-				Deliver:    deliver,
+				Deliver:    otpDeliver,
 			})
-			frame = start + perSession
+			frame = start + e.otpBursts
 			out.sessions++
 			switch mode {
 			case telecom.CipherA50:
@@ -1120,7 +1102,7 @@ func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, 
 			}
 		}
 	}
-	scr.radio = batch // keep the grown buffer for the next shard
+	sl.radio = batch // keep the grown buffer for the next shard
 	m.phases.observe("synth", synthStart)
 
 	// Encrypt phase: the whole shard's A5/1 bursts run through the
@@ -1128,12 +1110,15 @@ func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, 
 	// session order.
 	if len(batch) > 0 {
 		encStart := time.Now()
-		// The flat trace lives in the worker's pooled burst buffer:
-		// FeedBatch copies each burst into its own session slots, so
-		// the buffer is free for reuse as soon as it returns.
-		flat, err := telecom.EncodeSMSBurstsInto(batch, scr.bursts)
+		// The flat trace lives in the slot's burst buffer: FeedBatch
+		// copies each burst into its own session slots, so the buffer is
+		// free for reuse as soon as it returns.
+		if sl.bursts == nil {
+			sl.bursts = telecom.AcquireBurstBuffer()
+		}
+		flat, err := telecom.EncodeSMSBurstsInto(batch, sl.bursts)
 		if err != nil {
-			// The shared TPDU marshaled above, so the batch cannot fail;
+			// otpDeliver marshaled in New, so the batch cannot fail;
 			// reaching here means the session counters above are already
 			// wrong, and silently dropping the shard's traffic would
 			// move the golden Summaries undetected.
@@ -1146,8 +1131,8 @@ func (r *run) radioStage(m *member, sh *population.Shard, rig *sniffer.Sniffer, 
 	}
 
 	// Attribute decoded captures back to victims via session IDs.
-	scr.captures = rig.AppendCaptures(scr.captures[:0])
-	for _, c := range scr.captures {
+	sl.captures = rig.AppendCaptures(sl.captures[:0])
+	for _, c := range sl.captures {
 		li := int(c.SessionID) / sessions
 		out.intercepted[li>>6] |= 1 << (uint(li) & 63)
 	}

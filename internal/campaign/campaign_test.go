@@ -31,11 +31,18 @@ func zeroClock(sum *Summary) {
 
 func runCampaign(t *testing.T, cfg Config) *Summary {
 	t.Helper()
+	return runScenario(t, cfg, Scenario{})
+}
+
+// runScenario runs sc on a new engine over cfg, failing the test on
+// error.
+func runScenario(t *testing.T, cfg Config, sc Scenario) *Summary {
+	t.Helper()
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := eng.Run(context.Background())
+	sum, err := eng.RunScenario(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +161,10 @@ func TestCampaignBatchReplayMatchesScalar(t *testing.T) {
 	for i, sc := range scenarios {
 		var rendered [2]string
 		for j, cracker := range []a51.Cracker{table, scalarCracker{table}} {
-			sum := runCampaign(t, Config{
+			sum := runScenario(t, Config{
 				Population: pop, KeyBits: 10, Workers: 3,
-				Cracker: cracker, Scenario: sc,
-			})
+				Cracker: cracker,
+			}, sc)
 			zeroClock(sum)
 			rendered[j] = sum.Render(pop.Services(), 25)
 		}
@@ -181,12 +188,9 @@ func TestCampaignWorkerRace(t *testing.T) {
 
 func TestCampaignCoverageAndCipherKnobs(t *testing.T) {
 	pop := testPop(t, 1200, 256)
-	sum := runCampaign(t, Config{
-		Population: pop, KeyBits: 10, Workers: 2,
-		Scenario: Scenario{
-			Radio:  RadioEnv{A50Fraction: -1, ReauthSkip: -1, OTPSessions: 1},
-			Budget: AttackerBudget{Receivers: 8, CellChannels: 16},
-		},
+	sum := runScenario(t, Config{Population: pop, KeyBits: 10, Workers: 2}, Scenario{
+		Radio:  RadioEnv{A50Fraction: -1, ReauthSkip: -1, OTPSessions: 1},
+		Budget: AttackerBudget{Receivers: 8, CellChannels: 16},
 	})
 	if sum.Covered == 0 || sum.Covered == sum.Subscribers {
 		t.Errorf("coverage 0.5 covered %d of %d", sum.Covered, sum.Subscribers)
@@ -208,7 +212,7 @@ func TestCampaignCoverageAndCipherKnobs(t *testing.T) {
 
 func TestCampaignPlatformRestriction(t *testing.T) {
 	pop := testPop(t, 800, 256)
-	web := runCampaign(t, Config{Population: pop, KeyBits: 10, Scenario: Scenario{Platform: "web"}})
+	web := runScenario(t, Config{Population: pop, KeyBits: 10}, Scenario{Platform: "web"})
 	both := runCampaign(t, Config{Population: pop, KeyBits: 10})
 	if web.AccountsCompromised == 0 {
 		t.Fatal("web-only campaign compromised nothing")
@@ -227,7 +231,7 @@ func TestCampaignContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Run(ctx); err != context.Canceled {
+	if _, err := eng.RunScenario(ctx, Scenario{}); err != context.Canceled {
 		t.Fatalf("Run on canceled ctx = %v", err)
 	}
 }
@@ -240,6 +244,10 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := New(Config{Population: pop, Backend: "nope"}); err == nil {
 		t.Error("unknown backend accepted")
 	}
+	eng, err := New(Config{Population: pop, Backend: "bitsliced"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sc := range []Scenario{
 		{Policy: "nope"},
 		{Platform: "gopher"},
@@ -247,7 +255,7 @@ func TestCampaignValidation(t *testing.T) {
 		{Segment: VictimSegment{Domain: "astrology"}},
 		{Segment: VictimSegment{LeakTier: "vip"}},
 	} {
-		if _, err := New(Config{Population: pop, Backend: "bitsliced", Scenario: sc}); err == nil {
+		if _, err := eng.RunScenario(context.Background(), sc); err == nil {
 			t.Errorf("invalid scenario %+v accepted", sc)
 		}
 	}

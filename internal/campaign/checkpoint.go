@@ -68,7 +68,7 @@ func (e *Engine) manifest(norm Scenario) (checkpoint.Manifest, error) {
 }
 
 // ckptRun is one scenario's open journal plus the state recovered from
-// a previous process: the aggregator seed (snapshot + replayed journal
+// a previous process: the aggregate's seed (snapshot + replayed journal
 // records, already merged) and the done-shard bitmap the feeder skips.
 // The timing fields feed the cumulative-throughput accounting: start
 // anchors this process's contribution, activePrior carries the wall
@@ -87,8 +87,7 @@ type ckptRun struct {
 }
 
 // openCheckpoint opens (or resumes) the scenario's checkpoint
-// directory and rebuilds the aggregator state the dead process had
-// journaled.
+// directory and rebuilds the aggregate the dead process had journaled.
 func (e *Engine) openCheckpoint(dir string, norm Scenario) (*ckptRun, error) {
 	m, err := e.manifest(norm)
 	if err != nil {

@@ -75,7 +75,7 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := eng.Run(context.Background()); !errors.Is(err, faultinject.ErrCrash) {
+					if _, err := eng.RunScenario(context.Background(), Scenario{}); !errors.Is(err, faultinject.ErrCrash) {
 						t.Fatalf("crashed run error = %v, want ErrCrash", err)
 					}
 
@@ -85,7 +85,7 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sum.Run(context.Background())
+					got, err := sum.RunScenario(context.Background(), Scenario{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,7 +117,7 @@ func TestCampaignResumeSkipsDoneShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background()); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := eng.RunScenario(context.Background(), Scenario{}); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatalf("err = %v", err)
 	}
 
@@ -133,7 +133,7 @@ func TestCampaignResumeSkipsDoneShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := eng2.Run(context.Background())
+	sum, err := eng2.RunScenario(context.Background(), Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,27 +163,25 @@ func TestCampaignManifestRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background()); err != nil {
+	if _, err := eng.RunScenario(context.Background(), Scenario{}); err != nil {
 		t.Fatal(err)
 	}
 
 	cases := []struct {
 		name string
 		mut  func(*Config) error
+		sc   Scenario
 	}{
 		{"population seed", func(c *Config) error {
 			p2, err := population.New(population.Config{Seed: 9, Size: 1024, ShardSize: 128})
 			c.Population = p2
 			return err
-		}},
-		{"scenario", func(c *Config) error {
-			c.Scenario = Scenario{Name: "cli", Policy: "fortify-all"}
-			return nil
-		}},
+		}, Scenario{}},
+		{"scenario", func(*Config) error { return nil }, Scenario{Name: "cli", Policy: "fortify-all"}},
 		{"shard range", func(c *Config) error {
 			c.ShardLo, c.ShardHi = 0, 4
 			return nil
-		}},
+		}, Scenario{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,7 +193,7 @@ func TestCampaignManifestRefusal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = eng2.Run(context.Background())
+			_, err = eng2.RunScenario(context.Background(), tc.sc)
 			if !errors.Is(err, checkpoint.ErrManifestMismatch) {
 				t.Fatalf("err = %v, want ErrManifestMismatch", err)
 			}
@@ -222,7 +220,7 @@ func TestCampaignTwoRangeMergeEqualsSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(context.Background()); err != nil {
+		if _, err := eng.RunScenario(context.Background(), Scenario{}); err != nil {
 			t.Fatal(err)
 		}
 		p, err := LoadPartial(rc.Checkpoint.Dir)
@@ -337,7 +335,7 @@ func TestCampaignCancelNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := eng.RunScenario(ctx, Scenario{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 

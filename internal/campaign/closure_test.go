@@ -205,10 +205,10 @@ func packBlocks(pop *population.Population, in *closureIn, intercepted []uint64,
 }
 
 // checkPack compares, block by block, the packed blocks of shard sh's
-// intercepted victims, from resident and from scratch closure inputs,
-// with the gathered ones: alone, and as the union of two members' —
-// the even lanes, and every lane but each fourth — so each member's
-// lanes go through compress and deposit as entries do.
+// intercepted victims, from its closure inputs, with the gathered ones:
+// alone, and as the union of two members' — the even lanes, and every
+// lane but each fourth — so each member's lanes go through compress and
+// deposit as entries do.
 func checkPack(pop *population.Population, sh *population.Shard, intercepted []uint64) error {
 	even, most := make([]uint64, len(intercepted)), make([]uint64, len(intercepted))
 	for g, m := range intercepted {
@@ -225,31 +225,25 @@ func checkPack(pop *population.Population, sh *population.Shard, intercepted []u
 // checkPackMembers is checkPack for one member list.
 func checkPackMembers(pop *population.Population, sh *population.Shard, intercepted []uint64, members [][]uint64) error {
 	want := gatherBlocks(pop, sh, intercepted, members)
-	var resident, scr closureIn
-	resident.fill(pop, sh, nil)
-	scr.fill(pop, sh, intercepted)
-	for _, in := range []struct {
-		name string
-		in   *closureIn
-	}{{"resident", &resident}, {"scratch", &scr}} {
-		got := packBlocks(pop, in.in, intercepted, members)
-		if len(got) != len(want) {
-			return fmt.Errorf("%s: %d blocks, gathered %d", in.name, len(got), len(want))
-		}
-		for i := range want {
-			g, w := &got[i], &want[i]
-			switch {
-			case g.lanes != w.lanes:
-				return fmt.Errorf("%s block %d: lanes %#x, gathered %#x", in.name, i, g.lanes, w.lanes)
-			case g.found != w.found:
-				return fmt.Errorf("%s block %d: found %#x, gathered %#x", in.name, i, g.found, w.found)
-			case g.factors != w.factors:
-				return fmt.Errorf("%s block %d: dossier factors %x, gathered %x", in.name, i, g.factors, w.factors)
-			case !slices.Equal(g.services, w.services):
-				return fmt.Errorf("%s block %d: service words %x, gathered %x", in.name, i, g.services, w.services)
-			case !slices.Equal(g.members, w.members):
-				return fmt.Errorf("%s block %d: member lanes %#x, gathered %#x", in.name, i, g.members, w.members)
-			}
+	var in closureIn
+	in.fill(pop, sh)
+	got := packBlocks(pop, &in, intercepted, members)
+	if len(got) != len(want) {
+		return fmt.Errorf("%d blocks, gathered %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := &got[i], &want[i]
+		switch {
+		case g.lanes != w.lanes:
+			return fmt.Errorf("block %d: lanes %#x, gathered %#x", i, g.lanes, w.lanes)
+		case g.found != w.found:
+			return fmt.Errorf("block %d: found %#x, gathered %#x", i, g.found, w.found)
+		case g.factors != w.factors:
+			return fmt.Errorf("block %d: dossier factors %x, gathered %x", i, g.factors, w.factors)
+		case !slices.Equal(g.services, w.services):
+			return fmt.Errorf("block %d: service words %x, gathered %x", i, g.services, w.services)
+		case !slices.Equal(g.members, w.members):
+			return fmt.Errorf("block %d: member lanes %#x, gathered %#x", i, g.members, w.members)
 		}
 	}
 	return nil
@@ -400,7 +394,7 @@ func TestClosureCounters(t *testing.T) {
 // allocation per block: once a shard's closure inputs are resident and
 // the worker's scratch has warmed, attacking the shard again — every
 // intercepted victim's chain reaction, 256 lanes at a time — allocates
-// nothing, its partial summary recycled as the aggregator does.
+// nothing, its partial summary reset as the worker does after a fold.
 func TestResidentShardClosureAllocs(t *testing.T) {
 	eng, err := New(Config{Population: testPop(t, 4096, 1024), Workers: 1, KeyBits: 10})
 	if err != nil {
@@ -437,7 +431,6 @@ func TestResidentShardClosureAllocs(t *testing.T) {
 			t.Fatalf("%d intercepted victims: the shard never fills a block", part.Intercepted)
 		}
 		part.reset()
-		m.free <- part
 	}
 	attack() // allocates the run's one partial summary
 	if got := testing.AllocsPerRun(10, attack); got != 0 {

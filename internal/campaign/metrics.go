@@ -61,8 +61,8 @@ var (
 )
 
 // phaseNames are the attackShard stages the campaign_phase_seconds
-// histogram labels — plus "aggregate", the aggregator's merge+journal
-// work per shard. The crack stage lives in the sniffer
+// histogram labels — plus "aggregate", the worker's merge+journal
+// work per shard under its run's lock. The crack stage lives in the sniffer
 // (sniffer_crack_batch_seconds): key recovery happens inside feed.
 // "radio_memo" is observed once per shard whose radio stage came from
 // the engine's memo instead of synth/encrypt/feed, so its count is the

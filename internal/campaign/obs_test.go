@@ -187,7 +187,7 @@ func TestCampaignResumeThroughputAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background()); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := eng.RunScenario(context.Background(), Scenario{}); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatalf("crashed run error = %v, want ErrCrash", err)
 	}
 
@@ -197,7 +197,7 @@ func TestCampaignResumeThroughputAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := eng2.Run(context.Background())
+	sum, err := eng2.RunScenario(context.Background(), Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCampaignConcurrentScrape(t *testing.T) {
 			}
 		}()
 	}
-	sum, err := eng.Run(context.Background())
+	sum, err := eng.RunScenario(context.Background(), Scenario{})
 	close(done)
 	wg.Wait()
 	if err != nil {

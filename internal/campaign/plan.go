@@ -6,11 +6,8 @@ import (
 	"sync"
 
 	"github.com/actfort/actfort/internal/ecosys"
-	"github.com/actfort/actfort/internal/slab"
-	"github.com/actfort/actfort/internal/sniffer"
 	"github.com/actfort/actfort/internal/strategy"
 	"github.com/actfort/actfort/internal/tdg"
-	"github.com/actfort/actfort/internal/telecom"
 )
 
 // attackPlan is the campaign's precompiled view of the ecosystem: the
@@ -91,53 +88,42 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 	return p, nil
 }
 
-// scratch is one worker's reusable state: the chain-reaction solver,
-// pooled by the plan, the closure inputs of the intercepted victims of
-// the shard it last generated, the per-shard radio session buffer the
-// gather-then-encrypt path fills before the batch encryptor runs, the
-// rig's captures read back per shard, and the pooled burst buffer the
-// encoded trace lives in. All of it is recycled shard over shard (and,
-// for the solver and the burst buffer, scenario over scenario), so a
-// steady-state shard attack allocates nothing population-proportional
-// beyond its radio-memo entry and, on a shard's second attack, its
-// resident closure inputs.
+// scratch is one worker's reusable run-side state: the chain-reaction
+// solver, pooled by the plan, and the per-shard run state, by member of
+// the shard's need list — the run's members that need the shard, their
+// parts and radio outcomes, the positions in need whose radio stage ran
+// here, and the union of the members' interception words and the words
+// themselves. The radio stage's memory is the shard slot's. The worker
+// folds its parts into the run and resets them, so a run allocates a
+// worker's parts once.
 type scratch struct {
 	*solver
-	in       closureIn
-	radio    []telecom.SMSSession
-	captures []sniffer.Capture
-	bursts   *telecom.BurstBuffer
-
-	// Per-shard run state, by member of the shard's need list: the run's
-	// members that need the shard, their parts and radio outcomes, the
-	// positions in need whose radio stage ran here, and the union of the
-	// members' interception words and the words themselves.
 	need     []int
 	parts    []*Summary
 	rads     []*radioOut
 	ran      []int
 	unionBuf []uint64
 	words    [][]uint64
-
-	// Lazy-persona working set. phone is the attribute-derivation
-	// scratch buffer (IMSIs); strs is the shard-cycle string arena
-	// (per-shard IMSIs — reset at each shard's start, after release has
-	// cleared the rig caches that saw the previous shard's carves).
-	phone []byte
-	strs  slab.Slab[byte]
 }
 
 func newScratch(p *attackPlan) *scratch {
-	return &scratch{solver: p.solvers.Get().(*solver), bursts: telecom.AcquireBurstBuffer()}
+	return &scratch{solver: p.solvers.Get().(*solver)}
 }
 
-// release returns the scratch's pooled resources; the scratch must not
-// be used afterwards.
+// release returns the scratch's solver to its plan; the scratch must
+// not be used afterwards.
 func (s *scratch) release() {
-	s.bursts.Release()
-	s.bursts = nil
 	s.plan.solvers.Put(s.solver)
 	s.solver = nil
+}
+
+// zeroParts returns n zeroed partial summaries over services catalog
+// services, growing the scratch's set on first use.
+func (s *scratch) zeroParts(n, services int) []*Summary {
+	for len(s.parts) < n {
+		s.parts = append(s.parts, newSummary(services))
+	}
+	return s.parts[:n]
 }
 
 // union returns the union of rads' interception words, in the

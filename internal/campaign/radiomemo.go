@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -106,9 +105,8 @@ const maxServices = 1<<16 - inServices
 // population facts — the population is immutable — so the engine keeps
 // one resident closureIn per owned shard once the shard is attacked a
 // second time, and it serves every radio key with no invalidation. A
-// worker's scratch closureIn carries the same inputs for the groups of
-// a shard it has just generated that hold intercepted victims, masked
-// to them.
+// shard slot's closureIn carries the inputs of the shard last generated
+// on it.
 type closureIn struct {
 	at        []int32
 	idx       []uint16
@@ -116,12 +114,10 @@ type closureIn struct {
 	leakCount int64 // the shard's LeakCount
 }
 
-// fill builds shard sh's closure inputs into in for the lanes set in
-// which, or for every subscriber when which is nil: per group, a
-// Dossier draw per lane and one transpose64 per enrollment word turn
-// subscriber-major facts into lane words. Groups with no lane in which
-// hold no entries.
-func (in *closureIn) fill(pop *population.Population, sh *population.Shard, which []uint64) {
+// fill builds shard sh's closure inputs into in: per group, a Dossier
+// draw per subscriber and one transpose64 per enrollment word turn
+// subscriber-major facts into lane words.
+func (in *closureIn) fill(pop *population.Population, sh *population.Shard) {
 	subs := sh.Subscribers
 	in.leakCount = int64(sh.LeakCount)
 	in.at = append(in.at[:0], 0)
@@ -129,37 +125,27 @@ func (in *closureIn) fill(pop *population.Population, sh *population.Shard, whic
 	var t [64]uint64
 	for g := 0; g < len(subs); g += 64 {
 		rows := subs[g:min(g+64, len(subs))]
-		m := ^uint64(0) >> (64 - len(rows))
-		if which != nil {
-			m = which[g>>6]
+		var dossier [inServices]uint64
+		for l := range rows {
+			d := pop.Dossier(rows[l].Index)
+			if d&population.DossierFound != 0 {
+				dossier[inFound] |= 1 << l
+			}
+			if d&population.DossierRealName != 0 {
+				dossier[inBreach] |= 1 << l
+			}
+			if d&population.DossierCitizenID != 0 {
+				dossier[inCitizenID] |= 1 << l
+			}
 		}
-		if m != 0 {
-			var dossier [inServices]uint64
-			for x := m; x != 0; x &= x - 1 {
-				l := bits.TrailingZeros64(x)
-				d := pop.Dossier(rows[l].Index)
-				if d&population.DossierFound != 0 {
-					dossier[inFound] |= 1 << l
-				}
-				if d&population.DossierRealName != 0 {
-					dossier[inBreach] |= 1 << l
-				}
-				if d&population.DossierCitizenID != 0 {
-					dossier[inCitizenID] |= 1 << l
-				}
+		in.add(inFound, dossier[:])
+		for w := range rows[0].Enrolled {
+			for l := range rows {
+				t[l] = rows[l].Enrolled[w]
 			}
-			in.add(inFound, dossier[:])
-			for w := range rows[0].Enrolled {
-				for l := range rows {
-					t[l] = rows[l].Enrolled[w]
-				}
-				clear(t[len(rows):])
-				transpose64(&t)
-				for k := range t {
-					t[k] &= m
-				}
-				in.add(inServices+w<<6, t[:])
-			}
+			clear(t[len(rows):])
+			transpose64(&t)
+			in.add(inServices+w<<6, t[:])
 		}
 		in.at = append(in.at, int32(len(in.lanes)))
 	}

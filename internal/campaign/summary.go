@@ -17,9 +17,9 @@ import (
 // stops at two middle layers; anything deeper is exotic).
 const MaxDepth = 6
 
-// Summary aggregates a campaign run. Workers emit per-shard partial
-// summaries which the aggregator merges as they stream in, so memory
-// stays bounded regardless of population size. All counters are
+// Summary aggregates a campaign run. Each worker merges its per-shard
+// partial summaries into the run's aggregate as it completes them, so
+// memory stays bounded regardless of population size. All counters are
 // deterministic for a fixed config; Duration and VictimsPerSec are
 // the only wall-clock-dependent fields.
 type Summary struct {
@@ -106,7 +106,7 @@ type Summary struct {
 	ResumeVictimsPerSec float64
 	// PhaseTimings breaks the run's wall clock down by pipeline phase
 	// (per-shard synth/encrypt/feed/closure, the sniffer's batched
-	// cracks, the aggregator) — populated from the obs phase histograms
+	// cracks, the merge+journal fold) — populated from the obs phase histograms
 	// at the end of each run, wall-clock-dependent like Duration.
 	PhaseTimings []PhaseTiming
 }

@@ -31,8 +31,9 @@
 // recovery invariants are enforced by tests rather than asserted in
 // comments.
 //
-// A Journal is owned by one goroutine (the campaign aggregator); the
-// package adds no locking of its own.
+// A Journal is used under its run's lock (the campaign's workers fold
+// shards into it one at a time); the package adds no locking of its
+// own.
 package checkpoint
 
 import (
@@ -178,8 +179,8 @@ type Options struct {
 }
 
 // Journal is an open checkpoint directory: appends go to the run
-// journal, periodic Snapshot calls fold them away. Owned by a single
-// goroutine.
+// journal, periodic Snapshot calls fold them away. Used under its
+// run's lock: not safe for concurrent use.
 type Journal struct {
 	dir       string
 	manifest  Manifest

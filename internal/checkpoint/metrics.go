@@ -3,8 +3,8 @@ package checkpoint
 import "github.com/actfort/actfort/internal/obs"
 
 // Durability telemetry on the process-wide obs registry. The journal
-// is owned by one goroutine and appends happen per shard, so these add
-// nothing measurable to the write path — but they make the fsync cost
+// is used under its run's lock and appends happen per shard, so these
+// add nothing measurable to the write path — but they make the fsync cost
 // of durable campaigns visible live (the dominant per-shard overhead
 // on spinning or network disks).
 var (
