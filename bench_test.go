@@ -379,8 +379,10 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Engine construction (TDG compilation, one-off table build)
-		// is excluded: the real attack downloads the tables once.
+		// Engine construction (the one-off table build) is excluded:
+		// the real attack downloads the tables once. The scenario's
+		// plan (TDG compilation) is compiled by RunScenario, so each
+		// timed iteration includes it.
 		cfg := campaign.Config{Population: pop, Backend: backend, KeyBits: 12}
 		eng, err := campaign.New(cfg)
 		if err != nil {

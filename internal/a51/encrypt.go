@@ -102,6 +102,8 @@ func EncryptBurstsBatch(kcs []uint64, frames []uint32, payloads [][]byte) {
 	if len(frames) != len(kcs) || len(payloads) != len(kcs) {
 		panic("a51: EncryptBurstsBatch slice lengths differ")
 	}
+	metKeystreamPasses.Add(int64((len(kcs) + bsLanes - 1) / bsLanes))
+	metKeystreamLanes.Add(int64(len(kcs)))
 	var rows [bsLanes]burstRow
 	for base := 0; base < len(kcs); base += bsLanes {
 		end := min(base+bsLanes, len(kcs))

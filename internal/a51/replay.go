@@ -112,6 +112,9 @@ type replayScratch struct {
 	// hold, so it never fills. Each lookup owns its own set, exactly as
 	// the scalar replay owns its map.
 	seen []uint32
+	// fp and check count the call's fingerprint and key-check blocks,
+	// added to the lane-fill counters once per call.
+	fp, check laneFill
 }
 
 // newSeenSet carves lk's empty visited set for chains holding total
@@ -181,6 +184,7 @@ func (rs *replayScratch) reset() {
 	rs.active = rs.active[:0]
 	rs.parked = rs.parked[:0]
 	rs.seen = rs.seen[:0]
+	rs.fp, rs.check = laneFill{}, laneFill{}
 }
 
 // RecoverBatch implements Cracker: it resolves every sample by an
@@ -249,6 +253,8 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 	}
 
 	t.runReplayRounds(ctx, rs, samples, space, n, keys, errs)
+	rs.fp.flush(fingerprintFill)
+	rs.check.flush(keyCheckFill)
 
 	if len(fallback) == 0 {
 		return keys, errs
@@ -312,6 +318,7 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 				laneKeys[l] = space.Key(rs.lookups[li].pos)
 				laneFrames[l] = rs.lookups[li].frame
 			}
+			rs.fp.add(len(block))
 			if len(block) < scalarReplayCutoff {
 				for l := range block {
 					laneFPs[l] = scalarFingerprint(laneKeys[l], laneFrames[l])
@@ -403,6 +410,7 @@ func (rs *replayScratch) verifyParked(samples []Sample, space KeySpace, n uint64
 			laneKeys[l] = space.Key(rs.lookups[li].pos)
 			laneFrames[l] = rs.lookups[li].frame
 		}
+		rs.check.add(len(block))
 		batched := len(block) >= scalarReplayCutoff
 		if batched {
 			downlinkBatch(laneKeys[:len(block)], laneFrames[:len(block)], &rows)

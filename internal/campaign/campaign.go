@@ -9,13 +9,15 @@
 // Architecture (the template every scaling subsystem follows):
 //
 //   - the population is sharded; a bounded worker pool streams shards,
-//     so subscriber state (personas, enrollments, radio sessions) is
-//     O(shard). A cold run holds nothing population-proportional; a
-//     warm engine holds the radio memo and the resident closure inputs
-//     below;
+//     so subscriber state (personas, enrollments) is O(shard), and radio
+//     traffic is O(radioChunk): a shard's radio stage runs in passes of
+//     1,024 subscribers. A cold run holds nothing
+//     population-proportional; a warm engine holds the radio memo and
+//     the resident closure inputs below;
 //   - every worker synthesizes each victim's OTP radio sessions with
-//     the same burst encoder the live Network uses and feeds them to a
-//     per-shard passive sniffer rig — batched sniffer sessions;
+//     the same burst encoder the live Network uses and feeds them, one
+//     chunk's trace per call, to the shard slot's passive sniffer rig —
+//     batched sniffer sessions;
 //   - all rigs share ONE A5/1 cracker backend, so a single precomputed
 //     TMTO table is amortized across the entire population AND across
 //     every scenario of a sweep; the rigs themselves live in the
@@ -312,10 +314,11 @@ func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
 }
 
 // slot is one shard slot and the one owner of the working memory of
-// the radio stage run on it: the sniffer rig, the shard's radio session
-// buffer and the burst buffer its encoded trace lives in, the captures
-// read back from the rig, the IMSI scratch and string arena, and the
-// closure inputs of the shard last generated on it. All of it is
+// the radio stage run on it: the sniffer rig, the radio session buffer
+// and the burst buffer a pass's encoded trace lives in, the captures
+// drained from the rig, the IMSI scratch and string arena, and the
+// closure inputs of the shard last generated on it. The radio buffers
+// hold one pass of radioChunk subscribers, not a shard. All of it is
 // recycled shard over shard by every run, so a steady-state shard
 // attack allocates nothing population-proportional beyond its
 // radio-memo entry and, on a shard's second attack, its resident
@@ -649,7 +652,11 @@ func (rt *runtimeScenario) targets(sub *population.Subscriber) bool {
 // An injected crash, or the last member dropped, cancels the run; the
 // caller's goroutine feeds the shards and waits for the workers, so no
 // worker goroutine outlives the call. The error returned is the one
-// that stopped the run for its remaining members.
+// that stopped the run for its remaining members: a worker that
+// abandons a shard it received, canceled while waiting for a slot or
+// in a retry's backoff, makes it the context's error even when the
+// feed had already sent every shard, so a canceled run never passes
+// for a complete one.
 func (r *run) attack(ctx context.Context) error {
 	e := r.e
 	ctx, cancel := context.WithCancel(ctx)
@@ -672,6 +679,7 @@ func (r *run) attack(ctx context.Context) error {
 
 	shards := make(chan int)
 	var wg sync.WaitGroup
+	var abandoned atomic.Bool
 	for range e.cfg.Workers {
 		wg.Add(1)
 		go func() {
@@ -681,6 +689,7 @@ func (r *run) attack(ctx context.Context) error {
 			for i := range shards {
 				sl := e.checkout(ctx)
 				if sl == nil {
+					abandoned.Store(true)
 					return
 				}
 				if scr.need = r.need(i, scr.need[:0]); len(scr.need) == 0 {
@@ -690,7 +699,8 @@ func (r *run) attack(ctx context.Context) error {
 				parts := r.runShard(ctx, i, scr.need, sl, scr)
 				e.release(sl)
 				if parts == nil {
-					return // canceled mid-retry
+					abandoned.Store(true) // canceled mid-retry
+					return
 				}
 				r.fold(i, scr.need, parts, cancel)
 			}
@@ -700,6 +710,9 @@ func (r *run) attack(ctx context.Context) error {
 	wg.Wait()
 	if r.stopped {
 		return context.Canceled
+	}
+	if err == nil && abandoned.Load() {
+		err = ctx.Err()
 	}
 	return err
 }
@@ -1017,102 +1030,133 @@ func (r *run) attackShard(i int, need []int, sl *slot, scr *scratch) (parts []*S
 	return parts, detail
 }
 
-// radioStage runs one shard's radio half, gather-then-encrypt: walk the
-// shard once collecting every targeted victim's session descriptors,
-// encrypt the gathered A5/1 sessions in 64-lane bitsliced blocks, feed
-// the bursts to the slot's sniffer rig backed by the shared cracker,
-// and mark the victims whose sessions it decoded. The result is a pure
-// function of (population seed, shard, radio environment, budget,
-// segment) — policy and platform never reach it — which is what lets
-// the memo replay it for any scenario with the same key. It runs member
-// m's stage: m's radio environment, budget and segment, its phases and
-// the rig's crack durations observed into m's histograms. The slot must
-// be fresh or reset: the shard's IMSI strings are carved from its arena
+// radioChunk is how many subscribers one pass of a radio stage covers.
+// Every radio buffer — the slot's session batch, burst buffer and
+// captures, the rig's session freelist and FeedBatch scratch, and the
+// cracker's replay scratch — is sized by the largest chunk fed, so a
+// cold slot holds one chunk's air traffic, not one shard's. Smaller
+// chunks fill fewer lanes of a crack batch's 64-lane passes and leave
+// more sub-cutoff remainders to the scalar clock, for the same lookups
+// and fingerprints. On a cold 1M run, 1,024 takes the peak live heap
+// from about 60 MB (whole 4,096-subscriber shards) to 22 MB for 3.3%
+// more bitsliced clocks; 512 saves 6 MB more for twice that cost, and
+// 2,048 holds 37 MB (docs/BENCHMARKS.md, "Radio stage in chunks").
+const radioChunk = 1024
+
+// radioStage runs one shard's radio half in passes of radioChunk
+// subscribers (radioPasses). The result is a pure function of
+// (population seed, shard, radio environment, budget, segment) —
+// policy and platform never reach it — which is what lets the memo
+// replay it for any scenario with the same key. It runs member m's
+// stage: m's radio environment, budget and segment, its phases and the
+// rig's crack durations observed into m's histograms. The slot must be
+// fresh or reset: the shard's IMSI strings are carved from its arena
 // and reach the rig's session caches.
 func (r *run) radioStage(m *member, sh *population.Shard, sl *slot) *radioOut {
+	return r.radioPasses(m, sh, sl, radioChunk)
+}
+
+// radioPasses runs the radio stage over consecutive chunks of chunk
+// subscribers. Each pass gathers its targeted victims' session
+// descriptors, encrypts the gathered A5/1 sessions in 64-lane
+// bitsliced blocks into the slot's burst buffer, feeds the bursts to
+// the slot's sniffer rig backed by the shared cracker, and drains the
+// rig's captures to mark the victims whose sessions it decoded. The
+// passes share what one pass over the shard would: the COUNT schedule
+// continues from pass to pass, session IDs stay shard-local, and the
+// rig and the IMSI arena are not reset between passes, so the rig's
+// (IMSI, RAND) cache spans the shard. FeedBatch's contract makes a
+// trace fed in pieces equal to the whole trace fed at once, so the
+// outcome does not depend on chunk. synth, encrypt and feed are
+// observed once per shard, each the sum over its passes; the rig
+// observes one crack batch per pass.
+func (r *run) radioPasses(m *member, sh *population.Shard, sl *slot, chunk int) *radioOut {
 	e, rt := r.e, m.rt
 	pop := e.cfg.Population
 	out := &radioOut{intercepted: make([]uint64, (len(sh.Subscribers)+63)/64)}
 	rig := sl.rig
 	rig.SetCrackObserver(m.phases.crack())
 
-	synthStart := time.Now()
 	seed := uint64(pop.Seed())
 	sessions := rt.sessions
 	frame := uint32(0)
+	var synth, encrypt, feed time.Duration
+	for lo := 0; lo < len(sh.Subscribers); lo += chunk {
+		// Gather phase: every session carries otpDeliver, so the burst
+		// count driving the COUNT schedule is the engine's, computed once.
+		synthStart := time.Now()
+		batch := sl.radio[:0]
+		for li := lo; li < min(lo+chunk, len(sh.Subscribers)); li++ {
+			sub := &sh.Subscribers[li]
+			if !rt.targets(sub) {
+				continue // outside the scenario's victim segment
+			}
+			out.targeted++
+			idx := uint64(sub.Index)
+			// The victim's serving channel: covered only when one of the
+			// fleet's receivers camps on it.
+			channel := population.Mix(seed, population.TagCoverage, idx) % rt.channels
+			if channel >= rt.receivers {
+				continue // victim's channel outside the rig's fleet
+			}
+			out.covered++
+			sl.phone = population.AppendIMSI(sl.phone[:0], sub.Index)
+			imsi := slab.StringOf(&sl.strs, sl.phone)
+			mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
+			epoch := uint64(0)
+			var rnd [16]byte
+			var kc uint64
+			for s := 0; s < sessions; s++ {
+				fresh := s == 0
+				if s > 0 && population.Unit(population.Mix(seed, population.TagReauth, idx, uint64(s))) >= rt.reauthSkip {
+					epoch++ // operator re-authenticated: fresh RAND, fresh Kc
+					fresh = true
+				}
+				if fresh {
+					// RAND and Kc only change with the auth epoch, so the
+					// SHA-based derivations run once per epoch, not per
+					// session (the values are identical either way).
+					rnd = rand16(population.Mix(seed, population.TagRAND, idx, epoch))
+					kc = telecom.SessionKey(pop.Seed(), imsi, rnd, e.space)
+				}
+				// Schedule the session's paging burst on the next CCCH
+				// paging block, as the live network does, so the table
+				// backend's frame classes cover it.
+				start := telecom.NextPagingStart(frame)
+				batch = append(batch, telecom.SMSSession{
+					ARFCN:      baseARFCN + int(channel),
+					CellID:     "campaign-cell",
+					SessionID:  uint32(li*sessions + s),
+					StartFrame: start,
+					Cipher:     mode,
+					Kc:         kc,
+					IMSI:       imsi,
+					RAND:       rnd,
+					Deliver:    otpDeliver,
+				})
+				frame = start + e.otpBursts
+				out.sessions++
+				switch mode {
+				case telecom.CipherA50:
+					out.a50Sessions++
+				case telecom.CipherA53:
+					out.a53Sessions++
+				}
+			}
+		}
+		sl.radio = batch // keep the grown buffer for the next pass
+		synth += time.Since(synthStart)
+		if len(batch) == 0 {
+			continue
+		}
 
-	// Gather phase: every session carries otpDeliver, so the burst count
-	// driving the COUNT schedule is the engine's, computed once.
-	batch := sl.radio[:0]
-	for li := range sh.Subscribers {
-		sub := &sh.Subscribers[li]
-		if !rt.targets(sub) {
-			continue // outside the scenario's victim segment
-		}
-		out.targeted++
-		idx := uint64(sub.Index)
-		// The victim's serving channel: covered only when one of the
-		// fleet's receivers camps on it.
-		channel := population.Mix(seed, population.TagCoverage, idx) % rt.channels
-		if channel >= rt.receivers {
-			continue // victim's channel outside the rig's fleet
-		}
-		out.covered++
-		sl.phone = population.AppendIMSI(sl.phone[:0], sub.Index)
-		imsi := slab.StringOf(&sl.strs, sl.phone)
-		mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
-		epoch := uint64(0)
-		var rnd [16]byte
-		var kc uint64
-		for s := 0; s < sessions; s++ {
-			fresh := s == 0
-			if s > 0 && population.Unit(population.Mix(seed, population.TagReauth, idx, uint64(s))) >= rt.reauthSkip {
-				epoch++ // operator re-authenticated: fresh RAND, fresh Kc
-				fresh = true
-			}
-			if fresh {
-				// RAND and Kc only change with the auth epoch, so the
-				// SHA-based derivations run once per epoch, not per
-				// session (the values are identical either way).
-				rnd = rand16(population.Mix(seed, population.TagRAND, idx, epoch))
-				kc = telecom.SessionKey(pop.Seed(), imsi, rnd, e.space)
-			}
-			// Schedule the session's paging burst on the next CCCH
-			// paging block, as the live network does, so the table
-			// backend's frame classes cover it.
-			start := telecom.NextPagingStart(frame)
-			batch = append(batch, telecom.SMSSession{
-				ARFCN:      baseARFCN + int(channel),
-				CellID:     "campaign-cell",
-				SessionID:  uint32(li*sessions + s),
-				StartFrame: start,
-				Cipher:     mode,
-				Kc:         kc,
-				IMSI:       imsi,
-				RAND:       rnd,
-				Deliver:    otpDeliver,
-			})
-			frame = start + e.otpBursts
-			out.sessions++
-			switch mode {
-			case telecom.CipherA50:
-				out.a50Sessions++
-			case telecom.CipherA53:
-				out.a53Sessions++
-			}
-		}
-	}
-	sl.radio = batch // keep the grown buffer for the next shard
-	m.phases.observe("synth", synthStart)
-
-	// Encrypt phase: the whole shard's A5/1 bursts run through the
-	// 64-lane bitsliced encryptor, then the rig hears every burst in
-	// session order.
-	if len(batch) > 0 {
+		// Encrypt phase: the chunk's A5/1 bursts run through the 64-lane
+		// bitsliced encryptor, then the rig hears every burst in session
+		// order.
 		encStart := time.Now()
 		// The flat trace lives in the slot's burst buffer: FeedBatch
 		// copies each burst into its own session slots, so the buffer is
-		// free for reuse as soon as it returns.
+		// free for the next pass as soon as it returns.
 		if sl.bursts == nil {
 			sl.bursts = telecom.AcquireBurstBuffer()
 		}
@@ -1124,17 +1168,23 @@ func (r *run) radioStage(m *member, sh *population.Shard, sl *slot) *radioOut {
 			// move the golden Summaries undetected.
 			panic(fmt.Sprintf("campaign: batch encode of pre-validated sessions failed: %v", err))
 		}
-		m.phases.observe("encrypt", encStart)
 		feedStart := time.Now()
+		encrypt += feedStart.Sub(encStart)
 		rig.FeedBatch(flat)
-		m.phases.observe("feed", feedStart)
-	}
+		feed += time.Since(feedStart)
 
-	// Attribute decoded captures back to victims via session IDs.
-	sl.captures = rig.AppendCaptures(sl.captures[:0])
-	for _, c := range sl.captures {
-		li := int(c.SessionID) / sessions
-		out.intercepted[li>>6] |= 1 << (uint(li) & 63)
+		// Attribute the pass's decoded captures back to victims via
+		// session IDs; draining keeps the rig's capture list a chunk's.
+		sl.captures = rig.DrainCaptures(sl.captures[:0])
+		for _, c := range sl.captures {
+			li := int(c.SessionID) / sessions
+			out.intercepted[li>>6] |= 1 << (uint(li) & 63)
+		}
+	}
+	m.phases.observeSeconds("synth", synth.Seconds())
+	if out.sessions > 0 {
+		m.phases.observeSeconds("encrypt", encrypt.Seconds())
+		m.phases.observeSeconds("feed", feed.Seconds())
 	}
 	out.sniffer = rig.Stats()
 	return out

@@ -353,6 +353,71 @@ func TestCampaignCancelNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestCampaignCancelAfterFeed: a cancellation that lands after the
+// feed has sent the last shard must still fail the run. The last shard
+// fails its first attempt, transiently, and its worker waits out an
+// hour's backoff; the progress callback waits for that retry to start
+// and cancels once every other shard has merged. The worker abandons
+// the shard it received, so the run must return context.Canceled, not
+// a Summary one shard short.
+func TestCampaignCancelAfterFeed(t *testing.T) {
+	const size, shard = 1024, 128
+	pop := testPop(t, size, shard)
+	last := pop.NumShards() - 1
+	// A fault seed whose one transient failure is the last shard's
+	// first attempt.
+	var fault *faultinject.Injector
+	for seed := uint64(1); fault == nil; seed++ {
+		if seed > 1000 {
+			t.Fatal("no fault seed fails only the last shard")
+		}
+		in, err := faultinject.New(faultinject.Config{Seed: seed, TransientRate: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := in.ShardAttempt(last, 0) != nil
+		for i := 0; i < last && ok; i++ {
+			ok = in.ShardAttempt(i, 0) == nil
+		}
+		if ok {
+			fault = in
+		}
+	}
+	cfg := Config{Population: pop, KeyBits: 10, Workers: 2, Fault: fault,
+		RetryBackoff: time.Hour, RetryBackoffMax: time.Hour}
+	cfg.Cracker = sharedCracker(t, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	retried := metShardsRetried.Value()
+	cfg.ScenarioProgress = func(_ string, done, _ int) {
+		if done < size-shard {
+			return
+		}
+		// Every other shard has merged, so the other worker holds the
+		// last one: cancel once its retry has begun.
+		for deadline := time.Now().Add(10 * time.Second); metShardsRetried.Value() == retried; {
+			if time.Now().After(deadline) {
+				t.Error("the last shard's retry never started")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := eng.RunScenario(ctx, Scenario{})
+	if !errors.Is(err, context.Canceled) {
+		merged := int64(-1)
+		if sum != nil {
+			merged = sum.Subscribers
+		}
+		t.Fatalf("err = %v with %d of %d subscribers merged, want context.Canceled", err, merged, size)
+	}
+}
+
 // TestSweepRecordsScenarioError pins satellite behavior: a scenario
 // failing at runtime becomes an errored row, not a dead sweep.
 func TestSweepRecordsScenarioError(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/actfort/actfort/internal/ecosys"
+	"github.com/actfort/actfort/internal/obs"
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/strategy"
 )
@@ -386,6 +387,68 @@ func TestClosureCounters(t *testing.T) {
 		}
 		if want, ok := closureLayers[sc.Name]; !ok || layers != want {
 			t.Errorf("%s: campaign_closure_layers_total +%d, pinned %d", sc.Name, layers, want)
+		}
+	}
+}
+
+// laneFillSeries are the a51 lane-fill counters, each a (name, use)
+// series: bitsliced passes and filled lanes per use, and the scalar
+// lanes of the chain replay's sub-cutoff blocks.
+var laneFillSeries = [][2]string{
+	{"a51_bitsliced_passes_total", "keystream"},
+	{"a51_bitsliced_lanes_total", "keystream"},
+	{"a51_bitsliced_passes_total", "fingerprint"},
+	{"a51_bitsliced_lanes_total", "fingerprint"},
+	{"a51_scalar_lanes_total", "fingerprint"},
+	{"a51_bitsliced_passes_total", "key_check"},
+	{"a51_bitsliced_lanes_total", "key_check"},
+	{"a51_scalar_lanes_total", "key_check"},
+}
+
+// laneFill pins each built-in scenario's a51 lane fill on the golden
+// engine, in laneFillSeries order. Scenarios whose radio key an earlier
+// scenario already ran replay it from the memo and run no cipher pass.
+// A change to how bursts and lookups are batched moves these while
+// every Summary golden still passes; one that does so on purpose
+// re-pins them and states the delta.
+var laneFill = map[string][8]int64{
+	"baseline":       {2626, 167391, 1173, 67095, 393, 302, 13858, 418},
+	"fortified":      {},
+	"a53-mix":        {1301, 82698, 627, 33275, 460, 182, 6707, 383},
+	"harden-email":   {},
+	"budget-4of16":   {676, 42819, 373, 17508, 364, 116, 3287, 382},
+	"fintech-leaked": {847, 53592, 423, 21091, 438, 131, 4182, 372},
+}
+
+// TestLaneFillCounters runs the built-in scenarios on the golden engine
+// and checks the a51 lane-fill counters against laneFill, and that
+// every fingerprint the chain replay computed ran in a bitsliced or a
+// scalar lane.
+func TestLaneFillCounters(t *testing.T) {
+	eng, err := New(Config{Population: testPop(t, 10000, 1024), Workers: 2, Backend: "table"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() (fill [8]int64, fingerprints int64) {
+		for k, series := range laneFillSeries {
+			fill[k] = counterValue(t, series[0], obs.L("use", series[1]))
+		}
+		return fill, counterValue(t, "a51_chain_fingerprints_total")
+	}
+	for _, sc := range BuiltinScenarios() {
+		fill0, fps0 := read()
+		runOn(t, eng, sc)
+		fill1, fps1 := read()
+		var got [8]int64
+		for k := range got {
+			got[k] = fill1[k] - fill0[k]
+		}
+		if fps := fps1 - fps0; got[3]+got[4] != fps {
+			t.Errorf("%s: %d fingerprint lanes and %d scalar fingerprints, a51_chain_fingerprints_total +%d",
+				sc.Name, got[3], got[4], fps)
+		}
+		if want, ok := laneFill[sc.Name]; !ok || got != want {
+			t.Errorf("%s: lane fill %v, pinned %v", sc.Name, got, want)
 		}
 	}
 }

@@ -43,16 +43,15 @@ func dropBurst(trace []telecom.RadioBurst, sessionID uint32, seq int) []telecom.
 }
 
 // TestCapturesSurviveReset: slices read out through Captures and
-// AppendCaptures belong to the caller, so neither Reset (which clears
+// DrainCaptures belong to the caller, so neither Reset (which clears
 // the rig's capture storage in place) nor a later trace (which refills
 // it) may change them.
 func TestCapturesSurviveReset(t *testing.T) {
 	s := recycleRig(t)
 	s.FeedBatch(campaignTrace(t, 64, telecom.CipherA51, recycleSpace))
 	viaCaptures := s.Captures()
-	viaAppend := s.AppendCaptures(nil)
 	head := Capture{Text: "caller's own"}
-	viaPrefixed := s.AppendCaptures([]Capture{head})
+	viaPrefixed := s.DrainCaptures([]Capture{head})
 	if len(viaCaptures) != 64 {
 		t.Fatalf("captured %d of 64 sessions: %+v", len(viaCaptures), s.Stats())
 	}
@@ -76,15 +75,14 @@ func TestCapturesSurviveReset(t *testing.T) {
 		}
 	}
 	check("Captures", viaCaptures)
-	check("AppendCaptures(nil)", viaAppend)
 	if viaPrefixed[0] != head {
-		t.Fatalf("AppendCaptures overwrote the caller's prefix: %+v", viaPrefixed[0])
+		t.Fatalf("DrainCaptures overwrote the caller's prefix: %+v", viaPrefixed[0])
 	}
-	check("AppendCaptures(prefix)", viaPrefixed[1:])
+	check("DrainCaptures(prefix)", viaPrefixed[1:])
 }
 
 // TestRecycledRigMatchesFreshRigs cycles one rig through several traces
-// (FeedBatch → AppendCaptures → Reset), as a campaign worker does shard
+// (FeedBatch → DrainCaptures → Reset), as a campaign worker does shard
 // after shard, and requires each trace's captures and Stats to equal
 // those of a fresh rig fed the same trace. The sequence is chosen so
 // that state surviving Reset would show: a repeated trace (stale Kc
@@ -111,7 +109,7 @@ func TestRecycledRigMatchesFreshRigs(t *testing.T) {
 		fresh := recycleRig(t)
 		fresh.FeedBatch(tc.trace)
 		recycled.FeedBatch(tc.trace)
-		caps = recycled.AppendCaptures(caps[:0])
+		caps = recycled.DrainCaptures(caps[:0])
 
 		if a, b := fresh.Stats(), recycled.Stats(); a != b {
 			t.Errorf("%s: stats differ:\nfresh    %+v\nrecycled %+v", tc.name, a, b)
@@ -164,6 +162,58 @@ func TestConcurrentFeedBatch(t *testing.T) {
 	}
 }
 
+// TestDrainCapturesKeepsCaches feeds one trace in three pieces,
+// draining the captures after each, as a campaign radio stage does per
+// chunk. A drain must empty the capture list and nothing else: the
+// drained pieces concatenate to the captures of one call over the whole
+// trace, the Stats after the last piece are that call's, and the Kc
+// caches the cracks filled survive, so the trace fed again resolves
+// every session from them without a crack.
+func TestDrainCapturesKeepsCaches(t *testing.T) {
+	trace := campaignTrace(t, 96, telecom.CipherA51, recycleSpace)
+	whole := recycleRig(t)
+	whole.FeedBatch(trace)
+	want := whole.Captures()
+	if len(want) != 96 {
+		t.Fatalf("one-call rig captured %d of 96 sessions", len(want))
+	}
+
+	s := recycleRig(t)
+	var got []Capture
+	for _, cut := range [][2]int{{0, 100}, {100, 301}, {301, len(trace)}} {
+		s.FeedBatch(trace[cut[0]:cut[1]])
+		before := s.Stats()
+		got = s.DrainCaptures(got)
+		if n := len(s.Captures()); n != 0 {
+			t.Fatalf("after draining bursts [%d, %d): %d captures left on the rig", cut[0], cut[1], n)
+		}
+		if after := s.Stats(); after != before {
+			t.Fatalf("DrainCaptures moved Stats:\nbefore %+v\nafter  %+v", before, after)
+		}
+	}
+	if a, b := whole.Stats(), s.Stats(); a != b {
+		t.Errorf("stats differ:\none call %+v\npieces   %+v", a, b)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("drained %d captures, one call recorded %d", len(got), len(want))
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		a.CrackTime, b.CrackTime = 0, 0 // the only wall-clock field
+		if a != b {
+			t.Errorf("capture %d differs:\none call %+v\npieces   %+v", i, a, b)
+		}
+	}
+
+	st := s.Stats()
+	s.FeedBatch(trace)
+	again := s.Stats()
+	if again.CracksAttempted != st.CracksAttempted || again.CrackCacheHits != st.CrackCacheHits+96 {
+		t.Fatalf("trace fed again after the drains: cracks %d → %d, cache hits %d → %d; want no crack and 96 hits",
+			st.CracksAttempted, again.CracksAttempted, st.CrackCacheHits, again.CrackCacheHits)
+	}
+}
+
 // TestRigCycleAllocs guards the steady-state shard cycle: once a rig
 // has seen a trace, feeding it again, reading its captures into a
 // reused slice and resetting it must allocate (nearly) nothing. A
@@ -179,7 +229,7 @@ func TestRigCycleAllocs(t *testing.T) {
 	var caps []Capture
 	cycle := func() {
 		s.FeedBatch(trace)
-		caps = s.AppendCaptures(caps[:0])
+		caps = s.DrainCaptures(caps[:0])
 		s.Reset()
 	}
 	cycle()
@@ -190,7 +240,7 @@ func TestRigCycleAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(20, cycle)
 	t.Logf("allocs per rig cycle: %v", got)
 	if got > maxRigCycleAllocs {
-		t.Fatalf("rig cycle allocates %v times, bound %d: something in FeedBatch, AppendCaptures or Reset stopped recycling its storage", got, maxRigCycleAllocs)
+		t.Fatalf("rig cycle allocates %v times, bound %d: something in FeedBatch, DrainCaptures or Reset stopped recycling its storage", got, maxRigCycleAllocs)
 	}
 }
 

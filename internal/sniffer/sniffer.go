@@ -33,9 +33,11 @@
 //
 // A rig is built to be recycled: Reset empties it in place, keeping the
 // capacity of its session table, Kc caches and capture slice, and
-// AppendCaptures reads the captures into caller-owned storage. A
-// campaign worker that feeds a shard, reads its captures into a reused
-// slice and resets the rig allocates nothing per shard in steady state.
+// DrainCaptures moves the captures into caller-owned storage. A
+// campaign worker that feeds a shard in chunks, draining each chunk's
+// captures into a reused slice, and resets the rig allocates nothing
+// per shard in steady state, and its buffers grow with the largest
+// chunk it fed, not with the shard.
 package sniffer
 
 import (
@@ -363,8 +365,9 @@ func (fs *feedScratch) reset() {
 	fs.tpdu = fs.tpdu[:0]
 }
 
-// FeedBatch ingests a trace of bursts — a whole recorded shard on the
-// campaign engine's path, a single burst on the live path (Feed).
+// FeedBatch ingests a trace of bursts — one chunk of a shard's
+// recorded traffic on the campaign engine's path, a single burst on the
+// live path (Feed).
 // Sessions complete exactly as they would burst by burst, and two
 // batch engines do the per-session work: every fresh key recovery the
 // batch needs is resolved in ONE a51.Cracker.RecoverBatch call (for
@@ -372,7 +375,11 @@ func (fs *feedScratch) reset() {
 // prefetchCracks), and the A5/1 payload decryption of every completed
 // session runs through the 64-lane bitsliced batch encryptor.
 // Captures, statistics and Kc-cache behavior are identical to feeding
-// the same bursts through Feed in order.
+// the same bursts through Feed in order, so a trace split into
+// consecutive pieces, each fed by its own call, ends in the state one
+// call over the whole trace leaves. The rig's buffers — the session
+// freelist, the FeedBatch scratch and the cracker's batch scratch —
+// grow with the largest piece, not with the trace.
 //
 // A burst whose Seq lies outside its session's [0, Total), that opens
 // a session with a Total outside [1, maxSessionBursts], or whose
@@ -735,7 +742,7 @@ func (s *Sniffer) record(fs *feedScratch, p *pendingCapture) {
 // after shard stops allocating once it has seen its largest shard.
 // Every entry and capture is cleared before the storage is reused, so
 // no session, key or capture of an earlier trace stays reachable from
-// them, and slices returned by Captures or AppendCaptures are copies
+// them, and slices returned by Captures or DrainCaptures are copies
 // that a later Reset does not touch. The content-keyed TPDU memo, the
 // session freelist and the FeedBatch scratch (all emptied or
 // content-addressed) are kept.
@@ -762,19 +769,29 @@ func (s *Sniffer) SetCrackObserver(h *obs.Histogram) {
 	s.crackObs = h
 }
 
-// Captures returns a copy of recorded (filter-matching) messages:
-// AppendCaptures(nil).
-func (s *Sniffer) Captures() []Capture { return s.AppendCaptures(nil) }
-
-// AppendCaptures appends the recorded (filter-matching) messages to dst
-// and returns the extended slice. The result is the caller's: the rig
-// keeps no reference to it, so a later Reset or trace leaves it intact.
-// Passing a recycled dst[:0] reads a shard's captures without
-// allocating once dst has grown to the shard's size.
-func (s *Sniffer) AppendCaptures(dst []Capture) []Capture {
+// Captures returns a copy of the recorded (filter-matching) messages,
+// leaving them recorded.
+func (s *Sniffer) Captures() []Capture {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append(dst, s.captures...)
+	return append([]Capture(nil), s.captures...)
+}
+
+// DrainCaptures moves the recorded (filter-matching) messages to dst
+// and returns the extended slice: the rig's capture list is left empty,
+// its capacity kept, while its Kc caches and Stats are untouched. The
+// result is the caller's: the rig keeps no reference to it, so a later
+// Reset or trace leaves it intact. Draining after each chunk of a trace
+// bounds the rig's capture list by a chunk; passing a recycled dst[:0]
+// reads a chunk's captures without allocating once dst has grown to the
+// chunk's size.
+func (s *Sniffer) DrainCaptures(dst []Capture) []Capture {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dst = append(dst, s.captures...)
+	clear(s.captures)
+	s.captures = s.captures[:0]
+	return dst
 }
 
 // Stats returns a snapshot of run counters.
