@@ -42,7 +42,7 @@ func main() {
 		keyBits    = flag.Int("keybits", 12, "A5/1 session-key space bits")
 		backend    = flag.String("backend", "bitsliced", "key-recovery backend: bitsliced|table")
 		tableFile  = flag.String("table-file", "", "with -backend table: load the TMTO table from this file if it exists, else build and save it")
-		chainLen   = flag.Int("chainlen", 0, "with -backend table: distinguished-point chain length (0 = default)")
+		chainLen   = flag.Int("chainlen", 0, "with -backend table: distinguished-point chain length (0 = default; rounded down to a power of two, then halved until the key space holds at least 8 chains and a chain packs into 32 bits, which at -keybits 24 caps it at 64)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -25,11 +25,12 @@
 //     distinguished-point chains, the faithful Kraken analogue: one
 //     expensive precomputation per key space, then amortized O(chain)
 //     work per recovered message instead of a full keyspace sweep.
-//     Each frame's chains are a few flat arrays — ascending
-//     distinguished-point endpoints, one contiguous run of 8-byte
-//     (start, length) records grouped by endpoint, and the overflow
-//     sorted by fingerprint — found by search, so the campaign's table
-//     is a few heap objects per frame rather than one per endpoint.
+//     Each frame's chains are three flat arrays — a dense offset per
+//     distinguished point, one contiguous run of 4-byte packed
+//     (start, length) references grouped by endpoint, and the overflow
+//     sorted by fingerprint — found by indexing, so the campaign's
+//     table is a few heap objects per frame rather than one per
+//     endpoint.
 //
 // The simulated network draws session keys from a configurable
 // KeySpace subspace (and, for table-driven recovery, wraps frame

@@ -20,6 +20,8 @@ var (
 		obs.ExpBuckets(1, 2, 10))
 	metFallbacks = obs.Default.NewCounter("a51_exhaustive_fallbacks_total",
 		"Lookups on frames outside the table window, resolved by the bitsliced exhaustive sweep.")
+	metTableBytes = obs.Default.NewGauge("a51_table_bytes",
+		"Heap bytes held by the TMTO table last built or loaded (Table.Bytes).")
 )
 
 // Lane fill of the 64-lane bitsliced passes, by use: "keystream" for

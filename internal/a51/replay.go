@@ -364,7 +364,7 @@ func (t *Table) settle(lk *lookupState, rs *replayScratch, n uint64, errs []erro
 			return true
 		}
 		metWalkSteps.Observe(float64(lk.checks))
-		lk.chains = lk.ft.chainsAt(lk.pos)
+		lk.chains = t.chainsAt(lk.ft, lk.pos)
 		metReplays.Add(int64(len(lk.chains)))
 		lk.phase = phaseReplay
 		if len(lk.chains) > 1 {
@@ -373,7 +373,7 @@ func (t *Table) settle(lk *lookupState, rs *replayScratch, n uint64, errs []erro
 			// when merges are possible.
 			var total uint64
 			for _, ch := range lk.chains {
-				total += uint64(ch.length)
+				total += uint64(ch.length(t.space.Bits))
 			}
 			rs.newSeenSet(lk, total)
 		}
@@ -381,9 +381,9 @@ func (t *Table) settle(lk *lookupState, rs *replayScratch, n uint64, errs []erro
 	for ; lk.chainIdx < len(lk.chains); lk.chainIdx, lk.posIdx = lk.chainIdx+1, 0 {
 		ch := lk.chains[lk.chainIdx]
 		if lk.posIdx == 0 {
-			lk.pos = uint64(ch.start)
+			lk.pos = ch.start(t.space.Bits)
 		}
-		if lk.posIdx < int(ch.length) && rs.visit(lk) {
+		if lk.posIdx < ch.length(t.space.Bits) && rs.visit(lk) {
 			return true
 		}
 	}

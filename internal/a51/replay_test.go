@@ -66,14 +66,14 @@ func refRecover(ctx context.Context, t *Table, keystream []byte, frame uint32, s
 			y = fingerprint(y) & (n - 1)
 			continue
 		}
-		chains := ft.chainsAt(y)
+		chains := t.chainsAt(ft, y)
 		var visited map[uint64]struct{}
 		if len(chains) > 1 {
 			visited = make(map[uint64]struct{}, t.maxWalk)
 		}
 		for _, ch := range chains {
-			p := uint64(ch.start)
-			for j := uint32(0); j < ch.length; j++ {
+			p := ch.start(t.space.Bits)
+			for j := 0; j < ch.length(t.space.Bits); j++ {
 				if _, seen := visited[p]; seen {
 					break // shared tail: already replayed
 				}

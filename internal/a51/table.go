@@ -37,17 +37,36 @@ type TableConfig struct {
 	// PagingFrames(), the COUNT classes paging bursts land on.
 	Frames []uint32
 	// ChainLen is the target mean distinguished-point chain length
-	// (rounded to a power of two, clamped to the space); 0 means
-	// defaultChainLen. Longer chains trade lookup time for memory.
+	// (rounded down to a power of two, then halved until the space
+	// holds at least 8 chains and a chain packs into 32 bits, which
+	// only bites past 64 at 24 bits); 0 means defaultChainLen. Longer
+	// chains trade lookup time for memory.
 	ChainLen int
 }
 
-// chainRef locates one stored chain: it starts at key index start and
-// covers length key indices before terminating at its distinguished
-// endpoint. Both fit 32 bits because tables cover at most 24-bit key
-// spaces (BuildTable and LoadTable both enforce it).
-type chainRef struct {
-	start, length uint32
+// chainRef locates one stored chain in 32 bits: the key index it starts
+// at in the low Bits bits of a Bits-wide space, and the number of key
+// indices it covers before its distinguished endpoint, minus one, above
+// them. Chains are at most maxWalk = 4×chainLen long, so the geometry
+// must satisfy refFits: BuildTable clamps chainLen to it and LoadTable
+// rejects a file that does not.
+type chainRef uint32
+
+// packRef packs a chain of length key indices starting at start.
+func packRef(start uint64, length, spaceBits int) chainRef {
+	return chainRef(start | uint64(length-1)<<spaceBits)
+}
+
+// start returns the key index r starts at.
+func (r chainRef) start(spaceBits int) uint64 { return uint64(r) & (1<<spaceBits - 1) }
+
+// length returns the number of key indices r covers.
+func (r chainRef) length(spaceBits int) int { return int(r>>spaceBits) + 1 }
+
+// refFits reports whether every chain of a spaceBits-wide space, at
+// most 4×chainLen long, packs into a chainRef.
+func refFits(spaceBits int, chainLen uint64) bool {
+	return spaceBits+bits.Len64(4*chainLen-1) <= 32
 }
 
 // overflowKey is one overflow entry: key index x, whose fingerprint is
@@ -56,15 +75,17 @@ type overflowKey struct {
 	fp, x uint64
 }
 
-// frameTable is the per-frame slice of the trade-off, held in a few
+// frameTable is the per-frame slice of the trade-off, held in three
 // flat arrays rather than per-endpoint lists, so a frame costs a
-// handful of heap objects and eight bytes per stored chain.
+// handful of heap objects, four bytes per stored chain and four per
+// distinguished point of the space.
 type frameTable struct {
-	// ends lists, strictly ascending, the distinguished endpoints that
-	// terminate at least one stored chain.
-	ends []uint32
-	// first has len(ends)+1 offsets: the chains ending at ends[i] are
-	// refs[first[i]:first[i+1]], in build sweep order.
+	// first is the dense endpoint index: one offset per distinguished
+	// point and one past the last, so the chains ending at distinguished
+	// point i×chainLen are refs[first[i]:first[i+1]], in build sweep
+	// order. A total-coverage table ends chains at most of its
+	// distinguished points, so the dense index is smaller than a sorted
+	// list of endpoints with their offsets.
 	first []uint32
 	refs  []chainRef
 	// overflow holds keys on distinguished-point-free cycles, sorted by
@@ -73,37 +94,21 @@ type frameTable struct {
 	overflow []overflowKey
 }
 
-// chainsAt returns the chains stored at distinguished point end, in
-// the order they were built; none if no chain ends there.
-//
-// Endpoints are fingerprints reduced into the key space, so they
-// spread evenly over it. The search starts where end would sit under
-// that spread and gallops outward to bracket it, then binary-searches
-// the bracket: a built table's lookup touches a cache line or two of
-// ends instead of a full binary search's dozen, and any sorted ends a
-// loaded file holds still cost O(log len(ends)).
-func (ft *frameTable) chainsAt(end uint64) []chainRef {
-	ends := ft.ends
-	if len(ends) == 0 || end > uint64(ends[len(ends)-1]) {
+// chainsAt returns the chains of ft stored at key index end, in the
+// order they were built; none unless end is a distinguished point some
+// chain ends at.
+func (t *Table) chainsAt(ft *frameTable, end uint64) []chainRef {
+	if end&(t.chainLen-1) != 0 {
 		return nil
 	}
-	// Bracketed once ends[lo] <= end (or lo == 0) and end < ends[hi]
-	// (or hi == len(ends)).
-	lo := int(end * uint64(len(ends)-1) / max(uint64(ends[len(ends)-1]), 1))
-	hi := lo + 1
-	for step := 1; lo > 0 && uint64(ends[lo]) > end; step *= 2 {
-		hi, lo = lo, max(lo-step, 0)
-	}
-	for step := 1; hi < len(ends) && uint64(ends[hi]) <= end; step *= 2 {
-		lo, hi = hi, min(hi+step, len(ends))
-	}
-	i, ok := slices.BinarySearch(ends[lo:hi], uint32(end))
-	if !ok {
-		return nil
-	}
-	i += lo
+	i := end >> bits.TrailingZeros64(t.chainLen)
 	return ft.refs[ft.first[i]:ft.first[i+1]]
 }
+
+// sized returns a zeroed slice of n elements whose capacity spans the
+// whole allocation the runtime rounds it up to, so Bytes, which sums
+// capacities, counts the heap bytes the slice holds.
+func sized[E any](n int) []E { return slices.Grow([]E(nil), n)[:n] }
 
 // overflowAt returns the overflow entries whose fingerprint is fp.
 func (ft *frameTable) overflowAt(fp uint64) []overflowKey {
@@ -122,8 +127,9 @@ func (ft *frameTable) overflowAt(fp uint64) []overflowKey {
 // cipher setups instead of an O(2^Bits) sweep. Chains follow the
 // classic distinguished-point construction: the successor of key index
 // x is reduce(fingerprint(x)), chains end at indices whose low bits
-// are zero, and only (start, length) pairs are stored, in the flat
-// per-frame arrays of frameTable. Every key in the space is on a
+// are zero, and only (start, length) pairs are stored, packed 32 bits
+// to a chain in the flat per-frame arrays of frameTable and indexed by
+// distinguished point. Every key in the space is on a
 // stored chain or in the overflow index, so lookups for covered frames
 // are exact, not probabilistic. Frames outside the
 // precomputed window fall back to a bitsliced sweep.
@@ -168,11 +174,12 @@ func BuildTable(space KeySpace, cfg TableConfig) (*Table, error) {
 	if chainLen == 0 {
 		chainLen = defaultChainLen
 	}
-	// Round down to a power of two and keep at least ~8 chains.
+	// Round down to a power of two, keep at least ~8 chains and keep
+	// every chain packable into a chainRef.
 	for chainLen&(chainLen-1) != 0 {
 		chainLen &= chainLen - 1
 	}
-	for chainLen > 1 && chainLen > n/8 {
+	for chainLen > 1 && (chainLen > n/8 || !refFits(space.Bits, chainLen)) {
 		chainLen >>= 1
 	}
 	// One build worker per core, each working whole frames.
@@ -212,6 +219,7 @@ func BuildTable(space KeySpace, cfg TableConfig) (*Table, error) {
 	}
 	close(frameCh)
 	wg.Wait()
+	metTableBytes.Set(float64(t.Bytes()))
 	return t, nil
 }
 
@@ -231,9 +239,9 @@ type buildScratch struct {
 	indeg    []uint8  // in-degree under the successor map, saturating at 255
 	path     []uint64 // the walk in progress
 	chains   []builtChain
-	// buckets holds, per distinguished point, first a chain count and
-	// then the next free slot in the frame's refs.
-	buckets []uint32
+	// next holds, per distinguished point, the next free slot in the
+	// frame's refs.
+	next []uint32
 }
 
 func newBuildScratch(n, chainLen uint64, maxWalk int) *buildScratch {
@@ -244,7 +252,7 @@ func newBuildScratch(n, chainLen uint64, maxWalk int) *buildScratch {
 		covered:  make([]bool, n),
 		indeg:    make([]uint8, n),
 		path:     make([]uint64, 0, maxWalk),
-		buckets:  make([]uint32, n/chainLen),
+		next:     make([]uint32, n/chainLen),
 	}
 }
 
@@ -291,7 +299,7 @@ func (s *buildScratch) buildFrame(space KeySpace, frame uint32) *frameTable {
 			if next&dpMask == 0 {
 				s.chains = append(s.chains, builtChain{
 					end: uint32(next),
-					ref: chainRef{start: uint32(x), length: uint32(len(path))},
+					ref: packRef(x, len(path), space.Bits),
 				})
 				stored = true
 				break
@@ -341,38 +349,26 @@ func (s *buildScratch) buildFrame(space KeySpace, frame uint32) *frameTable {
 }
 
 // layOut groups the sweep's chains by endpoint into ft's flat arrays:
-// a counting sort over the distinguished points (endpoint/chainLen),
-// stable, so each endpoint keeps its chains in sweep order.
+// a counting sort over the distinguished points (endpoint/chainLen)
+// whose prefix sums are the dense index, stable, so each endpoint keeps
+// its chains in sweep order.
 func (s *buildScratch) layOut(ft *frameTable) {
 	shift := bits.TrailingZeros64(s.chainLen)
-	buckets := s.buckets
-	clear(buckets)
-	nends := 0
+	first := sized[uint32](len(s.next) + 1)
+	for _, c := range s.chains {
+		first[c.end>>shift+1]++
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	next := s.next
+	copy(next, first)
+	ft.first = first
+	ft.refs = sized[chainRef](len(s.chains))
 	for _, c := range s.chains {
 		b := c.end >> shift
-		if buckets[b] == 0 {
-			nends++
-		}
-		buckets[b]++
-	}
-	ft.ends = make([]uint32, 0, nends)
-	ft.first = make([]uint32, 0, nends+1)
-	ft.refs = make([]chainRef, len(s.chains))
-	next := uint32(0)
-	for b, count := range buckets {
-		if count == 0 {
-			continue
-		}
-		ft.ends = append(ft.ends, uint32(b)<<shift)
-		ft.first = append(ft.first, next)
-		buckets[b] = next
-		next += count
-	}
-	ft.first = append(ft.first, next)
-	for _, c := range s.chains {
-		b := c.end >> shift
-		ft.refs[buckets[b]] = c.ref
-		buckets[b]++
+		ft.refs[next[b]] = c.ref
+		next[b]++
 	}
 }
 
@@ -399,6 +395,17 @@ func (t *Table) Identity() string {
 	}
 	return fmt.Sprintf("table/base=%#x/bits=%d/chainlen=%d/frames=%d:%016x",
 		t.space.Base, t.space.Bits, t.chainLen, len(t.frames), h.Sum64())
+}
+
+// Bytes returns the heap bytes held by the table's per-frame arrays,
+// summed from their capacities: its share of a process's live heap,
+// published as the a51_table_bytes gauge.
+func (t *Table) Bytes() int64 {
+	var b int64
+	for _, ft := range t.frames {
+		b += 4*int64(cap(ft.first)) + 4*int64(cap(ft.refs)) + 16*int64(cap(ft.overflow))
+	}
+	return b
 }
 
 // Space returns the key space the table was built for.
@@ -430,6 +437,14 @@ var tableMagicV1 = [8]byte{'A', '5', '1', 'T', 'M', 'T', 'O', '1'}
 // corrupt header, not an allocation request.
 const maxTableBody = 1 << 32
 
+// maxIndexPerBodyByte caps the dense endpoint indexes LoadTable builds,
+// 4 bytes per distinguished point per frame whatever the file lists, at
+// this many bytes per body byte, so a small file declaring a wide space
+// at chainLen 1 is not a large allocation. A total-coverage table
+// stores at least one 12-byte chain record per 4×chainLen keys, so its
+// indexes stay under 4/3 of its body.
+const maxIndexPerBodyByte = 4
+
 // ErrTableCorrupt reports a table file that failed structural
 // validation: truncated, checksum mismatch, or fields outside the key
 // space they claim to cover.
@@ -458,17 +473,28 @@ func (t *Table) Save(w io.Writer) error {
 	putU32(uint32(t.space.Bits))
 	putU64(t.chainLen)
 	putU32(uint32(len(t.frames)))
+	shift := bits.TrailingZeros64(t.chainLen)
 	for _, frame := range t.Frames() {
 		ft := t.frames[frame]
 		putU32(frame)
-		putU32(uint32(len(ft.ends)))
-		for i, end := range ft.ends {
-			putU64(uint64(end))
+		// The file lists only the distinguished points chains end at.
+		var nends uint32
+		for i := range len(ft.first) - 1 {
+			if ft.first[i] != ft.first[i+1] {
+				nends++
+			}
+		}
+		putU32(nends)
+		for i := range len(ft.first) - 1 {
 			chains := ft.refs[ft.first[i]:ft.first[i+1]]
+			if len(chains) == 0 {
+				continue
+			}
+			putU64(uint64(i) << shift)
 			putU32(uint32(len(chains)))
 			for _, ch := range chains {
-				putU64(uint64(ch.start))
-				putU32(ch.length)
+				putU64(ch.start(t.space.Bits))
+				putU32(uint32(ch.length(t.space.Bits)))
 			}
 		}
 		// The overflow is written one fingerprint at a time, each with
@@ -614,21 +640,31 @@ func LoadTable(r io.Reader) (*Table, error) {
 	t.chainLen = tr.u64()
 	t.maxWalk = int(4 * t.chainLen)
 	if tr.err == nil && (t.space.Bits <= 0 || t.space.Bits > 24 ||
-		t.chainLen == 0 || t.chainLen > 1<<20 || t.chainLen&(t.chainLen-1) != 0) {
+		t.chainLen == 0 || t.chainLen > 1<<20 || t.chainLen&(t.chainLen-1) != 0 ||
+		!refFits(t.space.Bits, t.chainLen)) {
 		tr.fail("invalid geometry (bits=%d chainLen=%d)", t.space.Bits, t.chainLen)
 	}
 	var n uint64
 	if tr.err == nil {
 		n = uint64(1) << t.space.Bits
 	}
+	shift := bits.TrailingZeros64(t.chainLen)
+	ndps := n >> shift
 	nframes := tr.u32()
+	if index := uint64(nframes) * (ndps + 1) * 4; tr.err == nil && index > maxIndexPerBodyByte*uint64(len(body)) {
+		tr.fail("%d frames' endpoint indexes (%d bytes) out of proportion to a %d-byte body", nframes, index, len(body))
+	}
 	for i := uint32(0); i < nframes && tr.err == nil; i++ {
 		frame := tr.u32()
 		if _, dup := t.frames[frame]; dup {
 			tr.fail("frame %d listed twice", frame)
 			break
 		}
-		ft := &frameTable{first: []uint32{0}}
+		ft := &frameTable{first: sized[uint32](int(ndps) + 1)}
+		// The file lists endpoints ascending, so an endpoint's offset, and
+		// those of the distinguished points between it and the previous
+		// endpoint, are set as it arrives; next is the first one unset.
+		var prev, next uint64
 		nends := tr.u32()
 		for j := uint32(0); j < nends && tr.err == nil; j++ {
 			end := tr.u64()
@@ -638,8 +674,8 @@ func LoadTable(r io.Reader) (*Table, error) {
 				tr.fail("chain endpoint %#x outside %d-bit space", end, t.space.Bits)
 			case end&(t.chainLen-1) != 0:
 				tr.fail("chain endpoint %#x is not a distinguished point", end)
-			case j > 0 && end <= uint64(ft.ends[j-1]):
-				tr.fail("chain endpoints not strictly ascending (%#x after %#x)", end, ft.ends[j-1])
+			case j > 0 && end <= prev:
+				tr.fail("chain endpoints not strictly ascending (%#x after %#x)", end, prev)
 			}
 			nchains := tr.u32()
 			if tr.err == nil && nchains == 0 {
@@ -647,6 +683,9 @@ func LoadTable(r io.Reader) (*Table, error) {
 			}
 			if !tr.need(nchains, 12, "chain") {
 				break
+			}
+			for ; next <= end>>shift; next++ {
+				ft.first[next] = uint32(len(ft.refs))
 			}
 			for k := uint32(0); k < nchains && tr.err == nil; k++ {
 				start, length := tr.u64(), tr.u32()
@@ -657,10 +696,12 @@ func LoadTable(r io.Reader) (*Table, error) {
 					tr.fail("chain (start=%#x len=%d) outside space/walk bounds", start, length)
 					break
 				}
-				ft.refs = append(ft.refs, chainRef{start: uint32(start), length: length})
+				ft.refs = append(ft.refs, packRef(start, int(length), t.space.Bits))
 			}
-			ft.ends = append(ft.ends, uint32(end))
-			ft.first = append(ft.first, uint32(len(ft.refs)))
+			prev = end
+		}
+		for ; next <= ndps; next++ {
+			ft.first[next] = uint32(len(ft.refs))
 		}
 		nfps := tr.u32()
 		for j := uint32(0); j < nfps && tr.err == nil; j++ {
@@ -696,5 +737,6 @@ func LoadTable(r io.Reader) (*Table, error) {
 	if tr.err != nil {
 		return nil, tr.err
 	}
+	metTableBytes.Set(float64(t.Bytes()))
 	return t, nil
 }

@@ -172,7 +172,8 @@ func (b tinyBody) bytes() []byte {
 }
 
 // tinyMutations bend validTiny one field at a time; each must fail
-// with ErrTableCorrupt naming the field.
+// with ErrTableCorrupt naming the field, allocating no more than 1 MB
+// on the way (a 24-bit, chainLen-1 index would take 64 MB per frame).
 var tinyMutations = []struct {
 	name string
 	mut  func(*tinyBody)
@@ -200,6 +201,8 @@ var tinyMutations = []struct {
 	{"key count exceeds body", func(b *tinyBody) { b.nkeys = 1 << 30 }, "exceeds remaining"},
 	{"trailing garbage", func(b *tinyBody) { b.trailing = []byte{0xEE} }, "trailing"},
 	{"body truncated mid-record", func(b *tinyBody) { b.skipOverflowKey = true }, "exceeds remaining"},
+	{"chain refs wider than 32 bits", func(b *tinyBody) { b.bits, b.chainLen = 24, 128 }, "invalid geometry"},
+	{"endpoint index out of proportion", func(b *tinyBody) { b.bits, b.chainLen = 24, 1 }, "out of proportion"},
 }
 
 func TestLoadTableFieldValidationMatrix(t *testing.T) {
@@ -225,12 +228,19 @@ func TestLoadTableFieldValidationMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := validTiny()
 			tc.mut(&b)
-			_, err := LoadTable(bytes.NewReader(seal(b.bytes())))
+			in := seal(b.bytes())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := LoadTable(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrTableCorrupt) {
 				t.Fatalf("err = %v, want ErrTableCorrupt", err)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err %q does not mention %q", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("a %d-byte file allocated %d bytes", len(in), grew)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 // Package dataset builds the calibrated synthetic service catalog that
-// stands in for the paper's 201 hand-probed Alexa services (see
-// DESIGN.md's substitution table). The catalog is deterministic and
+// stands in for the paper's 201 hand-probed Alexa services (the
+// substitution is summarized in docs/ARCHITECTURE.md's module table).
+// The catalog is deterministic and
 // quota-driven: 201 services, 187 web presences and 56 mobile
 // presences whose marginal statistics are constructed to match the
 // published measurement — Table I exposure counts exactly, 405
@@ -269,8 +270,7 @@ type servicePlan struct {
 	mobile *presencePlan
 }
 
-// Platform quota tables (see the derivation in DESIGN.md §4 and
-// EXPERIMENTS.md): counts of presences per template.
+// Platform quota tables: counts of presences per template.
 var webTemplateQuota = map[templateKind]int{
 	tDirectSigninSMS: 55,
 	tDirectResetSMS:  75,

@@ -9,7 +9,7 @@
 // anything transmitted on a channel is visible to every subscribed
 // receiver — exactly the property the passive sniffer exploits.
 //
-// Substitution note (see DESIGN.md): session keys are drawn from a
+// Substitution note: session keys are drawn from a
 // reduced a51.KeySpace so the sniffer's exhaustive search stands in
 // for the real rainbow-table crack; the GSM one-way authentication
 // (no network authentication to the phone) is modeled faithfully
