@@ -81,11 +81,14 @@ type overflowKey struct {
 // distinguished point of the space.
 type frameTable struct {
 	// first is the dense endpoint index: one offset per distinguished
-	// point and one past the last, so the chains ending at distinguished
-	// point i×chainLen are refs[first[i]:first[i+1]], in build sweep
-	// order. A total-coverage table ends chains at most of its
-	// distinguished points, so the dense index is smaller than a sorted
-	// list of endpoints with their offsets.
+	// point, so the chains ending at distinguished point i×chainLen are
+	// refs[first[i]:first[i+1]], the last point's running to the end of
+	// refs, in build sweep order (dpChains). A total-coverage table ends
+	// chains at most of its distinguished points, so the dense index is
+	// smaller than a sorted list of endpoints with their offsets. It has
+	// no end sentinel: at the campaign geometry, 2,048 offsets fill an
+	// 8 KiB size class exactly, and one more would round the allocation
+	// up to the next class.
 	first []uint32
 	refs  []chainRef
 	// overflow holds keys on distinguished-point-free cycles, sorted by
@@ -101,8 +104,16 @@ func (t *Table) chainsAt(ft *frameTable, end uint64) []chainRef {
 	if end&(t.chainLen-1) != 0 {
 		return nil
 	}
-	i := end >> bits.TrailingZeros64(t.chainLen)
-	return ft.refs[ft.first[i]:ft.first[i+1]]
+	return ft.dpChains(int(end >> bits.TrailingZeros64(t.chainLen)))
+}
+
+// dpChains returns the chains ending at distinguished point i.
+func (ft *frameTable) dpChains(i int) []chainRef {
+	hi := uint32(len(ft.refs))
+	if i+1 < len(ft.first) {
+		hi = ft.first[i+1]
+	}
+	return ft.refs[ft.first[i]:hi]
 }
 
 // sized returns a zeroed slice of n elements whose capacity spans the
@@ -350,16 +361,18 @@ func (s *buildScratch) buildFrame(space KeySpace, frame uint32) *frameTable {
 
 // layOut groups the sweep's chains by endpoint into ft's flat arrays:
 // a counting sort over the distinguished points (endpoint/chainLen)
-// whose prefix sums are the dense index, stable, so each endpoint keeps
-// its chains in sweep order.
+// whose exclusive prefix sums are the dense index, stable, so each
+// endpoint keeps its chains in sweep order.
 func (s *buildScratch) layOut(ft *frameTable) {
 	shift := bits.TrailingZeros64(s.chainLen)
-	first := sized[uint32](len(s.next) + 1)
+	first := sized[uint32](len(s.next))
 	for _, c := range s.chains {
-		first[c.end>>shift+1]++
+		first[c.end>>shift]++
 	}
-	for i := 1; i < len(first); i++ {
-		first[i] += first[i-1]
+	var sum uint32
+	for i, n := range first {
+		first[i] = sum
+		sum += n
 	}
 	next := s.next
 	copy(next, first)
@@ -479,14 +492,14 @@ func (t *Table) Save(w io.Writer) error {
 		putU32(frame)
 		// The file lists only the distinguished points chains end at.
 		var nends uint32
-		for i := range len(ft.first) - 1 {
-			if ft.first[i] != ft.first[i+1] {
+		for i := range ft.first {
+			if len(ft.dpChains(i)) > 0 {
 				nends++
 			}
 		}
 		putU32(nends)
-		for i := range len(ft.first) - 1 {
-			chains := ft.refs[ft.first[i]:ft.first[i+1]]
+		for i := range ft.first {
+			chains := ft.dpChains(i)
 			if len(chains) == 0 {
 				continue
 			}
@@ -651,7 +664,7 @@ func LoadTable(r io.Reader) (*Table, error) {
 	shift := bits.TrailingZeros64(t.chainLen)
 	ndps := n >> shift
 	nframes := tr.u32()
-	if index := uint64(nframes) * (ndps + 1) * 4; tr.err == nil && index > maxIndexPerBodyByte*uint64(len(body)) {
+	if index := uint64(nframes) * ndps * 4; tr.err == nil && index > maxIndexPerBodyByte*uint64(len(body)) {
 		tr.fail("%d frames' endpoint indexes (%d bytes) out of proportion to a %d-byte body", nframes, index, len(body))
 	}
 	for i := uint32(0); i < nframes && tr.err == nil; i++ {
@@ -660,7 +673,7 @@ func LoadTable(r io.Reader) (*Table, error) {
 			tr.fail("frame %d listed twice", frame)
 			break
 		}
-		ft := &frameTable{first: sized[uint32](int(ndps) + 1)}
+		ft := &frameTable{first: sized[uint32](int(ndps))}
 		// The file lists endpoints ascending, so an endpoint's offset, and
 		// those of the distinguished points between it and the previous
 		// endpoint, are set as it arrives; next is the first one unset.
@@ -700,7 +713,7 @@ func LoadTable(r io.Reader) (*Table, error) {
 			}
 			prev = end
 		}
-		for ; next <= ndps; next++ {
+		for ; next < ndps; next++ {
 			ft.first[next] = uint32(len(ft.refs))
 		}
 		nfps := tr.u32()

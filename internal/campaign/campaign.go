@@ -315,23 +315,23 @@ func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
 
 // slot is one shard slot and the one owner of the working memory of
 // the radio stage run on it: the sniffer rig, the radio session buffer
-// and the burst buffer a pass's encoded trace lives in, the captures
-// drained from the rig, the IMSI scratch and string arena, and the
-// closure inputs of the shard last generated on it. The radio buffers
-// hold one pass of radioChunk subscribers, not a shard. All of it is
-// recycled shard over shard by every run, so a steady-state shard
-// attack allocates nothing population-proportional beyond its
-// radio-memo entry and, on a shard's second attack, its resident
-// closure inputs; the radio buffers are dropped while no radio stage
-// runs (drop).
+// and the burst buffer a pass's encoded trace lives in, the session IDs
+// of the captures drained from the rig, the IMSI scratch and string
+// arena, and the closure inputs of the shard last generated on it. The
+// radio buffers hold one pass of radioChunk subscribers, not a shard.
+// All of it is recycled shard over shard by every run, so a
+// steady-state shard attack allocates nothing population-proportional
+// beyond its radio-memo entry and, on a shard's second attack, its
+// resident closure inputs; the radio buffers are dropped while no
+// radio stage runs (drop).
 type slot struct {
-	rig      *sniffer.Sniffer
-	bursts   *telecom.BurstBuffer
-	radio    []telecom.SMSSession
-	captures []sniffer.Capture
-	phone    []byte
-	strs     slab.Slab[byte]
-	in       closureIn
+	rig    *sniffer.Sniffer
+	bursts *telecom.BurstBuffer
+	radio  []telecom.SMSSession
+	caught []uint32
+	phone  []byte
+	strs   slab.Slab[byte]
+	in     closureIn
 }
 
 // checkout takes a shard slot, blocking until one is free or ctx is
@@ -361,12 +361,10 @@ func (e *Engine) release(sl *slot) {
 }
 
 // reset readies the slot for another radio stage: the rig's caches are
-// cleared in place, and its crack observer detached, before the arena
-// their IMSI keys were carved from is reused.
+// cleared in place and its crack observer detached.
 func (sl *slot) reset() {
 	sl.rig.Reset()
 	sl.rig.SetCrackObserver(nil)
-	sl.strs.Reset()
 }
 
 // drop frees the slot's radio buffers. A shard whose every member hit
@@ -377,7 +375,7 @@ func (sl *slot) drop() {
 		sl.bursts.Release()
 		sl.bursts = nil
 	}
-	sl.radio, sl.captures = nil, nil
+	sl.radio, sl.caught = nil, nil
 }
 
 // RunScenario executes one scenario: attack every owned shard through
@@ -1050,8 +1048,7 @@ const radioChunk = 1024
 // replay it for any scenario with the same key. It runs member m's
 // stage: m's radio environment, budget and segment, its phases and the
 // rig's crack durations observed into m's histograms. The slot must be
-// fresh or reset: the shard's IMSI strings are carved from its arena
-// and reach the rig's session caches.
+// fresh or reset, so its rig holds no cracked key of an earlier shard.
 func (r *run) radioStage(m *member, sh *population.Shard, sl *slot) *radioOut {
 	return r.radioPasses(m, sh, sl, radioChunk)
 }
@@ -1064,12 +1061,13 @@ func (r *run) radioStage(m *member, sh *population.Shard, sl *slot) *radioOut {
 // rig's captures to mark the victims whose sessions it decoded. The
 // passes share what one pass over the shard would: the COUNT schedule
 // continues from pass to pass, session IDs stay shard-local, and the
-// rig and the IMSI arena are not reset between passes, so the rig's
-// (IMSI, RAND) cache spans the shard. FeedBatch's contract makes a
-// trace fed in pieces equal to the whole trace fed at once, so the
-// outcome does not depend on chunk. synth, encrypt and feed are
-// observed once per shard, each the sum over its passes; the rig
-// observes one crack batch per pass.
+// rig is not reset between passes, so its (IMSI, RAND) cache spans the
+// shard. The IMSI arena holds one pass's strings: the bursts carry
+// their IMSIs inline, so the rig's caches keep none of them.
+// FeedBatch's contract makes a trace fed in pieces equal to the whole
+// trace fed at once, so the outcome does not depend on chunk. synth,
+// encrypt and feed are observed once per shard, each the sum over its
+// passes; the rig observes one crack batch per pass.
 func (r *run) radioPasses(m *member, sh *population.Shard, sl *slot, chunk int) *radioOut {
 	e, rt := r.e, m.rt
 	pop := e.cfg.Population
@@ -1086,6 +1084,7 @@ func (r *run) radioPasses(m *member, sh *population.Shard, sl *slot, chunk int) 
 		// count driving the COUNT schedule is the engine's, computed once.
 		synthStart := time.Now()
 		batch := sl.radio[:0]
+		sl.strs.Reset()
 		for li := lo; li < min(lo+chunk, len(sh.Subscribers)); li++ {
 			sub := &sh.Subscribers[li]
 			if !rt.targets(sub) {
@@ -1103,6 +1102,7 @@ func (r *run) radioPasses(m *member, sh *population.Shard, sl *slot, chunk int) 
 			sl.phone = population.AppendIMSI(sl.phone[:0], sub.Index)
 			imsi := slab.StringOf(&sl.strs, sl.phone)
 			mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
+			ki := telecom.SubscriberKi(pop.Seed(), imsi)
 			epoch := uint64(0)
 			var rnd [16]byte
 			var kc uint64
@@ -1113,11 +1113,12 @@ func (r *run) radioPasses(m *member, sh *population.Shard, sl *slot, chunk int) 
 					fresh = true
 				}
 				if fresh {
-					// RAND and Kc only change with the auth epoch, so the
-					// SHA-based derivations run once per epoch, not per
-					// session (the values are identical either way).
+					// RAND and Kc only change with the auth epoch, so Kc is
+					// derived once per epoch, not per session, from the Ki
+					// derived once per victim (the values are identical
+					// either way).
 					rnd = rand16(population.Mix(seed, population.TagRAND, idx, epoch))
-					kc = telecom.SessionKey(pop.Seed(), imsi, rnd, e.space)
+					kc = telecom.SessionKeyFromKi(ki, rnd, e.space)
 				}
 				// Schedule the session's paging burst on the next CCCH
 				// paging block, as the live network does, so the table
@@ -1175,9 +1176,9 @@ func (r *run) radioPasses(m *member, sh *population.Shard, sl *slot, chunk int) 
 
 		// Attribute the pass's decoded captures back to victims via
 		// session IDs; draining keeps the rig's capture list a chunk's.
-		sl.captures = rig.DrainCaptures(sl.captures[:0])
-		for _, c := range sl.captures {
-			li := int(c.SessionID) / sessions
+		sl.caught = rig.DrainSessionIDs(sl.caught[:0])
+		for _, id := range sl.caught {
+			li := int(id) / sessions
 			out.intercepted[li>>6] |= 1 << (uint(li) & 63)
 		}
 	}

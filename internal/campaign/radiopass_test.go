@@ -122,14 +122,19 @@ func TestRadioFootprint(t *testing.T) {
 		}
 	}
 	check("slot session batch capacity", cap(sl.radio), maxSessions)
-	check("slot captures capacity", cap(sl.captures), maxSessions)
+	check("slot caught session IDs capacity", cap(sl.caught), maxSessions)
 	// The burst buffer and the rig keep their buffers unexported; read
-	// their capacities through reflection.
+	// their capacities through reflection. A5/1 lanes are gathered on
+	// the stack, so neither keeps a slice of payload slices.
 	slices := func(what string, v reflect.Value, max int) {
 		t.Helper()
 		for f := range v.NumField() {
 			if v.Field(f).Kind() == reflect.Slice {
-				check(what+"."+v.Type().Field(f).Name+" capacity", v.Field(f).Cap(), max)
+				name := what + "." + v.Type().Field(f).Name
+				check(name+" capacity", v.Field(f).Cap(), max)
+				if v.Field(f).Type() == reflect.TypeFor[[][]byte]() {
+					t.Errorf("%s is a per-chunk lane slice", name)
+				}
 			}
 		}
 	}

@@ -17,7 +17,7 @@ const fuzzBurstBytes = 5 + 4 + telecom.BurstPayloadMax
 const fuzzMaxBursts = 32
 
 // fuzzTrace decodes fuzz bytes into a burst trace, one burst per
-// fuzzBurstBytes; Seq and Total are signed so negative values occur.
+// fuzzBurstBytes.
 func fuzzTrace(data []byte) []telecom.RadioBurst {
 	var trace []telecom.RadioBurst
 	for len(data) >= fuzzBurstBytes && len(trace) < fuzzMaxBursts {
@@ -25,17 +25,16 @@ func fuzzTrace(data []byte) []telecom.RadioBurst {
 		data = data[fuzzBurstBytes:]
 		b := telecom.RadioBurst{
 			ARFCN:      512,
-			CellID:     "fuzz-cell",
 			SessionID:  uint32(r[0]),
-			Seq:        int(int8(r[1])),
-			Total:      int(int8(r[2])),
+			Seq:        r[1],
+			Total:      r[2],
 			PayloadLen: r[3],
 			Cipher:     telecom.CipherMode(r[4] & 3),
 			Encrypted:  r[4]&4 != 0,
 			Frame:      binary.BigEndian.Uint32(r[5:9]),
 		}
 		if r[4]&8 != 0 {
-			b.IMSI = "imsi-001"
+			b.IMSI, _ = telecom.MakeIMSI("imsi-001")
 		}
 		copy(b.Payload[:], r[9:])
 		trace = append(trace, b)
@@ -52,10 +51,10 @@ func fuzzBytes(trace []telecom.RadioBurst) []byte {
 		if b.Encrypted {
 			flags |= 4
 		}
-		if b.IMSI != "" {
+		if !b.IMSI.IsZero() {
 			flags |= 8
 		}
-		out = append(out, byte(b.SessionID), byte(b.Seq), byte(b.Total), b.PayloadLen, flags)
+		out = append(out, byte(b.SessionID), b.Seq, b.Total, b.PayloadLen, flags)
 		out = binary.BigEndian.AppendUint32(out, b.Frame)
 		out = append(out, b.Payload[:]...)
 	}

@@ -73,7 +73,7 @@ func TestFeedBatchMalformedBursts(t *testing.T) {
 	edit := func(mutate func([]telecom.RadioBurst) []telecom.RadioBurst) []telecom.RadioBurst {
 		return mutate(append([]telecom.RadioBurst(nil), good...))
 	}
-	withTotal := func(v int) []telecom.RadioBurst {
+	withTotal := func(v uint8) []telecom.RadioBurst {
 		return edit(func(bs []telecom.RadioBurst) []telecom.RadioBurst {
 			for i := range bs {
 				bs[i].Total = v
@@ -102,21 +102,23 @@ func TestFeedBatchMalformedBursts(t *testing.T) {
 		// The last payload burst arrives with Seq == Total: the session
 		// lacks that slot and never completes.
 		{"seq-at-total", edit(func(bs []telecom.RadioBurst) []telecom.RadioBurst {
-			bs[total-1].Seq = total
+			bs[total-1].Seq = uint8(total)
 			return bs
 		})},
+		// Seq and Total are bytes: a negative value arrives as its
+		// two's-complement byte, a huge one as a large byte.
 		{"seq-negative", edit(func(bs []telecom.RadioBurst) []telecom.RadioBurst {
-			bs[1].Seq = -1
+			bs[1].Seq = 0xFF // -1
 			return bs
 		})},
 		{"seq-huge", edit(func(bs []telecom.RadioBurst) []telecom.RadioBurst {
-			bs[1].Seq = 1 << 30
+			bs[1].Seq = 200
 			return bs
 		})},
 		{"total-zero", withTotal(0)},
-		{"total-negative", withTotal(-3)},
+		{"total-negative", withTotal(0xFD)}, // -3
 		{"total-above-cap", withTotal(maxSessionBursts + 1)},
-		{"total-huge", withTotal(1 << 30)},
+		{"total-huge", withTotal(0xFF)},
 		// A payload burst claims more bytes than it carries inline: it
 		// is dropped, so the session never completes.
 		{"payload-len-15", withPayloadLen(telecom.BurstPayloadMax + 1)},

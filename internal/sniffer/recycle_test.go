@@ -2,6 +2,7 @@ package sniffer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func recycleRig(tb testing.TB) *Sniffer {
 func dropBurst(trace []telecom.RadioBurst, sessionID uint32, seq int) []telecom.RadioBurst {
 	out := make([]telecom.RadioBurst, 0, len(trace))
 	for _, b := range trace {
-		if b.SessionID != sessionID || b.Seq != seq {
+		if b.SessionID != sessionID || int(b.Seq) != seq {
 			out = append(out, b)
 		}
 	}
@@ -43,15 +44,15 @@ func dropBurst(trace []telecom.RadioBurst, sessionID uint32, seq int) []telecom.
 }
 
 // TestCapturesSurviveReset: slices read out through Captures and
-// DrainCaptures belong to the caller, so neither Reset (which clears
+// DrainSessionIDs belong to the caller, so neither Reset (which clears
 // the rig's capture storage in place) nor a later trace (which refills
 // it) may change them.
 func TestCapturesSurviveReset(t *testing.T) {
 	s := recycleRig(t)
 	s.FeedBatch(campaignTrace(t, 64, telecom.CipherA51, recycleSpace))
 	viaCaptures := s.Captures()
-	head := Capture{Text: "caller's own"}
-	viaPrefixed := s.DrainCaptures([]Capture{head})
+	const head = 1 << 31 // the caller's own
+	viaPrefixed := s.DrainSessionIDs([]uint32{head})
 	if len(viaCaptures) != 64 {
 		t.Fatalf("captured %d of 64 sessions: %+v", len(viaCaptures), s.Stats())
 	}
@@ -76,13 +77,24 @@ func TestCapturesSurviveReset(t *testing.T) {
 	}
 	check("Captures", viaCaptures)
 	if viaPrefixed[0] != head {
-		t.Fatalf("DrainCaptures overwrote the caller's prefix: %+v", viaPrefixed[0])
+		t.Fatalf("DrainSessionIDs overwrote the caller's prefix: %d", viaPrefixed[0])
 	}
-	check("DrainCaptures(prefix)", viaPrefixed[1:])
+	if got, want := viaPrefixed[1:], sessionIDs(want); !slices.Equal(got, want) {
+		t.Fatalf("DrainSessionIDs(prefix) after Reset: %v, want %v", got, want)
+	}
+}
+
+// sessionIDs lists the session IDs of caps, in order.
+func sessionIDs(caps []Capture) []uint32 {
+	ids := make([]uint32, len(caps))
+	for i := range caps {
+		ids[i] = caps[i].SessionID
+	}
+	return ids
 }
 
 // TestRecycledRigMatchesFreshRigs cycles one rig through several traces
-// (FeedBatch → DrainCaptures → Reset), as a campaign worker does shard
+// (FeedBatch → DrainSessionIDs → Reset), as a campaign worker does shard
 // after shard, and requires each trace's captures and Stats to equal
 // those of a fresh rig fed the same trace. The sequence is chosen so
 // that state surviving Reset would show: a repeated trace (stale Kc
@@ -104,12 +116,16 @@ func TestRecycledRigMatchesFreshRigs(t *testing.T) {
 		{"a51-256-third", a51Trace},
 	}
 	recycled := recycleRig(t)
-	var caps []Capture
+	var ids []uint32
 	for _, tc := range traces {
 		fresh := recycleRig(t)
 		fresh.FeedBatch(tc.trace)
 		recycled.FeedBatch(tc.trace)
-		caps = recycled.DrainCaptures(caps[:0])
+		caps := recycled.Captures()
+		ids = recycled.DrainSessionIDs(ids[:0])
+		if want := sessionIDs(caps); !slices.Equal(ids, want) {
+			t.Errorf("%s: drained session IDs %v, captures hold %v", tc.name, ids, want)
+		}
 
 		if a, b := fresh.Stats(), recycled.Stats(); a != b {
 			t.Errorf("%s: stats differ:\nfresh    %+v\nrecycled %+v", tc.name, a, b)
@@ -165,8 +181,9 @@ func TestConcurrentFeedBatch(t *testing.T) {
 // TestDrainCapturesKeepsCaches feeds one trace in three pieces,
 // draining the captures after each, as a campaign radio stage does per
 // chunk. A drain must empty the capture list and nothing else: the
-// drained pieces concatenate to the captures of one call over the whole
-// trace, the Stats after the last piece are that call's, and the Kc
+// pieces' captures, and the session IDs drained, concatenate to those
+// of one call over the whole trace, the Stats after the last piece are
+// that call's, and the Kc
 // caches the cracks filled survive, so the trace fed again resolves
 // every session from them without a crack.
 func TestDrainCapturesKeepsCaches(t *testing.T) {
@@ -179,17 +196,24 @@ func TestDrainCapturesKeepsCaches(t *testing.T) {
 	}
 
 	s := recycleRig(t)
-	var got []Capture
+	var (
+		got []Capture
+		ids []uint32
+	)
 	for _, cut := range [][2]int{{0, 100}, {100, 301}, {301, len(trace)}} {
 		s.FeedBatch(trace[cut[0]:cut[1]])
 		before := s.Stats()
-		got = s.DrainCaptures(got)
+		got = append(got, s.Captures()...)
+		ids = s.DrainSessionIDs(ids)
 		if n := len(s.Captures()); n != 0 {
 			t.Fatalf("after draining bursts [%d, %d): %d captures left on the rig", cut[0], cut[1], n)
 		}
 		if after := s.Stats(); after != before {
-			t.Fatalf("DrainCaptures moved Stats:\nbefore %+v\nafter  %+v", before, after)
+			t.Fatalf("DrainSessionIDs moved Stats:\nbefore %+v\nafter  %+v", before, after)
 		}
+	}
+	if want := sessionIDs(want); !slices.Equal(ids, want) {
+		t.Errorf("drained session IDs %v, one call captured %v", ids, want)
 	}
 	if a, b := whole.Stats(), s.Stats(); a != b {
 		t.Errorf("stats differ:\none call %+v\npieces   %+v", a, b)
@@ -226,21 +250,21 @@ func TestRigCycleAllocs(t *testing.T) {
 	}
 	trace := campaignTrace(t, 256, telecom.CipherA51, recycleSpace)
 	s := recycleRig(t)
-	var caps []Capture
+	var ids []uint32
 	cycle := func() {
 		s.FeedBatch(trace)
-		caps = s.DrainCaptures(caps[:0])
+		ids = s.DrainSessionIDs(ids[:0])
 		s.Reset()
 	}
 	cycle()
-	if len(caps) != 256 {
-		t.Fatalf("warm-up captured %d of 256 sessions", len(caps))
+	if len(ids) != 256 {
+		t.Fatalf("warm-up captured %d of 256 sessions", len(ids))
 	}
 	cycle()
 	got := testing.AllocsPerRun(20, cycle)
 	t.Logf("allocs per rig cycle: %v", got)
 	if got > maxRigCycleAllocs {
-		t.Fatalf("rig cycle allocates %v times, bound %d: something in FeedBatch, DrainCaptures or Reset stopped recycling its storage", got, maxRigCycleAllocs)
+		t.Fatalf("rig cycle allocates %v times, bound %d: something in FeedBatch, DrainSessionIDs or Reset stopped recycling its storage", got, maxRigCycleAllocs)
 	}
 }
 

@@ -33,11 +33,11 @@
 //
 // A rig is built to be recycled: Reset empties it in place, keeping the
 // capacity of its session table, Kc caches and capture slice, and
-// DrainCaptures moves the captures into caller-owned storage. A
-// campaign worker that feeds a shard in chunks, draining each chunk's
-// captures into a reused slice, and resets the rig allocates nothing
-// per shard in steady state, and its buffers grow with the largest
-// chunk it fed, not with the shard.
+// DrainSessionIDs moves the captures' session IDs into caller-owned
+// storage. A campaign worker that feeds a shard in chunks, draining
+// each chunk's captures into a reused slice, and resets the rig
+// allocates nothing per shard in steady state, and its buffers grow
+// with the largest chunk it fed, not with the shard.
 package sniffer
 
 import (
@@ -192,9 +192,11 @@ type Sniffer struct {
 	crackObs *obs.Histogram
 }
 
-// subKcKey identifies one subscriber authentication context.
+// subKcKey identifies one subscriber authentication context. It holds
+// the burst's inline IMSI, so a key owns its bytes and keeps no
+// caller's memory alive.
 type subKcKey struct {
-	imsi string
+	imsi telecom.IMSI
 	rand [16]byte
 }
 
@@ -303,10 +305,12 @@ func (s *Sniffer) Feed(b telecom.RadioBurst) {
 }
 
 // feedScratch is the reusable memory of one FeedBatch call — completed
-// sessions, the crack prefetch queue, decryption lanes and the TPDU
-// assembly buffer — kept on the rig between calls so a campaign
-// shard's trace costs no per-session allocation storm. It holds no
-// payload bytes: those stay in the completed sessions' slots.
+// sessions, the crack prefetch queue, the sessions awaiting decryption
+// and the TPDU assembly buffer — kept on the rig between calls so a
+// campaign shard's trace costs no per-session allocation storm. It
+// holds no payload bytes: those stay in the completed sessions' slots,
+// and the decryption lanes pointing into them are gathered on the
+// stack (telecom.LaneBatch).
 type feedScratch struct {
 	completed []*session
 	// Crack prefetch state: crackOf[i] is the sample index queued for
@@ -323,11 +327,8 @@ type feedScratch struct {
 	pendSess map[uint32]int32
 	pendSub  map[subKcKey]int32
 	// Decrypt/record state.
-	pend   []pendingCapture
-	kcs    []uint64
-	frames []uint32
-	lanes  [][]byte
-	tpdu   []byte
+	pend []pendingCapture
+	tpdu []byte
 }
 
 // pendingCapture is one resolved session awaiting batched decryption.
@@ -350,7 +351,6 @@ func (fs *feedScratch) reset() {
 	clear(fs.completed)
 	clear(fs.samples)
 	clear(fs.pend)
-	clear(fs.lanes)
 	clear(fs.pendSess)
 	clear(fs.pendSub)
 	fs.completed = fs.completed[:0]
@@ -359,9 +359,6 @@ func (fs *feedScratch) reset() {
 	fs.samples = fs.samples[:0]
 	fs.keys, fs.errs, fs.share = nil, nil, 0
 	fs.pend = fs.pend[:0]
-	fs.kcs = fs.kcs[:0]
-	fs.frames = fs.frames[:0]
-	fs.lanes = fs.lanes[:0]
 	fs.tpdu = fs.tpdu[:0]
 }
 
@@ -413,6 +410,8 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	// prefetched cracks and the rare batch-of-one crack — queueing the
 	// encrypted payload bursts of resolvable sessions as decryption
 	// lanes. Unresolvable sessions cost no batched cipher work.
+	var lanes telecom.LaneBatch
+	nlanes := 0
 	for ci, sess := range fs.completed {
 		var pre *crackResult
 		if fs.crackOf[ci] >= 0 {
@@ -427,15 +426,14 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 		// the rig owns until recycleSessions.
 		for i := 1; i < len(sess.bursts); i++ {
 			if b := &sess.bursts[i]; b.Encrypted {
-				fs.kcs = append(fs.kcs, kc)
-				fs.frames = append(fs.frames, b.Frame)
-				fs.lanes = append(fs.lanes, b.Bytes())
+				lanes.Add(kc, b.Frame, b.Bytes())
+				nlanes++
 			}
 		}
 		fs.pend = append(fs.pend, pendingCapture{sess: sess, kc: kc, crackTime: crackTime})
 	}
-	metFeedLanes.Observe(float64(len(fs.lanes)))
-	a51.EncryptBurstsBatch(fs.kcs, fs.frames, fs.lanes)
+	metFeedLanes.Observe(float64(nlanes))
+	lanes.Flush()
 	for i := range fs.pend {
 		s.record(fs, &fs.pend[i])
 	}
@@ -480,7 +478,7 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 			continue
 		}
 		subKey := subKcKey{imsi: paging.IMSI, rand: paging.RAND}
-		if paging.IMSI != "" {
+		if !paging.IMSI.IsZero() {
 			if _, hit := s.subKc[subKey]; hit {
 				continue
 			}
@@ -497,7 +495,7 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 		fs.samples = append(fs.samples, a51.Sample{Frame: paging.Frame})
 		fs.crackOf[len(fs.crackOf)-1] = idx
 		fs.pendSess[paging.SessionID] = idx
-		if paging.IMSI != "" {
+		if !paging.IMSI.IsZero() {
 			fs.pendSub[subKey] = idx
 		}
 	}
@@ -528,14 +526,14 @@ func (s *Sniffer) crack(samples []a51.Sample) (keys []uint64, errs []error, shar
 	return keys, errs, time.Since(start) / time.Duration(len(samples))
 }
 
-// recycleSessions clears completed session buffers (dropping their
-// payload references) and returns them to the freelist. Callers must
-// be completely done with the sessions: they are out of s.sessions
-// already (ingestLocked removed them on completion), so the freelist is
-// the only remaining reference.
+// recycleSessions returns completed session buffers to the freelist.
+// The bursts hold no pointer, and a reused slot is refilled before its
+// session completes, so only the present bits are cleared. Callers
+// must be completely done with the sessions: they are out of
+// s.sessions already (ingestLocked removed them on completion), so the
+// freelist is the only remaining reference.
 func (s *Sniffer) recycleSessions(sessions ...*session) {
 	for _, sess := range sessions {
-		clear(sess.bursts)
 		sess.present = 0
 	}
 	s.mu.Lock()
@@ -552,11 +550,11 @@ func (s *Sniffer) ingestLocked(b *telecom.RadioBurst) (*session, bool) {
 		return nil, false
 	}
 	sess := s.sessions[b.SessionID]
-	total := b.Total
+	total := int(b.Total)
 	if sess != nil {
 		total = len(sess.bursts)
 	}
-	if total <= 0 || total > maxSessionBursts || b.Seq < 0 || b.Seq >= total {
+	if total <= 0 || total > maxSessionBursts || int(b.Seq) >= total {
 		return nil, false
 	}
 	if sess == nil {
@@ -616,7 +614,7 @@ func (s *Sniffer) resolveSession(paging *telecom.RadioBurst, pre *crackResult) (
 	}
 
 	subKey := subKcKey{imsi: paging.IMSI, rand: paging.RAND}
-	subEligible := paging.IMSI != ""
+	subEligible := !paging.IMSI.IsZero()
 	s.mu.Lock()
 	cached, hit := s.kcCache[paging.SessionID]
 	if hit {
@@ -709,7 +707,7 @@ func (s *Sniffer) record(fs *feedScratch, p *pendingCapture) {
 
 	capt := Capture{
 		ARFCN:      paging.ARFCN,
-		CellID:     paging.CellID,
+		CellID:     paging.Cell.ID(),
 		SessionID:  paging.SessionID,
 		Originator: msg.Originator,
 		Text:       msg.Text,
@@ -742,7 +740,7 @@ func (s *Sniffer) record(fs *feedScratch, p *pendingCapture) {
 // after shard stops allocating once it has seen its largest shard.
 // Every entry and capture is cleared before the storage is reused, so
 // no session, key or capture of an earlier trace stays reachable from
-// them, and slices returned by Captures or DrainCaptures are copies
+// them, and slices returned by Captures or DrainSessionIDs are copies
 // that a later Reset does not touch. The content-keyed TPDU memo, the
 // session freelist and the FeedBatch scratch (all emptied or
 // content-addressed) are kept.
@@ -777,18 +775,20 @@ func (s *Sniffer) Captures() []Capture {
 	return append([]Capture(nil), s.captures...)
 }
 
-// DrainCaptures moves the recorded (filter-matching) messages to dst
-// and returns the extended slice: the rig's capture list is left empty,
-// its capacity kept, while its Kc caches and Stats are untouched. The
-// result is the caller's: the rig keeps no reference to it, so a later
-// Reset or trace leaves it intact. Draining after each chunk of a trace
-// bounds the rig's capture list by a chunk; passing a recycled dst[:0]
-// reads a chunk's captures without allocating once dst has grown to the
-// chunk's size.
-func (s *Sniffer) DrainCaptures(dst []Capture) []Capture {
+// DrainSessionIDs moves the recorded (filter-matching) messages out of
+// the rig as their session IDs, appended to dst in capture order, and
+// returns the extended slice: the rig's capture list is left empty,
+// its capacity kept, while its Kc caches and Stats are untouched.
+// Draining after each chunk of a trace bounds the rig's capture list by
+// a chunk, and a caller that only attributes captures to sessions keeps
+// four bytes per capture; passing a recycled dst[:0] drains without
+// allocating once dst has grown to a chunk's captures.
+func (s *Sniffer) DrainSessionIDs(dst []uint32) []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dst = append(dst, s.captures...)
+	for i := range s.captures {
+		dst = append(dst, s.captures[i].SessionID)
+	}
 	clear(s.captures)
 	s.captures = s.captures[:0]
 	return dst

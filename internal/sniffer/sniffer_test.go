@@ -637,7 +637,7 @@ func TestKcReuseCacheIneligible(t *testing.T) {
 	n, sub, s := rig(t, Config{})
 	var recorded []telecom.RadioBurst
 	cancel := n.Subscribe(512, func(b telecom.RadioBurst) {
-		b.IMSI = ""
+		b.IMSI = telecom.IMSI{}
 		b.RAND = [16]byte{}
 		recorded = append(recorded, b)
 	})

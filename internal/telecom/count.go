@@ -52,8 +52,8 @@ func (m CellMix) Mode(u float64) CipherMode {
 
 // xorBurstA53 XORs payload in place with an A5/3 (KASUMI) keystream
 // stand-in derived via SHA-256. The construction is not KASUMI — it is
-// a stand-in the same way deriveKc stands in for COMP128 — but it has
-// the one property the fortification scenarios need: no backend in
+// a stand-in the same way SessionKeyFromKi stands in for COMP128 — but
+// it has the one property the fortification scenarios need: no backend in
 // internal/a51 recovers its key, so A5/3 traffic is opaque to the rig.
 // XOR symmetry makes it its own inverse.
 func xorBurstA53(kc uint64, frame uint32, payload []byte) {

@@ -9,7 +9,7 @@ import (
 	"github.com/actfort/actfort/internal/a51"
 )
 
-// TestDerivationsMatchStreamingHash pins deriveKc and sres, which hash
+// TestDerivationsMatchStreamingHash pins SessionKeyFromKi and sres, which hash
 // one stack array, to the streaming sha256.New form they replaced: the
 // preimage is the same byte sequence, so every key and response must
 // agree over random SIM secrets, challenges and key spaces.
@@ -35,8 +35,8 @@ func TestDerivationsMatchStreamingHash(t *testing.T) {
 		rng.Read(ki[:])
 		rng.Read(rnd[:])
 		space := a51.KeySpace{Base: rng.Uint64(), Bits: rng.Intn(65)}
-		if got, want := deriveKc(ki, rnd, space), streamKc(ki, rnd, space); got != want {
-			t.Fatalf("deriveKc(%x, %x, %+v) = %#x, streaming form %#x", ki, rnd, space, got, want)
+		if got, want := SessionKeyFromKi(ki, rnd, space), streamKc(ki, rnd, space); got != want {
+			t.Fatalf("SessionKeyFromKi(%x, %x, %+v) = %#x, streaming form %#x", ki, rnd, space, got, want)
 		}
 		if got, want := sres(ki, rnd), streamSRES(ki, rnd); got != want {
 			t.Fatalf("sres(%x, %x) = %x, streaming form %x", ki, rnd, got, want)

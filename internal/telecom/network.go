@@ -34,9 +34,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/actfort/actfort/internal/a51"
@@ -55,7 +57,7 @@ var (
 )
 
 // CipherMode is the cell's over-the-air encryption policy.
-type CipherMode int
+type CipherMode uint8
 
 const (
 	// CipherA50 is no encryption — the paper notes many GSM networks
@@ -122,30 +124,112 @@ func (c *Cell) effectivePower() int {
 // RadioBurst is one unit of air traffic on an ARFCN. A multi-burst SMS
 // transmission shares a SessionID; burst 0 is always the paging burst
 // whose plaintext is predictable (the known-plaintext foothold).
+//
+// A burst holds no pointer and is 72 bytes: the payload and the
+// subscriber identity are inline arrays and the cell is a CellRef, so a
+// trace of bursts is one flat allocation the garbage collector never
+// scans.
 type RadioBurst struct {
 	ARFCN     int
-	CellID    string
 	Frame     uint32
 	SessionID uint32
-	Seq       int
-	Total     int
-	// Cipher is the mode the burst was transmitted under. Real GSM
-	// announces it in the clear (Ciphering Mode Command), so a passive
-	// sniffer knows whether a session is crackable A5/1 or opaque A5/3
-	// before spending any search effort.
-	Cipher    CipherMode
-	Encrypted bool
-	// Payload holds the burst's bytes inline, so copying a burst
-	// copies them: the first PayloadLen (at most BurstPayloadMax in a
-	// well-formed burst), which Bytes returns.
-	PayloadLen uint8
-	Payload    [BurstPayloadMax]byte
 	// IMSI and RAND identify the authentication context the session
 	// was ciphered under. Real GSM exposes both in the clear (paging
 	// identities, the authentication-request RAND), so a passive
 	// sniffer may key caches on them; they are metadata, not payload.
-	IMSI string
+	IMSI IMSI
 	RAND [16]byte
+	// Payload holds the burst's bytes inline, so copying a burst
+	// copies them: the first PayloadLen (at most BurstPayloadMax in a
+	// well-formed burst), which Bytes returns.
+	Payload [BurstPayloadMax]byte
+	Cell    CellRef
+	// Seq is the burst's place in its session of Total bursts; a
+	// session has at most 255 (a TPDU takes at most 13).
+	Seq, Total uint8
+	// Cipher is the mode the burst was transmitted under. Real GSM
+	// announces it in the clear (Ciphering Mode Command), so a passive
+	// sniffer knows whether a session is crackable A5/1 or opaque A5/3
+	// before spending any search effort.
+	Cipher     CipherMode
+	Encrypted  bool
+	PayloadLen uint8
+}
+
+// IMSIMax is the most characters an IMSI has: a 3-digit MCC, a 2- or
+// 3-digit MNC and the MSIN, 15 digits in all (3GPP TS 23.003).
+const IMSIMax = 15
+
+// ErrIMSITooLong reports an IMSI longer than IMSIMax characters; one is
+// refused, never truncated.
+var ErrIMSITooLong = errors.New("telecom: IMSI longer than 15 characters")
+
+// IMSI is a subscriber identity held inline, so a burst carrying one
+// holds no pointer. The zero IMSI is empty: no identity on the air.
+type IMSI struct {
+	n uint8
+	b [IMSIMax]byte
+}
+
+// MakeIMSI copies s into an IMSI. An s longer than IMSIMax fails with
+// ErrIMSITooLong.
+func MakeIMSI(s string) (IMSI, error) {
+	var id IMSI
+	if len(s) > IMSIMax {
+		return id, fmt.Errorf("%w: %q", ErrIMSITooLong, s)
+	}
+	id.n = uint8(copy(id.b[:], s))
+	return id, nil
+}
+
+// String returns the identity.
+func (id IMSI) String() string { return string(id.b[:id.n]) }
+
+// IsZero reports whether the identity is empty.
+func (id IMSI) IsZero() bool { return id.n == 0 }
+
+// CellRef names a burst's cell in two bytes: an index into the
+// process-wide list of the cell IDs bursts have been encoded with.
+// The zero CellRef names the empty ID.
+type CellRef uint16
+
+// The cell IDs a CellRef indexes. The list only grows, by one entry
+// per distinct cell ID ever encoded: a handful on a live network, one
+// in the campaign engine. cellIDs is copied on write, so ID reads it
+// without a lock; cellMu guards interning.
+var (
+	cellMu   sync.Mutex
+	cellByID = map[string]CellRef{"": 0}
+	cellIDs  atomic.Pointer[[]string]
+)
+
+// cellRefOf interns id, failing once 1<<16 distinct IDs are taken.
+func cellRefOf(id string) (CellRef, error) {
+	cellMu.Lock()
+	defer cellMu.Unlock()
+	if ref, ok := cellByID[id]; ok {
+		return ref, nil
+	}
+	ids := []string{""}
+	if p := cellIDs.Load(); p != nil {
+		ids = *p
+	}
+	if len(ids) > math.MaxUint16 {
+		return 0, fmt.Errorf("telecom: more than %d distinct cell IDs", len(ids))
+	}
+	ref := CellRef(len(ids))
+	next := append(ids[:len(ids):len(ids)], id)
+	cellIDs.Store(&next)
+	cellByID[id] = ref
+	return ref, nil
+}
+
+// ID returns the cell ID r names ("" for a ref no encode handed out).
+func (r CellRef) ID() string {
+	if p := cellIDs.Load(); p != nil && int(r) < len(*p) {
+		return (*p)[r]
+	}
+	return ""
 }
 
 // BurstPayloadMax is the most payload bytes one burst carries: 14
@@ -312,13 +396,16 @@ func (n *Network) Register(imsi, msisdn string) (*Subscriber, error) {
 	if imsi == "" || msisdn == "" {
 		return nil, fmt.Errorf("telecom: empty IMSI or MSISDN")
 	}
+	if _, err := MakeIMSI(imsi); err != nil {
+		return nil, err
+	}
 	if _, dup := n.subscribers[imsi]; dup {
 		return nil, fmt.Errorf("%w: IMSI %s", ErrDuplicateSub, imsi)
 	}
 	if _, dup := n.byMSISDN[msisdn]; dup {
 		return nil, fmt.Errorf("%w: MSISDN %s", ErrDuplicateSub, msisdn)
 	}
-	sub := &Subscriber{IMSI: imsi, MSISDN: msisdn, ki: kiFor(n.cfg.Seed, imsi)}
+	sub := &Subscriber{IMSI: imsi, MSISDN: msisdn, ki: SubscriberKi(n.cfg.Seed, imsi)}
 	n.subscribers[imsi] = sub
 	n.byMSISDN[msisdn] = sub
 	return sub, nil
@@ -386,13 +473,13 @@ func (b *RadioBurst) PagingKeystream() (ks [PagingPlaintextLen]byte, ok bool) {
 	return ks, true
 }
 
-// kiFor derives a subscriber's SIM secret from the network seed, so
-// experiments are reproducible and synthesized traffic (SessionKey)
-// agrees with registered subscribers. The preimage bytes are exactly
-// the former fmt.Sprintf("ki|%d|%s", seed, imsi) — campaign synthesis
-// runs this per auth epoch, so it is assembled without fmt's
+// SubscriberKi derives the SIM secret Ki of subscriber imsi on a
+// network created with seed, so experiments are reproducible and
+// synthesized traffic (SessionKey) agrees with registered subscribers.
+// The preimage bytes are exactly the former
+// fmt.Sprintf("ki|%d|%s", seed, imsi), assembled without fmt's
 // allocations.
-func kiFor(seed int64, imsi string) [16]byte {
+func SubscriberKi(seed int64, imsi string) [16]byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, "ki|"...)
 	buf = strconv.AppendInt(buf, seed, 10)
@@ -421,18 +508,18 @@ func (n *Network) smsAuthLocked(sub *Subscriber) *authCtx {
 	if ac == nil || n.cfg.ReauthEvery <= 1 || ac.uses >= n.cfg.ReauthEvery {
 		var rnd [16]byte
 		n.rng.Read(rnd[:])
-		ac = &authCtx{rand: rnd, kc: deriveKc(sub.ki, rnd, n.cfg.KeySpace)}
+		ac = &authCtx{rand: rnd, kc: SessionKeyFromKi(sub.ki, rnd, n.cfg.KeySpace)}
 		n.auth[sub.IMSI] = ac
 	}
 	ac.uses++
 	return ac
 }
 
-// deriveKc computes the session key from the SIM secret and the RAND
-// challenge, confined to the configured key space (COMP128 stand-in).
-// The preimage is ki ‖ rnd, hashed from a stack array so campaign
+// SessionKeyFromKi computes the session key Kc from the SIM secret and
+// the RAND challenge, confined to space (COMP128 stand-in). The
+// preimage is ki ‖ rnd, hashed from a stack array so campaign
 // synthesis (one derivation per auth epoch) allocates nothing.
-func deriveKc(ki [16]byte, rnd [16]byte, space a51.KeySpace) uint64 {
+func SessionKeyFromKi(ki [16]byte, rnd [16]byte, space a51.KeySpace) uint64 {
 	var in [32]byte
 	copy(in[:16], ki[:])
 	copy(in[16:], rnd[:])

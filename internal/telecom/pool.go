@@ -10,6 +10,7 @@ package telecom
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/actfort/actfort/internal/a51"
@@ -25,11 +26,8 @@ import (
 // copies.
 type BurstBuffer struct {
 	bursts []RadioBurst
-	// marshal memoization and A5/1 lane-gather scratch.
-	tpdu   []byte
-	kcs    []uint64
-	frames []uint32
-	lanes  [][]byte
+	// tpdu memoizes the last marshaled TPDU.
+	tpdu []byte
 }
 
 var burstBufferPool = sync.Pool{New: func() any { return new(BurstBuffer) }}
@@ -44,30 +42,25 @@ func (b *BurstBuffer) Release() {
 	burstBufferPool.Put(b)
 }
 
+// reset empties the buffer, keeping its capacity. Bursts hold no
+// pointer, so truncating retains no traffic.
 func (b *BurstBuffer) reset() {
-	// Drop the IMSI/cell strings before truncating, so a pooled buffer
-	// retains capacity, not the last shard's traffic. The lanes point
-	// into b.bursts and keep nothing else alive.
-	clear(b.bursts)
 	b.bursts = b.bursts[:0]
 	b.tpdu = b.tpdu[:0]
-	b.kcs = b.kcs[:0]
-	b.frames = b.frames[:0]
-	b.lanes = b.lanes[:0]
 }
 
 // EncodeSMSBurstsInto encodes many sessions in one call: the shared
 // TPDU is marshaled once per distinct Deliver, and every A5/1 burst
 // across sessions is batched into 64-lane bitsliced encryptor passes
-// (a51.EncryptBurstsBatch). It returns one flat burst trace in session
-// order, byte-identical to encoding each session alone, with the
-// descriptor memory taken from buf — the zero-allocation
-// (steady state) path the campaign engine feeds whole shards through
-// before handing the trace to sniffer.FeedBatch, and, as a batch of
-// one, the encoder of Network.SendSMS. A5/0
-// bursts travel as plaintext and A5/3 bursts go through the KASUMI
-// stand-in, so mixed-cipher batches are fine; an unencodable TPDU
-// fails the whole batch.
+// (LaneBatch). It returns one flat burst trace in session order,
+// byte-identical to encoding each session alone, with the descriptor
+// memory taken from buf — the zero-allocation (steady state) path the
+// campaign engine feeds whole shards through before handing the trace
+// to sniffer.FeedBatch, and, as a batch of one, the encoder of
+// Network.SendSMS. A5/0 bursts travel as plaintext and A5/3 bursts go
+// through the KASUMI stand-in, so mixed-cipher batches are fine; an
+// unencodable TPDU, or an IMSI longer than IMSIMax, fails the whole
+// batch.
 //
 // The returned slice aliases buf (see BurstBuffer); each call
 // overwrites the previous call's bursts.
@@ -76,42 +69,90 @@ func EncodeSMSBurstsInto(sessions []SMSSession, buf *BurstBuffer) ([]RadioBurst,
 	var (
 		lastDeliver gsmcodec.Deliver
 		haveRaw     bool
+		lastCell    string
+		cell        CellRef
+		haveCell    bool
 	)
 	for si := range sessions {
-		if !haveRaw || sessions[si].Deliver != lastDeliver {
-			raw, err := sessions[si].Deliver.Marshal()
+		s := &sessions[si]
+		if !haveRaw || s.Deliver != lastDeliver {
+			raw, err := s.Deliver.Marshal()
+			if err == nil && SessionBurstCount(len(raw)) > math.MaxUint8 {
+				err = fmt.Errorf("TPDU of %d bytes takes more than %d bursts", len(raw), math.MaxUint8)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("telecom: batch session %d: %w", si, err)
 			}
 			// Keep the marshaled TPDU in the buffer so the memo byte
 			// storage is recycled along with everything else.
 			buf.tpdu = append(buf.tpdu[:0], raw...)
-			lastDeliver, haveRaw = sessions[si].Deliver, true
+			lastDeliver, haveRaw = s.Deliver, true
 		}
-		start := len(buf.bursts)
-		var cipher CipherMode
-		buf.bursts, cipher = appendSessionBursts(buf.bursts, &sessions[si], buf.tpdu)
-		switch cipher {
-		case CipherA51:
-			for i := start; i < len(buf.bursts); i++ {
-				buf.kcs = append(buf.kcs, sessions[si].Kc)
+		if !haveCell || s.CellID != lastCell {
+			ref, err := cellRefOf(s.CellID)
+			if err != nil {
+				return nil, fmt.Errorf("telecom: batch session %d: %w", si, err)
 			}
-		case CipherA53:
-			for i := start; i < len(buf.bursts); i++ {
-				xorBurstA53(sessions[si].Kc, buf.bursts[i].Frame, buf.bursts[i].Bytes())
+			lastCell, cell, haveCell = s.CellID, ref, true
+		}
+		imsi, err := MakeIMSI(s.IMSI)
+		if err != nil {
+			return nil, fmt.Errorf("telecom: batch session %d: %w", si, err)
+		}
+		buf.bursts = appendSessionBursts(buf.bursts, s, imsi, cell, buf.tpdu)
+	}
+	// The cipher pass walks the finished trace session by session (each
+	// session's paging burst announces its Total): A5/3 bursts are
+	// ciphered alone, A5/1 bursts queue as lanes in trace order.
+	var lanes LaneBatch
+	for i, si := 0, 0; i < len(buf.bursts); si++ {
+		session := buf.bursts[i : i+int(buf.bursts[i].Total)]
+		kc := sessions[si].Kc
+		for j := range session {
+			switch b := &session[j]; b.Cipher {
+			case CipherA51:
+				lanes.Add(kc, b.Frame, b.Bytes())
+			case CipherA53:
+				xorBurstA53(kc, b.Frame, b.Bytes())
 			}
 		}
+		i += len(session)
 	}
-	// The lanes point into buf.bursts, so they are gathered only now
-	// that the slice has stopped growing; buf.kcs holds one key per
-	// A5/1 burst in the same order. One bitsliced pass per 64 lanes
-	// XORs the keystream into the payloads in place.
-	for i := range buf.bursts {
-		if b := &buf.bursts[i]; b.Cipher == CipherA51 {
-			buf.frames = append(buf.frames, b.Frame)
-			buf.lanes = append(buf.lanes, b.Bytes())
-		}
-	}
-	a51.EncryptBurstsBatch(buf.kcs, buf.frames, buf.lanes)
+	lanes.Flush()
 	return buf.bursts, nil
+}
+
+// laneBatchSize is the lane count of one bitsliced a51 pass.
+const laneBatchSize = 64
+
+// LaneBatch queues A5/1 bursts for the 64-lane bitsliced encryptor in
+// fixed arrays, so a caller holding one on its stack gathers no lane
+// slices on the heap. Add runs a pass (a51.EncryptBurstsBatch) each
+// time the batch fills and Flush runs the last, partial one, so the
+// passes and lanes of one sequence of Adds and a Flush are those of one
+// EncryptBurstsBatch over all its lanes, in the same order. XOR with
+// the keystream both encrypts and decrypts.
+type LaneBatch struct {
+	n      int
+	kcs    [laneBatchSize]uint64
+	frames [laneBatchSize]uint32
+	lanes  [laneBatchSize][]byte
+}
+
+// Add queues payload p, ciphered under kc on frame. p is XORed in
+// place by the pass that takes it, at the latest on Flush, so it must
+// stay put until then.
+func (lb *LaneBatch) Add(kc uint64, frame uint32, p []byte) {
+	lb.kcs[lb.n], lb.frames[lb.n], lb.lanes[lb.n] = kc, frame, p
+	if lb.n++; lb.n == laneBatchSize {
+		lb.Flush()
+	}
+}
+
+// Flush runs a pass over the queued lanes, if any, and empties the batch.
+func (lb *LaneBatch) Flush() {
+	if lb.n > 0 {
+		a51.EncryptBurstsBatch(lb.kcs[:lb.n], lb.frames[:lb.n], lb.lanes[:lb.n])
+		lb.n = 0
+	}
 }

@@ -50,12 +50,13 @@ func SessionBurstCount(rawLen int) int {
 
 // appendSessionBursts lays out a session's bursts — plaintext payloads
 // and final COUNT frame values, everything but the cipher pass — onto
-// dst. Burst 0 is the predictable paging burst (the known-plaintext
+// dst, under the session's identity and cell as the burst carries them.
+// Burst 0 is the predictable paging burst (the known-plaintext
 // foothold); the rest carry BurstPayloadMax-byte chunks of raw, the
 // session's marshaled TPDU (hoisted to the caller so the batch encoder
-// can marshal a shared TPDU once). Payloads are written in place into
-// the appended bursts.
-func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte) ([]RadioBurst, CipherMode) {
+// can marshal a shared TPDU once), which takes at most 255 bursts.
+// Payloads are written in place into the appended bursts.
+func appendSessionBursts(dst []RadioBurst, s *SMSSession, imsi IMSI, cell CellRef, raw []byte) []RadioBurst {
 	total := SessionBurstCount(len(raw))
 	cipher := s.Cipher
 	if cipher == 0 {
@@ -64,14 +65,14 @@ func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte) ([]RadioBu
 	for seq := 0; seq < total; seq++ {
 		dst = append(dst, RadioBurst{
 			ARFCN:     s.ARFCN,
-			CellID:    s.CellID,
+			Cell:      cell,
 			Frame:     Count22(s.StartFrame + uint32(seq)),
 			SessionID: s.SessionID,
-			Seq:       seq,
-			Total:     total,
+			Seq:       uint8(seq),
+			Total:     uint8(total),
 			Encrypted: cipher.Encrypts(),
 			Cipher:    cipher,
-			IMSI:      s.IMSI,
+			IMSI:      imsi,
 			RAND:      s.RAND,
 		})
 		b := &dst[len(dst)-1]
@@ -82,15 +83,17 @@ func appendSessionBursts(dst []RadioBurst, s *SMSSession, raw []byte) ([]RadioBu
 			b.PayloadLen = uint8(copy(b.Payload[:], raw[(seq-1)*BurstPayloadMax:]))
 		}
 	}
-	return dst, cipher
+	return dst
 }
 
 // SessionKey computes the Kc a network created with the given seed
 // would derive for subscriber imsi under challenge rnd, confined to
-// space. It mirrors Register's Ki derivation plus the COMP128
-// stand-in, so synthesized traffic (campaign radio batches) and live
-// Network traffic agree on keys without registering millions of
-// subscribers in one HLR.
+// space: SessionKeyFromKi over SubscriberKi, as Register and the
+// authentication procedure derive it, so synthesized traffic (campaign
+// radio batches) and live Network traffic agree on keys without
+// registering millions of subscribers in one HLR. A caller deriving
+// several epochs' keys for one subscriber derives Ki once and calls
+// SessionKeyFromKi per epoch.
 func SessionKey(seed int64, imsi string, rnd [16]byte, space a51.KeySpace) uint64 {
-	return deriveKc(kiFor(seed, imsi), rnd, space)
+	return SessionKeyFromKi(SubscriberKi(seed, imsi), rnd, space)
 }

@@ -17,11 +17,19 @@ func refEncodeSMSBursts(s SMSSession) ([]RadioBurst, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telecom: encode SMS: %w", err)
 	}
+	imsi, err := MakeIMSI(s.IMSI)
+	if err != nil {
+		return nil, err
+	}
+	cell, err := cellRefOf(s.CellID)
+	if err != nil {
+		return nil, err
+	}
 	dst := make([]RadioBurst, 0, SessionBurstCount(len(raw)))
-	bursts, cipher := appendSessionBursts(dst, &s, raw)
+	bursts := appendSessionBursts(dst, &s, imsi, cell, raw)
 	for i := range bursts {
 		b := &bursts[i]
-		switch cipher {
+		switch b.Cipher {
 		case CipherA51:
 			copy(b.Payload[:], encryptBurstA51(s.Kc, b.Frame, b.Bytes()))
 		case CipherA53:

@@ -125,10 +125,10 @@ func TestSendSMSEmitsEncryptedBursts(t *testing.T) {
 		if !b.Encrypted {
 			t.Errorf("burst %d not encrypted on A5/1 cell", i)
 		}
-		if b.Seq != i {
+		if int(b.Seq) != i {
 			t.Errorf("burst %d has Seq %d", i, b.Seq)
 		}
-		if b.Total != len(bursts) {
+		if int(b.Total) != len(bursts) {
 			t.Errorf("burst %d Total=%d want %d", i, b.Total, len(bursts))
 		}
 	}
@@ -546,7 +546,7 @@ func TestBurstAuthContext(t *testing.T) {
 		t.Fatal("no bursts emitted")
 	}
 	for _, b := range bursts {
-		if b.IMSI != sub.IMSI {
+		if b.IMSI.String() != sub.IMSI {
 			t.Fatalf("burst IMSI = %q want %q", b.IMSI, sub.IMSI)
 		}
 		if b.RAND == ([16]byte{}) {
@@ -634,7 +634,7 @@ func TestEncodeSMSBursts(t *testing.T) {
 		if len(bursts) < 2 {
 			t.Fatalf("%s: bursts = %d", enc.name, len(bursts))
 		}
-		if bursts[0].Seq != 0 || bursts[0].Total != len(bursts) {
+		if bursts[0].Seq != 0 || int(bursts[0].Total) != len(bursts) {
 			t.Fatalf("%s: paging burst = %+v", enc.name, bursts[0])
 		}
 		for i, b := range bursts {
